@@ -21,6 +21,11 @@ class NonInvertible(SupergeoError):
     """Superfunction has zero body and admits no inverse."""
 
 
+class InexactCoefficient(SupergeoError):
+    """A value is not an exact rational function of the pool's even variables
+    (a float, an irrational number, or an object of a foreign type)."""
+
+
 class NotASquare(SupergeoError):
     """The body is not an exact square in the rational-function field."""
 

@@ -632,7 +632,6 @@ class OSpFrame:
         chart = self.chart
         fields = []
         for j in range(chart.dim):
-            comps = [chart.pool.zero()] * chart.dim
             parity = chart.parity(j)
             acc = chart.zero_field(parity)
             for i in range(chart.dim):

@@ -33,7 +33,7 @@ def volume_density(h: BilinearForm) -> VolumeDensity:
     chart = h.chart
     validate_metric(h)
     ber = h.to_supermatrix().berezinian()
-    body_at = sp.Rational(sp.cancel(ber.body()).subs(chart.sample_point()))
+    body_at = sp.Rational(ber.body().subs(chart.sample_point()))
     if body_at == 0:
         raise NonPolynomialIntegrand("superdeterminant body vanishes at the sample point")
     signed = ber if body_at > 0 else -ber
@@ -44,7 +44,7 @@ def integrate(f: Superfunction, vol: VolumeDensity) -> Fraction:
     """Berezin-extract the top odd coefficient of scale*f, then box-integrate."""
     chart = vol.chart
     top = (vol.scale * f).berezin_top()
-    num, den = sp.fraction(sp.cancel(top))
+    num, den = sp.fraction(top)
     if den.free_symbols:
         raise NonPolynomialIntegrand(
             "even part has a nonconstant denominator; box integration needs polynomials"

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy as sp
+from sympy.polys.fields import FracElement
 
 from .errors import ParityError, UnsupportedMetric
 from .exactlinalg import nullspace, rank
@@ -186,16 +186,14 @@ def killing_check(X: VectorField, g: BilinearForm, mode: str = "all") -> Killing
 
 def _even_monomials(chart: Chart, degree: int):
     """Even-variable monomials of total degree <= degree, lexicographic."""
-    syms = chart.pool.even_symbols
+    ring = chart.pool.ring
     out = []
     for total in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(len(syms)), total):
-            expr = sp.Integer(1)
+        for combo in itertools.combinations_with_replacement(range(ring.ngens), total):
+            m = ring.one
             for i in combo:
-                expr *= syms[i]
-            out.append(expr)
-    if not syms:
-        out = [sp.Integer(1)]
+                m *= ring.gens[i]
+            out.append(m)
     return out
 
 
@@ -249,23 +247,26 @@ def _ansatz_fields(chart: Chart, degree: int, parity: int):
     return fields
 
 
+def _rational_coefficients(f: Superfunction):
+    """``(odd monomial, even exponents, Fraction)`` for every rational
+    coefficient of a superfunction with polynomial coefficients."""
+    for mono, c in f.terms.items():
+        for exps, q in c.terms():
+            yield mono, exps, Fraction(int(q.numerator), int(q.denominator))
+
+
 def _coefficient_rows(tables, chart: Chart):
     """Turn per-candidate L_X g tables into a rational coefficient matrix."""
-    syms = list(chart.pool.even_symbols)
     keys = {}
     columns = []
     for table in tables:
         col = {}
         for i in range(chart.dim):
             for j in range(chart.dim):
-                entry = table.components[i][j]
-                for mono, expr in entry.terms.items():
-                    poly = sp.Poly(expr, *syms) if syms else None
-                    terms = poly.terms() if syms else [((), sp.Rational(expr))]
-                    for exps, c in terms:
-                        key = (i, j, mono, tuple(exps))
-                        keys.setdefault(key, len(keys))
-                        col[keys[key]] = Fraction(sp.Rational(c).p, sp.Rational(c).q)
+                for mono, exps, q in _rational_coefficients(table.components[i][j]):
+                    key = (i, j, mono, exps)
+                    keys.setdefault(key, len(keys))
+                    col[keys[key]] = q
         columns.append(col)
     rows = [[Fraction(0)] * len(columns) for _ in range(len(keys))]
     for cidx, col in enumerate(columns):
@@ -285,9 +286,8 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
     chart = g.chart
     for row in g.components:
         for entry in row:
-            for expr in entry.terms.values():
-                if sp.fraction(sp.cancel(expr))[1].free_symbols:
-                    raise UnsupportedMetric("metric components must be polynomial")
+            if any(isinstance(c, FracElement) for c in entry.terms.values()):
+                raise UnsupportedMetric("metric components must be polynomial")
     parities = [0, 1] if parity is None else [parity]
     fields = []
     field_parities = []
@@ -303,7 +303,7 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
                 if c == 0:
                     continue
                 for k in range(chart.dim):
-                    comps[k] = comps[k] + b.components[k] * sp.Rational(c)
+                    comps[k] = comps[k] + b.components[k] * c
             X = VectorField(chart, comps, p)
             fields.append(X)
             field_parities.append(p)
@@ -319,21 +319,15 @@ def _certify_basis(basis: KillingBasis, g: BilinearForm):
         if not rep.passed:
             raise AssertionError("solver produced a non-Killing field")
     # linear independence certificate over Q
-    chart = g.chart
-    syms = list(chart.pool.even_symbols)
     keys = {}
     rows = []
     for X in basis.fields:
         col = {}
         for k, comp in enumerate(X.components):
-            for mono, expr in comp.terms.items():
-                terms = (
-                    sp.Poly(expr, *syms).terms() if syms else [((), sp.Rational(expr))]
-                )
-                for exps, c in terms:
-                    key = (k, mono, tuple(exps))
-                    keys.setdefault(key, len(keys))
-                    col[keys[key]] = Fraction(sp.Rational(c).p, sp.Rational(c).q)
+            for mono, exps, q in _rational_coefficients(comp):
+                key = (k, mono, exps)
+                keys.setdefault(key, len(keys))
+                col[keys[key]] = q
         rows.append(col)
     mat = [[col.get(i, Fraction(0)) for i in range(len(keys))] for col in rows]
     if rank(mat) != len(basis.fields):

@@ -1,9 +1,25 @@
 """Exact Grassmann-valued scalars with rational-function coefficients.
 
 A :class:`Superfunction` is a finite sum of terms ``c(x) * th_{i1}*...*th_{ik}``
-where the ``c`` are rational functions of the even variables with rational
-coefficients (sympy expressions, kept in cancelled form) and the odd monomial
-is a strictly increasing tuple of indices into the pool's odd generators.
+where the odd monomial is a strictly increasing tuple of indices into the
+pool's odd generators and ``c`` is a rational function of the even variables
+with rational coefficients.
+
+Coefficients live in sympy's sparse polynomial ring ``QQ[x_1..x_n]`` and its
+fraction field ``QQ(x_1..x_n)``, built once per tuple of even names (every
+pool with the same even names shares the same ring and field).  One invariant
+holds for ``Superfunction.terms`` and :func:`_norm` enforces it: every stored
+coefficient is nonzero, and it is a ``PolyElement`` when the value is a
+polynomial and a ``FracElement`` with a non-constant denominator otherwise.
+Both are canonical, so ring arithmetic needs no simplification step and
+equality is structural.
+
+Values cross into sympy ``Expr`` only at the edges: :meth:`GeneratorPool.scalar`
+lifts ints, ``Fraction``s and sympy ``Rational``s straight into the ground
+domain and even sympy expressions through the field (floats, irrational
+numbers and symbols outside the pool are rejected); :meth:`Superfunction.body`
+and :meth:`Superfunction.berezin_top` return ``Expr``; :meth:`Superfunction.render`
+prints through ``Expr``; and exact square roots factor the body as ``Expr``.
 
 Sign conventions, fixed once for the whole package (see
 docs/sign-conventions.md):
@@ -20,12 +36,21 @@ docs/sign-conventions.md):
 
 from __future__ import annotations
 
+import functools
+import itertools
 from fractions import Fraction
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.fields import FracElement, FracField
+from sympy.polys.orderings import lex
+from sympy.polys.polyerrors import CoercionFailed
+from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyElement
 
 from .errors import (
     FleshInTopCoefficient,
+    InexactCoefficient,
     NonInvertible,
     NotASquare,
     ParityError,
@@ -36,11 +61,55 @@ from .errors import (
 _ZERO = sp.Integer(0)
 
 
-def _can(expr):
-    """Canonical form for an even coefficient: cancelled rational function."""
-    if isinstance(expr, (int, Fraction)):
-        return sp.Rational(expr)
-    return sp.cancel(sp.sympify(expr))
+@functools.cache
+def _field(even_names):
+    """``QQ(x_1..x_n)`` for these even names; one instance per name tuple."""
+    return FracField(tuple(sp.Symbol(n) for n in even_names), QQ, lex)
+
+
+def _norm(c):
+    """Canonical form of a coefficient: a ``PolyElement`` whenever the value is
+    a polynomial, otherwise the (already cancelled) ``FracElement``.  Zero
+    comes back as the zero polynomial, which is falsy."""
+    if isinstance(c, FracElement) and c.denom.is_ground:
+        return c.numer.quo_ground(c.denom.LC)
+    return c
+
+
+def _coeff_add(a, b):
+    # sympy's fraction field handles mixed operands fastest from the left
+    if isinstance(b, FracElement) and not isinstance(a, FracElement):
+        return _norm(b + a)
+    return _norm(a + b)
+
+
+def _coeff_mul(a, b):
+    if isinstance(b, FracElement) and not isinstance(a, FracElement):
+        return _norm(b * a)
+    return _norm(a * b)
+
+
+def _coeff_div(field, a, b):
+    return _norm(field.one * a / b)
+
+
+def _diff(pool, c, k):
+    """Partial derivative of a coefficient by the k-th even variable."""
+    if isinstance(c, FracElement):
+        return _norm(c.diff(pool.field.gens[k]))
+    return c.diff(pool.ring.gens[k])
+
+
+def _even_indices(c):
+    """Indices of the even variables a coefficient depends on."""
+    polys = (c.numer, c.denom) if isinstance(c, FracElement) else (c,)
+    return {
+        k for p in polys for exps in p.itermonoms() for k, e in enumerate(exps) if e
+    }
+
+
+def _to_expr(c):
+    return _ZERO if c is None else c.as_expr()
 
 
 def _merge_monomials(a, b):
@@ -86,7 +155,9 @@ class GeneratorPool:
         all_names = self.even_names + self.odd_names
         if len(set(all_names)) != len(all_names):
             raise ValueError("generator names must be unique")
-        self.even_symbols = tuple(sp.Symbol(n) for n in self.even_names)
+        self.field = _field(self.even_names)
+        self.ring = self.field.ring
+        self.even_symbols = self.field.symbols
         self._even_index = {n: k for k, n in enumerate(self.even_names)}
         self._odd_index = {n: k for k, n in enumerate(self.odd_names)}
 
@@ -125,16 +196,44 @@ class GeneratorPool:
 
     def scalar(self, value) -> "Superfunction":
         """Lift a rational number or even sympy expression into the ring."""
-        expr = _can(value)
-        if expr == 0:
-            return Superfunction(self, {})
-        return Superfunction(self, {(): expr})
+        c = self._coefficient(value)
+        return Superfunction(self, {(): c} if c else {})
+
+    def _coefficient(self, value):
+        """Canonical even coefficient for an exact rational value, an even
+        sympy expression, or an element of this pool's ring or field."""
+        if isinstance(value, int):
+            return self.ring.ground_new(QQ(value))
+        if isinstance(value, Fraction):
+            return self.ring.ground_new(QQ(value.numerator, value.denominator))
+        if isinstance(value, sp.Rational):
+            return self.ring.ground_new(QQ(value.p, value.q))
+        if isinstance(value, PolyElement) and value.ring is self.ring:
+            return value
+        if isinstance(value, FracElement) and value.field is self.field:
+            return _norm(value)
+        if isinstance(value, sp.Expr):
+            foreign = value.free_symbols - set(self.even_symbols)
+            if foreign:
+                names = ", ".join(sorted(str(s) for s in foreign))
+                raise UnknownGenerator(
+                    f"{names} not an even variable of the pool; "
+                    "odd generators enter as Superfunction factors"
+                )
+            if not value.has(sp.Float):
+                try:
+                    return _norm(self.field.from_expr(value))
+                except (ValueError, CoercionFailed):
+                    pass
+        raise InexactCoefficient(
+            f"{value!r} is not an exact rational function of {list(self.even_names)}"
+        )
 
     def even(self, name: str) -> "Superfunction":
         return self.scalar(self.even_symbol(name))
 
     def odd(self, name: str) -> "Superfunction":
-        return Superfunction(self, {(self.odd_index(name),): sp.Integer(1)})
+        return Superfunction(self, {(self.odd_index(name),): self.ring.one})
 
     def generator(self, name: str) -> "Superfunction":
         if name in self._even_index:
@@ -173,22 +272,22 @@ class Superfunction:
 
     def __init__(self, pool: GeneratorPool, terms: dict):
         self.pool = pool
-        self.terms = terms  # monomial tuple -> nonzero cancelled sympy expr
+        self.terms = terms  # monomial tuple -> nonzero canonical coefficient
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def _from_raw(pool, raw):
         terms = {}
-        for mono, expr in raw.items():
-            expr = _can(expr)
-            if expr != 0:
-                terms[mono] = expr
+        for mono, c in raw.items():
+            c = _norm(c)
+            if c:
+                terms[mono] = c
         return Superfunction(pool, terms)
 
     def _coerce(self, other):
         if isinstance(other, Superfunction):
-            if other.pool != self.pool:
+            if other.pool is not self.pool and other.pool != self.pool:
                 raise PoolMismatch("operands belong to different pools")
             return other
         return self.pool.scalar(other)
@@ -197,15 +296,23 @@ class Superfunction:
 
     def __add__(self, other):
         other = self._coerce(other)
-        raw = dict(self.terms)
-        for mono, expr in other.terms.items():
-            raw[mono] = raw.get(mono, _ZERO) + expr
-        return Superfunction._from_raw(self.pool, raw)
+        terms = dict(self.terms)
+        for mono, c in other.terms.items():
+            prev = terms.get(mono)
+            if prev is None:
+                terms[mono] = c
+                continue
+            c = _coeff_add(prev, c)
+            if c:
+                terms[mono] = c
+            else:
+                del terms[mono]
+        return Superfunction(self.pool, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Superfunction(self.pool, {m: -e for m, e in self.terms.items()})
+        return Superfunction(self.pool, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -214,6 +321,8 @@ class Superfunction:
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, int) and other in (1, -1):  # graded signs
+            return self if other == 1 else -self
         other = self._coerce(other)
         raw = {}
         for ma, ca in self.terms.items():
@@ -221,12 +330,16 @@ class Superfunction:
                 sign, mono = _merge_monomials(ma, mb)
                 if sign == 0:
                     continue
-                raw[mono] = raw.get(mono, _ZERO) + sign * ca * cb
+                c = _coeff_mul(ca, cb)
+                if sign < 0:
+                    c = -c
+                prev = raw.get(mono)
+                raw[mono] = c if prev is None else _coeff_add(prev, c)
         return Superfunction._from_raw(self.pool, raw)
 
     def __rmul__(self, other):
         # only scalars reach here; they commute with everything
-        return self._coerce(other) * self
+        return self * other
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -250,9 +363,9 @@ class Superfunction:
     def __eq__(self, other):
         try:
             other = self._coerce(other)
-        except PoolMismatch:
+        except (PoolMismatch, InexactCoefficient, UnknownGenerator):
             return False
-        return (self - other).is_zero()
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -262,12 +375,18 @@ class Superfunction:
         return not self.terms
 
     def body(self):
-        """Even-variable rational function left after killing all odd generators."""
-        return self.terms.get((), _ZERO)
+        """Even-variable rational function left after killing all odd
+        generators, as a sympy expression."""
+        return _to_expr(self.terms.get(()))
+
+    def body_part(self) -> "Superfunction":
+        return Superfunction(
+            self.pool, {m: c for m, c in self.terms.items() if not m}
+        )
 
     def nilpotent_part(self) -> "Superfunction":
         return Superfunction(
-            self.pool, {m: e for m, e in self.terms.items() if m}
+            self.pool, {m: c for m, c in self.terms.items() if m}
         )
 
     def parity(self):
@@ -290,80 +409,55 @@ class Superfunction:
             self.pool.is_flesh(i) for mono in self.terms for i in mono
         )
 
-    def even_symbols_used(self):
-        used = set()
-        for expr in self.terms.values():
-            used |= expr.free_symbols
-        return used
-
     # -- calculus ------------------------------------------------------------
 
     def partial(self, name: str) -> "Superfunction":
         """Partial derivative; odd derivatives act from the left."""
         pool = self.pool
         if name in pool._even_index:
-            sym = pool.even_symbol(name)
-            raw = {m: sp.diff(e, sym) for m, e in self.terms.items()}
+            k = pool._even_index[name]
+            raw = {m: _diff(pool, c, k) for m, c in self.terms.items()}
             return Superfunction._from_raw(pool, raw)
         idx = pool.odd_index(name)
         if pool.is_flesh(idx):
             raise UnknownGenerator(
                 f"{name!r} is a flesh generator; it admits no derivations"
             )
-        raw = {}
-        for mono, expr in self.terms.items():
+        terms = {}
+        for mono, c in self.terms.items():
             if idx not in mono:
                 continue
             pos = mono.index(idx)
-            sign = -1 if pos % 2 else 1
-            rest = mono[:pos] + mono[pos + 1 :]
-            raw[rest] = raw.get(rest, _ZERO) + sign * expr
-        return Superfunction._from_raw(pool, raw)
+            # distinct monomials stay distinct once idx is removed
+            terms[mono[:pos] + mono[pos + 1 :]] = -c if pos % 2 else c
+        return Superfunction(pool, terms)
+
+    def _body_inverse(self) -> "Superfunction":
+        b = self.terms.get(())
+        if b is None:
+            raise NonInvertible("body is zero")
+        return Superfunction(self.pool, {(): _coeff_div(self.pool.field, 1, b)})
 
     def invert(self) -> "Superfunction":
         """Exact inverse via a finite Neumann series in the nilpotent part."""
-        b = self.body()
-        if b == 0:
-            raise NonInvertible("body is zero")
-        binv = _can(1 / b)
-        n = self.nilpotent_part()
-        if n.is_zero():
-            return self.pool.scalar(binv)
-        t = n * binv  # f = b*(1 + t), t nilpotent, so 1/f = (1/b) * sum (-t)^k
-        out = self.pool.one()
-        power = self.pool.one()
-        sign = 1
-        while True:
-            power = power * t
-            sign = -sign
-            if power.is_zero():
-                break
-            out = out + power * sign
-        return out * binv
+        binv = self._body_inverse()
+        # f = b*(1 + t), t nilpotent, so 1/f = (1/b) * sum (-t)^k
+        t = self.nilpotent_part() * binv
+        return _nilpotent_series(t, itertools.cycle((-1, 1))) * binv
 
     def sqrt(self) -> "Superfunction":
         """Unique square root with exactly square body and positive lead."""
         if not self.has_parity(0):
             raise ParityError("square roots are only defined for even elements")
-        b = self.body()
-        s0 = _rational_function_sqrt(b)
+        b = self.terms.get(())
+        s0 = self.pool.scalar(_rational_function_sqrt(b))
         n = self.nilpotent_part()
         if n.is_zero():
-            return self.pool.scalar(s0)
-        t = n * _can(1 / b)  # f = b*(1 + t)
-        # sqrt(1+t) via the binomial series; terminates by nilpotency
-        out = self.pool.one()
-        power = self.pool.one()
-        coeff = Fraction(1)
-        k = 0
-        while True:
-            power = power * t
-            if power.is_zero():
-                break
-            k += 1
-            coeff = coeff * (Fraction(1, 2) - (k - 1)) / k
-            out = out + power * sp.Rational(coeff)
-        return out * s0
+            return s0
+        if b is None:
+            raise NotASquare("a nonzero nilpotent element has no square root")
+        # f = b*(1 + t); sqrt(1 + t) is the binomial series
+        return _nilpotent_series(n * self._body_inverse(), _half_binomials()) * s0
 
     def berezin_top(self):
         """Coefficient of the full odd-coordinate monomial, as a sympy expr.
@@ -372,17 +466,13 @@ class Superfunction:
         """
         pool = self.pool
         top = tuple(range(pool.n_coordinate_odd))
-        result = _ZERO
-        for mono, expr in self.terms.items():
+        for mono in self.terms:
             coords = tuple(i for i in mono if not pool.is_flesh(i))
-            if coords != top:
-                continue
-            if len(coords) != len(mono):
+            if coords == top and len(coords) != len(mono):
                 raise FleshInTopCoefficient(
                     "top odd-coordinate coefficient contains flesh generators"
                 )
-            result = result + expr
-        return _can(result)
+        return _to_expr(self.terms.get(top))
 
     def substitute(self, images: dict, new_pool: GeneratorPool) -> "Superfunction":
         """Graded-safe substitution generator -> Superfunction over new_pool.
@@ -390,18 +480,20 @@ class Superfunction:
         Every generator actually used must have an image of matching parity.
         Even images are expanded in a finite Taylor series around their body.
         """
-        used_even = self.even_symbols_used()
+        used_even = set()
+        for c in self.terms.values():
+            used_even |= _even_indices(c)
         even_images = {}
-        for name in self.pool.even_names:
-            sym = self.pool.even_symbol(name)
-            if sym not in used_even:
-                continue
+        for k in sorted(used_even):
+            name = self.pool.even_names[k]
             if name not in images:
                 raise UnknownGenerator(f"no image for even variable {name!r}")
             img = images[name]
             if not img.has_parity(0):
                 raise ParityError(f"image of even variable {name!r} must be even")
-            even_images[name] = img
+            if img.pool != new_pool:
+                raise PoolMismatch(f"image of {name!r} lives over another pool")
+            even_images[k] = img
         odd_images = {}
         for mono in self.terms:
             for idx in mono:
@@ -416,8 +508,8 @@ class Superfunction:
                 odd_images[name] = img
 
         out = new_pool.zero()
-        for mono, expr in self.terms.items():
-            part = _substitute_even(expr, even_images, new_pool)
+        for mono, c in self.terms.items():
+            part = _substitute_even(c, self.pool, even_images, new_pool)
             for idx in mono:
                 part = part * odd_images[self.pool.odd_names[idx]]
             out = out + part
@@ -440,8 +532,41 @@ class Superfunction:
         return f"Superfunction({self.render()})"
 
 
-def _render_coefficient(expr) -> str:
-    num, den = sp.fraction(sp.cancel(expr))
+@functools.cache
+def _sympy_gen_order(symbols):
+    """Positions of ``symbols`` in the order sympy's ``Expr`` routines sort
+    generators by (``x, y, z`` first), which fixes the printed signs."""
+    return tuple(symbols.index(s) for s in _sort_gens(symbols))
+
+
+def _nilpotent_series(t, coeffs):
+    """1 + sum_k coeffs[k-1] * t^k for nilpotent t; the sum is finite."""
+    out = power = t.pool.one()
+    for c in coeffs:
+        power = power * t
+        if power.is_zero():
+            return out
+        out = out + power * c
+
+
+def _half_binomials():
+    """binomial(1/2, k) for k = 1, 2, ..."""
+    c = Fraction(1)
+    for k in itertools.count(1):
+        c = c * (Fraction(1, 2) - (k - 1)) / k
+        yield c
+
+
+def _render_coefficient(c) -> str:
+    if isinstance(c, FracElement):
+        # print the denominator with a positive leading coefficient in
+        # sympy's generator order, as sympy.cancel would
+        order = _sympy_gen_order(c.field.symbols)
+        _, lc = max(c.denom.terms(), key=lambda t: [t[0][i] for i in order])
+        sign = 1 if lc > 0 else -1
+        num, den = (c.numer * sign).as_expr(), (c.denom * sign).as_expr()
+    else:
+        num, den = sp.fraction(c.as_expr())
     ns = sp.sstr(num, order="lex").replace("**", "^")
     if den == 1:
         return ns
@@ -478,56 +603,76 @@ def _polynomial_sqrt(poly_expr, syms):
     return sp.expand(root)
 
 
-def _rational_function_sqrt(body):
-    """Square root of a rational function; requires an exact square with
-    positive leading rational."""
-    body = sp.cancel(body)
-    if body == 0:
+def _rational_function_sqrt(c):
+    """Square root of a coefficient (None for zero) as a sympy expression;
+    requires an exact square with positive leading rational."""
+    if c is None:
         return _ZERO
-    num, den = sp.fraction(body)
-    syms = sorted(body.free_symbols, key=lambda s: s.name)
+    if isinstance(c, FracElement):
+        num, den = c.numer.as_expr(), c.denom.as_expr()
+    else:
+        den, num = c.clear_denoms()
+        num, den = num.as_expr(), sp.Integer(int(den))
+    syms = sorted(num.free_symbols | den.free_symbols, key=lambda s: s.name)
     try:
         rn = _polynomial_sqrt(num, syms)
         rd = _polynomial_sqrt(den, syms)
     except NotASquare:
-        raise NotASquare(f"body {body} admits no exact square root") from None
-    return _can(rn / rd)
+        raise NotASquare(f"body {c.as_expr()} admits no exact square root") from None
+    return rn / rd
 
 
-def _substitute_even(expr, even_images: dict, new_pool: GeneratorPool):
-    """Substitute even variables by even superfunctions via finite Taylor
-    expansion around the images' bodies."""
-    names = [n for n in even_images]
-    syms = [sp.Symbol(n) for n in names]
-    dummies = [sp.Dummy(n) for n in names]
-    expr = sp.sympify(expr).subs(dict(zip(syms, dummies)), simultaneous=True)
+def _compose(p, values, pool):
+    """A polynomial in the old even variables evaluated at coefficients of
+    ``pool`` (``values[k]`` for the k-th variable)."""
+    acc = pool.ring.zero
+    for exps, q in p.terms():
+        term = pool.ring.ground_new(q)
+        for v, e in zip(values, exps):
+            if e:
+                term = _coeff_mul(term, v**e)
+        acc = _coeff_add(acc, term)
+    return acc
 
-    def expand(e, k):
-        if k == len(names):
-            return new_pool.scalar(e)
-        d = dummies[k]
-        img = even_images[names[k]]
-        if not e.has(d):
-            return expand(e, k + 1)
-        b = img.body()
-        nil = img.nilpotent_part()
-        out = expand(sp.cancel(e.subs(d, b)), k + 1)
-        if nil.is_zero():
-            return out
+
+def _evaluate(c, values, pool):
+    if isinstance(c, FracElement):
+        den = _compose(c.denom, values, pool)
+        if not den:
+            raise NonInvertible("substitution hits a pole of a coefficient")
+        return _coeff_div(pool.field, _compose(c.numer, values, pool), den)
+    return _compose(c, values, pool)
+
+
+def _substitute_even(c, pool, even_images: dict, new_pool: GeneratorPool):
+    """Substitute even variables (by index) by even superfunctions via finite
+    Taylor expansion around the images' bodies."""
+    order = sorted(even_images)
+    values = [None] * pool.n_even
+    for k in order:
+        values[k] = even_images[k].terms.get((), new_pool.ring.zero)
+    nils = {k: even_images[k].nilpotent_part() for k in order}
+
+    def expand(e, i):
+        if i == len(order):
+            return new_pool.scalar(_evaluate(e, values, new_pool))
+        k = order[i]
+        out = expand(e, i + 1)
+        nil = nils[k]
         de = e
         power = new_pool.one()
         fact = Fraction(1)
         j = 0
-        while True:
+        while not nil.is_zero():
             power = power * nil
             if power.is_zero():
                 break
-            de = sp.diff(de, d)
-            if de == 0:
+            de = _diff(pool, de, k)
+            if not de:
                 break
             j += 1
             fact = fact / j
-            out = out + expand(sp.cancel(de.subs(d, b)), k + 1) * power * sp.Rational(fact)
+            out = out + expand(de, i + 1) * power * fact
         return out
 
-    return expand(expr, 0)
+    return expand(c, 0)

@@ -2,16 +2,21 @@
 
 import pytest
 import sympy as sp
+from sympy.polys.fields import FracElement
+from sympy.polys.rings import PolyElement
 
 from supergeo import GeneratorPool
 from supergeo.errors import (
     FleshInTopCoefficient,
+    InexactCoefficient,
     NonInvertible,
     NotASquare,
     ParityError,
     PoolMismatch,
     UnknownGenerator,
 )
+
+from supergeo.parsing import parse_expression
 
 from conftest import random_superfunction, seeded
 
@@ -26,6 +31,55 @@ def pool():
 def test_pool_rejects_duplicate_names():
     with pytest.raises(ValueError):
         GeneratorPool(["x"], ["x"])
+
+
+def test_pools_with_equal_even_names_share_the_field():
+    a = GeneratorPool(["x"], ["th1"])
+    b = GeneratorPool(["x"], ["e1", "e2"], ["lam"])
+    assert a.field is b.field and a.ring is b.ring
+    assert GeneratorPool(["y"], ["th1"]).field is not a.field
+
+
+class TestExactInputGuard:
+    def test_python_float_rejected(self, pool):
+        with pytest.raises(InexactCoefficient):
+            pool.scalar(0.5)
+
+    def test_sympy_float_rejected(self, pool):
+        with pytest.raises(InexactCoefficient):
+            pool.scalar(sp.Float("0.5"))
+        with pytest.raises(InexactCoefficient):
+            pool.scalar(sp.Float("0.5") * x)
+
+    def test_foreign_symbol_rejected(self, pool):
+        with pytest.raises(UnknownGenerator):
+            pool.scalar(sp.Symbol("zz"))
+
+    def test_odd_name_as_coefficient_rejected(self, pool):
+        with pytest.raises(UnknownGenerator):
+            pool.scalar(sp.Symbol("th1"))
+
+    def test_irrational_rejected(self, pool):
+        with pytest.raises(InexactCoefficient):
+            pool.scalar(sp.sqrt(2))
+
+    def test_exact_values_accepted(self, pool):
+        from fractions import Fraction
+
+        half = pool.scalar(sp.Rational(1, 2))
+        assert pool.scalar(Fraction(1, 2)) == half
+        assert pool.one() / 2 == half
+        assert pool.scalar(x / 2) == pool.even("x") * half
+
+
+def test_eq_with_foreign_operand(pool):
+    one = pool.one()
+    assert not (one == None)  # noqa: E711
+    assert one != None  # noqa: E711
+    assert not (one == "1")
+    assert not (one == object())
+    assert not (one == 1.0)
+    assert one == 1
 
 
 def test_anticommutation(pool):
@@ -262,3 +316,46 @@ class TestSubstitute:
             )
             assert (sub(f * g) - sub(f) * sub(g)).is_zero()
             assert (sub(f + g) - (sub(f) + sub(g))).is_zero()
+
+
+def _assert_canonical(f):
+    """The coefficient invariant: nonzero, a PolyElement for polynomials and
+    a FracElement with a non-constant denominator otherwise."""
+    pool = f.pool
+    for c in f.terms.values():
+        assert c
+        if isinstance(c, FracElement):
+            assert c.field is pool.field
+            assert not c.denom.is_ground
+        else:
+            assert isinstance(c, PolyElement) and c.ring is pool.ring
+
+
+class TestCoefficientInvariant:
+    def test_operations_on_rational_functions(self, pool):
+        rng = seeded(111)
+        xx = pool.even("x")
+
+        def rational(parity):
+            den = xx + rng.randint(1, 3)
+            if rng.random() < 0.5:
+                den = den * (xx * rng.randint(1, 2) - rng.randint(1, 3))
+            return random_superfunction(pool, rng, parity) / den
+
+        for _ in range(12):
+            f = rational(None)
+            g = rational(0) + pool.scalar(rng.choice([1, 2, 3])) / (xx + 1)
+            images = {
+                "x": xx * xx + rational(0) * pool.odd("th1") * pool.odd("th2") + 1,
+                "th1": rational(1),
+                "th2": random_superfunction(pool, rng, 1),
+                "lam1": pool.odd("lam1"),
+            }
+            results = [f, g, f + g, f - g, f * g, g * f, -f,
+                       f.partial("x"), f.partial("th1"), f.partial("th2"),
+                       f.substitute(images, pool)]
+            if () in g.terms:
+                results += [g.invert(), (g * g).sqrt(), f / g]
+            for r in results:
+                _assert_canonical(r)
+                assert parse_expression(r.render(), pool) == r
