@@ -270,6 +270,22 @@ class TestRendering:
     def test_zero_renders_as_zero(self, pool):
         assert pool.zero().render() == "0"
 
+    def test_fraction_signs_independent_of_pool_order(self):
+        # the pool orders y before x; printed denominators still lead with
+        # a positive coefficient in sympy's own order (x before y)
+        pool = GeneratorPool(["y", "x"], ["th1"])
+        y = sp.Symbol("y")
+        cases = {
+            1 / (x - y): "(1)/(x - y)",
+            (y - x) / (2 * x + 3 * y): "(-x + y)/(2*x + 3*y)",
+            -x / (y**2 - x): "(x)/(x - y^2)",
+            (x - 1) / (4 - 2 * y): "(-x + 1)/(2*y - 4)",
+            x / 2 + sp.Rational(1, 3): "x/2 + 1/3",
+            -y / 3: "(-y)/(3)",
+        }
+        for expr, text in cases.items():
+            assert pool.scalar(expr).render() == f"({text})"
+
 
 class TestSubstitute:
     def test_identity_substitution(self, pool):
