@@ -1,54 +1,42 @@
-"""Exact linear algebra over the rationals (Fraction-based RREF)."""
+"""Exact linear algebra over the rationals, on sympy's sparse ``DomainMatrix``."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
-def rref(rows):
-    """Reduced row echelon form in place semantics; returns (rref, pivots)."""
-    m = [[Fraction(e) for e in row] for row in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [e * inv for e in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+
+def _matrix(rows, ncols):
+    """Sparse ``DomainMatrix`` over QQ of the nonzero entries of ``rows``."""
+    entries = {}
+    for i, row in enumerate(rows):
+        nonzero = {
+            j: QQ(q.numerator, q.denominator)
+            for j, q in enumerate(map(Fraction, row))
+            if q
+        }
+        if nonzero:
+            entries[i] = nonzero
+    return DomainMatrix(entries, (len(rows), ncols), QQ)
 
 
 def nullspace(rows, ncols):
     """Deterministic rational nullspace basis (one vector per free column)."""
-    if not rows:
-        return [
-            [Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
-            for j in range(ncols)
-        ]
-    m, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    m, pivots = _matrix(rows, ncols).rref()
+    m = m.to_sparse().rep
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(ncols)) - set(pivots)):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+            q = m[r].get(fc)
+            if q:
+                v[pc] = -Fraction(int(q.numerator), int(q.denominator))
         basis.append(v)
     return basis
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    return _matrix(rows, len(rows[0]) if rows else 0).rank()

@@ -1,13 +1,14 @@
 """Charts, vector fields, bilinear forms, connections and OSp frames.
 
 Vector fields carry left coefficients, ``X = sum_i X^i d_i``; one-forms and
-bilinear forms are evaluated through the right-module pairing axioms, which
-on left coefficients read
+bilinear forms are evaluated through the right-module pairing axioms.  On left
+coefficients a bilinear form is the package's one graded pairing
+(:func:`supermatrix.graded_pair`),
 
-    F[Y]    = sum_j (-1)^{|xi_j| |Y^j|} F_j * Y^j
-    B(X, Y) = sum_ij (-1)^{|B|(|X^i| + |Y^j|)} X^i (-1)^{|Y^j||xi_i|} Y^j B_ij
+    B(X, Y) = sum_ij (-1)^{|Y^j||xi_i| + |B|(|X^i| + |Y^j|)} X^i Y^j B_ij,
 
-(the second sign factor drops for even B, which is the common case).
+and a one-form is a plain sum against the right coefficients of its argument
+(:func:`supermatrix.flip_sides`), ``F[Y] = sum_j F_j (-1)^{|xi_j||Y^j|} Y^j``.
 Connections use ``nabla_{d_i} d_j = sum_k Gamma^k_ij d_k`` with left
 coefficients.
 """
@@ -26,7 +27,14 @@ from .errors import (
     ParityError,
 )
 from .scalars import GeneratorPool, Superfunction
-from .supermatrix import SuperMatrix, gram_schmidt_osp, j_map_signs
+from .supermatrix import (
+    SuperMatrix,
+    _det_commuting,
+    flip_sides,
+    gram_schmidt_osp,
+    graded_pair,
+    j_map_signs,
+)
 
 
 class Chart:
@@ -219,14 +227,11 @@ class OneForm:
         return cls(chart, comps, pf)
 
     def evaluate(self, Y: VectorField) -> Superfunction:
-        acc = self.chart.pool.zero()
-        for j, fj in enumerate(self.components):
-            yj = Y.components[j]
-            if fj.is_zero() or yj.is_zero():
-                continue
-            sign = -1 if self.chart.parity(j) * ((Y.parity + self.chart.parity(j)) % 2) else 1
-            acc = acc + fj * yj * sign
-        return acc
+        """F[Y] = sum_j F_j y^j with y the right coefficients of Y."""
+        y = flip_sides(Y.components, Y.parity, self.chart.n)
+        return sum(
+            (f * c for f, c in zip(self.components, y)), start=self.chart.pool.zero()
+        )
 
     def scale(self, f: Superfunction) -> "OneForm":
         fp = f.parity()
@@ -279,25 +284,10 @@ class BilinearForm:
 
     def evaluate(self, X: VectorField, Y: VectorField) -> Superfunction:
         chart = self.chart
-        acc = chart.pool.zero()
-        for i in range(chart.dim):
-            xi = X.components[i]
-            if xi.is_zero():
-                continue
-            pxi = (X.parity + chart.parity(i)) % 2
-            for j in range(chart.dim):
-                yj = Y.components[j]
-                bij = self.components[i][j]
-                if yj.is_zero() or bij.is_zero():
-                    continue
-                pyj = (Y.parity + chart.parity(j)) % 2
-                sign = 1
-                if pyj * chart.parity(i):
-                    sign = -sign
-                if self.parity and (pxi + pyj) % 2:
-                    sign = -sign
-                acc = acc + xi * yj * bij * sign
-        return acc
+        return graded_pair(
+            chart.pool, chart.n, self.components,
+            X.components, X.parity, Y.components, Y.parity, self.parity,
+        )
 
     def scale(self, f: Superfunction) -> "BilinearForm":
         rows = [[f * e for e in row] for row in self.components]
@@ -390,14 +380,13 @@ def validate_metric(g: BilinearForm) -> Signature:
         raise MetricViolation("evenness", "components break the even grading")
     if not g.is_supersymmetric():
         raise MetricViolation("supersymmetry", "B_ij != +-B_ji")
-    body = sp.Matrix(
-        chart.dim, chart.dim, lambda i, j: g.components[i][j].body()
-    )
-    det = sp.cancel(body.det())
-    if det == 0:
+    body = [[e.body_part() for e in row] for row in g.components]
+    if _det_commuting(chart.pool, body).is_zero():
         raise MetricViolation("nondegeneracy", "body determinant vanishes identically")
     point = chart.sample_point()
-    even_block = body[: chart.n, : chart.n].subs(point)
+    even_block = sp.Matrix(
+        chart.n, chart.n, lambda i, j: body[i][j].body().subs(point)
+    )
     t, s = _rational_signature(even_block)
     if t + s < chart.n:
         raise MetricViolation(
@@ -586,16 +575,11 @@ class OSpFrame:
                 f"signature mismatch: sampled {sig.as_tuple()}, reduced {(t, s, 2 * m)}",
             )
         chart = g.chart
-        fields = []
-        for j in range(chart.dim):
-            pj = chart.parity(j)
-            comps = []
-            for a in range(chart.dim):
-                coeff = E.entries[a][j]
-                # right coefficient -> left coefficient flip
-                sign = -1 if chart.parity(a) * ((pj + chart.parity(a)) % 2) else 1
-                comps.append(coeff * sign)
-            fields.append(VectorField(chart, comps, pj))
+        parities = [chart.parity(j) for j in range(chart.dim)]
+        fields = [
+            VectorField(chart, flip_sides(col, pj, chart.n), pj)
+            for pj, col in zip(parities, zip(*E.entries))
+        ]
         frame = cls(chart, fields, Signature(t, s, 2 * m))
         frame.certify(g)
         return frame
@@ -627,21 +611,17 @@ class OSpFrame:
         return SuperMatrix(self.chart.pool, self.chart.n, self.chart.two_m, rows)
 
     def rotate(self, A: SuperMatrix) -> "OSpFrame":
-        """Right action (e * A)_j = sum_i e_i A_ij; A must be OSp for the
-        result to stay a frame (certified by the caller)."""
+        """Right action (e * A)_j = sum_i e_i A_ij; A must be an even OSp
+        matrix for the result to stay a frame (certified by the caller)."""
         chart = self.chart
         fields = []
-        for j in range(chart.dim):
+        for j, col in enumerate(zip(*A.entries)):
             parity = chart.parity(j)
             acc = chart.zero_field(parity)
-            for i in range(chart.dim):
-                coeff = A.entries[i][j]
-                if coeff.is_zero():
-                    continue
-                # e_i * coeff (right) -> (-1)^{|coeff||e_i|} coeff * e_i (left)
-                cpar = coeff.parity()
-                sign = -1 if cpar and chart.parity(i) else 1
-                acc = acc + self.fields[i].scale(coeff * sign)
+            # the right coefficients A_ij of column j, flipped to the left
+            for field, coeff in zip(self.fields, flip_sides(col, parity, chart.n)):
+                if not coeff.is_zero():
+                    acc = acc + field.scale(coeff)
             fields.append(acc)
         return OSpFrame(chart, fields, self.signature)
 
@@ -674,7 +654,7 @@ def divergence_via_supertrace(X: VectorField, conn: Connection) -> Superfunction
     return acc
 
 
-def str_with_metric(K: BilinearForm, g: BilinearForm, frame: OSpFrame) -> Superfunction:
+def str_with_metric(K: BilinearForm, frame: OSpFrame) -> Superfunction:
     """str_g K = sum_j K(e_j, J e_j) over an OSp frame."""
     chart = K.chart
     acc = chart.pool.zero()

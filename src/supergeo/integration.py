@@ -2,7 +2,8 @@
 
 The integral convention: extract the coefficient of the full odd-coordinate
 monomial (ascending order), then integrate the remaining polynomial over the
-chart's rational box.  Everything stays exact; results are ``Fraction``.
+chart's rational box monomial by monomial.  Everything stays exact; results
+are ``Fraction``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy as sp
+from sympy.polys.fields import FracElement
 
 from .errors import NonPolynomialIntegrand
 from .geometry import BilinearForm, Chart, str_with_metric, validate_metric
@@ -27,38 +29,45 @@ class VolumeDensity:
 def volume_density(h: BilinearForm) -> VolumeDensity:
     """dsvol_h = [d^n x d^m theta] * sqrt(|sdet h|).
 
-    The absolute value picks the sign that makes the body positive at the
-    chart's sample point.
+    The absolute value and the square root each pick the sign that makes the
+    body positive at the chart's sample point.
     """
     chart = h.chart
     validate_metric(h)
     ber = h.to_supermatrix().berezinian()
-    body_at = sp.Rational(ber.body().subs(chart.sample_point()))
+    point = chart.sample_point()
+    body_at = sp.Rational(ber.body().subs(point))
     if body_at == 0:
         raise NonPolynomialIntegrand("superdeterminant body vanishes at the sample point")
-    signed = ber if body_at > 0 else -ber
-    return VolumeDensity(chart, signed.sqrt())
+    root = (ber if body_at > 0 else -ber).sqrt()
+    if sp.Rational(root.body().subs(point)) < 0:
+        root = -root
+    return VolumeDensity(chart, root)
 
 
 def integrate(f: Superfunction, vol: VolumeDensity) -> Fraction:
-    """Berezin-extract the top odd coefficient of scale*f, then box-integrate."""
+    """Berezin-extract the top odd coefficient of scale*f, then integrate its
+    monomials over the box."""
     chart = vol.chart
-    top = (vol.scale * f).berezin_top()
-    num, den = sp.fraction(top)
-    if den.free_symbols:
+    top = (vol.scale * f).top_coefficient()
+    if isinstance(top, FracElement):
         raise NonPolynomialIntegrand(
             "even part has a nonconstant denominator; box integration needs polynomials"
         )
-    expr = sp.expand(num / den)
-    for name in chart.pool.even_names:
-        a, b = chart.box[name]
-        expr = sp.integrate(expr, (chart.pool.even_symbol(name), sp.Rational(a), sp.Rational(b)))
-    val = sp.Rational(expr)
-    return Fraction(val.p, val.q)
+    total = Fraction(0)
+    if top is None:
+        return total
+    boxes = [chart.box[name] for name in chart.pool.even_names]
+    for exps, q in top.terms():
+        term = Fraction(int(q.numerator), int(q.denominator))
+        for e, (a, b) in zip(exps, boxes):
+            term *= (b ** (e + 1) - a ** (e + 1)) / (e + 1)
+        total += term
+    return total
 
 
 def action(setup: HarmonicSetup) -> Fraction:
     """A(Phi) = 1/2 int dsvol_h str_h(Phi* g)."""
     vol = volume_density(setup.h)
-    integrand = str_with_metric(setup.pullback_metric(), setup.h, setup.frame)
+    integrand = str_with_metric(setup.pullback_metric(), setup.frame)
     return integrate(integrand, vol) / 2

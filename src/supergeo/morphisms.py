@@ -8,7 +8,9 @@ pairing axioms
 
     <V*f, W> = (-1)^{|f||W|} <V, W> * f,      <V, W*f> = <V, W> * f,
 
-and the package certifies the resulting sign bookkeeping with the metricity,
+which on evaluation components are the package's one graded pairing
+(:func:`supermatrix.graded_pair`) against the pulled-back metric entries.  The
+package certifies the resulting sign bookkeeping with the metricity,
 chain-rule and Noether residual identities rather than per-formula sign
 derivations.
 """
@@ -33,7 +35,7 @@ from .geometry import (
 )
 from .lie import lie_derivative_bilinear
 from .scalars import Superfunction
-from .supermatrix import SuperMatrix
+from .supermatrix import SuperMatrix, graded_pair
 
 
 class Morphism:
@@ -245,22 +247,10 @@ class HarmonicSetup:
 
     def pair(self, V: FieldAlongMorphism, W: FieldAlongMorphism) -> Superfunction:
         """<V, W>_{g_Phi} on evaluation components."""
-        target = self.phi.target
-        pool = self.phi.source.pool
-        acc = pool.zero()
-        for a in range(target.dim):
-            va = V.components[a]
-            if va.is_zero():
-                continue
-            for b in range(target.dim):
-                wb = W.components[b]
-                gab = self._g_pulled[a][b]
-                if wb.is_zero() or gab.is_zero():
-                    continue
-                pw = (W.parity + target.parity(b)) % 2
-                sign = -1 if pw * target.parity(a) else 1
-                acc = acc + va * wb * gab * sign
-        return acc
+        return graded_pair(
+            self.phi.source.pool, self.phi.target.n, self._g_pulled,
+            V.components, V.parity, W.components, W.parity,
+        )
 
     def pullback_metric(self) -> BilinearForm:
         return self.pullback_bilinear(self.g)
@@ -278,31 +268,16 @@ class HarmonicSetup:
             self.phi.differential(source.coordinate_field(i))
             for i in range(source.dim)
         ]
-        rows = []
-        for i in range(source.dim):
-            V = diffs[i]
-            row = []
-            for j in range(source.dim):
-                W = diffs[j]
-                acc = source.pool.zero()
-                for a in range(target.dim):
-                    va = V.components[a]
-                    if va.is_zero():
-                        continue
-                    pv = (V.parity + target.parity(a)) % 2
-                    for b in range(target.dim):
-                        wb = W.components[b]
-                        if wb.is_zero() or pulled[a][b].is_zero():
-                            continue
-                        pw = (W.parity + target.parity(b)) % 2
-                        sign = 1
-                        if pw * target.parity(a):
-                            sign = -sign
-                        if B.parity and (pv + pw) % 2:
-                            sign = -sign
-                        acc = acc + va * wb * pulled[a][b] * sign
-                row.append(acc)
-            rows.append(row)
+        rows = [
+            [
+                graded_pair(
+                    source.pool, target.n, pulled,
+                    V.components, V.parity, W.components, W.parity, B.parity,
+                )
+                for W in diffs
+            ]
+            for V in diffs
+        ]
         return BilinearForm(source, rows, B.parity)
 
     # -- pullback connection -----------------------------------------------------
@@ -342,20 +317,14 @@ class HarmonicSetup:
         return first - second
 
     def tension(self) -> FieldAlongMorphism:
-        """tau(Phi) = (nabla_{e_j} dPhi)[J e_j] summed over the source frame."""
+        """tau(Phi) over the source frame, computed once."""
         if self._tension is None:
-            acc = FieldAlongMorphism(
-                self.phi, [self.phi.source.pool.zero()] * self.phi.target.dim, 0
-            )
-            for j in range(self.phi.source.dim):
-                sj, jej = self.frame.j_field(j)
-                term = self.second_fundamental_form(self.frame.fields[j], jej)
-                acc = acc + term.scale(sj)
-            self._tension = acc
+            self._tension = self.tension_with_frame(self.frame)
         return self._tension
 
     def tension_with_frame(self, frame: OSpFrame) -> FieldAlongMorphism:
-        """Recompute tau with another frame (frame-independence certificate)."""
+        """tau(Phi) = (nabla_{e_j} dPhi)[J e_j] summed over an OSp frame; a
+        second frame gives the frame-independence certificate."""
         acc = FieldAlongMorphism(
             self.phi, [self.phi.source.pool.zero()] * self.phi.target.dim, 0
         )
@@ -476,7 +445,7 @@ class HarmonicSetup:
 
     def energy_density(self) -> Superfunction:
         """e(Phi) = 1/2 str_h(Phi* g)."""
-        return str_with_metric(self.pullback_metric(), self.h, self.frame) * sp.Rational(1, 2)
+        return str_with_metric(self.pullback_metric(), self.frame) * sp.Rational(1, 2)
 
     def stress_energy(self) -> BilinearForm:
         """S_Phi = e(Phi) h - Phi* g."""

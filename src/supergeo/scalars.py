@@ -443,7 +443,7 @@ class Superfunction:
         binv = self._body_inverse()
         # f = b*(1 + t), t nilpotent, so 1/f = (1/b) * sum (-t)^k
         t = self.nilpotent_part() * binv
-        return _nilpotent_series(t, itertools.cycle((-1, 1))) * binv
+        return _nilpotent_series(t, itertools.cycle((-1, 1)), self.pool.one()) * binv
 
     def sqrt(self) -> "Superfunction":
         """Unique square root with exactly square body and positive lead."""
@@ -457,10 +457,12 @@ class Superfunction:
         if b is None:
             raise NotASquare("a nonzero nilpotent element has no square root")
         # f = b*(1 + t); sqrt(1 + t) is the binomial series
-        return _nilpotent_series(n * self._body_inverse(), _half_binomials()) * s0
+        t = n * self._body_inverse()
+        return _nilpotent_series(t, _half_binomials(), self.pool.one()) * s0
 
-    def berezin_top(self):
-        """Coefficient of the full odd-coordinate monomial, as a sympy expr.
+    def top_coefficient(self):
+        """Coefficient of the full odd-coordinate monomial: a ``PolyElement``,
+        a ``FracElement``, or ``None`` when it is zero.
 
         Flesh generators must not appear in that coefficient.
         """
@@ -472,7 +474,11 @@ class Superfunction:
                 raise FleshInTopCoefficient(
                     "top odd-coordinate coefficient contains flesh generators"
                 )
-        return _to_expr(self.terms.get(top))
+        return self.terms.get(top)
+
+    def berezin_top(self):
+        """:meth:`top_coefficient` as a sympy expr."""
+        return _to_expr(self.top_coefficient())
 
     def substitute(self, images: dict, new_pool: GeneratorPool) -> "Superfunction":
         """Graded-safe substitution generator -> Superfunction over new_pool.
@@ -539,9 +545,10 @@ def _sympy_gen_order(symbols):
     return tuple(symbols.index(s) for s in _sort_gens(symbols))
 
 
-def _nilpotent_series(t, coeffs):
-    """1 + sum_k coeffs[k-1] * t^k for nilpotent t; the sum is finite."""
-    out = power = t.pool.one()
+def _nilpotent_series(t, coeffs, one):
+    """one + sum_k coeffs[k-1] * t^k for nilpotent t (a superfunction or a
+    supermatrix, with ``one`` the unit); the sum is finite."""
+    out = power = one
     for c in coeffs:
         power = power * t
         if power.is_zero():

@@ -5,9 +5,11 @@ Matrix conventions follow the right-action picture: a map ``L`` sends the
 basis tuple transforms as ``(X * A)_j = sum_i X_i * A[i][j]``.  Entry ``(i, j)``
 of a homogeneous matrix of parity ``p`` carries parity ``p + |i| + |j|``.
 
-The pairing of coefficient columns against an even bilinear form ``B`` uses
-the right-module axioms ``B(v*f, w) = (-1)^{|f||w|} B(v, w) * f`` and
-``B(v, w*f) = B(v, w) * f``.
+The pairing of coefficient columns against a bilinear form ``B`` uses the
+right-module axioms ``B(v*f, w) = (-1)^{|f||w|} B(v, w) * f`` and
+``B(v, w*f) = B(v, w) * f``.  :func:`graded_pair` is the one implementation of
+that pairing, on left coefficients; :func:`flip_sides` exchanges right and
+left coefficients, and :func:`pair_columns` is the kernel on flipped columns.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     NotASquare,
     PoolMismatch,
 )
-from .scalars import GeneratorPool, Superfunction
+from .scalars import GeneratorPool, Superfunction, _nilpotent_series
 
 
 class SuperMatrix:
@@ -189,6 +191,9 @@ class SuperMatrix:
         det_D = _det_commuting(self.pool, D)
         return det_schur * det_D.invert()
 
+    def is_zero(self) -> bool:
+        return all(e.is_zero() for row in self.entries for e in row)
+
     def inverse(self) -> "SuperMatrix":
         """Two-sided inverse via a finite Neumann series on the nilpotent part."""
         pool = self.pool
@@ -198,18 +203,9 @@ class SuperMatrix:
         except NonInvertible:
             raise NonInvertible("matrix body is singular") from None
         M0inv = SuperMatrix(pool, self.p, self.q, binv, self.parity)
-        N = self - SuperMatrix(pool, self.p, self.q, body, self.parity)
-        T = M0inv * N  # nilpotent entries
-        acc = SuperMatrix.identity(pool, self.p, self.q)
-        power = SuperMatrix.identity(pool, self.p, self.q)
-        sign = 1
-        while True:
-            power = power * T
-            sign = -sign
-            if all(e.is_zero() for row in power.entries for e in row):
-                break
-            acc = acc + power * pool.scalar(sign)
-        return acc * M0inv
+        T = M0inv * (self - SuperMatrix(pool, self.p, self.q, body, self.parity))
+        one = SuperMatrix.identity(pool, self.p, self.q)
+        return _nilpotent_series(T, itertools.cycle((-1, 1)), one) * M0inv
 
 
 # -- commuting-entry helpers (all entries even, hence mutually commuting) ----
@@ -299,23 +295,48 @@ def j_map(pool: GeneratorPool, t: int, s: int, m: int) -> SuperMatrix:
     return J
 
 
-# -- pairing of coefficient columns ------------------------------------------
+# -- the graded pairing ---------------------------------------------------------
+
+
+def flip_sides(column, p: int, n_even: int):
+    """Right <-> left coefficients of a column of parity p: the entry in slot
+    a picks up (-1)^{|a|(p+|a|)}; slots from ``n_even`` on are odd."""
+    return [
+        -c if a >= n_even and (p + 1) % 2 else c for a, c in enumerate(column)
+    ]
+
+
+def graded_pair(pool, n_even: int, B, v, pv: int, w, pw: int, parity: int = 0):
+    """The graded pairing of left-coefficient columns v, w (parities pv, pw)
+    against the entry grid B of a bilinear form of the given parity:
+
+        sum_ab (-1)^{|W^b||a| + |B|(|V^a|+|W^b|)} V^a W^b B_ab
+
+    Slots from ``n_even`` on are odd.  Every pairing in the package (vector
+    fields, fields along a morphism, coefficient columns) is this sum.
+    """
+    acc = pool.zero()
+    for a, va in enumerate(v):
+        if va.is_zero():
+            continue
+        pa = a >= n_even
+        row = B[a]
+        for b, wb in enumerate(w):
+            bab = row[b]
+            if wb.is_zero() or bab.is_zero():
+                continue
+            pwb = pw + (b >= n_even)
+            term = va * wb * bab
+            acc = acc + (-term if (pwb * pa + parity * (pv + pa + pwb)) % 2 else term)
+    return acc
 
 
 def pair_columns(B: SuperMatrix, v, w, pv: int, pw: int) -> Superfunction:
     """B(v, w) for right-coefficient columns of declared parities pv, pw."""
-    pool = B.pool
-    acc = pool.zero()
-    for a in range(B.dim):
-        if v[a].is_zero():
-            continue
-        pa = (pv + B.slot_parity(a)) % 2
-        for b in range(B.dim):
-            if w[b].is_zero() or B.entries[a][b].is_zero():
-                continue
-            term = B.entries[a][b] * w[b] * v[a]
-            acc = acc + (term if (pa * pw) % 2 == 0 else -term)
-    return acc
+    return graded_pair(
+        B.pool, B.p, B.entries, flip_sides(v, pv, B.p), pv,
+        flip_sides(w, pw, B.p), pw, B.parity,
+    )
 
 
 def osp_algebra_check(L: SuperMatrix, t: int, s: int, m: int) -> bool:
@@ -325,27 +346,22 @@ def osp_algebra_check(L: SuperMatrix, t: int, s: int, m: int) -> bool:
 
 
 def osp_residuals(L: SuperMatrix, t: int, s: int, m: int):
+    """<L e_i, e_j> + (-1)^{|L||e_i|} <e_i, L e_j> against g0, per basis pair."""
     dim = t + s + 2 * m
     if L.dim != dim or (L.p, L.q) != (t + s, 2 * m):
         raise ValueError("matrix dimensions do not match the signature")
     pool = L.pool
     g0 = standard_metric(pool, t, s, m)
+    par = L.slot_parity
+    cols = [list(col) for col in zip(*L.entries)]
+    basis = SuperMatrix.identity(pool, L.p, L.q).entries  # rows = columns
     out = []
     for i in range(dim):
         row = []
-        pi = L.slot_parity(i)
         for j in range(dim):
-            pj = L.slot_parity(j)
-            acc = pool.zero()
-            for k in range(dim):
-                # <L e_i, e_j> = sum_k (-1)^{|L_ki| |e_j|} g0_{kj} L_{ki}
-                pL = (L.parity + L.slot_parity(k) + pi) % 2
-                t1 = g0.entries[k][j] * L.entries[k][i]
-                acc = acc + (t1 if (pL * pj) % 2 == 0 else -t1)
-                # (-1)^{|L||e_i|} <e_i, L e_j> = +- sum_k g0_{ik} L_{kj}
-                t2 = g0.entries[i][k] * L.entries[k][j]
-                acc = acc + (t2 if (L.parity * pi) % 2 == 0 else -t2)
-            row.append(acc)
+            lhs = pair_columns(g0, cols[i], basis[j], L.parity + par(i), par(j))
+            rhs = pair_columns(g0, basis[i], cols[j], par(i), L.parity + par(j))
+            row.append(lhs - rhs if (L.parity * par(i)) % 2 else lhs + rhs)
         out.append(row)
     return out
 
@@ -376,11 +392,8 @@ def gram_schmidt_osp(B: SuperMatrix):
     def pair(u, pu, w, pw):
         return pair_columns(B, u, w, pu, pw)
 
-    def basis_col(i):
-        return [pool.one() if r == i else pool.zero() for r in range(dim)]
-
-    evens = [basis_col(i) for i in range(B.p)]
-    odds = [basis_col(i) for i in range(B.p, dim)]
+    basis = SuperMatrix.identity(pool, B.p, B.q).entries  # rows = columns
+    evens, odds = basis[: B.p], basis[B.p :]
     negatives, positives, odd_pairs = [], [], []
 
     while evens:

@@ -1,17 +1,21 @@
 """Maps with flesh: pullbacks, tension, currents, and the Noether identities."""
 
+from fractions import Fraction
+
 import pytest
 import sympy as sp
 
 from supergeo import Chart
 from supergeo.errors import ParityError, ScenarioError
 from supergeo.geometry import BilinearForm, OneForm, VectorField, flat_metric
+from supergeo.lie import lie_derivative_bilinear
 from supergeo.morphisms import (
     FieldAlongMorphism,
     HarmonicSetup,
     Morphism,
     osp_frame_rotation,
 )
+from supergeo.supermatrix import SuperMatrix, osp_algebra_check
 
 from conftest import random_field, random_superfunction, seeded
 
@@ -112,10 +116,15 @@ class TestDifferential:
 
 class TestPullbackTensors:
     def test_identity_pullback_metric(self, metric_flat22):
-        setup = HarmonicSetup(
-            Morphism.identity(metric_flat22.chart), metric_flat22, metric_flat22
-        )
+        chart = metric_flat22.chart
+        setup = HarmonicSetup(Morphism.identity(chart), metric_flat22, metric_flat22)
         assert setup.pullback_metric() == metric_flat22
+        # an odd form: L_X g for an odd field X
+        X = random_field(chart, seeded(520), 1, allow_flesh=False)
+        odd = lie_derivative_bilinear(X, metric_flat22)
+        assert odd.parity == 1 and not odd.is_zero()
+        pulled = setup.pullback_bilinear(odd)
+        assert pulled.parity == 1 and pulled == odd
 
     def test_classical_pullback(self, classical_square):
         pg = classical_square.pullback_metric()
@@ -358,11 +367,23 @@ class TestTension:
             ch, [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
         )
         setup = HarmonicSetup(Morphism.identity(ch), g, g)
-        frame2 = setup.frame.rotate(osp_frame_rotation(setup.frame))
-        frame2.certify(g)
-        t1 = setup.tension()
-        t2 = setup.tension_with_frame(frame2)
-        assert all((a - b).is_zero() for a, b in zip(t1.components, t2.components))
+        # and exp(L) for an L in osp with odd entries in the mixed blocks,
+        # which exercises the right-to-left flip in ``rotate``
+        a, b = ch.pool.odd("th1"), ch.pool.odd("th2")
+        L = SuperMatrix(
+            ch.pool, 2, 2,
+            [[0, 0, -b, a], [0, 0, -a, -b], [a, b, 0, 0], [b, -a, 0, 0]],
+        )
+        assert osp_algebra_check(L, 1, 1, 1)
+        odd_rotation = SuperMatrix.identity(ch.pool, 2, 2) + L + L * L * Fraction(1, 2)
+        tau = setup.tension()
+        for rot in (osp_frame_rotation(setup.frame), odd_rotation):
+            frame2 = setup.frame.rotate(rot)
+            frame2.certify(g)
+            tau2 = setup.tension_with_frame(frame2)
+            assert all(
+                (u - v).is_zero() for u, v in zip(tau.components, tau2.components)
+            )
 
 
 class TestDivergenceAlong:
