@@ -10,13 +10,16 @@ coefficients a bilinear form is the package's one graded pairing
 and a one-form is a plain sum against the right coefficients of its argument
 (:func:`supermatrix.flip_sides`), ``F[Y] = sum_j F_j (-1)^{|xi_j||Y^j|} Y^j``.
 Connections use ``nabla_{d_i} d_j = sum_k Gamma^k_ij d_k`` with left
-coefficients.
+coefficients.  A metric is validated once and its derived objects are built
+once, in its :class:`MetricContext`; every sum over an OSp frame against
+``J e_j`` is :func:`frame_sum` or :func:`frame_raise`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import sympy as sp
 
@@ -395,6 +398,41 @@ def validate_metric(g: BilinearForm) -> Signature:
     return Signature(t, s, chart.two_m)
 
 
+class MetricContext:
+    """A validated metric and the objects derived from it, each built once.
+
+    ``MetricContext.of(g)`` validates ``g`` once and keeps the context on
+    ``g``, which is safe because bilinear forms are never mutated; an invalid
+    metric caches nothing, so it raises every time.  The connection, the frame
+    and the inverse of the frame matrix are built on first use.
+    """
+
+    def __init__(self, g: BilinearForm, signature: Signature):
+        self.g = g
+        self.signature = signature
+
+    @classmethod
+    def of(cls, g: BilinearForm, signature: Signature | None = None) -> "MetricContext":
+        """The context of ``g``; a caller that has just run ``validate_metric(g)``
+        passes the result as ``signature`` so ``g`` is not validated again."""
+        ctx = getattr(g, "_metric_context", None)
+        if ctx is None:
+            ctx = g._metric_context = cls(g, signature or validate_metric(g))
+        return ctx
+
+    @cached_property
+    def connection(self) -> "Connection":
+        return levi_civita(self.g)
+
+    @cached_property
+    def frame(self) -> "OSpFrame":
+        return OSpFrame.build(self.g)
+
+    @cached_property
+    def frame_inverse(self) -> SuperMatrix:
+        return self.frame.component_matrix().inverse()
+
+
 def _rational_signature(m: sp.Matrix):
     """Exact signature of a rational symmetric matrix by Lagrange reduction."""
     m = sp.Matrix(m)
@@ -485,7 +523,7 @@ def levi_civita(g: BilinearForm) -> Connection:
                            - (-1)^{|k|(|i|+|j|)} d_k g_ij
     """
     chart = g.chart
-    validate_metric(g)
+    MetricContext.of(g)
     names = chart.coordinate_names()
     dim = chart.dim
     half = sp.Rational(1, 2)
@@ -566,7 +604,7 @@ class OSpFrame:
     @classmethod
     def build(cls, g: BilinearForm) -> "OSpFrame":
         """Run graded Gram-Schmidt over the scalar ring and certify the result."""
-        sig = validate_metric(g)
+        sig = MetricContext.of(g).signature
         E, (t, s, m) = gram_schmidt_osp(g.to_supermatrix())
         if (t, s, 2 * m) != sig.as_tuple():
             # algebraic and sampled signatures must agree
@@ -626,20 +664,33 @@ class OSpFrame:
         return OSpFrame(chart, fields, self.signature)
 
 
+def frame_sum(frame: OSpFrame, term, parity: int = 0) -> Superfunction:
+    """sum_j (-1)^{|e_j| parity} s_j term(e_j, e'_j), where J e_j = s_j e'_j."""
+    chart = frame.chart
+    acc = chart.pool.zero()
+    for j, ej in enumerate(frame.fields):
+        sj, jej = frame.j_field(j)
+        sign = -sj if (chart.parity(j) * parity) % 2 else sj
+        acc = acc + term(ej, jej) * sign
+    return acc
+
+
+def frame_raise(frame: OSpFrame, coeff, parity: int) -> VectorField:
+    """sum_j coeff(e_j) s_j e'_j, a field of the given parity."""
+    out = frame.chart.zero_field(parity)
+    for j, ej in enumerate(frame.fields):
+        c = coeff(ej)
+        if not c.is_zero():
+            sj, jej = frame.j_field(j)
+            out = out + jej.scale(c * sj)
+    return out
+
+
 def divergence(
     X: VectorField, g: BilinearForm, conn: Connection, frame: OSpFrame
 ) -> Superfunction:
     """div X = sum_j (-1)^{|e_j||X|} <nabla_{e_j} X, J e_j>_g."""
-    chart = X.chart
-    acc = chart.pool.zero()
-    for j in range(chart.dim):
-        ej = frame.fields[j]
-        sj, jej = frame.j_field(j)
-        nab = conn.derivative(ej, X)
-        val = g.evaluate(nab, jej) * sj
-        sign = -1 if (chart.parity(j) * X.parity) % 2 else 1
-        acc = acc + val * sign
-    return acc
+    return frame_sum(frame, lambda e, je: g.evaluate(conn.derivative(e, X), je), X.parity)
 
 
 def divergence_via_supertrace(X: VectorField, conn: Connection) -> Superfunction:
@@ -656,12 +707,7 @@ def divergence_via_supertrace(X: VectorField, conn: Connection) -> Superfunction
 
 def str_with_metric(K: BilinearForm, frame: OSpFrame) -> Superfunction:
     """str_g K = sum_j K(e_j, J e_j) over an OSp frame."""
-    chart = K.chart
-    acc = chart.pool.zero()
-    for j in range(chart.dim):
-        sj, jej = frame.j_field(j)
-        acc = acc + K.evaluate(frame.fields[j], jej) * sj
-    return acc
+    return frame_sum(frame, K.evaluate)
 
 
 def str_with_metric_via_matrix(K: BilinearForm, g: BilinearForm) -> Superfunction:

@@ -15,7 +15,7 @@ import sympy as sp
 from sympy.polys.fields import FracElement
 
 from .errors import NonPolynomialIntegrand
-from .geometry import BilinearForm, Chart, str_with_metric, validate_metric
+from .geometry import BilinearForm, Chart, MetricContext
 from .morphisms import HarmonicSetup
 from .scalars import Superfunction
 
@@ -33,7 +33,7 @@ def volume_density(h: BilinearForm) -> VolumeDensity:
     body positive at the chart's sample point.
     """
     chart = h.chart
-    validate_metric(h)
+    MetricContext.of(h)
     ber = h.to_supermatrix().berezinian()
     point = chart.sample_point()
     body_at = sp.Rational(ber.body().subs(point))
@@ -67,7 +67,5 @@ def integrate(f: Superfunction, vol: VolumeDensity) -> Fraction:
 
 
 def action(setup: HarmonicSetup) -> Fraction:
-    """A(Phi) = 1/2 int dsvol_h str_h(Phi* g)."""
-    vol = volume_density(setup.h)
-    integrand = str_with_metric(setup.pullback_metric(), setup.frame)
-    return integrate(integrand, vol) / 2
+    """A(Phi) = int dsvol_h e(Phi), with e(Phi) = 1/2 str_h(Phi* g)."""
+    return integrate(setup.energy_density(), volume_density(setup.h))

@@ -22,15 +22,7 @@ from sympy.polys.fields import FracElement
 
 from .errors import ParityError, UnsupportedMetric
 from .exactlinalg import nullspace, rank
-from .geometry import (
-    BilinearForm,
-    Chart,
-    OneForm,
-    OSpFrame,
-    VectorField,
-    levi_civita,
-    validate_metric,
-)
+from .geometry import BilinearForm, Chart, MetricContext, OneForm, VectorField
 from .scalars import Superfunction
 from .supermatrix import SuperMatrix, flip_sides, osp_residuals
 
@@ -102,14 +94,12 @@ class KillingReport:
 
 
 class KillingChecker:
-    """Bundles a metric with its connection and frame for repeated checks."""
+    """Runs the Killing tests against a metric's context, whose connection
+    and frame are built on first use and shared with every other checker."""
 
     def __init__(self, g: BilinearForm):
         self.g = g
-        self.signature = validate_metric(g)
-        self.connection = levi_civita(g)
-        self.frame = OSpFrame.build(g)
-        self._frame_matrix_inv = self.frame.component_matrix().inverse()
+        self.metric = MetricContext.of(g)
 
     def mode_i(self, X: VectorField) -> ModeResult:
         table = lie_derivative_bilinear(X, self.g)
@@ -119,7 +109,8 @@ class KillingChecker:
     def mode_ii(self, X: VectorField) -> ModeResult:
         chart = self.g.chart
         coord = [chart.coordinate_field(i) for i in range(chart.dim)]
-        nabla_X = [self.connection.coordinate_derivative(i, X) for i in range(chart.dim)]
+        conn = self.metric.connection
+        nabla_X = [conn.coordinate_derivative(i, X) for i in range(chart.dim)]
         res = []
         for i in range(chart.dim):
             pi = chart.parity(i)
@@ -136,11 +127,11 @@ class KillingChecker:
         """Solve [X, e_i] = sum_m e_m L_mi and test L against osp."""
         chart = self.g.chart
         pool = chart.pool
-        sig = self.signature
-        Minv = self._frame_matrix_inv
+        sig = self.metric.signature
+        Minv = self.metric.frame_inverse
         cols = []
-        for i in range(chart.dim):
-            br = X.bracket(self.frame.fields[i])
+        for i, ei in enumerate(self.metric.frame.fields):
+            br = X.bracket(ei)
             # u_m = sum_a c_a (M^-1)_am are the left coefficients of column i
             u = [
                 sum(
@@ -253,24 +244,19 @@ def _rational_coefficients(f: Superfunction):
             yield mono, exps, Fraction(int(q.numerator), int(q.denominator))
 
 
-def _coefficient_rows(tables, chart: Chart):
-    """Turn per-candidate L_X g tables into a rational coefficient matrix."""
+def _coefficient_rows(columns):
+    """Rational coefficient matrix with one column per list of superfunctions;
+    a row is one (list index, odd monomial, even exponents) key, in order of
+    first appearance."""
     keys = {}
-    columns = []
-    for table in tables:
+    cols = []
+    for entries in columns:
         col = {}
-        for i in range(chart.dim):
-            for j in range(chart.dim):
-                for mono, exps, q in _rational_coefficients(table.components[i][j]):
-                    key = (i, j, mono, exps)
-                    keys.setdefault(key, len(keys))
-                    col[keys[key]] = q
-        columns.append(col)
-    rows = [[Fraction(0)] * len(columns) for _ in range(len(keys))]
-    for cidx, col in enumerate(columns):
-        for ridx, val in col.items():
-            rows[ridx][cidx] = val
-    return rows
+        for k, entry in enumerate(entries):
+            for mono, exps, q in _rational_coefficients(entry):
+                col[keys.setdefault((k, mono, exps), len(keys))] = q
+        cols.append(col)
+    return [[col.get(r, Fraction(0)) for col in cols] for r in range(len(keys))]
 
 
 def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
@@ -293,8 +279,8 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
         ansatz = _ansatz_fields(chart, degree, p)
         if not ansatz:
             continue
-        tables = [lie_derivative_bilinear(b, g) for b in ansatz]
-        rows = _coefficient_rows(tables, chart)
+        tables = [lie_derivative_bilinear(b, g).components for b in ansatz]
+        rows = _coefficient_rows([[e for row in t for e in row] for t in tables])
         for vec in nullspace(rows, len(ansatz)):
             comps = [chart.pool.zero()] * chart.dim
             for c, b in zip(vec, ansatz):
@@ -315,16 +301,5 @@ def _certify_basis(basis: KillingBasis, g: BilinearForm):
         if not lie_derivative_bilinear(X, g).is_zero():
             raise AssertionError("solver produced a non-Killing field")
     # linear independence certificate over Q
-    keys = {}
-    rows = []
-    for X in basis.fields:
-        col = {}
-        for k, comp in enumerate(X.components):
-            for mono, exps, q in _rational_coefficients(comp):
-                key = (k, mono, exps)
-                keys.setdefault(key, len(keys))
-                col[keys[key]] = q
-        rows.append(col)
-    mat = [[col.get(i, Fraction(0)) for i in range(len(keys))] for col in rows]
-    if rank(mat) != len(basis.fields):
+    if rank(_coefficient_rows([X.components for X in basis.fields])) != len(basis.fields):
         raise AssertionError("solver basis is linearly dependent")

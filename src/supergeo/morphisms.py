@@ -26,12 +26,13 @@ from .errors import ChartMismatch, ParityError, ScenarioError
 from .geometry import (
     BilinearForm,
     Chart,
+    MetricContext,
     OSpFrame,
     VectorField,
     divergence,
-    levi_civita,
+    frame_raise,
+    frame_sum,
     str_with_metric,
-    validate_metric,
 )
 from .lie import lie_derivative_bilinear
 from .scalars import Superfunction
@@ -215,7 +216,8 @@ class HarmonicSetup:
     """A morphism between semi-Riemannian charts with everything precomputed.
 
     Bundles the source metric h (with Levi-Civita connection and OSp frame)
-    and the target metric g (with its connection, pulled back on demand).
+    and the target metric g (with its connection, pulled back once); both
+    come from the metrics' contexts.
     """
 
     def __init__(self, phi: Morphism, h: BilinearForm, g: BilinearForm):
@@ -224,11 +226,10 @@ class HarmonicSetup:
         self.phi = phi
         self.h = h
         self.g = g
-        self.source_signature = validate_metric(h)
-        validate_metric(g)
-        self.source_connection = levi_civita(h)
-        self.target_connection = levi_civita(g)
-        self.frame = OSpFrame.build(h)
+        source, target = MetricContext.of(h), MetricContext.of(g)
+        self.source_connection = source.connection
+        self.target_connection = target.connection
+        self.frame = source.frame
         tdim = phi.target.dim
         self._g_pulled = [
             [phi.pullback(g.components[a][b]) for b in range(tdim)]
@@ -242,6 +243,7 @@ class HarmonicSetup:
             for i in range(tdim)
         ]
         self._tension = None
+        self._pullback_metric = None
 
     # -- pairing and pullbacks -------------------------------------------------
 
@@ -253,7 +255,10 @@ class HarmonicSetup:
         )
 
     def pullback_metric(self) -> BilinearForm:
-        return self.pullback_bilinear(self.g)
+        """Phi* g, computed once."""
+        if self._pullback_metric is None:
+            self._pullback_metric = self.pullback_bilinear(self.g)
+        return self._pullback_metric
 
     def pullback_bilinear(self, B: BilinearForm) -> BilinearForm:
         """Phi* B via <B_Phi>(dPhi[.], dPhi[.]); B may have either parity."""
@@ -341,27 +346,19 @@ class HarmonicSetup:
 
     def divergence_along(self, xi: FieldAlongMorphism) -> Superfunction:
         """div xi = (-1)^{|e_i||xi|} <nabla_{e_i} xi, dPhi[J e_i]>."""
-        source = self.phi.source
-        acc = source.pool.zero()
-        for i in range(source.dim):
-            si, jei = self.frame.j_field(i)
-            nab = self.connection_apply(self.frame.fields[i], xi)
-            val = self.pair(nab, self.phi.differential(jei)) * si
-            sign = -1 if (source.parity(i) * xi.parity) % 2 else 1
-            acc = acc + val * sign
-        return acc
+        return frame_sum(
+            self.frame,
+            lambda e, je: self.pair(
+                self.connection_apply(e, xi), self.phi.differential(je)
+            ),
+            xi.parity,
+        )
 
     def noether_current(self, xi: FieldAlongMorphism) -> VectorField:
         """W_xi = <xi, dPhi[e_j]> J e_j, a source vector field of parity |xi|."""
-        source = self.phi.source
-        out = source.zero_field(xi.parity)
-        for j in range(source.dim):
-            coeff = self.pair(xi, self.phi.differential(self.frame.fields[j]))
-            if coeff.is_zero():
-                continue
-            sj, jej = self.frame.j_field(j)
-            out = out + jej.scale(coeff * sj)
-        return out
+        return frame_raise(
+            self.frame, lambda e: self.pair(xi, self.phi.differential(e)), xi.parity
+        )
 
     def source_divergence(self, X: VectorField) -> Superfunction:
         return divergence(X, self.h, self.source_connection, self.frame)
@@ -463,14 +460,9 @@ class HarmonicSetup:
 
     def div_form(self, S: BilinearForm, xi: VectorField) -> Superfunction:
         """div S[xi] = (-1)^{|e_i||xi|} <(nabla_{e_i} S)>(xi, J e_i)."""
-        source = self.phi.source
-        acc = source.pool.zero()
-        for i in range(source.dim):
-            si, jei = self.frame.j_field(i)
-            val = self._nabla_form_eval(S, self.frame.fields[i], xi, jei) * si
-            sign = -1 if (source.parity(i) * xi.parity) % 2 else 1
-            acc = acc + val * sign
-        return acc
+        return frame_sum(
+            self.frame, lambda e, je: self._nabla_form_eval(S, e, xi, je), xi.parity
+        )
 
     def stress_energy_report(self, xi: VectorField) -> StressEnergyReport:
         """All three stress-energy identities for a source vector field xi."""
@@ -480,30 +472,20 @@ class HarmonicSetup:
         r1 = divS + self.pair(self.phi.differential(xi), tau)
 
         # Y_xi = <S>(xi, e_i) J e_i
-        source = self.phi.source
-        Y = source.zero_field(xi.parity)
-        for i in range(source.dim):
-            coeff = S.evaluate(xi, self.frame.fields[i])
-            if coeff.is_zero():
-                continue
-            si, jei = self.frame.j_field(i)
-            Y = Y + jei.scale(coeff * si)
-        divY = self.source_divergence(Y)
+        divY = self.source_divergence(
+            frame_raise(self.frame, lambda e: S.evaluate(xi, e), xi.parity)
+        )
 
+        # corr = sum_j (-1)^{|e_j|} sum_i <L_xi h>(e_i, J e_j) <S>(e_j, J e_i)
         Lh = lie_derivative_bilinear(xi, self.h)
-        corr = source.pool.zero()
-        for j in range(source.dim):
-            sign_j = -1 if source.parity(j) else 1
-            sj, jej = self.frame.j_field(j)
-            for i in range(source.dim):
-                si, jei = self.frame.j_field(i)
-                a = Lh.evaluate(self.frame.fields[i], jej) * sj
-                b = S.evaluate(self.frame.fields[j], jei) * si
-                if a.is_zero() or b.is_zero():
-                    continue
-                corr = corr + a * b * sign_j
-        corr = corr * sp.Rational(1, 2)
-        r2 = divY - divS - corr
+        corr = frame_sum(
+            self.frame,
+            lambda ej, jej: frame_sum(
+                self.frame, lambda ei, jei: Lh.evaluate(ei, jej) * S.evaluate(ej, jei)
+            ),
+            1,
+        )
+        r2 = divY - divS - corr * sp.Rational(1, 2)
 
         conserved = None
         if tau.is_zero() and Lh.is_zero():

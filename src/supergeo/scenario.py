@@ -20,7 +20,7 @@ from .errors import (
     ScenarioError,
     SupergeoError,
 )
-from .geometry import BilinearForm, Chart, VectorField, validate_metric
+from .geometry import BilinearForm, Chart, MetricContext, VectorField, validate_metric
 from .lie import KillingChecker, solve_killing
 from .morphisms import HarmonicSetup, Morphism
 from .integration import action
@@ -164,6 +164,8 @@ def load_scenario(text: str) -> Scenario:
                     spec.flesh = int(value)
                 except ValueError:
                     raise ParseError("flesh count must be an integer", lineno) from None
+                if spec.flesh < 0:
+                    raise ParseError("flesh count must be nonnegative", lineno)
             elif key.startswith("box "):
                 coord = key[4:].strip()
                 parts = value.split()
@@ -316,7 +318,6 @@ def _build_morphism(source: Chart, target: Chart, images) -> Morphism:
 class _Runner:
     def __init__(self, scenario: Scenario):
         self.sc = scenario
-        self._checkers = {}
         self._setups = {}
 
     def metric(self, name, lineno):
@@ -330,11 +331,6 @@ class _Runner:
             return self.sc.vectorfields[name]
         except KeyError:
             raise ScenarioError(f"unknown vector field {name!r} (line {lineno})") from None
-
-    def checker(self, name, lineno) -> KillingChecker:
-        if name not in self._checkers:
-            self._checkers[name] = KillingChecker(self.metric(name, lineno))
-        return self._checkers[name]
 
     def setup(self, name, lineno) -> HarmonicSetup:
         if name not in self._setups:
@@ -395,31 +391,33 @@ class _Runner:
 
     def _cmd_validate_metric(self, args, lineno):
         (name,), _ = self._require(args, 1, "validate-metric G", lineno)
+        g = self.metric(name, lineno)
         try:
-            sig = validate_metric(self.metric(name, lineno))
+            sig = validate_metric(g)
         except MetricViolation as exc:
             return "fail", [("violation", str(exc.violation))]
+        MetricContext.of(g, sig)
         return "pass", [("signature", str(sig.as_tuple()))]
 
     def _cmd_osp_frame(self, args, lineno):
         (name,), _ = self._require(args, 1, "osp-frame G", lineno)
-        checker = self.checker(name, lineno)
-        details = [("signature", str(checker.signature.as_tuple()))]
-        for j, f in enumerate(checker.frame.fields):
+        ctx = MetricContext.of(self.metric(name, lineno))
+        details = [("signature", str(ctx.signature.as_tuple()))]
+        for j, f in enumerate(ctx.frame.fields):
             details.append((f"e_{j+1}", _render_field(f)))
         return "pass", details
 
     def _cmd_levi_civita(self, args, lineno):
         (name,), _ = self._require(args, 1, "levi-civita G", lineno)
-        checker = self.checker(name, lineno)
-        chart = checker.g.chart
+        ctx = MetricContext.of(self.metric(name, lineno))
+        chart = ctx.g.chart
         names = chart.coordinate_names()
         details = []
         count = 0
         for i in range(chart.dim):
             for j in range(chart.dim):
                 for k in range(chart.dim):
-                    entry = checker.connection.gamma[i][j][k]
+                    entry = ctx.connection.gamma[i][j][k]
                     if not entry.is_zero():
                         count += 1
                         details.append(
@@ -455,8 +453,7 @@ class _Runner:
         if opts:
             raise ScenarioError(f"unknown options {sorted(opts)} (line {lineno})")
         X = self.vectorfield(pos[0], lineno)
-        checker = self.checker(pos[1], lineno)
-        report = checker.check(X, mode)
+        report = KillingChecker(self.metric(pos[1], lineno)).check(X, mode)
         details = []
         for m in ("i", "ii", "v"):
             if m in report.modes:

@@ -210,6 +210,44 @@ class TestValidateMetric:
         assert err.value.violation == "nondegeneracy"
 
 
+class TestMetricContext:
+    def test_each_metric_is_validated_once(self, metric_flat22, monkeypatch):
+        from supergeo import geometry
+        from supergeo.integration import volume_density
+        from supergeo.lie import KillingChecker
+        from supergeo.morphisms import HarmonicSetup, Morphism
+
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return validate_metric(g)
+
+        monkeypatch.setattr(geometry, "validate_metric", counted)
+        g = metric_flat22
+        ch = g.chart
+        rotation = VectorField(ch, [-ch.pool.even("y"), ch.pool.even("x"), 0, 0], 0)
+        checker = KillingChecker(g)
+        assert checker.check(rotation, "all").passed
+        setup = HarmonicSetup(Morphism.identity(ch), g, g)
+        assert setup.tension().is_zero()
+        volume_density(g)
+        assert len(calls) == 1 and calls[0] is g
+        # one connection and one frame, shared by every consumer
+        assert setup.source_connection is checker.metric.connection
+        assert setup.target_connection is checker.metric.connection
+        assert setup.frame is checker.metric.frame
+
+    def test_invalid_metric_raises_every_time(self, chart_classical):
+        from supergeo.lie import KillingChecker
+
+        g = BilinearForm(chart_classical, [[1, 0], [0, 0]])
+        for _ in range(2):
+            with pytest.raises(MetricViolation) as err:
+                KillingChecker(g)
+            assert err.value.violation == "nondegeneracy"
+
+
 class TestLeviCivita:
     def test_flat_connection_vanishes(self, metric_flat22):
         conn = levi_civita(metric_flat22)

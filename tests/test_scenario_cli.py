@@ -164,6 +164,22 @@ th1 = 1
         report = run_scenario(text)
         assert report.exit_code == 2
 
+    def test_negative_flesh_count_is_parse_error(self):
+        text = """
+[chart]
+even = x
+odd =
+flesh = -3
+box x = 0 1
+
+[run]
+"""
+        report = run_scenario(text)
+        assert report.exit_code == 2
+        assert report.load_error == (
+            "ParseError: flesh count must be nonnegative at line 5"
+        )
+
     def test_bad_solver_options_are_parse_level(self):
         base = """
 [chart]
@@ -183,6 +199,73 @@ x,x = 1
                     "check-killing g g --mode vii"]:
             report = run_scenario(base + cmd + "\n")
             assert report.exit_code == 2, cmd
+
+
+def test_connection_commands_do_not_need_the_frame():
+    """g = 2 dx^2 has no exact OSp frame (see math_error.scn), but its
+    connection and the frame-free Killing modes are fine."""
+    text = """
+[chart]
+even = x
+odd =
+flesh = 0
+box x = 0 1
+
+[metric g]
+x,x = 2
+
+[vectorfield T]
+x = 1
+
+[run]
+levi-civita g
+check-killing T g --mode i
+check-killing T g --mode ii
+check-killing T g --mode all
+"""
+    results = run_scenario(text).results
+    assert [r.status for r in results] == ["pass", "pass", "pass", "error"]
+    assert results[0].details == [("nonzero", "0")]
+    assert results[1].details == [("mode_i", "pass"), ("agreement", "true")]
+    assert results[2].details == [("mode_ii", "pass"), ("agreement", "true")]
+    assert results[3].details[0][1].startswith("NotASquare")
+
+
+def test_validate_metric_command_shares_its_result(monkeypatch):
+    from supergeo import geometry, scenario
+
+    validate = geometry.validate_metric
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return validate(g)
+
+    monkeypatch.setattr(geometry, "validate_metric", counted)
+    monkeypatch.setattr(scenario, "validate_metric", counted)
+    text = """
+[chart]
+even = x
+odd = th1 th2
+flesh = 0
+box x = 0 1
+
+[metric g]
+x,x = 1
+th1,th2 = -1
+
+[vectorfield T]
+x = 1
+
+[run]
+validate-metric g
+osp-frame g
+levi-civita g
+check-killing T g
+"""
+    report = run_scenario(text)
+    assert report.exit_code == 0
+    assert len(calls) == 1
 
 
 def test_scenario_fuzz_never_crashes():
