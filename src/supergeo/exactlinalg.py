@@ -40,3 +40,21 @@ def nullspace(rows, ncols):
 
 def rank(rows):
     return _matrix(rows, len(rows[0]) if rows else 0).rank()
+
+
+def signature(rows):
+    """``(t, s)``: the numbers of negative and positive eigenvalues of a
+    symmetric rational matrix.
+
+    The characteristic polynomial of a symmetric matrix has only real roots,
+    so Descartes' rule of signs counts its positive roots exactly; the
+    negative roots are the positive roots of ``p(-x)``.
+    """
+    coeffs = _matrix(rows, len(rows)).charpoly()[::-1]  # constant term first
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    flipped = [-c if k % 2 else c for k, c in enumerate(coeffs)]
+    return sign_changes(flipped), sign_changes(coeffs)

@@ -21,14 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import sympy as sp
-
 from .errors import (
     ChartMismatch,
     MetricViolation,
     NonInvertible,
     ParityError,
 )
+from .exactlinalg import signature
 from .scalars import GeneratorPool, Superfunction
 from .supermatrix import (
     SuperMatrix,
@@ -37,6 +36,7 @@ from .supermatrix import (
     gram_schmidt_osp,
     graded_pair,
     j_map_signs,
+    standard_metric,
 )
 
 
@@ -85,11 +85,9 @@ class Chart:
         return self.coordinate_names()[i]
 
     def sample_point(self):
-        """Rational midpoint of the box, as a substitution dict for bodies."""
-        return {
-            self.pool.even_symbol(n): sp.Rational((a + b) / 2)
-            for n, (a, b) in self.box.items()
-        }
+        """Rational midpoint of the box, one ``Fraction`` per even coordinate
+        in pool order (see :meth:`Superfunction.body_at`)."""
+        return tuple((a + b) / 2 for a, b in self.box.values())
 
     def zero_field(self, parity=0):
         return VectorField(self, [self.pool.zero()] * self.dim, parity)
@@ -364,8 +362,6 @@ class Signature:
 
 def flat_metric(chart: Chart, t: int = 0) -> BilinearForm:
     """Standard supermetric g0 with t negative even directions on this chart."""
-    from .supermatrix import standard_metric
-
     s = chart.n - t
     m = chart.two_m // 2
     g0 = standard_metric(chart.pool, t, s, m)
@@ -386,12 +382,9 @@ def validate_metric(g: BilinearForm) -> Signature:
     body = [[e.body_part() for e in row] for row in g.components]
     if _det_commuting(chart.pool, body).is_zero():
         raise MetricViolation("nondegeneracy", "body determinant vanishes identically")
-    point = chart.sample_point()
-    even_block = sp.Matrix(
-        chart.n, chart.n, lambda i, j: body[i][j].body().subs(point)
-    )
-    t, s = _rational_signature(even_block)
-    if t + s < chart.n:
+    n, point = chart.n, chart.sample_point()
+    t, s = signature([[e.body_at(point) for e in row[:n]] for row in body[:n]])
+    if t + s < n:
         raise MetricViolation(
             "nondegeneracy", "even block is singular at the sample point"
         )
@@ -431,48 +424,6 @@ class MetricContext:
     @cached_property
     def frame_inverse(self) -> SuperMatrix:
         return self.frame.component_matrix().inverse()
-
-
-def _rational_signature(m: sp.Matrix):
-    """Exact signature of a rational symmetric matrix by Lagrange reduction."""
-    m = sp.Matrix(m)
-    n = m.shape[0]
-    t = s = 0
-    idx = list(range(n))
-    while idx:
-        piv = next((i for i in idx if m[i, i] != 0), None)
-        if piv is None:
-            pair = None
-            for a in idx:
-                for b in idx:
-                    if a < b and m[a, b] != 0:
-                        pair = (a, b)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                break  # remaining block is zero: degenerate
-            a, b = pair
-            for k in range(n):
-                m[a, k] = m[a, k] + m[b, k]
-            for k in range(n):
-                m[k, a] = m[k, a] + m[k, b]
-            continue
-        d = m[piv, piv]
-        if d > 0:
-            s += 1
-        else:
-            t += 1
-        idx.remove(piv)
-        for i in list(idx):
-            f = m[i, piv] / d
-            if f == 0:
-                continue
-            for k in range(n):
-                m[i, k] = sp.Rational(m[i, k] - f * m[piv, k])
-            for k in range(n):
-                m[k, i] = sp.Rational(m[k, i] - m[k, piv] * f)
-    return t, s
 
 
 class Connection:
@@ -526,7 +477,7 @@ def levi_civita(g: BilinearForm) -> Connection:
     MetricContext.of(g)
     names = chart.coordinate_names()
     dim = chart.dim
-    half = sp.Rational(1, 2)
+    half = Fraction(1, 2)
     ginv = g.to_supermatrix().inverse()
     gamma = []
     for i in range(dim):
@@ -623,8 +574,6 @@ class OSpFrame:
         return frame
 
     def certify(self, g: BilinearForm):
-        from .supermatrix import standard_metric
-
         sig = self.signature
         g0 = standard_metric(self.chart.pool, sig.t, sig.s, sig.two_m // 2)
         for i in range(self.chart.dim):

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy as sp
 from sympy.polys.fields import FracElement
 
 from .errors import NonPolynomialIntegrand
@@ -36,11 +35,11 @@ def volume_density(h: BilinearForm) -> VolumeDensity:
     MetricContext.of(h)
     ber = h.to_supermatrix().berezinian()
     point = chart.sample_point()
-    body_at = sp.Rational(ber.body().subs(point))
-    if body_at == 0:
+    sign = ber.body_at(point)
+    if sign == 0:
         raise NonPolynomialIntegrand("superdeterminant body vanishes at the sample point")
-    root = (ber if body_at > 0 else -ber).sqrt()
-    if sp.Rational(root.body().subs(point)) < 0:
+    root = (ber if sign > 0 else -ber).sqrt()
+    if root.body_at(point) < 0:
         root = -root
     return VolumeDensity(chart, root)
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from sympy.polys.fields import FracElement
 
-from .errors import ParityError, UnsupportedMetric
+from .errors import ChartMismatch, ParityError, UnsupportedMetric
 from .exactlinalg import nullspace, rank
 from .geometry import BilinearForm, Chart, MetricContext, OneForm, VectorField
 from .scalars import Superfunction
@@ -35,8 +35,6 @@ def lie_derivative_function(X: VectorField, f: Superfunction) -> Superfunction:
 def lie_derivative_oneform(X: VectorField, F: OneForm) -> OneForm:
     """(L_X F)[Y] = X(F[Y]) - (-1)^{|X||F|} F([X, Y])."""
     if X.chart != F.chart:
-        from .errors import ChartMismatch
-
         raise ChartMismatch("field and form live on different charts")
     chart = X.chart
     sign = -1 if X.parity * F.parity else 1
@@ -51,8 +49,6 @@ def lie_derivative_oneform(X: VectorField, F: OneForm) -> OneForm:
 def lie_derivative_bilinear(X: VectorField, B: BilinearForm) -> BilinearForm:
     """L_X B (Y,Z) = X B(Y,Z) - B([X,Y],Z) - (-1)^{|X||Y|} B(Y,[X,Z])."""
     if X.chart != B.chart:
-        from .errors import ChartMismatch
-
         raise ChartMismatch("field and form live on different charts")
     if B.parity != 0:
         raise ParityError("Lie derivative expects an even bilinear form")

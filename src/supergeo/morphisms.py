@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import sympy as sp
+from fractions import Fraction
 
 from .errors import ChartMismatch, ParityError, ScenarioError
 from .geometry import (
@@ -67,24 +66,16 @@ class Morphism:
         return cls(chart, chart, images, check_box=False)
 
     def _certify_box(self):
-        """Sampled certificate: bodies of even images stay inside the target box."""
-        grid = [self.source.sample_point()]
-        names = self.source.pool.even_names
-        if names:
-            corners = itertools.product(
-                *[(sp.Rational(a), sp.Rational(b)) for a, b in
-                  (self.source.box[n] for n in names)]
-            )
-            syms = [self.source.pool.even_symbol(n) for n in names]
-            grid += [dict(zip(syms, c)) for c in corners]
-        for name in self.target.pool.even_names:
-            a, b = self.target.box[name]
-            body = self.images[name].body()
+        """Sampled certificate: bodies of even images stay inside the target box
+        at the source box's midpoint and corners."""
+        source = self.source
+        grid = [source.sample_point(), *itertools.product(*source.box.values())]
+        for name, (a, b) in self.target.box.items():
             for point in grid:
-                val = sp.Rational(body.subs(point))
-                if not (sp.Rational(a) <= val <= sp.Rational(b)):
+                if not a <= self.images[name].body_at(point) <= b:
                     raise ScenarioError(
-                        f"body of pullback for {name!r} leaves the target box at {point}"
+                        f"body of pullback for {name!r} leaves the target box"
+                        f" at {source.pool.render_point(point)}"
                     )
 
     def pullback(self, f: Superfunction) -> Superfunction:
@@ -244,6 +235,7 @@ class HarmonicSetup:
         ]
         self._tension = None
         self._pullback_metric = None
+        self._energy_density = None
 
     # -- pairing and pullbacks -------------------------------------------------
 
@@ -441,8 +433,11 @@ class HarmonicSetup:
     # -- stress-energy ------------------------------------------------------------
 
     def energy_density(self) -> Superfunction:
-        """e(Phi) = 1/2 str_h(Phi* g)."""
-        return str_with_metric(self.pullback_metric(), self.frame) * sp.Rational(1, 2)
+        """e(Phi) = 1/2 str_h(Phi* g), computed once."""
+        if self._energy_density is None:
+            str_h = str_with_metric(self.pullback_metric(), self.frame)
+            self._energy_density = str_h * Fraction(1, 2)
+        return self._energy_density
 
     def stress_energy(self) -> BilinearForm:
         """S_Phi = e(Phi) h - Phi* g."""
@@ -485,7 +480,7 @@ class HarmonicSetup:
             ),
             1,
         )
-        r2 = divY - divS - corr * sp.Rational(1, 2)
+        r2 = divY - divS - corr * Fraction(1, 2)
 
         conserved = None
         if tau.is_zero() and Lh.is_zero():
@@ -506,19 +501,19 @@ def osp_frame_rotation(frame: OSpFrame) -> SuperMatrix:
     A = SuperMatrix.identity(pool, sig.t + sig.s, sig.two_m)
     if sig.s >= 2:
         i, j = sig.t + 0, sig.t + 1
-        c, s = sp.Rational(3, 5), sp.Rational(4, 5)
+        c, s = Fraction(3, 5), Fraction(4, 5)
         A.entries[i][i] = pool.scalar(c)
         A.entries[i][j] = pool.scalar(-s)
         A.entries[j][i] = pool.scalar(s)
         A.entries[j][j] = pool.scalar(c)
     elif sig.t >= 1 and sig.s >= 1:
         i, j = sig.t - 1, sig.t
-        ch_, sh = sp.Rational(5, 4), sp.Rational(3, 4)
+        ch_, sh = Fraction(5, 4), Fraction(3, 4)
         A.entries[i][i] = pool.scalar(ch_)
         A.entries[i][j] = pool.scalar(sh)
         A.entries[j][i] = pool.scalar(sh)
         A.entries[j][j] = pool.scalar(ch_)
     if sig.two_m >= 2:
         a = sig.t + sig.s
-        A.entries[a][a + 1] = pool.scalar(sp.Rational(1, 3))  # symplectic shear
+        A.entries[a][a + 1] = pool.scalar(Fraction(1, 3))  # symplectic shear
     return A

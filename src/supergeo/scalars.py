@@ -14,12 +14,17 @@ polynomial and a ``FracElement`` with a non-constant denominator otherwise.
 Both are canonical, so ring arithmetic needs no simplification step and
 equality is structural.
 
-Values cross into sympy ``Expr`` only at the edges: :meth:`GeneratorPool.scalar`
-lifts ints, ``Fraction``s and sympy ``Rational``s straight into the ground
-domain and even sympy expressions through the field (floats, irrational
-numbers and symbols outside the pool are rejected); :meth:`Superfunction.body`
-and :meth:`Superfunction.berezin_top` return ``Expr``; :meth:`Superfunction.render`
-prints through ``Expr``; and exact square roots factor the body as ``Expr``.
+Values cross into sympy ``Expr`` only at the edges, and only this module
+imports ``sympy`` (the others use only ``sympy.polys`` types):
+:meth:`GeneratorPool.scalar` lifts ints, ``Fraction``s and sympy ``Rational``s
+straight into the ground domain and even sympy expressions through the field
+(floats, irrational numbers and symbols outside the pool are rejected);
+:meth:`Superfunction.body` and :meth:`Superfunction.berezin_top` return
+``Expr`` for callers that want one; :meth:`Superfunction.render` prints
+through ``Expr``; and exact square roots factor the body as ``Expr``.
+:meth:`Superfunction.body_at` is the package's only way to evaluate a body at
+a point: it runs the same native kernel as :meth:`Superfunction.substitute`,
+returns a ``Fraction`` and raises ``NonInvertible`` at a pole.
 
 Sign conventions, fixed once for the whole package (see
 docs/sign-conventions.md):
@@ -243,6 +248,10 @@ class GeneratorPool:
     def names(self):
         return self.even_names + self.odd_names
 
+    def render_point(self, point) -> str:
+        """``x = 0, y = 1/2`` for values of the even variables in pool order."""
+        return ", ".join(f"{n} = {q}" for n, q in zip(self.even_names, point))
+
     def __eq__(self, other):
         return (
             isinstance(other, GeneratorPool)
@@ -378,6 +387,22 @@ class Superfunction:
         """Even-variable rational function left after killing all odd
         generators, as a sympy expression."""
         return _to_expr(self.terms.get(()))
+
+    def body_at(self, point) -> Fraction:
+        """The body at a rational point (one value per even variable, in pool
+        order), e.g. :meth:`Chart.sample_point`; raises ``NonInvertible`` at a
+        pole."""
+        c = self.terms.get(())
+        if c is None:
+            return Fraction(0)
+        ring = self.pool.ring
+        values = [ring.ground_new(QQ(q.numerator, q.denominator)) for q in point]
+        try:
+            q = _evaluate(c, values, self.pool).LC
+        except NonInvertible:
+            at = self.pool.render_point(point)
+            raise NonInvertible(f"body has a pole at {at}") from None
+        return Fraction(int(q.numerator), int(q.denominator))
 
     def body_part(self) -> "Superfunction":
         return Superfunction(

@@ -21,7 +21,7 @@ from .errors import (
     SupergeoError,
 )
 from .geometry import BilinearForm, Chart, MetricContext, VectorField, validate_metric
-from .lie import KillingChecker, solve_killing
+from .lie import KillingChecker, lie_derivative_bilinear, solve_killing
 from .morphisms import HarmonicSetup, Morphism
 from .integration import action
 from .parsing import parse_expression
@@ -34,9 +34,7 @@ class Scenario:
     source: Chart
     target: Chart
     metrics: dict
-    metric_charts: dict
     vectorfields: dict
-    vf_charts: dict
     morphisms: dict
     morphism_metrics: dict
     commands: list
@@ -195,8 +193,7 @@ def load_scenario(text: str) -> Scenario:
         raise ScenarioError(str(exc)) from None
 
     charts = {"source": source, "target": target}
-    metrics, metric_charts = {}, {}
-    vectorfields, vf_charts = {}, {}
+    metrics, vectorfields = {}, {}
     morphisms, morphism_metrics = {}, {}
     commands = []
 
@@ -216,7 +213,6 @@ def load_scenario(text: str) -> Scenario:
                 comps[(pair[0], pair[1])] = (lineno, value)
             chart = charts[chart_key]
             metrics[name] = _build_metric(chart, comps)
-            metric_charts[name] = chart_key
         elif kind == "vectorfield":
             chart_key = "source"
             parity = None
@@ -234,7 +230,6 @@ def load_scenario(text: str) -> Scenario:
                     comp_entries[key] = (lineno, value)
             chart = charts[chart_key]
             vectorfields[name] = _build_vectorfield(chart, comp_entries, parity)
-            vf_charts[name] = chart_key
         elif kind == "morphism":
             met = {"source_metric": None, "target_metric": None}
             images = {}
@@ -249,15 +244,7 @@ def load_scenario(text: str) -> Scenario:
             commands.extend(entries)
 
     return Scenario(
-        source,
-        target,
-        metrics,
-        metric_charts,
-        vectorfields,
-        vf_charts,
-        morphisms,
-        morphism_metrics,
-        commands,
+        source, target, metrics, vectorfields, morphisms, morphism_metrics, commands
     )
 
 
@@ -429,8 +416,6 @@ class _Runner:
         (xname, gname), _ = self._require(args, 2, "lie-derivative X G", lineno)
         X = self.vectorfield(xname, lineno)
         g = self.metric(gname, lineno)
-        from .lie import lie_derivative_bilinear
-
         table = lie_derivative_bilinear(X, g)
         chart = g.chart
         names = chart.coordinate_names()

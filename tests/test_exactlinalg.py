@@ -1,10 +1,11 @@
-"""Exact rational nullspace and rank, checked against sympy's Matrix."""
+"""Exact rational nullspace, rank and signature, checked against sympy's Matrix
+and Sylvester's law of inertia."""
 
 from fractions import Fraction
 
 import sympy as sp
 
-from supergeo.exactlinalg import nullspace, rank
+from supergeo.exactlinalg import nullspace, rank, signature
 
 from conftest import seeded
 
@@ -38,3 +39,28 @@ def test_nullspace_is_the_reduced_echelon_basis():
             assert all(isinstance(e, Fraction) for e in v)
             assert [v[f] for f in free] == [int(f == c) for f in free]
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+
+
+def test_signature_is_invariant_under_congruence():
+    """Sylvester's law of inertia: for P of full row rank k <= n, P^T D P has
+    as many negative and positive eigenvalues as the k x k diagonal D; k < n
+    gives singular matrices."""
+    rng = seeded(805)
+    checked = singular = 0
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        k = rng.randint(0, n)
+        P = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(k)]
+        if rank(P) < k:
+            continue
+        d = [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)) for _ in range(k)]
+        M = [
+            [sum(P[r][i] * d[r] * P[r][j] for r in range(k)) for j in range(n)]
+            for i in range(n)
+        ]
+        want = (sum(q < 0 for q in d), sum(q > 0 for q in d))
+        assert signature(M) == want, (P, d)
+        checked += 1
+        singular += k < n
+    assert checked >= 60 and singular >= 20

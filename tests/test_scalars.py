@@ -1,5 +1,7 @@
 """The Grassmann scalar ring: products, derivatives, inverses, roots, Berezin."""
 
+from fractions import Fraction
+
 import pytest
 import sympy as sp
 from sympy.polys.fields import FracElement
@@ -347,6 +349,18 @@ def _assert_canonical(f):
             assert isinstance(c, PolyElement) and c.ring is pool.ring
 
 
+def _assert_body_at_matches_subs(f):
+    """body_at agrees with substitution into the body as a sympy Expr, and
+    raises NonInvertible where that substitution hits a pole."""
+    for q in (Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(5, 7)):
+        want = f.body().subs(x, sp.Rational(q.numerator, q.denominator))
+        if want.is_finite:
+            assert f.body_at((q,)) == sp.Rational(want)
+        else:
+            with pytest.raises(NonInvertible):
+                f.body_at((q,))
+
+
 class TestCoefficientInvariant:
     def test_operations_on_rational_functions(self, pool):
         rng = seeded(111)
@@ -375,3 +389,11 @@ class TestCoefficientInvariant:
             for r in results:
                 _assert_canonical(r)
                 assert parse_expression(r.render(), pool) == r
+                _assert_body_at_matches_subs(r)
+
+    def test_body_at_raises_at_a_pole(self, pool):
+        f = pool.odd("th1") * pool.odd("th2") + pool.one() / (pool.even("x") - 1)
+        assert f.body_at((Fraction(3),)) == Fraction(1, 2)
+        assert pool.zero().body_at((Fraction(1),)) == 0
+        with pytest.raises(NonInvertible):
+            f.body_at((Fraction(1),))

@@ -268,6 +268,71 @@ check-killing T g
     assert len(calls) == 1
 
 
+def test_energy_density_is_computed_once_per_setup(monkeypatch):
+    from supergeo import morphisms
+
+    str_with_metric = morphisms.str_with_metric
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return str_with_metric(*args)
+
+    monkeypatch.setattr(morphisms, "str_with_metric", counted)
+    declarations = (DATA / "noether_flesh.scn").read_text().split("[run]")[0]
+    report = run_scenario(declarations + "[run]\ncheck-noether stress PHI RHO\naction PHI\n")
+    assert report.exit_code == 0
+    assert len(calls) == 1
+
+
+_POLE_METRIC = """
+[chart]
+even = x
+box x = -1 1
+
+[metric g]
+x, x = 1/x^2 + 1
+
+[run]
+validate-metric g
+"""
+
+_TWO_CHARTS = """
+[chart]
+even = x
+box x = 0 1
+
+[target]
+even = y
+box y = {box}
+
+[morphism PHI]
+y = {image}
+
+[run]
+"""
+
+
+@pytest.mark.parametrize(
+    "text, exit_code, line",
+    [
+        # the midpoint x = 0 of the box is a pole of the metric
+        (_POLE_METRIC, 3, "1.error = NonInvertible: body has a pole at x = 0"),
+        # the corner x = 0 of the source box is a pole of the pullback
+        (_TWO_CHARTS.format(box="-10 10", image="1/(x+1) + 1/x"), 2,
+         "error = NonInvertible: body has a pole at x = 0"),
+        (_TWO_CHARTS.format(box="0 1", image="2 x"), 2,
+         "error = ScenarioError: body of pullback for 'y' leaves the target box at x = 1"),
+    ],
+    ids=["pole_at_sample_point", "pole_at_box_corner", "box_violation"],
+)
+def test_sampled_points_are_named_in_errors(tmp_path, capsys, text, exit_code, line):
+    path = tmp_path / "points.scn"
+    path.write_text(text)
+    assert cli_main(["run", str(path)]) == exit_code
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_scenario_fuzz_never_crashes():
     import random
 
