@@ -58,6 +58,10 @@ class UnsupportedMetric(SupergeoError):
     """The Killing solver requires polynomial metric components."""
 
 
+class CertificateFailure(SupergeoError):
+    """A computed result failed its own exact certificate."""
+
+
 class NonPolynomialIntegrand(SupergeoError):
     """Box integration requires polynomial even parts."""
 

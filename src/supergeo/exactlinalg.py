@@ -9,21 +9,19 @@ from sympy.polys.matrices import DomainMatrix
 
 
 def _matrix(rows, ncols):
-    """Sparse ``DomainMatrix`` over QQ of the nonzero entries of ``rows``."""
+    """Sparse ``DomainMatrix`` over QQ of sparse rows ``{column: rational}``;
+    zero entries and empty rows are dropped."""
     entries = {}
     for i, row in enumerate(rows):
-        nonzero = {
-            j: QQ(q.numerator, q.denominator)
-            for j, q in enumerate(map(Fraction, row))
-            if q
-        }
+        nonzero = {j: QQ.convert(q) for j, q in row.items() if q}
         if nonzero:
             entries[i] = nonzero
     return DomainMatrix(entries, (len(rows), ncols), QQ)
 
 
 def nullspace(rows, ncols):
-    """Deterministic rational nullspace basis (one vector per free column)."""
+    """Deterministic rational nullspace basis (one vector per free column) of
+    sparse rows ``{column: rational}``."""
     m, pivots = _matrix(rows, ncols).rref()
     m = m.to_sparse().rep
     basis = []
@@ -38,8 +36,9 @@ def nullspace(rows, ncols):
     return basis
 
 
-def rank(rows):
-    return _matrix(rows, len(rows[0]) if rows else 0).rank()
+def rank(rows, ncols):
+    """Rank of sparse rows ``{column: rational}``."""
+    return _matrix(rows, ncols).rank()
 
 
 def signature(rows):
@@ -50,7 +49,8 @@ def signature(rows):
     so Descartes' rule of signs counts its positive roots exactly; the
     negative roots are the positive roots of ``p(-x)``.
     """
-    coeffs = _matrix(rows, len(rows)).charpoly()[::-1]  # constant term first
+    dense = [dict(enumerate(row)) for row in rows]
+    coeffs = _matrix(dense, len(rows)).charpoly()[::-1]  # constant term first
 
     def sign_changes(cs):
         signs = [c > 0 for c in cs if c]

@@ -16,11 +16,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from sympy.polys.fields import FracElement
-
-from .errors import ChartMismatch, ParityError, UnsupportedMetric
+from .errors import CertificateFailure, ChartMismatch, ParityError, UnsupportedMetric
 from .exactlinalg import nullspace, rank
 from .geometry import BilinearForm, Chart, MetricContext, OneForm, VectorField
 from .scalars import Superfunction
@@ -47,25 +44,48 @@ def lie_derivative_oneform(X: VectorField, F: OneForm) -> OneForm:
 
 
 def lie_derivative_bilinear(X: VectorField, B: BilinearForm) -> BilinearForm:
-    """L_X B (Y,Z) = X B(Y,Z) - B([X,Y],Z) - (-1)^{|X||Y|} B(Y,[X,Z])."""
+    """Components of L_X B by the Leibniz rule, with
+    [X, d_i] = -(-1)^{|X||i|} sum_k (d_i X^k) d_k (docs/sign-conventions.md):
+
+        (L_X B)_ij = sum_k X^k d_k(B_ij)
+                     + (-1)^{|X||i|} sum_k (d_i X^k) B_kj
+                     + (-1)^{|X|(|i|+|j|)} sum_k (-1)^{|i|(|X|+|j|+|k|)} (d_j X^k) B_ik
+
+    Only the nonzero X^k and nonzero factors are visited.
+    """
     if X.chart != B.chart:
         raise ChartMismatch("field and form live on different charts")
     if B.parity != 0:
         raise ParityError("Lie derivative expects an even bilinear form")
     chart = X.chart
-    coord = [chart.coordinate_field(i) for i in range(chart.dim)]
-    brackets = [X.bracket(c) for c in coord]
+    names = chart.coordinate_names()
+    par = [chart.parity(i) for i in range(chart.dim)]
+    p = X.parity
+    Bc = B.components
+    support = [(k, c) for k, c in enumerate(X.components) if not c.is_zero()]
+    dX = [  # the nonzero (k, d_i X^k) for each coordinate i
+        [(k, d) for k, c in support if not (d := c.partial(name)).is_zero()]
+        for name in names
+    ]
     rows = []
-    for i in range(chart.dim):
-        sign = -1 if X.parity * chart.parity(i) else 1
+    for i, pi in enumerate(par):
         row = []
-        for j in range(chart.dim):
-            val = X.apply(B.components[i][j])
-            val = val - B.evaluate(brackets[i], coord[j])
-            val = val - B.evaluate(coord[i], brackets[j]) * sign
-            row.append(val)
+        for j, pj in enumerate(par):
+            acc = chart.pool.zero()
+            bij = Bc[i][j]
+            if not bij.is_zero():
+                for k, c in support:
+                    acc = acc + c * bij.partial(names[k])
+            for k, d in dX[i]:
+                if not Bc[k][j].is_zero():
+                    acc = acc + d * Bc[k][j] * (-1 if p * pi else 1)
+            for k, d in dX[j]:
+                if not Bc[i][k].is_zero():
+                    odd = (p * (pi + pj) + pi * (p + pj + par[k])) % 2
+                    acc = acc + d * Bc[i][k] * (-1 if odd else 1)
+            row.append(acc)
         rows.append(row)
-    return BilinearForm(chart, rows, (X.parity + B.parity) % 2)
+    return BilinearForm(chart, rows, p)
 
 
 @dataclass
@@ -232,27 +252,20 @@ def _ansatz_fields(chart: Chart, degree: int, parity: int):
     return fields
 
 
-def _rational_coefficients(f: Superfunction):
-    """``(odd monomial, even exponents, Fraction)`` for every rational
-    coefficient of a superfunction with polynomial coefficients."""
-    for mono, c in f.terms.items():
-        for exps, q in c.terms():
-            yield mono, exps, Fraction(int(q.numerator), int(q.denominator))
-
-
 def _coefficient_rows(columns):
-    """Rational coefficient matrix with one column per list of superfunctions;
-    a row is one (list index, odd monomial, even exponents) key, in order of
-    first appearance."""
+    """Sparse rational rows ``{column: QQ}`` with one column per list of
+    superfunctions; a row is one (list index, odd monomial, even exponents)
+    key, in order of first appearance."""
     keys = {}
-    cols = []
-    for entries in columns:
-        col = {}
+    rows = []
+    for col, entries in enumerate(columns):
         for k, entry in enumerate(entries):
-            for mono, exps, q in _rational_coefficients(entry):
-                col[keys.setdefault((k, mono, exps), len(keys))] = q
-        cols.append(col)
-    return [[col.get(r, Fraction(0)) for col in cols] for r in range(len(keys))]
+            for mono, exps, q in entry.rational_coefficients():
+                r = keys.setdefault((k, mono, exps), len(keys))
+                if r == len(rows):
+                    rows.append({})
+                rows[r][col] = q
+    return rows
 
 
 def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
@@ -264,10 +277,8 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
     chart = g.chart
-    for row in g.components:
-        for entry in row:
-            if any(isinstance(c, FracElement) for c in entry.terms.values()):
-                raise UnsupportedMetric("metric components must be polynomial")
+    if not all(entry.is_polynomial() for row in g.components for entry in row):
+        raise UnsupportedMetric("metric components must be polynomial")
     parities = [0, 1] if parity is None else [parity]
     fields = []
     field_parities = []
@@ -295,7 +306,8 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
 def _certify_basis(basis: KillingBasis, g: BilinearForm):
     for X in basis.fields:
         if not lie_derivative_bilinear(X, g).is_zero():
-            raise AssertionError("solver produced a non-Killing field")
+            raise CertificateFailure("solver produced a non-Killing field")
     # linear independence certificate over Q
-    if rank(_coefficient_rows([X.components for X in basis.fields])) != len(basis.fields):
-        raise AssertionError("solver basis is linearly dependent")
+    n = len(basis.fields)
+    if rank(_coefficient_rows([X.components for X in basis.fields]), n) != n:
+        raise CertificateFailure("solver basis is linearly dependent")

@@ -12,7 +12,8 @@ holds for ``Superfunction.terms`` and :func:`_norm` enforces it: every stored
 coefficient is nonzero, and it is a ``PolyElement`` when the value is a
 polynomial and a ``FracElement`` with a non-constant denominator otherwise.
 Both are canonical, so ring arithmetic needs no simplification step and
-equality is structural.
+equality is structural.  Other modules never read ``terms``; they call
+``has_body``, ``is_polynomial`` or ``rational_coefficients``.
 
 Values cross into sympy ``Expr`` only at the edges, and only this module
 imports ``sympy`` (the others use only ``sympy.polys`` types):
@@ -426,13 +427,19 @@ class Superfunction:
     def has_parity(self, p: int) -> bool:
         return all(len(m) % 2 == p % 2 for m in self.terms)
 
-    def grassmann_degree(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
+    def has_body(self) -> bool:
+        return () in self.terms
 
-    def uses_flesh(self) -> bool:
-        return any(
-            self.pool.is_flesh(i) for mono in self.terms for i in mono
-        )
+    def is_polynomial(self) -> bool:
+        """True when every coefficient is a polynomial in the even variables."""
+        return not any(isinstance(c, FracElement) for c in self.terms.values())
+
+    def rational_coefficients(self):
+        """``(odd monomial, even exponents, QQ)`` for every rational
+        coefficient; requires :meth:`is_polynomial`."""
+        for mono, c in self.terms.items():
+            for exps, q in c.terms():
+                yield mono, exps, q
 
     # -- calculus ------------------------------------------------------------
 

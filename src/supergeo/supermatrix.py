@@ -235,7 +235,7 @@ def _invert_commuting(pool, rows):
     for col in range(n):
         piv = None
         for r in range(col, n):
-            if () in a[r][col].terms:
+            if a[r][col].has_body():
                 piv = r
                 break
         if piv is None:
@@ -399,13 +399,13 @@ def gram_schmidt_osp(B: SuperMatrix):
     while evens:
         pick = None
         for idx, u in enumerate(evens):
-            if () in pair(u, 0, u, 0).terms:
+            if pair(u, 0, u, 0).has_body():
                 pick = idx
                 break
         if pick is None:
             found = False
             for i, j in itertools.combinations(range(len(evens)), 2):
-                if () in pair(evens[i], 0, evens[j], 0).terms:
+                if pair(evens[i], 0, evens[j], 0).has_body():
                     evens[i] = [evens[i][r] + evens[j][r] for r in range(dim)]
                     found = True
                     break
@@ -436,7 +436,7 @@ def gram_schmidt_osp(B: SuperMatrix):
     while odds:
         pick = None
         for i, j in itertools.combinations(range(len(odds)), 2):
-            if () in pair(odds[i], 1, odds[j], 1).terms:
+            if pair(odds[i], 1, odds[j], 1).has_body():
                 pick = (i, j)
                 break
         if pick is None:

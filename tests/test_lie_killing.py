@@ -1,5 +1,7 @@
 """Lie derivatives, the three Killing characterisations, and the solver."""
 
+import itertools
+
 import pytest
 import sympy as sp
 
@@ -103,24 +105,48 @@ class TestLieDerivativeBilinear:
 
     def test_display_holds_on_noncoordinate_arguments(self, metric_deformed):
         """The component table must reproduce the defining display for
-        arbitrary vector fields, not only coordinates."""
-        ch = metric_deformed.chart
-        B = metric_deformed
-        rng = seeded(403)
-        for _ in range(6):
-            xp = rng.randint(0, 1)
-            X = random_field(ch, rng, xp)
-            Y = random_field(ch, rng, rng.randint(0, 1))
-            Z = random_field(ch, rng, rng.randint(0, 1))
+        arbitrary vector fields, not only coordinates.  The second input is
+        an even form that is not supersymmetric and has a rational
+        coefficient, on a chart with flesh, so no symmetry of B hides a
+        sign."""
+
+        def check(B, X, Y, Z):
             table = lie_derivative_bilinear(X, B)
             lhs = table.evaluate(Y, Z)
-            sign = -1 if (xp * Y.parity) % 2 else 1
+            sign = -1 if (X.parity * Y.parity) % 2 else 1
             rhs = (
                 X.apply(B.evaluate(Y, Z))
                 - B.evaluate(X.bracket(Y), Z)
                 - B.evaluate(Y, X.bracket(Z)) * sign
             )
             assert (lhs - rhs).is_zero()
+
+        ch = metric_deformed.chart
+        rng = seeded(403)
+        for _ in range(6):
+            xp = rng.randint(0, 1)
+            X = random_field(ch, rng, xp)
+            Y = random_field(ch, rng, rng.randint(0, 1))
+            Z = random_field(ch, rng, rng.randint(0, 1))
+            check(metric_deformed, X, Y, Z)
+
+        ch = Chart(["x", "y"], ["th1", "th2"],
+                   box={"x": (0, 1), "y": (0, 1)}, flesh=["e1"])
+        pool = ch.pool
+        rng = seeded(406)
+        rows = [
+            [random_superfunction(pool, rng, (ch.parity(i) + ch.parity(j)) % 2, 1)
+             for j in range(ch.dim)]
+            for i in range(ch.dim)
+        ]
+        rows[0][1] = rows[0][1] + pool.scalar(1 / (x + 2))
+        rows[2][3] = rows[2][3] * pool.scalar(1 / (x + 2))
+        B = BilinearForm(ch, rows)
+        assert B.is_even_graded() and not B.is_supersymmetric()
+        assert not B.components[0][1].is_polynomial()
+        for xp, yp, zp in itertools.product((0, 1), repeat=3):
+            check(B, random_field(ch, rng, xp), random_field(ch, rng, yp),
+                  random_field(ch, rng, zp))
 
 
 class TestKillingCheck:

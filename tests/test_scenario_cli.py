@@ -268,6 +268,21 @@ check-killing T g
     assert len(calls) == 1
 
 
+def test_failed_solver_certificate_is_an_error(monkeypatch, tmp_path):
+    """A solver basis that fails its own certificate is a command error
+    (exit 3) in the report, not an exception escaping the CLI."""
+    from supergeo import lie
+
+    # the sum of all ansatz fields contains the Euler field x d_x
+    monkeypatch.setattr(lie, "nullspace", lambda rows, ncols: [[1] * ncols])
+    out = tmp_path / "report.txt"
+    code = cli_main(["run", str(DATA / "flat_killing.scn"), "--report", str(out)])
+    assert code == 3
+    assert "error = CertificateFailure: solver produced a non-Killing field" in (
+        out.read_text()
+    )
+
+
 def test_energy_density_is_computed_once_per_setup(monkeypatch):
     from supergeo import morphisms
 

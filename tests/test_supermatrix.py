@@ -137,7 +137,7 @@ def brute_force_osp_dimension(t, s, m, parity):
                 val = res.body()
                 row[c] = Fraction(sp.Rational(val).p, sp.Rational(val).q)
             rows.append(row)
-    return len(nullspace(rows, len(slots)))
+    return len(nullspace([dict(enumerate(row)) for row in rows], len(slots)))
 
 
 class TestOspAlgebra:
