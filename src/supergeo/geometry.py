@@ -290,6 +290,16 @@ class BilinearForm:
             X.components, X.parity, Y.components, Y.parity, self.parity,
         )
 
+    def partials(self, k: int):
+        """The grid d_k B_ij, built on first use for each k and kept on the
+        form, which is safe because bilinear forms are never mutated."""
+        cache = self.__dict__.setdefault("_partials", {})
+        if k not in cache:
+            name = self.chart.coordinate(k)
+            cache[k] = [[e if e.is_zero() else e.partial(name) for e in row]
+                        for row in self.components]
+        return cache[k]
+
     def scale(self, f: Superfunction) -> "BilinearForm":
         rows = [[f * e for e in row] for row in self.components]
         fp = f.parity()

@@ -51,7 +51,8 @@ def lie_derivative_bilinear(X: VectorField, B: BilinearForm) -> BilinearForm:
                      + (-1)^{|X||i|} sum_k (d_i X^k) B_kj
                      + (-1)^{|X|(|i|+|j|)} sum_k (-1)^{|i|(|X|+|j|+|k|)} (d_j X^k) B_ik
 
-    Only the nonzero X^k and nonzero factors are visited.
+    Only the nonzero X^k and nonzero factors are visited; d_k(B_ij) comes from
+    :meth:`BilinearForm.partials`, so it is computed once per form.
     """
     if X.chart != B.chart:
         raise ChartMismatch("field and form live on different charts")
@@ -67,15 +68,15 @@ def lie_derivative_bilinear(X: VectorField, B: BilinearForm) -> BilinearForm:
         [(k, d) for k, c in support if not (d := c.partial(name)).is_zero()]
         for name in names
     ]
+    dB = [(c, B.partials(k)) for k, c in support]
     rows = []
     for i, pi in enumerate(par):
         row = []
         for j, pj in enumerate(par):
             acc = chart.pool.zero()
-            bij = Bc[i][j]
-            if not bij.is_zero():
-                for k, c in support:
-                    acc = acc + c * bij.partial(names[k])
+            for c, dk in dB:
+                if not dk[i][j].is_zero():
+                    acc = acc + c * dk[i][j]
             for k, d in dX[i]:
                 if not Bc[k][j].is_zero():
                     acc = acc + d * Bc[k][j] * (-1 if p * pi else 1)

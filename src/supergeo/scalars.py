@@ -18,8 +18,9 @@ equality is structural.  Other modules never read ``terms``; they call
 Values cross into sympy ``Expr`` only at the edges, and only this module
 imports ``sympy`` (the others use only ``sympy.polys`` types):
 :meth:`GeneratorPool.scalar` lifts ints, ``Fraction``s and sympy ``Rational``s
-straight into the ground domain and even sympy expressions through the field
-(floats, irrational numbers and symbols outside the pool are rejected);
+straight into the ground domain, polynomial sympy expressions through the ring
+and other even sympy expressions through the field (floats, irrational numbers
+and symbols outside the pool are rejected);
 :meth:`Superfunction.body` and :meth:`Superfunction.berezin_top` return
 ``Expr`` for callers that want one; :meth:`Superfunction.render` prints
 through ``Expr``; and exact square roots factor the body as ``Expr``.
@@ -227,10 +228,12 @@ class GeneratorPool:
                     "odd generators enter as Superfunction factors"
                 )
             if not value.has(sp.Float):
-                try:
-                    return _norm(self.field.from_expr(value))
-                except (ValueError, CoercionFailed):
-                    pass
+                # a polynomial skips the fraction field and its gcd
+                for domain in (self.ring, self.field):
+                    try:
+                        return _norm(domain.from_expr(value))
+                    except (ValueError, CoercionFailed):
+                        pass
         raise InexactCoefficient(
             f"{value!r} is not an exact rational function of {list(self.even_names)}"
         )

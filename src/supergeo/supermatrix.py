@@ -100,16 +100,7 @@ class SuperMatrix:
     def __mul__(self, other):
         if isinstance(other, SuperMatrix):
             self._check_compat(other)
-            dim = self.dim
-            rows = []
-            for i in range(dim):
-                row = []
-                for j in range(dim):
-                    acc = self.pool.zero()
-                    for k in range(dim):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                rows.append(row)
+            rows = _product(self.pool, self.entries, other.entries)
             return SuperMatrix(
                 self.pool, self.p, self.q, rows, (self.parity + other.parity) % 2
             )
@@ -165,31 +156,26 @@ class SuperMatrix:
         return acc
 
     def berezinian(self) -> Superfunction:
-        """Ber(M) = det(A - B D^-1 C) * det(D)^-1 for even invertible M."""
+        """Ber(M) = det(A - B D^-1 C) * det(D)^-1 for even invertible M.
+
+        Computed fraction-free: with d = det D and adj D over the commuting
+        even entries, A - B D^-1 C = (A d - B adj(D) C) / d, so
+        Ber(M) = det(A d - B adj(D) C) * (d^(p+1))^-1, whose final inverse
+        is the only division.
+        """
         if self.parity != 0:
             raise InhomogeneousMatrix("Berezinian is defined for even matrices")
         A, B, C, D = self.blocks()
-        if self.q == 0:
-            return _det_commuting(self.pool, A)
-        try:
-            Dinv = _invert_commuting(self.pool, D)
-        except NonInvertible:
-            raise NonInvertibleBlock("odd-odd block has singular body") from None
-        p, q = self.p, self.q
-        schur = [
-            [
-                A[i][j]
-                - sum(
-                    (B[i][k] * Dinv[k][l] * C[l][j] for k in range(q) for l in range(q)),
-                    start=self.pool.zero(),
-                )
-                for j in range(p)
-            ]
-            for i in range(p)
-        ]
-        det_schur = _det_commuting(self.pool, schur) if p else self.pool.one()
-        det_D = _det_commuting(self.pool, D)
-        return det_schur * det_D.invert()
+        pool, p, q = self.pool, self.p, self.q
+        if q == 0:
+            return _det_commuting(pool, A)
+        adj = _adjugate_commuting(pool, D)
+        d = sum((D[0][k] * adj[k][0] for k in range(q)), start=pool.zero())
+        if not d.has_body():
+            raise NonInvertibleBlock("odd-odd block has singular body")
+        b_adj_c = _product(pool, _product(pool, B, adj), C)
+        schur = [[a * d - e for a, e in zip(ra, re)] for ra, re in zip(A, b_adj_c)]
+        return _det_commuting(pool, schur) * (d ** (p + 1)).invert()
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
@@ -206,6 +192,14 @@ class SuperMatrix:
         T = M0inv * (self - SuperMatrix(pool, self.p, self.q, body, self.parity))
         one = SuperMatrix.identity(pool, self.p, self.q)
         return _nilpotent_series(T, itertools.cycle((-1, 1)), one) * M0inv
+
+
+def _product(pool, X, Y):
+    """The product of two entry grids (lists of rows), in factor order."""
+    return [
+        [sum((x * y for x, y in zip(row, col)), start=pool.zero()) for col in zip(*Y)]
+        for row in X
+    ]
 
 
 # -- commuting-entry helpers (all entries even, hence mutually commuting) ----
@@ -225,6 +219,18 @@ def _det_commuting(pool, rows) -> Superfunction:
         term = rows[0][j] * _det_commuting(pool, minor)
         acc = acc + (term if j % 2 == 0 else -term)
     return acc
+
+
+def _adjugate_commuting(pool, rows):
+    """adj(M)[k][l] = (-1)^(k+l) det(M without row l and column k)."""
+    n = len(rows)
+
+    def cofactor(k, l):
+        minor = [r[:k] + r[k + 1 :] for i, r in enumerate(rows) if i != l]
+        det = _det_commuting(pool, minor)
+        return -det if (k + l) % 2 else det
+
+    return [[cofactor(k, l) for l in range(n)] for k in range(n)]
 
 
 def _invert_commuting(pool, rows):

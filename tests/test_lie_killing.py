@@ -16,6 +16,7 @@ from supergeo.lie import (
     lie_derivative_oneform,
     solve_killing,
 )
+from supergeo.scalars import Superfunction
 
 from conftest import random_field, random_superfunction, seeded
 
@@ -233,6 +234,23 @@ class TestSolveKilling:
         for X in basis.fields:
             rep = checker.check(X, "all")
             assert rep.passed and rep.agreement
+
+    def test_metric_differentiated_once_per_direction(self, monkeypatch):
+        chart = Chart(["x", "y"], ["th1", "th2", "th3", "th4"],
+                      box={"x": (0, 1), "y": (0, 1)})
+        g = flat_metric(chart)
+        entries = {id(e) for row in g.components for e in row}
+        calls = []
+        partial = Superfunction.partial
+
+        def counting(self, name):
+            if id(self) in entries:
+                calls.append(name)
+            return partial(self, name)
+
+        monkeypatch.setattr(Superfunction, "partial", counting)
+        assert solve_killing(g, 1).dims == (13, 12)
+        assert len(calls) <= chart.dim**3
 
     def test_negative_degree_rejected(self, metric_flat22):
         with pytest.raises(ValueError):

@@ -74,6 +74,30 @@ class TestExactInputGuard:
         assert pool.scalar(x / 2) == pool.even("x") * half
 
 
+class TestPolynomialInputThroughTheRing:
+    def test_polynomial_stored_as_poly(self):
+        y = sp.Symbol("y")
+        f = GeneratorPool(["x", "y"], ["th1", "th2"]).scalar(x / 2 + y**3)
+        assert isinstance(f.terms[()], PolyElement)
+
+    @pytest.mark.parametrize("value", [1 / x, x**-2])
+    def test_negative_powers_stored_as_fractions(self, pool, value):
+        assert isinstance(pool.scalar(value).terms[()], FracElement)
+
+    def test_quotients_cancel(self, pool):
+        assert pool.scalar((x + 1) / (x + 1)) == pool.one()
+        f = pool.scalar((x**2 - 1) / (x - 1))
+        assert isinstance(f.terms[()], PolyElement)
+        assert f == pool.scalar(x + 1)
+
+    @pytest.mark.parametrize(
+        "value", [sp.sqrt(2) * x, sp.pi * x, sp.I * x, sp.exp(x)]
+    )
+    def test_inexact_still_rejected(self, pool, value):
+        with pytest.raises(InexactCoefficient):
+            pool.scalar(value)
+
+
 def test_eq_with_foreign_operand(pool):
     one = pool.one()
     assert not (one == None)  # noqa: E711

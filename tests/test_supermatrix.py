@@ -1,5 +1,6 @@
 """Graded matrices: supertrace, Berezinian, osp membership, Gram-Schmidt."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from supergeo.supermatrix import (
 )
 
 from conftest import random_superfunction, seeded
+
+x = sp.Symbol("x")
 
 
 @pytest.fixture
@@ -103,15 +106,92 @@ class TestBerezinian:
             assert sp.cancel(M.berezinian().body()) != 0
 
     def test_singular_odd_block_raises(self, pool):
-        M = SuperMatrix(pool, 1, 1, [[1, 0], [0, 0]])
-        with pytest.raises(NonInvertibleBlock):
-            M.berezinian()
+        # the second odd block has det th1*th2: not zero, but without body
+        th12 = pool.odd("th1") * pool.odd("th2")
+        for M in (
+            SuperMatrix(pool, 1, 1, [[1, 0], [0, 0]]),
+            SuperMatrix(pool, 1, 2, [[1, 0, 0], [0, 1 + th12, 1], [0, 1, 1]]),
+        ):
+            with pytest.raises(NonInvertibleBlock):
+                M.berezinian()
 
     def test_pure_blocks(self, pool):
         even_only = SuperMatrix(pool, 2, 0, [[2, 0], [1, 3]])
         assert even_only.berezinian() == pool.scalar(6)
         odd_only = SuperMatrix(pool, 0, 2, [[2, 0], [0, 3]])
         assert odd_only.berezinian() == pool.scalar(sp.Rational(1, 6))
+
+    def test_rendered_value_pinned(self, pool):
+        # the value the Gauss-Jordan Schur complement gave, as an independent pin
+        M = random_invertible(pool, 2, 2, seeded(208))
+        M.entries[0][0] = M.entries[0][0] + pool.scalar(1 / (x + 2))
+        assert M.berezinian().render() == (
+            "((2*x^3 + 4*x^2 - 3*x - 4)/(2*x^2 + 4*x))"
+            " + ((-2*x^4 - 14*x^3 - 19*x^2 + 7*x + 4)/(2*x^2 + 4*x))*th1*th2"
+        )
+
+
+def leibniz_det(pool, rows):
+    """Sum over permutations; entries are even, so their order is free."""
+    acc = pool.zero()
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = pool.scalar(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        acc = acc + term
+    return acc
+
+
+def oracle_berezinian(M):
+    """det(A - B Dinv C) * det(D)^-1 with Dinv from SuperMatrix.inverse."""
+    pool, p, q = M.pool, M.p, M.q
+    A, B, C, D = M.blocks()
+    Dinv = SuperMatrix(pool, q, 0, D).inverse().entries
+    schur = [
+        [
+            A[i][j] - sum(
+                (B[i][k] * Dinv[k][l] * C[l][j] for k in range(q) for l in range(q)),
+                start=pool.zero(),
+            )
+            for j in range(p)
+        ]
+        for i in range(p)
+    ]
+    return leibniz_det(pool, schur) * leibniz_det(pool, D).invert()
+
+
+@pytest.fixture
+def flesh_pool():
+    return GeneratorPool(["x"], ["th1", "th2"], ["eta"])
+
+
+def rational_invertible(pool, p, q, rng):
+    """Even (p|q) matrix with flesh terms, a 1/(x+2) coefficient and a
+    diagonal that dominates the body at x = 0, so both blocks are invertible."""
+    M = random_matrix(pool, p, q, 0, rng)
+    for i in range(p + q):
+        M.entries[i][i] = M.entries[i][i] + 10 + pool.scalar(1 / (x + 2))
+    M.entries[0][p] = M.entries[0][p] * pool.scalar(1 / (x + 2))
+    return M
+
+
+class TestBerezinianAgainstOracle:
+    @pytest.mark.parametrize("p, q", [(1, 2), (2, 2), (1, 4), (2, 4)])
+    def test_matches_oracle(self, flesh_pool, p, q):
+        rng = seeded(206 + 10 * p + q)
+        for _ in range(2):
+            M = rational_invertible(flesh_pool, p, q, rng)
+            ber = M.berezinian()
+            assert not ber.is_polynomial()
+            assert ber.terms == oracle_berezinian(M).terms
+
+    @pytest.mark.parametrize("p, q", [(1, 4), (2, 4)])
+    def test_multiplicative(self, flesh_pool, p, q):
+        rng = seeded(216 + 10 * p + q)
+        M = rational_invertible(flesh_pool, p, q, rng)
+        N = rational_invertible(flesh_pool, p, q, rng)
+        assert (M * N).berezinian() == M.berezinian() * N.berezinian()
 
 
 def brute_force_osp_dimension(t, s, m, parity):
