@@ -15,6 +15,11 @@ Both are canonical, so ring arithmetic needs no simplification step and
 equality is structural.  Other modules never read ``terms``; they call
 ``has_body``, ``is_polynomial`` or ``rational_coefficients``.
 
+Division happens in one place, :func:`_divide` (``invert``, ``/``, negative
+powers, ``sqrt``), on top of :func:`_coeff_div` (also used by ``substitute``
+and ``body_at``).  A constant divisor never enters ``QQ(x)``; a polynomial
+quotient is one cancellation per output coefficient.
+
 Values cross into sympy ``Expr`` only at the edges, and only this module
 imports ``sympy`` (the others use only ``sympy.polys`` types):
 :meth:`GeneratorPool.scalar` lifts ints, ``Fraction``s and sympy ``Rational``s
@@ -97,7 +102,11 @@ def _coeff_mul(a, b):
 
 
 def _coeff_div(field, a, b):
-    return _norm(field.one * a / b)
+    """a / b (b nonzero): a constant b divides in the ground domain, two
+    polynomials cancel once in ``field.new``; only fractions use field division."""
+    if isinstance(a, PolyElement) and isinstance(b, PolyElement):
+        return a.quo_ground(b.LC) if b.is_ground else _norm(field.new(a, b))
+    return _norm(a / b)
 
 
 def _diff(pool, c, k):
@@ -355,15 +364,14 @@ class Superfunction:
         return self * other
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.invert()
+        return _divide(self, self._coerce(other))
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.invert()
+        return _divide(self._coerce(other), self)
 
     def __pow__(self, k: int):
         if k < 0:
-            return self.invert() ** (-k)
+            return _divide(self.pool.one(), self ** -k)
         out = self.pool.one()
         base = self
         while k:
@@ -467,18 +475,9 @@ class Superfunction:
             terms[mono[:pos] + mono[pos + 1 :]] = -c if pos % 2 else c
         return Superfunction(pool, terms)
 
-    def _body_inverse(self) -> "Superfunction":
-        b = self.terms.get(())
-        if b is None:
-            raise NonInvertible("body is zero")
-        return Superfunction(self.pool, {(): _coeff_div(self.pool.field, 1, b)})
-
     def invert(self) -> "Superfunction":
         """Exact inverse via a finite Neumann series in the nilpotent part."""
-        binv = self._body_inverse()
-        # f = b*(1 + t), t nilpotent, so 1/f = (1/b) * sum (-t)^k
-        t = self.nilpotent_part() * binv
-        return _nilpotent_series(t, itertools.cycle((-1, 1)), self.pool.one()) * binv
+        return _divide(self.pool.one(), self)
 
     def sqrt(self) -> "Superfunction":
         """Unique square root with exactly square body and positive lead."""
@@ -492,7 +491,7 @@ class Superfunction:
         if b is None:
             raise NotASquare("a nonzero nilpotent element has no square root")
         # f = b*(1 + t); sqrt(1 + t) is the binomial series
-        t = n * self._body_inverse()
+        t = _divide(n, self.body_part())
         return _nilpotent_series(t, _half_binomials(), self.pool.one()) * s0
 
     def top_coefficient(self):
@@ -580,15 +579,37 @@ def _sympy_gen_order(symbols):
     return tuple(symbols.index(s) for s in _sort_gens(symbols))
 
 
-def _nilpotent_series(t, coeffs, one):
-    """one + sum_k coeffs[k-1] * t^k for nilpotent t (a superfunction or a
-    supermatrix, with ``one`` the unit); the sum is finite."""
-    out = power = one
+def _nilpotent_series(t, coeffs, start, weight=None):
+    """start * (1 + sum_k coeffs[k-1] * t^k) for nilpotent t (superfunctions
+    or supermatrices; ``start`` is mostly the unit); the sum is finite.  With
+    a ``weight`` w commuting with t, term k is scaled by w^(K-k), where
+    start * t^(K+1) = 0, and the sum comes back with w^(K+1)."""
+    out = power = start
+    scale = weight
     for c in coeffs:
         power = power * t
         if power.is_zero():
-            return out
+            return out if weight is None else (out, scale)
+        if weight is not None:
+            out, scale = out * weight, scale * weight
         out = out + power * c
+
+
+def _divide(num, den):
+    """num / den, the one division of superfunctions: with den = b + n, b
+    the body and n^(K+1) = 0, num/den = sum_k num (-n)^k b^(K-k) / b^(K+1),
+    so only ring products precede one :func:`_coeff_div` per coefficient."""
+    b = den.terms.get(())
+    if b is None:
+        raise NonInvertible("body is zero")
+    pool = den.pool
+    series, scale = _nilpotent_series(
+        den.nilpotent_part(), itertools.cycle((-1, 1)), num, pool.scalar(b)
+    )
+    d = scale.terms[()]
+    return Superfunction(
+        pool, {m: _coeff_div(pool.field, c, d) for m, c in series.terms.items()}
+    )
 
 
 def _half_binomials():

@@ -14,6 +14,7 @@ left coefficients, and :func:`pair_columns` is the kernel on flipped columns.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import (
@@ -160,8 +161,9 @@ class SuperMatrix:
 
         Computed fraction-free: with d = det D and adj D over the commuting
         even entries, A - B D^-1 C = (A d - B adj(D) C) / d, so
-        Ber(M) = det(A d - B adj(D) C) * (d^(p+1))^-1, whose final inverse
-        is the only division.
+        Ber(M) = det(A d - B adj(D) C) / d^(p+1), the only division: the
+        scalar division kernel keeps a constant d out of the fraction field
+        and divides each coefficient once by a polynomial one.
         """
         if self.parity != 0:
             raise InhomogeneousMatrix("Berezinian is defined for even matrices")
@@ -169,13 +171,12 @@ class SuperMatrix:
         pool, p, q = self.pool, self.p, self.q
         if q == 0:
             return _det_commuting(pool, A)
-        adj = _adjugate_commuting(pool, D)
-        d = sum((D[0][k] * adj[k][0] for k in range(q)), start=pool.zero())
+        adj, d = _adjugate_commuting(pool, D)
         if not d.has_body():
             raise NonInvertibleBlock("odd-odd block has singular body")
         b_adj_c = _product(pool, _product(pool, B, adj), C)
         schur = [[a * d - e for a, e in zip(ra, re)] for ra, re in zip(A, b_adj_c)]
-        return _det_commuting(pool, schur) * (d ** (p + 1)).invert()
+        return _det_commuting(pool, schur) / d ** (p + 1)
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
@@ -205,32 +206,44 @@ def _product(pool, X, Y):
 # -- commuting-entry helpers (all entries even, hence mutually commuting) ----
 
 
+def _minors(pool, rows):
+    """det of the rows R and columns C (sorted index tuples) of a grid of
+    commuting entries, by Laplace expansion along the first row of R; the
+    returned function caches every minor under its (row set, column set), so
+    a determinant and all its cofactors share one table."""
+
+    @functools.cache
+    def minor(R, C):
+        if len(R) < 2:
+            return rows[R[0]][C[0]] if R else pool.one()
+        acc = pool.zero()
+        for j, c in enumerate(C):
+            e = rows[R[0]][c]
+            if e.is_zero():
+                continue
+            term = e * minor(R[1:], C[:j] + C[j + 1 :])
+            acc = acc + (-term if j % 2 else term)
+        return acc
+
+    return minor
+
+
 def _det_commuting(pool, rows) -> Superfunction:
-    n = len(rows)
-    if n == 0:
-        return pool.one()
-    if n == 1:
-        return rows[0][0]
-    acc = pool.zero()
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _det_commuting(pool, minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+    full = tuple(range(len(rows)))
+    return _minors(pool, rows)(full, full)
 
 
 def _adjugate_commuting(pool, rows):
-    """adj(M)[k][l] = (-1)^(k+l) det(M without row l and column k)."""
-    n = len(rows)
+    """(adj M, det M), with adj(M)[k][l] = (-1)^(k+l) det(M without row l and
+    column k), all from one table of minors."""
+    minor = _minors(pool, rows)
+    full = tuple(range(len(rows)))
 
     def cofactor(k, l):
-        minor = [r[:k] + r[k + 1 :] for i, r in enumerate(rows) if i != l]
-        det = _det_commuting(pool, minor)
+        det = minor(full[:l] + full[l + 1 :], full[:k] + full[k + 1 :])
         return -det if (k + l) % 2 else det
 
-    return [[cofactor(k, l) for l in range(n)] for k in range(n)]
+    return [[cofactor(k, l) for l in full] for k in full], minor(full, full)
 
 
 def _invert_commuting(pool, rows):

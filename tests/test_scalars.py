@@ -193,6 +193,101 @@ class TestInvert:
             assert (f * f.invert()) == pool.one()
 
 
+def field_inverse(f):
+    """1/f by the plain Neumann series with the body inverted in pool.field:
+    1/f = (1/b) * sum_k (-t)^k with t = n/b, written out independently of
+    the division kernel."""
+    pool = f.pool
+    binv = pool.scalar(pool.field.one / f.terms[()])
+    minus_t = -(f.nilpotent_part() * binv)
+    out = power = pool.one()
+    while True:
+        power = power * minus_t
+        if power.is_zero():
+            return out * binv
+        out = out + power
+
+
+DIVISION_CHARTS = {
+    "(1|2)+flesh": (["x"], ["th1", "th2"], ["eta"]),
+    "(2|2)+flesh": (["x", "y"], ["th1", "th2"], ["eta"]),
+    "(2|4)": (["x", "y"], ["th1", "th2", "th3", "th4"], []),
+}
+
+
+@pytest.fixture
+def cancel_calls(monkeypatch):
+    """Every gcd cancellation of a coefficient quotient, counted."""
+    calls = []
+    original = PolyElement.cancel
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(PolyElement, "cancel", counting)
+    return calls
+
+
+class TestDivisionKernel:
+    @pytest.mark.parametrize("chart", sorted(DIVISION_CHARTS))
+    @pytest.mark.parametrize("body", ["ground", "polynomial", "fraction"])
+    def test_quotients_match_the_field_route(self, chart, body):
+        pool = GeneratorPool(*DIVISION_CHARTS[chart])
+        rng = seeded(sum(map(ord, chart + body)))
+        xx = pool.even("x")
+        bodies = {
+            "ground": pool.scalar(4),
+            "polynomial": xx * xx + 2 * xx + 3,
+            "fraction": pool.scalar(1 / (x + 2)) + 1,
+        }
+        for _ in range(3):
+            f = bodies[body] + random_superfunction(pool, rng, 0).nilpotent_part()
+            inv = field_inverse(f)
+            assert f.invert() == inv
+            assert f * f.invert() == pool.one()
+            assert 3 / f == inv * 3
+            assert f**-2 == inv * inv
+            for parity in (0, 1):
+                g = random_superfunction(pool, rng, parity)
+                g = g + pool.scalar(1 / (x + 2)) * g.nilpotent_part()
+                assert g / f == g * inv
+                assert (g / f) * f == g
+            for r in (inv, f.invert(), 3 / f, f**-2, g / f):
+                _assert_canonical(r)
+
+    @pytest.mark.parametrize("divisor", ["zero", "odd", "nilpotent even"])
+    def test_divisor_without_body_raises(self, pool, divisor):
+        th1, th2 = pool.odd("th1"), pool.odd("th2")
+        d = {"zero": pool.zero(), "odd": th1, "nilpotent even": th1 * th2}[divisor]
+        g = pool.even("x") + th1
+        for divide in (lambda: d.invert(), lambda: g / d, lambda: 3 / d,
+                       lambda: d**-1, lambda: d**-2):
+            with pytest.raises(NonInvertible, match="body is zero"):
+                divide()
+
+    def test_constant_divisor_never_cancels(self, cancel_calls):
+        pool = GeneratorPool(["x", "y"], ["th1", "th2"])
+        rng = seeded(131)
+        th12 = pool.odd("th1") * pool.odd("th2")
+        f = pool.scalar(4) + th12 * 3
+        g = random_superfunction(pool, rng, None)
+        q, inv, r, s = g / f, f.invert(), 3 / f, f**-2
+        assert cancel_calls == []
+        assert inv == pool.scalar(Fraction(1, 4)) - th12 * Fraction(3, 16)
+        assert q * f == g and r == inv * 3 and s == inv * inv
+
+    def test_polynomial_divisor_cancels_once_per_output_monomial(self, cancel_calls):
+        pool = GeneratorPool(["x", "y"], ["th1", "th2"])
+        rng = seeded(132)
+        xx, yy = pool.even("x"), pool.even("y")
+        f = xx + 1 + yy * pool.odd("th1") * pool.odd("th2")
+        g = random_superfunction(pool, rng, None) + xx * yy + pool.odd("th2")
+        q = g / f
+        assert 0 < len(cancel_calls) <= len(q.terms)
+        assert q * f == g
+
+
 class TestSqrt:
     def test_one(self, pool):
         assert pool.one().sqrt() == pool.one()

@@ -361,3 +361,62 @@ def test_scenario_fuzz_never_crashes():
         text = "\n".join(rng.choice(lines) for _ in range(rng.randint(0, 12)))
         report = run_scenario(text)
         assert report.exit_code in (0, 1, 2, 3)
+
+
+# Right-hand sides that reach the division paths: zero and nilpotent bodies,
+# constant and polynomial divisors, poles at and away from the sample points
+# (the box midpoints are 1/2 and 3/2).
+_MUTANT_VALUES = [
+    "0", "-1", "1/2", "x", "1/x", "x - 1/2", "x^2 - 1/4", "th1*th2",
+    "1 + th1*th2", "4 + 3 th1 th2", "1/(x + 2)", "(x + th1*th2)^-1", "th1",
+    "1/0", "y", "u", "1/(x - 1/2)", "1/(2 x - 1)", "(x - 1/2)^-2",
+    "1/(2 x - 3)", "x/(x - 3/2)", "1/(y - 1/2)", "1/(u - 1/2)",
+]
+_MUTANT_TOKENS = [
+    "x", "y", "th1", "th2", "g", "h", "0", "1", "-1", "=", "+", "(", "odd", "--mode",
+]
+
+
+def _mutate(line, rng):
+    """One seeded edit of a scenario line, as the list of lines replacing it."""
+    kind = rng.randrange(6)
+    words = line.split()
+    if kind == 0:
+        return []
+    if kind == 1:
+        return [line, line]
+    if kind in (2, 3) and "=" in line:
+        return [f"{line.split('=', 1)[0]}= {rng.choice(_MUTANT_VALUES)}"]
+    if kind == 4 and words:
+        words[rng.randrange(len(words))] = rng.choice(_MUTANT_TOKENS)
+        return [" ".join(words)]
+    return [line[: rng.randrange(len(line) + 1)]]
+
+
+def test_mutated_goldens_exit_cleanly():
+    """Every line of every golden scenario, edited three times: each run ends
+    in an exit code 0-3, no exception but a SupergeoError leaves
+    run_scenario, and a division by a body that is zero or has a pole at a
+    sample point is reported as NonInvertible with exit code 2 or 3."""
+    import random
+
+    from supergeo.errors import SupergeoError
+
+    rng = random.Random(808)
+    runs, non_invertible_exits = 0, set()
+    for name in sorted(GOLDEN):
+        lines = (DATA / f"{name}.scn").read_text().splitlines()
+        for k in range(len(lines)):
+            for _ in range(3):
+                text = "\n".join(lines[:k] + _mutate(lines[k], rng) + lines[k + 1 :])
+                runs += 1
+                try:
+                    report = run_scenario(text, name=f"{name}.scn")
+                except SupergeoError:
+                    continue
+                assert report.exit_code in (0, 1, 2, 3), (name, k, text)
+                if "NonInvertible" in report.render():
+                    non_invertible_exits.add(report.exit_code)
+    assert runs == 3 * 194
+    # poles hit both in declarations (exit 2) and in commands (exit 3)
+    assert non_invertible_exits == {2, 3}

@@ -1,12 +1,13 @@
 """Graded matrices: supertrace, Berezinian, osp membership, Gram-Schmidt."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 
-from supergeo import GeneratorPool
+from supergeo import GeneratorPool, supermatrix
 from supergeo.errors import MetricViolation, NonInvertibleBlock, NotASquare
 from supergeo.exactlinalg import nullspace
 from supergeo.supermatrix import (
@@ -192,6 +193,28 @@ class TestBerezinianAgainstOracle:
         M = rational_invertible(flesh_pool, p, q, rng)
         N = rational_invertible(flesh_pool, p, q, rng)
         assert (M * N).berezinian() == M.berezinian() * N.berezinian()
+
+
+def test_adjugate_computes_each_minor_once(pool, monkeypatch):
+    """A 6x6 block has at most C(12, 6) = 924 (row set, column set) minors;
+    one cofactor expansion per adjugate entry would make 7,416."""
+    rng = seeded(221)
+    ints = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(6)]
+    original, tables = supermatrix._minors, []
+
+    def recording(pool_, rows):
+        tables.append(original(pool_, rows))
+        return tables[-1]
+
+    monkeypatch.setattr(supermatrix, "_minors", recording)
+    adj, det = supermatrix._adjugate_commuting(
+        pool, [[pool.scalar(v) for v in row] for row in ints]
+    )
+    assert len(tables) == 1
+    assert tables[0].cache_info().misses <= math.comb(12, 6)
+    M = sp.Matrix(ints)
+    assert det == pool.scalar(M.det())
+    assert adj == [[pool.scalar(v) for v in row] for row in M.adjugate().tolist()]
 
 
 def brute_force_osp_dimension(t, s, m, parity):
