@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .scenario import run_scenario
@@ -20,17 +21,19 @@ def main(argv=None) -> int:
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"supergeo: cannot read scenario: {exc}", file=sys.stderr)
         return 2
-
-    import os
 
     report = run_scenario(text, name=os.path.basename(args.scenario), seed=args.seed)
     rendered = report.render()
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"supergeo: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return report.exit_code

@@ -443,12 +443,6 @@ class Connection:
         self.chart = chart
         self.gamma = gamma  # gamma[i][j][k] -> Superfunction
 
-    @classmethod
-    def flat(cls, chart: Chart):
-        z = chart.pool.zero()
-        dim = chart.dim
-        return cls(chart, [[[z] * dim for _ in range(dim)] for _ in range(dim)])
-
     def coordinate_derivative(self, i: int, Y: VectorField) -> VectorField:
         """nabla_{d_i} Y."""
         chart = self.chart
@@ -485,10 +479,10 @@ def levi_civita(g: BilinearForm) -> Connection:
     """
     chart = g.chart
     MetricContext.of(g)
-    names = chart.coordinate_names()
     dim = chart.dim
     half = Fraction(1, 2)
     ginv = g.to_supermatrix().inverse()
+    dg = [g.partials(i) for i in range(dim)]  # dg[i][j][k] = d_i g_jk
     gamma = []
     for i in range(dim):
         pi = chart.parity(i)
@@ -498,10 +492,10 @@ def levi_civita(g: BilinearForm) -> Connection:
             K = []
             for k in range(dim):
                 pk = chart.parity(k)
-                term = g.components[j][k].partial(names[i])
-                t2 = g.components[k][i].partial(names[j])
+                term = dg[i][j][k]
+                t2 = dg[j][k][i]
                 term = term + (t2 if (pi * (pj + pk)) % 2 == 0 else -t2)
-                t3 = g.components[i][j].partial(names[k])
+                t3 = dg[k][i][j]
                 term = term - (t3 if (pk * (pi + pj)) % 2 == 0 else -t3)
                 K.append(term * half)
             # solve sum_l Gamma^l_ij g_lk = K_k  =>  Gamma^l = sum_k K_k (g^-1)_kl

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ChartMismatch, ParityError, ScenarioError
 from .geometry import (
@@ -222,10 +223,7 @@ class HarmonicSetup:
         self.target_connection = target.connection
         self.frame = source.frame
         tdim = phi.target.dim
-        self._g_pulled = [
-            [phi.pullback(g.components[a][b]) for b in range(tdim)]
-            for a in range(tdim)
-        ]
+        self._g_pulled = self._pull_grid(g)
         self._gamma_pulled = [
             [
                 [phi.pullback(self.target_connection.gamma[i][j][k]) for k in range(tdim)]
@@ -249,33 +247,40 @@ class HarmonicSetup:
     def pullback_metric(self) -> BilinearForm:
         """Phi* g, computed once."""
         if self._pullback_metric is None:
-            self._pullback_metric = self.pullback_bilinear(self.g)
+            self._pullback_metric = self._pair_grid(self._g_pulled, self.g.parity)
         return self._pullback_metric
 
     def pullback_bilinear(self, B: BilinearForm) -> BilinearForm:
         """Phi* B via <B_Phi>(dPhi[.], dPhi[.]); B may have either parity."""
         if B.chart != self.phi.target:
             raise ChartMismatch("form must live on the target chart")
-        source, target = self.phi.source, self.phi.target
-        pulled = [
-            [self.phi.pullback(B.components[a][b]) for b in range(target.dim)]
-            for a in range(target.dim)
-        ]
-        diffs = [
-            self.phi.differential(source.coordinate_field(i))
-            for i in range(source.dim)
-        ]
+        return self._pair_grid(self._pull_grid(B), B.parity)
+
+    def _pull_grid(self, B: BilinearForm):
+        """The components phi#(B_ab) of a target form."""
+        return [[self.phi.pullback(e) for e in row] for row in B.components]
+
+    @cached_property
+    def _coordinate_differentials(self):
+        """dPhi[d_i] for every source coordinate, built once per setup."""
+        source = self.phi.source
+        return [self.phi.differential(source.coordinate_field(i)) for i in range(source.dim)]
+
+    def _pair_grid(self, pulled, parity: int) -> BilinearForm:
+        """The source form <B_Phi>(dPhi[d_i], dPhi[d_j]) for a pulled grid."""
+        source = self.phi.source
+        diffs = self._coordinate_differentials
         rows = [
             [
                 graded_pair(
-                    source.pool, target.n, pulled,
-                    V.components, V.parity, W.components, W.parity, B.parity,
+                    source.pool, self.phi.target.n, pulled,
+                    V.components, V.parity, W.components, W.parity, parity,
                 )
                 for W in diffs
             ]
             for V in diffs
         ]
-        return BilinearForm(source, rows, B.parity)
+        return BilinearForm(source, rows, parity)
 
     # -- pullback connection -----------------------------------------------------
 
@@ -378,7 +383,7 @@ class HarmonicSetup:
         current_div = None
         if harmonic:
             current_div = self.source_divergence(self.noether_current(pulled))
-        lemma = self._pullback_lie_lemma_residuals(xi, L)
+        lemma = self._pullback_lie_lemma_residuals(xi, L, pulled)
         return NoetherReport(
             precondition_ok=not pre_res,
             precondition_residuals=pre_res,
@@ -388,16 +393,15 @@ class HarmonicSetup:
             lemma_residuals=lemma,
         )
 
-    def _pullback_lie_lemma_residuals(self, xi: VectorField, L: BilinearForm):
+    def _pullback_lie_lemma_residuals(self, xi: VectorField, L: BilinearForm, phi_xi):
         """Phi*(L_xi g)(Y,Z) = (-1)^{|xi||Y|} <nabla_Y (phi o xi), dPhi[Z]>
         + (-1)^{|xi||Y|+|xi||Z|} <dPhi[Y], nabla_Z (phi o xi)> on coordinates."""
         source = self.phi.source
         pulled_L = self.pullback_bilinear(L)
         pxi = xi.parity
-        phi_xi = self.phi.pull_target_field(xi)
         coord = [source.coordinate_field(i) for i in range(source.dim)]
         nabla_phi_xi = [self.connection_apply(c, phi_xi) for c in coord]
-        diffs = [self.phi.differential(c) for c in coord]
+        diffs = self._coordinate_differentials
         residuals = []
         for i in range(source.dim):
             pi = source.parity(i)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonInvertible, ParseError, PoolMismatch
+from .errors import NonInvertible, ParseError, PoolMismatch, UnknownGenerator
 from .scalars import Superfunction
 
 
@@ -72,10 +72,9 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens, env, pool):
+    def __init__(self, tokens, pool):
         self.tokens = tokens
         self.pos = 0
-        self.env = env
         self.pool = pool
 
     def peek(self) -> _Token:
@@ -166,8 +165,8 @@ class _Parser:
             return self.pool.scalar(int(tok.text))
         if tok.kind == "IDENT":
             try:
-                return self.env[tok.text]
-            except KeyError:
+                return self.pool.generator(tok.text)
+            except UnknownGenerator:
                 raise ParseError(
                     f"unknown identifier {tok.text!r}", tok.line, tok.column
                 ) from None
@@ -182,15 +181,11 @@ class _Parser:
         )
 
 
-def default_environment(pool):
-    return {name: pool.generator(name) for name in pool.names()}
-
-
-def parse_expression(text: str, pool, env=None) -> Superfunction:
-    """Parse into the canonical normal form over the pool."""
-    env = default_environment(pool) if env is None else env
+def parse_expression(text: str, pool) -> Superfunction:
+    """Parse into the canonical normal form over the pool; identifiers are
+    the pool's generator names."""
     try:
-        return _Parser(_tokenize(text), env, pool).parse()
+        return _Parser(_tokenize(text), pool).parse()
     except ParseError:
         raise
     except PoolMismatch as exc:

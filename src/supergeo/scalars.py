@@ -18,17 +18,19 @@ equality is structural.  Other modules never read ``terms``; they call
 Division happens in one place, :func:`_divide` (``invert``, ``/``, negative
 powers, ``sqrt``), on top of :func:`_coeff_div` (also used by ``substitute``
 and ``body_at``).  A constant divisor never enters ``QQ(x)``; a polynomial
-quotient is one cancellation per output coefficient.
+quotient is one cancellation per output coefficient.  Square roots stay in
+the ring: :func:`_poly_root` uses a square-free decomposition, no factoring.
 
 Values cross into sympy ``Expr`` only at the edges, and only this module
 imports ``sympy`` (the others use only ``sympy.polys`` types):
 :meth:`GeneratorPool.scalar` lifts ints, ``Fraction``s and sympy ``Rational``s
 straight into the ground domain, polynomial sympy expressions through the ring
 and other even sympy expressions through the field (floats, irrational numbers
-and symbols outside the pool are rejected);
-:meth:`Superfunction.body` and :meth:`Superfunction.berezin_top` return
-``Expr`` for callers that want one; :meth:`Superfunction.render` prints
-through ``Expr``; and exact square roots factor the body as ``Expr``.
+and symbols outside the pool are rejected); :meth:`GeneratorPool.even` is a
+generator of the ring; :meth:`Superfunction.body` and
+:meth:`Superfunction.berezin_top` return ``Expr`` for callers that want one;
+and :meth:`Superfunction.render` and error messages print through ``Expr``.
+A scenario run therefore builds ``Expr`` only to render.
 :meth:`Superfunction.body_at` is the package's only way to evaluate a body at
 a point: it runs the same native kernel as :meth:`Superfunction.substitute`,
 returns a ``Fraction`` and raises ``NonInvertible`` at a pole.
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import sympy as sp
@@ -198,11 +201,14 @@ class GeneratorPool:
         except KeyError:
             raise UnknownGenerator(f"unknown odd generator {name!r}") from None
 
-    def even_symbol(self, name: str):
+    def _even_position(self, name: str) -> int:
         try:
-            return self.even_symbols[self._even_index[name]]
+            return self._even_index[name]
         except KeyError:
             raise UnknownGenerator(f"unknown even variable {name!r}") from None
+
+    def even_symbol(self, name: str):
+        return self.even_symbols[self._even_position(name)]
 
     def zero(self) -> "Superfunction":
         return Superfunction(self, {})
@@ -248,7 +254,7 @@ class GeneratorPool:
         )
 
     def even(self, name: str) -> "Superfunction":
-        return self.scalar(self.even_symbol(name))
+        return Superfunction(self, {(): self.ring.gens[self._even_position(name)]})
 
     def odd(self, name: str) -> "Superfunction":
         return Superfunction(self, {(self.odd_index(name),): self.ring.one})
@@ -480,11 +486,12 @@ class Superfunction:
         return _divide(self.pool.one(), self)
 
     def sqrt(self) -> "Superfunction":
-        """Unique square root with exactly square body and positive lead."""
+        """Square root of an even element with an exactly square body; the
+        root of the body is fixed by :func:`_coefficient_root`."""
         if not self.has_parity(0):
             raise ParityError("square roots are only defined for even elements")
         b = self.terms.get(())
-        s0 = self.pool.scalar(_rational_function_sqrt(b))
+        s0 = self.pool.scalar(_coefficient_root(self.pool, b))
         n = self.nilpotent_part()
         if n.is_zero():
             return s0
@@ -579,6 +586,12 @@ def _sympy_gen_order(symbols):
     return tuple(symbols.index(s) for s in _sort_gens(symbols))
 
 
+def _leading_coefficient(p, order):
+    """Leading coefficient of a nonzero polynomial in lex order of the
+    variables at the positions ``order``."""
+    return max(p.terms(), key=lambda t: [t[0][i] for i in order])[1]
+
+
 def _nilpotent_series(t, coeffs, start, weight=None):
     """start * (1 + sum_k coeffs[k-1] * t^k) for nilpotent t (superfunctions
     or supermatrices; ``start`` is mostly the unit); the sum is finite.  With
@@ -624,8 +637,7 @@ def _render_coefficient(c) -> str:
     if isinstance(c, FracElement):
         # print the denominator with a positive leading coefficient in
         # sympy's generator order, as sympy.cancel would
-        order = _sympy_gen_order(c.field.symbols)
-        _, lc = max(c.denom.terms(), key=lambda t: [t[0][i] for i in order])
+        lc = _leading_coefficient(c.denom, _sympy_gen_order(c.field.symbols))
         sign = 1 if lc > 0 else -1
         num, den = (c.numer * sign).as_expr(), (c.denom * sign).as_expr()
     else:
@@ -637,52 +649,37 @@ def _render_coefficient(c) -> str:
     return f"({ns})/({ds})"
 
 
-def _integer_sqrt(n: int):
-    if n < 0:
+def _poly_root(p, order):
+    """The square root of a nonzero polynomial over QQ whose leading
+    coefficient is positive in lex order of the even variables at the
+    positions ``order``, or None when ``p`` is not a square.  A square-free
+    decomposition decides it; no factorisation."""
+    lc, factors = (p.LC, []) if p.is_ground else p.sqf_list()
+    if lc < 0 or any(k % 2 for _, k in factors):
         return None
-    r = sp.integer_nthroot(int(n), 2)[0]
-    return int(r) if int(r) ** 2 == n else None
+    # sqrt(n/d) = sqrt(n*d)/d
+    n, d = int(lc.numerator), int(lc.denominator)
+    r = math.isqrt(n * d)
+    if r * r != n * d:
+        return None
+    root = p.ring.ground_new(QQ(r, d))
+    for f, k in factors:
+        root = root * f ** (k // 2)
+    return -root if _leading_coefficient(root, order) < 0 else root
 
 
-def _rational_square_root(q) -> sp.Rational:
-    q = sp.Rational(q)
-    pn = _integer_sqrt(q.p)
-    qd = _integer_sqrt(q.q)
-    if pn is None or qd is None:
-        raise NotASquare(f"{q} is not the square of a rational")
-    return sp.Rational(pn, qd)
-
-
-def _polynomial_sqrt(poly_expr, syms):
-    """Exact square root of a polynomial over Q, or raise NotASquare."""
-    if not syms:
-        return _rational_square_root(poly_expr)
-    content, factors = sp.factor_list(poly_expr, *syms)
-    root = _rational_square_root(content)
-    for base, exp in factors:
-        if exp % 2:
-            raise NotASquare(f"{poly_expr} is not an exact polynomial square")
-        root = root * base ** (exp // 2)
-    return sp.expand(root)
-
-
-def _rational_function_sqrt(c):
-    """Square root of a coefficient (None for zero) as a sympy expression;
-    requires an exact square with positive leading rational."""
+def _coefficient_root(pool, c):
+    """Square root of a coefficient (None for zero): its numerator and
+    denominator each have a positive leading coefficient in lex order of the
+    even names sorted by name."""
     if c is None:
-        return _ZERO
-    if isinstance(c, FracElement):
-        num, den = c.numer.as_expr(), c.denom.as_expr()
-    else:
-        den, num = c.clear_denoms()
-        num, den = num.as_expr(), sp.Integer(int(den))
-    syms = sorted(num.free_symbols | den.free_symbols, key=lambda s: s.name)
-    try:
-        rn = _polynomial_sqrt(num, syms)
-        rd = _polynomial_sqrt(den, syms)
-    except NotASquare:
-        raise NotASquare(f"body {c.as_expr()} admits no exact square root") from None
-    return rn / rd
+        return pool.ring.zero
+    num, den = (c.numer, c.denom) if isinstance(c, FracElement) else (c, pool.ring.one)
+    order = sorted(range(pool.n_even), key=pool.even_names.__getitem__)
+    rn, rd = _poly_root(num, order), _poly_root(den, order)
+    if rn is None or rd is None:
+        raise NotASquare(f"body {c.as_expr()} admits no exact square root")
+    return _coeff_div(pool.field, rn, rd)
 
 
 def _compose(p, values, pool):

@@ -354,7 +354,7 @@ class _Runner:
             raise ScenarioError(f"unknown command {cmd!r} (line {lineno})")
         try:
             status, details = handler(args, lineno)
-        except (MetricViolation,) as exc:
+        except MetricViolation as exc:
             status, details = "fail", [("violation", str(exc.violation))]
         except (ParseError, ScenarioError):
             raise
@@ -379,10 +379,7 @@ class _Runner:
     def _cmd_validate_metric(self, args, lineno):
         (name,), _ = self._require(args, 1, "validate-metric G", lineno)
         g = self.metric(name, lineno)
-        try:
-            sig = validate_metric(g)
-        except MetricViolation as exc:
-            return "fail", [("violation", str(exc.violation))]
+        sig = validate_metric(g)
         MetricContext.of(g, sig)
         return "pass", [("signature", str(sig.as_tuple()))]
 

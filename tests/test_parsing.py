@@ -71,6 +71,7 @@ class TestErrors:
         with pytest.raises(ParseError) as err:
             parse_expression("x + zz", pool)
         assert "zz" in str(err.value)
+        assert (err.value.line, err.value.column) == (1, 5)
 
     def test_division_by_non_unit(self, pool):
         with pytest.raises(ParseError) as err:

@@ -315,6 +315,41 @@ class TestSqrt:
         with pytest.raises(NotASquare):
             pool.even("x").sqrt()
 
+    # (even names, body + th1*th2, pinned render of the root); the root's
+    # numerator and denominator lead positively in lex order of the even
+    # names sorted by name, whatever their order in the pool
+    @pytest.mark.parametrize("even, text, root", [
+        ("x y", "(x - y)^2 + th1*th2", "(x - y) + ((1)/(2*x - 2*y))*th1*th2"),
+        ("x y", "4/9 (y - x)^2 + th1*th2", "(2*x/3 - 2*y/3) + ((3)/(4*x - 4*y))*th1*th2"),
+        ("x y", "1/(x - y)^2 + th1*th2", "((1)/(x - y)) + (x/2 - y/2)*th1*th2"),
+        ("x y", "(x + 1)^2/(y - x)^2 + th1*th2", "((x + 1)/(x - y)) + ((x - y)/(2*x + 2))*th1*th2"),
+        ("y x", "(y - x)^2 + th1*th2", "(x - y) + ((1)/(2*x - 2*y))*th1*th2"),
+        ("y x", "4/9 (x - y)^2 + th1*th2", "(2*x/3 - 2*y/3) + ((3)/(4*x - 4*y))*th1*th2"),
+        ("y x", "1/(y - x)^2 + th1*th2", "((1)/(x - y)) + (x/2 - y/2)*th1*th2"),
+        ("y x", "(y + 1)^2/(x - y)^2 + th1*th2", "((y + 1)/(x - y)) + ((x - y)/(2*y + 2))*th1*th2"),
+        ("x a", "(x - a)^2 + th1*th2", "(a - x) + ((-1)/(-2*a + 2*x))*th1*th2"),
+        ("x a", "4/9 (a - x)^2 + th1*th2", "(2*a/3 - 2*x/3) + ((-3)/(-4*a + 4*x))*th1*th2"),
+        ("x a", "1/(x - a)^2 + th1*th2", "((-1)/(-a + x)) + (a/2 - x/2)*th1*th2"),
+        ("x a", "(x + 1)^2/(a - x)^2 + th1*th2", "((-x - 1)/(-a + x)) + ((a - x)/(2*x + 2))*th1*th2"),
+        ("b a", "(b - a)^2 + th1*th2", "(a - b) + ((1)/(2*a - 2*b))*th1*th2"),
+        ("b a", "4/9 (a - b)^2 + th1*th2", "(2*a/3 - 2*b/3) + ((3)/(4*a - 4*b))*th1*th2"),
+        ("b a", "1/(b - a)^2 + th1*th2", "((1)/(a - b)) + (a/2 - b/2)*th1*th2"),
+        ("b a", "(b + 1)^2/(a - b)^2 + th1*th2", "((b + 1)/(a - b)) + ((a - b)/(2*b + 2))*th1*th2"),
+    ])
+    def test_pinned_roots(self, even, text, root):
+        pool = GeneratorPool(even.split(), ["th1", "th2"])
+        f = parse_expression(text, pool)
+        r = f.sqrt()
+        assert r.render() == root
+        assert r * r == f
+
+    def test_without_even_variables(self):
+        pool = GeneratorPool([], ["th1", "th2"])
+        r = parse_expression("4/9 + th1*th2", pool).sqrt()
+        assert r.render() == "((2)/(3)) + ((3)/(4))*th1*th2"
+        with pytest.raises(NotASquare, match="body -4 admits no exact square root"):
+            pool.scalar(-4).sqrt()
+
     def test_square_roundtrip_random(self, pool):
         rng = seeded(103)
         for _ in range(15):

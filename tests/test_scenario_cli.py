@@ -31,6 +31,25 @@ def test_golden_report_bytes(name):
     assert report.exit_code == GOLDEN[name]
 
 
+def test_goldens_build_no_expr(monkeypatch):
+    """A scenario run never lifts a sympy Expr into the coefficient ring and
+    never factors one: with those entry points disabled the 7 goldens still
+    render byte for byte."""
+    import sympy
+    from sympy.polys.fields import FracField
+    from sympy.polys.rings import PolyRing
+
+    def blocked(*args, **kwargs):
+        raise AssertionError("a scenario run built a sympy Expr")
+
+    monkeypatch.setattr(PolyRing, "from_expr", blocked)
+    monkeypatch.setattr(FracField, "from_expr", blocked)
+    monkeypatch.setattr(sympy, "factor_list", blocked)
+    for name in sorted(GOLDEN):
+        report = run_scenario((DATA / f"{name}.scn").read_text(), name=f"{name}.scn")
+        assert report.render() == (DATA / f"{name}.report.txt").read_text()
+
+
 @pytest.mark.parametrize("name", ["flat_killing", "noether_flesh"])
 def test_reports_deterministic_across_runs(name):
     text = (DATA / f"{name}.scn").read_text()
@@ -59,6 +78,25 @@ def test_cli_seed_recorded(tmp_path):
 
 def test_cli_missing_file():
     assert cli_main(["run", "/nonexistent/path.scn"]) == 2
+
+
+def test_cli_scenario_not_utf8(tmp_path, capsys):
+    scenario = tmp_path / "latin1.scn"
+    scenario.write_bytes("[chart]\neven = \u00e9\n".encode("latin-1"))
+    assert cli_main(["run", str(scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("supergeo: cannot read scenario: ")
+    assert err.count("\n") == 1
+
+
+def test_cli_report_into_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.txt"
+    code = cli_main(["run", str(DATA / "flat_killing.scn"), "--report", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("supergeo: cannot write report: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_console_entry_point_runs():
