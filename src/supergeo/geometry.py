@@ -527,18 +527,17 @@ def connection_residuals(g: BilinearForm, conn: Connection):
     coord = [chart.coordinate_field(i) for i in range(dim)]
     for i in range(dim):
         ti, mi = [], []
+        nab_i = [conn.coordinate_derivative(i, c) for c in coord]
         for j in range(dim):
             tj, mj = [], []
             sign_ij = -1 if chart.parity(i) * chart.parity(j) else 1
-            nab_ij = conn.coordinate_derivative(i, coord[j])
             for k in range(dim):
                 tj.append(
                     conn.gamma[i][j][k] - conn.gamma[j][i][k] * sign_ij
                 )
-                nab_ik = conn.coordinate_derivative(i, coord[k])
                 res = g.components[j][k].partial(names[i])
-                res = res - g.evaluate(nab_ij, coord[k])
-                res = res - g.evaluate(coord[j], nab_ik) * sign_ij
+                res = res - g.evaluate(nab_i[j], coord[k])
+                res = res - g.evaluate(coord[j], nab_i[k]) * sign_ij
                 mj.append(res)
             ti.append(tj)
             mi.append(mj)

@@ -593,10 +593,10 @@ def _leading_coefficient(p, order):
 
 
 def _nilpotent_series(t, coeffs, start, weight=None):
-    """start * (1 + sum_k coeffs[k-1] * t^k) for nilpotent t (superfunctions
-    or supermatrices; ``start`` is mostly the unit); the sum is finite.  With
-    a ``weight`` w commuting with t, term k is scaled by w^(K-k), where
-    start * t^(K+1) = 0, and the sum comes back with w^(K+1)."""
+    """start * (1 + sum_k coeffs[k-1] * t^k) for a nilpotent superfunction t,
+    the one series behind :meth:`Superfunction.sqrt` and :func:`_divide`; the
+    sum is finite.  With a ``weight`` w commuting with t, term k is scaled by
+    w^(K-k), where start * t^(K+1) = 0, and the sum comes back with w^(K+1)."""
     out = power = start
     scale = weight
     for c in coeffs:

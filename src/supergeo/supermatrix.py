@@ -25,7 +25,7 @@ from .errors import (
     NotASquare,
     PoolMismatch,
 )
-from .scalars import GeneratorPool, Superfunction, _nilpotent_series
+from .scalars import GeneratorPool, Superfunction
 
 
 class SuperMatrix:
@@ -156,50 +156,72 @@ class SuperMatrix:
             acc = acc + self.entries[j][j] * sign
         return acc
 
-    def berezinian(self) -> Superfunction:
-        """Ber(M) = det(A - B D^-1 C) * det(D)^-1 for even invertible M.
-
-        Computed fraction-free: with d = det D and adj D over the commuting
-        even entries, A - B D^-1 C = (A d - B adj(D) C) / d, so
-        Ber(M) = det(A d - B adj(D) C) / d^(p+1), the only division: the
-        scalar division kernel keeps a constant d out of the fraction field
-        and divides each coefficient once by a polynomial one.
-        """
-        if self.parity != 0:
-            raise InhomogeneousMatrix("Berezinian is defined for even matrices")
+    def _eliminate(self, what: str):
+        """``(adj D, d, S)`` for an even homogeneous matrix, with d = det D,
+        adj D over the commuting even entries of D, and the Schur complement
+        of D scaled by d, S = A d - B adj(D) C = (A - B D^-1 C) d.  The one
+        block elimination behind :meth:`berezinian` and :meth:`inverse`;
+        nothing is divided, so S is polynomial when the entries are.  An
+        empty block (p or q = 0) gives an empty adj or S and d = 1."""
+        if self.parity != 0 or not self.is_homogeneous():
+            raise InhomogeneousMatrix(f"{what} needs an even homogeneous matrix")
+        pool = self.pool
         A, B, C, D = self.blocks()
-        pool, p, q = self.pool, self.p, self.q
-        if q == 0:
-            return _det_commuting(pool, A)
         adj, d = _adjugate_commuting(pool, D)
+        minus_b_adj = _product(pool, B, [[-e for e in row] for row in adj])
+        schur = _product(pool, minus_b_adj, C, [[a * d for a in row] for row in A])
+        return adj, d, schur
+
+    def berezinian(self) -> Superfunction:
+        """Ber(M) = det(A - B D^-1 C) * det(D)^-1 for an even homogeneous M.
+
+        From the fraction-free elimination of :meth:`_eliminate`,
+        Ber(M) = det(S) / d^(p+1) with S = A d - B adj(D) C, the only
+        division: the scalar division kernel keeps a constant d out of the
+        fraction field and divides each coefficient once by a polynomial one.
+        """
+        _, d, schur = self._eliminate("Berezinian")
         if not d.has_body():
             raise NonInvertibleBlock("odd-odd block has singular body")
-        b_adj_c = _product(pool, _product(pool, B, adj), C)
-        schur = [[a * d - e for a, e in zip(ra, re)] for ra, re in zip(A, b_adj_c)]
-        return _det_commuting(pool, schur) / d ** (p + 1)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return _det_commuting(self.pool, schur) / d ** (self.p + 1)
 
     def inverse(self) -> "SuperMatrix":
-        """Two-sided inverse via a finite Neumann series on the nilpotent part."""
+        """Two-sided inverse of an even homogeneous M by the block elimination
+        the Berezinian uses: with D^-1 = adj(D)/d and X = (A - B D^-1 C)^-1
+        = d adj(S)/det(S) for the S of :meth:`_eliminate`,
+
+            M^-1 = [[X, -X B D^-1], [-D^-1 C X, D^-1 + D^-1 C X B D^-1]].
+
+        The body of M is block diagonal, so M is invertible iff d and det(S)
+        have a body.
+        """
+        adj, d, schur = self._eliminate("inverse")
         pool = self.pool
-        body = [[e.body_part() for e in row] for row in self.entries]
-        try:
-            binv = _invert_commuting(pool, body)
-        except NonInvertible:
-            raise NonInvertible("matrix body is singular") from None
-        M0inv = SuperMatrix(pool, self.p, self.q, binv, self.parity)
-        T = M0inv * (self - SuperMatrix(pool, self.p, self.q, body, self.parity))
-        one = SuperMatrix.identity(pool, self.p, self.q)
-        return _nilpotent_series(T, itertools.cycle((-1, 1)), one) * M0inv
+        s_adj, s = _adjugate_commuting(pool, schur)
+        if not (d.has_body() and s.has_body()):
+            raise NonInvertible("matrix body is singular")
+        _, B, C, _ = self.blocks()
+        x = [[e * d / s for e in row] for row in s_adj]
+        d_inv = [[e / d for e in row] for row in adj]
+        minus_d_inv = [[-e for e in row] for row in d_inv]
+        minus_bd = _product(pool, B, minus_d_inv)
+        minus_dcx = _product(pool, _product(pool, minus_d_inv, C), x)
+        rows = [r + t for r, t in zip(x, _product(pool, x, minus_bd))]
+        rows += [
+            r + t for r, t in zip(minus_dcx, _product(pool, minus_dcx, minus_bd, d_inv))
+        ]
+        return SuperMatrix(pool, self.p, self.q, rows)
 
 
-def _product(pool, X, Y):
-    """The product of two entry grids (lists of rows), in factor order."""
+def _product(pool, X, Y, start=None):
+    """start + X Y for entry grids (lists of rows), in factor order.  The
+    default start is zero; an explicit one also fixes the shape of the result
+    when the inner dimension is 0, where Y has no rows to tell its width."""
+    if start is None:
+        start = [[pool.zero()] * (len(Y[0]) if Y else 0) for _ in X]
     return [
-        [sum((x * y for x, y in zip(row, col)), start=pool.zero()) for col in zip(*Y)]
-        for row in X
+        [sum((x * r[j] for x, r in zip(row, Y)), start=s) for j, s in enumerate(srow)]
+        for row, srow in zip(X, start)
     ]
 
 
@@ -244,33 +266,6 @@ def _adjugate_commuting(pool, rows):
         return -det if (k + l) % 2 else det
 
     return [[cofactor(k, l) for l in full] for k in full], minor(full, full)
-
-
-def _invert_commuting(pool, rows):
-    """Gauss-Jordan over commuting (even) superfunction entries."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    inv = [[pool.one() if i == j else pool.zero() for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col].has_body():
-                piv = r
-                break
-        if piv is None:
-            raise NonInvertible("no invertible pivot")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = a[col][col].invert()
-        a[col] = [e * scale for e in a[col]]
-        inv[col] = [e * scale for e in inv[col]]
-        for r in range(n):
-            if r == col or a[r][col].is_zero():
-                continue
-            f = a[r][col]
-            a[r] = [a[r][k] - f * a[col][k] for k in range(n)]
-            inv[r] = [inv[r][k] - f * inv[col][k] for k in range(n)]
-    return inv
 
 
 # -- the standard supermetric and the J map ----------------------------------

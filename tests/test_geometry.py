@@ -307,6 +307,22 @@ class TestLeviCivita:
         assert all(e.is_zero() for a in torsion for b in a for e in b)
         assert all(e.is_zero() for a in metricity for b in a for e in b)
 
+    def test_certificate_derives_each_coordinate_field_once(
+        self, metric_flat22, monkeypatch
+    ):
+        # nabla_{d_i} d_k is built once per (i, k), not again per j
+        conn = levi_civita(metric_flat22)
+        calls = []
+        original = type(conn).coordinate_derivative
+
+        def counting(self, i, Y):
+            calls.append(i)
+            return original(self, i, Y)
+
+        monkeypatch.setattr(type(conn), "coordinate_derivative", counting)
+        connection_residuals(metric_flat22, conn)
+        assert len(calls) == metric_flat22.chart.dim ** 2
+
 
 class TestOSpFrame:
     def test_flat_frame_is_coordinates(self, metric_flat22):

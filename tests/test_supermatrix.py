@@ -8,7 +8,13 @@ import pytest
 import sympy as sp
 
 from supergeo import GeneratorPool, supermatrix
-from supergeo.errors import MetricViolation, NonInvertibleBlock, NotASquare
+from supergeo.errors import (
+    InhomogeneousMatrix,
+    MetricViolation,
+    NonInvertible,
+    NonInvertibleBlock,
+    NotASquare,
+)
 from supergeo.exactlinalg import nullspace
 from supergeo.supermatrix import (
     SuperMatrix,
@@ -91,14 +97,43 @@ class TestBerezinian:
             rhs = M.berezinian() * N.berezinian()
             assert (lhs - rhs).is_zero()
 
-    def test_inverse_roundtrip(self, pool):
+    @pytest.mark.parametrize("p, q", [(2, 2), (1, 2), (2, 0), (0, 2), (1, 4)])
+    def test_inverse_roundtrip(self, pool, flesh_pool, p, q):
         rng = seeded(204)
-        eye = SuperMatrix.identity(pool, 2, 2)
-        for _ in range(5):
-            M = random_invertible(pool, 2, 2, rng)
+        matrices = [random_invertible(pool, p, q, rng) for _ in range(5)]
+        # with flesh terms and 1/(x+2) coefficients
+        matrices += [rational_invertible(flesh_pool, p, q, rng) for _ in range(2)]
+        for M in matrices:
+            eye = SuperMatrix.identity(M.pool, p, q)
             Minv = M.inverse()
             assert M * Minv == eye
             assert Minv * M == eye
+
+    def test_singular_body_not_inverted(self, pool):
+        th12 = pool.odd("th1") * pool.odd("th2")
+        singular_a = [
+            SuperMatrix(pool, 2, 0, [[1, x], [1, x]]),
+            SuperMatrix(pool, 2, 1, [[1, 1, 0], [1, 1 + th12, 0], [0, 0, 1]]),
+        ]
+        singular_d = [
+            SuperMatrix(pool, 0, 2, [[1, 1], [1, 1]]),
+            SuperMatrix(pool, 1, 1, [[1, 0], [0, 0]]),
+            SuperMatrix(pool, 1, 2, [[1, 0, 0], [0, 1 + th12, 1], [0, 1, 1]]),
+        ]
+        for M in singular_a + singular_d:
+            with pytest.raises(NonInvertible, match="matrix body is singular"):
+                M.inverse()
+
+    def test_inhomogeneous_and_odd_rejected(self, pool):
+        th1, th2 = pool.odd("th1"), pool.odd("th2")
+        mixed = SuperMatrix(pool, 1, 1, [[1 + th1, 0], [0, 1]])
+        odd = SuperMatrix(pool, 1, 1, [[th1, 1], [1, th2]], parity=1)
+        assert odd.is_homogeneous() and not mixed.is_homogeneous()
+        with pytest.raises(InhomogeneousMatrix):
+            mixed.berezinian()
+        for M in (mixed, odd):
+            with pytest.raises(InhomogeneousMatrix):
+                M.inverse()
 
     def test_ber_of_invertible_has_invertible_body(self, pool):
         rng = seeded(205)
@@ -145,10 +180,15 @@ def leibniz_det(pool, rows):
 
 
 def oracle_berezinian(M):
-    """det(A - B Dinv C) * det(D)^-1 with Dinv from SuperMatrix.inverse."""
+    """det(A - B Dinv C) * det(D)^-1 with Dinv from SuperMatrix.inverse,
+    which shares the Berezinian's table of minors; the exact D Dinv = 1
+    check keeps the oracle independent of that shared code."""
     pool, p, q = M.pool, M.p, M.q
     A, B, C, D = M.blocks()
-    Dinv = SuperMatrix(pool, q, 0, D).inverse().entries
+    Dmat = SuperMatrix(pool, q, 0, D)
+    Dinv = Dmat.inverse()
+    assert Dmat * Dinv == SuperMatrix.identity(pool, q, 0)
+    Dinv = Dinv.entries
     schur = [
         [
             A[i][j] - sum(
@@ -173,7 +213,8 @@ def rational_invertible(pool, p, q, rng):
     M = random_matrix(pool, p, q, 0, rng)
     for i in range(p + q):
         M.entries[i][i] = M.entries[i][i] + 10 + pool.scalar(1 / (x + 2))
-    M.entries[0][p] = M.entries[0][p] * pool.scalar(1 / (x + 2))
+    j = p if q else 0  # the first odd column, where there is one
+    M.entries[0][j] = M.entries[0][j] * pool.scalar(1 / (x + 2))
     return M
 
 
