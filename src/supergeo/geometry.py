@@ -9,10 +9,14 @@ coefficients a bilinear form is the package's one graded pairing
 
 and a one-form is a plain sum against the right coefficients of its argument
 (:func:`supermatrix.flip_sides`), ``F[Y] = sum_j F_j (-1)^{|xi_j||Y^j|} Y^j``.
-Connections use ``nabla_{d_i} d_j = sum_k Gamma^k_ij d_k`` with left
-coefficients.  A metric is validated once and its derived objects are built
-once, in its :class:`MetricContext`; every sum over an OSp frame against
-``J e_j`` is :func:`frame_sum` or :func:`frame_raise`.
+Vector fields, one-forms and fields along a morphism
+(:class:`morphisms.FieldAlongMorphism`) share one graded component algebra,
+:class:`_Field`: one homogeneity check, one sum, one scaling rule
+(:func:`supermatrix.scaled_parity`) and one renderer.  Connections use
+``nabla_{d_i} d_j = sum_k Gamma^k_ij d_k`` with left coefficients.  A metric
+is validated once and its derived objects are built once, in its
+:class:`MetricContext`; every sum over an OSp frame against ``J e_j`` is
+:func:`frame_sum` or :func:`frame_raise`.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .supermatrix import (
     gram_schmidt_osp,
     graded_pair,
     j_map_signs,
+    scaled_parity,
     standard_metric,
 )
 
@@ -119,30 +124,101 @@ def _same_chart(a, b):
         raise ChartMismatch("objects live on different charts")
 
 
-class VectorField:
-    """X = sum_i X^i d_i with left coefficients over a chart."""
+class _Field:
+    """Graded components indexed by a chart's coordinates.
 
-    def __init__(self, chart: Chart, components, parity: int = 0, check: bool = True):
-        self.chart = chart
+    ``owner`` is what two fields must share to be added (a chart, or a
+    morphism); ``slots`` is the chart whose coordinates index the components
+    and ``pool`` holds their values.  Component ``a`` of a field of parity p
+    has parity ``p + |a|``.  The public constructors check this; the
+    algebra's own results come from :meth:`_new` unchecked, as they are
+    homogeneous by construction, or mixed after :meth:`scale` by a mixed f.
+    """
+
+    _prefix = "d_"
+
+    def __init__(self, owner, slots: Chart, pool: GeneratorPool, components, parity: int):
+        self.owner, self.slots, self.pool = owner, slots, pool
         self.components = [
-            c if isinstance(c, Superfunction) else chart.pool.scalar(c)
-            for c in components
+            c if isinstance(c, Superfunction) else pool.scalar(c) for c in components
         ]
-        if len(self.components) != chart.dim:
+        if len(self.components) != slots.dim:
             raise ValueError("one component per coordinate is required")
         self.parity = parity % 2
-        if check:
-            for i, c in enumerate(self.components):
-                if not c.has_parity(self.parity + chart.parity(i)):
-                    raise ParityError(
-                        f"component {chart.coordinate(i)} breaks homogeneity"
-                    )
+        for a, c in enumerate(self.components):
+            if not c.has_parity(self.parity + slots.parity(a)):
+                raise ParityError(f"component {slots.coordinate(a)} breaks homogeneity")
+
+    def _new(self, components, parity: int):
+        """A field of this type and owner, with components not checked again."""
+        out = object.__new__(type(self))
+        out.owner, out.slots, out.pool = self.owner, self.slots, self.pool
+        out.components = components
+        out.parity = parity % 2
+        return out
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.owner is not self.owner and other.owner != self.owner:
+            raise ChartMismatch("fields live on different charts or morphisms")
+        if other.parity != self.parity and not other.is_zero() and not self.is_zero():
+            raise ParityError("cannot add fields of different parity")
+        comps = [a + b for a, b in zip(self.components, other.components)]
+        return self._new(comps, other.parity if self.is_zero() else self.parity)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, f):
+        """Left multiplication f*X; the parity follows a homogeneous f."""
+        if not isinstance(f, Superfunction):
+            f = self.pool.scalar(f)
+        return self._new([f * c for c in self.components], scaled_parity(self.parity, f))
+
+    def is_zero(self):
+        return all(c.is_zero() for c in self.components)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.owner == other.owner
+            and all(a == b for a, b in zip(self.components, other.components))
+        )
+
+    __hash__ = None
+
+    def render(self) -> str:
+        """``c*d_x + (a + b)*d_y``, with parentheses only around sums."""
+        parts = []
+        for c, name in zip(self.components, self.slots.coordinate_names()):
+            if c.is_zero():
+                continue
+            s = c.render()
+            if " + " in s:
+                s = f"({s})"
+            parts.append(f"{s}*{self._prefix}{name}")
+        return " + ".join(parts) if parts else "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()})"
+
+
+class VectorField(_Field):
+    """X = sum_i X^i d_i with left coefficients over a chart."""
+
+    def __init__(self, chart: Chart, components, parity: int = 0):
+        super().__init__(chart, chart, chart.pool, components, parity)
+
+    @property
+    def chart(self) -> Chart:
+        return self.owner
 
     def apply(self, f: Superfunction) -> Superfunction:
-        if f.pool != self.chart.pool:
+        if f.pool != self.pool:
             raise ChartMismatch("function lives over a different pool")
-        acc = self.chart.pool.zero()
-        names = self.chart.coordinate_names()
+        acc = self.pool.zero()
+        names = self.slots.coordinate_names()
         for i, c in enumerate(self.components):
             if c.is_zero():
                 continue
@@ -157,63 +233,18 @@ class VectorField:
             self.apply(yc) - other.apply(xc) * sign
             for xc, yc in zip(self.components, other.components)
         ]
-        return VectorField(
-            self.chart, comps, (self.parity + other.parity) % 2, check=False
-        )
-
-    def __add__(self, other):
-        _same_chart(self, other)
-        if other.parity != self.parity and not other.is_zero() and not self.is_zero():
-            raise ParityError("cannot add fields of different parity")
-        comps = [a + b for a, b in zip(self.components, other.components)]
-        parity = other.parity if self.is_zero() else self.parity
-        return VectorField(self.chart, comps, parity, check=False)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, f) -> "VectorField":
-        """Left multiplication f*X; the result parity follows the factors."""
-        if not isinstance(f, Superfunction):
-            f = self.chart.pool.scalar(f)
-        fp = f.parity()
-        parity = self.parity if fp is None else (self.parity + fp) % 2
-        return VectorField(
-            self.chart, [f * c for c in self.components], parity, check=False
-        )
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.components)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VectorField)
-            and self.chart == other.chart
-            and all(a == b for a, b in zip(self.components, other.components))
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        names = self.chart.coordinate_names()
-        parts = [
-            f"({c.render()})*d_{n}"
-            for c, n in zip(self.components, names)
-            if not c.is_zero()
-        ]
-        return "VectorField(" + (" + ".join(parts) if parts else "0") + ")"
+        return self._new(comps, self.parity + other.parity)
 
 
-class OneForm:
+class OneForm(_Field):
     """One-form stored through its values F_j = F[d_j]."""
 
     def __init__(self, chart: Chart, components, parity: int = 0):
-        self.chart = chart
-        self.components = [
-            c if isinstance(c, Superfunction) else chart.pool.scalar(c)
-            for c in components
-        ]
-        self.parity = parity % 2
+        super().__init__(chart, chart, chart.pool, components, parity)
+
+    @property
+    def chart(self) -> Chart:
+        return self.owner
 
     @classmethod
     def differential(cls, chart: Chart, f: Superfunction) -> "OneForm":
@@ -229,25 +260,8 @@ class OneForm:
 
     def evaluate(self, Y: VectorField) -> Superfunction:
         """F[Y] = sum_j F_j y^j with y the right coefficients of Y."""
-        y = flip_sides(Y.components, Y.parity, self.chart.n)
-        return sum(
-            (f * c for f, c in zip(self.components, y)), start=self.chart.pool.zero()
-        )
-
-    def scale(self, f: Superfunction) -> "OneForm":
-        fp = f.parity()
-        parity = self.parity if fp is None else (self.parity + fp) % 2
-        return OneForm(self.chart, [f * c for c in self.components], parity)
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.components)
-
-    def __eq__(self, other):
-        return isinstance(other, OneForm) and all(
-            a == b for a, b in zip(self.components, other.components)
-        )
-
-    __hash__ = None
+        y = flip_sides(Y.components, Y.parity, self.slots.n)
+        return sum((f * c for f, c in zip(self.components, y)), start=self.pool.zero())
 
 
 class BilinearForm:
@@ -302,9 +316,7 @@ class BilinearForm:
 
     def scale(self, f: Superfunction) -> "BilinearForm":
         rows = [[f * e for e in row] for row in self.components]
-        fp = f.parity()
-        parity = self.parity if fp in (None, 0) else (self.parity + 1) % 2
-        return BilinearForm(self.chart, rows, parity)
+        return BilinearForm(self.chart, rows, scaled_parity(self.parity, f))
 
     def __add__(self, other):
         _same_chart(self, other)
@@ -326,23 +338,10 @@ class BilinearForm:
         return all(e.is_zero() for row in self.components for e in row)
 
     def is_supersymmetric(self) -> bool:
-        chart = self.chart
-        for i in range(chart.dim):
-            for j in range(chart.dim):
-                sign = -1 if chart.parity(i) * chart.parity(j) else 1
-                if not (self.components[i][j] - self.components[j][i] * sign).is_zero():
-                    return False
-        return True
+        return self.to_supermatrix().supersymmetry_violation() is None
 
     def is_even_graded(self) -> bool:
-        chart = self.chart
-        return all(
-            self.components[i][j].has_parity(
-                (self.parity + chart.parity(i) + chart.parity(j)) % 2
-            )
-            for i in range(chart.dim)
-            for j in range(chart.dim)
-        )
+        return self.to_supermatrix().is_homogeneous()
 
     def to_supermatrix(self) -> SuperMatrix:
         return SuperMatrix(
@@ -384,11 +383,12 @@ def validate_metric(g: BilinearForm) -> Signature:
     Nondegeneracy is decided on the body as a rational function; the
     signature is sampled at the rational midpoint of the box.
     """
-    chart = g.chart
-    if g.parity != 0 or not g.is_even_graded():
+    chart, matrix = g.chart, g.to_supermatrix()
+    if g.parity != 0 or not matrix.is_homogeneous():
         raise MetricViolation("evenness", "components break the even grading")
-    if not g.is_supersymmetric():
-        raise MetricViolation("supersymmetry", "B_ij != +-B_ji")
+    bad = matrix.supersymmetry_violation()
+    if bad is not None:
+        raise MetricViolation("supersymmetry", "B_ij != +-B_ji at entry (%d,%d)" % bad)
     body = [[e.body_part() for e in row] for row in g.components]
     if _det_commuting(chart.pool, body).is_zero():
         raise MetricViolation("nondegeneracy", "body determinant vanishes identically")
@@ -457,7 +457,7 @@ class Connection:
                 sign = -1 if chart.parity(i) * ((Y.parity + chart.parity(j)) % 2) else 1
                 acc = acc + yj * self.gamma[i][j][k] * sign
             comps.append(acc)
-        return VectorField(chart, comps, (Y.parity + chart.parity(i)) % 2, check=False)
+        return Y._new(comps, Y.parity + chart.parity(i))
 
     def derivative(self, X: VectorField, Y: VectorField) -> VectorField:
         """nabla_X Y = sum_i X^i nabla_{d_i} Y."""

@@ -29,6 +29,7 @@ from .geometry import (
     MetricContext,
     OSpFrame,
     VectorField,
+    _Field,
     divergence,
     frame_raise,
     frame_sum,
@@ -101,6 +102,16 @@ class Morphism:
         comps = [self.pullback(c) for c in xi.components]
         return FieldAlongMorphism(self, comps, xi.parity)
 
+    def __eq__(self, other):
+        return (
+            isinstance(other, Morphism)
+            and self.source == other.source
+            and self.target == other.target
+            and self.images == other.images
+        )
+
+    __hash__ = None
+
     def __repr__(self):
         parts = ", ".join(
             f"{n} -> {img.render()}" for n, img in self.images.items()
@@ -108,63 +119,27 @@ class Morphism:
         return f"Morphism({parts})"
 
 
-class FieldAlongMorphism:
+class FieldAlongMorphism(_Field):
     """Derivation along the morphism, stored as V^a = V(eta^a)."""
 
+    _prefix = "D_"
+
     def __init__(self, phi: Morphism, components, parity: int):
-        self.phi = phi
-        self.components = list(components)
-        self.parity = parity % 2
-        for a, c in enumerate(self.components):
-            if not c.has_parity((self.parity + phi.target.parity(a)) % 2):
-                raise ParityError(
-                    f"component {phi.target.coordinate(a)} breaks homogeneity"
-                )
+        super().__init__(phi, phi.target, phi.source.pool, components, parity)
 
-    def __add__(self, other):
-        if other.phi is not self.phi and other.phi.images != self.phi.images:
-            raise ChartMismatch("fields along different morphisms")
-        if self.parity != other.parity and not (self.is_zero() or other.is_zero()):
-            raise ParityError("cannot add fields of different parity")
-        parity = other.parity if self.is_zero() else self.parity
-        return FieldAlongMorphism(
-            self.phi,
-            [a + b for a, b in zip(self.components, other.components)],
-            parity,
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, f) -> "FieldAlongMorphism":
-        if not isinstance(f, Superfunction):
-            f = self.phi.source.pool.scalar(f)
-        fp = f.parity()
-        parity = self.parity if fp is None else (self.parity + fp) % 2
-        return FieldAlongMorphism(self.phi, [f * c for c in self.components], parity)
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.components)
+    @property
+    def phi(self) -> Morphism:
+        return self.owner
 
     def apply(self, f: Superfunction) -> Superfunction:
         """Act as a derivation along phi#: V(f) in source-ring arithmetic."""
-        target = self.phi.target
-        acc = self.phi.source.pool.zero()
-        names = target.coordinate_names()
+        acc = self.pool.zero()
+        names = self.slots.coordinate_names()
         for a, comp in enumerate(self.components):
             if comp.is_zero():
                 continue
             acc = acc + comp * self.phi.pullback(f.partial(names[a]))
         return acc
-
-    def __repr__(self):
-        names = self.phi.target.coordinate_names()
-        parts = [
-            f"({c.render()})*D_{n}"
-            for c, n in zip(self.components, names)
-            if not c.is_zero()
-        ]
-        return "FieldAlongMorphism(" + (" + ".join(parts) if parts else "0") + ")"
 
 
 @dataclass

@@ -388,7 +388,7 @@ class _Runner:
         ctx = MetricContext.of(self.metric(name, lineno))
         details = [("signature", str(ctx.signature.as_tuple()))]
         for j, f in enumerate(ctx.frame.fields):
-            details.append((f"e_{j+1}", _render_field(f)))
+            details.append((f"e_{j+1}", f.render()))
         return "pass", details
 
     def _cmd_levi_civita(self, args, lineno):
@@ -469,9 +469,9 @@ class _Runner:
             ("odd_dim", str(len(basis.odd_fields))),
         ]
         for k, f in enumerate(basis.even_fields):
-            details.append((f"even_{k+1}", _render_field(f)))
+            details.append((f"even_{k+1}", f.render()))
         for k, f in enumerate(basis.odd_fields):
-            details.append((f"odd_{k+1}", _render_field(f)))
+            details.append((f"odd_{k+1}", f.render()))
         return "pass", details
 
     def _cmd_tension(self, args, lineno):
@@ -547,19 +547,6 @@ class _Runner:
         if len(pos) != count or opts:
             raise ScenarioError(f"usage: {usage} (line {lineno})")
         return pos, opts
-
-
-def _render_field(f: VectorField) -> str:
-    names = f.chart.coordinate_names()
-    parts = []
-    for c, n in zip(f.components, names):
-        if c.is_zero():
-            continue
-        s = c.render()
-        if " + " in s:
-            s = f"({s})"
-        parts.append(f"{s}*d_{n}")
-    return " + ".join(parts) if parts else "0"
 
 
 def run_scenario(text: str, name: str = "<scenario>", seed: int = 0) -> Report:

@@ -107,7 +107,8 @@ class SuperMatrix:
             )
         scalar = other if isinstance(other, Superfunction) else self.pool.scalar(other)
         rows = [[e * scalar for e in row] for row in self.entries]
-        return SuperMatrix(self.pool, self.p, self.q, rows, self.parity)
+        parity = scaled_parity(self.parity, scalar)
+        return SuperMatrix(self.pool, self.p, self.q, rows, parity)
 
     def is_homogeneous(self) -> bool:
         for i in range(self.dim):
@@ -116,6 +117,15 @@ class SuperMatrix:
                 if not self.entries[i][j].has_parity(want):
                     return False
         return True
+
+    def supersymmetry_violation(self):
+        """The first entry (i, j) with M_ij != (-1)^{|i||j|} M_ji, or None."""
+        for i in range(self.dim):
+            for j in range(i, self.dim):
+                sign = -1 if self.slot_parity(i) * self.slot_parity(j) else 1
+                if not (self.entries[i][j] - self.entries[j][i] * sign).is_zero():
+                    return i, j
+        return None
 
     def __eq__(self, other):
         if not isinstance(other, SuperMatrix):
@@ -211,6 +221,14 @@ class SuperMatrix:
             r + t for r, t in zip(minus_dcx, _product(pool, minus_dcx, minus_bd, d_inv))
         ]
         return SuperMatrix(pool, self.p, self.q, rows)
+
+
+def scaled_parity(parity: int, f: Superfunction) -> int:
+    """The parity of a graded object of the given parity times f, for fields,
+    forms and matrices alike: it follows a homogeneous f, and a mixed f leaves
+    it as it was on a product that is then mixed."""
+    fp = f.parity()
+    return parity if fp is None else (parity + fp) % 2
 
 
 def _product(pool, X, Y, start=None):
@@ -397,11 +415,9 @@ def gram_schmidt_osp(B: SuperMatrix):
     dim = B.dim
     if B.q % 2:
         raise MetricViolation("nondegeneracy", "odd dimension must be even")
-    for i in range(dim):
-        for j in range(dim):
-            sign = -1 if B.slot_parity(i) * B.slot_parity(j) else 1
-            if not (B.entries[i][j] - B.entries[j][i] * sign).is_zero():
-                raise MetricViolation("supersymmetry", f"entry ({i},{j})")
+    bad = B.supersymmetry_violation()
+    if bad is not None:
+        raise MetricViolation("supersymmetry", "entry (%d,%d)" % bad)
 
     def pair(u, pu, w, pw):
         return pair_columns(B, u, w, pu, pw)

@@ -6,7 +6,7 @@ import pytest
 import sympy as sp
 
 from supergeo import Chart
-from supergeo.errors import ChartMismatch, MetricViolation
+from supergeo.errors import ChartMismatch, MetricViolation, ParityError
 from supergeo.geometry import (
     BilinearForm,
     OneForm,
@@ -189,6 +189,7 @@ class TestValidateMetric:
         with pytest.raises(MetricViolation) as err:
             validate_metric(g)
         assert err.value.violation == "supersymmetry"
+        assert err.value.args[1].endswith("at entry (0,1)")
 
     def test_evenness_violation_named(self, chart_deformed):
         ch = chart_deformed
@@ -440,6 +441,32 @@ def _random_form(ch, rng, parity):
             row.append(random_superfunction(ch.pool, rng, p, 1))
         rows.append(row)
     return BilinearForm(ch, rows, parity)
+
+
+class TestFieldAlgebra:
+    def test_constructors_check_homogeneity(self, chart_flat22):
+        ch = chart_flat22
+        th1 = ch.pool.odd("th1")
+        for cls in (VectorField, OneForm):
+            assert cls(ch, [th1, 0, 0, 0], 1).parity == 1
+            with pytest.raises(ParityError, match="component x"):
+                cls(ch, [th1, 0, 0, 0], 0)
+
+    def test_equality_sees_the_chart(self, chart_classical):
+        wide = Chart(["x", "y"], [], box={"x": (1, 3), "y": (1, 2)})
+        F = OneForm(chart_classical, [1, 0])
+        assert F == OneForm(chart_classical, [1, 0])
+        assert F != OneForm(wide, [1, 0])
+        assert chart_classical.coordinate_field(0) != wide.coordinate_field(0)
+
+    def test_render_and_repr(self, chart_flat22):
+        ch = chart_flat22
+        p = ch.pool
+        x_plus = p.even("x") + p.odd("th1") * p.odd("th2")
+        X = VectorField(ch, [x_plus, 0, 0, p.odd("th2")], 0)
+        assert X.render() == "((x) + (1)*th1*th2)*d_x + (1)*th2*d_th2"
+        assert repr(X) == f"VectorField({X.render()})"
+        assert repr(ch.zero_field()) == "VectorField(0)"
 
 
 class TestOneForm:

@@ -6,7 +6,7 @@ import pytest
 import sympy as sp
 
 from supergeo import Chart
-from supergeo.errors import ParityError, ScenarioError
+from supergeo.errors import ChartMismatch, ParityError, ScenarioError
 from supergeo.geometry import BilinearForm, OneForm, VectorField, flat_metric
 from supergeo.lie import lie_derivative_bilinear
 from supergeo.morphisms import (
@@ -259,6 +259,40 @@ def _random_fam(phi, rng, parity):
         for a in range(phi.target.dim)
     ]
     return FieldAlongMorphism(phi, comps, parity)
+
+
+class TestFieldAlongMorphism:
+    def test_constructor_checks_homogeneity(self, fleshy):
+        pool = fleshy.phi.source.pool
+        with pytest.raises(ParityError, match="component e1"):
+            FieldAlongMorphism(fleshy.phi, [pool.one(), pool.one(), 0], 0)
+
+    def test_add_needs_equal_morphisms(self, fleshy):
+        phi = fleshy.phi
+        twin = Morphism(phi.source, phi.target, dict(phi.images))
+        V = FieldAlongMorphism(phi, [1, 0, 0], 0)
+        assert (V + FieldAlongMorphism(twin, [1, 0, 0], 0)) == V.scale(2)
+        images = dict(phi.images, u=phi.source.pool.even("x"))
+        other = FieldAlongMorphism(Morphism(phi.source, phi.target, images), [1, 0, 0], 0)
+        with pytest.raises(ChartMismatch):
+            V + other
+
+    def test_render_and_repr(self, fleshy):
+        p = fleshy.phi.source.pool
+        odd_sum = p.odd("th1") + p.odd("lam1")
+        V = FieldAlongMorphism(fleshy.phi, [p.even("x"), 0, odd_sum], 0)
+        assert V.render() == "(x)*D_u + ((1)*th1 + (1)*lam1)*D_e2"
+        assert repr(V) == f"FieldAlongMorphism({V.render()})"
+
+    def test_pair_left_linearity_under_mixed_scale(self, fleshy):
+        phi = fleshy.phi
+        rng = seeded(512)
+        for _ in range(6):
+            V = _random_fam(phi, rng, rng.randint(0, 1))
+            W = _random_fam(phi, rng, rng.randint(0, 1))
+            f = random_superfunction(phi.source.pool, rng, max_degree=1)
+            lhs = fleshy.pair(V.scale(f), W)
+            assert (lhs - f * fleshy.pair(V, W)).is_zero()
 
 
 class TestSecondFundamentalForm:

@@ -73,6 +73,15 @@ class TestSupertrace:
             comm = A * B - (B * A) * pool.scalar(sign)
             assert comm.supertrace().is_zero()
 
+    def test_odd_scalar_product_is_odd(self, pool):
+        """M * f takes the parity of a homogeneous f; a mixed f leaves M mixed."""
+        a = pool.odd("th1")
+        M = SuperMatrix.identity(pool, 1, 2) * a
+        assert M.parity == 1 and M.is_homogeneous()
+        assert M.supertrace() == a * 3
+        mixed = SuperMatrix.identity(pool, 1, 2) * (1 + a)
+        assert mixed.parity == 0 and not mixed.is_homogeneous()
+
     def test_linear(self, pool):
         rng = seeded(202)
         A = random_matrix(pool, 1, 2, 0, rng)
@@ -364,6 +373,17 @@ class TestGramSchmidt:
         c2 = [E.entries[r][1] for r in range(2)]
         assert pair_columns(B, c1, c2, 1, 1) == pool.scalar(-1)
         assert pair_columns(B, c2, c1, 1, 1) == pool.scalar(1)
+
+    def test_supersymmetry_violation_names_first_entry(self, pool):
+        assert standard_metric(pool, 1, 1, 1).supersymmetry_violation() is None
+        # an odd-odd diagonal entry must vanish: B_ii = -B_ii
+        B = SuperMatrix(pool, 1, 2, [[1, 0, 0], [0, 1, -1], [0, 1, 0]])
+        assert B.supersymmetry_violation() == (1, 1)
+        B = SuperMatrix(pool, 1, 2, [[1, 0, 0], [0, 0, -1], [0, 2, 0]])
+        assert B.supersymmetry_violation() == (1, 2)
+        with pytest.raises(MetricViolation) as err:
+            gram_schmidt_osp(B)
+        assert err.value.args == ("supersymmetry", "entry (1,2)")
 
     def test_degenerate_rejected(self, pool):
         B = SuperMatrix(pool, 2, 0, [[0, 0], [0, 1]])
