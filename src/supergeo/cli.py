@@ -9,14 +9,22 @@ import sys
 from .scenario import run_scenario
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="supergeo")
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="execute a scenario file")
     runp.add_argument("scenario", help="path to the scenario file")
     runp.add_argument("--report", default=None, help="write the report here")
     runp.add_argument("--seed", type=int, default=0, help="recorded in the report")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once: main() runs once per scenario, many times in one process
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy.polys.fields import FracElement
-
 from .errors import NonPolynomialIntegrand
 from .geometry import BilinearForm, Chart, MetricContext
 from .morphisms import HarmonicSetup
@@ -48,16 +46,14 @@ def integrate(f: Superfunction, vol: VolumeDensity) -> Fraction:
     """Berezin-extract the top odd coefficient of scale*f, then integrate its
     monomials over the box."""
     chart = vol.chart
-    top = (vol.scale * f).top_coefficient()
-    if isinstance(top, FracElement):
+    top = (vol.scale * f).top_part()
+    if not top.is_polynomial():
         raise NonPolynomialIntegrand(
             "even part has a nonconstant denominator; box integration needs polynomials"
         )
     total = Fraction(0)
-    if top is None:
-        return total
     boxes = [chart.box[name] for name in chart.pool.even_names]
-    for exps, q in top.terms():
+    for _, exps, q in top.rational_coefficients():
         term = Fraction(int(q.numerator), int(q.denominator))
         for e, (a, b) in zip(exps, boxes):
             term *= (b ** (e + 1) - a ** (e + 1)) / (e + 1)

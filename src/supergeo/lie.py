@@ -192,13 +192,14 @@ def killing_check(X: VectorField, g: BilinearForm, mode: str = "all") -> Killing
 
 def _even_monomials(chart: Chart, degree: int):
     """Even-variable monomials of total degree <= degree, lexicographic."""
-    ring = chart.pool.ring
+    pool = chart.pool
+    gens = [pool.even(name) for name in pool.even_names]
     out = []
     for total in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(ring.ngens), total):
-            m = ring.one
+        for combo in itertools.combinations_with_replacement(range(len(gens)), total):
+            m = pool.one()
             for i in combo:
-                m *= ring.gens[i]
+                m = m * gens[i]
             out.append(m)
     return out
 
@@ -244,7 +245,7 @@ def _ansatz_fields(chart: Chart, degree: int, parity: int):
             if len(om) % 2 != comp_parity:
                 continue
             for em in evens:
-                coeff = pool.scalar(em)
+                coeff = em
                 for i in om:
                     coeff = coeff * pool.odd(pool.odd_names[i])
                 comps = [pool.zero()] * chart.dim

@@ -5,15 +5,19 @@ where the odd monomial is a strictly increasing tuple of indices into the
 pool's odd generators and ``c`` is a rational function of the even variables
 with rational coefficients.
 
-Coefficients live in sympy's sparse polynomial ring ``QQ[x_1..x_n]`` and its
-fraction field ``QQ(x_1..x_n)``, built once per tuple of even names (every
-pool with the same even names shares the same ring and field).  One invariant
-holds for ``Superfunction.terms`` and :func:`_norm` enforces it: every stored
-coefficient is nonzero, and it is a ``PolyElement`` when the value is a
-polynomial and a ``FracElement`` with a non-constant denominator otherwise.
-Both are canonical, so ring arithmetic needs no simplification step and
-equality is structural.  Other modules never read ``terms``; they call
-``has_body``, ``is_polynomial`` or ``rational_coefficients``.
+Coefficients live in sympy's ground domain ``QQ``, its sparse polynomial ring
+``QQ[x_1..x_n]`` and its fraction field ``QQ(x_1..x_n)``, built once per tuple
+of even names (every pool with the same even names shares the same ring and
+field).  One invariant holds for ``Superfunction.terms`` and :func:`_norm`
+enforces it: every stored coefficient is nonzero, and it is a bare ``QQ.dtype``
+element when the value is a constant, a ``PolyElement`` of the pool's ring when
+it is any other polynomial, and a cancelled ``FracElement`` with a
+non-constant denominator otherwise.  Each value has exactly one such form, so
+ring arithmetic needs no simplification step and equality is structural; most
+coefficients of a scenario run are constants, and those never enter sympy's
+ring.  Other modules never read ``terms``; they call ``has_body``,
+``is_polynomial``, ``rational_coefficients`` (still ``QQ`` values, a constant
+under the zero exponent tuple) or ``top_part``.
 
 Division happens in one place, :func:`_divide` (``invert``, ``/``, negative
 powers, ``sqrt``), on top of :func:`_coeff_div` (also used by ``substitute``
@@ -22,7 +26,9 @@ quotient is one cancellation per output coefficient.  Square roots stay in
 the ring: :func:`_poly_root` uses a square-free decomposition, no factoring.
 
 Values cross into sympy ``Expr`` only at the edges, and only this module
-imports ``sympy`` (the others use only ``sympy.polys`` types):
+imports ``sympy``, its rings or its fields, or reads a pool's ``ring`` or
+``field`` (the others import only ``QQ`` and ``DomainMatrix`` from
+``sympy.polys``):
 :meth:`GeneratorPool.scalar` lifts ints, ``Fraction``s and sympy ``Rational``s
 straight into the ground domain, polynomial sympy expressions through the ring
 and other even sympy expressions through the field (floats, irrational numbers
@@ -74,6 +80,8 @@ from .errors import (
 )
 
 _ZERO = sp.Integer(0)
+_GROUND = QQ.dtype
+_ONE = QQ.one
 
 
 @functools.cache
@@ -83,44 +91,78 @@ def _field(even_names):
 
 
 def _norm(c):
-    """Canonical form of a coefficient: a ``PolyElement`` whenever the value is
-    a polynomial, otherwise the (already cancelled) ``FracElement``.  Zero
-    comes back as the zero polynomial, which is falsy."""
-    if isinstance(c, FracElement) and c.denom.is_ground:
-        return c.numer.quo_ground(c.denom.LC)
+    """Canonical form of a coefficient: a ground-domain element (``QQ.dtype``)
+    whenever the value is a constant, a ``PolyElement`` whenever it is any
+    other polynomial, otherwise the (already cancelled) ``FracElement``.
+    Zero comes back as ``QQ.zero``, which is falsy."""
+    if isinstance(c, FracElement):
+        if not c.denom.is_ground:
+            return c
+        c = c.numer.quo_ground(c.denom.LC)
+    if isinstance(c, PolyElement) and c.is_ground:
+        return c.LC
     return c
 
 
 def _coeff_add(a, b):
-    # sympy's fraction field handles mixed operands fastest from the left
-    if isinstance(b, FracElement) and not isinstance(a, FracElement):
-        return _norm(b + a)
+    # sympy's rings and fields handle mixed operands fastest from the left
+    if type(a) is _GROUND:
+        if type(b) is _GROUND:
+            return a + b
+        a, b = b, a
+    elif isinstance(b, FracElement) and not isinstance(a, FracElement):
+        a, b = b, a
     return _norm(a + b)
 
 
 def _coeff_mul(a, b):
-    if isinstance(b, FracElement) and not isinstance(a, FracElement):
-        return _norm(b * a)
+    """a * b for nonzero coefficients; a unit factor returns the other one
+    unchanged, so a fraction is not cancelled again."""
+    if type(a) is _GROUND:
+        if type(b) is _GROUND:
+            return a * b
+        a, b = b, a
+    if type(b) is _GROUND:
+        if b == _ONE:
+            return a
+        if isinstance(a, PolyElement):
+            return a.mul_ground(b)
+    elif isinstance(b, FracElement) and not isinstance(a, FracElement):
+        a, b = b, a
     return _norm(a * b)
 
 
 def _coeff_div(field, a, b):
-    """a / b (b nonzero): a constant b divides in the ground domain, two
-    polynomials cancel once in ``field.new``; only fractions use field division."""
-    if isinstance(a, PolyElement) and isinstance(b, PolyElement):
-        return a.quo_ground(b.LC) if b.is_ground else _norm(field.new(a, b))
+    """a / b (b nonzero): a constant b divides in the ground domain, a
+    numerator over a polynomial cancels once in ``field.new``; only fractions
+    use field division."""
+    if type(b) is _GROUND:
+        if b == _ONE:
+            return a
+        if type(a) is _GROUND:
+            return a / b
+        if isinstance(a, PolyElement):
+            return a.quo_ground(b)
+    elif isinstance(b, PolyElement) and not isinstance(a, FracElement):
+        if type(a) is _GROUND:
+            a = field.ring.ground_new(a)
+        return _norm(field.new(a, b))
     return _norm(a / b)
 
 
 def _diff(pool, c, k):
     """Partial derivative of a coefficient by the k-th even variable."""
+    if type(c) is _GROUND:
+        return QQ.zero
     if isinstance(c, FracElement):
         return _norm(c.diff(pool.field.gens[k]))
-    return c.diff(pool.ring.gens[k])
+    return _norm(c.diff(pool.ring.gens[k]))
 
 
 def _even_indices(c):
     """Indices of the even variables a coefficient depends on."""
+    if type(c) is _GROUND:
+        return set()
     polys = (c.numer, c.denom) if isinstance(c, FracElement) else (c,)
     return {
         k for p in polys for exps in p.itermonoms() for k, e in enumerate(exps) if e
@@ -128,7 +170,9 @@ def _even_indices(c):
 
 
 def _to_expr(c):
-    return _ZERO if c is None else c.as_expr()
+    if c is None:
+        return _ZERO
+    return QQ.to_sympy(c) if type(c) is _GROUND else c.as_expr()
 
 
 def _merge_monomials(a, b):
@@ -225,14 +269,16 @@ class GeneratorPool:
         """Canonical even coefficient for an exact rational value, an even
         sympy expression, or an element of this pool's ring or field."""
         if isinstance(value, int):
-            return self.ring.ground_new(QQ(value))
+            return QQ(value)
         if isinstance(value, Fraction):
-            return self.ring.ground_new(QQ(value.numerator, value.denominator))
+            return QQ(value.numerator, value.denominator)
         if isinstance(value, sp.Rational):
-            return self.ring.ground_new(QQ(value.p, value.q))
-        if isinstance(value, PolyElement) and value.ring is self.ring:
+            return QQ(value.p, value.q)
+        if type(value) is _GROUND:
             return value
-        if isinstance(value, FracElement) and value.field is self.field:
+        if (isinstance(value, PolyElement) and value.ring is self.ring) or (
+            isinstance(value, FracElement) and value.field is self.field
+        ):
             return _norm(value)
         if isinstance(value, sp.Expr):
             foreign = value.free_symbols - set(self.even_symbols)
@@ -257,7 +303,7 @@ class GeneratorPool:
         return Superfunction(self, {(): self.ring.gens[self._even_position(name)]})
 
     def odd(self, name: str) -> "Superfunction":
-        return Superfunction(self, {(self.odd_index(name),): self.ring.one})
+        return Superfunction(self, {(self.odd_index(name),): _ONE})
 
     def generator(self, name: str) -> "Superfunction":
         if name in self._even_index:
@@ -413,10 +459,9 @@ class Superfunction:
         c = self.terms.get(())
         if c is None:
             return Fraction(0)
-        ring = self.pool.ring
-        values = [ring.ground_new(QQ(q.numerator, q.denominator)) for q in point]
+        values = [QQ(q.numerator, q.denominator) for q in point]
         try:
-            q = _evaluate(c, values, self.pool).LC
+            q = _evaluate(c, values, self.pool)
         except NonInvertible:
             at = self.pool.render_point(point)
             raise NonInvertible(f"body has a pole at {at}") from None
@@ -454,9 +499,13 @@ class Superfunction:
     def rational_coefficients(self):
         """``(odd monomial, even exponents, QQ)`` for every rational
         coefficient; requires :meth:`is_polynomial`."""
+        constant = self.pool.ring.zero_monom
         for mono, c in self.terms.items():
-            for exps, q in c.terms():
-                yield mono, exps, q
+            if type(c) is _GROUND:
+                yield mono, constant, c
+            else:
+                for exps, q in c.terms():
+                    yield mono, exps, q
 
     # -- calculus ------------------------------------------------------------
 
@@ -501,9 +550,9 @@ class Superfunction:
         t = _divide(n, self.body_part())
         return _nilpotent_series(t, _half_binomials(), self.pool.one()) * s0
 
-    def top_coefficient(self):
-        """Coefficient of the full odd-coordinate monomial: a ``PolyElement``,
-        a ``FracElement``, or ``None`` when it is zero.
+    def top_part(self) -> "Superfunction":
+        """The coefficient of the full odd-coordinate monomial, as a
+        superfunction with only a body (zero when the monomial is absent).
 
         Flesh generators must not appear in that coefficient.
         """
@@ -515,11 +564,12 @@ class Superfunction:
                 raise FleshInTopCoefficient(
                     "top odd-coordinate coefficient contains flesh generators"
                 )
-        return self.terms.get(top)
+        c = self.terms.get(top)
+        return Superfunction(pool, {} if c is None else {(): c})
 
     def berezin_top(self):
-        """:meth:`top_coefficient` as a sympy expr."""
-        return _to_expr(self.top_coefficient())
+        """The body of :meth:`top_part` as a sympy expr."""
+        return self.top_part().body()
 
     def substitute(self, images: dict, new_pool: GeneratorPool) -> "Superfunction":
         """Graded-safe substitution generator -> Superfunction over new_pool.
@@ -634,12 +684,14 @@ def _half_binomials():
 
 
 def _render_coefficient(c) -> str:
-    if isinstance(c, FracElement):
+    if type(c) is _GROUND:
+        num, den = c.numerator, c.denominator
+    elif isinstance(c, FracElement):
         # print the denominator with a positive leading coefficient in
         # sympy's generator order, as sympy.cancel would
         lc = _leading_coefficient(c.denom, _sympy_gen_order(c.field.symbols))
-        sign = 1 if lc > 0 else -1
-        num, den = (c.numer * sign).as_expr(), (c.denom * sign).as_expr()
+        num, den = (c.numer, c.denom) if lc > 0 else (-c.numer, -c.denom)
+        num, den = num.as_expr(), den.as_expr()
     else:
         num, den = sp.fraction(c.as_expr())
     ns = sp.sstr(num, order="lex").replace("**", "^")
@@ -654,7 +706,7 @@ def _poly_root(p, order):
     coefficient is positive in lex order of the even variables at the
     positions ``order``, or None when ``p`` is not a square.  A square-free
     decomposition decides it; no factorisation."""
-    lc, factors = (p.LC, []) if p.is_ground else p.sqf_list()
+    lc, factors = (p, []) if type(p) is _GROUND else p.sqf_list()
     if lc < 0 or any(k % 2 for _, k in factors):
         return None
     # sqrt(n/d) = sqrt(n*d)/d
@@ -662,9 +714,11 @@ def _poly_root(p, order):
     r = math.isqrt(n * d)
     if r * r != n * d:
         return None
-    root = p.ring.ground_new(QQ(r, d))
+    root = QQ(r, d)
+    if not factors:
+        return root
     for f, k in factors:
-        root = root * f ** (k // 2)
+        root = f ** (k // 2) * root
     return -root if _leading_coefficient(root, order) < 0 else root
 
 
@@ -673,35 +727,40 @@ def _coefficient_root(pool, c):
     denominator each have a positive leading coefficient in lex order of the
     even names sorted by name."""
     if c is None:
-        return pool.ring.zero
-    num, den = (c.numer, c.denom) if isinstance(c, FracElement) else (c, pool.ring.one)
+        return QQ.zero
+    num, den = (c.numer, c.denom) if isinstance(c, FracElement) else (c, _ONE)
     order = sorted(range(pool.n_even), key=pool.even_names.__getitem__)
     rn, rd = _poly_root(num, order), _poly_root(den, order)
     if rn is None or rd is None:
-        raise NotASquare(f"body {c.as_expr()} admits no exact square root")
+        raise NotASquare(f"body {_to_expr(c)} admits no exact square root")
     return _coeff_div(pool.field, rn, rd)
 
 
-def _compose(p, values, pool):
+def _compose(p, values):
     """A polynomial in the old even variables evaluated at coefficients of
-    ``pool`` (``values[k]`` for the k-th variable)."""
-    acc = pool.ring.zero
+    the new pool (``values[k]`` for the k-th variable)."""
+    acc = QQ.zero
     for exps, q in p.terms():
-        term = pool.ring.ground_new(q)
+        term = q
         for v, e in zip(values, exps):
             if e:
+                if not v:
+                    break
                 term = _coeff_mul(term, v**e)
-        acc = _coeff_add(acc, term)
+        else:
+            acc = _coeff_add(acc, term)
     return acc
 
 
 def _evaluate(c, values, pool):
+    if type(c) is _GROUND:
+        return c
     if isinstance(c, FracElement):
-        den = _compose(c.denom, values, pool)
+        den = _compose(c.denom, values)
         if not den:
             raise NonInvertible("substitution hits a pole of a coefficient")
-        return _coeff_div(pool.field, _compose(c.numer, values, pool), den)
-    return _compose(c, values, pool)
+        return _coeff_div(pool.field, _compose(c.numer, values), den)
+    return _compose(c, values)
 
 
 def _substitute_even(c, pool, even_images: dict, new_pool: GeneratorPool):
@@ -710,7 +769,7 @@ def _substitute_even(c, pool, even_images: dict, new_pool: GeneratorPool):
     order = sorted(even_images)
     values = [None] * pool.n_even
     for k in order:
-        values[k] = even_images[k].terms.get((), new_pool.ring.zero)
+        values[k] = even_images[k].terms.get((), QQ.zero)
     nils = {k: even_images[k].nilpotent_part() for k in order}
 
     def expand(e, i):

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ
 from sympy.polys.fields import FracElement
 from sympy.polys.rings import PolyElement
 
-from supergeo import GeneratorPool
+from supergeo import GeneratorPool, Superfunction
 from supergeo.errors import (
     FleshInTopCoefficient,
     InexactCoefficient,
@@ -491,16 +492,20 @@ class TestSubstitute:
 
 
 def _assert_canonical(f):
-    """The coefficient invariant: nonzero, a PolyElement for polynomials and
-    a FracElement with a non-constant denominator otherwise."""
+    """The coefficient invariant: nonzero, a bare QQ element for constants, a
+    PolyElement for other polynomials and a FracElement with a non-constant
+    denominator otherwise."""
     pool = f.pool
     for c in f.terms.values():
         assert c
         if isinstance(c, FracElement):
             assert c.field is pool.field
             assert not c.denom.is_ground
+        elif isinstance(c, PolyElement):
+            assert c.ring is pool.ring
+            assert not c.is_ground
         else:
-            assert isinstance(c, PolyElement) and c.ring is pool.ring
+            assert type(c) is QQ.dtype
 
 
 def _assert_body_at_matches_subs(f):
@@ -551,3 +556,37 @@ class TestCoefficientInvariant:
         assert pool.zero().body_at((Fraction(1),)) == 0
         with pytest.raises(NonInvertible):
             f.body_at((Fraction(1),))
+
+    def test_constant_polynomial_is_not_canonical(self, pool):
+        """A constant held as a ground PolyElement breaks the invariant."""
+        stale = Superfunction(pool, {(): pool.ring.ground_new(QQ(3))})
+        with pytest.raises(AssertionError):
+            _assert_canonical(stale)
+        _assert_canonical(pool.scalar(3))
+
+    @pytest.mark.parametrize("chart", sorted(DIVISION_CHARTS))
+    def test_constants_stay_bare(self, chart):
+        """Operations on elements with constant coefficients keep every
+        coefficient a bare QQ element, and body_at reads it as a Fraction."""
+        pool = GeneratorPool(*DIVISION_CHARTS[chart])
+        rng = seeded(sum(map(ord, chart)) + 12)
+
+        def constant(parity):
+            return random_superfunction(pool, rng, parity, max_degree=0)
+
+        point = tuple(Fraction(k + 1, 2) for k in range(pool.n_even))
+        coordinates = pool.even_names + pool.odd_names[: pool.n_coordinate_odd]
+        for _ in range(4):
+            f = constant(None)
+            g = pool.scalar(rng.choice([-3, 2, Fraction(5, 4)])) + constant(0).nilpotent_part()
+            images = {n: pool.scalar(rng.randint(-2, 2)) + constant(0).nilpotent_part()
+                      for n in pool.even_names}
+            images.update({n: constant(1) for n in pool.odd_names})
+            results = [f + g, f - g, f * g, f / g, 3 / g, g**-2, g.invert(),
+                       (g * g).sqrt(), f.substitute(images, pool)]
+            results += [f.partial(n) for n in coordinates]
+            for r in results:
+                assert all(type(c) is QQ.dtype for c in r.terms.values())
+                _assert_canonical(r)
+                body = r.body_at(point)
+                assert type(body) is Fraction and pool.scalar(body) == r.body_part()

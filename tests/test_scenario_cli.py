@@ -50,6 +50,30 @@ def test_goldens_build_no_expr(monkeypatch):
         assert report.render() == (DATA / f"{name}.report.txt").read_text()
 
 
+def test_goldens_multiply_no_constant_polynomials(monkeypatch):
+    """Constant coefficients are bare ground-domain elements: while the 7
+    goldens run, supergeo never multiplies two constants as polynomials.
+    (sympy's own fraction arithmetic may still do so on a numerator.)"""
+    from sympy.polys.rings import PolyElement
+
+    original = PolyElement.__mul__
+    constant_products = []
+
+    def counting(p1, p2):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller.startswith("supergeo") and p1.is_ground and (
+            not isinstance(p2, PolyElement) or p2.is_ground
+        ):
+            constant_products.append(caller)
+        return original(p1, p2)
+
+    monkeypatch.setattr(PolyElement, "__mul__", counting)
+    for name in sorted(GOLDEN):
+        report = run_scenario((DATA / f"{name}.scn").read_text(), name=f"{name}.scn")
+        assert report.render() == (DATA / f"{name}.report.txt").read_text()
+    assert constant_products == []
+
+
 @pytest.mark.parametrize("name", ["flat_killing", "noether_flesh"])
 def test_reports_deterministic_across_runs(name):
     text = (DATA / f"{name}.scn").read_text()

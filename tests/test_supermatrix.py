@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from sympy.polys.rings import PolyElement
 
 from supergeo import GeneratorPool, supermatrix
 from supergeo.errors import (
@@ -243,6 +244,29 @@ class TestBerezinianAgainstOracle:
         M = rational_invertible(flesh_pool, p, q, rng)
         N = rational_invertible(flesh_pool, p, q, rng)
         assert (M * N).berezinian() == M.berezinian() * N.berezinian()
+
+
+def test_unit_factors_cost_no_cancellation(monkeypatch):
+    """A (p|0) Berezinian is det(A * 1) / 1^(p+1): its unit products and its
+    unit division hand fractions back untouched, so it cancels exactly as
+    often as the determinant of A alone."""
+    pool = GeneratorPool(["x"], [])
+    rows = [[pool.scalar((i == j) * 5 + 1 / (x + i + j + 1)) for j in range(3)]
+            for i in range(3)]
+    calls = []
+    original = PolyElement.cancel
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(PolyElement, "cancel", counting)
+    det = supermatrix._det_commuting(pool, rows)
+    det_calls = len(calls)
+    ber = SuperMatrix(pool, 3, 0, rows).berezinian()
+    assert det_calls > 0
+    assert len(calls) == 2 * det_calls
+    assert ber == det
 
 
 def test_adjugate_computes_each_minor_once(pool, monkeypatch):
