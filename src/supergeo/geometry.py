@@ -50,7 +50,8 @@ class Chart:
 
     ``even`` and ``odd`` name the coordinates; ``flesh`` adds odd constants
     for maps with flesh.  ``box`` maps each even coordinate to a rational
-    interval (a, b) with a < b.
+    interval (a, b) with a < b.  The dimensions ``n``, ``two_m`` and ``dim``,
+    the coordinate parities and names are fixed at construction.
     """
 
     def __init__(self, even, odd, box, flesh=()):
@@ -67,27 +68,20 @@ class Chart:
             if not a < b:
                 raise ValueError(f"box interval for {name!r} must have a < b")
             self.box[name] = (a, b)
-
-    @property
-    def n(self):
-        return self.pool.n_even
-
-    @property
-    def two_m(self):
-        return self.pool.n_coordinate_odd
-
-    @property
-    def dim(self):
-        return self.n + self.two_m
+        self.n = self.pool.n_even
+        self.two_m = self.pool.n_coordinate_odd
+        self.dim = self.n + self.two_m
+        self._parities = (0,) * self.n + (1,) * self.two_m
+        self._names = self.pool.even_names + self.pool.odd_names[: self.two_m]
 
     def parity(self, i: int) -> int:
-        return 0 if i < self.n else 1
+        return self._parities[i]
 
     def coordinate_names(self):
-        return self.pool.even_names + self.pool.odd_names[: self.two_m]
+        return self._names
 
     def coordinate(self, i: int) -> str:
-        return self.coordinate_names()[i]
+        return self._names[i]
 
     def sample_point(self):
         """Rational midpoint of the box, one ``Fraction`` per even coordinate
@@ -222,7 +216,9 @@ class VectorField(_Field):
         for i, c in enumerate(self.components):
             if c.is_zero():
                 continue
-            acc = acc + c * f.partial(names[i])
+            d = f.partial(names[i])
+            if not d.is_zero():
+                acc = acc + c * d
         return acc
 
     def bracket(self, other: "VectorField") -> "VectorField":
@@ -480,7 +476,7 @@ def levi_civita(g: BilinearForm) -> Connection:
     chart = g.chart
     MetricContext.of(g)
     dim = chart.dim
-    half = Fraction(1, 2)
+    half = chart.pool.scalar(Fraction(1, 2))
     ginv = g.to_supermatrix().inverse()
     dg = [g.partials(i) for i in range(dim)]  # dg[i][j][k] = d_i g_jk
     gamma = []
@@ -499,10 +495,12 @@ def levi_civita(g: BilinearForm) -> Connection:
                 term = term - (t3 if (pk * (pi + pj)) % 2 == 0 else -t3)
                 K.append(term * half)
             # solve sum_l Gamma^l_ij g_lk = K_k  =>  Gamma^l = sum_k K_k (g^-1)_kl
+            nonzero = [k for k in range(dim) if not K[k].is_zero()]
             rows.append(
                 [
                     sum(
-                        (K[k] * ginv.entries[k][l] for k in range(dim)),
+                        (K[k] * ginv.entries[k][l] for k in nonzero
+                         if not ginv.entries[k][l].is_zero()),
                         start=chart.pool.zero(),
                     )
                     for l in range(dim)

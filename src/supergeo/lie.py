@@ -234,7 +234,8 @@ class KillingBasis:
 
 
 def _ansatz_fields(chart: Chart, degree: int, parity: int):
-    """Deterministic ordered basis of candidate fields of the given parity."""
+    """Deterministic ordered basis of candidate fields of the given parity,
+    as ``(k, X)`` pairs where ``X^k`` is the one nonzero component of X."""
     evens = _even_monomials(chart, degree)
     odds = _odd_monomials(chart)
     fields = []
@@ -250,7 +251,7 @@ def _ansatz_fields(chart: Chart, degree: int, parity: int):
                     coeff = coeff * pool.odd(pool.odd_names[i])
                 comps = [pool.zero()] * chart.dim
                 comps[k] = coeff
-                fields.append(VectorField(chart, comps, parity))
+                fields.append((k, VectorField(chart, comps, parity)))
     return fields
 
 
@@ -288,14 +289,12 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
         ansatz = _ansatz_fields(chart, degree, p)
         if not ansatz:
             continue
-        tables = [lie_derivative_bilinear(b, g).components for b in ansatz]
+        tables = [lie_derivative_bilinear(b, g).components for _, b in ansatz]
         rows = _coefficient_rows([[e for row in t for e in row] for t in tables])
         for vec in nullspace(rows, len(ansatz)):
             comps = [chart.pool.zero()] * chart.dim
-            for c, b in zip(vec, ansatz):
-                if c == 0:
-                    continue
-                for k in range(chart.dim):
+            for c, (k, b) in zip(vec, ansatz):
+                if c != 0:
                     comps[k] = comps[k] + b.components[k] * c
             X = VectorField(chart, comps, p)
             fields.append(X)

@@ -19,6 +19,15 @@ ring.  Other modules never read ``terms``; they call ``has_body``,
 ``is_polynomial``, ``rational_coefficients`` (still ``QQ`` values, a constant
 under the zero exponent tuple) or ``top_part``.
 
+Superfunctions are immutable, and the kernel relies on it.  After the pool
+check, an operation whose result is already known returns an operand itself:
+``f + 0`` and ``f - 0`` are ``f``, ``0 * f`` and ``f * 0`` are the zero
+operand.  A body-only factor ``{(): c}`` scales each coefficient of the other
+by :func:`_coeff_mul` alone (a product of nonzero canonical coefficients is
+nonzero and canonical, since ``QQ(x)`` is a field), and
+:meth:`Superfunction.partial` keeps each derivative on the instance, so a
+superfunction is differentiated at most once per variable.
+
 Division happens in one place, :func:`_divide` (``invert``, ``/``, negative
 powers, ``sqrt``), on top of :func:`_coeff_div` (also used by ``substitute``
 and ``body_at``).  A constant divisor never enters ``QQ(x)``; a polynomial
@@ -339,10 +348,13 @@ class GeneratorPool:
 class Superfunction:
     """Element of the Grassmann algebra over the rational-function field.
 
-    Treated as immutable; all operations return new instances.
+    Immutable, and the kernel relies on it: an operation whose result is
+    already known returns an operand itself (``f + 0`` is ``f``, ``0 * f``
+    is the zero operand), and :meth:`partial` keeps each derivative on the
+    instance.  Nothing may change ``terms`` after construction.
     """
 
-    __slots__ = ("pool", "terms")
+    __slots__ = ("pool", "terms", "_partials")
 
     def __init__(self, pool: GeneratorPool, terms: dict):
         self.pool = pool
@@ -352,12 +364,8 @@ class Superfunction:
 
     @staticmethod
     def _from_raw(pool, raw):
-        terms = {}
-        for mono, c in raw.items():
-            c = _norm(c)
-            if c:
-                terms[mono] = c
-        return Superfunction(pool, terms)
+        """A superfunction from canonical coefficients, zeros dropped."""
+        return Superfunction(pool, {mono: c for mono, c in raw.items() if c})
 
     def _coerce(self, other):
         if isinstance(other, Superfunction):
@@ -370,6 +378,10 @@ class Superfunction:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for mono, c in other.terms.items():
             prev = terms.get(mono)
@@ -386,10 +398,15 @@ class Superfunction:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.terms:
+            return self
         return Superfunction(self.pool, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        if not other.terms:
+            return self
+        return self + (-other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -398,6 +415,22 @@ class Superfunction:
         if isinstance(other, int) and other in (1, -1):  # graded signs
             return self if other == 1 else -self
         other = self._coerce(other)
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
+        # a body-only factor scales each coefficient; the product of two
+        # nonzero canonical coefficients is nonzero and canonical
+        if len(other.terms) == 1 and () in other.terms:
+            cb = other.terms[()]
+            return Superfunction(
+                self.pool, {m: _coeff_mul(ca, cb) for m, ca in self.terms.items()}
+            )
+        if len(self.terms) == 1 and () in self.terms:
+            ca = self.terms[()]
+            return Superfunction(
+                self.pool, {m: _coeff_mul(ca, cb) for m, cb in other.terms.items()}
+            )
         raw = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -510,25 +543,16 @@ class Superfunction:
     # -- calculus ------------------------------------------------------------
 
     def partial(self, name: str) -> "Superfunction":
-        """Partial derivative; odd derivatives act from the left."""
-        pool = self.pool
-        if name in pool._even_index:
-            k = pool._even_index[name]
-            raw = {m: _diff(pool, c, k) for m, c in self.terms.items()}
-            return Superfunction._from_raw(pool, raw)
-        idx = pool.odd_index(name)
-        if pool.is_flesh(idx):
-            raise UnknownGenerator(
-                f"{name!r} is a flesh generator; it admits no derivations"
-            )
-        terms = {}
-        for mono, c in self.terms.items():
-            if idx not in mono:
-                continue
-            pos = mono.index(idx)
-            # distinct monomials stay distinct once idx is removed
-            terms[mono[:pos] + mono[pos + 1 :]] = -c if pos % 2 else c
-        return Superfunction(pool, terms)
+        """Partial derivative; odd derivatives act from the left.  Each
+        derivative is computed once and kept on the instance."""
+        try:
+            cache = self._partials
+        except AttributeError:
+            cache = self._partials = {}
+        out = cache.get(name)
+        if out is None:
+            out = cache[name] = _derivative(self, name)
+        return out
 
     def invert(self) -> "Superfunction":
         """Exact inverse via a finite Neumann series in the nilpotent part."""
@@ -627,6 +651,28 @@ class Superfunction:
 
     def __repr__(self):
         return f"Superfunction({self.render()})"
+
+
+def _derivative(f, name):
+    """The kernel behind :meth:`Superfunction.partial`."""
+    pool = f.pool
+    if name in pool._even_index:
+        k = pool._even_index[name]
+        raw = {m: _diff(pool, c, k) for m, c in f.terms.items()}
+        return Superfunction._from_raw(pool, raw)
+    idx = pool.odd_index(name)
+    if pool.is_flesh(idx):
+        raise UnknownGenerator(
+            f"{name!r} is a flesh generator; it admits no derivations"
+        )
+    terms = {}
+    for mono, c in f.terms.items():
+        if idx not in mono:
+            continue
+        pos = mono.index(idx)
+        # distinct monomials stay distinct once idx is removed
+        terms[mono[:pos] + mono[pos + 1 :]] = -c if pos % 2 else c
+    return Superfunction(pool, terms)
 
 
 @functools.cache

@@ -1,5 +1,6 @@
 """The Grassmann scalar ring: products, derivatives, inverses, roots, Berezin."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -126,13 +127,39 @@ def test_nilpotent_square_drops(pool):
     assert (xx + t12) * (xx - t12) == pool.scalar(x**2)
 
 
-def test_pool_mismatch_raises(pool):
-    other = GeneratorPool(["x"], ["th1", "th2"], ["lam1"])
-    # equal pools are fine
-    assert pool.odd("th1") * other.odd("th2") == pool.odd("th1") * pool.odd("th2")
+OPERATIONS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def _operand(pool, kind):
+    """Zero, body-only (constant or even generator) and general operands,
+    so every short-circuit of the ring operations is reached."""
+    even, odd = pool.even_names[0], pool.odd_names[:2]
+    if kind == "zero":
+        return pool.zero()
+    if kind == "constant":
+        return pool.scalar(3)
+    if kind == "even":
+        return pool.even(even)
+    return pool.odd(odd[0]) * pool.odd(odd[1]) + pool.odd(odd[0]) * 2 + 1
+
+
+@pytest.mark.parametrize("right", ["zero", "constant", "even", "general"])
+@pytest.mark.parametrize("left", ["zero", "constant", "even", "general"])
+@pytest.mark.parametrize("op", sorted(OPERATIONS))
+def test_pool_mismatch_raises(pool, op, left, right):
+    """The pool check comes before every short-circuit: zero and body-only
+    operands of another pool are rejected, those of an equal pool accepted."""
+    apply = OPERATIONS[op]
+    a, b = _operand(pool, left), _operand(pool, right)
+    twin = GeneratorPool(["x"], ["th1", "th2"], ["lam1"])
+    assert twin is not pool
+    assert apply(a, _operand(twin, right)) == apply(a, b)
+    assert apply(_operand(twin, left), b) == apply(a, b)
     different = GeneratorPool(["y"], ["e1", "e2"])
     with pytest.raises(PoolMismatch):
-        pool.odd("th1") * different.odd("e1")
+        apply(a, _operand(different, right))
+    with pytest.raises(PoolMismatch):
+        apply(_operand(different, left), b)
 
 
 class TestPartial:
@@ -156,6 +183,24 @@ class TestPartial:
     def test_flesh_derivative_forbidden(self, pool):
         with pytest.raises(UnknownGenerator):
             pool.odd("lam1").partial("lam1")
+
+    @pytest.mark.parametrize("name", ["x", "th1", "th2"])
+    def test_derivative_kept_on_the_instance(self, pool, name):
+        rng = seeded(102)
+        for parity in (0, 1, None):
+            f = random_superfunction(pool, rng, parity) * pool.scalar(1 / (x + 2))
+            d = f.partial(name)
+            assert f.partial(name) is d
+            fresh = Superfunction(pool, dict(f.terms))
+            assert fresh.partial(name) == d
+            _assert_canonical(d)
+
+    def test_failed_derivative_is_not_kept(self, pool):
+        f = pool.odd("lam1") + pool.odd("th1")
+        for _ in range(2):
+            with pytest.raises(UnknownGenerator):
+                f.partial("lam1")
+        assert f.partial("th1") == pool.one()
 
     def test_graded_leibniz_on_random_pairs(self, pool):
         rng = seeded(101)
@@ -563,6 +608,29 @@ class TestCoefficientInvariant:
         with pytest.raises(AssertionError):
             _assert_canonical(stale)
         _assert_canonical(pool.scalar(3))
+
+    @pytest.mark.parametrize("chart", ["(1|2)+flesh", "(2|4)"])
+    @pytest.mark.parametrize("factor", ["constant", "polynomial", "fraction"])
+    def test_products_by_body_only_factors(self, chart, factor):
+        """A body-only factor scales each coefficient on its own; the result is
+        canonical and equals the product taken through the general merge.  The
+        factors cancel against ``1/(x + 2)`` and powers of x in ``f``."""
+        pool = GeneratorPool(*DIVISION_CHARTS[chart])
+        rng = seeded(sum(map(ord, chart + factor)))
+        xx, th = pool.even("x"), pool.odd("th1")
+        for _ in range(4):
+            c = {
+                "constant": pool.scalar(rng.choice([-2, Fraction(1, 3), 5])),
+                "polynomial": (xx + 2) * (xx * rng.randint(1, 3) - 1),
+                "fraction": rng.randint(1, 3) / (xx * (xx + rng.randint(0, 1))),
+            }[factor]
+            f = random_superfunction(pool, rng, None)
+            f = f + f.nilpotent_part() / (xx + 2)
+            for product, general in ((c * f, (c + th) * f - th * f),
+                                     (f * c, f * (c + th) - f * th)):
+                _assert_canonical(product)
+                assert product == general
+                assert product.is_zero() == f.is_zero()
 
     @pytest.mark.parametrize("chart", sorted(DIVISION_CHARTS))
     def test_constants_stay_bare(self, chart):

@@ -74,6 +74,30 @@ def test_goldens_multiply_no_constant_polynomials(monkeypatch):
     assert constant_products == []
 
 
+def test_goldens_take_each_derivative_once(monkeypatch):
+    """While the 7 goldens run, no superfunction is differentiated twice by
+    the same variable: ``partial`` keeps each derivative on the instance."""
+    from supergeo import scalars
+
+    original = scalars._derivative
+    alive = []  # every differentiated superfunction, so no id is reused
+    seen, repeats = set(), []
+
+    def counting(f, name):
+        key = (id(f), name)
+        if key in seen:
+            repeats.append(key)
+        seen.add(key)
+        alive.append(f)
+        return original(f, name)
+
+    monkeypatch.setattr(scalars, "_derivative", counting)
+    for name in sorted(GOLDEN):
+        report = run_scenario((DATA / f"{name}.scn").read_text(), name=f"{name}.scn")
+        assert report.render() == (DATA / f"{name}.report.txt").read_text()
+    assert seen and repeats == []
+
+
 @pytest.mark.parametrize("name", ["flat_killing", "noether_flesh"])
 def test_reports_deterministic_across_runs(name):
     text = (DATA / f"{name}.scn").read_text()
