@@ -4,17 +4,22 @@ Killing fields are recognised in three flow-free ways:
 
 (i)   all components of ``L_X g`` vanish,
 (ii)  ``<nabla_Y X, Z> + (-1)^{|X||Y|+|X||Z|+|Y||Z|} <nabla_Z X, Y> = 0`` on
-      all coordinate pairs,
+      the coordinate pairs ``(d_i, d_j)``, ``i <= j`` (swapping the pair only
+      multiplies the left side by the sign),
 (v)   the frame response matrix ``L`` of ``L_X e_i = sum_m e_m L_mi`` lies in
       the orthosymplectic algebra over the scalar ring.
 
 All three agree on homogeneous fields; the package tests this agreement on
 seeded corpora.
+
+The solver :func:`solve_killing` requires a polynomial, supersymmetric
+metric; it writes the equations ``(L_X g)_ij = 0`` for ``i <= j`` only.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import CertificateFailure, ChartMismatch, ParityError, UnsupportedMetric
@@ -56,37 +61,43 @@ def lie_derivative_bilinear(X: VectorField, B: BilinearForm) -> BilinearForm:
     """
     if X.chart != B.chart:
         raise ChartMismatch("field and form live on different charts")
+    dim = X.chart.dim
+    support = [(k, c) for k, c in enumerate(X.components) if not c.is_zero()]
+    flat = _lie_entries(support, X.parity, B, itertools.product(range(dim), repeat=2))
+    return BilinearForm(X.chart, [flat[i * dim:(i + 1) * dim] for i in range(dim)],
+                        X.parity)
+
+
+def _lie_entries(support, p, B, pairs):
+    """The entries (L_X B)_ij for the index ``pairs``, where X has parity p
+    and nonzero components ``support = [(k, X^k)]``; the kernel of
+    :func:`lie_derivative_bilinear`."""
     if B.parity != 0:
         raise ParityError("Lie derivative expects an even bilinear form")
-    chart = X.chart
-    names = chart.coordinate_names()
+    chart = B.chart
     par = [chart.parity(i) for i in range(chart.dim)]
-    p = X.parity
     Bc = B.components
-    support = [(k, c) for k, c in enumerate(X.components) if not c.is_zero()]
     dX = [  # the nonzero (k, d_i X^k) for each coordinate i
         [(k, d) for k, c in support if not (d := c.partial(name)).is_zero()]
-        for name in names
+        for name in chart.coordinate_names()
     ]
     dB = [(c, B.partials(k)) for k, c in support]
-    rows = []
-    for i, pi in enumerate(par):
-        row = []
-        for j, pj in enumerate(par):
-            acc = chart.pool.zero()
-            for c, dk in dB:
-                if not dk[i][j].is_zero():
-                    acc = acc + c * dk[i][j]
-            for k, d in dX[i]:
-                if not Bc[k][j].is_zero():
-                    acc = acc + d * Bc[k][j] * (-1 if p * pi else 1)
-            for k, d in dX[j]:
-                if not Bc[i][k].is_zero():
-                    odd = (p * (pi + pj) + pi * (p + pj + par[k])) % 2
-                    acc = acc + d * Bc[i][k] * (-1 if odd else 1)
-            row.append(acc)
-        rows.append(row)
-    return BilinearForm(chart, rows, p)
+    out = []
+    for i, j in pairs:
+        pi, pj = par[i], par[j]
+        acc = chart.pool.zero()
+        for c, dk in dB:
+            if not dk[i][j].is_zero():
+                acc = acc + c * dk[i][j]
+        for k, d in dX[i]:
+            if not Bc[k][j].is_zero():
+                acc = acc + d * Bc[k][j] * (-1 if p * pi else 1)
+        for k, d in dX[j]:
+            if not Bc[i][k].is_zero():
+                odd = (p * (pi + pj) + pi * (p + pj + par[k])) % 2
+                acc = acc + d * Bc[i][k] * (-1 if odd else 1)
+        out.append(acc)
+    return out
 
 
 @dataclass
@@ -128,10 +139,10 @@ class KillingChecker:
         coord = [chart.coordinate_field(i) for i in range(chart.dim)]
         conn = self.metric.connection
         nabla_X = [conn.coordinate_derivative(i, X) for i in range(chart.dim)]
-        res = []
+        res = []  # val_ji = s_ij val_ij, so the pairs j >= i suffice
         for i in range(chart.dim):
             pi = chart.parity(i)
-            for j in range(chart.dim):
+            for j in range(i, chart.dim):
                 pj = chart.parity(j)
                 sign = -1 if (X.parity * pi + X.parity * pj + pi * pj) % 2 else 1
                 val = self.g.evaluate(nabla_X[i], coord[j])
@@ -190,29 +201,6 @@ def killing_check(X: VectorField, g: BilinearForm, mode: str = "all") -> Killing
 # -- exact degree-bounded solver ----------------------------------------------
 
 
-def _even_monomials(chart: Chart, degree: int):
-    """Even-variable monomials of total degree <= degree, lexicographic."""
-    pool = chart.pool
-    gens = [pool.even(name) for name in pool.even_names]
-    out = []
-    for total in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(len(gens)), total):
-            m = pool.one()
-            for i in combo:
-                m = m * gens[i]
-            out.append(m)
-    return out
-
-
-def _odd_monomials(chart: Chart):
-    """All subsets of the odd coordinates, by (size, indices)."""
-    idx = range(chart.two_m)
-    out = []
-    for size in range(chart.two_m + 1):
-        out.extend(itertools.combinations(idx, size))
-    return out
-
-
 @dataclass
 class KillingBasis:
     metric: BilinearForm
@@ -233,26 +221,22 @@ class KillingBasis:
         return (len(self.even_fields), len(self.odd_fields))
 
 
-def _ansatz_fields(chart: Chart, degree: int, parity: int):
-    """Deterministic ordered basis of candidate fields of the given parity,
-    as ``(k, X)`` pairs where ``X^k`` is the one nonzero component of X."""
-    evens = _even_monomials(chart, degree)
-    odds = _odd_monomials(chart)
-    fields = []
+def _ansatz_fields(chart: Chart, degree: int):
+    """Deterministic ordered bases of candidate fields ``c d_k`` of parity 0
+    and 1, as lists of ``(k, c)`` pairs.  A coefficient c is an odd monomial
+    (by size, then indices) times an even one of degree <= degree
+    (lexicographic), one superfunction shared by every k and field parity."""
     pool = chart.pool
-    for k in range(chart.dim):
-        comp_parity = (parity + chart.parity(k)) % 2
-        for om in odds:
-            if len(om) % 2 != comp_parity:
-                continue
-            for em in evens:
-                coeff = em
-                for i in om:
-                    coeff = coeff * pool.odd(pool.odd_names[i])
-                comps = [pool.zero()] * chart.dim
-                comps[k] = coeff
-                fields.append((k, VectorField(chart, comps, parity)))
-    return fields
+    gens = [pool.even(name) for name in pool.even_names]
+    evens = [math.prod(m, start=pool.one()) for total in range(degree + 1)
+             for m in itertools.combinations_with_replacement(gens, total)]
+    coeffs = ([], [])
+    for size in range(chart.two_m + 1):
+        for om in itertools.combinations(pool.odd_names[:chart.two_m], size):
+            odd = math.prod(map(pool.odd, om), start=pool.one())
+            coeffs[size % 2].extend(em * odd for em in evens)
+    return [[(k, c) for k in range(chart.dim) for c in coeffs[(p + chart.parity(k)) % 2]]
+            for p in (0, 1)]
 
 
 def _coefficient_rows(columns):
@@ -275,29 +259,33 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
     """Exact nullspace of L_X g = 0 over a polynomial ansatz.
 
     The even-variable degree is bounded by ``degree``; the Grassmann degree is
-    unrestricted.  Requires polynomial metric components.
+    unrestricted.  Requires a polynomial, supersymmetric metric: then
+    ``(L_X g)_ji = (-1)^{|i||j|} (L_X g)_ij``, so only the equations with
+    ``i <= j`` are written.
     """
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
     chart = g.chart
     if not all(entry.is_polynomial() for row in g.components for entry in row):
         raise UnsupportedMetric("metric components must be polynomial")
+    if not g.is_supersymmetric():
+        raise UnsupportedMetric("metric must be supersymmetric")
+    pairs = [(i, j) for i in range(chart.dim) for j in range(i, chart.dim)]
     parities = [0, 1] if parity is None else [parity]
     fields = []
     field_parities = []
+    ansatz_by_parity = _ansatz_fields(chart, degree)
     for p in parities:
-        ansatz = _ansatz_fields(chart, degree, p)
+        ansatz = ansatz_by_parity[p]
         if not ansatz:
             continue
-        tables = [lie_derivative_bilinear(b, g).components for _, b in ansatz]
-        rows = _coefficient_rows([[e for row in t for e in row] for t in tables])
+        rows = _coefficient_rows([_lie_entries([kc], p, g, pairs) for kc in ansatz])
         for vec in nullspace(rows, len(ansatz)):
             comps = [chart.pool.zero()] * chart.dim
-            for c, (k, b) in zip(vec, ansatz):
-                if c != 0:
-                    comps[k] = comps[k] + b.components[k] * c
-            X = VectorField(chart, comps, p)
-            fields.append(X)
+            for q, (k, c) in zip(vec, ansatz):
+                if q != 0:
+                    comps[k] = comps[k] + c * q
+            fields.append(VectorField(chart, comps, p))
             field_parities.append(p)
     basis = KillingBasis(g, degree, fields, field_parities)
     _certify_basis(basis, g)

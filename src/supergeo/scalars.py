@@ -232,6 +232,7 @@ class GeneratorPool:
         self.even_symbols = self.field.symbols
         self._even_index = {n: k for k, n in enumerate(self.even_names)}
         self._odd_index = {n: k for k, n in enumerate(self.odd_names)}
+        self._zero = Superfunction(self, {})  # immutable, so one serves all
 
     @property
     def n_even(self):
@@ -264,7 +265,7 @@ class GeneratorPool:
         return self.even_symbols[self._even_position(name)]
 
     def zero(self) -> "Superfunction":
-        return Superfunction(self, {})
+        return self._zero
 
     def one(self) -> "Superfunction":
         return self.scalar(1)
@@ -272,7 +273,7 @@ class GeneratorPool:
     def scalar(self, value) -> "Superfunction":
         """Lift a rational number or even sympy expression into the ring."""
         c = self._coefficient(value)
-        return Superfunction(self, {(): c} if c else {})
+        return Superfunction(self, {(): c}) if c else self._zero
 
     def _coefficient(self, value):
         """Canonical even coefficient for an exact rational value, an even

@@ -1,15 +1,20 @@
 """Lie derivatives, the three Killing characterisations, and the solver."""
 
 import itertools
+import math
 
 import pytest
 import sympy as sp
 
 from supergeo import Chart
+from supergeo import lie, scalars
 from supergeo.errors import UnsupportedMetric
+from supergeo.exactlinalg import nullspace
 from supergeo.geometry import BilinearForm, OneForm, VectorField, flat_metric
 from supergeo.lie import (
     KillingChecker,
+    _ansatz_fields,
+    _coefficient_rows,
     killing_check,
     lie_derivative_bilinear,
     lie_derivative_function,
@@ -257,15 +262,16 @@ class TestSolveKilling:
             solve_killing(metric_flat22, -1)
 
 
-class TestIndefiniteSignature:
-    @pytest.fixture
-    def minkowski_super(self):
-        ch = Chart(["x", "y"], ["th1", "th2"], box={"x": (0, 1), "y": (0, 1)})
-        g = BilinearForm(
-            ch, [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-        )
-        return g
+@pytest.fixture
+def minkowski_super():
+    ch = Chart(["x", "y"], ["th1", "th2"], box={"x": (0, 1), "y": (0, 1)})
+    g = BilinearForm(
+        ch, [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    )
+    return g
 
+
+class TestIndefiniteSignature:
     def test_signature(self, minkowski_super):
         from supergeo.geometry import validate_metric
 
@@ -283,3 +289,110 @@ class TestIndefiniteSignature:
         # odd:  (t+s)2m + odd translations = 4 + 2
         basis = solve_killing(minkowski_super, 1)
         assert basis.dims == (6, 6)
+
+
+@pytest.fixture
+def metric_odd02():
+    return flat_metric(Chart([], ["th1", "th2"], box={}))
+
+
+@pytest.fixture
+def metric_flat32():
+    box = {"x": (0, 1), "y": (0, 1), "z": (0, 1)}
+    return flat_metric(Chart(["x", "y", "z"], ["th1", "th2"], box=box))
+
+
+class TestHalfSystem:
+    """The solver writes ``(L_X g)_ij = 0`` for ``i <= j`` only; on a
+    supersymmetric metric the other equations repeat these up to sign."""
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("metric", [
+        "metric_flat22", "metric_curved", "metric_deformed", "minkowski_super",
+        "metric_odd02", "metric_flat32",
+    ])
+    def test_basis_is_nullspace_of_full_table(self, request, metric, degree, parity):
+        g = request.getfixturevalue(metric)
+        chart = g.chart
+        fields = []
+        for k, c in _ansatz_fields(chart, degree)[parity]:
+            comps = [chart.pool.zero()] * chart.dim
+            comps[k] = c
+            fields.append(VectorField(chart, comps, parity))
+        tables = [lie_derivative_bilinear(X, g).components for X in fields]
+        rows = _coefficient_rows([[e for row in t for e in row] for t in tables])
+        expected = [
+            sum((X.scale(chart.pool.scalar(q)) for q, X in zip(vec, fields) if q),
+                start=VectorField(chart, [0] * chart.dim, parity))
+            for vec in (nullspace(rows, len(fields)) if fields else [])
+        ]
+        basis = solve_killing(g, degree, parity)
+        assert basis.fields == expected
+        assert basis.parities == [parity] * len(expected)
+
+    @pytest.mark.parametrize("entries", [
+        [[1, 1], [0, 1]],  # not symmetric
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],  # symmetric odd block
+    ])
+    def test_non_supersymmetric_metric_rejected(self, entries):
+        evens = ["x", "y"]
+        odds = ["th1", "th2"][: len(entries) - 2]
+        ch = Chart(evens, odds, box={"x": (0, 1), "y": (0, 1)})
+        with pytest.raises(UnsupportedMetric):
+            solve_killing(BilinearForm(ch, entries), 1)
+
+    def test_each_ansatz_monomial_differentiated_once_per_direction(self, monkeypatch):
+        chart = Chart(["x", "y"], ["th1", "th2", "th3", "th4"],
+                      box={"x": (0, 1), "y": (0, 1)})
+        pool = chart.pool
+        g = flat_metric(chart)
+        for k in range(chart.dim):
+            g.partials(k)  # the metric's derivatives, taken before counting
+        odds = [
+            math.prod(map(pool.odd, om), start=pool.one())
+            for size in range(5)
+            for om in itertools.combinations(pool.odd_names, size)
+        ]
+        evens = [pool.one(), pool.even("x"), pool.even("y")]
+        monomials = {(e * o).render() for e in evens for o in odds}
+        original = scalars._derivative
+        alive = []  # every differentiated superfunction, so no id is reused
+        seen, repeats, assembly, certifying = set(), [], [], []
+
+        def counting(f, name):
+            key = (id(f), name)
+            if key in seen:
+                repeats.append(key)
+            seen.add(key)
+            alive.append(f)
+            if not certifying and f.render() in monomials:
+                assembly.append(key)
+            return original(f, name)
+
+        certify = lie._certify_basis
+
+        def flagged(basis, g):
+            certifying.append(True)
+            return certify(basis, g)
+
+        monkeypatch.setattr(scalars, "_derivative", counting)
+        monkeypatch.setattr(lie, "_certify_basis", flagged)
+        assert solve_killing(g, 1).dims == (13, 12)
+        assert certifying and repeats == []
+        assert len(assembly) <= len(monomials) * chart.dim
+
+
+@pytest.mark.parametrize("n, two_m, degree, dims", [
+    (2, 6, 1, (24, 18)),
+    (3, 4, 2, (16, 16)),
+])
+def test_flat_killing_dims_scale(n, two_m, degree, dims):
+    """Flat ``(n|2m)`` has the Killing dimensions
+    ``n + n(n-1)/2 + m(2m+1) | 2m + 2mn`` at every degree >= 1."""
+    m = two_m // 2
+    assert dims == (n + n * (n - 1) // 2 + m * (2 * m + 1), 2 * m + 2 * m * n)
+    evens = ["x", "y", "z"][:n]
+    odds = [f"th{i}" for i in range(1, two_m + 1)]
+    chart = Chart(evens, odds, box={v: (0, 1) for v in evens})
+    assert solve_killing(flat_metric(chart), degree).dims == dims
