@@ -62,7 +62,9 @@ def lie_derivative_bilinear(X: VectorField, B: BilinearForm) -> BilinearForm:
     if X.chart != B.chart:
         raise ChartMismatch("field and form live on different charts")
     dim = X.chart.dim
-    support = [(k, c) for k, c in enumerate(X.components) if not c.is_zero()]
+    names = X.chart.coordinate_names()
+    support = [(k, c, [c.partial(name) for name in names])
+               for k, c in enumerate(X.components) if not c.is_zero()]
     flat = _lie_entries(support, X.parity, B, itertools.product(range(dim), repeat=2))
     return BilinearForm(X.chart, [flat[i * dim:(i + 1) * dim] for i in range(dim)],
                         X.parity)
@@ -70,18 +72,18 @@ def lie_derivative_bilinear(X: VectorField, B: BilinearForm) -> BilinearForm:
 
 def _lie_entries(support, p, B, pairs):
     """The entries (L_X B)_ij for the index ``pairs``, where X has parity p
-    and nonzero components ``support = [(k, X^k)]``; the kernel of
-    :func:`lie_derivative_bilinear`."""
+    and nonzero components ``support = [(k, X^k, [d_i X^k for each i])]``;
+    the kernel of :func:`lie_derivative_bilinear`."""
     if B.parity != 0:
         raise ParityError("Lie derivative expects an even bilinear form")
     chart = B.chart
     par = [chart.parity(i) for i in range(chart.dim)]
     Bc = B.components
     dX = [  # the nonzero (k, d_i X^k) for each coordinate i
-        [(k, d) for k, c in support if not (d := c.partial(name)).is_zero()]
-        for name in chart.coordinate_names()
+        [(k, ds[i]) for k, _, ds in support if not ds[i].is_zero()]
+        for i in range(chart.dim)
     ]
-    dB = [(c, B.partials(k)) for k, c in support]
+    dB = [(c, B.partials(k)) for k, c, _ in support]
     out = []
     for i, j in pairs:
         pi, pj = par[i], par[j]
@@ -275,11 +277,17 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
     fields = []
     field_parities = []
     ansatz_by_parity = _ansatz_fields(chart, degree)
+    names = chart.coordinate_names()
+    partials = {}  # d_i c, taken once per coefficient shared by every k and parity
     for p in parities:
         ansatz = ansatz_by_parity[p]
         if not ansatz:
             continue
-        rows = _coefficient_rows([_lie_entries([kc], p, g, pairs) for kc in ansatz])
+        for _, c in ansatz:
+            if id(c) not in partials:
+                partials[id(c)] = [c.partial(name) for name in names]
+        rows = _coefficient_rows([_lie_entries([(k, c, partials[id(c)])], p, g, pairs)
+                                  for k, c in ansatz])
         for vec in nullspace(rows, len(ansatz)):
             comps = [chart.pool.zero()] * chart.dim
             for q, (k, c) in zip(vec, ansatz):

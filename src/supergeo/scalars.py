@@ -39,13 +39,18 @@ imports ``sympy``, its rings or its fields, or reads a pool's ``ring`` or
 ``field`` (the others import only ``QQ`` and ``DomainMatrix`` from
 ``sympy.polys``):
 :meth:`GeneratorPool.scalar` lifts ints, ``Fraction``s and sympy ``Rational``s
-straight into the ground domain, polynomial sympy expressions through the ring
-and other even sympy expressions through the field (floats, irrational numbers
-and symbols outside the pool are rejected); :meth:`GeneratorPool.even` is a
-generator of the ring; :meth:`Superfunction.body` and
-:meth:`Superfunction.berezin_top` return ``Expr`` for callers that want one;
-and :meth:`Superfunction.render` and error messages print through ``Expr``.
-A scenario run therefore builds ``Expr`` only to render.
+straight into the ground domain and walks other even sympy expressions itself
+(:meth:`GeneratorPool._lift`), folding rationals, the pool's symbols, sums,
+products and integer powers with the coefficient arithmetic below (floats,
+irrational numbers, other functions and symbols outside the pool are
+rejected); :meth:`GeneratorPool.even` is a generator of the ring;
+:meth:`Superfunction.body` and :meth:`Superfunction.berezin_top` return
+``Expr`` for callers that want one; and :meth:`Superfunction.render` writes
+each coefficient from its terms, byte for byte as sympy's
+``sstr(expr, order="lex")`` prints it, terms in descending lex order of the
+variables sorted by name (:func:`_render_poly`).  A scenario run therefore
+builds no ``Expr``; only the message of ``NotASquare`` prints a body through
+one.
 :meth:`Superfunction.body_at` is the package's only way to evaluate a body at
 a point: it runs the same native kernel as :meth:`Superfunction.substitute`,
 returns a ``Fraction`` and raises ``NonInvertible`` at a pole.
@@ -74,7 +79,6 @@ import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
-from sympy.polys.polyerrors import CoercionFailed
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyElement
 
@@ -230,6 +234,7 @@ class GeneratorPool:
         self.field = _field(self.even_names)
         self.ring = self.field.ring
         self.even_symbols = self.field.symbols
+        self._symbol_gen = dict(zip(self.even_symbols, self.ring.gens))
         self._even_index = {n: k for k, n in enumerate(self.even_names)}
         self._odd_index = {n: k for k, n in enumerate(self.odd_names)}
         self._zero = Superfunction(self, {})  # immutable, so one serves all
@@ -291,23 +296,42 @@ class GeneratorPool:
         ):
             return _norm(value)
         if isinstance(value, sp.Expr):
-            foreign = value.free_symbols - set(self.even_symbols)
+            foreign = value.free_symbols - self._symbol_gen.keys()
             if foreign:
                 names = ", ".join(sorted(str(s) for s in foreign))
                 raise UnknownGenerator(
                     f"{names} not an even variable of the pool; "
                     "odd generators enter as Superfunction factors"
                 )
-            if not value.has(sp.Float):
-                # a polynomial skips the fraction field and its gcd
-                for domain in (self.ring, self.field):
-                    try:
-                        return _norm(domain.from_expr(value))
-                    except (ValueError, CoercionFailed):
-                        pass
+            try:
+                return self._lift(value)
+            except InexactCoefficient:
+                pass  # reported with the whole expression below
         raise InexactCoefficient(
             f"{value!r} is not an exact rational function of {list(self.even_names)}"
         )
+
+    def _lift(self, e):
+        """The canonical coefficient of a sympy expression in the pool's even
+        symbols, folded with the coefficient arithmetic: rationals, symbols,
+        sums, products and integer powers; anything else raises
+        ``InexactCoefficient``."""
+        if isinstance(e, sp.Rational):
+            return QQ(e.p, e.q)
+        if e.is_Symbol:
+            return self._symbol_gen[e]
+        if e.is_Add:
+            return functools.reduce(_coeff_add, map(self._lift, e.args))
+        if e.is_Mul:
+            factors = [self._lift(a) for a in e.args]
+            if not all(factors):
+                return QQ.zero
+            return functools.reduce(_coeff_mul, factors)
+        if e.is_Pow and isinstance(e.exp, sp.Integer):
+            k = int(e.exp)
+            power = _norm(self._lift(e.base) ** abs(k))
+            return power if k >= 0 else _coeff_div(self.field, _ONE, power)
+        raise InexactCoefficient
 
     def even(self, name: str) -> "Superfunction":
         return Superfunction(self, {(): self.ring.gens[self._even_position(name)]})
@@ -731,21 +755,54 @@ def _half_binomials():
 
 
 def _render_coefficient(c) -> str:
+    """The coefficient as sympy's ``sstr(expr, order="lex")`` prints it, with
+    ``^`` for ``**``; a fraction or a one-term polynomial with a fractional
+    coefficient prints as ``(numerator)/(denominator)``."""
     if type(c) is _GROUND:
-        num, den = c.numerator, c.denominator
+        num, den = str(c.numerator), c.denominator
     elif isinstance(c, FracElement):
         # print the denominator with a positive leading coefficient in
         # sympy's generator order, as sympy.cancel would
         lc = _leading_coefficient(c.denom, _sympy_gen_order(c.field.symbols))
         num, den = (c.numer, c.denom) if lc > 0 else (-c.numer, -c.denom)
-        num, den = num.as_expr(), den.as_expr()
+        num, den = _render_poly(c.field.ring, num), _render_poly(c.field.ring, den)
+    elif len(c) == 1:
+        [(exps, q)] = c.items()
+        num, den = _render_poly(c.ring, {exps: q.numerator}), q.denominator
     else:
-        num, den = sp.fraction(c.as_expr())
-    ns = sp.sstr(num, order="lex").replace("**", "^")
-    if den == 1:
-        return ns
-    ds = sp.sstr(den, order="lex").replace("**", "^")
-    return f"({ns})/({ds})"
+        return _render_poly(c.ring, c)
+    return num if den == 1 else f"({num})/({den})"
+
+
+@functools.cache
+def _name_order(symbols):
+    """The names of ``symbols`` and their positions sorted by name as plain
+    strings, the order in which sympy prints and sorts symbols."""
+    names = tuple(map(str, symbols))
+    return names, sorted(range(len(names)), key=names.__getitem__)
+
+
+def _render_poly(ring, terms):
+    """The polynomial with the terms ``{exponents: rational}`` (such as a
+    ``PolyElement`` of ``ring``) as ``sstr`` prints it: terms in descending
+    lex order of the variables sorted by name, factors in name order, the
+    absolute numerator first unless it is 1 in a non-constant term, ``/q``
+    last, and signs between the terms."""
+    names, order = _name_order(ring.symbols)
+    out = ""
+    for exps, q in sorted(terms.items(), key=lambda t: [t[0][i] for i in order],
+                          reverse=True):
+        n, d = q.numerator, q.denominator
+        factors = [names[i] if exps[i] == 1 else f"{names[i]}^{exps[i]}"
+                   for i in order if exps[i]]
+        if abs(n) != 1 or not factors:
+            factors.insert(0, str(abs(n)))
+        term = "*".join(factors) + (f"/{d}" if d != 1 else "")
+        if out:
+            out += (" - " if n < 0 else " + ") + term
+        else:
+            out = "-" + term if n < 0 else term
+    return out
 
 
 def _poly_root(p, order):
@@ -776,7 +833,7 @@ def _coefficient_root(pool, c):
     if c is None:
         return QQ.zero
     num, den = (c.numer, c.denom) if isinstance(c, FracElement) else (c, _ONE)
-    order = sorted(range(pool.n_even), key=pool.even_names.__getitem__)
+    order = _name_order(pool.ring.symbols)[1]
     rn, rd = _poly_root(num, order), _poly_root(den, order)
     if rn is None or rd is None:
         raise NotASquare(f"body {_to_expr(c)} admits no exact square root")

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 from sympy.polys.domains import QQ
-from sympy.polys.fields import FracElement
-from sympy.polys.rings import PolyElement
+from sympy.polys.fields import FracElement, FracField
+from sympy.polys.polyerrors import CoercionFailed
+from sympy.polys.rings import PolyElement, PolyRing
 
-from supergeo import GeneratorPool, Superfunction
+from supergeo import GeneratorPool, Superfunction, scalars
 from supergeo.errors import (
     FleshInTopCoefficient,
     InexactCoefficient,
@@ -98,6 +99,85 @@ class TestPolynomialInputThroughTheRing:
     def test_inexact_still_rejected(self, pool, value):
         with pytest.raises(InexactCoefficient):
             pool.scalar(value)
+
+
+def _sympy_lift(pool, expr):
+    """The lift through sympy's generic converters, ring first: the oracle
+    for ``GeneratorPool.scalar`` on exact expressions."""
+    for domain in (pool.ring, pool.field):
+        try:
+            return scalars._norm(domain.from_expr(expr))
+        except (ValueError, CoercionFailed):
+            pass
+    raise AssertionError(f"sympy cannot lift {expr!r}")
+
+
+_Y = sp.Symbol("y")
+
+# expression -> None when the lift must equal the oracle, else the exception
+LIFT_TABLE = [
+    (x / 2, None),
+    ((x**2 - 1) / (x - 1), None),
+    ((x + 1) / (x + 1), None),
+    (1 / x, None),
+    (x**-2, None),
+    ((x + _Y) ** 3, None),
+    (0 * x, None),
+    (x - x, None),
+    ((x + 1) ** -2 * (x - _Y) / 3, None),
+    (sp.Pow(x, 0, evaluate=False), None),
+    (sp.Mul(2, x - x * (x + 1) + x**2, evaluate=False), None),
+    (sp.Mul(x, x - x * (x + 1) + x**2, evaluate=False), None),
+    (sp.Float(0.5) * x, InexactCoefficient),
+    (sp.sqrt(2) * x, InexactCoefficient),
+    (sp.pi, InexactCoefficient),
+    (sp.I * x, InexactCoefficient),
+    (sp.exp(x), InexactCoefficient),
+    (sp.sqrt(x), InexactCoefficient),
+    (x**x, InexactCoefficient),
+    (2**x, InexactCoefficient),
+    (sp.Mul(x - x * (x + 1) + x**2, sp.sqrt(2), evaluate=False), InexactCoefficient),
+    (sp.Float(0.5) * sp.Symbol("zz"), UnknownGenerator),
+    (sp.Symbol("zz"), UnknownGenerator),
+    (sp.Symbol("th1"), UnknownGenerator),
+    (sp.Symbol("x", real=True), UnknownGenerator),
+]
+
+
+class TestNativeLift:
+    """``scalar(Expr)`` folds the expression in the ring itself; sympy's
+    ``from_expr`` converters are the oracle."""
+
+    @pytest.fixture
+    def pool_xy(self):
+        return GeneratorPool(["x", "y"], ["th1", "th2"])
+
+    @pytest.mark.parametrize("expr, error", LIFT_TABLE,
+                             ids=[str(expr) for expr, _ in LIFT_TABLE])
+    def test_lift_matches_the_sympy_converters(self, pool_xy, expr, error):
+        if error is not None:
+            with pytest.raises(error):
+                pool_xy.scalar(expr)
+            return
+        want = _sympy_lift(pool_xy, expr)
+        lifted = pool_xy._lift(expr)  # canonical, zero included
+        assert type(lifted) is type(want) and lifted == want
+        got = pool_xy.scalar(expr)
+        assert got.terms == ({(): want} if want else {})
+        _assert_canonical(got)
+
+    def test_lift_never_calls_the_sympy_converters(self, pool_xy, monkeypatch):
+        def blocked(*args, **kwargs):
+            raise AssertionError("scalar() went through from_expr")
+
+        monkeypatch.setattr(PolyRing, "from_expr", blocked)
+        monkeypatch.setattr(FracField, "from_expr", blocked)
+        for expr, error in LIFT_TABLE:
+            if error is None:
+                pool_xy.scalar(expr)
+            else:
+                with pytest.raises(error):
+                    pool_xy.scalar(expr)
 
 
 def test_eq_with_foreign_operand(pool):
@@ -486,7 +566,75 @@ class TestRendering:
             -y / 3: "(-y)/(3)",
         }
         for expr, text in cases.items():
-            assert pool.scalar(expr).render() == f"({text})"
+            f = pool.scalar(expr)
+            assert f.render() == f"({text})"
+            assert _sympy_render(f.terms[()]) == text
+
+
+def _sympy_render(c):
+    """A coefficient printed through sympy ``Expr`` (``as_expr``, ``fraction``
+    and ``sstr``): the oracle for the native printer behind ``render``."""
+    if type(c) is QQ.dtype:
+        num, den = c.numerator, c.denominator
+    elif isinstance(c, FracElement):
+        order = scalars._sympy_gen_order(c.field.symbols)
+        lc = scalars._leading_coefficient(c.denom, order)
+        num, den = (c.numer, c.denom) if lc > 0 else (-c.numer, -c.denom)
+        num, den = num.as_expr(), den.as_expr()
+    else:
+        num, den = sp.fraction(c.as_expr())
+    ns = sp.sstr(num, order="lex").replace("**", "^")
+    if den == 1:
+        return ns
+    ds = sp.sstr(den, order="lex").replace("**", "^")
+    return f"({ns})/({ds})"
+
+
+def _random_polynomial(pool, rng, max_terms):
+    """A canonical coefficient: a sum of up to ``max_terms`` random terms with
+    exponents up to 3 and small rational coefficients of either sign."""
+    p = pool.ring.zero
+    for _ in range(rng.randint(1, max_terms)):
+        exps = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in pool.even_names)
+        q = QQ(rng.randint(-6, 6), rng.choice((1, 1, 1, 2, 3, 4)))
+        p += pool.ring.from_dict({exps: q})
+    return scalars._norm(p)
+
+
+class TestNativePrinter:
+    """``render`` prints coefficients without building ``Expr``; the sympy
+    route is the oracle.  The pools order their variables differently by
+    name, by sympy's generator sort and by construction."""
+
+    @pytest.mark.parametrize("evens", [["x1", "x2", "x10"], ["y", "x"], ["u", "x"]],
+                             ids=" ".join)
+    def test_printer_matches_sympy(self, evens):
+        pool = GeneratorPool(evens, ["th1"])
+        rng = seeded(sum(map(ord, "".join(evens))))
+        seen = set()
+        samples = [_random_polynomial(pool, rng, 4) for _ in range(300)]
+        for _ in range(200):
+            num = _random_polynomial(pool, rng, 3)
+            den = _random_polynomial(pool, rng, 3)
+            if den:
+                samples.append(scalars._coeff_div(pool.field, num, den))
+        for c in samples:
+            if not c:
+                continue
+            text = scalars._render_coefficient(c)
+            assert text == _sympy_render(c), c
+            if type(c) is QQ.dtype:
+                seen.add("constant")
+            elif isinstance(c, FracElement):
+                seen.add("fraction")
+            elif len(c) == 1 and c.LC.denominator != 1:
+                seen.add("one term over q")
+            if text.lstrip("(").startswith("-"):
+                seen.add("negative leading term")
+            if "^" in text:
+                seen.add("power")
+        assert seen == {"constant", "fraction", "one term over q",
+                        "negative leading term", "power"}
 
 
 class TestSubstitute:

@@ -32,19 +32,23 @@ def test_golden_report_bytes(name):
 
 
 def test_goldens_build_no_expr(monkeypatch):
-    """A scenario run never lifts a sympy Expr into the coefficient ring and
-    never factors one: with those entry points disabled the 7 goldens still
-    render byte for byte."""
+    """A scenario run never lifts a sympy Expr into the coefficient ring,
+    never factors one and never turns a coefficient into one to print it:
+    with those entry points disabled the 7 goldens still render byte for
+    byte."""
     import sympy
-    from sympy.polys.fields import FracField
-    from sympy.polys.rings import PolyRing
+    from sympy.polys.fields import FracElement, FracField
+    from sympy.polys.rings import PolyElement, PolyRing
 
     def blocked(*args, **kwargs):
         raise AssertionError("a scenario run built a sympy Expr")
 
     monkeypatch.setattr(PolyRing, "from_expr", blocked)
     monkeypatch.setattr(FracField, "from_expr", blocked)
+    monkeypatch.setattr(PolyElement, "as_expr", blocked)
+    monkeypatch.setattr(FracElement, "as_expr", blocked)
     monkeypatch.setattr(sympy, "factor_list", blocked)
+    monkeypatch.setattr(sympy, "fraction", blocked)
     for name in sorted(GOLDEN):
         report = run_scenario((DATA / f"{name}.scn").read_text(), name=f"{name}.scn")
         assert report.render() == (DATA / f"{name}.report.txt").read_text()
