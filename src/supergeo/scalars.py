@@ -5,55 +5,36 @@ where the odd monomial is a strictly increasing tuple of indices into the
 pool's odd generators and ``c`` is a rational function of the even variables
 with rational coefficients.
 
-Coefficients live in sympy's ground domain ``QQ``, its sparse polynomial ring
-``QQ[x_1..x_n]`` and its fraction field ``QQ(x_1..x_n)``, built once per tuple
-of even names (every pool with the same even names shares the same ring and
-field).  One invariant holds for ``Superfunction.terms`` and :func:`_norm`
-enforces it: every stored coefficient is nonzero, and it is a bare ``QQ.dtype``
-element when the value is a constant, a ``PolyElement`` of the pool's ring when
-it is any other polynomial, and a cancelled ``FracElement`` with a
-non-constant denominator otherwise.  Each value has exactly one such form, so
-ring arithmetic needs no simplification step and equality is structural; most
-coefficients of a scenario run are constants, and those never enter sympy's
-ring.  Other modules never read ``terms``; they call ``has_body``,
-``is_polynomial``, ``rational_coefficients`` (still ``QQ`` values, a constant
-under the zero exponent tuple) or ``top_part``.
+It is stored as one integer term table over one denominator: ``terms`` maps
+each odd monomial to its numerator, an integer polynomial ``{even exponent
+tuple: int}``; ``den``, shared by the whole superfunction, is a positive
+``int`` when every coefficient is a polynomial, else an integer polynomial.
+:func:`_make` enforces the canonical form, which is unique, so equality is
+structural: no stored int is zero and no numerator empty; the leading
+coefficient of ``den`` in lex order of the pool's even variables is positive;
+the integer content of the numerators and ``den`` together is 1; and
+``gcd(den, N_1, ..., N_k) = 1`` in ``Z[x]``.  Polynomial arithmetic is thus
+plain integer arithmetic (the Koszul sign and merged tuple of each pair of
+odd monomials are cached on the pool), and a result over a non-constant
+``den`` is cancelled by one gcd chain that stops once the gcd is constant.
+Division happens in one place, :func:`_divide`.  Other modules never read
+``terms`` or ``den``.  Superfunctions are immutable, and the kernel relies on
+it: results share numerators with their operands, ``f + 0`` is ``f``,
+``0 * f`` is the zero operand, and :meth:`Superfunction.partial` keeps each
+derivative.
 
-Superfunctions are immutable, and the kernel relies on it.  After the pool
-check, an operation whose result is already known returns an operand itself:
-``f + 0`` and ``f - 0`` are ``f``, ``0 * f`` and ``f * 0`` are the zero
-operand.  A body-only factor ``{(): c}`` scales each coefficient of the other
-by :func:`_coeff_mul` alone (a product of nonzero canonical coefficients is
-nonzero and canonical, since ``QQ(x)`` is a field), and
-:meth:`Superfunction.partial` keeps each derivative on the instance, so a
-superfunction is differentiated at most once per variable.
-
-Division happens in one place, :func:`_divide` (``invert``, ``/``, negative
-powers, ``sqrt``), on top of :func:`_coeff_div` (also used by ``substitute``
-and ``body_at``).  A constant divisor never enters ``QQ(x)``; a polynomial
-quotient is one cancellation per output coefficient.  Square roots stay in
-the ring: :func:`_poly_root` uses a square-free decomposition, no factoring.
-
-Values cross into sympy ``Expr`` only at the edges, and only this module
-imports ``sympy``, its rings or its fields, or reads a pool's ``ring`` or
-``field`` (the others import only ``QQ`` and ``DomainMatrix`` from
-``sympy.polys``):
-:meth:`GeneratorPool.scalar` lifts ints, ``Fraction``s and sympy ``Rational``s
-straight into the ground domain and walks other even sympy expressions itself
-(:meth:`GeneratorPool._lift`), folding rationals, the pool's symbols, sums,
-products and integer powers with the coefficient arithmetic below (floats,
-irrational numbers, other functions and symbols outside the pool are
-rejected); :meth:`GeneratorPool.even` is a generator of the ring;
-:meth:`Superfunction.body` and :meth:`Superfunction.berezin_top` return
-``Expr`` for callers that want one; and :meth:`Superfunction.render` writes
-each coefficient from its terms, byte for byte as sympy's
-``sstr(expr, order="lex")`` prints it, terms in descending lex order of the
-variables sorted by name (:func:`_render_poly`).  A scenario run therefore
-builds no ``Expr``; only the message of ``NotASquare`` prints a body through
-one.
-:meth:`Superfunction.body_at` is the package's only way to evaluate a body at
-a point: it runs the same native kernel as :meth:`Superfunction.substitute`,
-returns a ``Fraction`` and raises ``NonInvertible`` at a pole.
+Sympy stays for the multivariate gcd (its dense heuristic gcd over ``ZZ``),
+the square-free decomposition behind :func:`_poly_root`, and ``DomainMatrix``
+in other modules, which import only ``QQ`` and ``DomainMatrix`` from
+``sympy.polys``.  Values meet ``Expr`` only at the edges:
+:meth:`GeneratorPool.scalar` takes ints, ``Fraction``s, ``Rational``s and
+``QQ`` elements and walks even expressions itself (floats, bools, irrational
+numbers, other functions and foreign symbols are rejected);
+:meth:`Superfunction.body` returns ``Expr``; and :meth:`Superfunction.render`
+cancels each coefficient against ``den`` on its own and prints it byte for
+byte as sympy's ``sstr(expr, order="lex")`` would.  :meth:`Superfunction.body_at`
+is the package's only way to evaluate a body at a point: it returns a
+``Fraction`` and raises ``NonInvertible`` at a pole.
 
 Sign conventions, fixed once for the whole package (see
 docs/sign-conventions.md):
@@ -73,149 +54,231 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import sympy as sp
-from sympy.polys.domains import QQ
-from sympy.polys.fields import FracElement, FracField
+from sympy.polys.densearith import dmp_exquo
+from sympy.polys.densebasic import dmp_from_dict, dmp_ground_p, dmp_to_dict
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.euclidtools import dmp_gcd
 from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
-from sympy.polys.rings import PolyElement
+from sympy.polys.rings import PolyRing
 
-from .errors import (
-    FleshInTopCoefficient,
-    InexactCoefficient,
-    NonInvertible,
-    NotASquare,
-    ParityError,
-    PoolMismatch,
-    UnknownGenerator,
-)
+from .errors import (FleshInTopCoefficient, InexactCoefficient, NonInvertible, NotASquare,
+                     ParityError, PoolMismatch, UnknownGenerator)
 
-_ZERO = sp.Integer(0)
-_GROUND = QQ.dtype
-_ONE = QQ.one
+@functools.cache
+def _ring(even_names):
+    """``ZZ[x_1..x_n]`` for these even names; one instance per name tuple."""
+    return PolyRing(tuple(sp.Symbol(n) for n in even_names), ZZ, lex)
+
+
+def _rational(value):
+    """``(numerator, denominator)`` of an exact rational value (an int that is
+    not a bool, a ``Fraction``, a sympy ``Rational`` or a ``QQ`` element),
+    else None."""
+    if isinstance(value, (int, Fraction, QQ.dtype, sp.Rational)) and not isinstance(value, bool):
+        return int(value.numerator), int(value.denominator)
+    return None
+
+
+# -- integer polynomials {exponent tuple: nonzero int} ------------------------
 
 
 @functools.cache
-def _field(even_names):
-    """``QQ(x_1..x_n)`` for these even names; one instance per name tuple."""
-    return FracField(tuple(sp.Symbol(n) for n in even_names), QQ, lex)
+def _exps_adder(n):
+    """a + b for exponent tuples of length n, written out for n <= 2."""
+    if n == 1:
+        return lambda a, b: (a[0] + b[0],)
+    if n == 2:
+        return lambda a, b: (a[0] + b[0], a[1] + b[1])
+    return lambda a, b: tuple(map(operator.add, a, b))
 
 
-def _norm(c):
-    """Canonical form of a coefficient: a ground-domain element (``QQ.dtype``)
-    whenever the value is a constant, a ``PolyElement`` whenever it is any
-    other polynomial, otherwise the (already cancelled) ``FracElement``.
-    Zero comes back as ``QQ.zero``, which is falsy."""
-    if isinstance(c, FracElement):
-        if not c.denom.is_ground:
-            return c
-        c = c.numer.quo_ground(c.denom.LC)
-    if isinstance(c, PolyElement) and c.is_ground:
-        return c.LC
-    return c
+def _pmul(p, q):
+    """p * q; the product of nonzero polynomials over Z is nonzero."""
+    if len(q) == 1:
+        p, q = q, p
+    if not q:
+        return {}
+    add = _exps_adder(len(next(iter(q))))
+    if len(p) == 1:
+        [(ea, ca)] = p.items()
+        if not any(ea):
+            return {e: c * ca for e, c in q.items()}
+        return {add(ea, e): c * ca for e, c in q.items()}
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            e = add(ea, eb)
+            out[e] = out.get(e, 0) + ca * cb
+    return out if all(out.values()) else {e: c for e, c in out.items() if c}
 
 
-def _coeff_add(a, b):
-    # sympy's rings and fields handle mixed operands fastest from the left
-    if type(a) is _GROUND:
-        if type(b) is _GROUND:
-            return a + b
-        a, b = b, a
-    elif isinstance(b, FracElement) and not isinstance(a, FracElement):
-        a, b = b, a
-    return _norm(a + b)
+def _padd(p, q):
+    """p + q, possibly empty; p and q are left untouched."""
+    out = dict(p)
+    for e, c in q.items():
+        c += out.get(e, 0)
+        if c:
+            out[e] = c
+        else:
+            del out[e]
+    return out
 
 
-def _coeff_mul(a, b):
-    """a * b for nonzero coefficients; a unit factor returns the other one
-    unchanged, so a fraction is not cancelled again."""
-    if type(a) is _GROUND:
-        if type(b) is _GROUND:
-            return a * b
-        a, b = b, a
-    if type(b) is _GROUND:
-        if b == _ONE:
-            return a
-        if isinstance(a, PolyElement):
-            return a.mul_ground(b)
-    elif isinstance(b, FracElement) and not isinstance(a, FracElement):
-        a, b = b, a
-    return _norm(a * b)
+def _pneg(p):
+    return {e: -c for e, c in p.items()}
 
 
-def _coeff_div(field, a, b):
-    """a / b (b nonzero): a constant b divides in the ground domain, a
-    numerator over a polynomial cancels once in ``field.new``; only fractions
-    use field division."""
-    if type(b) is _GROUND:
-        if b == _ONE:
-            return a
-        if type(a) is _GROUND:
-            return a / b
-        if isinstance(a, PolyElement):
-            return a.quo_ground(b)
-    elif isinstance(b, PolyElement) and not isinstance(a, FracElement):
-        if type(a) is _GROUND:
-            a = field.ring.ground_new(a)
-        return _norm(field.new(a, b))
-    return _norm(a / b)
+def _pdiff(p, k):
+    """Partial derivative by the k-th even variable, possibly empty."""
+    return {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k] for e, c in p.items() if e[k]}
 
 
-def _diff(pool, c, k):
-    """Partial derivative of a coefficient by the k-th even variable."""
-    if type(c) is _GROUND:
-        return QQ.zero
-    if isinstance(c, FracElement):
-        return _norm(c.diff(pool.field.gens[k]))
-    return _norm(c.diff(pool.ring.gens[k]))
+def _pscale(p, d):
+    """p * d, each an int or a polynomial."""
+    if type(d) is not int:
+        return _pmul(p, d) if type(p) is not int else _pscale(d, p)
+    if type(p) is int:
+        return p * d
+    return p if d == 1 else {e: c * d for e, c in p.items()}
 
 
-def _even_indices(c):
-    """Indices of the even variables a coefficient depends on."""
-    if type(c) is _GROUND:
-        return set()
-    polys = (c.numer, c.denom) if isinstance(c, FracElement) else (c,)
-    return {
-        k for p in polys for exps in p.itermonoms() for k, e in enumerate(exps) if e
-    }
+def _times(terms, d):
+    """Every numerator times the int or polynomial d."""
+    if d == 1:
+        return terms
+    return {m: _pscale(p, d) for m, p in terms.items()}
 
 
-def _to_expr(c):
-    if c is None:
-        return _ZERO
-    return QQ.to_sympy(c) if type(c) is _GROUND else c.as_expr()
+def _expr(pool, p):
+    """A polynomial as a sympy expression."""
+    return sp.Add(*(c * sp.Mul(*(s**e for s, e in zip(pool.even_symbols, exps)))
+                    for exps, c in p.items()))
+
+
+def _evaluate(p, values):
+    """A polynomial at a point of Fractions."""
+    total = Fraction(0)
+    for exps, c in p.items():
+        for v, e in zip(values, exps):
+            if e:
+                c = c * v**e
+        total += c
+    return total
+
+
+def _cancel_common_factor(ring, terms, den):
+    """Divide the numerators and the polynomial ``den`` by their common
+    factor in ``Z[x]``: one gcd chain (sympy's dense heuristic gcd), stopped
+    once the gcd is constant."""
+    u = ring.ngens - 1
+    g = d = dmp_from_dict(den, u, ZZ)
+    for p in terms.values():
+        if len(p) == 1 and not any(next(iter(p))):  # a constant numerator
+            return terms, den
+        g = dmp_gcd(g, dmp_from_dict(p, u, ZZ), u, ZZ)
+        if dmp_ground_p(g, None, u):
+            return terms, den
+    terms = {m: dmp_to_dict(dmp_exquo(dmp_from_dict(p, u, ZZ), g, u, ZZ), u, ZZ)
+             for m, p in terms.items()}
+    return terms, dmp_to_dict(dmp_exquo(d, g, u, ZZ), u, ZZ)
+
+
+def _make(pool, terms, den=1, cancel=True):
+    """The canonical superfunction with the numerators ``terms`` (nonzero
+    ints, no empty numerator) over ``den``, a nonzero int or a nonzero
+    integer polynomial.  ``cancel=False`` skips the gcd chain, for callers
+    that know the numerators and ``den`` have no common polynomial factor."""
+    if not terms:
+        return pool._zero
+    if type(den) is not int:
+        if cancel:
+            terms, den = _cancel_common_factor(pool.ring, terms, den)
+        if len(den) == 1 and pool._zero_exps in den:
+            den = den[pool._zero_exps]
+    if den == 1:
+        return Superfunction(pool, terms)
+    g = den if type(den) is int else math.gcd(*den.values())
+    for p in terms.values():
+        if g == 1:
+            break
+        g = math.gcd(g, *p.values())
+    if (den if type(den) is int else den[max(den)]) < 0:
+        g = -g
+    if g != 1:
+        terms = {m: {e: c // g for e, c in p.items()} for m, p in terms.items()}
+        den = den // g if type(den) is int else {e: c // g for e, c in den.items()}
+    return Superfunction(pool, terms, den)
 
 
 def _merge_monomials(a, b):
     """Merge two strictly increasing index tuples.
 
     Returns ``(sign, merged)``; ``sign`` is 0 when an index repeats
-    (nilpotency) and otherwise the Koszul sign of the merge.
+    (nilpotency) and otherwise the Koszul sign of the merge: each index of b
+    moves past the indices of a greater than it.
     """
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
-    sign = 1
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return 0, ()
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
+    if set(a) & set(b):
+        return 0, ()
+    passes = sum(i > j for i in a for j in b)
+    return -1 if passes % 2 else 1, tuple(sorted(a + b))
+
+
+def _table_add(a, b):
+    """The sum of two numerator tables; untouched numerators are shared."""
+    out = dict(a)
+    for m, q in b.items():
+        s = _padd(out[m], q) if m in out else q
+        if s:
+            out[m] = s
         else:
-            # b[j] moves past the len(a)-i remaining generators of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
+            del out[m]
+    return out
+
+
+def _table_mul(pool, a, b):
+    """The product of two numerator tables; the pool caches the sign and
+    merged monomial of each pair of odd monomials."""
+    if len(b) == 1 and () in b:
+        q = b[()]
+        return {m: _pmul(p, q) for m, p in a.items()}
+    if len(a) == 1 and () in a:
+        p = a[()]
+        return {m: _pmul(p, q) for m, q in b.items()}
+    merges = pool._merges
+    if len(merges) > 1024:  # start over, so that many odd generators cannot exhaust memory
+        merges.clear()
+    add = pool._add_exps
+    raw = {}
+    for ma, pa in a.items():
+        row = merges.setdefault(ma, {})
+        for mb, pb in b.items():
+            merged = row.get(mb)
+            if merged is None:
+                merged = row[mb] = _merge_monomials(ma, mb)
+            sign, mono = merged
+            if not sign:
+                continue
+            acc = raw.get(mono)
+            if acc is None:
+                acc = raw[mono] = {}
+            for ea, ca in pa.items():
+                if sign < 0:
+                    ca = -ca
+                for eb, cb in pb.items():
+                    e = add(ea, eb)
+                    acc[e] = acc.get(e, 0) + ca * cb
+    out = {}
+    for mono, acc in raw.items():
+        if not all(acc.values()):
+            acc = {e: c for e, c in acc.items() if c}
+        if acc:
+            out[mono] = acc
+    return out
 
 
 class GeneratorPool:
@@ -231,12 +294,16 @@ class GeneratorPool:
         all_names = self.even_names + self.odd_names
         if len(set(all_names)) != len(all_names):
             raise ValueError("generator names must be unique")
-        self.field = _field(self.even_names)
-        self.ring = self.field.ring
-        self.even_symbols = self.field.symbols
-        self._symbol_gen = dict(zip(self.even_symbols, self.ring.gens))
+        self.ring = _ring(self.even_names)
+        self.even_symbols = self.ring.symbols
+        self._symbols = frozenset(self.even_symbols)
         self._even_index = {n: k for k, n in enumerate(self.even_names)}
         self._odd_index = {n: k for k, n in enumerate(self.odd_names)}
+        n = len(self.even_names)
+        self._zero_exps = (0,) * n
+        self._unit_exps = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        self._add_exps = _exps_adder(n)
+        self._merges = {}
         self._zero = Superfunction(self, {})  # immutable, so one serves all
 
     @property
@@ -276,27 +343,14 @@ class GeneratorPool:
         return self.scalar(1)
 
     def scalar(self, value) -> "Superfunction":
-        """Lift a rational number or even sympy expression into the ring."""
-        c = self._coefficient(value)
-        return Superfunction(self, {(): c}) if c else self._zero
-
-    def _coefficient(self, value):
-        """Canonical even coefficient for an exact rational value, an even
-        sympy expression, or an element of this pool's ring or field."""
-        if isinstance(value, int):
-            return QQ(value)
-        if isinstance(value, Fraction):
-            return QQ(value.numerator, value.denominator)
-        if isinstance(value, sp.Rational):
-            return QQ(value.p, value.q)
-        if type(value) is _GROUND:
-            return value
-        if (isinstance(value, PolyElement) and value.ring is self.ring) or (
-            isinstance(value, FracElement) and value.field is self.field
-        ):
-            return _norm(value)
+        """Lift an exact rational number or an even sympy expression."""
+        if type(value) is int:
+            return self._constant(value, 1)
+        q = _rational(value)
+        if q is not None:
+            return self._constant(*q)
         if isinstance(value, sp.Expr):
-            foreign = value.free_symbols - self._symbol_gen.keys()
+            foreign = value.free_symbols - self._symbols
             if foreign:
                 names = ", ".join(sorted(str(s) for s in foreign))
                 raise UnknownGenerator(
@@ -311,38 +365,34 @@ class GeneratorPool:
             f"{value!r} is not an exact rational function of {list(self.even_names)}"
         )
 
+    def _constant(self, n, d):  # n/d in lowest terms, d > 0
+        return Superfunction(self, {(): {self._zero_exps: n}}, d) if n else self._zero
+
     def _lift(self, e):
-        """The canonical coefficient of a sympy expression in the pool's even
-        symbols, folded with the coefficient arithmetic: rationals, symbols,
-        sums, products and integer powers; anything else raises
-        ``InexactCoefficient``."""
+        """The superfunction of a sympy expression in the pool's even symbols,
+        folded with the ring arithmetic: rationals, symbols, sums, products
+        and integer powers; anything else raises ``InexactCoefficient``, and
+        a negative power of zero ``NonInvertible``."""
         if isinstance(e, sp.Rational):
-            return QQ(e.p, e.q)
+            return self._constant(e.p, e.q)
         if e.is_Symbol:
-            return self._symbol_gen[e]
+            return self.even(e.name)
         if e.is_Add:
-            return functools.reduce(_coeff_add, map(self._lift, e.args))
+            return functools.reduce(operator.add, map(self._lift, e.args))
         if e.is_Mul:
-            factors = [self._lift(a) for a in e.args]
-            if not all(factors):
-                return QQ.zero
-            return functools.reduce(_coeff_mul, factors)
+            return functools.reduce(operator.mul, [self._lift(a) for a in e.args])
         if e.is_Pow and isinstance(e.exp, sp.Integer):
-            k = int(e.exp)
-            power = _norm(self._lift(e.base) ** abs(k))
-            return power if k >= 0 else _coeff_div(self.field, _ONE, power)
+            return self._lift(e.base) ** int(e.exp)
         raise InexactCoefficient
 
     def even(self, name: str) -> "Superfunction":
-        return Superfunction(self, {(): self.ring.gens[self._even_position(name)]})
+        return Superfunction(self, {(): {self._unit_exps[self._even_position(name)]: 1}})
 
     def odd(self, name: str) -> "Superfunction":
-        return Superfunction(self, {(self.odd_index(name),): _ONE})
+        return Superfunction(self, {(self.odd_index(name),): {self._zero_exps: 1}})
 
     def generator(self, name: str) -> "Superfunction":
-        if name in self._even_index:
-            return self.even(name)
-        return self.odd(name)
+        return self.even(name) if name in self._even_index else self.odd(name)
 
     def names(self):
         return self.even_names + self.odd_names
@@ -373,24 +423,16 @@ class GeneratorPool:
 class Superfunction:
     """Element of the Grassmann algebra over the rational-function field.
 
-    Immutable, and the kernel relies on it: an operation whose result is
-    already known returns an operand itself (``f + 0`` is ``f``, ``0 * f``
-    is the zero operand), and :meth:`partial` keeps each derivative on the
-    instance.  Nothing may change ``terms`` after construction.
+    Immutable (see the module docstring): nothing may change ``terms``, a
+    numerator or ``den`` after construction.
     """
 
-    __slots__ = ("pool", "terms", "_partials")
+    __slots__ = ("pool", "terms", "den", "_partials")
 
-    def __init__(self, pool: GeneratorPool, terms: dict):
+    def __init__(self, pool: GeneratorPool, terms: dict, den=1):
         self.pool = pool
-        self.terms = terms  # monomial tuple -> nonzero canonical coefficient
-
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def _from_raw(pool, raw):
-        """A superfunction from canonical coefficients, zeros dropped."""
-        return Superfunction(pool, {mono: c for mono, c in raw.items() if c})
+        self.terms = terms  # odd monomial -> {even exponents: nonzero int}
+        self.den = den  # positive int, or a polynomial {even exponents: int}
 
     def _coerce(self, other):
         if isinstance(other, Superfunction):
@@ -407,25 +449,17 @@ class Superfunction:
             return self
         if not self.terms:
             return other
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            prev = terms.get(mono)
-            if prev is None:
-                terms[mono] = c
-                continue
-            c = _coeff_add(prev, c)
-            if c:
-                terms[mono] = c
-            else:
-                del terms[mono]
-        return Superfunction(self.pool, terms)
+        a, b = self.den, other.den
+        if a == b:
+            return _make(self.pool, _table_add(self.terms, other.terms), a)
+        return _make(self.pool, _table_add(_times(self.terms, b), _times(other.terms, a)),
+                     _pscale(a, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self.terms:
-            return self
-        return Superfunction(self.pool, {m: -c for m, c in self.terms.items()})
+        terms = {m: _pneg(p) for m, p in self.terms.items()}
+        return Superfunction(self.pool, terms, self.den) if terms else self
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -437,37 +471,22 @@ class Superfunction:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, int) and other in (1, -1):  # graded signs
+        if type(other) is int and other in (1, -1):  # graded signs
             return self if other == 1 else -self
         other = self._coerce(other)
         if not self.terms:
             return self
         if not other.terms:
             return other
-        # a body-only factor scales each coefficient; the product of two
-        # nonzero canonical coefficients is nonzero and canonical
-        if len(other.terms) == 1 and () in other.terms:
-            cb = other.terms[()]
-            return Superfunction(
-                self.pool, {m: _coeff_mul(ca, cb) for m, ca in self.terms.items()}
-            )
-        if len(self.terms) == 1 and () in self.terms:
-            ca = self.terms[()]
-            return Superfunction(
-                self.pool, {m: _coeff_mul(ca, cb) for m, cb in other.terms.items()}
-            )
-        raw = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                sign, mono = _merge_monomials(ma, mb)
-                if sign == 0:
-                    continue
-                c = _coeff_mul(ca, cb)
-                if sign < 0:
-                    c = -c
-                prev = raw.get(mono)
-                raw[mono] = c if prev is None else _coeff_add(prev, c)
-        return Superfunction._from_raw(self.pool, raw)
+        terms = _table_mul(self.pool, self.terms, other.terms)
+        if self.den == 1 and other.den == 1:
+            return Superfunction(self.pool, terms) if terms else self.pool._zero
+        den = _pscale(self.den, other.den)
+        if type(den) is int:
+            return _make(self.pool, terms, den)
+        # a rational constant brings no polynomial factor to cancel
+        return _make(self.pool, terms, den,
+                     not (self._is_constant() or other._is_constant()))
 
     def __rmul__(self, other):
         # only scalars reach here; they commute with everything
@@ -479,7 +498,9 @@ class Superfunction:
     def __rtruediv__(self, other):
         return _divide(self._coerce(other), self)
 
-    def __pow__(self, k: int):
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
         if k < 0:
             return _divide(self.pool.one(), self ** -k)
         out = self.pool.one()
@@ -496,7 +517,7 @@ class Superfunction:
             other = self._coerce(other)
         except (PoolMismatch, InexactCoefficient, UnknownGenerator):
             return False
-        return self.terms == other.terms
+        return self.terms == other.terms and self.den == other.den
 
     __hash__ = None
 
@@ -505,35 +526,46 @@ class Superfunction:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _is_constant(self):
+        return (type(self.den) is int and self.terms.keys() == {()}
+                and self.terms[()].keys() == {self.pool._zero_exps})
+
     def body(self):
         """Even-variable rational function left after killing all odd
         generators, as a sympy expression."""
-        return _to_expr(self.terms.get(()))
+        b = self.body_part()
+        if b.is_zero():
+            return sp.Integer(0)
+        d = b.den if type(b.den) is int else _expr(self.pool, b.den)
+        return _expr(self.pool, b.terms[()]) / d
 
     def body_at(self, point) -> Fraction:
         """The body at a rational point (one value per even variable, in pool
         order), e.g. :meth:`Chart.sample_point`; raises ``NonInvertible`` at a
         pole."""
-        c = self.terms.get(())
-        if c is None:
+        pool = self.pool
+        if len(point) != pool.n_even:
+            raise PoolMismatch(f"a point of {len(point)} values for {pool.n_even} even variables")
+        rationals = [_rational(q) for q in point]
+        if None in rationals:
+            raise InexactCoefficient(f"{point!r} is not a point of exact rational values")
+        values = [Fraction(*q) for q in rationals]
+        p, d = self.terms.get(()), self.den
+        if p is None:
             return Fraction(0)
-        values = [QQ(q.numerator, q.denominator) for q in point]
-        try:
-            q = _evaluate(c, values, self.pool)
-        except NonInvertible:
-            at = self.pool.render_point(point)
-            raise NonInvertible(f"body has a pole at {at}") from None
-        return Fraction(int(q.numerator), int(q.denominator))
+        if type(d) is not int and not (d := _evaluate(d, values)):
+            # den may share a factor with the body alone that vanishes here
+            b = self.body_part()
+            p, d = b.terms[()], b.den if type(b.den) is int else _evaluate(b.den, values)
+            if not d:
+                raise NonInvertible(f"body has a pole at {pool.render_point(point)}")
+        return _evaluate(p, values) / d
 
     def body_part(self) -> "Superfunction":
-        return Superfunction(
-            self.pool, {m: c for m, c in self.terms.items() if not m}
-        )
+        return _make(self.pool, {m: p for m, p in self.terms.items() if not m}, self.den)
 
     def nilpotent_part(self) -> "Superfunction":
-        return Superfunction(
-            self.pool, {m: c for m, c in self.terms.items() if m}
-        )
+        return _make(self.pool, {m: p for m, p in self.terms.items() if m}, self.den)
 
     def parity(self):
         """0 or 1 when homogeneous (zero counts as even), None when mixed."""
@@ -552,18 +584,14 @@ class Superfunction:
 
     def is_polynomial(self) -> bool:
         """True when every coefficient is a polynomial in the even variables."""
-        return not any(isinstance(c, FracElement) for c in self.terms.values())
+        return type(self.den) is int
 
     def rational_coefficients(self):
         """``(odd monomial, even exponents, QQ)`` for every rational
         coefficient; requires :meth:`is_polynomial`."""
-        constant = self.pool.ring.zero_monom
-        for mono, c in self.terms.items():
-            if type(c) is _GROUND:
-                yield mono, constant, c
-            else:
-                for exps, q in c.terms():
-                    yield mono, exps, q
+        for mono, p in self.terms.items():
+            for exps, c in p.items():
+                yield mono, exps, QQ(c, self.den)
 
     # -- calculus ------------------------------------------------------------
 
@@ -585,15 +613,14 @@ class Superfunction:
 
     def sqrt(self) -> "Superfunction":
         """Square root of an even element with an exactly square body; the
-        root of the body is fixed by :func:`_coefficient_root`."""
+        root of the body is fixed by :func:`_body_root`."""
         if not self.has_parity(0):
             raise ParityError("square roots are only defined for even elements")
-        b = self.terms.get(())
-        s0 = self.pool.scalar(_coefficient_root(self.pool, b))
+        s0 = _body_root(self)
         n = self.nilpotent_part()
         if n.is_zero():
             return s0
-        if b is None:
+        if s0.is_zero():
             raise NotASquare("a nonzero nilpotent element has no square root")
         # f = b*(1 + t); sqrt(1 + t) is the binomial series
         t = _divide(n, self.body_part())
@@ -613,8 +640,8 @@ class Superfunction:
                 raise FleshInTopCoefficient(
                     "top odd-coordinate coefficient contains flesh generators"
                 )
-        c = self.terms.get(top)
-        return Superfunction(pool, {} if c is None else {(): c})
+        p = self.terms.get(top)
+        return pool._zero if p is None else _make(pool, {(): p}, self.den)
 
     def berezin_top(self):
         """The body of :meth:`top_part` as a sympy expr."""
@@ -624,42 +651,69 @@ class Superfunction:
         """Graded-safe substitution generator -> Superfunction over new_pool.
 
         Every generator actually used must have an image of matching parity.
-        Even images are expanded in a finite Taylor series around their body.
+        Numerators and denominator are evaluated in the ring, so even images
+        with a nilpotent part expand exactly (a finite Taylor series).
         """
-        used_even = set()
-        for c in self.terms.values():
-            used_even |= _even_indices(c)
-        even_images = {}
-        for k in sorted(used_even):
-            name = self.pool.even_names[k]
+        pool, den = self.pool, self.den
+
+        def image(name, parity):
+            kind, word = (("even variable", "even"), ("odd generator", "odd"))[parity]
             if name not in images:
-                raise UnknownGenerator(f"no image for even variable {name!r}")
-            img = images[name]
-            if not img.has_parity(0):
-                raise ParityError(f"image of even variable {name!r} must be even")
+                raise UnknownGenerator(f"no image for {kind} {name!r}")
+            if not images[name].has_parity(parity):
+                raise ParityError(f"image of {kind} {name!r} must be {word}")
+            return images[name]
+
+        # an even image is E_k / D_k with E_k its integer table, so with deg_k
+        # the largest exponent of variable k a polynomial p maps to p~ / H,
+        # p~ = sum_e c_e prod_k E_k^e_k D_k^(deg_k - e_k), H = prod_k D_k^deg_k:
+        # integer-table products only, and one division at the end
+        polys = [*self.terms.values(), *([] if type(den) is int else [den])]
+        deg, tables, dens = {}, {}, {}
+        for k in sorted({k for p in polys for e in p for k, v in enumerate(e) if v}):
+            img = image(pool.even_names[k], 0)
             if img.pool != new_pool:
-                raise PoolMismatch(f"image of {name!r} lives over another pool")
-            even_images[k] = img
-        odd_images = {}
-        for mono in self.terms:
-            for idx in mono:
-                name = self.pool.odd_names[idx]
-                if name in odd_images:
-                    continue
-                if name not in images:
-                    raise UnknownGenerator(f"no image for odd generator {name!r}")
-                img = images[name]
-                if not img.has_parity(1):
-                    raise ParityError(f"image of odd generator {name!r} must be odd")
-                odd_images[name] = img
+                raise PoolMismatch(f"image of {pool.even_names[k]!r} lives over another pool")
+            deg[k] = max(e[k] for p in polys for e in p)
+            tables[k] = Superfunction(new_pool, img.terms)
+            if img.den != 1:
+                dens[k] = (img.den if type(img.den) is int
+                           else Superfunction(new_pool, {(): img.den}))
+        odd_images = {i: image(pool.odd_names[i], 1)
+                      for i in dict.fromkeys(i for m in self.terms for i in m)}
+        powers = {}
+
+        def power(k, j, of_den):
+            if (k, j, of_den) not in powers:
+                powers[k, j, of_den] = (dens[k] if of_den else tables[k]) ** j
+            return powers[k, j, of_den]
+
+        def value(p):
+            out = new_pool.zero()
+            for exps, c in p.items():
+                term = new_pool._constant(c, 1)
+                for k in deg:
+                    if exps[k]:
+                        term = term * power(k, exps[k], False)
+                    if k in dens and exps[k] < deg[k]:
+                        term = term * power(k, deg[k] - exps[k], True)
+                out = out + term
+            return out
 
         out = new_pool.zero()
-        for mono, c in self.terms.items():
-            part = _substitute_even(c, self.pool, even_images, new_pool)
+        for mono, p in self.terms.items():
+            part = value(p)
             for idx in mono:
-                part = part * odd_images[self.pool.odd_names[idx]]
+                part = part * odd_images[idx]
             out = out + part
-        return out
+        if type(den) is int:
+            if den == 1 and not dens:
+                return out
+            return out / math.prod((power(k, deg[k], True) for k in dens), start=den)
+        try:
+            return _divide(out, value(den))
+        except NonInvertible:
+            raise NonInvertible("substitution hits a pole of a coefficient") from None
 
     # -- rendering -----------------------------------------------------------
 
@@ -669,7 +723,7 @@ class Superfunction:
             return "0"
         pieces = []
         for mono in sorted(self.terms, key=lambda m: (len(m), m)):
-            coeff = _render_coefficient(self.terms[mono])
+            coeff = _render_coefficient(self.pool, self.terms[mono], self.den)
             gens = "*".join(self.pool.odd_names[i] for i in mono)
             pieces.append(f"({coeff})*{gens}" if gens else f"({coeff})")
         return " + ".join(pieces)
@@ -681,23 +735,28 @@ class Superfunction:
 def _derivative(f, name):
     """The kernel behind :meth:`Superfunction.partial`."""
     pool = f.pool
-    if name in pool._even_index:
-        k = pool._even_index[name]
-        raw = {m: _diff(pool, c, k) for m, c in f.terms.items()}
-        return Superfunction._from_raw(pool, raw)
+    k = pool._even_index.get(name)
+    if k is not None:
+        den = f.den
+        if type(den) is int:
+            return _make(pool, {m: d for m, p in f.terms.items() if (d := _pdiff(p, k))}, den)
+        # (N/D)' = (N' D - N D') / D^2
+        dden = _pdiff(den, k)
+        terms = {m: _padd(_pmul(_pdiff(p, k), den), _pneg(_pmul(p, dden)))
+                 for m, p in f.terms.items()}
+        return _make(pool, {m: d for m, d in terms.items() if d}, _pmul(den, den))
     idx = pool.odd_index(name)
     if pool.is_flesh(idx):
         raise UnknownGenerator(
             f"{name!r} is a flesh generator; it admits no derivations"
         )
     terms = {}
-    for mono, c in f.terms.items():
-        if idx not in mono:
-            continue
-        pos = mono.index(idx)
-        # distinct monomials stay distinct once idx is removed
-        terms[mono[:pos] + mono[pos + 1 :]] = -c if pos % 2 else c
-    return Superfunction(pool, terms)
+    for mono, p in f.terms.items():
+        if idx in mono:
+            pos = mono.index(idx)
+            # distinct monomials stay distinct once idx is removed
+            terms[mono[:pos] + mono[pos + 1 :]] = _pneg(p) if pos % 2 else p
+    return _make(pool, terms, f.den)
 
 
 @functools.cache
@@ -710,7 +769,7 @@ def _sympy_gen_order(symbols):
 def _leading_coefficient(p, order):
     """Leading coefficient of a nonzero polynomial in lex order of the
     variables at the positions ``order``."""
-    return max(p.terms(), key=lambda t: [t[0][i] for i in order])[1]
+    return max(p.items(), key=lambda t: [t[0][i] for i in order])[1]
 
 
 def _nilpotent_series(t, coeffs, start, weight=None):
@@ -730,20 +789,22 @@ def _nilpotent_series(t, coeffs, start, weight=None):
 
 
 def _divide(num, den):
-    """num / den, the one division of superfunctions: with den = b + n, b
-    the body and n^(K+1) = 0, num/den = sum_k num (-n)^k b^(K-k) / b^(K+1),
-    so only ring products precede one :func:`_coeff_div` per coefficient."""
+    """num / den, the one division of superfunctions.  On the numerator
+    tables N (of num) and E = b + n (of den; b the body, n^(K+1) = 0),
+    num/den = num.den^-1 * den.den * sum_k N (-n)^k b^(K-k) / b^(K+1): only
+    ring products of integer tables, then one gcd chain for the quotient."""
     b = den.terms.get(())
     if b is None:
         raise NonInvertible("body is zero")
     pool = den.pool
+    nil = {m: p for m, p in den.terms.items() if m}
     series, scale = _nilpotent_series(
-        den.nilpotent_part(), itertools.cycle((-1, 1)), num, pool.scalar(b)
+        Superfunction(pool, nil), itertools.cycle((-1, 1)),
+        Superfunction(pool, num.terms), Superfunction(pool, {(): b})
     )
-    d = scale.terms[()]
-    return Superfunction(
-        pool, {m: _coeff_div(pool.field, c, d) for m, c in series.terms.items()}
-    )
+    s = scale.terms[()]
+    return _make(pool, _times(series.terms, den.den), _pscale(num.den, s),
+                 len(s) > 1 or pool._zero_exps not in s)
 
 
 def _half_binomials():
@@ -754,24 +815,23 @@ def _half_binomials():
         yield c
 
 
-def _render_coefficient(c) -> str:
-    """The coefficient as sympy's ``sstr(expr, order="lex")`` prints it, with
-    ``^`` for ``**``; a fraction or a one-term polynomial with a fractional
-    coefficient prints as ``(numerator)/(denominator)``."""
-    if type(c) is _GROUND:
-        num, den = str(c.numerator), c.denominator
-    elif isinstance(c, FracElement):
+def _render_coefficient(pool, p, den) -> str:
+    """The coefficient ``p / den`` as sympy's ``sstr(expr, order="lex")``
+    prints it in lowest terms, with ``^`` for ``**``; a fraction or a
+    one-term polynomial with a fractional coefficient prints as
+    ``(numerator)/(denominator)``."""
+    c = _make(pool, {(): p}, den)  # in lowest terms
+    n, d = c.terms[()], c.den
+    if type(d) is not int:
         # print the denominator with a positive leading coefficient in
         # sympy's generator order, as sympy.cancel would
-        lc = _leading_coefficient(c.denom, _sympy_gen_order(c.field.symbols))
-        num, den = (c.numer, c.denom) if lc > 0 else (-c.numer, -c.denom)
-        num, den = _render_poly(c.field.ring, num), _render_poly(c.field.ring, den)
-    elif len(c) == 1:
-        [(exps, q)] = c.items()
-        num, den = _render_poly(c.ring, {exps: q.numerator}), q.denominator
-    else:
-        return _render_poly(c.ring, c)
-    return num if den == 1 else f"({num})/({den})"
+        if _leading_coefficient(d, _sympy_gen_order(pool.even_symbols)) < 0:
+            n, d = _pneg(n), _pneg(d)
+        return f"({_render_poly(pool, n)})/({_render_poly(pool, d)})"
+    if len(n) == 1 or d == 1:
+        num = _render_poly(pool, n)
+        return num if d == 1 else f"({num})/({d})"
+    return _render_poly(pool, {e: Fraction(c, d) for e, c in n.items()})
 
 
 @functools.cache
@@ -782,13 +842,12 @@ def _name_order(symbols):
     return names, sorted(range(len(names)), key=names.__getitem__)
 
 
-def _render_poly(ring, terms):
-    """The polynomial with the terms ``{exponents: rational}`` (such as a
-    ``PolyElement`` of ``ring``) as ``sstr`` prints it: terms in descending
-    lex order of the variables sorted by name, factors in name order, the
-    absolute numerator first unless it is 1 in a non-constant term, ``/q``
-    last, and signs between the terms."""
-    names, order = _name_order(ring.symbols)
+def _render_poly(pool, terms):
+    """The polynomial with the terms ``{exponents: rational}`` as ``sstr``
+    prints it: terms in descending lex order of the variables sorted by
+    name, factors in name order, the absolute numerator first unless it is 1
+    in a non-constant term, ``/q`` last, and signs between the terms."""
+    names, order = _name_order(pool.even_symbols)
     out = ""
     for exps, q in sorted(terms.items(), key=lambda t: [t[0][i] for i in order],
                           reverse=True):
@@ -805,97 +864,36 @@ def _render_poly(ring, terms):
     return out
 
 
-def _poly_root(p, order):
-    """The square root of a nonzero polynomial over QQ whose leading
-    coefficient is positive in lex order of the even variables at the
-    positions ``order``, or None when ``p`` is not a square.  A square-free
+def _poly_root(pool, p, order):
+    """The square root of a nonzero int or integer polynomial, with a positive
+    leading coefficient in lex order of the even variables at the positions
+    ``order``, or None when ``p`` is not a square.  A square-free
     decomposition decides it; no factorisation."""
-    lc, factors = (p, []) if type(p) is _GROUND else p.sqf_list()
-    if lc < 0 or any(k % 2 for _, k in factors):
+    if type(p) is int or p.keys() == {pool._zero_exps}:
+        content, factors = (p if type(p) is int else p[pool._zero_exps]), []
+    else:
+        content, factors = pool.ring.dtype(p).sqf_list()
+    r = math.isqrt(max(content, 0))
+    if r * r != content or any(k % 2 for _, k in factors):
         return None
-    # sqrt(n/d) = sqrt(n*d)/d
-    n, d = int(lc.numerator), int(lc.denominator)
-    r = math.isqrt(n * d)
-    if r * r != n * d:
-        return None
-    root = QQ(r, d)
-    if not factors:
-        return root
+    if type(p) is int:
+        return r
+    root = {pool._zero_exps: r}
     for f, k in factors:
-        root = f ** (k // 2) * root
-    return -root if _leading_coefficient(root, order) < 0 else root
+        for _ in range(k // 2):
+            root = _pmul(root, dict(f))
+    return _pneg(root) if _leading_coefficient(root, order) < 0 else root
 
 
-def _coefficient_root(pool, c):
-    """Square root of a coefficient (None for zero): its numerator and
-    denominator each have a positive leading coefficient in lex order of the
-    even names sorted by name."""
-    if c is None:
-        return QQ.zero
-    num, den = (c.numer, c.denom) if isinstance(c, FracElement) else (c, _ONE)
-    order = _name_order(pool.ring.symbols)[1]
-    rn, rd = _poly_root(num, order), _poly_root(den, order)
+def _body_root(f):
+    """Square root of the body (zero for zero): its numerator and denominator
+    each have a positive leading coefficient in lex order of the even names
+    sorted by name."""
+    pool, b = f.pool, f.body_part()
+    if b.is_zero():
+        return b
+    order = _name_order(pool.even_symbols)[1]
+    rn, rd = _poly_root(pool, b.terms[()], order), _poly_root(pool, b.den, order)
     if rn is None or rd is None:
-        raise NotASquare(f"body {_to_expr(c)} admits no exact square root")
-    return _coeff_div(pool.field, rn, rd)
-
-
-def _compose(p, values):
-    """A polynomial in the old even variables evaluated at coefficients of
-    the new pool (``values[k]`` for the k-th variable)."""
-    acc = QQ.zero
-    for exps, q in p.terms():
-        term = q
-        for v, e in zip(values, exps):
-            if e:
-                if not v:
-                    break
-                term = _coeff_mul(term, v**e)
-        else:
-            acc = _coeff_add(acc, term)
-    return acc
-
-
-def _evaluate(c, values, pool):
-    if type(c) is _GROUND:
-        return c
-    if isinstance(c, FracElement):
-        den = _compose(c.denom, values)
-        if not den:
-            raise NonInvertible("substitution hits a pole of a coefficient")
-        return _coeff_div(pool.field, _compose(c.numer, values), den)
-    return _compose(c, values)
-
-
-def _substitute_even(c, pool, even_images: dict, new_pool: GeneratorPool):
-    """Substitute even variables (by index) by even superfunctions via finite
-    Taylor expansion around the images' bodies."""
-    order = sorted(even_images)
-    values = [None] * pool.n_even
-    for k in order:
-        values[k] = even_images[k].terms.get((), QQ.zero)
-    nils = {k: even_images[k].nilpotent_part() for k in order}
-
-    def expand(e, i):
-        if i == len(order):
-            return new_pool.scalar(_evaluate(e, values, new_pool))
-        k = order[i]
-        out = expand(e, i + 1)
-        nil = nils[k]
-        de = e
-        power = new_pool.one()
-        fact = Fraction(1)
-        j = 0
-        while not nil.is_zero():
-            power = power * nil
-            if power.is_zero():
-                break
-            de = _diff(pool, de, k)
-            if not de:
-                break
-            j += 1
-            fact = fact / j
-            out = out + expand(de, i + 1) * power * fact
-        return out
-
-    return expand(c, 0)
+        raise NotASquare(f"body {f.body()} admits no exact square root")
+    return _make(pool, {(): rn}, rd)

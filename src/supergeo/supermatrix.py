@@ -187,8 +187,8 @@ class SuperMatrix:
 
         From the fraction-free elimination of :meth:`_eliminate`,
         Ber(M) = det(S) / d^(p+1) with S = A d - B adj(D) C, the only
-        division: the scalar division kernel keeps a constant d out of the
-        fraction field and divides each coefficient once by a polynomial one.
+        division: the scalar division kernel cancels a polynomial d with one
+        gcd chain for the whole quotient, and a constant d with none.
         """
         _, d, schur = self._eliminate("Berezinian")
         if not d.has_body():

@@ -90,11 +90,11 @@ class TestIntegrate:
             fw = _poly_sf(whole, rng)
             vw = integrate(fw, volume_density(flat_metric(whole)))
             vl = integrate(
-                Superfunction(left.pool, dict(fw.terms)),
+                Superfunction(left.pool, fw.terms, fw.den),
                 volume_density(flat_metric(left)),
             )
             vr = integrate(
-                Superfunction(right.pool, dict(fw.terms)),
+                Superfunction(right.pool, fw.terms, fw.den),
                 volume_density(flat_metric(right)),
             )
             assert vw == vl + vr

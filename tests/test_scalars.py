@@ -1,14 +1,15 @@
 """The Grassmann scalar ring: products, derivatives, inverses, roots, Berezin."""
 
+import math
 import operator
 from fractions import Fraction
 
 import pytest
 import sympy as sp
-from sympy.polys.domains import QQ
-from sympy.polys.fields import FracElement, FracField
-from sympy.polys.polyerrors import CoercionFailed
-from sympy.polys.rings import PolyElement, PolyRing
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.fields import FracField
+from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyRing
 
 from supergeo import GeneratorPool, Superfunction, scalars
 from supergeo.errors import (
@@ -18,6 +19,7 @@ from supergeo.errors import (
     NotASquare,
     ParityError,
     PoolMismatch,
+    SupergeoError,
     UnknownGenerator,
 )
 
@@ -38,11 +40,11 @@ def test_pool_rejects_duplicate_names():
         GeneratorPool(["x"], ["x"])
 
 
-def test_pools_with_equal_even_names_share_the_field():
+def test_pools_with_equal_even_names_share_the_ring():
     a = GeneratorPool(["x"], ["th1"])
     b = GeneratorPool(["x"], ["e1", "e2"], ["lam"])
-    assert a.field is b.field and a.ring is b.ring
-    assert GeneratorPool(["y"], ["th1"]).field is not a.field
+    assert a.ring is b.ring
+    assert GeneratorPool(["y"], ["th1"]).ring is not a.ring
 
 
 class TestExactInputGuard:
@@ -79,18 +81,23 @@ class TestExactInputGuard:
 
 class TestPolynomialInputThroughTheRing:
     def test_polynomial_stored_as_poly(self):
+        """x/2 + y^3 is the integer numerator x + 2 y^3 over den 2."""
         y = sp.Symbol("y")
         f = GeneratorPool(["x", "y"], ["th1", "th2"]).scalar(x / 2 + y**3)
-        assert isinstance(f.terms[()], PolyElement)
+        assert f.is_polynomial()
+        assert (f.terms, f.den) == ({(): {(1, 0): 1, (0, 3): 2}}, 2)
 
     @pytest.mark.parametrize("value", [1 / x, x**-2])
     def test_negative_powers_stored_as_fractions(self, pool, value):
-        assert isinstance(pool.scalar(value).terms[()], FracElement)
+        f = pool.scalar(value)
+        assert not f.is_polynomial()
+        k = sp.degree(sp.denom(value), x)
+        assert (f.terms, f.den) == ({(): {(0,): 1}}, {(k,): 1})
 
     def test_quotients_cancel(self, pool):
         assert pool.scalar((x + 1) / (x + 1)) == pool.one()
         f = pool.scalar((x**2 - 1) / (x - 1))
-        assert isinstance(f.terms[()], PolyElement)
+        assert f.is_polynomial()
         assert f == pool.scalar(x + 1)
 
     @pytest.mark.parametrize(
@@ -101,15 +108,17 @@ class TestPolynomialInputThroughTheRing:
             pool.scalar(value)
 
 
-def _sympy_lift(pool, expr):
-    """The lift through sympy's generic converters, ring first: the oracle
-    for ``GeneratorPool.scalar`` on exact expressions."""
-    for domain in (pool.ring, pool.field):
-        try:
-            return scalars._norm(domain.from_expr(expr))
-        except (ValueError, CoercionFailed):
-            pass
-    raise AssertionError(f"sympy cannot lift {expr!r}")
+def _field(pool):
+    """sympy's ``QQ(x_1..x_n)`` over the pool's even symbols."""
+    return FracField(pool.even_symbols, QQ, lex)
+
+
+def _field_element(f, mono=()):
+    """The coefficient of the odd monomial ``mono`` as an element of sympy's
+    fraction field, built from its numerator and ``den``."""
+    ring = _field(f.pool).ring
+    den = ring(f.den) if type(f.den) is int else ring.from_dict(f.den)
+    return _field(f.pool).new(ring.from_dict(f.terms.get(mono, {})), den)
 
 
 _Y = sp.Symbol("y")
@@ -159,12 +168,12 @@ class TestNativeLift:
             with pytest.raises(error):
                 pool_xy.scalar(expr)
             return
-        want = _sympy_lift(pool_xy, expr)
+        want = _field(pool_xy).from_expr(expr)  # sympy's own converter
         lifted = pool_xy._lift(expr)  # canonical, zero included
-        assert type(lifted) is type(want) and lifted == want
-        got = pool_xy.scalar(expr)
-        assert got.terms == ({(): want} if want else {})
-        _assert_canonical(got)
+        _assert_canonical(lifted)
+        assert _field_element(lifted) == want
+        assert lifted.is_polynomial() == want.denom.is_ground
+        assert pool_xy.scalar(expr) == lifted
 
     def test_lift_never_calls_the_sympy_converters(self, pool_xy, monkeypatch):
         def blocked(*args, **kwargs):
@@ -271,7 +280,7 @@ class TestPartial:
             f = random_superfunction(pool, rng, parity) * pool.scalar(1 / (x + 2))
             d = f.partial(name)
             assert f.partial(name) is d
-            fresh = Superfunction(pool, dict(f.terms))
+            fresh = Superfunction(pool, f.terms, f.den)
             assert fresh.partial(name) == d
             _assert_canonical(d)
 
@@ -320,11 +329,12 @@ class TestInvert:
 
 
 def field_inverse(f):
-    """1/f by the plain Neumann series with the body inverted in pool.field:
-    1/f = (1/b) * sum_k (-t)^k with t = n/b, written out independently of
-    the division kernel."""
+    """1/f by the plain Neumann series with the body inverted in sympy's
+    fraction field: 1/f = (1/b) * sum_k (-t)^k with t = n/b, written out
+    independently of the division kernel."""
     pool = f.pool
-    binv = pool.scalar(pool.field.one / f.terms[()])
+    b = _field_element(f.body_part())
+    binv = pool.scalar(b.denom.as_expr()) * pool.scalar(1 / b.numer.as_expr())
     minus_t = -(f.nilpotent_part() * binv)
     out = power = pool.one()
     while True:
@@ -343,15 +353,15 @@ DIVISION_CHARTS = {
 
 @pytest.fixture
 def cancel_calls(monkeypatch):
-    """Every gcd cancellation of a coefficient quotient, counted."""
+    """Every gcd chain that cancels a result against its denominator."""
     calls = []
-    original = PolyElement.cancel
+    original = scalars._cancel_common_factor
 
-    def counting(self, other):
+    def counting(*args):
         calls.append(1)
-        return original(self, other)
+        return original(*args)
 
-    monkeypatch.setattr(PolyElement, "cancel", counting)
+    monkeypatch.setattr(scalars, "_cancel_common_factor", counting)
     return calls
 
 
@@ -403,14 +413,16 @@ class TestDivisionKernel:
         assert inv == pool.scalar(Fraction(1, 4)) - th12 * Fraction(3, 16)
         assert q * f == g and r == inv * 3 and s == inv * inv
 
-    def test_polynomial_divisor_cancels_once_per_output_monomial(self, cancel_calls):
+    def test_polynomial_divisor_cancels_once_per_quotient(self, cancel_calls):
+        """The series runs on integer tables; only the quotient meets a gcd."""
         pool = GeneratorPool(["x", "y"], ["th1", "th2"])
         rng = seeded(132)
         xx, yy = pool.even("x"), pool.even("y")
         f = xx + 1 + yy * pool.odd("th1") * pool.odd("th2")
         g = random_superfunction(pool, rng, None) + xx * yy + pool.odd("th2")
+        assert cancel_calls == []
         q = g / f
-        assert 0 < len(cancel_calls) <= len(q.terms)
+        assert len(cancel_calls) == 1 and len(q.terms) > 1
         assert q * f == g
 
 
@@ -568,21 +580,20 @@ class TestRendering:
         for expr, text in cases.items():
             f = pool.scalar(expr)
             assert f.render() == f"({text})"
-            assert _sympy_render(f.terms[()]) == text
+            assert _sympy_render(_field_element(f)) == text
 
 
 def _sympy_render(c):
-    """A coefficient printed through sympy ``Expr`` (``as_expr``, ``fraction``
-    and ``sstr``): the oracle for the native printer behind ``render``."""
-    if type(c) is QQ.dtype:
-        num, den = c.numerator, c.denominator
-    elif isinstance(c, FracElement):
+    """An element of sympy's fraction field (cancelled by sympy) printed
+    through sympy ``Expr`` (``as_expr``, ``fraction`` and ``sstr``): the
+    oracle for the native printer behind ``render``."""
+    if c.denom.is_ground:
+        num, den = sp.fraction(c.numer.quo_ground(c.denom.LC).as_expr())
+    else:
         order = scalars._sympy_gen_order(c.field.symbols)
         lc = scalars._leading_coefficient(c.denom, order)
         num, den = (c.numer, c.denom) if lc > 0 else (-c.numer, -c.denom)
         num, den = num.as_expr(), den.as_expr()
-    else:
-        num, den = sp.fraction(c.as_expr())
     ns = sp.sstr(num, order="lex").replace("**", "^")
     if den == 1:
         return ns
@@ -591,14 +602,15 @@ def _sympy_render(c):
 
 
 def _random_polynomial(pool, rng, max_terms):
-    """A canonical coefficient: a sum of up to ``max_terms`` random terms with
-    exponents up to 3 and small rational coefficients of either sign."""
-    p = pool.ring.zero
+    """A body-only superfunction: a sum of up to ``max_terms`` random terms
+    with exponents up to 3 and small rational coefficients of either sign."""
+    p = pool.zero()
     for _ in range(rng.randint(1, max_terms)):
-        exps = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in pool.even_names)
-        q = QQ(rng.randint(-6, 6), rng.choice((1, 1, 1, 2, 3, 4)))
-        p += pool.ring.from_dict({exps: q})
-    return scalars._norm(p)
+        term = pool.scalar(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 1, 2, 3, 4))))
+        for name in pool.even_names:
+            term = term * pool.even(name) ** rng.choice((0, 0, 1, 2, 3))
+        p = p + term
+    return p
 
 
 class TestNativePrinter:
@@ -616,18 +628,19 @@ class TestNativePrinter:
         for _ in range(200):
             num = _random_polynomial(pool, rng, 3)
             den = _random_polynomial(pool, rng, 3)
-            if den:
-                samples.append(scalars._coeff_div(pool.field, num, den))
+            if not den.is_zero():
+                samples.append(num / den)
         for c in samples:
-            if not c:
+            if c.is_zero():
                 continue
-            text = scalars._render_coefficient(c)
-            assert text == _sympy_render(c), c
-            if type(c) is QQ.dtype:
+            text = c.render()[1:-1]
+            element = _field_element(c)
+            assert text == _sympy_render(element), c
+            if element.numer.is_ground and element.denom.is_ground:
                 seen.add("constant")
-            elif isinstance(c, FracElement):
+            elif not c.is_polynomial():
                 seen.add("fraction")
-            elif len(c) == 1 and c.LC.denominator != 1:
+            elif len(element.numer) == 1 and element.denom.LC != 1:
                 seen.add("one term over q")
             if text.lstrip("(").startswith("-"):
                 seen.add("negative leading term")
@@ -635,6 +648,126 @@ class TestNativePrinter:
                 seen.add("power")
         assert seen == {"constant", "fraction", "one term over q",
                         "negative leading term", "power"}
+
+
+class TestForeignValues:
+    """Foreign values at the kernel's edges raise a ``SupergeoError``, and a
+    binary operator returns ``NotImplemented`` for an unsupported type."""
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_is_not_a_coefficient(self, pool, value):
+        with pytest.raises(InexactCoefficient):
+            pool.scalar(value)
+        assert pool.one() != value
+
+    def test_divisor_zero_after_expansion(self, pool):
+        with pytest.raises(NonInvertible):
+            pool.scalar(1 / (x * (x + 1) - x**2 - x))
+        xx = pool.even("x")
+        with pytest.raises(NonInvertible):
+            pool.one() / (xx * (xx + 1) - xx * xx - xx)
+
+    @pytest.mark.parametrize("point", [(), (Fraction(1), Fraction(2))], ids=["short", "long"])
+    def test_body_at_wrong_length(self, pool, point):
+        for f in (pool.even("x") + 1, pool.zero()):
+            with pytest.raises(SupergeoError):
+                f.body_at(point)
+
+    @pytest.mark.parametrize("value", [1.5, "1", None, True])
+    def test_body_at_inexact_value(self, pool, value):
+        with pytest.raises(InexactCoefficient):
+            (pool.even("x") + 1).body_at([value])
+
+    @pytest.mark.parametrize("k", [0.5, "a"])
+    def test_pow_foreign_exponent(self, pool, k):
+        th = pool.odd("th1")
+        assert th.__pow__(k) is NotImplemented
+        with pytest.raises(TypeError):
+            th ** k
+
+
+def _coefficients_through_expr(f, op):
+    """``op`` applied to each coefficient of ``f`` as a sympy ``Expr`` and
+    lifted back through sympy's fraction field."""
+    field = _field(f.pool)
+    return {m: field.from_expr(op(_field_element(f, m).as_expr())) for m in f.terms}
+
+
+class TestCanonicalForm:
+    """Seeded draws over (2|4) with two flesh generators, mixing polynomial
+    and fractional coefficients: identities come back structurally
+    identical, and printing, derivatives and substitution agree with the
+    same operations done through sympy ``Expr``."""
+
+    @pytest.fixture
+    def pool24(self):
+        return GeneratorPool(["x", "y"], ["th1", "th2", "th3", "th4"], ["eta1", "eta2"])
+
+    @staticmethod
+    def draw(pool, rng, parity=None):
+        f = random_superfunction(pool, rng, parity, max_degree=1)
+        if rng.random() < 0.7:
+            xx, yy = pool.even("x"), pool.even("y")
+            den = xx * rng.randint(1, 2) + yy * rng.randint(-1, 1) + rng.randint(1, 3)
+            f = f + random_superfunction(pool, rng, parity, max_degree=1) / den
+        return f
+
+    def draws(self, pool, seed, n=6):
+        rng = seeded(seed)
+        for _ in range(n):
+            f = self.draw(pool, rng)
+            g = self.draw(pool, rng, 0) + rng.choice([2, -3, Fraction(1, 2)])
+            if g.has_body():
+                yield f, g
+
+    def test_identities_are_structural(self, pool24):
+        mixed = set()
+        for f, g in self.draws(pool24, 171):
+            mixed.add(f.is_polynomial())
+            for r in ((f / g) * g, (f + g) - g):
+                _assert_canonical(r)
+                assert (r.terms, r.den) == (f.terms, f.den)
+            h = (g * g).body_part() + pool24.odd("th1") * pool24.odd("eta1") * f.body_part()
+            ratio = (g / h) * (h / g)
+            assert (ratio.terms, ratio.den) == (pool24.one().terms, 1)
+        assert mixed == {True, False}
+
+    def test_render_matches_sympy(self, pool24):
+        xx, th = pool24.even("x"), pool24.odd
+        joint = xx / (xx + 1) + th("th1") * th("th2") / (xx + 1) ** 2
+        assert joint.den == {(2, 0): 1, (1, 0): 2, (0, 0): 1}
+        assert joint.render() == "((x)/(x + 1)) + ((1)/(x^2 + 2*x + 1))*th1*th2"
+        cases = [joint] + [f * g for f, g in self.draws(pool24, 172)]
+        for f in cases:
+            want = " + ".join(
+                f"({_sympy_render(_field_element(f, m))})"
+                + "".join("*" + pool24.odd_names[i] for i in m)
+                for m in sorted(f.terms, key=lambda m: (len(m), m))
+            )
+            assert f.render() == want
+
+    def test_partial_and_substitute_through_expr(self, pool24):
+        y = sp.Symbol("y")
+        xx, yy = pool24.even("x"), pool24.even("y")
+        images = {n: pool24.generator(n) for n in pool24.odd_names}
+        images.update({"x": yy * 2 + 1, "y": (xx + 3) / (yy + 2)})
+        subs = {x: 2 * y + 1, y: (x + 3) / (y + 2)}
+        mixed = set()
+        for f, _ in self.draws(pool24, 175, 3):
+            mixed.add(f.is_polynomial())
+            for name, sym in (("x", x), ("y", y)):
+                d = f.partial(name)
+                _assert_canonical(d)
+                want = _coefficients_through_expr(f, lambda e: sp.diff(e, sym))
+                assert {m: _field_element(d, m) for m in want} == want
+                assert set(d.terms) <= set(want)
+            s = f.substitute(images, pool24)
+            _assert_canonical(s)
+            want = _coefficients_through_expr(
+                f, lambda e: sp.cancel(e.subs(subs, simultaneous=True)))
+            assert {m: _field_element(s, m) for m in want} == want
+            assert set(s.terms) <= set(want)
+        assert mixed == {True, False}
 
 
 class TestSubstitute:
@@ -685,20 +818,38 @@ class TestSubstitute:
 
 
 def _assert_canonical(f):
-    """The coefficient invariant: nonzero, a bare QQ element for constants, a
-    PolyElement for other polynomials and a FracElement with a non-constant
-    denominator otherwise."""
+    """The representation invariant: odd monomials are increasing index
+    tuples, each numerator a nonempty dict of nonzero ints keyed by exponent
+    tuples; ``den`` is a positive int, or a polynomial with a non-constant
+    term and a positive leading coefficient in lex order of the pool; the
+    integer content of the numerators and ``den`` together is 1; and
+    ``gcd(den, N_1, ..., N_k) = 1`` in ``Z[x]`` (checked with sympy's ring)."""
     pool = f.pool
-    for c in f.terms.values():
-        assert c
-        if isinstance(c, FracElement):
-            assert c.field is pool.field
-            assert not c.denom.is_ground
-        elif isinstance(c, PolyElement):
-            assert c.ring is pool.ring
-            assert not c.is_ground
-        else:
-            assert type(c) is QQ.dtype
+    n = pool.n_even
+    ints = []
+    for mono, p in f.terms.items():
+        assert type(mono) is tuple and list(mono) == sorted(set(mono))
+        assert all(0 <= i < pool.n_odd for i in mono)
+        assert type(p) is dict and p
+        for exps, c in p.items():
+            assert type(exps) is tuple and len(exps) == n and min(exps, default=0) >= 0
+            assert type(c) is int and c
+        ints += p.values()
+    den = f.den
+    if type(den) is int:
+        assert den > 0 and (f.terms or den == 1)
+        ints.append(den)
+    else:
+        assert type(den) is dict and any(any(e) for e in den)
+        assert all(type(c) is int and c for c in den.values())
+        assert den[max(den)] > 0
+        ints += den.values()
+        ring = PolyRing(pool.even_symbols, ZZ, lex)
+        g = ring.from_dict(den)
+        for p in f.terms.values():
+            g = g.gcd(ring.from_dict(p))
+        assert g.is_ground
+    assert not f.terms or math.gcd(*ints) == 1
 
 
 def _assert_body_at_matches_subs(f):
@@ -751,11 +902,20 @@ class TestCoefficientInvariant:
             f.body_at((Fraction(1),))
 
     def test_constant_polynomial_is_not_canonical(self, pool):
-        """A constant held as a ground PolyElement breaks the invariant."""
-        stale = Superfunction(pool, {(): pool.ring.ground_new(QQ(3))})
-        with pytest.raises(AssertionError):
-            _assert_canonical(stale)
-        _assert_canonical(pool.scalar(3))
+        """A constant denominator held as a polynomial, a common integer
+        content and a common polynomial factor each break the invariant."""
+        xx = pool.even("x")
+        for stale in (Superfunction(pool, {(): {(0,): 3}}, {(0,): 2}),
+                      Superfunction(pool, {(): {(0,): 2}}, 4),
+                      Superfunction(pool, {(): {(1,): 1}}, {(1,): 1}),
+                      Superfunction(pool, {(): {(0,): 1}}, {(1,): -1}),
+                      Superfunction(pool, {(): {}}),
+                      Superfunction(pool, {(): {(0,): 0}})):
+            with pytest.raises(AssertionError):
+                _assert_canonical(stale)
+        for fine in (pool.scalar(3), pool.scalar(Fraction(3, 2)), xx / 2, 1 / -xx,
+                     xx / (xx + 1) + pool.odd("th1") / (xx + 1) ** 2):
+            _assert_canonical(fine)
 
     @pytest.mark.parametrize("chart", ["(1|2)+flesh", "(2|4)"])
     @pytest.mark.parametrize("factor", ["constant", "polynomial", "fraction"])
@@ -783,7 +943,8 @@ class TestCoefficientInvariant:
     @pytest.mark.parametrize("chart", sorted(DIVISION_CHARTS))
     def test_constants_stay_bare(self, chart):
         """Operations on elements with constant coefficients keep every
-        coefficient a bare QQ element, and body_at reads it as a Fraction."""
+        numerator a constant over an int denominator, and body_at reads the
+        body as a Fraction."""
         pool = GeneratorPool(*DIVISION_CHARTS[chart])
         rng = seeded(sum(map(ord, chart)) + 12)
 
@@ -791,6 +952,7 @@ class TestCoefficientInvariant:
             return random_superfunction(pool, rng, parity, max_degree=0)
 
         point = tuple(Fraction(k + 1, 2) for k in range(pool.n_even))
+        zero = (0,) * pool.n_even
         coordinates = pool.even_names + pool.odd_names[: pool.n_coordinate_odd]
         for _ in range(4):
             f = constant(None)
@@ -802,7 +964,8 @@ class TestCoefficientInvariant:
                        (g * g).sqrt(), f.substitute(images, pool)]
             results += [f.partial(n) for n in coordinates]
             for r in results:
-                assert all(type(c) is QQ.dtype for c in r.terms.values())
+                assert r.is_polynomial()
+                assert all(set(p) == {zero} for p in r.terms.values())
                 _assert_canonical(r)
                 body = r.body_at(point)
                 assert type(body) is Fraction and pool.scalar(body) == r.body_part()

@@ -55,27 +55,23 @@ def test_goldens_build_no_expr(monkeypatch):
 
 
 def test_goldens_multiply_no_constant_polynomials(monkeypatch):
-    """Constant coefficients are bare ground-domain elements: while the 7
-    goldens run, supergeo never multiplies two constants as polynomials.
-    (sympy's own fraction arithmetic may still do so on a numerator.)"""
+    """Coefficients are plain ints in the numerator table: while the 7
+    goldens run, nothing multiplies sympy polynomials at all, so no
+    constant is ever multiplied as one."""
     from sympy.polys.rings import PolyElement
 
     original = PolyElement.__mul__
-    constant_products = []
+    products = []
 
     def counting(p1, p2):
-        caller = sys._getframe(1).f_globals.get("__name__", "")
-        if caller.startswith("supergeo") and p1.is_ground and (
-            not isinstance(p2, PolyElement) or p2.is_ground
-        ):
-            constant_products.append(caller)
+        products.append(sys._getframe(1).f_globals.get("__name__", ""))
         return original(p1, p2)
 
     monkeypatch.setattr(PolyElement, "__mul__", counting)
     for name in sorted(GOLDEN):
         report = run_scenario((DATA / f"{name}.scn").read_text(), name=f"{name}.scn")
         assert report.render() == (DATA / f"{name}.report.txt").read_text()
-    assert constant_products == []
+    assert products == []
 
 
 def test_goldens_take_each_derivative_once(monkeypatch):
