@@ -16,12 +16,12 @@ the integer content of the numerators and ``den`` together is 1; and
 ``gcd(den, N_1, ..., N_k) = 1`` in ``Z[x]``.  Polynomial arithmetic is thus
 plain integer arithmetic (the Koszul sign and merged tuple of each pair of
 odd monomials are cached on the pool), and a result over a non-constant
-``den`` is cancelled by one gcd chain that stops once the gcd is constant.
+``den`` is cancelled by one gcd chain that stops once the gcd is constant,
+unless it scales a canonical superfunction by a unit of ``Q[x][theta]``.
 Division happens in one place, :func:`_divide`.  Other modules never read
 ``terms`` or ``den``.  Superfunctions are immutable, and the kernel relies on
-it: results share numerators with their operands, ``f + 0`` is ``f``,
-``0 * f`` is the zero operand, and :meth:`Superfunction.partial` keeps each
-derivative.
+it: results share numerators with their operands, ``f + 0`` is ``f``, ``0 * f``
+is the zero operand, and :meth:`Superfunction.partial` keeps each derivative.
 
 Sympy stays for the multivariate gcd (its dense heuristic gcd over ``ZZ``),
 the square-free decomposition behind :func:`_poly_root`, and ``DomainMatrix``
@@ -183,16 +183,17 @@ def _cancel_common_factor(ring, terms, den):
         g = dmp_gcd(g, dmp_from_dict(p, u, ZZ), u, ZZ)
         if dmp_ground_p(g, None, u):
             return terms, den
-    terms = {m: dmp_to_dict(dmp_exquo(dmp_from_dict(p, u, ZZ), g, u, ZZ), u, ZZ)
-             for m, p in terms.items()}
-    return terms, dmp_to_dict(dmp_exquo(d, g, u, ZZ), u, ZZ)
+
+    def quotient(f):  # as ints: ZZ's elements are not ints under gmpy or flint ground types
+        return {e: int(c) for e, c in dmp_to_dict(dmp_exquo(f, g, u, ZZ), u, ZZ).items()}
+    return {m: quotient(dmp_from_dict(p, u, ZZ)) for m, p in terms.items()}, quotient(d)
 
 
 def _make(pool, terms, den=1, cancel=True):
     """The canonical superfunction with the numerators ``terms`` (nonzero
     ints, no empty numerator) over ``den``, a nonzero int or a nonzero
     integer polynomial.  ``cancel=False`` skips the gcd chain, for callers
-    that know the numerators and ``den`` have no common polynomial factor."""
+    that scale a canonical superfunction by a unit of ``Q[x][theta]``."""
     if not terms:
         return pool._zero
     if type(den) is not int:
@@ -482,11 +483,9 @@ class Superfunction:
         if self.den == 1 and other.den == 1:
             return Superfunction(self.pool, terms) if terms else self.pool._zero
         den = _pscale(self.den, other.den)
-        if type(den) is int:
-            return _make(self.pool, terms, den)
         # a rational constant brings no polynomial factor to cancel
-        return _make(self.pool, terms, den,
-                     not (self._is_constant() or other._is_constant()))
+        return _make(self.pool, terms, den, type(den) is int
+                     or not (self._is_constant() or other._is_constant()))
 
     def __rmul__(self, other):
         # only scalars reach here; they commute with everything
@@ -803,8 +802,9 @@ def _divide(num, den):
         Superfunction(pool, num.terms), Superfunction(pool, {(): b})
     )
     s = scale.terms[()]
+    # a constant s over an int den.den scales num by a unit: nothing to cancel
     return _make(pool, _times(series.terms, den.den), _pscale(num.den, s),
-                 len(s) > 1 or pool._zero_exps not in s)
+                 type(den.den) is not int or any(map(any, s)))
 
 
 def _half_binomials():
@@ -873,6 +873,7 @@ def _poly_root(pool, p, order):
         content, factors = (p if type(p) is int else p[pool._zero_exps]), []
     else:
         content, factors = pool.ring.dtype(p).sqf_list()
+        content = int(content)
     r = math.isqrt(max(content, 0))
     if r * r != content or any(k % 2 for _, k in factors):
         return None
@@ -881,7 +882,7 @@ def _poly_root(pool, p, order):
     root = {pool._zero_exps: r}
     for f, k in factors:
         for _ in range(k // 2):
-            root = _pmul(root, dict(f))
+            root = _pmul(root, {e: int(c) for e, c in f.items()})
     return _pneg(root) if _leading_coefficient(root, order) < 0 else root
 
 

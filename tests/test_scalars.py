@@ -9,7 +9,7 @@ import sympy as sp
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.fields import FracField
 from sympy.polys.orderings import lex
-from sympy.polys.rings import PolyRing
+from sympy.polys.rings import PolyElement, PolyRing
 
 from supergeo import GeneratorPool, Superfunction, scalars
 from supergeo.errors import (
@@ -333,8 +333,12 @@ def field_inverse(f):
     fraction field: 1/f = (1/b) * sum_k (-t)^k with t = n/b, written out
     independently of the division kernel."""
     pool = f.pool
-    b = _field_element(f.body_part())
-    binv = pool.scalar(b.denom.as_expr()) * pool.scalar(1 / b.numer.as_expr())
+    binv = 1 / _field_element(f.body_part())
+    num, den = binv.numer, binv.denom
+    lcm = math.lcm(*(int(c.denominator) for c in list(num.values()) + list(den.values())))
+    num, den = ({e: int(c * lcm) for e, c in p.items()} for p in (num, den))
+    # num and den are coprime in sympy's field, so _make only normalises them
+    binv = scalars._make(pool, {(): num}, den if any(map(any, den)) else den[(0,) * pool.n_even])
     minus_t = -(f.nilpotent_part() * binv)
     out = power = pool.one()
     while True:
@@ -367,7 +371,7 @@ def cancel_calls(monkeypatch):
 
 class TestDivisionKernel:
     @pytest.mark.parametrize("chart", sorted(DIVISION_CHARTS))
-    @pytest.mark.parametrize("body", ["ground", "polynomial", "fraction"])
+    @pytest.mark.parametrize("body", ["ground", "polynomial", "fraction", "reciprocal"])
     def test_quotients_match_the_field_route(self, chart, body):
         pool = GeneratorPool(*DIVISION_CHARTS[chart])
         rng = seeded(sum(map(ord, chart + body)))
@@ -376,6 +380,7 @@ class TestDivisionKernel:
             "ground": pool.scalar(4),
             "polynomial": xx * xx + 2 * xx + 3,
             "fraction": pool.scalar(1 / (x + 2)) + 1,
+            "reciprocal": pool.scalar(2 / (x + 2)),
         }
         for _ in range(3):
             f = bodies[body] + random_superfunction(pool, rng, 0).nilpotent_part()
@@ -401,6 +406,20 @@ class TestDivisionKernel:
                        lambda: d**-1, lambda: d**-2):
             with pytest.raises(NonInvertible, match="body is zero"):
                 divide()
+
+    def test_constant_numerator_divisor_over_shared_den(self, pool):
+        """A divisor whose body numerator is constant still cancels the
+        quotient: its ``den`` may share a factor with the dividend's."""
+        xx = pool.even("x")
+        th12 = pool.odd("th1") * pool.odd("th2")
+        for q, want in (((1 / (xx + 1)) / (2 / (xx + 1)), pool.scalar(Fraction(1, 2))),
+                        ((1 / xx) / (1 / xx), pool.one()),
+                        ((th12 + 1) / xx / ((th12 + 3) / (xx * (xx - 1))),
+                         (xx - 1) * (th12 * Fraction(2, 9) + Fraction(1, 3))),
+                        ((1 / (xx + 1) ** 2 + th12 / (xx + 1)).sqrt(),
+                         1 / (xx + 1) + th12 * Fraction(1, 2))):
+            _assert_canonical(q)
+            assert q == want and q.is_polynomial() == want.is_polynomial()
 
     def test_constant_divisor_never_cancels(self, cancel_calls):
         pool = GeneratorPool(["x", "y"], ["th1", "th2"])
@@ -900,6 +919,30 @@ class TestCoefficientInvariant:
         assert pool.zero().body_at((Fraction(1),)) == 0
         with pytest.raises(NonInvertible):
             f.body_at((Fraction(1),))
+
+    def test_integers_from_other_ground_types(self, pool, monkeypatch):
+        """Under sympy's gmpy or flint ground types ``ZZ``'s elements are not
+        ints; the gcd chain and the square root store ints all the same."""
+
+        class Mpz(int):  # closed under arithmetic, as gmpy2's mpz
+            def __mul__(self, other):
+                return Mpz(int(self) * other)
+
+            __rmul__ = __mul__
+
+        to_dict, sqf_list = scalars.dmp_to_dict, PolyElement.sqf_list
+
+        def foreign_sqf_list(p):
+            content, factors = sqf_list(p)
+            return Mpz(content), [({e: Mpz(c) for e, c in f.items()}, k) for f, k in factors]
+
+        monkeypatch.setattr(scalars, "dmp_to_dict",
+                            lambda *a: {e: Mpz(c) for e, c in to_dict(*a).items()})
+        monkeypatch.setattr(PolyElement, "sqf_list", foreign_sqf_list)
+        xx, th12 = pool.even("x"), pool.odd("th1") * pool.odd("th2")
+        for r in ((2 * xx + 2) / (xx + 1), (xx * xx - 1) / (2 * xx + 2) + th12 / (xx + 1),
+                  (4 * (xx + 1) ** 2 + th12).sqrt(), (9 * xx * xx / (xx + 1) ** 2).sqrt()):
+            _assert_canonical(r)
 
     def test_constant_polynomial_is_not_canonical(self, pool):
         """A constant denominator held as a polynomial, a common integer
