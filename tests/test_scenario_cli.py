@@ -386,6 +386,40 @@ def test_energy_density_is_computed_once_per_setup(monkeypatch):
     assert len(calls) == 1
 
 
+
+def _declarations(name):
+    """The declarations of a golden scenario, up to its [run] section."""
+    return (DATA / f"{name}.scn").read_text().split("[run]")[0]
+
+
+def test_check_noether_target_on_superharmonic_map():
+    """A constant target field is Killing for the flat target metric, and
+    the isometry ISO is superharmonic: every line of the target report."""
+    text = (_declarations("domain_symmetry") + "[vectorfield T]\nchart = target\nu = 1\n\n"
+            "[run]\ncheck-noether target ISO T\n")
+    (result,) = run_scenario(text).results
+    assert result.status == "pass"
+    assert result.details == [
+        ("xi_killing", "true"),
+        ("div_residual", "0"),
+        ("superharmonic", "true"),
+        ("current_div", "0"),
+        ("lemma_ok", "true"),
+    ]
+
+
+def test_solve_killing_parity_gives_each_half():
+    """On the flat (2|2) chart at degree 1, --parity even and --parity odd
+    give the two halves of the unrestricted 6|6 solve."""
+    text = _declarations("flat_killing") + "[run]\n" + "".join(
+        f"solve-killing g --degree 1{opt}\n" for opt in ("", " --parity even", " --parity odd")
+    )
+    full, even, odd = (dict(r.details) for r in run_scenario(text).results)
+    assert (full["even_dim"], full["odd_dim"]) == ("6", "6")
+    for half, kind, other in ((even, "even", "odd"), (odd, "odd", "even")):
+        assert half.pop(f"{other}_dim") == "0"
+        assert half == {k: v for k, v in full.items() if k.startswith(kind + "_")}
+
 _POLE_METRIC = """
 [chart]
 even = x

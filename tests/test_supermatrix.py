@@ -425,15 +425,31 @@ class TestGramSchmidt:
             except NotASquare:
                 continue
             done += 1
-            g0 = standard_metric(pool, t, s, m)
-            dim = B.dim
-            cols = [[E.entries[r][j] for r in range(dim)] for j in range(dim)]
-            for i in range(dim):
-                pi = 0 if i < t + s else 1
-                for j in range(dim):
-                    pj = 0 if j < t + s else 1
-                    got = pair_columns(B, cols[i], cols[j], pi, pj)
-                    assert (got - g0.entries[i][j]).is_zero()
+            _assert_frame_gives_g0(B, E, (t, s, m))
+
+    def test_even_block_pairing_fallback(self, pool):
+        """x,y = 1/2; th1,th2 = -1: no even basis vector has a nonzero
+        self-pairing, so the first pivot is e_x + e_y."""
+        half = sp.Rational(1, 2)
+        B = SuperMatrix(pool, 2, 2, [[0, half, 0, 0], [half, 0, 0, 0],
+                                     [0, 0, 0, -1], [0, 0, 1, 0]])
+        E, sig = gram_schmidt_osp(B)
+        assert sig == (1, 1, 1)  # signature (1, 1, 2) as (t, s, 2m)
+        _assert_frame_gives_g0(B, E, sig)
+
+
+def _assert_frame_gives_g0(B, E, sig):
+    """B(E_i, E_j) = (g0)_ij for every pair of columns of E."""
+    t, s, m = sig
+    g0 = standard_metric(B.pool, t, s, m)
+    dim = B.dim
+    cols = [[E.entries[r][j] for r in range(dim)] for j in range(dim)]
+    for i in range(dim):
+        pi = 0 if i < t + s else 1
+        for j in range(dim):
+            pj = 0 if j < t + s else 1
+            got = pair_columns(B, cols[i], cols[j], pi, pj)
+            assert (got - g0.entries[i][j]).is_zero()
 
 
 def _random_admissible_form(pool, rng):
