@@ -351,21 +351,27 @@ class HarmonicSetup:
         superharmonic Phi also div W = 0; plus the pullback Lie-derivative
         lemma, verified componentwise."""
         L = lie_derivative_bilinear(xi, self.g)
-        pre_res = [e for row in L.components for e in row if not e.is_zero()]
         pulled = self.phi.pull_target_field(xi)
-        div_val = self.divergence_along(pulled)
+        report = self._noether_report(L, pulled)
+        report.lemma_residuals = self._pullback_lie_lemma_residuals(xi, L, pulled)
+        return report
+
+    def _noether_report(self, L: BilinearForm, along: FieldAlongMorphism):
+        """The conclusion both Noether theorems share: given L_xi of the metric
+        the symmetry preserves, div(along) = 0, and div W_along = 0 when Phi
+        is superharmonic."""
+        pre_res = [e for row in L.components for e in row if not e.is_zero()]
+        div_val = self.divergence_along(along)
         harmonic = self.is_superharmonic()
         current_div = None
         if harmonic:
-            current_div = self.source_divergence(self.noether_current(pulled))
-        lemma = self._pullback_lie_lemma_residuals(xi, L, pulled)
+            current_div = self.source_divergence(self.noether_current(along))
         return NoetherReport(
             precondition_ok=not pre_res,
             precondition_residuals=pre_res,
             divergence_residual=div_val,
             tension_is_zero=harmonic,
             current_divergence=current_div,
-            lemma_residuals=lemma,
         )
 
     def _pullback_lie_lemma_residuals(self, xi: VectorField, L: BilinearForm, phi_xi):
@@ -392,22 +398,8 @@ class HarmonicSetup:
     def check_noether_domain(self, xi: VectorField) -> NoetherReport:
         """Phi-Killing field on the source: L_xi(Phi* g) = 0 implies
         div(dPhi[xi]) = 0; for superharmonic Phi also div W_{dPhi[xi]} = 0."""
-        pg = self.pullback_metric()
-        L = lie_derivative_bilinear(xi, pg)
-        pre_res = [e for row in L.components for e in row if not e.is_zero()]
-        dxi = self.phi.differential(xi)
-        div_val = self.divergence_along(dxi)
-        harmonic = self.is_superharmonic()
-        current_div = None
-        if harmonic:
-            current_div = self.source_divergence(self.noether_current(dxi))
-        return NoetherReport(
-            precondition_ok=not pre_res,
-            precondition_residuals=pre_res,
-            divergence_residual=div_val,
-            tension_is_zero=harmonic,
-            current_divergence=current_div,
-        )
+        L = lie_derivative_bilinear(xi, self.pullback_metric())
+        return self._noether_report(L, self.phi.differential(xi))
 
     # -- stress-energy ------------------------------------------------------------
 

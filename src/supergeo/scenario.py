@@ -10,6 +10,7 @@ docs/scenario-format.md.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -302,6 +303,12 @@ def _build_morphism(source: Chart, target: Chart, images) -> Morphism:
 # -- command execution ---------------------------------------------------------
 
 
+def _nonzero_components(entries):
+    """The (key, rendered value) details of the nonzero superfunctions among
+    ordered (key, superfunction) pairs."""
+    return [(key, f.render()) for key, f in entries if not f.is_zero()]
+
+
 class _Runner:
     def __init__(self, scenario: Scenario):
         self.sc = scenario
@@ -377,14 +384,14 @@ class _Runner:
         return pos, opts
 
     def _cmd_validate_metric(self, args, lineno):
-        (name,), _ = self._require(args, 1, "validate-metric G", lineno)
+        (name,) = self._require(args, 1, "validate-metric G", lineno)
         g = self.metric(name, lineno)
         sig = validate_metric(g)
         MetricContext.of(g, sig)
         return "pass", [("signature", str(sig.as_tuple()))]
 
     def _cmd_osp_frame(self, args, lineno):
-        (name,), _ = self._require(args, 1, "osp-frame G", lineno)
+        (name,) = self._require(args, 1, "osp-frame G", lineno)
         ctx = MetricContext.of(self.metric(name, lineno))
         details = [("signature", str(ctx.signature.as_tuple()))]
         for j, f in enumerate(ctx.frame.fields):
@@ -392,38 +399,28 @@ class _Runner:
         return "pass", details
 
     def _cmd_levi_civita(self, args, lineno):
-        (name,), _ = self._require(args, 1, "levi-civita G", lineno)
+        (name,) = self._require(args, 1, "levi-civita G", lineno)
         ctx = MetricContext.of(self.metric(name, lineno))
-        chart = ctx.g.chart
-        names = chart.coordinate_names()
-        details = []
-        count = 0
-        for i in range(chart.dim):
-            for j in range(chart.dim):
-                for k in range(chart.dim):
-                    entry = ctx.connection.gamma[i][j][k]
-                    if not entry.is_zero():
-                        count += 1
-                        details.append(
-                            (f"Gamma^{names[k]}_{names[i]},{names[j]}", entry.render())
-                        )
-        return "pass", [("nonzero", str(count))] + details
+        names = ctx.g.chart.coordinate_names()
+        gamma = ctx.connection.gamma
+        details = _nonzero_components(
+            (f"Gamma^{names[k]}_{names[i]},{names[j]}", gamma[i][j][k])
+            for i, j, k in itertools.product(range(len(names)), repeat=3)
+        )
+        return "pass", [("nonzero", str(len(details)))] + details
 
     def _cmd_lie_derivative(self, args, lineno):
-        (xname, gname), _ = self._require(args, 2, "lie-derivative X G", lineno)
+        xname, gname = self._require(args, 2, "lie-derivative X G", lineno)
         X = self.vectorfield(xname, lineno)
         g = self.metric(gname, lineno)
         table = lie_derivative_bilinear(X, g)
-        chart = g.chart
-        names = chart.coordinate_names()
-        details = [("zero", "true" if table.is_zero() else "false")]
-        for i in range(chart.dim):
-            for j in range(chart.dim):
-                if not table.components[i][j].is_zero():
-                    details.append(
-                        (f"L[{names[i]},{names[j]}]", table.components[i][j].render())
-                    )
-        return "pass", details
+        names = g.chart.coordinate_names()
+        zero = ("zero", "true" if table.is_zero() else "false")
+        return "pass", [zero] + _nonzero_components(
+            (f"L[{a},{b}]", entry)
+            for a, row in zip(names, table.components)
+            for b, entry in zip(names, row)
+        )
 
     def _cmd_check_killing(self, args, lineno):
         pos, opts = self._options(args)
@@ -475,50 +472,24 @@ class _Runner:
         return "pass", details
 
     def _cmd_tension(self, args, lineno):
-        (name,), _ = self._require(args, 1, "tension PHI", lineno)
+        (name,) = self._require(args, 1, "tension PHI", lineno)
         setup = self.setup(name, lineno)
         tau = setup.tension()
         names = setup.phi.target.coordinate_names()
-        details = [("superharmonic", "true" if tau.is_zero() else "false")]
-        for a, c in enumerate(tau.components):
-            if not c.is_zero():
-                details.append((f"tau^{names[a]}", c.render()))
-        return "pass", details
+        harmonic = ("superharmonic", "true" if tau.is_zero() else "false")
+        return "pass", [harmonic] + _nonzero_components(
+            (f"tau^{a}", c) for a, c in zip(names, tau.components)
+        )
 
     def _cmd_check_noether(self, args, lineno):
-        if len(args) < 2:
-            raise ScenarioError(
-                f"usage: check-noether target|domain|stress PHI [XI] (line {lineno})"
-            )
-        which, phi_name = args[0], args[1]
+        which, phi_name, xi_name = self._require(
+            args, 3, "check-noether target|domain|stress PHI XI", lineno
+        )
+        if which not in ("target", "domain", "stress"):
+            raise ScenarioError(f"unknown check-noether variant {which!r} (line {lineno})")
         setup = self.setup(phi_name, lineno)
-        if which == "target":
-            xi = self.vectorfield(self._arg(args, 2, lineno), lineno)
-            rep = setup.check_noether_target(xi)
-            details = [
-                ("xi_killing", "true" if rep.precondition_ok else "false"),
-                ("div_residual", rep.divergence_residual.render()),
-                ("superharmonic", "true" if rep.tension_is_zero else "false"),
-            ]
-            if rep.current_divergence is not None:
-                details.append(("current_div", rep.current_divergence.render()))
-            details.append(
-                ("lemma_ok", "true" if all(r.is_zero() for r in rep.lemma_residuals) else "false")
-            )
-            return ("pass" if rep.passed else "fail"), details
-        if which == "domain":
-            xi = self.vectorfield(self._arg(args, 2, lineno), lineno)
-            rep = setup.check_noether_domain(xi)
-            details = [
-                ("phi_killing", "true" if rep.precondition_ok else "false"),
-                ("div_residual", rep.divergence_residual.render()),
-                ("superharmonic", "true" if rep.tension_is_zero else "false"),
-            ]
-            if rep.current_divergence is not None:
-                details.append(("current_div", rep.current_divergence.render()))
-            return ("pass" if rep.passed else "fail"), details
+        xi = self.vectorfield(xi_name, lineno)
         if which == "stress":
-            xi = self.vectorfield(self._arg(args, 2, lineno), lineno)
             rep = setup.stress_energy_report(xi)
             details = [
                 ("energy", rep.energy.render()),
@@ -528,25 +499,33 @@ class _Runner:
             if rep.conserved_divergence is not None:
                 details.append(("conserved_div", rep.conserved_divergence.render()))
             return ("pass" if rep.passed else "fail"), details
-        raise ScenarioError(f"unknown check-noether variant {which!r} (line {lineno})")
+        if which == "target":
+            rep, key = setup.check_noether_target(xi), "xi_killing"
+        else:
+            rep, key = setup.check_noether_domain(xi), "phi_killing"
+        details = [
+            (key, "true" if rep.precondition_ok else "false"),
+            ("div_residual", rep.divergence_residual.render()),
+            ("superharmonic", "true" if rep.tension_is_zero else "false"),
+        ]
+        if rep.current_divergence is not None:
+            details.append(("current_div", rep.current_divergence.render()))
+        if rep.lemma_residuals is not None:
+            lemma_ok = all(r.is_zero() for r in rep.lemma_residuals)
+            details.append(("lemma_ok", "true" if lemma_ok else "false"))
+        return ("pass" if rep.passed else "fail"), details
 
     def _cmd_action(self, args, lineno):
-        (name,), _ = self._require(args, 1, "action PHI", lineno)
+        (name,) = self._require(args, 1, "action PHI", lineno)
         value = action(self.setup(name, lineno))
         return "pass", [("value", str(value))]
 
-    @staticmethod
-    def _arg(args, idx, lineno):
-        try:
-            return args[idx]
-        except IndexError:
-            raise ScenarioError(f"missing argument (line {lineno})") from None
-
     def _require(self, args, count, usage, lineno):
+        """The ``count`` positional arguments of a command that takes no options."""
         pos, opts = self._options(args)
         if len(pos) != count or opts:
             raise ScenarioError(f"usage: {usage} (line {lineno})")
-        return pos, opts
+        return pos
 
 
 def run_scenario(text: str, name: str = "<scenario>", seed: int = 0) -> Report:

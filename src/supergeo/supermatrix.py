@@ -289,21 +289,6 @@ def _adjugate_commuting(pool, rows):
 # -- the standard supermetric and the J map ----------------------------------
 
 
-def standard_metric(pool: GeneratorPool, t: int, s: int, m: int) -> SuperMatrix:
-    """g0 = diag(G_{t,s}, J_{2m}) with G = diag(-1_t, 1_s), J_2 = [[0,-1],[1,0]]."""
-    dim = t + s + 2 * m
-    g = SuperMatrix.zero(pool, t + s, 2 * m)
-    for k in range(t):
-        g.entries[k][k] = pool.scalar(-1)
-    for k in range(t, t + s):
-        g.entries[k][k] = pool.one()
-    for l in range(m):
-        a = t + s + 2 * l
-        g.entries[a][a + 1] = pool.scalar(-1)
-        g.entries[a + 1][a] = pool.one()
-    return g
-
-
 def j_map_signs(t: int, s: int, m: int):
     """The J map as (sign, target index) per basis slot: J e_k = sign * e_target."""
     out = []
@@ -318,13 +303,18 @@ def j_map_signs(t: int, s: int, m: int):
     return out
 
 
-def j_map(pool: GeneratorPool, t: int, s: int, m: int) -> SuperMatrix:
-    """Signed permutation matrix of J in right-action convention:
-    J e_k = sum_m e_m * J[m][k]."""
-    J = SuperMatrix.zero(pool, t + s, 2 * m)
+def standard_metric(pool: GeneratorPool, t: int, s: int, m: int) -> SuperMatrix:
+    """g0 = diag(G_{t,s}, J_{2m}) with G = diag(-1_t, 1_s), J_2 = [[0,-1],[1,0]].
+
+    g0 is also the signed permutation matrix of the J map in the right-action
+    convention, J e_k = sum_m e_m * J[m][k], so ``j_map`` is this function."""
+    g = SuperMatrix.zero(pool, t + s, 2 * m)
     for k, (sign, tgt) in enumerate(j_map_signs(t, s, m)):
-        J.entries[tgt][k] = pool.scalar(sign)
-    return J
+        g.entries[tgt][k] = pool.scalar(sign)
+    return g
+
+
+j_map = standard_metric
 
 
 # -- the graded pairing ---------------------------------------------------------

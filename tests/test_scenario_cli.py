@@ -420,6 +420,33 @@ def test_solve_killing_parity_gives_each_half():
         assert half.pop(f"{other}_dim") == "0"
         assert half == {k: v for k, v in full.items() if k.startswith(kind + "_")}
 
+
+@pytest.mark.parametrize("command", [
+    "validate-metric g",
+    "osp-frame g",
+    "levi-civita g",
+    "lie-derivative T g",
+    "check-killing T g",
+    "solve-killing g --degree 1",
+    "tension ID",
+    "check-noether domain ID R",
+    "action ID",
+])
+def test_commands_reject_an_extra_argument(command):
+    for extra in (" extra", " extra --mode i"):
+        report = run_scenario(_declarations("flat_killing") + "[run]\n" + command + extra + "\n")
+        assert report.exit_code == 2, command + extra
+        assert "usage:" in report.load_error or "unknown options" in report.load_error
+
+
+def test_unknown_check_noether_variant_is_named_first():
+    """The variant is checked before the morphism is looked up."""
+    report = run_scenario(_declarations("flat_killing") + "[run]\ncheck-noether sideways NOPE R\n")
+    assert report.exit_code == 2
+    assert report.load_error == (
+        "ScenarioError: unknown check-noether variant 'sideways' (line 35)"
+    )
+
 _POLE_METRIC = """
 [chart]
 even = x
