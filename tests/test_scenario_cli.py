@@ -369,6 +369,11 @@ def test_failed_solver_certificate_is_an_error(monkeypatch, tmp_path):
     )
 
 
+def _declarations(name):
+    """The declarations of a golden scenario, up to its [run] section."""
+    return (DATA / f"{name}.scn").read_text().split("[run]")[0]
+
+
 def test_energy_density_is_computed_once_per_setup(monkeypatch):
     from supergeo import morphisms
 
@@ -380,16 +385,11 @@ def test_energy_density_is_computed_once_per_setup(monkeypatch):
         return str_with_metric(*args)
 
     monkeypatch.setattr(morphisms, "str_with_metric", counted)
-    declarations = (DATA / "noether_flesh.scn").read_text().split("[run]")[0]
-    report = run_scenario(declarations + "[run]\ncheck-noether stress PHI RHO\naction PHI\n")
+    report = run_scenario(
+        _declarations("noether_flesh") + "[run]\ncheck-noether stress PHI RHO\naction PHI\n"
+    )
     assert report.exit_code == 0
     assert len(calls) == 1
-
-
-
-def _declarations(name):
-    """The declarations of a golden scenario, up to its [run] section."""
-    return (DATA / f"{name}.scn").read_text().split("[run]")[0]
 
 
 def test_check_noether_target_on_superharmonic_map():
@@ -433,6 +433,8 @@ def test_solve_killing_parity_gives_each_half():
     "action ID",
 ])
 def test_commands_reject_an_extra_argument(command):
+    """One positional argument too many, alone or next to an option, is a
+    usage error (exit 2) for every command, check-noether included."""
     for extra in (" extra", " extra --mode i"):
         report = run_scenario(_declarations("flat_killing") + "[run]\n" + command + extra + "\n")
         assert report.exit_code == 2, command + extra
@@ -446,6 +448,7 @@ def test_unknown_check_noether_variant_is_named_first():
     assert report.load_error == (
         "ScenarioError: unknown check-noether variant 'sideways' (line 35)"
     )
+
 
 _POLE_METRIC = """
 [chart]
