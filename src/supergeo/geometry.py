@@ -7,7 +7,10 @@ coefficients a bilinear form is the package's one graded pairing
 
     B(X, Y) = sum_ij (-1)^{|Y^j||xi_i| + |B|(|X^i| + |Y^j|)} X^i Y^j B_ij,
 
-and a one-form is a plain sum against the right coefficients of its argument
+where ``B_ij = B(d_i, d_j)`` is the form's Gram supermatrix:
+:class:`BilinearForm` is a :class:`supermatrix.SuperMatrix` that carries its
+chart, so its inverse, Berezinian and Gram-Schmidt frame are the matrix's.
+A one-form is a plain sum against the right coefficients of its argument
 (:func:`supermatrix.flip_sides`), ``F[Y] = sum_j F_j (-1)^{|xi_j||Y^j|} Y^j``.
 Vector fields, one-forms and fields along a morphism
 (:class:`morphisms.FieldAlongMorphism`) share one graded component algebra,
@@ -260,22 +263,24 @@ class OneForm(_Field):
         return sum((f * c for f, c in zip(self.components, y)), start=self.pool.zero())
 
 
-class BilinearForm:
-    """Bilinear form stored through B_ij = B(d_i, d_j)."""
+class BilinearForm(SuperMatrix):
+    """Bilinear form stored through its Gram supermatrix B_ij = B(d_i, d_j)
+    over a chart: entry (i, j) of a form of parity p has parity
+    p + |i| + |j|.  The matrix algebra is inherited; sums, negatives and
+    scalar multiples stay forms on the chart, and a matrix product is a
+    plain :class:`SuperMatrix`."""
 
     def __init__(self, chart: Chart, components, parity: int = 0):
+        super().__init__(chart.pool, chart.n, chart.two_m, components, parity)
         self.chart = chart
-        dim = chart.dim
-        self.components = [
-            [
-                c if isinstance(c, Superfunction) else chart.pool.scalar(c)
-                for c in row
-            ]
-            for row in components
-        ]
-        if len(self.components) != dim or any(len(r) != dim for r in self.components):
-            raise ValueError("component grid must be dim x dim")
-        self.parity = parity % 2
+
+    def _new(self, entries, parity: int) -> "BilinearForm":
+        return BilinearForm(self.chart, entries, parity)
+
+    @property
+    def components(self):
+        """The Gram grid, the same list as :attr:`entries`."""
+        return self.entries
 
     @classmethod
     def zero(cls, chart, parity=0):
@@ -296,7 +301,7 @@ class BilinearForm:
     def evaluate(self, X: VectorField, Y: VectorField) -> Superfunction:
         chart = self.chart
         return graded_pair(
-            chart.pool, chart.n, self.components,
+            chart.pool, chart.n, self.entries,
             X.components, X.parity, Y.components, Y.parity, self.parity,
         )
 
@@ -307,49 +312,19 @@ class BilinearForm:
         if k not in cache:
             name = self.chart.coordinate(k)
             cache[k] = [[e if e.is_zero() else e.partial(name) for e in row]
-                        for row in self.components]
+                        for row in self.entries]
         return cache[k]
 
-    def scale(self, f: Superfunction) -> "BilinearForm":
-        rows = [[f * e for e in row] for row in self.components]
-        return BilinearForm(self.chart, rows, scaled_parity(self.parity, f))
-
-    def __add__(self, other):
-        _same_chart(self, other)
-        rows = [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.components, other.components)
-        ]
-        return BilinearForm(self.chart, rows, self.parity)
-
-    def __sub__(self, other):
-        _same_chart(self, other)
-        rows = [
-            [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.components, other.components)
-        ]
-        return BilinearForm(self.chart, rows, self.parity)
-
-    def is_zero(self):
-        return all(e.is_zero() for row in self.components for e in row)
-
-    def is_supersymmetric(self) -> bool:
-        return self.to_supermatrix().supersymmetry_violation() is None
-
-    def is_even_graded(self) -> bool:
-        return self.to_supermatrix().is_homogeneous()
-
-    def to_supermatrix(self) -> SuperMatrix:
-        return SuperMatrix(
-            self.chart.pool, self.chart.n, self.chart.two_m,
-            [list(row) for row in self.components], self.parity,
-        )
+    def _check_compat(self, other):
+        """Forms add only to forms on the same chart."""
+        if not isinstance(other, BilinearForm) or other.chart != self.chart:
+            raise ChartMismatch("forms live on different charts")
 
     def __eq__(self, other):
         return (
             isinstance(other, BilinearForm)
             and self.chart == other.chart
-            and (self - other).is_zero()
+            and super().__eq__(other)
         )
 
     __hash__ = None
@@ -367,10 +342,9 @@ class Signature:
 
 def flat_metric(chart: Chart, t: int = 0) -> BilinearForm:
     """Standard supermetric g0 with t negative even directions on this chart."""
-    s = chart.n - t
-    m = chart.two_m // 2
-    g0 = standard_metric(chart.pool, t, s, m)
-    return BilinearForm(chart, g0.entries, 0)
+    return BilinearForm(
+        chart, standard_metric(chart.pool, t, chart.n - t, chart.two_m // 2).entries
+    )
 
 
 def validate_metric(g: BilinearForm) -> Signature:
@@ -379,10 +353,10 @@ def validate_metric(g: BilinearForm) -> Signature:
     Nondegeneracy is decided on the body as a rational function; the
     signature is sampled at the rational midpoint of the box.
     """
-    chart, matrix = g.chart, g.to_supermatrix()
-    if g.parity != 0 or not matrix.is_homogeneous():
+    chart = g.chart
+    if g.parity != 0 or not g.is_homogeneous():
         raise MetricViolation("evenness", "components break the even grading")
-    bad = matrix.supersymmetry_violation()
+    bad = g.supersymmetry_violation()
     if bad is not None:
         raise MetricViolation("supersymmetry", "B_ij != +-B_ji at entry (%d,%d)" % bad)
     body = [[e.body_part() for e in row] for row in g.components]
@@ -477,7 +451,7 @@ def levi_civita(g: BilinearForm) -> Connection:
     MetricContext.of(g)
     dim = chart.dim
     half = chart.pool.scalar(Fraction(1, 2))
-    ginv = g.to_supermatrix().inverse()
+    ginv = g.inverse()
     dg = [g.partials(i) for i in range(dim)]  # dg[i][j][k] = d_i g_jk
     gamma = []
     for i in range(dim):
@@ -557,7 +531,7 @@ class OSpFrame:
     def build(cls, g: BilinearForm) -> "OSpFrame":
         """Run graded Gram-Schmidt over the scalar ring and certify the result."""
         sig = MetricContext.of(g).signature
-        E, (t, s, m) = gram_schmidt_osp(g.to_supermatrix())
+        E, (t, s, m) = gram_schmidt_osp(g)
         if (t, s, 2 * m) != sig.as_tuple():
             # algebraic and sampled signatures must agree
             raise MetricViolation(

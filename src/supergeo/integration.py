@@ -31,7 +31,7 @@ def volume_density(h: BilinearForm) -> VolumeDensity:
     """
     chart = h.chart
     MetricContext.of(h)
-    ber = h.to_supermatrix().berezinian()
+    ber = h.berezinian()
     point = chart.sample_point()
     sign = ber.body_at(point)
     if sign == 0:

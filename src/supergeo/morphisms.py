@@ -413,7 +413,7 @@ class HarmonicSetup:
     def stress_energy(self) -> BilinearForm:
         """S_Phi = e(Phi) h - Phi* g."""
         e = self.energy_density()
-        return self.h.scale(e) - self.pullback_metric()
+        return self.h * e - self.pullback_metric()
 
     def _nabla_form_eval(self, S: BilinearForm, X: VectorField, Y: VectorField, Z: VectorField):
         """<(nabla_X S)>(Y, Z) = X S(Y,Z) - S(nabla_X Y, Z) - (-1)^{|X||Y|} S(Y, nabla_X Z)."""

@@ -375,6 +375,8 @@ class _Runner:
         it = iter(args)
         for a in it:
             if a.startswith("--"):
+                if a[2:] in opts:
+                    raise ScenarioError(f"option {a} given twice")
                 try:
                     opts[a[2:]] = next(it)
                 except StopIteration:

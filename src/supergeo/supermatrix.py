@@ -10,6 +10,12 @@ right-module axioms ``B(v*f, w) = (-1)^{|f||w|} B(v, w) * f`` and
 ``B(v, w*f) = B(v, w) * f``.  :func:`graded_pair` is the one implementation of
 that pairing, on left coefficients; :func:`flip_sides` exchanges right and
 left coefficients, and :func:`pair_columns` is the kernel on flipped columns.
+
+:class:`SuperMatrix` is the package's one graded grid type: a bilinear form
+(:class:`geometry.BilinearForm`) is its Gram supermatrix over a chart.  Sums,
+differences, negatives and scalar multiples are built through
+:meth:`SuperMatrix._new`, so those of a form stay forms on its chart; a matrix
+product is always a plain :class:`SuperMatrix`.
 """
 
 from __future__ import annotations
@@ -70,6 +76,12 @@ class SuperMatrix:
             m.entries[i][i] = one
         return m
 
+    def _new(self, entries, parity: int) -> "SuperMatrix":
+        """A matrix of this type with the given entries; the one constructor
+        of the element-wise results, which a bilinear form overrides to keep
+        its chart."""
+        return SuperMatrix(self.pool, self.p, self.q, entries, parity)
+
     def _check_compat(self, other):
         if not isinstance(other, SuperMatrix):
             raise TypeError("expected a SuperMatrix")
@@ -80,35 +92,32 @@ class SuperMatrix:
 
     def __add__(self, other):
         self._check_compat(other)
-        rows = [
-            [self.entries[i][j] + other.entries[i][j] for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
-        return SuperMatrix(self.pool, self.p, self.q, rows, self.parity)
+        rows = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
+        return self._new(rows, self.parity)
 
     def __sub__(self, other):
         self._check_compat(other)
-        rows = [
-            [self.entries[i][j] - other.entries[i][j] for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
-        return SuperMatrix(self.pool, self.p, self.q, rows, self.parity)
+        rows = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
+        return self._new(rows, self.parity)
 
     def __neg__(self):
-        rows = [[-e for e in row] for row in self.entries]
-        return SuperMatrix(self.pool, self.p, self.q, rows, self.parity)
+        return self._new([[-e for e in row] for row in self.entries], self.parity)
 
     def __mul__(self, other):
+        """The matrix product, a plain supermatrix whatever the factors; or
+        the entries times a scalar on the right, M_ij * f."""
         if isinstance(other, SuperMatrix):
-            self._check_compat(other)
+            SuperMatrix._check_compat(self, other)
             rows = _product(self.pool, self.entries, other.entries)
             return SuperMatrix(
                 self.pool, self.p, self.q, rows, (self.parity + other.parity) % 2
             )
         scalar = other if isinstance(other, Superfunction) else self.pool.scalar(other)
         rows = [[e * scalar for e in row] for row in self.entries]
-        parity = scaled_parity(self.parity, scalar)
-        return SuperMatrix(self.pool, self.p, self.q, rows, parity)
+        return self._new(rows, scaled_parity(self.parity, scalar))
+
+    def is_zero(self) -> bool:
+        return all(e.is_zero() for row in self.entries for e in row)
 
     def is_homogeneous(self) -> bool:
         for i in range(self.dim):
@@ -127,6 +136,9 @@ class SuperMatrix:
                     return i, j
         return None
 
+    def is_supersymmetric(self) -> bool:
+        return self.supersymmetry_violation() is None
+
     def __eq__(self, other):
         if not isinstance(other, SuperMatrix):
             return NotImplemented
@@ -144,7 +156,7 @@ class SuperMatrix:
         rows = "; ".join(
             ", ".join(e.render() for e in row) for row in self.entries
         )
-        return f"SuperMatrix({self.p}|{self.q}: [{rows}])"
+        return f"{type(self).__name__}({self.p}|{self.q}: [{rows}])"
 
     def blocks(self):
         p, q, E = self.p, self.q, self.entries

@@ -21,7 +21,7 @@ from supergeo.geometry import (
     str_with_metric_via_matrix,
     validate_metric,
 )
-from supergeo.supermatrix import pair_columns
+from supergeo.supermatrix import SuperMatrix, pair_columns
 
 from conftest import random_field, random_superfunction, seeded
 
@@ -151,7 +151,7 @@ class TestEvalBilinear:
 
         nontrivial = 0
         for parity, pv, pw, pf in itertools.product((0, 1), repeat=4):
-            B = _random_form(ch, rng, parity).to_supermatrix()
+            B = _random_form(ch, rng, parity)
             for a in range(ch.dim):
                 for b in range(ch.dim):
                     ea, eb = ch.coordinate_field(a), ch.coordinate_field(b)
@@ -482,3 +482,69 @@ class TestOneForm:
         B = BilinearForm.tensor_product(F, G)
         assert B.components[0][1] == ch.pool.one()
         assert B.components[1][0].is_zero()
+
+
+class TestBilinearFormIsItsGramMatrix:
+    """A form is its Gram supermatrix over a chart: the matrix invariants are
+    the plain matrix's, element-wise results keep the chart, products and
+    mixed sums do not."""
+
+    @pytest.mark.parametrize("which", ["flat22", "curved", "deformed"])
+    def test_matrix_invariants_are_the_plain_matrix(self, which, metric_flat22,
+                                                    metric_curved, metric_deformed):
+        g = {"flat22": metric_flat22, "curved": metric_curved,
+             "deformed": metric_deformed}[which]
+        ch = g.chart
+        plain = SuperMatrix(ch.pool, ch.n, ch.two_m, g.components)
+        assert type(g.inverse()) is SuperMatrix
+        assert g.inverse() == plain.inverse()
+        assert g.berezinian() == plain.berezinian()
+        assert g.is_homogeneous() == plain.is_homogeneous()
+
+    def test_elementwise_results_stay_on_the_chart(self, chart_flat22):
+        ch = chart_flat22
+        rng = seeded(440)
+        g, h = _random_form(ch, rng, 0), _random_form(ch, rng, 0)
+        f = random_superfunction(ch.pool, rng, 0, 1)
+        cases = [
+            (g + h, lambda i, j: g[i, j] + h[i, j]),
+            (g - h, lambda i, j: g[i, j] - h[i, j]),
+            (-g, lambda i, j: -g[i, j]),
+            (g * f, lambda i, j: f * g[i, j]),
+        ]
+        for got, want in cases:
+            assert type(got) is BilinearForm and got.chart is ch
+            assert got.parity == 0
+            assert all(got[i, j] == want(i, j)
+                       for i in range(ch.dim) for j in range(ch.dim))
+
+    def test_product_with_a_plain_matrix_is_plain(self, metric_deformed):
+        g = metric_deformed
+        ch = g.chart
+        plain = SuperMatrix(ch.pool, ch.n, ch.two_m, g.components)
+        M = SuperMatrix.identity(ch.pool, ch.n, ch.two_m) * 2
+        assert type(g * M) is SuperMatrix
+        assert g * M == plain * M
+
+    def test_sums_need_a_form_on_the_same_chart(self, metric_flat22, chart_classical):
+        g = metric_flat22
+        ch = g.chart
+        wide = Chart(["x", "y"], ["th1", "th2"], box={"x": (0, 2), "y": (0, 1)})
+        others = [
+            flat_metric(wide),
+            flat_metric(chart_classical),
+            SuperMatrix(ch.pool, ch.n, ch.two_m, g.components),
+        ]
+        for other in others:
+            with pytest.raises(ChartMismatch):
+                g + other
+            with pytest.raises(ChartMismatch):
+                g - other
+
+    def test_a_form_never_equals_a_plain_matrix(self, metric_flat22):
+        g = metric_flat22
+        ch = g.chart
+        plain = SuperMatrix(ch.pool, ch.n, ch.two_m, g.components)
+        assert not g == plain
+        assert not plain == g
+        assert g == flat_metric(ch)

@@ -107,7 +107,7 @@ class TestLieDerivativeBilinear:
             X = random_field(ch, rng, 0)
             got = lie_derivative_bilinear(X, metric_deformed)
             assert got.is_supersymmetric()
-            assert got.is_even_graded()
+            assert got.is_homogeneous()
 
     def test_display_holds_on_noncoordinate_arguments(self, metric_deformed):
         """The component table must reproduce the defining display for
@@ -148,7 +148,7 @@ class TestLieDerivativeBilinear:
         rows[0][1] = rows[0][1] + pool.scalar(1 / (x + 2))
         rows[2][3] = rows[2][3] * pool.scalar(1 / (x + 2))
         B = BilinearForm(ch, rows)
-        assert B.is_even_graded() and not B.is_supersymmetric()
+        assert B.is_homogeneous() and not B.is_supersymmetric()
         assert not B.components[0][1].is_polynomial()
         for xp, yp, zp in itertools.product((0, 1), repeat=3):
             check(B, random_field(ch, rng, xp), random_field(ch, rng, yp),

@@ -441,6 +441,18 @@ def test_commands_reject_an_extra_argument(command):
         assert "usage:" in report.load_error or "unknown options" in report.load_error
 
 
+@pytest.mark.parametrize("command", [
+    "solve-killing g --degree 0 --degree 1",
+    "check-killing T g --mode i --mode ii",
+])
+def test_an_option_given_twice_is_a_usage_error(command):
+    """A repeated option is rejected, not overridden by its last value."""
+    report = run_scenario(_declarations("flat_killing") + "[run]\n" + command + "\n")
+    assert report.exit_code == 2
+    option = command.split()[-2]
+    assert report.load_error == f"ScenarioError: option {option} given twice"
+
+
 def test_unknown_check_noether_variant_is_named_first():
     """The variant is checked before the morphism is looked up."""
     report = run_scenario(_declarations("flat_killing") + "[run]\ncheck-noether sideways NOPE R\n")
