@@ -52,9 +52,10 @@ class Chart:
     """A single global coordinate chart with a rational box domain.
 
     ``even`` and ``odd`` name the coordinates; ``flesh`` adds odd constants
-    for maps with flesh.  ``box`` maps each even coordinate to a rational
-    interval (a, b) with a < b.  The dimensions ``n``, ``two_m`` and ``dim``,
-    the coordinate parities and names are fixed at construction.
+    for maps with flesh.  ``box`` maps each even coordinate, and no other
+    name, to a rational interval (a, b) with a < b.  The dimensions ``n``,
+    ``two_m`` and ``dim``, the coordinate parities and names are fixed at
+    construction.
     """
 
     def __init__(self, even, odd, box, flesh=()):
@@ -71,6 +72,9 @@ class Chart:
             if not a < b:
                 raise ValueError(f"box interval for {name!r} must have a < b")
             self.box[name] = (a, b)
+        for name in box:
+            if name not in self.box:
+                raise ValueError(f"box interval for {name!r}, which is not an even coordinate")
         self.n = self.pool.n_even
         self.two_m = self.pool.n_coordinate_odd
         self.dim = self.n + self.two_m

@@ -1,11 +1,11 @@
 """Scenario files: declaration of a chart (plus optional target chart),
 named metrics / vector fields / morphisms, and a command list.
 
-The format is line oriented.  Sections are ``[chart]``, ``[target]``,
-``[metric NAME]``, ``[vectorfield NAME]``, ``[morphism NAME]`` and ``[run]``;
-every other line inside a section is ``key = expression`` (or a bare command
-inside ``[run]``).  ``#`` starts a comment.  The normative grammar ships in
-docs/scenario-format.md.
+The format is line oriented.  ``_SECTIONS`` declares each section kind and
+the keys it accepts, and ``_COMMANDS`` each command of ``[run]`` with its
+arguments and options; one reader and one command parser check a scenario
+against these tables.  ``#`` starts a comment.  The normative grammar ships
+in docs/scenario-format.md.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import (
@@ -28,17 +29,19 @@ from .integration import action
 from .parsing import parse_expression
 
 _EXIT_PASS, _EXIT_FAIL, _EXIT_PARSE, _EXIT_MATH = 0, 1, 2, 3
+_PARITIES = {"even": 0, "odd": 1}
 
 
 @dataclass
 class Scenario:
     source: Chart
     target: Chart
-    metrics: dict
-    vectorfields: dict
-    morphisms: dict
-    morphism_metrics: dict
-    commands: list
+    metrics: dict = field(default_factory=dict)
+    vectorfields: dict = field(default_factory=dict)
+    morphisms: dict = field(default_factory=dict)
+    morphism_metrics: dict = field(default_factory=dict)
+    # (text, runner method, arguments, options) per [run] line
+    commands: list = field(default_factory=list)
 
 
 @dataclass
@@ -92,35 +95,85 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _parse_fraction(text: str, lineno: int) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational literal {text!r}", lineno) from None
-
-
 def _split_names(value: str):
     return [t for t in value.replace(",", " ").split() if t]
 
 
-class _ChartSpec:
-    def __init__(self):
-        self.even = []
-        self.odd = []
-        self.flesh = 0
-        self.box = {}
-
-    def build(self) -> Chart:
-        flesh = tuple(f"lam{i+1}" for i in range(self.flesh))
-        return Chart(self.even, self.odd, self.box, flesh)
+# -- declarations --------------------------------------------------------------
 
 
-def load_scenario(text: str) -> Scenario:
-    """Parse the scenario text; raises ParseError / ScenarioError."""
-    source_spec = _ChartSpec()
-    target_spec = None
-    sections = []  # (kind, name, [(lineno, key, value)] or [(lineno, command)])
-    current = None
+class _Section(NamedTuple):
+    """Whether the header takes a name, the fixed keys, and the coordinate
+    keys: ``prefix``, if any, then ``coordinates`` coordinate names."""
+
+    named: bool
+    keys: tuple = ()
+    coordinates: int = 0
+    prefix: str = ""
+
+    def key(self, text):
+        """A fixed key, or a coordinate key as the tuple of its names (so
+        ``x,x`` and ``x, x`` are one key); None for any other text."""
+        if text in self.keys:
+            return text
+        words = _split_names(text)
+        if self.prefix:
+            if words[:1] != [self.prefix]:
+                return None
+            words = words[1:]
+        return tuple(words) if len(words) == self.coordinates else None
+
+
+_CHART_SECTION = _Section(False, ("even", "odd", "flesh"), 1, "box")
+
+# [run] holds commands, one per line, not keys
+_SECTIONS = {
+    "chart": _CHART_SECTION,
+    "target": _CHART_SECTION,
+    "metric": _Section(True, ("chart",), 2),
+    "vectorfield": _Section(True, ("chart", "parity"), 1),
+    "morphism": _Section(True, ("source_metric", "target_metric"), 1),
+    "run": _Section(False),
+}
+
+
+@dataclass
+class _Block:
+    """A section as read: its header, the header's line number, and its
+    entries, key -> (line number, value) in file order."""
+
+    title: str
+    lineno: int
+    entries: dict = field(default_factory=dict)
+
+    def get(self, key, default=None):
+        """(line number, value) of a fixed key, or of the header and ``default``."""
+        return self.entries.get(key, (self.lineno, default))
+
+    def components(self, chart: Chart, pool):
+        """(coordinate indices in ``chart``, value parsed over ``pool``) per
+        coordinate key."""
+        index = {n: i for i, n in enumerate(chart.coordinate_names())}
+        out = []
+        for key, (lineno, value) in self.entries.items():
+            if isinstance(key, tuple):
+                for name in key:
+                    if name not in index:
+                        raise ParseError(f"unknown coordinate {name!r} in {self.title}", lineno)
+                out.append((tuple(index[n] for n in key), parse_expression(value, pool)))
+        return out
+
+    def chart(self, charts) -> Chart:
+        lineno, value = self.get("chart", "source")
+        return charts[_value(tuple(charts), value, "chart", lineno)]
+
+
+def _read(text: str):
+    """The sections of a scenario by (kind, name) in file order, and the
+    (line number, text) of each command; unknown or repeated sections and
+    keys are parse errors."""
+    blocks, commands = {}, []
+    kind = block = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -128,179 +181,203 @@ def load_scenario(text: str) -> Scenario:
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ParseError("unterminated section header", lineno)
-            header = line[1:-1].strip().split()
+            header = line[1:-1].split()
             if not header:
                 raise ParseError("empty section header", lineno)
-            kind = header[0]
-            name = header[1] if len(header) > 1 else None
-            if kind in ("chart", "target", "run") and name is not None:
-                raise ParseError(f"section [{kind}] takes no name", lineno)
-            if kind in ("metric", "vectorfield", "morphism") and name is None:
-                raise ParseError(f"section [{kind}] needs a name", lineno)
-            if kind not in ("chart", "target", "run", "metric", "vectorfield", "morphism"):
+            kind, *names = header
+            section = _SECTIONS.get(kind)
+            if section is None:
                 raise ParseError(f"unknown section [{kind}]", lineno)
-            current = (kind, name, [])
-            sections.append(current)
-            continue
-        if current is None:
+            if len(names) != section.named:
+                takes = "one name" if section.named else "no name"
+                raise ParseError(f"section [{kind}] takes {takes}", lineno)
+            block = _Block(f"[{' '.join(header)}]", lineno)
+            name = names[0] if names else None
+            if (kind, name) in blocks:
+                raise ParseError(f"section {block.title} given twice", lineno)
+            blocks[kind, name] = block
+        elif block is None:
             raise ParseError("content before the first section", lineno)
-        if current[0] == "run":
-            current[2].append((lineno, line))
+        elif kind == "run":
+            commands.append((lineno, line))
         else:
             if "=" not in line:
                 raise ParseError("expected 'key = value'", lineno)
-            key, value = line.split("=", 1)
-            current[2].append((lineno, key.strip(), value.strip()))
+            text, value = (part.strip() for part in line.split("=", 1))
+            key = section.key(text)
+            if key is None:
+                raise ParseError(f"unknown {kind} key {text!r}", lineno)
+            if key in block.entries:
+                raise ParseError(f"key {text!r} given twice in {block.title}", lineno)
+            block.entries[key] = (lineno, value)
+    return blocks, commands
 
-    def fill_chart(spec, entries):
-        for lineno, key, value in entries:
-            if key == "even":
-                spec.even = _split_names(value)
-            elif key == "odd":
-                spec.odd = _split_names(value)
-            elif key == "flesh":
-                try:
-                    spec.flesh = int(value)
-                except ValueError:
-                    raise ParseError("flesh count must be an integer", lineno) from None
-                if spec.flesh < 0:
-                    raise ParseError("flesh count must be nonnegative", lineno)
-            elif key.startswith("box "):
-                coord = key[4:].strip()
-                parts = value.split()
-                if len(parts) != 2:
-                    raise ParseError("box interval needs two rationals", lineno)
-                spec.box[coord] = (
-                    _parse_fraction(parts[0], lineno),
-                    _parse_fraction(parts[1], lineno),
-                )
-            else:
-                raise ParseError(f"unknown chart key {key!r}", lineno)
 
-    chart_seen = False
-    for kind, name, entries in sections:
-        if kind == "chart":
-            chart_seen = True
-            fill_chart(source_spec, entries)
-        elif kind == "target":
-            target_spec = target_spec or _ChartSpec()
-            fill_chart(target_spec, entries)
-    if not chart_seen:
+def load_scenario(text: str) -> Scenario:
+    """Parse the scenario text; raises ParseError / ScenarioError."""
+    blocks, commands = _read(text)
+    if ("chart", None) not in blocks:
         raise ScenarioError("scenario has no [chart] section")
-    try:
-        source = source_spec.build()
-        target = target_spec.build() if target_spec is not None else source
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
-
+    source = _build_chart(blocks["chart", None])
+    target = _build_chart(blocks["target", None]) if ("target", None) in blocks else source
     charts = {"source": source, "target": target}
-    metrics, vectorfields = {}, {}
-    morphisms, morphism_metrics = {}, {}
-    commands = []
-
-    for kind, name, entries in sections:
+    sc = Scenario(source, target)
+    for (kind, name), block in blocks.items():
         if kind == "metric":
-            chart_key = "source"
-            comps = {}
-            for lineno, key, value in entries:
-                if key == "chart":
-                    if value not in charts:
-                        raise ParseError("chart must be 'source' or 'target'", lineno)
-                    chart_key = value
-                    continue
-                pair = _split_names(key)
-                if len(pair) != 2:
-                    raise ParseError("metric keys look like 'i, j'", lineno)
-                comps[(pair[0], pair[1])] = (lineno, value)
-            chart = charts[chart_key]
-            metrics[name] = _build_metric(chart, comps)
+            sc.metrics[name] = _build_metric(block.chart(charts), block)
         elif kind == "vectorfield":
-            chart_key = "source"
-            parity = None
-            comp_entries = {}
-            for lineno, key, value in entries:
-                if key == "chart":
-                    if value not in charts:
-                        raise ParseError("chart must be 'source' or 'target'", lineno)
-                    chart_key = value
-                elif key == "parity":
-                    if value not in ("even", "odd"):
-                        raise ParseError("parity must be 'even' or 'odd'", lineno)
-                    parity = 0 if value == "even" else 1
-                else:
-                    comp_entries[key] = (lineno, value)
-            chart = charts[chart_key]
-            vectorfields[name] = _build_vectorfield(chart, comp_entries, parity)
+            sc.vectorfields[name] = _build_vectorfield(block.chart(charts), block)
         elif kind == "morphism":
-            met = {"source_metric": None, "target_metric": None}
-            images = {}
-            for lineno, key, value in entries:
-                if key in met:
-                    met[key] = value
-                else:
-                    images[key] = (lineno, value)
-            morphisms[name] = _build_morphism(source, target, images)
-            morphism_metrics[name] = (met["source_metric"], met["target_metric"])
-        elif kind == "run":
-            commands.extend(entries)
-
-    return Scenario(
-        source, target, metrics, vectorfields, morphisms, morphism_metrics, commands
-    )
+            images = {target.coordinate(i): f for (i,), f in block.components(target, source.pool)}
+            sc.morphisms[name] = Morphism(source, target, images)
+            sc.morphism_metrics[name] = (
+                block.get("source_metric")[1], block.get("target_metric")[1]
+            )
+    sc.commands = [_parse_command(sc, lineno, line) for lineno, line in commands]
+    return sc
 
 
-def _build_metric(chart: Chart, comps) -> BilinearForm:
-    names = chart.coordinate_names()
-    index = {n: i for i, n in enumerate(names)}
-    dim = chart.dim
-    grid = [[None] * dim for _ in range(dim)]
-    for (a, b), (lineno, value) in comps.items():
-        if a not in index or b not in index:
-            raise ParseError(f"unknown coordinate in metric key '{a}, {b}'", lineno)
-        grid[index[a]][index[b]] = parse_expression(value, chart.pool)
-    for i in range(dim):
-        for j in range(dim):
-            if grid[i][j] is None and grid[j][i] is not None:
-                sign = -1 if chart.parity(i) * chart.parity(j) else 1
-                grid[i][j] = grid[j][i] * sign
-    zero = chart.pool.zero()
-    grid = [[e if e is not None else zero for e in row] for row in grid]
-    return BilinearForm(chart, grid, 0)
+def _build_chart(block: _Block) -> Chart:
+    lineno, flesh = block.get("flesh", "0")
+    try:
+        flesh = int(flesh)
+    except ValueError:
+        raise ParseError("flesh count must be an integer", lineno) from None
+    if flesh < 0:
+        raise ParseError("flesh count must be nonnegative", lineno)
+    box = {}
+    for key, (lineno, value) in block.entries.items():
+        if isinstance(key, tuple):
+            parts = value.split()
+            if len(parts) != 2:
+                raise ParseError("box interval needs two rationals", lineno)
+            try:
+                box[key[0]] = tuple(Fraction(p) for p in parts)
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad rational literal in {value!r}", lineno) from None
+    even, odd = (_split_names(block.get(k, "")[1]) for k in ("even", "odd"))
+    try:
+        return Chart(even, odd, box, tuple(f"lam{i+1}" for i in range(flesh)))
+    except ValueError as exc:
+        raise ScenarioError(f"{exc} (line {block.lineno})") from None
 
 
-def _build_vectorfield(chart: Chart, comp_entries, parity) -> VectorField:
-    names = chart.coordinate_names()
-    comps = []
-    for i, n in enumerate(names):
-        if n in comp_entries:
-            lineno, value = comp_entries.pop(n)
-            comps.append(parse_expression(value, chart.pool))
+def _build_metric(chart: Chart, block: _Block) -> BilinearForm:
+    """The given entries; the missing partner of a given entry by graded
+    symmetry, and zero elsewhere."""
+    given = dict(block.components(chart, chart.pool))
+
+    def entry(i, j):
+        if (i, j) not in given and (j, i) in given:
+            return given[j, i] * (-1 if chart.parity(i) * chart.parity(j) else 1)
+        return given.get((i, j), chart.pool.zero())
+
+    dim = range(chart.dim)
+    return BilinearForm(chart, [[entry(i, j) for j in dim] for i in dim], 0)
+
+
+def _build_vectorfield(chart: Chart, block: _Block) -> VectorField:
+    comps = [chart.pool.zero()] * chart.dim
+    for (i,), f in block.components(chart, chart.pool):
+        comps[i] = f
+    lineno, parity = block.get("parity")
+    if parity is not None:
+        parity = _value(tuple(_PARITIES), parity, "parity", lineno)
+        return VectorField(chart, comps, _PARITIES[parity])
+    for p in (0, 1):
+        if all(c.has_parity((p + chart.parity(i)) % 2) for i, c in enumerate(comps)):
+            return VectorField(chart, comps, p)
+    raise ScenarioError(f"vector field parity is not homogeneous (line {block.lineno})")
+
+
+# -- commands ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Command:
+    """The runner method, the positional arguments (a placeholder of
+    ``_NAMES``, or the allowed values of a variant), the options (name ->
+    allowed values, or ``int`` for a nonnegative integer) and the required
+    options.  The method gets the arguments, then the options given."""
+
+    handler: Callable
+    args: tuple
+    options: dict = field(default_factory=dict)
+    required: tuple = ()
+
+
+# What a placeholder argument names: the Scenario table and the noun for errors.
+_NAMES = {
+    "G": ("metrics", "metric"),
+    "X": ("vectorfields", "vector field"),
+    "XI": ("vectorfields", "vector field"),
+    "PHI": ("morphisms", "morphism"),
+}
+
+
+def _usage(name: str) -> str:
+    """The usage line of a command, as docs/scenario-format.md lists it."""
+    command = _COMMANDS[name]
+    words = [name] + ["|".join(a) if isinstance(a, tuple) else a for a in command.args]
+    for opt, allowed in command.options.items():
+        text = f"--{opt} " + (opt.upper() if allowed is int else "|".join(allowed))
+        words.append(text if opt in command.required else f"[{text}]")
+    return " ".join(words)
+
+
+def _value(allowed, text: str, what: str, lineno: int, sc: Scenario = None):
+    """A value as a table allows it: one of a tuple of values, a nonnegative
+    integer, or the declared object a placeholder names (for a morphism, its
+    name once both of its metrics are known)."""
+    where = f"(line {lineno})"
+    if isinstance(allowed, tuple):
+        if text not in allowed:
+            raise ScenarioError(f"unknown {what} {text!r} {where}")
+        return text
+    if allowed is int:
+        if not text.isdecimal():
+            raise ScenarioError(f"{what} must be a nonnegative integer, not {text!r} {where}")
+        return int(text)
+    table, noun = _NAMES[allowed]
+    if text not in getattr(sc, table):
+        raise ScenarioError(f"unknown {noun} {text!r} {where}")
+    if allowed != "PHI":
+        return getattr(sc, table)[text]
+    if None in sc.morphism_metrics[text]:
+        raise ScenarioError(f"morphism {text!r} needs source_metric and target_metric {where}")
+    for metric in sc.morphism_metrics[text]:
+        _value("G", metric, "", lineno, sc)
+    return text
+
+
+def _parse_command(sc: Scenario, lineno: int, line: str):
+    name, *words = line.split()
+    command = _COMMANDS.get(name)
+    where = f"(line {lineno})"
+    if command is None:
+        raise ScenarioError(f"unknown command {name!r} {where}")
+    usage = f"usage: {_usage(name)} {where}"
+    args, options = [], {}
+    tokens = iter(words)
+    for word in tokens:
+        opt = word[2:]
+        if not word.startswith("--"):
+            args.append(word)
+        elif opt not in command.options:
+            raise ScenarioError(f"unknown option {word}; {usage}")
+        elif opt in options:
+            raise ScenarioError(f"option {word} given twice {where}")
         else:
-            comps.append(chart.pool.zero())
-    if comp_entries:
-        bad = next(iter(comp_entries))
-        raise ParseError(f"unknown coordinate {bad!r} in vector field",
-                         comp_entries[bad][0])
-    if parity is None:
-        for p in (0, 1):
-            if all(
-                c.has_parity((p + chart.parity(i)) % 2) for i, c in enumerate(comps)
-            ):
-                parity = p
-                break
-        else:
-            raise ScenarioError("vector field parity is not homogeneous")
-    return VectorField(chart, comps, parity)
-
-
-def _build_morphism(source: Chart, target: Chart, images) -> Morphism:
-    table = {}
-    for key, (lineno, value) in images.items():
-        table[key] = parse_expression(value, source.pool)
-    return Morphism(source, target, table)
-
-
-# -- command execution ---------------------------------------------------------
+            options[opt] = next(tokens, None)
+            if options[opt] is None:
+                raise ScenarioError(f"option {word} needs a value {where}")
+    if len(args) != len(command.args) or not options.keys() >= set(command.required):
+        raise ScenarioError(usage)
+    args = [_value(allowed, arg, f"{name} variant", lineno, sc)
+            for arg, allowed in zip(args, command.args)]
+    options = {opt: _value(command.options[opt], value, f"{name} --{opt}", lineno)
+               for opt, value in options.items()}
+    return line, command.handler, args, options
 
 
 def _nonzero_components(entries):
@@ -314,95 +391,36 @@ class _Runner:
         self.sc = scenario
         self._setups = {}
 
-    def metric(self, name, lineno):
-        try:
-            return self.sc.metrics[name]
-        except KeyError:
-            raise ScenarioError(f"unknown metric {name!r} (line {lineno})") from None
-
-    def vectorfield(self, name, lineno):
-        try:
-            return self.sc.vectorfields[name]
-        except KeyError:
-            raise ScenarioError(f"unknown vector field {name!r} (line {lineno})") from None
-
-    def setup(self, name, lineno) -> HarmonicSetup:
+    def setup(self, name) -> HarmonicSetup:
+        """The harmonic-map setup of a morphism, built on first use."""
         if name not in self._setups:
-            try:
-                phi = self.sc.morphisms[name]
-            except KeyError:
-                raise ScenarioError(f"unknown morphism {name!r} (line {lineno})") from None
-            h_name, g_name = self.sc.morphism_metrics[name]
-            if h_name is None or g_name is None:
-                raise ScenarioError(
-                    f"morphism {name!r} needs source_metric and target_metric"
-                )
-            self._setups[name] = HarmonicSetup(
-                phi, self.metric(h_name, lineno), self.metric(g_name, lineno)
-            )
+            h, g = (self.sc.metrics[m] for m in self.sc.morphism_metrics[name])
+            self._setups[name] = HarmonicSetup(self.sc.morphisms[name], h, g)
         return self._setups[name]
 
-    def run_command(self, lineno, line) -> CommandResult:
-        parts = line.split()
-        cmd = parts[0]
-        args = parts[1:]
-        handler = {
-            "validate-metric": self._cmd_validate_metric,
-            "osp-frame": self._cmd_osp_frame,
-            "levi-civita": self._cmd_levi_civita,
-            "lie-derivative": self._cmd_lie_derivative,
-            "check-killing": self._cmd_check_killing,
-            "solve-killing": self._cmd_solve_killing,
-            "tension": self._cmd_tension,
-            "check-noether": self._cmd_check_noether,
-            "action": self._cmd_action,
-        }.get(cmd)
-        if handler is None:
-            raise ScenarioError(f"unknown command {cmd!r} (line {lineno})")
+    def run(self, text, handler, args, options) -> CommandResult:
         try:
-            status, details = handler(args, lineno)
+            status, details = handler(self, *args, **options)
         except MetricViolation as exc:
             status, details = "fail", [("violation", str(exc.violation))]
-        except (ParseError, ScenarioError):
-            raise
         except SupergeoError as exc:
             status, details = "error", [("error", f"{type(exc).__name__}: {exc}")]
-        return CommandResult(line, status, details)
+        return CommandResult(text, status, details)
 
-    @staticmethod
-    def _options(args):
-        pos, opts = [], {}
-        it = iter(args)
-        for a in it:
-            if a.startswith("--"):
-                if a[2:] in opts:
-                    raise ScenarioError(f"option {a} given twice")
-                try:
-                    opts[a[2:]] = next(it)
-                except StopIteration:
-                    raise ScenarioError(f"option {a} needs a value") from None
-            else:
-                pos.append(a)
-        return pos, opts
-
-    def _cmd_validate_metric(self, args, lineno):
-        (name,) = self._require(args, 1, "validate-metric G", lineno)
-        g = self.metric(name, lineno)
+    def _cmd_validate_metric(self, g):
         sig = validate_metric(g)
         MetricContext.of(g, sig)
         return "pass", [("signature", str(sig.as_tuple()))]
 
-    def _cmd_osp_frame(self, args, lineno):
-        (name,) = self._require(args, 1, "osp-frame G", lineno)
-        ctx = MetricContext.of(self.metric(name, lineno))
+    def _cmd_osp_frame(self, g):
+        ctx = MetricContext.of(g)
         details = [("signature", str(ctx.signature.as_tuple()))]
         for j, f in enumerate(ctx.frame.fields):
             details.append((f"e_{j+1}", f.render()))
         return "pass", details
 
-    def _cmd_levi_civita(self, args, lineno):
-        (name,) = self._require(args, 1, "levi-civita G", lineno)
-        ctx = MetricContext.of(self.metric(name, lineno))
+    def _cmd_levi_civita(self, g):
+        ctx = MetricContext.of(g)
         names = ctx.g.chart.coordinate_names()
         gamma = ctx.connection.gamma
         details = _nonzero_components(
@@ -411,10 +429,7 @@ class _Runner:
         )
         return "pass", [("nonzero", str(len(details)))] + details
 
-    def _cmd_lie_derivative(self, args, lineno):
-        xname, gname = self._require(args, 2, "lie-derivative X G", lineno)
-        X = self.vectorfield(xname, lineno)
-        g = self.metric(gname, lineno)
+    def _cmd_lie_derivative(self, X, g):
         table = lie_derivative_bilinear(X, g)
         names = g.chart.coordinate_names()
         zero = ("zero", "true" if table.is_zero() else "false")
@@ -424,17 +439,8 @@ class _Runner:
             for b, entry in zip(names, row)
         )
 
-    def _cmd_check_killing(self, args, lineno):
-        pos, opts = self._options(args)
-        if len(pos) != 2:
-            raise ScenarioError(f"usage: check-killing X G [--mode m] (line {lineno})")
-        mode = opts.pop("mode", "all")
-        if mode not in ("i", "ii", "v", "all"):
-            raise ScenarioError(f"unknown killing mode {mode!r} (line {lineno})")
-        if opts:
-            raise ScenarioError(f"unknown options {sorted(opts)} (line {lineno})")
-        X = self.vectorfield(pos[0], lineno)
-        report = KillingChecker(self.metric(pos[1], lineno)).check(X, mode)
+    def _cmd_check_killing(self, X, g, mode="all"):
+        report = KillingChecker(g).check(X, mode)
         details = []
         for m in ("i", "ii", "v"):
             if m in report.modes:
@@ -443,26 +449,8 @@ class _Runner:
         status = "pass" if report.passed else "fail"
         return status, details
 
-    def _cmd_solve_killing(self, args, lineno):
-        pos, opts = self._options(args)
-        if len(pos) != 1 or "degree" not in opts:
-            raise ScenarioError(
-                f"usage: solve-killing G --degree d [--parity p] (line {lineno})"
-            )
-        try:
-            degree = int(opts.pop("degree"))
-        except ValueError:
-            raise ScenarioError(f"--degree must be an integer (line {lineno})") from None
-        if degree < 0:
-            raise ScenarioError(f"--degree must be nonnegative (line {lineno})")
-        parity = opts.pop("parity", None)
-        if opts:
-            raise ScenarioError(f"unknown options {sorted(opts)} (line {lineno})")
-        if parity is not None:
-            if parity not in ("even", "odd"):
-                raise ScenarioError(f"--parity must be even or odd (line {lineno})")
-            parity = {"even": 0, "odd": 1}[parity]
-        basis = solve_killing(self.metric(pos[0], lineno), degree, parity)
+    def _cmd_solve_killing(self, g, degree, parity=None):
+        basis = solve_killing(g, degree, _PARITIES.get(parity))
         details = [
             ("even_dim", str(len(basis.even_fields))),
             ("odd_dim", str(len(basis.odd_fields))),
@@ -473,9 +461,8 @@ class _Runner:
             details.append((f"odd_{k+1}", f.render()))
         return "pass", details
 
-    def _cmd_tension(self, args, lineno):
-        (name,) = self._require(args, 1, "tension PHI", lineno)
-        setup = self.setup(name, lineno)
+    def _cmd_tension(self, phi):
+        setup = self.setup(phi)
         tau = setup.tension()
         names = setup.phi.target.coordinate_names()
         harmonic = ("superharmonic", "true" if tau.is_zero() else "false")
@@ -483,14 +470,8 @@ class _Runner:
             (f"tau^{a}", c) for a, c in zip(names, tau.components)
         )
 
-    def _cmd_check_noether(self, args, lineno):
-        which, phi_name, xi_name = self._require(
-            args, 3, "check-noether target|domain|stress PHI XI", lineno
-        )
-        if which not in ("target", "domain", "stress"):
-            raise ScenarioError(f"unknown check-noether variant {which!r} (line {lineno})")
-        setup = self.setup(phi_name, lineno)
-        xi = self.vectorfield(xi_name, lineno)
+    def _cmd_check_noether(self, which, phi, xi):
+        setup = self.setup(phi)
         if which == "stress":
             rep = setup.stress_energy_report(xi)
             details = [
@@ -517,17 +498,26 @@ class _Runner:
             details.append(("lemma_ok", "true" if lemma_ok else "false"))
         return ("pass" if rep.passed else "fail"), details
 
-    def _cmd_action(self, args, lineno):
-        (name,) = self._require(args, 1, "action PHI", lineno)
-        value = action(self.setup(name, lineno))
+    def _cmd_action(self, phi):
+        value = action(self.setup(phi))
         return "pass", [("value", str(value))]
 
-    def _require(self, args, count, usage, lineno):
-        """The ``count`` positional arguments of a command that takes no options."""
-        pos, opts = self._options(args)
-        if len(pos) != count or opts:
-            raise ScenarioError(f"usage: {usage} (line {lineno})")
-        return pos
+
+_COMMANDS = {
+    "validate-metric": _Command(_Runner._cmd_validate_metric, ("G",)),
+    "osp-frame": _Command(_Runner._cmd_osp_frame, ("G",)),
+    "levi-civita": _Command(_Runner._cmd_levi_civita, ("G",)),
+    "lie-derivative": _Command(_Runner._cmd_lie_derivative, ("X", "G")),
+    "check-killing": _Command(_Runner._cmd_check_killing, ("X", "G"),
+                              {"mode": ("i", "ii", "v", "all")}),
+    "solve-killing": _Command(_Runner._cmd_solve_killing, ("G",),
+                              {"degree": int, "parity": tuple(_PARITIES)},
+                              required=("degree",)),
+    "tension": _Command(_Runner._cmd_tension, ("PHI",)),
+    "check-noether": _Command(_Runner._cmd_check_noether,
+                              (("target", "domain", "stress"), "PHI", "XI")),
+    "action": _Command(_Runner._cmd_action, ("PHI",)),
+}
 
 
 def run_scenario(text: str, name: str = "<scenario>", seed: int = 0) -> Report:
@@ -539,9 +529,7 @@ def run_scenario(text: str, name: str = "<scenario>", seed: int = 0) -> Report:
     try:
         scenario = load_scenario(text)
         runner = _Runner(scenario)
-        results = [
-            runner.run_command(lineno, line) for lineno, line in scenario.commands
-        ]
+        results = [runner.run(*call) for call in scenario.commands]
         return Report(name, seed, results)
     except SupergeoError as exc:
         return Report(name, seed, [], load_error=f"{type(exc).__name__}: {exc}")

@@ -63,14 +63,15 @@ class SuperMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    @classmethod
-    def zero(cls, pool, p, q, parity=0):
+    @staticmethod
+    def zero(pool, p, q, parity=0):
+        """A plain zero matrix, also on subclasses: a form needs a chart."""
         z = pool.zero()
-        return cls(pool, p, q, [[z] * (p + q) for _ in range(p + q)], parity)
+        return SuperMatrix(pool, p, q, [[z] * (p + q) for _ in range(p + q)], parity)
 
-    @classmethod
-    def identity(cls, pool, p, q):
-        m = cls.zero(pool, p, q)
+    @staticmethod
+    def identity(pool, p, q):
+        m = SuperMatrix.zero(pool, p, q)
         one = pool.one()
         for i in range(p + q):
             m.entries[i][i] = one
@@ -91,12 +92,16 @@ class SuperMatrix:
             raise ValueError("block dimension mismatch")
 
     def __add__(self, other):
+        """Each operand checks the other, so that a form and a plain matrix
+        do not add, or subtract, in either order."""
         self._check_compat(other)
+        other._check_compat(self)
         rows = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
         return self._new(rows, self.parity)
 
     def __sub__(self, other):
         self._check_compat(other)
+        other._check_compat(self)
         rows = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
         return self._new(rows, self.parity)
 

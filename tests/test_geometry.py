@@ -50,6 +50,14 @@ class TestVectorFieldBasics:
             chart_flat22.coordinate_field(0).apply(chart_classical.pool.one())
 
 
+@pytest.mark.parametrize("name", ["z", "th1", "lam1"])
+def test_a_chart_box_names_only_even_coordinates(name):
+    """A box interval for an unknown name, an odd coordinate or a flesh
+    generator is rejected, not ignored."""
+    with pytest.raises(ValueError, match=f"box interval for '{name}', which is not an even"):
+        Chart(["x"], ["th1", "th2"], box={"x": (0, 1), name: (0, 1)}, flesh=("lam1",))
+
+
 class TestBracket:
     def test_odd_odd_anticommutator(self, chart_deformed):
         ch = chart_deformed
@@ -523,10 +531,13 @@ class TestBilinearFormIsItsGramMatrix:
         ch = g.chart
         plain = SuperMatrix(ch.pool, ch.n, ch.two_m, g.components)
         M = SuperMatrix.identity(ch.pool, ch.n, ch.two_m) * 2
-        assert type(g * M) is SuperMatrix
+        assert type(g * M) is SuperMatrix and type(M * g) is SuperMatrix
         assert g * M == plain * M
+        assert M * g == M * plain
 
     def test_sums_need_a_form_on_the_same_chart(self, metric_flat22, chart_classical):
+        """In either order: a plain matrix plus a form is no more a sum than
+        a form plus a plain matrix."""
         g = metric_flat22
         ch = g.chart
         wide = Chart(["x", "y"], ["th1", "th2"], box={"x": (0, 2), "y": (0, 1)})
@@ -536,10 +547,21 @@ class TestBilinearFormIsItsGramMatrix:
             SuperMatrix(ch.pool, ch.n, ch.two_m, g.components),
         ]
         for other in others:
-            with pytest.raises(ChartMismatch):
-                g + other
-            with pytest.raises(ChartMismatch):
-                g - other
+            for a, b in ((g, other), (other, g)):
+                with pytest.raises(ChartMismatch):
+                    a + b
+                with pytest.raises(ChartMismatch):
+                    a - b
+
+    def test_zero_and_identity_by_block_dimensions_are_plain(self, chart_flat22):
+        """A form needs a chart, so the constructors that take only a pool
+        and block dimensions build plain matrices, also through the form."""
+        ch = chart_flat22
+        identity = BilinearForm.identity(ch.pool, ch.n, ch.two_m)
+        assert type(identity) is SuperMatrix
+        assert identity == SuperMatrix.identity(ch.pool, ch.n, ch.two_m)
+        assert type(BilinearForm.zero(ch)) is BilinearForm
+        assert BilinearForm.zero(ch).is_zero()
 
     def test_a_form_never_equals_a_plain_matrix(self, metric_flat22):
         g = metric_flat22

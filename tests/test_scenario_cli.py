@@ -219,6 +219,9 @@ validate-metric g
 """
         report = run_scenario(text)
         assert report.exit_code == 2
+        assert report.load_error == (
+            "ScenarioError: vector field parity is not homogeneous (line 8)"
+        )
 
     def test_odd_coordinate_count_must_be_even(self):
         text = """
@@ -450,7 +453,83 @@ def test_an_option_given_twice_is_a_usage_error(command):
     report = run_scenario(_declarations("flat_killing") + "[run]\n" + command + "\n")
     assert report.exit_code == 2
     option = command.split()[-2]
-    assert report.load_error == f"ScenarioError: option {option} given twice"
+    assert report.load_error == f"ScenarioError: option {option} given twice (line 35)"
+
+
+@pytest.mark.parametrize("command, usage", [
+    ("check-killing T g --frob 1", "check-killing X G [--mode i|ii|v|all]"),
+    ("solve-killing g --degree 1 --frob 1",
+     "solve-killing G --degree DEGREE [--parity even|odd]"),
+], ids=["check-killing", "solve-killing"])
+def test_an_unknown_option_is_a_usage_error(command, usage):
+    report = run_scenario(_declarations("flat_killing") + "[run]\n" + command + "\n")
+    assert report.exit_code == 2
+    assert report.load_error == (
+        f"ScenarioError: unknown option --frob; usage: {usage} (line 35)"
+    )
+
+
+def _edited_flat_killing(old, new, run="validate-metric g\n"):
+    """The flat_killing declarations with ``old`` replaced by ``new``."""
+    declarations = _declarations("flat_killing")
+    assert declarations.count(old) == 1
+    return declarations.replace(old, new) + "[run]\n" + run
+
+
+_END = "th2 = th2\n"  # the last declaration line of flat_killing, line 32
+
+
+@pytest.mark.parametrize("text, error", [
+    (_edited_flat_killing("x,x = 1\n", "x,x = 1\nx, x = -1\n"),
+     "ParseError: key 'x, x' given twice in [metric g] at line 11"),
+    (_edited_flat_killing(_END, _END + "[metric g]\nx,x = -1\n"),
+     "ParseError: section [metric g] given twice at line 33"),
+    (_edited_flat_killing(_END, _END + "[vectorfield T]\ny = 1\n", "check-killing T g\n"),
+     "ParseError: section [vectorfield T] given twice at line 33"),
+    (_edited_flat_killing(_END, _END + "[chart]\neven = y\nbox y = 0 1\n"),
+     "ParseError: section [chart] given twice at line 33"),
+    (_edited_flat_killing(_END, _END + "[target]\neven = u\nbox u = 0 1\n"
+                                       "[target]\neven = v\nbox v = 0 1\n"),
+     "ParseError: section [target] given twice at line 36"),
+    (_edited_flat_killing(_END, _END, "validate-metric g\n[run]\nosp-frame g\n"),
+     "ParseError: section [run] given twice at line 36"),
+], ids=["metric_key", "metric", "vectorfield", "chart", "target", "run"])
+def test_a_repeated_declaration_is_a_usage_error(text, error):
+    """A key given twice in a section, a named section given twice, and a
+    second [chart], [target] or [run] are rejected, not overridden."""
+    report = run_scenario(text)
+    assert report.exit_code == 2
+    assert report.load_error == error
+
+
+@pytest.mark.parametrize("text, error", [
+    (_edited_flat_killing(_END, _END + "w = x\n", "tension ID\n"),
+     "ParseError: unknown coordinate 'w' in [morphism ID] at line 33"),
+    (_edited_flat_killing("box y = 0 1\n", "box y = 0 1\nbox z = 0 1\n"),
+     "ScenarioError: box interval for 'z', which is not an even coordinate (line 2)"),
+], ids=["morphism_key", "box_key"])
+def test_a_key_naming_no_coordinate_is_a_usage_error(text, error):
+    report = run_scenario(text)
+    assert report.exit_code == 2
+    assert report.load_error == error
+
+
+def test_a_morphism_without_metrics_is_named_with_the_command_line():
+    report = run_scenario(_edited_flat_killing("source_metric = g\n", "", "tension ID\n"))
+    assert report.exit_code == 2
+    assert report.load_error == (
+        "ScenarioError: morphism 'ID' needs source_metric and target_metric (line 34)"
+    )
+
+
+def test_docs_list_every_command_usage():
+    """The ``## Commands`` block of docs/scenario-format.md is the usage line
+    of each command in the command table, in table order."""
+    from supergeo import scenario
+
+    docs = (pathlib.Path(__file__).parents[1] / "docs" / "scenario-format.md").read_text()
+    block = docs.split("## Commands\n", 1)[1].split("```\n")[1]
+    assert block.splitlines() == [scenario._usage(name) for name in scenario._COMMANDS]
 
 
 def test_unknown_check_noether_variant_is_named_first():
