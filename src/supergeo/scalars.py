@@ -16,15 +16,17 @@ the integer content of the numerators and ``den`` together is 1; and
 ``gcd(den, N_1, ..., N_k) = 1`` in ``Z[x]``.  Polynomial arithmetic is thus
 plain integer arithmetic (the Koszul sign and merged tuple of each pair of
 odd monomials are cached on the pool), and a result over a non-constant
-``den`` is cancelled by one gcd chain that stops once the gcd is constant,
-unless it scales a canonical superfunction by a unit of ``Q[x][theta]``.
+``den`` is cancelled by one heuristic gcd over the whole table in Python
+ints (:func:`_cancel_common_factor`), unless it scales a canonical
+superfunction by a unit of ``Q[x][theta]``.
 Division happens in one place, :func:`_divide`.  Other modules never read
 ``terms`` or ``den``.  Superfunctions are immutable, and the kernel relies on
 it: results share numerators with their operands, ``f + 0`` is ``f``, ``0 * f``
 is the zero operand, and :meth:`Superfunction.partial` keeps each derivative.
 
-Sympy stays for the multivariate gcd (its dense heuristic gcd over ``ZZ``),
-the square-free decomposition behind :func:`_poly_root`, and ``DomainMatrix``
+Sympy stays for the exact gcd that the heuristic one falls back to on some
+tables in several variables (its dense gcd over ``ZZ``), the square-free
+decomposition behind :func:`_poly_root`, and ``DomainMatrix``
 in other modules, which import only ``QQ`` and ``DomainMatrix`` from
 ``sympy.polys``.  Values meet ``Expr`` only at the edges:
 :meth:`GeneratorPool.scalar` takes ints, ``Fraction``s, ``Rational``s and
@@ -171,15 +173,119 @@ def _evaluate(p, values):
     return total
 
 
+# values of xi, each with its own substitution, that the heuristic gcd tries
+# before sympy's gcd decides
+_HEURISTIC_TRIES = 3
+
+
+def _digits(v, xi):
+    """The polynomial in X whose coefficients are the symmetric ``xi``-adic
+    digits of the int ``v``, each in ``(-xi/2, xi/2]``: ``{exponent: digit}``."""
+    out, k, half = {}, 0, xi // 2
+    while v:
+        v, d = divmod(v, xi)
+        if d > half:
+            d -= xi
+            v += 1
+        if d:
+            out[k] = d
+        k += 1
+    return out
+
+
+def _lift(p, shift, radix):
+    """``X^shift * p`` back in ``x``: exponent k becomes its mixed-radix digits
+    in ``radix``, the last variable taking the rest."""
+    out = {}
+    for k, c in p.items():
+        k += shift
+        e = []
+        for r in radix:
+            k, d = divmod(k, r)
+            e.append(d)
+        out[(*e, k)] = c
+    return out
+
+
 def _cancel_common_factor(ring, terms, den):
     """Divide the numerators and the polynomial ``den`` by their common
-    factor in ``Z[x]``: one gcd chain (sympy's dense heuristic gcd), stopped
-    once the gcd is constant."""
+    factor in ``Z[x]``: one heuristic gcd over the whole table in Python ints
+    (GCDHEU: Char, Geddes and Gonnet, J. Symbolic Computation 7, 1989).
+
+    The F_i (``den`` and the numerators) first lose their joint integer
+    content and joint monomial.  The Kronecker substitution x_1 -> X,
+    x_(k+1) -> X^(r_1 ... r_k), each radix r_k above every exponent of x_k,
+    is a ring map, one to one on the F_i and their divisors (the identity in
+    one variable); F_i maps to X^(j_i) G_i with G_i(0) != 0.  A nonconstant
+    common factor, no monomial, maps to X^t Q with Q nonconstant and
+    dividing every G_i, so the roots of Q lie within 1 + |F_i|oo of 0 for
+    each i.  At xi = 2 max_i |F_i|oo + 29, |Q(xi)| > xi/2 divides
+    gamma = gcd_i G_i(xi): ``2 gamma <= xi`` proves that nothing cancels.
+    Otherwise the primitive part H of gamma's symmetric xi-adic digits is
+    the candidate for Q.  For t = 0, then t = min_i j_i, h = X^t H and the
+    cofactors X^(j_i - t) G_i/H, read from the digits of G_i(xi)/H(xi), are
+    lifted back to x; h is the gcd once h c_i = F_i for every i and the c_i
+    pass the same certificate.  Else the next attempt takes a larger xi and
+    larger radices, which drops a factor that only the images share (1 +
+    X + X^2 in ``(1 + x + x^2)/(1 - y)`` with y -> X^3).  After
+    ``_HEURISTIC_TRIES`` attempts sympy's gcd decides, as for
+    ``(x^2 + x y)/(x y + y^2)``: its gcd x + y maps to X (1 + X^2), so t = 1,
+    but min_i j_i = 2."""
+    polys = [den, *terms.values()]
+    content = 0
+    for p in polys:
+        content = math.gcd(content, *p.values())
+        if content == 1:
+            break
+    low = tuple(map(min, zip(*(e for p in polys for e in p))))  # the joint monomial
+    if content != 1 or any(low):
+        polys = [{tuple(map(operator.sub, e, low)): c // content for e, c in p.items()}
+                 for p in polys]
+
+    def table(polys):
+        return dict(zip(terms, polys[1:])), polys[0]
+
+    if any(len(p) == 1 and not any(next(iter(p))) for p in polys):
+        return table(polys)  # a nonzero constant is one of them: nothing more cancels
+    top = [max(e[k] for p in polys for e in p) for k in range(len(low) - 1)]
+    xi = 2 * max(max(map(abs, p.values())) for p in polys) + 29
+    for attempt in range(_HEURISTIC_TRIES):
+        radix = [d + 1 + attempt for d in top]
+        strides = list(itertools.accumulate(radix, operator.mul, initial=1))
+        images = [{sum(map(operator.mul, e, strides)): c for e, c in p.items()} for p in polys]
+        shifts = [min(image) for image in images]
+        powers = {k: xi**k for k in {k - j for image, j in zip(images, shifts) for k in image}}
+        values = [sum(c * powers[k - j] for k, c in image.items())
+                  for image, j in zip(images, shifts)]
+        gamma = math.gcd(*values)
+        if 2 * gamma <= xi:
+            return table(polys)
+        h = _digits(gamma, xi)
+        h_content = math.gcd(*h.values())
+        h = {k: c // h_content for k, c in h.items()}
+        quotients = [_digits(v // (gamma // h_content), xi) for v in values]
+        for t in sorted({0, min(shifts)}):
+            lifted = _lift(h, t, radix)
+            cofactors = []
+            for q, j, p in zip(quotients, shifts, polys):
+                c = _lift(q, j - t, radix)
+                if _pmul(lifted, c) != p:
+                    break
+                cofactors.append(c)
+            else:  # the cofactors' values have the gcd h_content
+                if (2 * h_content <= xi
+                        and xi > 2 * min(max(map(abs, c.values())) for c in cofactors) + 2):
+                    return table(cofactors)
+        xi = xi * 73794 // 27011
+    return _cancel_by_sympy_gcd(ring, *table(polys))
+
+
+def _cancel_by_sympy_gcd(ring, terms, den):
+    """The exact route of :func:`_cancel_common_factor`: sympy's dense gcd
+    over ``ZZ``, one per numerator, stopped once the gcd is constant."""
     u = ring.ngens - 1
     g = d = dmp_from_dict(den, u, ZZ)
     for p in terms.values():
-        if len(p) == 1 and not any(next(iter(p))):  # a constant numerator
-            return terms, den
         g = dmp_gcd(g, dmp_from_dict(p, u, ZZ), u, ZZ)
         if dmp_ground_p(g, None, u):
             return terms, den
@@ -192,7 +298,7 @@ def _cancel_common_factor(ring, terms, den):
 def _make(pool, terms, den=1, cancel=True):
     """The canonical superfunction with the numerators ``terms`` (nonzero
     ints, no empty numerator) over ``den``, a nonzero int or a nonzero
-    integer polynomial.  ``cancel=False`` skips the gcd chain, for callers
+    integer polynomial.  ``cancel=False`` skips the gcd, for callers
     that scale a canonical superfunction by a unit of ``Q[x][theta]``."""
     if not terms:
         return pool._zero
@@ -791,7 +897,7 @@ def _divide(num, den):
     """num / den, the one division of superfunctions.  On the numerator
     tables N (of num) and E = b + n (of den; b the body, n^(K+1) = 0),
     num/den = num.den^-1 * den.den * sum_k N (-n)^k b^(K-k) / b^(K+1): only
-    ring products of integer tables, then one gcd chain for the quotient."""
+    ring products of integer tables, then one gcd for the quotient."""
     b = den.terms.get(())
     if b is None:
         raise NonInvertible("body is zero")

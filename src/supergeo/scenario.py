@@ -229,7 +229,10 @@ def load_scenario(text: str) -> Scenario:
             sc.vectorfields[name] = _build_vectorfield(block.chart(charts), block)
         elif kind == "morphism":
             images = {target.coordinate(i): f for (i,), f in block.components(target, source.pool)}
-            sc.morphisms[name] = Morphism(source, target, images)
+            try:
+                sc.morphisms[name] = Morphism(source, target, images)
+            except SupergeoError as exc:  # a missing pullback, a pole or a box violation
+                raise type(exc)(f"{exc} (line {block.lineno})") from None
             sc.morphism_metrics[name] = (
                 block.get("source_metric")[1], block.get("target_metric")[1]
             )

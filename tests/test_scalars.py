@@ -922,7 +922,8 @@ class TestCoefficientInvariant:
 
     def test_integers_from_other_ground_types(self, pool, monkeypatch):
         """Under sympy's gmpy or flint ground types ``ZZ``'s elements are not
-        ints; the gcd chain and the square root store ints all the same."""
+        ints; sympy's gcd, the heuristic gcd's fallback, and the square root
+        store ints all the same."""
 
         class Mpz(int):  # closed under arithmetic, as gmpy2's mpz
             def __mul__(self, other):
@@ -940,8 +941,12 @@ class TestCoefficientInvariant:
                             lambda *a: {e: Mpz(c) for e, c in to_dict(*a).items()})
         monkeypatch.setattr(PolyElement, "sqf_list", foreign_sqf_list)
         xx, th12 = pool.even("x"), pool.odd("th1") * pool.odd("th2")
+        # only sympy's gcd, the fallback of the heuristic one, reaches dmp_to_dict
+        xy = GeneratorPool(["x", "y"], ["th1"])
+        x2, y2 = xy.even("x"), xy.even("y")
         for r in ((2 * xx + 2) / (xx + 1), (xx * xx - 1) / (2 * xx + 2) + th12 / (xx + 1),
-                  (4 * (xx + 1) ** 2 + th12).sqrt(), (9 * xx * xx / (xx + 1) ** 2).sqrt()):
+                  (4 * (xx + 1) ** 2 + th12).sqrt(), (9 * xx * xx / (xx + 1) ** 2).sqrt(),
+                  (x2 * x2 + x2 * y2) / (x2 * y2 + y2 * y2)):
             _assert_canonical(r)
 
     def test_constant_polynomial_is_not_canonical(self, pool):
@@ -1012,3 +1017,111 @@ class TestCoefficientInvariant:
                 _assert_canonical(r)
                 body = r.body_at(point)
                 assert type(body) is Fraction and pool.scalar(body) == r.body_part()
+
+
+def _random_poly(rng, n, terms=4, degree=3, bound=9):
+    """A nonzero integer polynomial in n even variables."""
+    p = {}
+    for _ in range(rng.randint(1, terms)):
+        e = tuple(rng.randint(0, degree) for _ in range(n))
+        p[e] = p.get(e, 0) + rng.randint(-bound, bound)
+    return {e: c for e, c in p.items() if c} or {(0,) * n: 1}
+
+
+_GCD_MONOMIALS = [(), (0,), (1,), (2,), (0, 1), (0, 2)]
+
+
+def _gcd_input(rng, n):
+    """A numerator table of 1-6 numerators over a polynomial ``den`` in n
+    even variables.  Each of a planted common factor, a common monomial and
+    a shared integer content is multiplied in with probability 1/2, and
+    each polynomial is negated with probability 1/2."""
+    polys = [_random_poly(rng, n) for _ in range(rng.randint(2, 7))]
+    for factor in (_random_poly(rng, n, 3, 2), {tuple(rng.randint(0, 2) for _ in range(n)): 1},
+                   {(0,) * n: rng.choice([2, 6, 35])}):
+        if rng.random() < 0.5:
+            polys = [scalars._pmul(p, factor) for p in polys]
+    polys = [scalars._pneg(p) if rng.random() < 0.5 else p for p in polys]
+    return dict(zip(_GCD_MONOMIALS, polys[1:])), polys[0]
+
+
+def _cancelled_by_sympy(pool, terms, den):
+    """The superfunction ``terms / den`` cancelled by sympy's ``PolyRing.gcd``."""
+    ring = PolyRing(pool.even_symbols, ZZ, lex)
+    g = ring.from_dict(den)
+    for p in terms.values():
+        g = g.gcd(ring.from_dict(p))
+
+    def quotient(p):
+        return {e: int(c) for e, c in ring.from_dict(p).exquo(g).items()}
+
+    return scalars._make(pool, {m: quotient(p) for m, p in terms.items()}, quotient(den),
+                         cancel=False)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Every table that the heuristic gcd hands to sympy's gcd."""
+    calls = []
+    original = scalars._cancel_by_sympy_gcd
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(scalars, "_cancel_by_sympy_gcd", counting)
+    return calls
+
+
+class TestHeuristicGcd:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cancellation_matches_sympy_gcd(self, n, fallbacks):
+        """Seeded tables, cancelled by the heuristic gcd (or its fallback),
+        equal the same tables cancelled by sympy's gcd; with one even
+        variable nothing falls back."""
+        pool = GeneratorPool(["x", "y", "z"][:n], ["th1", "th2", "th3"])
+        rng = seeded(170 + n)
+        for _ in range(150):
+            terms, den = _gcd_input(rng, n)
+            got, want = scalars._make(pool, terms, den), _cancelled_by_sympy(pool, terms, den)
+            _assert_canonical(got)
+            assert (got.terms, got.den) == (want.terms, want.den)
+        assert n > 1 or fallbacks == []
+
+    def test_spurious_factor_of_the_images(self, fallbacks):
+        """(1 + x + x^2)/(1 - y): with y -> X^3 both images hold
+        1 + X + X^2, whose lift divides no denominator; the next substitution
+        proves that nothing cancels.  The twin with (x - y) above and below
+        cancels to it."""
+        pool = GeneratorPool(["x", "y"], ["th1"])
+        xx, yy = pool.even("x"), pool.even("y")
+        f = (1 + xx + xx * xx) / (1 - yy)
+        twin = (1 + xx + xx * xx) * (xx - yy) / ((1 - yy) * (xx - yy))
+        for r in (f, twin):
+            _assert_canonical(r)
+            assert r.terms == {(): {(0, 0): -1, (1, 0): -1, (2, 0): -1}}
+            assert r.den == {(0, 1): 1, (0, 0): -1}
+        assert f == twin and fallbacks == []
+
+    def test_gcd_without_constant_term_falls_back(self, fallbacks):
+        """(x^2 + xy)/(xy + y^2) = x/y: the image X + X^3 of the gcd x + y
+        holds a power of X that neither candidate has, so sympy's gcd
+        decides."""
+        pool = GeneratorPool(["x", "y"], ["th1"])
+        xx, yy = pool.even("x"), pool.even("y")
+        q = (xx * xx + xx * yy) / (xx * yy + yy * yy)
+        _assert_canonical(q)
+        assert q == xx / yy and len(fallbacks) == 1
+
+    def test_a_failed_first_value_is_retried(self, monkeypatch, fallbacks):
+        """A seeded one-variable table whose first value of xi proves
+        nothing: one attempt hands it to sympy's gcd, the default attempts
+        cancel it on their own, to the same result."""
+        pool = GeneratorPool(["x"], ["th1", "th2", "th3"])
+        terms, den = _gcd_input(seeded(284), 1)
+        want = _cancelled_by_sympy(pool, terms, den)
+        got = scalars._make(pool, terms, den)
+        assert fallbacks == [] and (got.terms, got.den) == (want.terms, want.den)
+        monkeypatch.setattr(scalars, "_HEURISTIC_TRIES", 1)
+        got = scalars._make(pool, terms, den)
+        assert len(fallbacks) == 1 and (got.terms, got.den) == (want.terms, want.den)

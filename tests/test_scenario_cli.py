@@ -1,6 +1,7 @@
 """Scenario runner and CLI: golden reports, exit codes, determinism."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,15 +12,20 @@ from supergeo.scenario import load_scenario, run_scenario
 
 DATA = pathlib.Path(__file__).parent / "data"
 
-GOLDEN = {
-    "flat_killing": 0,
-    "curved_levi_civita": 1,  # contains a deliberate non-Killing check
-    "noether_flesh": 0,
-    "domain_symmetry": 1,  # contains a deliberate non-symmetry check
-    "degenerate": 1,
-    "parse_error": 2,
-    "math_error": 3,
-}
+
+def _golden_exit_codes():
+    """The exit code of each golden scenario ``tests/data/NAME.scn``, read
+    from the last line of ``NAME.report.txt``, ``exit = N``, as the CI
+    goldens step reads it."""
+    codes = {}
+    for scn in DATA.glob("*.scn"):
+        last = (DATA / f"{scn.stem}.report.txt").read_text().splitlines()[-1]
+        assert re.fullmatch(r"exit = [0-9]", last), f"{scn.stem}: last report line {last!r}"
+        codes[scn.stem] = int(last[-1])
+    return codes
+
+
+GOLDEN = _golden_exit_codes()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -574,11 +580,13 @@ y = {image}
     [
         # the midpoint x = 0 of the box is a pole of the metric
         (_POLE_METRIC, 3, "1.error = NonInvertible: body has a pole at x = 0"),
-        # the corner x = 0 of the source box is a pole of the pullback
+        # the corner x = 0 of the source box is a pole of the pullback; both
+        # morphism errors name the [morphism PHI] header's line
         (_TWO_CHARTS.format(box="-10 10", image="1/(x+1) + 1/x"), 2,
-         "error = NonInvertible: body has a pole at x = 0"),
+         "error = NonInvertible: body has a pole at x = 0 (line 10)"),
         (_TWO_CHARTS.format(box="0 1", image="2 x"), 2,
-         "error = ScenarioError: body of pullback for 'y' leaves the target box at x = 1"),
+         "error = ScenarioError: body of pullback for 'y' leaves the target box at x = 1"
+         " (line 10)"),
     ],
     ids=["pole_at_sample_point", "pole_at_box_corner", "box_violation"],
 )
@@ -587,6 +595,16 @@ def test_sampled_points_are_named_in_errors(tmp_path, capsys, text, exit_code, l
     path.write_text(text)
     assert cli_main(["run", str(path)]) == exit_code
     assert line in capsys.readouterr().out.splitlines()
+
+
+def test_missing_pullback_names_the_morphism_line():
+    lines = (DATA / "flat_killing.scn").read_text().splitlines()
+    header = lines.index("[morphism ID]") + 1
+    lines.remove("th2 = th2")
+    report = run_scenario("\n".join(lines))
+    assert report.exit_code == 2
+    assert report.load_error == (
+        f"ScenarioError: missing pullback expression for 'th2' (line {header})")
 
 
 def test_scenario_fuzz_never_crashes():
