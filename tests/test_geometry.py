@@ -316,6 +316,28 @@ class TestLeviCivita:
         assert all(e.is_zero() for a in torsion for b in a for e in b)
         assert all(e.is_zero() for a in metricity for b in a for e in b)
 
+    @pytest.mark.parametrize("which", ["curved", "deformed"])
+    def test_derivative_is_metric_and_torsion_free_on_fields(
+        self, which, metric_curved, metric_deformed
+    ):
+        """nabla_X on whole fields of both parities, checked only through
+        B.evaluate and [X, Y]: X g(Y,Z) = g(nabla_X Y, Z)
+        + (-1)^{|X||Y|} g(Y, nabla_X Z) and
+        nabla_X Y - (-1)^{|X||Y|} nabla_Y X = [X, Y]."""
+        g = {"curved": metric_curved, "deformed": metric_deformed}[which]
+        ch = g.chart
+        conn = levi_civita(g)
+        rng = seeded(611)
+        for xp, yp, zp in itertools.product((0, 1), repeat=3):
+            X, Y, Z = (random_field(ch, rng, p) for p in (xp, yp, zp))
+            sign = -1 if xp * yp else 1
+            lhs = X.apply(g.evaluate(Y, Z))
+            rhs = g.evaluate(conn.derivative(X, Y), Z)
+            rhs = rhs + g.evaluate(Y, conn.derivative(X, Z)) * sign
+            assert (lhs - rhs).is_zero()
+            torsion = conn.derivative(X, Y) - conn.derivative(Y, X).scale(sign)
+            assert torsion == X.bracket(Y)
+
     def test_certificate_derives_each_coordinate_field_once(
         self, metric_flat22, monkeypatch
     ):

@@ -217,13 +217,16 @@ class TestPullbackConnection:
         out = fleshy.connection_apply(fleshy.phi.source.coordinate_field(0), V)
         assert out.is_zero()
 
-    def test_identity_morphism_reduces_to_nabla(self, metric_curved):
-        ch = metric_curved.chart
-        setup = HarmonicSetup(Morphism.identity(ch), metric_curved, metric_curved)
+    @pytest.mark.parametrize("which", ["curved", "deformed"])
+    def test_identity_morphism_reduces_to_nabla(self, which, metric_curved,
+                                                metric_deformed):
+        g = {"curved": metric_curved, "deformed": metric_deformed}[which]
+        ch = g.chart
+        setup = HarmonicSetup(Morphism.identity(ch), g, g)
         rng = seeded(507)
-        for _ in range(4):
-            X = random_field(ch, rng, 0)
-            Y = random_field(ch, rng, 0)
+        for xp, yp in [(0, 0), (0, 0), (1, 0), (0, 1), (1, 1)]:
+            X = random_field(ch, rng, xp)
+            Y = random_field(ch, rng, yp)
             V = setup.phi.differential(Y)
             got = setup.connection_apply(X, V)
             want = setup.source_connection.derivative(X, Y)
