@@ -1,8 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error supergeo raises on purpose is a :class:`SupergeoError`, so one
+``except SupergeoError`` catches them all.  An argument outside an
+operation's domain (duplicate generator names, a ragged entry grid, an
+unknown Killing mode) raises :class:`InvalidArgument`, which is also a
+``ValueError`` for callers that catch that.
+"""
 
 
 class SupergeoError(Exception):
     """Base class for all errors raised by supergeo."""
+
+
+class InvalidArgument(SupergeoError, ValueError):
+    """An argument is outside the domain of the function it was passed to."""
 
 
 class PoolMismatch(SupergeoError):

@@ -16,7 +16,8 @@ Vector fields, one-forms and fields along a morphism
 (:class:`morphisms.FieldAlongMorphism`) share one graded component algebra,
 :class:`_Field`: one homogeneity check, one sum, one scaling rule
 (:func:`supermatrix.scaled_parity`) and one renderer.  Connections use
-``nabla_{d_i} d_j = sum_k Gamma^k_ij d_k`` with left coefficients.  A metric
+``nabla_{d_i} d_j = sum_k Gamma^k_ij d_k`` with left coefficients, and one
+covariant derivative, which the pullback connection shares.  A metric
 is validated once and its derived objects are built once, in its
 :class:`MetricContext`; every sum over an OSp frame against ``J e_j`` is
 :func:`frame_sum` or :func:`frame_raise`.
@@ -30,6 +31,7 @@ from functools import cached_property
 
 from .errors import (
     ChartMismatch,
+    InvalidArgument,
     MetricViolation,
     NonInvertible,
     ParityError,
@@ -61,20 +63,21 @@ class Chart:
     def __init__(self, even, odd, box, flesh=()):
         odd = tuple(odd)
         if len(odd) % 2:
-            raise ValueError("the number of odd coordinates must be even")
+            raise InvalidArgument("the number of odd coordinates must be even")
         self.pool = GeneratorPool(even, odd, flesh)
         self.box = {}
         for name in self.pool.even_names:
             if name not in box:
-                raise ValueError(f"missing box interval for {name!r}")
+                raise InvalidArgument(f"missing box interval for {name!r}")
             a, b = box[name]
             a, b = Fraction(a), Fraction(b)
             if not a < b:
-                raise ValueError(f"box interval for {name!r} must have a < b")
+                raise InvalidArgument(f"box interval for {name!r} must have a < b")
             self.box[name] = (a, b)
         for name in box:
             if name not in self.box:
-                raise ValueError(f"box interval for {name!r}, which is not an even coordinate")
+                raise InvalidArgument(f"box interval for {name!r}, which is not an even"
+                                      " coordinate")
         self.n = self.pool.n_even
         self.two_m = self.pool.n_coordinate_odd
         self.dim = self.n + self.two_m
@@ -144,7 +147,7 @@ class _Field:
             c if isinstance(c, Superfunction) else pool.scalar(c) for c in components
         ]
         if len(self.components) != slots.dim:
-            raise ValueError("one component per coordinate is required")
+            raise InvalidArgument("one component per coordinate is required")
         self.parity = parity % 2
         for a, c in enumerate(self.components):
             if not c.has_parity(self.parity + slots.parity(a)):
@@ -389,12 +392,11 @@ class MetricContext:
         self.signature = signature
 
     @classmethod
-    def of(cls, g: BilinearForm, signature: Signature | None = None) -> "MetricContext":
-        """The context of ``g``; a caller that has just run ``validate_metric(g)``
-        passes the result as ``signature`` so ``g`` is not validated again."""
+    def of(cls, g: BilinearForm) -> "MetricContext":
+        """The context of ``g``, validating ``g`` on first use."""
         ctx = getattr(g, "_metric_context", None)
         if ctx is None:
-            ctx = g._metric_context = cls(g, signature or validate_metric(g))
+            ctx = g._metric_context = cls(g, validate_metric(g))
         return ctx
 
     @cached_property
@@ -419,30 +421,33 @@ class Connection:
 
     def coordinate_derivative(self, i: int, Y: VectorField) -> VectorField:
         """nabla_{d_i} Y."""
-        chart = self.chart
-        names = chart.coordinate_names()
-        comps = []
-        for k in range(chart.dim):
-            acc = Y.components[k].partial(names[i])
-            for j in range(chart.dim):
-                yj = Y.components[j]
-                if yj.is_zero() or self.gamma[i][j][k].is_zero():
-                    continue
-                sign = -1 if chart.parity(i) * ((Y.parity + chart.parity(j)) % 2) else 1
-                acc = acc + yj * self.gamma[i][j][k] * sign
-            comps.append(acc)
-        return Y._new(comps, Y.parity + chart.parity(i))
+        return self.derivative(self.chart.coordinate_field(i), Y)
 
     def derivative(self, X: VectorField, Y: VectorField) -> VectorField:
-        """nabla_X Y = sum_i X^i nabla_{d_i} Y."""
-        chart = self.chart
-        out = chart.zero_field((X.parity + Y.parity) % 2)
-        for i in range(chart.dim):
-            xi = X.components[i]
-            if xi.is_zero():
+        """nabla_X Y."""
+        return _covariant_derivative(X.apply, X, self.gamma, Y)
+
+
+def _covariant_derivative(apply, dX: _Field, gamma, V: _Field) -> _Field:
+    """The one covariant derivative over the slots of V, with X acting by ``apply``:
+    (nabla_X V)^b = X(V^b) + sum_i dX^i sum_j (-1)^{(|j|+|b|)(|V|+|j|)} Gamma^b_ij V^j,
+    where dX = X on a chart, and dX = dPhi[X] and gamma = phi#(Gamma) along Phi."""
+    par = V.slots.parity
+    comps = []
+    for b, vb in enumerate(V.components):
+        acc = apply(vb)
+        for i, di in enumerate(dX.components):
+            if di.is_zero():
                 continue
-            out = out + self.coordinate_derivative(i, Y).scale(xi)
-        return out
+            inner = V.pool.zero()
+            for j, vj in enumerate(V.components):
+                gam = gamma[i][j][b]
+                if not (vj.is_zero() or gam.is_zero()):
+                    sign = -1 if ((par(j) + par(b)) * (V.parity + par(j))) % 2 else 1
+                    inner = inner + gam * vj * sign
+            acc = acc + di * inner
+        comps.append(acc)
+    return V._new(comps, dX.parity + V.parity)
 
 
 def levi_civita(g: BilinearForm) -> Connection:

@@ -22,7 +22,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import CertificateFailure, ChartMismatch, ParityError, UnsupportedMetric
+from .errors import (
+    CertificateFailure,
+    ChartMismatch,
+    InvalidArgument,
+    ParityError,
+    UnsupportedMetric,
+)
 from .exactlinalg import nullspace, rank
 from .geometry import BilinearForm, Chart, MetricContext, OneForm, VectorField
 from .scalars import Superfunction
@@ -190,7 +196,7 @@ class KillingChecker:
         elif mode in runners:
             selected = [mode]
         else:
-            raise ValueError(f"unknown killing mode {mode!r}")
+            raise InvalidArgument(f"unknown killing mode {mode!r}")
         return KillingReport(
             {m: runners[m](X) for m in selected}, X.parity
         )
@@ -266,7 +272,7 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
     ``i <= j`` are written.
     """
     if degree < 0:
-        raise ValueError("degree bound must be nonnegative")
+        raise InvalidArgument("degree bound must be nonnegative")
     chart = g.chart
     if not all(entry.is_polynomial() for row in g.components for entry in row):
         raise UnsupportedMetric("metric components must be polynomial")

@@ -29,6 +29,7 @@ from .geometry import (
     MetricContext,
     OSpFrame,
     VectorField,
+    _covariant_derivative,
     _Field,
     divergence,
     frame_raise,
@@ -43,7 +44,7 @@ from .supermatrix import SuperMatrix, graded_pair
 class Morphism:
     """Map with flesh from a source chart into a (flesh-free) target chart."""
 
-    def __init__(self, source: Chart, target: Chart, images: dict, check_box=True):
+    def __init__(self, source: Chart, target: Chart, images: dict):
         if target.pool.n_flesh:
             raise ScenarioError("target charts of morphisms must carry no flesh")
         self.source = source
@@ -59,13 +60,12 @@ class Morphism:
             if not img.has_parity(target.parity(i)):
                 raise ParityError(f"pullback of {name!r} must have parity {target.parity(i)}")
             self.images[name] = img
-        if check_box:
-            self._certify_box()
+        self._certify_box()
 
     @classmethod
     def identity(cls, chart: Chart) -> "Morphism":
         images = {n: chart.pool.generator(n) for n in chart.coordinate_names()}
-        return cls(chart, chart, images, check_box=False)
+        return cls(chart, chart, images)
 
     def _certify_box(self):
         """Sampled certificate: bodies of even images stay inside the target box
@@ -197,15 +197,9 @@ class HarmonicSetup:
         self.source_connection = source.connection
         self.target_connection = target.connection
         self.frame = source.frame
-        tdim = phi.target.dim
         self._g_pulled = self._pull_grid(g)
-        self._gamma_pulled = [
-            [
-                [phi.pullback(self.target_connection.gamma[i][j][k]) for k in range(tdim)]
-                for j in range(tdim)
-            ]
-            for i in range(tdim)
-        ]
+        self._gamma_pulled = [[[phi.pullback(c) for c in row] for row in plane]
+                              for plane in self.target_connection.gamma]
         self._tension = None
         self._pullback_metric = None
         self._energy_density = None
@@ -262,28 +256,8 @@ class HarmonicSetup:
     def connection_apply(
         self, X: VectorField, V: FieldAlongMorphism
     ) -> FieldAlongMorphism:
-        """(nabla_Phi)_X V from the two-term coordinate display."""
-        target = self.phi.target
-        dX = self.phi.differential(X)
-        pv = V.parity
-        comps = []
-        for b in range(target.dim):
-            pb = target.parity(b)
-            acc = X.apply(V.components[b])
-            for i in range(target.dim):
-                di = dX.components[i]
-                if di.is_zero():
-                    continue
-                for j in range(target.dim):
-                    vj = V.components[j]
-                    gam = self._gamma_pulled[i][j][b]
-                    if vj.is_zero() or gam.is_zero():
-                        continue
-                    pj = target.parity(j)
-                    sign = -1 if ((pj + pb) * (pv + pj)) % 2 else 1
-                    acc = acc + di * gam * vj * sign
-            comps.append(acc)
-        return FieldAlongMorphism(self.phi, comps, (X.parity + pv) % 2)
+        """(nabla_Phi)_X V: the covariant derivative on dPhi[X] and phi#(Gamma)."""
+        return _covariant_derivative(X.apply, self.phi.differential(X), self._gamma_pulled, V)
 
     def second_fundamental_form(
         self, X: VectorField, Y: VectorField

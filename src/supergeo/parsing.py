@@ -7,6 +7,7 @@ factors normalised by graded commutation.  Parse errors carry line/column.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import NonInvertible, ParseError, PoolMismatch, UnknownGenerator
@@ -21,53 +22,27 @@ class _Token:
     column: int
 
 
-def _is_digit(c):
-    return "0" <= c <= "9"
-
-
-def _is_ident_start(c):
-    return "a" <= c <= "z" or "A" <= c <= "Z" or c == "_"
+# One alternative per token kind; ``\s`` matches exactly what str.isspace
+# does, and BAD catches any other single character.
+_TOKEN = re.compile(
+    r"(?P<INT>[0-9]+)|(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)|(?P<OP>[-+*/^()])|(?P<SPACE>\s+)"
+    r"|(?P<BAD>.)"
+)
 
 
 def _tokenize(text: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if _is_digit(c):
-            start = i
-            startcol = col
-            while i < n and _is_digit(text[i]):
-                i += 1
-                col += 1
-            tokens.append(_Token("INT", text[start:i], line, startcol))
-            continue
-        if _is_ident_start(c):
-            start = i
-            startcol = col
-            while i < n and (_is_ident_start(text[i]) or _is_digit(text[i])):
-                i += 1
-                col += 1
-            tokens.append(_Token("IDENT", text[start:i], line, startcol))
-            continue
-        if c in "+-*/^()":
-            tokens.append(_Token("OP", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+    line, line_start = 1, 0  # line_start: offset of the line's first character
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        if kind != "SPACE":
+            tokens.append(_Token(kind, m.group(), line, col))
+        elif "\n" in m.group():
+            line += m.group().count("\n")
+            line_start = m.start() + m.group().rindex("\n") + 1
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 

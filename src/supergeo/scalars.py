@@ -68,8 +68,8 @@ from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyRing
 
-from .errors import (FleshInTopCoefficient, InexactCoefficient, NonInvertible, NotASquare,
-                     ParityError, PoolMismatch, UnknownGenerator)
+from .errors import (FleshInTopCoefficient, InexactCoefficient, InvalidArgument, NonInvertible,
+                     NotASquare, ParityError, PoolMismatch, UnknownGenerator)
 
 @functools.cache
 def _ring(even_names):
@@ -400,7 +400,7 @@ class GeneratorPool:
         self.n_coordinate_odd = len(tuple(odd_names))
         all_names = self.even_names + self.odd_names
         if len(set(all_names)) != len(all_names):
-            raise ValueError("generator names must be unique")
+            raise InvalidArgument("generator names must be unique")
         self.ring = _ring(self.even_names)
         self.even_symbols = self.ring.symbols
         self._symbols = frozenset(self.even_symbols)

@@ -22,7 +22,9 @@ from .errors import (
     ScenarioError,
     SupergeoError,
 )
-from .geometry import BilinearForm, Chart, MetricContext, VectorField, validate_metric
+from .geometry import BilinearForm, Chart, MetricContext, VectorField
+# unused here, but perfbench/tests checks that its tracer wraps this copy
+from .geometry import validate_metric  # noqa: F401
 from .lie import KillingChecker, lie_derivative_bilinear, solve_killing
 from .morphisms import HarmonicSetup, Morphism
 from .integration import action
@@ -411,8 +413,7 @@ class _Runner:
         return CommandResult(text, status, details)
 
     def _cmd_validate_metric(self, g):
-        sig = validate_metric(g)
-        MetricContext.of(g, sig)
+        sig = MetricContext.of(g).signature
         return "pass", [("signature", str(sig.as_tuple()))]
 
     def _cmd_osp_frame(self, g):

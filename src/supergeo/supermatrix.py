@@ -25,6 +25,7 @@ import itertools
 
 from .errors import (
     InhomogeneousMatrix,
+    InvalidArgument,
     MetricViolation,
     NonInvertible,
     NonInvertibleBlock,
@@ -44,7 +45,7 @@ class SuperMatrix:
         self.parity = parity % 2
         dim = p + q
         if len(entries) != dim or any(len(row) != dim for row in entries):
-            raise ValueError("entry grid does not match block dimensions")
+            raise InvalidArgument("entry grid does not match block dimensions")
         self.entries = [
             [e if isinstance(e, Superfunction) else pool.scalar(e) for e in row]
             for row in entries
@@ -89,7 +90,7 @@ class SuperMatrix:
         if other.pool != self.pool:
             raise PoolMismatch("matrices over different pools")
         if (other.p, other.q) != (self.p, self.q):
-            raise ValueError("block dimension mismatch")
+            raise InvalidArgument("block dimension mismatch")
 
     def __add__(self, other):
         """Each operand checks the other, so that a form and a plain matrix
@@ -388,7 +389,7 @@ def osp_residuals(L: SuperMatrix, t: int, s: int, m: int):
     """<L e_i, e_j> + (-1)^{|L||e_i|} <e_i, L e_j> against g0, per basis pair."""
     dim = t + s + 2 * m
     if L.dim != dim or (L.p, L.q) != (t + s, 2 * m):
-        raise ValueError("matrix dimensions do not match the signature")
+        raise InvalidArgument("matrix dimensions do not match the signature")
     pool = L.pool
     g0 = standard_metric(pool, t, s, m)
     par = L.slot_parity

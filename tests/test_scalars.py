@@ -36,8 +36,12 @@ def pool():
 
 
 def test_pool_rejects_duplicate_names():
-    with pytest.raises(ValueError):
-        GeneratorPool(["x"], ["x"])
+    """A repeated name, among the evens or across evens and odds, is an
+    InvalidArgument: a SupergeoError that is still a ValueError."""
+    for even, odd in [(["x", "x"], []), (["x"], ["x"])]:
+        with pytest.raises(SupergeoError, match="generator names must be unique") as err:
+            GeneratorPool(even, odd)
+        assert isinstance(err.value, ValueError)
 
 
 def test_pools_with_equal_even_names_share_the_ring():

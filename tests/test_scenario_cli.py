@@ -327,7 +327,7 @@ check-killing T g --mode all
 
 
 def test_validate_metric_command_shares_its_result(monkeypatch):
-    from supergeo import geometry, scenario
+    from supergeo import geometry
 
     validate = geometry.validate_metric
     calls = []
@@ -337,7 +337,6 @@ def test_validate_metric_command_shares_its_result(monkeypatch):
         return validate(g)
 
     monkeypatch.setattr(geometry, "validate_metric", counted)
-    monkeypatch.setattr(scenario, "validate_metric", counted)
     text = """
 [chart]
 even = x

@@ -14,6 +14,7 @@ from supergeo.errors import (
     NonInvertible,
     NonInvertibleBlock,
     NotASquare,
+    SupergeoError,
 )
 from supergeo.exactlinalg import nullspace
 from supergeo.supermatrix import (
@@ -44,6 +45,14 @@ def random_matrix(pool, p, q, parity, rng, max_degree=1):
             row.append(random_superfunction(pool, rng, sl, max_degree, coeff_range=2))
         rows.append(row)
     return SuperMatrix(pool, p, q, rows, parity)
+
+
+def test_ragged_grid_is_a_supergeo_error(pool):
+    """A grid with a short row is an InvalidArgument: a SupergeoError that is
+    still a ValueError."""
+    with pytest.raises(SupergeoError, match="entry grid") as err:
+        SuperMatrix(pool, 1, 2, [[1, 0, 0], [0, 1], [0, 0, 1]])
+    assert isinstance(err.value, ValueError)
 
 
 def random_invertible(pool, p, q, rng):
