@@ -5,6 +5,16 @@ Every error supergeo raises on purpose is a :class:`SupergeoError`, so one
 operation's domain (duplicate generator names, a ragged entry grid, an
 unknown Killing mode) raises :class:`InvalidArgument`, which is also a
 ``ValueError`` for callers that catch that.
+
+``GeneratorPool.scalar`` raises :class:`InexactCoefficient` for any value
+it cannot lift (``scalar(0.5)``, ``scalar("a")``), and so does an operator
+given an inexact sympy expression (``x + sympy.Float(0.5)``).  An
+arithmetic operand of an unsupported type is not an error of the
+package: ``Superfunction``'s operators return
+``NotImplemented`` for anything but a superfunction, an exact rational (an
+int that is not a bool, a ``Fraction``, a sympy ``Rational`` or ``QQ``
+element) or a sympy expression, so ``x + "a"``, ``"a" + x``, ``x * 0.5`` and
+``x - True`` raise Python's ``TypeError``, as ``x ** 0.5`` does.
 """
 
 

@@ -53,8 +53,7 @@ def integrate(f: Superfunction, vol: VolumeDensity) -> Fraction:
         )
     total = Fraction(0)
     boxes = [chart.box[name] for name in chart.pool.even_names]
-    for _, exps, q in top.rational_coefficients():
-        term = Fraction(int(q.numerator), int(q.denominator))
+    for _, exps, term in top.rational_coefficients():
         for e, (a, b) in zip(exps, boxes):
             term *= (b ** (e + 1) - a ** (e + 1)) / (e + 1)
         total += term

@@ -248,9 +248,9 @@ def _ansatz_fields(chart: Chart, degree: int):
 
 
 def _coefficient_rows(columns):
-    """Sparse rational rows ``{column: QQ}`` with one column per list of
-    superfunctions; a row is one (list index, odd monomial, even exponents)
-    key, in order of first appearance."""
+    """Sparse rational rows ``{column: int or Fraction}``, one column per
+    list of superfunctions; a row is one (list index, odd monomial, even
+    exponents) key, in order of first appearance."""
     keys = {}
     rows = []
     for col, entries in enumerate(columns):

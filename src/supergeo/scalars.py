@@ -24,19 +24,30 @@ Division happens in one place, :func:`_divide`.  Other modules never read
 it: results share numerators with their operands, ``f + 0`` is ``f``, ``0 * f``
 is the zero operand, and :meth:`Superfunction.partial` keeps each derivative.
 
-Sympy stays for the exact gcd that the heuristic one falls back to on some
-tables in several variables (its dense gcd over ``ZZ``), the square-free
-decomposition behind :func:`_poly_root`, and ``DomainMatrix``
-in other modules, which import only ``QQ`` and ``DomainMatrix`` from
-``sympy.polys``.  Values meet ``Expr`` only at the edges:
-:meth:`GeneratorPool.scalar` takes ints, ``Fraction``s, ``Rational``s and
-``QQ`` elements and walks even expressions itself (floats, bools, irrational
-numbers, other functions and foreign symbols are rejected);
-:meth:`Superfunction.body` returns ``Expr``; and :meth:`Superfunction.render`
+No module of the package imports sympy when it is imported: a scenario run
+needs no sympy object, and importing sympy would cost it about 0.5 s and 35
+MiB.  This module imports sympy inside the functions that take or hand out
+sympy objects, and in one fallback: the exact gcd that the heuristic one
+falls back to on some tables in several variables
+(:func:`_cancel_by_sympy_gcd`, sympy's dense gcd over ``ZZ``);
+:meth:`Superfunction.body` and :meth:`Superfunction.berezin_top`, which
+return ``Expr``; a pool's ``ring``, ``even_symbols`` and
+:meth:`GeneratorPool.even_symbol`, built on first use; and
+:meth:`GeneratorPool.scalar`, which takes ints, ``Fraction``s,
+``Rational``s and ``QQ`` elements and walks even expressions itself
+(floats, bools, irrational numbers, other functions and foreign symbols are
+rejected).  It asks whether a value is a sympy ``Rational``, ``QQ`` element
+or ``Expr`` only once sympy is in ``sys.modules``, since no value can be one
+before.  Square roots (:func:`_poly_root`), the generator order of the
+printer and error messages are native.  :meth:`Superfunction.render`
 cancels each coefficient against ``den`` on its own and prints it byte for
 byte as sympy's ``sstr(expr, order="lex")`` would.  :meth:`Superfunction.body_at`
 is the package's only way to evaluate a body at a point: it returns a
-``Fraction`` and raises ``NonInvertible`` at a pole.
+``Fraction`` and raises ``NonInvertible`` at a pole.  The arithmetic
+operators take superfunctions over an equal pool, exact rationals and even
+sympy expressions; for an operand of any other type (a ``str``, a
+``float``, a ``bool``) they return ``NotImplemented``, so Python raises
+``TypeError``.
 
 Sign conventions, fixed once for the whole package (see
 docs/sign-conventions.md):
@@ -57,33 +68,53 @@ import functools
 import itertools
 import math
 import operator
+import re
+import sys
 from fractions import Fraction
-
-import sympy as sp
-from sympy.polys.densearith import dmp_exquo
-from sympy.polys.densebasic import dmp_from_dict, dmp_ground_p, dmp_to_dict
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.euclidtools import dmp_gcd
-from sympy.polys.orderings import lex
-from sympy.polys.polyutils import _sort_gens
-from sympy.polys.rings import PolyRing
 
 from .errors import (FleshInTopCoefficient, InexactCoefficient, InvalidArgument, NonInvertible,
                      NotASquare, ParityError, PoolMismatch, UnknownGenerator)
 
+
 @functools.cache
 def _ring(even_names):
-    """``ZZ[x_1..x_n]`` for these even names; one instance per name tuple."""
+    """sympy's ``ZZ[x_1..x_n]`` for these even names; one instance per name
+    tuple.  Imports sympy."""
+    import sympy as sp
+    from sympy.polys.domains import ZZ
+    from sympy.polys.orderings import lex
+    from sympy.polys.rings import PolyRing
+
     return PolyRing(tuple(sp.Symbol(n) for n in even_names), ZZ, lex)
+
+
+@functools.cache
+def _sympy_classes():
+    """sympy's exact rational types (``Rational`` and ``QQ``'s element type)
+    and ``Expr``.  Callers ask only once sympy is in ``sys.modules``: a
+    value can be a sympy object only then, so the check costs no import."""
+    import sympy as sp
+
+    return (sp.Rational, sp.QQ.dtype), sp.Expr
 
 
 def _rational(value):
     """``(numerator, denominator)`` of an exact rational value (an int that is
     not a bool, a ``Fraction``, a sympy ``Rational`` or a ``QQ`` element),
     else None."""
-    if isinstance(value, (int, Fraction, QQ.dtype, sp.Rational)) and not isinstance(value, bool):
-        return int(value.numerator), int(value.denominator)
-    return None
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, (int, Fraction)):
+        if isinstance(value, bool):
+            return None
+    elif "sympy" not in sys.modules or not isinstance(value, _sympy_classes()[0]):
+        return None
+    return int(value.numerator), int(value.denominator)
+
+
+def _is_expr(value):
+    """Whether ``value`` is a sympy ``Expr``; costs no import."""
+    return "sympy" in sys.modules and isinstance(value, _sympy_classes()[1])
 
 
 # -- integer polynomials {exponent tuple: nonzero int} ------------------------
@@ -157,7 +188,9 @@ def _times(terms, d):
 
 
 def _expr(pool, p):
-    """A polynomial as a sympy expression."""
+    """A polynomial as a sympy expression.  Imports sympy."""
+    import sympy as sp
+
     return sp.Add(*(c * sp.Mul(*(s**e for s, e in zip(pool.even_symbols, exps)))
                     for exps, c in p.items()))
 
@@ -207,7 +240,7 @@ def _lift(p, shift, radix):
     return out
 
 
-def _cancel_common_factor(ring, terms, den):
+def _cancel_common_factor(terms, den):
     """Divide the numerators and the polynomial ``den`` by their common
     factor in ``Z[x]``: one heuristic gcd over the whole table in Python ints
     (GCDHEU: Char, Geddes and Gonnet, J. Symbolic Computation 7, 1989).
@@ -277,13 +310,19 @@ def _cancel_common_factor(ring, terms, den):
                         and xi > 2 * min(max(map(abs, c.values())) for c in cofactors) + 2):
                     return table(cofactors)
         xi = xi * 73794 // 27011
-    return _cancel_by_sympy_gcd(ring, *table(polys))
+    return _cancel_by_sympy_gcd(*table(polys))
 
 
-def _cancel_by_sympy_gcd(ring, terms, den):
+def _cancel_by_sympy_gcd(terms, den):
     """The exact route of :func:`_cancel_common_factor`: sympy's dense gcd
-    over ``ZZ``, one per numerator, stopped once the gcd is constant."""
-    u = ring.ngens - 1
+    over ``ZZ``, one per numerator, stopped once the gcd is constant.
+    Imports sympy, which no golden scenario and no benchmark job reaches."""
+    from sympy.polys.densearith import dmp_exquo
+    from sympy.polys.densebasic import dmp_from_dict, dmp_ground_p, dmp_to_dict
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dmp_gcd
+
+    u = len(next(iter(den))) - 1
     g = d = dmp_from_dict(den, u, ZZ)
     for p in terms.values():
         g = dmp_gcd(g, dmp_from_dict(p, u, ZZ), u, ZZ)
@@ -304,7 +343,7 @@ def _make(pool, terms, den=1, cancel=True):
         return pool._zero
     if type(den) is not int:
         if cancel:
-            terms, den = _cancel_common_factor(pool.ring, terms, den)
+            terms, den = _cancel_common_factor(terms, den)
         if len(den) == 1 and pool._zero_exps in den:
             den = den[pool._zero_exps]
     if den == 1:
@@ -349,13 +388,8 @@ def _table_add(a, b):
 
 def _table_mul(pool, a, b):
     """The product of two numerator tables; the pool caches the sign and
-    merged monomial of each pair of odd monomials."""
-    if len(b) == 1 and () in b:
-        q = b[()]
-        return {m: _pmul(p, q) for m, p in a.items()}
-    if len(a) == 1 and () in a:
-        p = a[()]
-        return {m: _pmul(p, q) for m, q in b.items()}
+    merged monomial of each pair of odd monomials.  :meth:`Superfunction.__mul__`
+    multiplies by a body-only table itself."""
     merges = pool._merges
     if len(merges) > 1024:  # start over, so that many odd generators cannot exhaust memory
         merges.clear()
@@ -401,9 +435,6 @@ class GeneratorPool:
         all_names = self.even_names + self.odd_names
         if len(set(all_names)) != len(all_names):
             raise InvalidArgument("generator names must be unique")
-        self.ring = _ring(self.even_names)
-        self.even_symbols = self.ring.symbols
-        self._symbols = frozenset(self.even_symbols)
         self._even_index = {n: k for k, n in enumerate(self.even_names)}
         self._odd_index = {n: k for k, n in enumerate(self.odd_names)}
         n = len(self.even_names)
@@ -412,6 +443,21 @@ class GeneratorPool:
         self._add_exps = _exps_adder(n)
         self._merges = {}
         self._zero = Superfunction(self, {})  # immutable, so one serves all
+
+    @functools.cached_property
+    def ring(self):
+        """sympy's ``ZZ[x_1..x_n]`` over the even names, for tests and callers
+        that want sympy objects; built on first use, so it imports sympy."""
+        return _ring(self.even_names)
+
+    @functools.cached_property
+    def even_symbols(self):
+        """The even variables as sympy ``Symbol``s; imports sympy."""
+        return self.ring.symbols
+
+    @functools.cached_property
+    def _symbols(self):
+        return frozenset(self.even_symbols)
 
     @property
     def n_even(self):
@@ -441,6 +487,7 @@ class GeneratorPool:
             raise UnknownGenerator(f"unknown even variable {name!r}") from None
 
     def even_symbol(self, name: str):
+        """The even variable ``name`` as a sympy ``Symbol``; imports sympy."""
         return self.even_symbols[self._even_position(name)]
 
     def zero(self) -> "Superfunction":
@@ -453,10 +500,11 @@ class GeneratorPool:
         """Lift an exact rational number or an even sympy expression."""
         if type(value) is int:
             return self._constant(value, 1)
-        q = _rational(value)
-        if q is not None:
-            return self._constant(*q)
-        if isinstance(value, sp.Expr):
+        if not _is_expr(value):  # a sympy Rational is lifted as an Expr
+            q = _rational(value)
+            if q is not None:
+                return self._constant(*q)
+        else:
             foreign = value.free_symbols - self._symbols
             if foreign:
                 names = ", ".join(sorted(str(s) for s in foreign))
@@ -480,7 +528,7 @@ class GeneratorPool:
         folded with the ring arithmetic: rationals, symbols, sums, products
         and integer powers; anything else raises ``InexactCoefficient``, and
         a negative power of zero ``NonInvertible``."""
-        if isinstance(e, sp.Rational):
+        if e.is_Rational:
             return self._constant(e.p, e.q)
         if e.is_Symbol:
             return self.even(e.name)
@@ -488,7 +536,7 @@ class GeneratorPool:
             return functools.reduce(operator.add, map(self._lift, e.args))
         if e.is_Mul:
             return functools.reduce(operator.mul, [self._lift(a) for a in e.args])
-        if e.is_Pow and isinstance(e.exp, sp.Integer):
+        if e.is_Pow and e.exp.is_Integer:
             return self._lift(e.base) ** int(e.exp)
         raise InexactCoefficient
 
@@ -542,16 +590,25 @@ class Superfunction:
         self.den = den  # positive int, or a polynomial {even exponents: int}
 
     def _coerce(self, other):
+        """``other`` as a superfunction over this pool: a superfunction over
+        an equal pool, an exact rational or an even sympy expression (which
+        may raise, as in :meth:`GeneratorPool.scalar`); None for an operand
+        of any other type, for which the operators return ``NotImplemented``."""
         if isinstance(other, Superfunction):
             if other.pool is not self.pool and other.pool != self.pool:
                 raise PoolMismatch("operands belong to different pools")
             return other
-        return self.pool.scalar(other)
+        q = _rational(other)
+        if q is not None:
+            return self.pool._constant(*q)
+        return self.pool.scalar(other) if _is_expr(other) else None
 
     # -- ring structure ------------------------------------------------------
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         if not other.terms:
             return self
         if not self.terms:
@@ -570,38 +627,77 @@ class Superfunction:
 
     def __sub__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         if not other.terms:
             return self
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other):
-        if type(other) is int and other in (1, -1):  # graded signs
-            return self if other == 1 else -self
+        if type(other) is int:  # graded signs and integer factors
+            return self._scaled(other, 1)
         other = self._coerce(other)
-        if not self.terms:
+        if other is None:
+            return NotImplemented
+        a, b = self.terms, other.terms
+        if not a:
             return self
-        if not other.terms:
+        if not b:
             return other
-        terms = _table_mul(self.pool, self.terms, other.terms)
+        # a body-only factor multiplies each numerator, and a rational
+        # constant only scales the other factor
+        if len(b) == 1 and () in b:
+            q = b[()]
+            if len(q) == 1 and type(other.den) is int and (n := q.get(self.pool._zero_exps)):
+                return self._scaled(n, other.den)
+            terms = {m: _pmul(p, q) for m, p in a.items()}
+        elif len(a) == 1 and () in a:
+            p = a[()]
+            if len(p) == 1 and type(self.den) is int and (n := p.get(self.pool._zero_exps)):
+                return other._scaled(n, self.den)
+            terms = {m: _pmul(p, q) for m, q in b.items()}
+        else:
+            terms = _table_mul(self.pool, a, b)
         if self.den == 1 and other.den == 1:
             return Superfunction(self.pool, terms) if terms else self.pool._zero
-        den = _pscale(self.den, other.den)
-        # a rational constant brings no polynomial factor to cancel
-        return _make(self.pool, terms, den, type(den) is int
-                     or not (self._is_constant() or other._is_constant()))
+        return _make(self.pool, terms, _pscale(self.den, other.den))
 
     def __rmul__(self, other):
         # only scalars reach here; they commute with everything
-        return self * other
+        return self.__mul__(other)
+
+    def _scaled(self, n, d):
+        """``self * n/d`` for ``n/d`` in lowest terms with ``d > 0``, without
+        a table product or a gcd chain: the numerators and ``den`` have no
+        joint content, so with ``c_N`` the content of the numerators and
+        ``c_D`` that of ``den``, ``n N / (d D)`` loses exactly
+        ``gcd(n, c_D) * gcd(d, c_N)``.  ``1`` returns ``self``."""
+        if not self.terms or (n == 1 and d == 1):
+            return self
+        if not n:
+            return self.pool._zero
+        den = self.den
+        g = math.gcd(n, den) if type(den) is int else math.gcd(n, *den.values())
+        h = 1 if d == 1 else math.gcd(d, *(c for p in self.terms.values() for c in p.values()))
+        n, d = n // g, d // h
+        terms = self.terms
+        if n != 1 or h != 1:
+            terms = {m: {e: c // h * n for e, c in p.items()} for m, p in terms.items()}
+        if g != 1 or d != 1:
+            den = den // g * d if type(den) is int else {e: c // g * d for e, c in den.items()}
+        return Superfunction(self.pool, terms, den)
 
     def __truediv__(self, other):
-        return _divide(self, self._coerce(other))
+        other = self._coerce(other)
+        return NotImplemented if other is None else _divide(self, other)
 
     def __rtruediv__(self, other):
-        return _divide(self._coerce(other), self)
+        other = self._coerce(other)
+        return NotImplemented if other is None else _divide(other, self)
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -622,6 +718,8 @@ class Superfunction:
             other = self._coerce(other)
         except (PoolMismatch, InexactCoefficient, UnknownGenerator):
             return False
+        if other is None:
+            return NotImplemented
         return self.terms == other.terms and self.den == other.den
 
     __hash__ = None
@@ -631,13 +729,11 @@ class Superfunction:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _is_constant(self):
-        return (type(self.den) is int and self.terms.keys() == {()}
-                and self.terms[()].keys() == {self.pool._zero_exps})
-
     def body(self):
         """Even-variable rational function left after killing all odd
-        generators, as a sympy expression."""
+        generators, as a sympy expression; imports sympy."""
+        import sympy as sp
+
         b = self.body_part()
         if b.is_zero():
             return sp.Integer(0)
@@ -692,11 +788,13 @@ class Superfunction:
         return type(self.den) is int
 
     def rational_coefficients(self):
-        """``(odd monomial, even exponents, QQ)`` for every rational
-        coefficient; requires :meth:`is_polynomial`."""
+        """``(odd monomial, even exponents, q)`` for every rational
+        coefficient ``q``, an int or a ``Fraction``; requires
+        :meth:`is_polynomial`."""
+        den = self.den
         for mono, p in self.terms.items():
             for exps, c in p.items():
-                yield mono, exps, QQ(c, self.den)
+                yield mono, exps, c if den == 1 else Fraction(c, den)
 
     # -- calculus ------------------------------------------------------------
 
@@ -749,7 +847,7 @@ class Superfunction:
         return pool._zero if p is None else _make(pool, {(): p}, self.den)
 
     def berezin_top(self):
-        """The body of :meth:`top_part` as a sympy expr."""
+        """The body of :meth:`top_part` as a sympy expr; imports sympy."""
         return self.top_part().body()
 
     def substitute(self, images: dict, new_pool: GeneratorPool) -> "Superfunction":
@@ -864,11 +962,29 @@ def _derivative(f, name):
     return _make(pool, terms, f.den)
 
 
+# the rank of a generator name without its trailing digits in sympy's
+# generator sort (``sympy.polys.polyutils._sort_gens``): x, y, z first, then
+# p..w, then a..o, then every other name
+_GEN_RANKS = {**{c: 124 + k for k, c in enumerate("xyz")},
+              **{c: 216 + k for k, c in enumerate("pqrstuvw")},
+              **{c: 301 + k for k, c in enumerate("abcdefghijklmno")}}
+_GEN_NAME = re.compile(r"^(.*?)(\d*)$", re.MULTILINE)
+
+
+def _gen_key(name):
+    """The sort key of sympy's ``_sort_gens`` for one generator name: its
+    rank, then the name without its trailing digits, then those digits as
+    an int, so that ``x2 < x10``."""
+    stem, index = _GEN_NAME.match(name).groups()
+    return _GEN_RANKS.get(stem, 1000), stem, int(index) if index else 0
+
+
 @functools.cache
-def _sympy_gen_order(symbols):
-    """Positions of ``symbols`` in the order sympy's ``Expr`` routines sort
-    generators by (``x, y, z`` first), which fixes the printed signs."""
-    return tuple(symbols.index(s) for s in _sort_gens(symbols))
+def _sympy_gen_order(names):
+    """Positions of the even ``names`` in the order sympy's ``Expr`` routines
+    sort generators by (``x, y, z`` first), which fixes the printed signs;
+    the sort is stable, as sympy's is."""
+    return tuple(sorted(range(len(names)), key=lambda i: _gen_key(names[i])))
 
 
 def _leading_coefficient(p, order):
@@ -931,7 +1047,7 @@ def _render_coefficient(pool, p, den) -> str:
     if type(d) is not int:
         # print the denominator with a positive leading coefficient in
         # sympy's generator order, as sympy.cancel would
-        if _leading_coefficient(d, _sympy_gen_order(pool.even_symbols)) < 0:
+        if _leading_coefficient(d, _sympy_gen_order(pool.even_names)) < 0:
             n, d = _pneg(n), _pneg(d)
         return f"({_render_poly(pool, n)})/({_render_poly(pool, d)})"
     if len(n) == 1 or d == 1:
@@ -941,11 +1057,10 @@ def _render_coefficient(pool, p, den) -> str:
 
 
 @functools.cache
-def _name_order(symbols):
-    """The names of ``symbols`` and their positions sorted by name as plain
-    strings, the order in which sympy prints and sorts symbols."""
-    names = tuple(map(str, symbols))
-    return names, sorted(range(len(names)), key=names.__getitem__)
+def _name_order(names):
+    """The positions of the even ``names`` sorted by name as plain strings,
+    the order in which sympy prints and sorts symbols."""
+    return sorted(range(len(names)), key=names.__getitem__)
 
 
 def _render_poly(pool, terms):
@@ -953,7 +1068,7 @@ def _render_poly(pool, terms):
     prints it: terms in descending lex order of the variables sorted by
     name, factors in name order, the absolute numerator first unless it is 1
     in a non-constant term, ``/q`` last, and signs between the terms."""
-    names, order = _name_order(pool.even_symbols)
+    names, order = pool.even_names, _name_order(pool.even_names)
     out = ""
     for exps, q in sorted(terms.items(), key=lambda t: [t[0][i] for i in order],
                           reverse=True):
@@ -973,22 +1088,42 @@ def _render_poly(pool, terms):
 def _poly_root(pool, p, order):
     """The square root of a nonzero int or integer polynomial, with a positive
     leading coefficient in lex order of the even variables at the positions
-    ``order``, or None when ``p`` is not a square.  A square-free
-    decomposition decides it; no factorisation."""
-    if type(p) is int or p.keys() == {pool._zero_exps}:
-        content, factors = (p if type(p) is int else p[pool._zero_exps]), []
-    else:
-        content, factors = pool.ring.dtype(p).sqf_list()
-        content = int(content)
-    r = math.isqrt(max(content, 0))
-    if r * r != content or any(k % 2 for _, k in factors):
-        return None
+    ``order``, or None when ``p`` is not a square.
+
+    A square's root has integer coefficients (Gauss's lemma), and in the
+    pool's lex order its leading term is the root of ``p``'s.  Each further
+    term is the leading term of ``p - root^2`` over twice that leading
+    term, and it is lex smaller than the terms before it.  A term that is
+    not an integer monomial of degree at most half of ``p``'s in each
+    variable proves that ``p`` is no square; the degree bound ends the
+    loop."""
     if type(p) is int:
-        return r
-    root = {pool._zero_exps: r}
-    for f, k in factors:
-        for _ in range(k // 2):
-            root = _pmul(root, {e: int(c) for e, c in f.items()})
+        r = math.isqrt(max(p, 0))
+        return r if r * r == p else None
+    lead = max(p)
+    r = math.isqrt(max(p[lead], 0))
+    if r * r != p[lead] or any(e % 2 for e in lead):
+        return None
+    half = [max(e[k] for e in p) // 2 for k in range(len(lead))]
+    head = tuple(e // 2 for e in lead)
+    root = {head: r}
+    rest = {e: c for e, c in p.items() if e != lead}
+    add = pool._add_exps
+    while rest:
+        e = max(rest)
+        t = tuple(map(operator.sub, e, head))
+        if rest[e] % (2 * r) or any(d < 0 or d > h for d, h in zip(t, half)):
+            return None
+        q = rest[e] // (2 * r)
+        # p - (root + q x^t)^2 = rest - 2 q x^t root - q^2 x^(2t)
+        for key, c in [*((add(er, t), 2 * q * cr) for er, cr in root.items()),
+                       (add(t, t), q * q)]:
+            c = rest.get(key, 0) - c
+            if c:
+                rest[key] = c
+            else:
+                del rest[key]
+        root[t] = q
     return _pneg(root) if _leading_coefficient(root, order) < 0 else root
 
 
@@ -999,8 +1134,9 @@ def _body_root(f):
     pool, b = f.pool, f.body_part()
     if b.is_zero():
         return b
-    order = _name_order(pool.even_symbols)[1]
+    order = _name_order(pool.even_names)
     rn, rd = _poly_root(pool, b.terms[()], order), _poly_root(pool, b.den, order)
     if rn is None or rd is None:
-        raise NotASquare(f"body {f.body()} admits no exact square root")
+        text = _render_coefficient(pool, b.terms[()], b.den)
+        raise NotASquare(f"body {text} admits no exact square root")
     return _make(pool, {(): rn}, rd)

@@ -1,11 +1,15 @@
 """Exact rational nullspace, rank and signature, checked against sympy's Matrix
-and Sylvester's law of inertia."""
+and DomainMatrix and Sylvester's law of inertia."""
 
 from fractions import Fraction
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
-from supergeo.exactlinalg import nullspace, rank, signature
+from supergeo import Chart, lie
+from supergeo.exactlinalg import _charpoly, nullspace, rank, signature
+from supergeo.geometry import flat_metric
 
 from conftest import seeded
 
@@ -69,3 +73,116 @@ def test_signature_is_invariant_under_congruence():
         checked += 1
         singular += k < n
     assert checked >= 60 and singular >= 20
+
+
+# -- differential tests against sympy's DomainMatrix, the route the native
+# kernels replaced ---------------------------------------------------------
+
+
+def _domain_matrix(rows, ncols):
+    entries = {}
+    for i, row in enumerate(rows):
+        nonzero = {j: QQ.convert(q) for j, q in row.items() if q}
+        if nonzero:
+            entries[i] = nonzero
+    return DomainMatrix(entries, (len(rows), ncols), QQ)
+
+
+def _domain_matrix_nullspace(rows, ncols):
+    """``(basis, rank)`` read off ``DomainMatrix.rref`` over QQ."""
+    m, pivots = _domain_matrix(rows, ncols).rref()
+    m = m.to_sparse().rep
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            q = m[r].get(fc)
+            if q:
+                v[pc] = -Fraction(int(q.numerator), int(q.denominator))
+        basis.append(v)
+    return basis, len(pivots)
+
+
+def _sparse_cases(rng):
+    """Seeded sparse systems: no rows, all-zero rows, explicit zeros, full and
+    deficient rank, and entries with large numerators and denominators."""
+    big = 10**30 + 7
+    cases = [([], 0), ([], 3), ([{}, {0: 0, 2: 0}], 3),
+             ([{0: 1}, {1: Fraction(2, 3)}, {2: -5}], 3),
+             ([{0: Fraction(big, 3), 1: Fraction(1, big)}, {0: 2, 1: Fraction(6, big**2)}], 2)]
+    for _ in range(120):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [{j: Fraction(rng.choice([0, 1, -1, 2, -3, big]), rng.choice([1, 1, 2, 3, big]))
+                 for j in range(ncols) if rng.random() < 0.4} for _ in range(nrows)]
+        if nrows > 2 and rng.random() < 0.5:  # a dependent row
+            rows[2] = {j: 2 * rows[0].get(j, 0) - rows[1].get(j, 0) for j in range(ncols)}
+        cases.append((rows, ncols))
+    return cases
+
+
+def test_nullspace_and_rank_match_domain_matrix():
+    """The basis equals the one read off ``DomainMatrix.rref``, vector for
+    vector, and the rank its number of pivots."""
+    ranks = set()
+    for rows, ncols in _sparse_cases(seeded(811)):
+        basis, r = _domain_matrix_nullspace(rows, ncols)
+        assert nullspace(rows, ncols) == basis, rows
+        assert rank(rows, ncols) == r
+        ranks.add("full" if r == min(len(rows), ncols) else "deficient")
+    assert ranks == {"full", "deficient"}
+
+
+def test_killing_system_matches_domain_matrix(monkeypatch):
+    """The rows of the flat (2|6) degree-2 Killing solve (4,176 x 1,536 for
+    each parity) give DomainMatrix's basis."""
+    systems = []
+
+    def recording(rows, ncols):
+        systems.append((rows, ncols))
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(lie, "nullspace", recording)
+    evens, odds = ["x1", "x2"], [f"th{i}" for i in range(1, 7)]
+    g = flat_metric(Chart(evens, odds, box={v: (0, 1) for v in evens}))
+    assert lie.solve_killing(g, 2).dims == (24, 18)
+    assert [(len(rows), ncols) for rows, ncols in systems] == [(4176, 1536)] * 2
+    for rows, ncols in systems:
+        assert nullspace(rows, ncols) == _domain_matrix_nullspace(rows, ncols)[0]
+
+
+def _descartes_signature(coeffs):
+    """The sign count of :func:`signature` on a charpoly from sympy."""
+    coeffs = coeffs[::-1]
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return (sign_changes([-c if k % 2 else c for k, c in enumerate(coeffs)]),
+            sign_changes(coeffs))
+
+
+def test_signature_matches_the_charpoly_route():
+    """The division-free characteristic polynomial equals
+    ``DomainMatrix.charpoly``, and the signature the sign count on it, on
+    the 0 x 0 matrix and on seeded singular, definite and indefinite
+    symmetric matrices."""
+    rng = seeded(813)
+    assert _charpoly([]) == [1] and signature([]) == (0, 0)
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        k = rng.randint(0, n)
+        P = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(k)]
+        d = [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)) for _ in range(k)]
+        M = [[sum(P[r][i] * d[r] * P[r][j] for r in range(k)) for j in range(n)]
+             for i in range(n)]
+        want = [Fraction(int(c.numerator), int(c.denominator))
+                for c in _domain_matrix([dict(enumerate(row)) for row in M], n).charpoly()]
+        assert _charpoly(M) == want, M
+        t, s = signature(M)
+        assert (t, s) == _descartes_signature(want)
+        seen.add("singular" if t + s < n else "definite" if not (t and s) else "indefinite")
+    assert seen == {"singular", "definite", "indefinite"}

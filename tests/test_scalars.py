@@ -2,14 +2,18 @@
 
 import math
 import operator
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from sympy.polys import densebasic
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.fields import FracField
 from sympy.polys.orderings import lex
-from sympy.polys.rings import PolyElement, PolyRing
+from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyRing
 
 from supergeo import GeneratorPool, Superfunction, scalars
 from supergeo.errors import (
@@ -613,7 +617,7 @@ def _sympy_render(c):
     if c.denom.is_ground:
         num, den = sp.fraction(c.numer.quo_ground(c.denom.LC).as_expr())
     else:
-        order = scalars._sympy_gen_order(c.field.symbols)
+        order = scalars._sympy_gen_order(tuple(map(str, c.field.symbols)))
         lc = scalars._leading_coefficient(c.denom, order)
         num, den = (c.numer, c.denom) if lc > 0 else (-c.numer, -c.denom)
         num, den = num.as_expr(), den.as_expr()
@@ -707,6 +711,51 @@ class TestForeignValues:
         assert th.__pow__(k) is NotImplemented
         with pytest.raises(TypeError):
             th ** k
+
+    @pytest.mark.parametrize("value", ["a", 0.5, True], ids=["str", "float", "bool"])
+    def test_foreign_operands_are_not_implemented(self, pool, value):
+        """The arithmetic operators take superfunctions, exact rationals and
+        sympy expressions; for an operand of any other type each returns
+        ``NotImplemented`` from either side, so Python raises ``TypeError``
+        and ``==`` is False."""
+        f = pool.even("x") + pool.odd("th1") * pool.odd("th2")
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__eq__"):
+            assert getattr(f, name)(value) is NotImplemented, name
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(f, value)
+            with pytest.raises(TypeError):
+                op(value, f)
+        assert f != value and not (value == f)
+
+    def test_foreign_operands_import_no_sympy(self):
+        """Rejecting a str, float or bool operand, or lifting one through
+        ``scalar``, imports no sympy: a fresh interpreter shows it."""
+        script = "\n".join([
+            "import operator, sys",
+            "from supergeo import GeneratorPool",
+            "from supergeo.errors import InexactCoefficient",
+            "pool = GeneratorPool(['x'], ['th1'])",
+            "f = pool.even('x') + pool.odd('th1')",
+            "for value in ('a', 0.5, True):",
+            "    for op in (operator.add, operator.sub, operator.mul, operator.truediv):",
+            "        for args in ((f, value), (value, f)):",
+            "            try:",
+            "                op(*args)",
+            "            except TypeError:",
+            "                pass",
+            "            else:",
+            "                raise AssertionError((op, args))",
+            "    assert f != value",
+            "    try:",
+            "        pool.scalar(value)",
+            "    except InexactCoefficient:",
+            "        pass",
+            "assert 'sympy' not in sys.modules",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 def _coefficients_through_expr(f, op):
@@ -926,8 +975,8 @@ class TestCoefficientInvariant:
 
     def test_integers_from_other_ground_types(self, pool, monkeypatch):
         """Under sympy's gmpy or flint ground types ``ZZ``'s elements are not
-        ints; sympy's gcd, the heuristic gcd's fallback, and the square root
-        store ints all the same."""
+        ints; sympy's gcd, the heuristic gcd's fallback, stores ints all the
+        same, and the square root never meets them."""
 
         class Mpz(int):  # closed under arithmetic, as gmpy2's mpz
             def __mul__(self, other):
@@ -935,15 +984,10 @@ class TestCoefficientInvariant:
 
             __rmul__ = __mul__
 
-        to_dict, sqf_list = scalars.dmp_to_dict, PolyElement.sqf_list
-
-        def foreign_sqf_list(p):
-            content, factors = sqf_list(p)
-            return Mpz(content), [({e: Mpz(c) for e, c in f.items()}, k) for f, k in factors]
-
-        monkeypatch.setattr(scalars, "dmp_to_dict",
+        to_dict = densebasic.dmp_to_dict
+        # the fallback imports dmp_to_dict when it runs, so it finds this one
+        monkeypatch.setattr(densebasic, "dmp_to_dict",
                             lambda *a: {e: Mpz(c) for e, c in to_dict(*a).items()})
-        monkeypatch.setattr(PolyElement, "sqf_list", foreign_sqf_list)
         xx, th12 = pool.even("x"), pool.odd("th1") * pool.odd("th2")
         # only sympy's gcd, the fallback of the heuristic one, reaches dmp_to_dict
         xy = GeneratorPool(["x", "y"], ["th1"])
@@ -1129,3 +1173,98 @@ class TestHeuristicGcd:
         monkeypatch.setattr(scalars, "_HEURISTIC_TRIES", 1)
         got = scalars._make(pool, terms, den)
         assert len(fallbacks) == 1 and (got.terms, got.den) == (want.terms, want.den)
+
+
+class TestScaledProduct:
+    """A product with a rational constant scales the numerators and ``den``
+    without a table product; the table route of any other product is the
+    oracle."""
+
+    @pytest.mark.parametrize("chart", ["(1|2)+flesh", "(2|4)"])
+    def test_constant_factors_match_the_table_product(self, chart):
+        pool = GeneratorPool(*DIVISION_CHARTS[chart])
+        rng = seeded(291)
+        xx = pool.even("x")
+        constants = [0, 1, -1, 2, -6, 35, Fraction(1, 2), Fraction(-4, 9), Fraction(10**20, 3)]
+        for _ in range(12):
+            f = random_superfunction(pool, rng) * rng.choice([1, 6, Fraction(5, 4)])
+            if rng.random() < 0.5:
+                f = f / (xx * rng.randint(1, 3) + rng.randint(1, 4))
+            for c in constants:
+                k = pool.scalar(c)
+                want = scalars._make(pool, scalars._table_mul(pool, f.terms, k.terms),
+                                     scalars._pscale(f.den, k.den)) if c else pool.zero()
+                for got in (f * c, c * f, f * k, k * f):
+                    _assert_canonical(got)
+                    assert (got.terms, got.den) == (want.terms, want.den)
+
+    def test_one_returns_the_other_operand(self, pool):
+        f = pool.even("x") / (pool.even("x") + 1) + pool.odd("th1") * pool.odd("th2")
+        assert f * 1 is f and 1 * f is f
+        assert f * pool.one() is f and pool.one() * f is f
+
+
+def _square_free_root(pool, p, order):
+    """The route :func:`scalars._poly_root` replaced: the square root read
+    off sympy's square-free decomposition of ``p``."""
+    if type(p) is int or p.keys() == {pool._zero_exps}:
+        content, factors = (p if type(p) is int else p[pool._zero_exps]), []
+    else:
+        content, factors = pool.ring.from_dict(p).sqf_list()
+        content = int(content)
+    r = math.isqrt(max(content, 0))
+    if r * r != content or any(k % 2 for _, k in factors):
+        return None
+    if type(p) is int:
+        return r
+    root = {pool._zero_exps: r}
+    for f, k in factors:
+        for _ in range(k // 2):
+            root = scalars._pmul(root, {e: int(c) for e, c in f.items()})
+    return scalars._pneg(root) if scalars._leading_coefficient(root, order) < 0 else root
+
+
+class TestNativeSquareRoot:
+    @pytest.mark.parametrize("evens", [["x"], ["y", "x"], ["z", "a", "y"]], ids=" ".join)
+    def test_matches_the_square_free_route(self, evens):
+        """Seeded squares q^2 times a content, negated or not, and
+        non-squares (a square plus a term, a product of two polynomials, a
+        square times a variable) give the root or None of the square-free
+        route, with the same sign: the pool orders the variables otherwise
+        than by name."""
+        pool = GeneratorPool(evens, [])
+        n = len(evens)
+        order = scalars._name_order(pool.even_names)
+        rng = seeded(330 + n)
+        seen = set()
+        for _ in range(120):
+            q = _random_poly(rng, n)
+            square = scalars._pmul(q, q)
+            content = {(0,) * n: rng.choice([1, 1, 4, 9, 2, 12])}
+            cases = [scalars._pmul(square, content), scalars._pneg(square),
+                     scalars._padd(square, _random_poly(rng, n, 1)),
+                     scalars._pmul(q, _random_poly(rng, n)),
+                     scalars._pmul(square, {(1,) + (0,) * (n - 1): 1}),
+                     rng.choice([1, 4, 7, 36, -9])]
+            for p in cases:
+                if not p:
+                    continue
+                want = _square_free_root(pool, p, order)
+                assert scalars._poly_root(pool, p, order) == want, p
+                seen.add("square" if want is not None else "not a square")
+        assert seen == {"square", "not a square"}
+
+
+_GEN_NAMES = list(dict.fromkeys(
+    ["x1", "x2", "x10", "x01", "y3", "th1", "th12", "u_1", "u_2", "xy", "eta", "lam1", "a1",
+     "w9", "alpha", "Z", "_q"] + [chr(c) for c in range(ord("a"), ord("z") + 1)]))
+
+
+def test_generator_order_matches_sort_gens():
+    """The ported generator sort puts names where sympy's ``_sort_gens``
+    puts the symbols, ties in pool order included (``x1`` and ``x01``)."""
+    rng = seeded(341)
+    for _ in range(300):
+        names = tuple(rng.sample(_GEN_NAMES, rng.randint(1, 7)))
+        want = tuple(names.index(str(s)) for s in _sort_gens([sp.Symbol(n) for n in names]))
+        assert scalars._sympy_gen_order(names) == want, names

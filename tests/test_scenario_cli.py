@@ -60,6 +60,30 @@ def test_goldens_build_no_expr(monkeypatch):
         assert report.render() == (DATA / f"{name}.report.txt").read_text()
 
 
+# runs every golden through the CLI in one interpreter; argv: data folder,
+# output folder
+_GOLDENS_WITHOUT_SYMPY = """
+import pathlib, sys
+from supergeo.cli import main
+data, out = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
+for scn in sorted(data.glob("*.scn")):
+    report = out / (scn.stem + ".report.txt")
+    main(["run", str(scn), "--report", str(report)])
+    assert report.read_bytes() == (data / (scn.stem + ".report.txt")).read_bytes(), scn.stem
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "sympy")
+assert not loaded, loaded[:5]
+"""
+
+
+def test_goldens_import_no_sympy(tmp_path):
+    """A fresh interpreter that runs every golden through
+    ``supergeo.cli.main`` writes each report byte for byte and never
+    imports sympy: the run path is native from the import to the report."""
+    proc = subprocess.run([sys.executable, "-c", _GOLDENS_WITHOUT_SYMPY, str(DATA), str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_goldens_multiply_no_constant_polynomials(monkeypatch):
     """Coefficients are plain ints in the numerator table: while the 7
     goldens run, nothing multiplies sympy polynomials at all, so no
