@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals, in Python ints and ``Fraction``s.
 
-:func:`nullspace` and :func:`rank` share one fraction-free sparse
-Gauss-Jordan elimination on integer rows (the design of sympy's
-``sdm_irref``); :func:`signature` counts signs on a division-free
-characteristic polynomial.  Nothing here imports sympy, not even lazily:
+:func:`nullspace`, :func:`rank` and :func:`modular_rank` share one sparse
+Gauss-Jordan elimination on integer rows: fraction-free over the integers
+(the design of sympy's ``sdm_irref``), or over ``GF(p)`` for a prime
+``p``; :func:`signature` counts signs on a division-free characteristic
+polynomial.  Nothing here imports sympy, not even lazily:
 a scenario run solves Killing systems and validates metrics, and must not
 pay sympy's import for it.  The tests keep sympy's ``DomainMatrix`` as the
 oracle.
@@ -28,24 +29,32 @@ def _integer_row(row):
     return out if g == 1 else {j: c // g for j, c in out.items()}
 
 
-def _combine(a, row, b, other):
-    """The primitive integer row ``a * row - b * other``, zeros dropped
-    (empty when it vanishes)."""
+def _combine(a, row, b, other, modulus=0):
+    """The row ``a * row - b * other``, zeros dropped (empty when it
+    vanishes): primitive over the integers, or reduced mod a prime
+    ``modulus``."""
     out = {j: a * c for j, c in row.items()} if a != 1 else dict(row)
     for j, c in other.items():
         c = out.get(j, 0) - b * c
+        if modulus:
+            c %= modulus
         if c:
             out[j] = c
         else:
             del out[j]
+    if modulus:
+        return out
     g = math.gcd(*out.values())
     return out if g == 1 else {j: c // g for j, c in out.items()}
 
 
-def _reduced_echelon(rows):
+def _reduced_echelon(rows, modulus=0):
     """``{pivot column: row}``: the reduced row echelon form of the rational
     span of ``rows``, each row primitive over the integers with a positive
-    entry at its pivot and zeros at every other pivot column.
+    entry at its pivot and zeros at every other pivot column.  With a prime
+    ``modulus``, the same for the span over ``GF(modulus)`` of the primitive
+    integer rows, entries in ``range(modulus)`` and each pivot entry 1, so
+    that every combination is ``row - b * other`` and stays reduced.
 
     Rows are taken in order of their first column.  A new row is reduced by
     the pivot rows at its pivot columns, which vanish at each other's
@@ -57,19 +66,25 @@ def _reduced_echelon(rows):
     pivots = {}
     holders = {}
     integer_rows = (r for r in map(_integer_row, rows) if r is not None)
+    if modulus:
+        integer_rows = (r for r in ({j: c % modulus for j, c in r.items() if c % modulus}
+                                    for r in integer_rows) if r)
     for row in sorted(integer_rows, key=min):
         for j in [j for j in row if j in pivots]:
             g = math.gcd(pivots[j][j], row[j])
-            row = _combine(pivots[j][j] // g, row, row[j] // g, pivots[j])
+            row = _combine(pivots[j][j] // g, row, row[j] // g, pivots[j], modulus)
         if not row:
             continue
         p = min(row)
-        if row[p] < 0:
+        if modulus and row[p] != 1:
+            inverse = pow(row[p], -1, modulus)
+            row = {c: v * inverse % modulus for c, v in row.items()}
+        elif row[p] < 0:
             row = {c: -v for c, v in row.items()}
         for k in holders.pop(p, ()):
             old = pivots[k]
             g = math.gcd(row[p], old[p])
-            new = _combine(row[p] // g, old, old[p] // g, row)
+            new = _combine(row[p] // g, old, old[p] // g, row, modulus)
             for c in old.keys() - new.keys():
                 if c != p:
                     holders[c].discard(k)
@@ -102,6 +117,14 @@ def nullspace(rows, ncols):
 def rank(rows, ncols):
     """Rank of sparse rows ``{column: rational}`` with ``ncols`` columns."""
     return len(_reduced_echelon(rows))
+
+
+def modular_rank(rows, prime):
+    """Rank over ``GF(prime)`` of sparse rows ``{column: rational}``, each
+    first scaled to a primitive integer row.  A nonzero minor mod ``prime``
+    is a nonzero integer, so this is a lower bound on the rank over the
+    rationals, equal to it for all but finitely many primes."""
+    return len(_reduced_echelon(rows, prime))
 
 
 def _charpoly(rows):

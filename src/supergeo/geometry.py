@@ -102,9 +102,14 @@ class Chart:
         return VectorField(self, [self.pool.zero()] * self.dim, parity)
 
     def coordinate_field(self, i: int) -> "VectorField":
-        comps = [self.pool.zero()] * self.dim
-        comps[i] = self.pool.one()
-        return VectorField(self, comps, self.parity(i))
+        """``d_i``; one field per index, shared by every caller."""
+        return self._coordinate_fields[i]
+
+    @cached_property
+    def _coordinate_fields(self):
+        zero, one = self.pool.zero(), self.pool.one()
+        return [VectorField(self, [one if a == i else zero for a in range(self.dim)],
+                            self.parity(i)) for i in range(self.dim)]
 
     def __eq__(self, other):
         return (
@@ -137,6 +142,11 @@ class _Field:
     has parity ``p + |a|``.  The public constructors check this; the
     algebra's own results come from :meth:`_new` unchecked, as they are
     homogeneous by construction, or mixed after :meth:`scale` by a mixed f.
+
+    Fields are immutable: nothing may change ``components`` or an entry of
+    it after construction.  Results share component lists and values with
+    their operands, and a chart hands out one shared field per coordinate
+    (:meth:`Chart.coordinate_field`).
     """
 
     _prefix = "d_"

@@ -10,10 +10,19 @@ Killing fields are recognised in three flow-free ways:
       the orthosymplectic algebra over the scalar ring.
 
 All three agree on homogeneous fields; the package tests this agreement on
-seeded corpora.
+seeded corpora.  Mode (i) is :func:`lie_derivative_bilinear` on the whole
+field; mode (v) reads each osp residual off two signed entries of ``L``
+(:func:`supermatrix.osp_residuals`).
 
 The solver :func:`solve_killing` requires a polynomial, supersymmetric
-metric; it writes the equations ``(L_X g)_ij = 0`` for ``i <= j`` only.
+metric; it writes the equations ``(L_X g)_ij = 0`` for ``i <= j`` only.  An
+ansatz column ``c d_k`` has a monomial coefficient c, so it assembles those
+equations itself, as sparse integer rows of signed monomial shifts of the
+metric's terms (:func:`_killing_rows`), with no superfunction per column.
+Each basis is certified on an independent route: every field is Killing by
+:func:`lie_derivative_bilinear`, the fields are independent by an exact
+rank, and the basis is complete by the rank of the rows mod a large prime
+(:func:`_certify_complete`).
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from .errors import (
     ParityError,
     UnsupportedMetric,
 )
-from .exactlinalg import nullspace, rank
+from .exactlinalg import modular_rank, nullspace, rank
 from .geometry import BilinearForm, Chart, MetricContext, OneForm, VectorField
 from .scalars import Superfunction
 from .supermatrix import SuperMatrix, flip_sides, osp_residuals
@@ -62,50 +71,44 @@ def lie_derivative_bilinear(X: VectorField, B: BilinearForm) -> BilinearForm:
                      + (-1)^{|X||i|} sum_k (d_i X^k) B_kj
                      + (-1)^{|X|(|i|+|j|)} sum_k (-1)^{|i|(|X|+|j|+|k|)} (d_j X^k) B_ik
 
-    Only the nonzero X^k and nonzero factors are visited; d_k(B_ij) comes from
-    :meth:`BilinearForm.partials`, so it is computed once per form.
+    Only nonzero products are formed: each nonzero ``X^k`` meets the nonzero
+    entries of ``d_k B`` (from :meth:`BilinearForm.partials`, computed once
+    per form) and each nonzero ``d_a X^k`` the nonzero entries of row and
+    column k of B.
     """
     if X.chart != B.chart:
         raise ChartMismatch("field and form live on different charts")
-    dim = X.chart.dim
-    names = X.chart.coordinate_names()
-    support = [(k, c, [c.partial(name) for name in names])
-               for k, c in enumerate(X.components) if not c.is_zero()]
-    flat = _lie_entries(support, X.parity, B, itertools.product(range(dim), repeat=2))
-    return BilinearForm(X.chart, [flat[i * dim:(i + 1) * dim] for i in range(dim)],
-                        X.parity)
-
-
-def _lie_entries(support, p, B, pairs):
-    """The entries (L_X B)_ij for the index ``pairs``, where X has parity p
-    and nonzero components ``support = [(k, X^k, [d_i X^k for each i])]``;
-    the kernel of :func:`lie_derivative_bilinear`."""
     if B.parity != 0:
         raise ParityError("Lie derivative expects an even bilinear form")
-    chart = B.chart
-    par = [chart.parity(i) for i in range(chart.dim)]
+    chart = X.chart
+    dim, p = chart.dim, X.parity
+    par = [chart.parity(i) for i in range(dim)]
     Bc = B.components
-    dX = [  # the nonzero (k, d_i X^k) for each coordinate i
-        [(k, ds[i]) for k, _, ds in support if not ds[i].is_zero()]
-        for i in range(chart.dim)
-    ]
-    dB = [(c, B.partials(k)) for k, c, _ in support]
-    out = []
-    for i, j in pairs:
-        pi, pj = par[i], par[j]
-        acc = chart.pool.zero()
-        for c, dk in dB:
-            if not dk[i][j].is_zero():
-                acc = acc + c * dk[i][j]
-        for k, d in dX[i]:
-            if not Bc[k][j].is_zero():
-                acc = acc + d * Bc[k][j] * (-1 if p * pi else 1)
-        for k, d in dX[j]:
-            if not Bc[i][k].is_zero():
-                odd = (p * (pi + pj) + pi * (p + pj + par[k])) % 2
-                acc = acc + d * Bc[i][k] * (-1 if odd else 1)
-        out.append(acc)
-    return out
+    zero = chart.pool.zero()
+    out = [[zero] * dim for _ in range(dim)]
+
+    def add(i, j, term, negative):
+        out[i][j] = out[i][j] - term if negative else out[i][j] + term
+
+    for k, c in enumerate(X.components):
+        if c.is_zero():
+            continue
+        for i, row in enumerate(B.partials(k)):
+            for j, e in enumerate(row):
+                if not e.is_zero():
+                    add(i, j, c * e, False)
+        for a, name in enumerate(chart.coordinate_names()):
+            d = c.partial(name)
+            if d.is_zero():
+                continue
+            for j in range(dim):  # d_a X^k B_kj in entry (a, j)
+                if not Bc[k][j].is_zero():
+                    add(a, j, d * Bc[k][j], p * par[a])
+            for i in range(dim):  # d_a X^k B_ik in entry (i, a)
+                if not Bc[i][k].is_zero():
+                    odd = (p * (par[i] + par[a]) + par[i] * (p + par[a] + par[k])) % 2
+                    add(i, a, d * Bc[i][k], odd)
+    return BilinearForm(chart, out, p)
 
 
 @dataclass
@@ -229,22 +232,92 @@ class KillingBasis:
         return (len(self.even_fields), len(self.odd_fields))
 
 
-def _ansatz_fields(chart: Chart, degree: int):
+def _ansatz(chart: Chart, degree: int):
     """Deterministic ordered bases of candidate fields ``c d_k`` of parity 0
-    and 1, as lists of ``(k, c)`` pairs.  A coefficient c is an odd monomial
-    (by size, then indices) times an even one of degree <= degree
-    (lexicographic), one superfunction shared by every k and field parity."""
-    pool = chart.pool
-    gens = [pool.even(name) for name in pool.even_names]
-    evens = [math.prod(m, start=pool.one()) for total in range(degree + 1)
-             for m in itertools.combinations_with_replacement(gens, total)]
+    and 1, as lists of ``(k, mono, exps)`` for ``c = th^mono x^exps``: an odd
+    monomial (by size, then indices) times an even one of degree <= degree
+    (by degree, then lexicographic)."""
+    evens = [tuple(map(m.count, range(chart.n))) for total in range(degree + 1)
+             for m in itertools.combinations_with_replacement(range(chart.n), total)]
     coeffs = ([], [])
     for size in range(chart.two_m + 1):
-        for om in itertools.combinations(pool.odd_names[:chart.two_m], size):
-            odd = math.prod(map(pool.odd, om), start=pool.one())
-            coeffs[size % 2].extend(em * odd for em in evens)
-    return [[(k, c) for k in range(chart.dim) for c in coeffs[(p + chart.parity(k)) % 2]]
+        for mono in itertools.combinations(range(chart.two_m), size):
+            coeffs[size % 2].extend((mono, exps) for exps in evens)
+    return [[(k, *coeff) for k in range(chart.dim) for coeff in coeffs[(p + chart.parity(k)) % 2]]
             for p in (0, 1)]
+
+
+def _ansatz_fields(chart: Chart, degree: int):
+    """The columns of :func:`_ansatz` as ``(k, c)`` pairs."""
+    return [[(k, chart.pool.monomial(mono, exps)) for k, mono, exps in columns]
+            for columns in _ansatz(chart, degree)]
+
+
+def _monomial_partials(mono, exps, n):
+    """``(a, s, mono', exps')`` for each coordinate ``a`` with
+    ``d_a (th^mono x^exps) = s th^mono' x^exps'`` nonzero, the even
+    coordinates first; odd derivatives act from the left, and coordinate
+    ``n + i`` is the odd generator ``i``."""
+    out = [(a, e, mono, exps[:a] + (e - 1,) + exps[a + 1:]) for a, e in enumerate(exps) if e]
+    out += [(n + i, -1 if pos % 2 else 1, mono[:pos] + mono[pos + 1:], exps)
+            for pos, i in enumerate(mono)]
+    return out
+
+
+def _killing_rows(g: BilinearForm, columns, p: int):
+    """The solver's sparse integer rows ``{column: int}``: the equations
+    ``(L_X g)_ij = 0`` for ``i <= j``, one row per (index pair, odd
+    monomial, even exponents) key with a nonzero entry.  Column ``col`` is
+    ``X = c d_k`` of parity p for ``columns[col] = (k, mono, exps)``,
+    ``c = th^mono x^exps`` (see :func:`_ansatz`).
+
+    In the Leibniz rule of :func:`lie_derivative_bilinear`,
+    ``(L_X g)_ij = c d_k(g_ij) + (-1)^{p|i|} (d_i c) g_kj
+    + (-1)^{p(|i|+|j|) + |i|(p+|j|+|k|)} (d_j c) g_ik``, and ``c``, ``d_i c``
+    and ``d_j c`` are monomials times ints, so each term's coefficients come
+    from :meth:`GeneratorPool.monomial_multiple`, over the metric's common
+    denominator; no superfunction is built."""
+    chart = g.chart
+    dim, gc = chart.dim, g.components
+    par = [chart.parity(i) for i in range(dim)]
+    den = math.lcm(1, *(q.denominator for row in gc for e in row
+                        for _, _, q in e.rational_coefficients()))
+    # the metric's share of a column: (pair index, f) for c d_k(f), per k,
+    # and (pair index, sign, f) for (d_a c) f, per derivative direction a and k
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    moved = [[(r, dk[i][j]) for r, (i, j) in enumerate(pairs) if not dk[i][j].is_zero()]
+             for dk in map(g.partials, range(dim))]
+    through = [[[] for _ in range(dim)] for _ in range(dim)]
+    for r, (i, j) in enumerate(pairs):
+        for k in range(dim):
+            if not gc[k][j].is_zero():
+                through[i][k].append((r, -1 if p * par[i] else 1, gc[k][j]))
+            if not gc[i][k].is_zero():
+                odd = (p * (par[i] + par[j]) + par[i] * (p + par[j] + par[k])) % 2
+                through[j][k].append((r, -1 if odd else 1, gc[i][k]))
+    multiple = chart.pool.monomial_multiple
+    partials = {}  # per coefficient, shared by every k
+    keys = {}
+    rows = []
+    for col, (k, mono, exps) in enumerate(columns):
+        ds = partials.get((mono, exps))
+        if ds is None:
+            ds = partials[mono, exps] = _monomial_partials(mono, exps, chart.n)
+        acc = {}
+        for r, f in moved[k]:
+            for m, e, c in multiple(mono, exps, f, den):
+                acc[r, m, e] = acc.get((r, m, e), 0) + c
+        for a, s, dmono, dexps in ds:
+            for r, t, f in through[a][k]:
+                for m, e, c in multiple(dmono, dexps, f, den):
+                    acc[r, m, e] = acc.get((r, m, e), 0) + s * t * c
+        for key, c in acc.items():
+            if c:
+                row = keys.setdefault(key, len(rows))
+                if row == len(rows):
+                    rows.append({})
+                rows[row][col] = c
+    return rows
 
 
 def _coefficient_rows(columns):
@@ -269,7 +342,9 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
     The even-variable degree is bounded by ``degree``; the Grassmann degree is
     unrestricted.  Requires a polynomial, supersymmetric metric: then
     ``(L_X g)_ji = (-1)^{|i||j|} (L_X g)_ij``, so only the equations with
-    ``i <= j`` are written.
+    ``i <= j`` are written.  The basis is certified Killing, independent
+    and complete (:func:`_certify_basis`, :func:`_certify_complete`), else
+    ``CertificateFailure`` is raised.
     """
     if degree < 0:
         raise InvalidArgument("degree bound must be nonnegative")
@@ -278,32 +353,45 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
         raise UnsupportedMetric("metric components must be polynomial")
     if not g.is_supersymmetric():
         raise UnsupportedMetric("metric must be supersymmetric")
-    pairs = [(i, j) for i in range(chart.dim) for j in range(i, chart.dim)]
     parities = [0, 1] if parity is None else [parity]
     fields = []
     field_parities = []
-    ansatz_by_parity = _ansatz_fields(chart, degree)
-    names = chart.coordinate_names()
-    partials = {}  # d_i c, taken once per coefficient shared by every k and parity
+    systems = []
+    ansatz_by_parity = _ansatz(chart, degree)
     for p in parities:
         ansatz = ansatz_by_parity[p]
         if not ansatz:
             continue
-        for _, c in ansatz:
-            if id(c) not in partials:
-                partials[id(c)] = [c.partial(name) for name in names]
-        rows = _coefficient_rows([_lie_entries([(k, c, partials[id(c)])], p, g, pairs)
-                                  for k, c in ansatz])
-        for vec in nullspace(rows, len(ansatz)):
+        rows = _killing_rows(g, ansatz, p)
+        vectors = nullspace(rows, len(ansatz))
+        systems.append((rows, len(ansatz), len(vectors)))
+        for vec in vectors:
             comps = [chart.pool.zero()] * chart.dim
-            for q, (k, c) in zip(vec, ansatz):
-                if q != 0:
-                    comps[k] = comps[k] + c * q
+            for q, (k, mono, exps) in itertools.compress(zip(vec, ansatz), vec):
+                comps[k] = comps[k] + chart.pool.monomial(mono, exps) * q
             fields.append(VectorField(chart, comps, p))
             field_parities.append(p)
     basis = KillingBasis(g, degree, fields, field_parities)
     _certify_basis(basis, g)
+    for rows, ncols, k in systems:
+        _certify_complete(rows, ncols, k)
     return basis
+
+
+# primes for the completeness certificate; below 2**30, so a residue is a
+# one-digit Python int
+_PRIMES = (1073741789, 1073741783, 1073741741)
+
+
+def _certify_complete(rows, ncols: int, k: int):
+    """Prove that ``k`` independent vectors in the nullspace of ``rows``
+    (certified by :func:`_certify_basis`) span it: they give
+    ``rank_QQ <= ncols - k``, and ``rank_p <= rank_QQ`` for every prime p,
+    so ``rank_p = ncols - k`` for one prime of :data:`_PRIMES` proves
+    equality.  A basis with a vector missing falls short for every prime.
+    The tests check the solver's rows against :func:`lie_derivative_bilinear`."""
+    if all(modular_rank(rows, prime) != ncols - k for prime in _PRIMES):
+        raise CertificateFailure("Killing basis completeness unproven")
 
 
 def _certify_basis(basis: KillingBasis, g: BilinearForm):

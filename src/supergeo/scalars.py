@@ -540,6 +540,34 @@ class GeneratorPool:
             return self._lift(e.base) ** int(e.exp)
         raise InexactCoefficient
 
+    def monomial(self, mono, exps) -> "Superfunction":
+        """``th^mono x^exps`` for an increasing tuple ``mono`` of odd indices
+        and a tuple ``exps`` of even exponents."""
+        return Superfunction(self, {tuple(mono): {tuple(exps): 1}})
+
+    def monomial_multiple(self, mono, exps, f, den=1):
+        """The coefficients of ``m * f`` for the monomial ``m = th^mono x^exps``
+        (``mono`` an increasing tuple of odd indices, ``exps`` even exponents)
+        and a polynomial superfunction f, as ``(odd monomial, even exponents,
+        n)``: ``n`` is the int numerator over ``den``, which f's denominator
+        divides.  The Koszul sign of each merge comes from the pool's merge
+        cache, which :func:`_table_mul` fills too."""
+        merges = self._merges
+        if len(merges) > 1024:
+            merges.clear()
+        row = merges.setdefault(mono, {})
+        add = self._add_exps
+        scale = den // f.den
+        for mf, p in f.terms.items():
+            merged = row.get(mf)
+            if merged is None:
+                merged = row[mf] = _merge_monomials(mono, mf)
+            sign, out = merged
+            if sign:
+                sign *= scale
+                for e, c in p.items():
+                    yield out, add(exps, e), sign * c
+
     def even(self, name: str) -> "Superfunction":
         return Superfunction(self, {(): {self._unit_exps[self._even_position(name)]: 1}})
 
@@ -709,8 +737,9 @@ class Superfunction:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:  # no square after the last bit
+                base = base * base
         return out
 
     def __eq__(self, other):

@@ -386,23 +386,25 @@ def osp_algebra_check(L: SuperMatrix, t: int, s: int, m: int) -> bool:
 
 
 def osp_residuals(L: SuperMatrix, t: int, s: int, m: int):
-    """<L e_i, e_j> + (-1)^{|L||e_i|} <e_i, L e_j> against g0, per basis pair."""
+    """<L e_i, e_j> + (-1)^{|L||e_i|} <e_i, L e_j> against g0, per basis pair.
+
+    g0 is the signed permutation of the J map, ``(g0)_{J(b) b} = eps_b`` for
+    ``J e_b = eps_b e_{J(b)}``, and J is an involution on the slots.  With
+    the right-to-left flip of :func:`pair_columns` this gives
+    ``<L e_i, e_j> = (-1)^{|j|(|L|+|i|+1)} eps_j L_{J(j) i}`` and
+    ``<e_i, L e_j> = eps_{J(i)} L_{J(i) j}``: each residual is two signed
+    entries of L.  The tests keep the pairing route as the oracle."""
     dim = t + s + 2 * m
     if L.dim != dim or (L.p, L.q) != (t + s, 2 * m):
         raise InvalidArgument("matrix dimensions do not match the signature")
-    pool = L.pool
-    g0 = standard_metric(pool, t, s, m)
-    par = L.slot_parity
-    cols = [list(col) for col in zip(*L.entries)]
-    basis = SuperMatrix.identity(pool, L.p, L.q).entries  # rows = columns
+    J = j_map_signs(t, s, m)
+    par = [L.slot_parity(i) for i in range(dim)]
     out = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            lhs = pair_columns(g0, cols[i], basis[j], L.parity + par(i), par(j))
-            rhs = pair_columns(g0, basis[i], cols[j], par(i), L.parity + par(j))
-            row.append(lhs - rhs if (L.parity * par(i)) % 2 else lhs + rhs)
-        out.append(row)
+    for i, (_, b) in enumerate(J):
+        right = -J[b][0] if L.parity * par[i] else J[b][0]
+        flip = -1 if (L.parity + par[i] + 1) % 2 else 1  # on an odd slot j
+        out.append([L.entries[a][i] * (eps * flip if par[j] else eps) + L.entries[b][j] * right
+                    for j, (eps, a) in enumerate(J)])
     return out
 
 

@@ -1,14 +1,16 @@
-"""Exact rational nullspace, rank and signature, checked against sympy's Matrix
+"""Exact rational nullspace, rank, modular rank and signature, checked against sympy's Matrix
 and DomainMatrix and Sylvester's law of inertia."""
 
+import math
 from fractions import Fraction
 
 import sympy as sp
-from sympy.polys.domains import QQ
+from sympy.polys.domains import GF, QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from supergeo import Chart, lie
-from supergeo.exactlinalg import _charpoly, nullspace, rank, signature
+from supergeo.exactlinalg import (_charpoly, _reduced_echelon, modular_rank, nullspace, rank,
+                                  signature)
 from supergeo.geometry import flat_metric
 
 from conftest import seeded
@@ -131,6 +133,43 @@ def test_nullspace_and_rank_match_domain_matrix():
         assert rank(rows, ncols) == r
         ranks.add("full" if r == min(len(rows), ncols) else "deficient")
     assert ranks == {"full", "deficient"}
+
+
+def _primitive_rows(rows):
+    """Each nonzero row cleared of denominators and divided by its content."""
+    out = []
+    for row in rows:
+        qs = {j: Fraction(q) for j, q in row.items() if q}
+        if qs:
+            lcm = math.lcm(*(q.denominator for q in qs.values()))
+            ints = {j: int(q * lcm) for j, q in qs.items()}
+            g = math.gcd(*ints.values())
+            out.append({j: c // g for j, c in ints.items()})
+    return out
+
+
+def test_modular_rank_matches_domain_matrix_over_gf():
+    """The rank over GF(p) equals DomainMatrix's on the primitive integer
+    rows, for small primes, where it drops below the rank over QQ, and for a
+    large one, where it does not on these systems."""
+    drops = 0
+    for rows, ncols in _sparse_cases(seeded(821)):
+        ints = _primitive_rows(rows)
+        r = rank(rows, ncols)
+        for p in (2, 3, 5, lie._PRIMES[0]):
+            want = 0
+            if ints:
+                dm = DomainMatrix({i: {j: ZZ(c) for j, c in row.items()} for i, row in enumerate(ints)},
+                                  (len(ints), ncols), ZZ)
+                want = dm.convert_to(GF(p)).rank()
+            assert modular_rank(rows, p) == want <= r, (rows, p)
+            pivots = _reduced_echelon(rows, p)
+            assert all(row[c] == 1 and all(0 < v < p for v in row.values())
+                       for c, row in pivots.items())
+            drops += want < r
+            if p > 5:
+                assert want == r
+    assert drops
 
 
 def test_killing_system_matches_domain_matrix(monkeypatch):

@@ -49,6 +49,14 @@ class TestVectorFieldBasics:
         with pytest.raises(ChartMismatch):
             chart_flat22.coordinate_field(0).apply(chart_classical.pool.one())
 
+    def test_coordinate_fields_are_built_once(self, chart_flat22):
+        ch = chart_flat22
+        for i in range(ch.dim):
+            assert ch.coordinate_field(i) is ch.coordinate_field(i)
+            assert ch.coordinate_field(i).parity == ch.parity(i)
+            assert [not c.is_zero() for c in ch.coordinate_field(i).components] == [
+                a == i for a in range(ch.dim)]
+
 
 @pytest.mark.parametrize("name", ["z", "th1", "lam1"])
 def test_a_chart_box_names_only_even_coordinates(name):

@@ -2,14 +2,15 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 import sympy as sp
 
 from supergeo import Chart
 from supergeo import lie, scalars
-from supergeo.errors import UnsupportedMetric
-from supergeo.exactlinalg import nullspace
+from supergeo.errors import CertificateFailure, UnsupportedMetric
+from supergeo.exactlinalg import _reduced_echelon, modular_rank, nullspace
 from supergeo.geometry import BilinearForm, OneForm, VectorField, flat_metric
 from supergeo.lie import (
     KillingChecker,
@@ -396,3 +397,100 @@ def test_flat_killing_dims_scale(n, two_m, degree, dims):
     odds = [f"th{i}" for i in range(1, two_m + 1)]
     chart = Chart(evens, odds, box={v: (0, 1) for v in evens})
     assert solve_killing(flat_metric(chart), degree).dims == dims
+
+
+@pytest.fixture
+def metric_odd_entries():
+    """Supersymmetric on (2|2) with odd entries, th1*th2 in a body and
+    x, y in the coefficients."""
+    ch = Chart(["x", "y"], ["th1", "th2"], box={"x": (0, 1), "y": (0, 1)})
+    p = ch.pool
+    x, y, t1, t2 = p.even("x"), p.even("y"), p.odd("th1"), p.odd("th2")
+    return BilinearForm(ch, [[1 + t1 * t2, 0, t2, 0],
+                             [0, y + 2, 0, x * t1],
+                             [t2, 0, 0, -1 - x * t1 * t2],
+                             [0, x * t1, 1 + x * t1 * t2, 0]])
+
+
+@pytest.fixture
+def metric_rational():
+    """Polynomial entries with rational coefficients over three denominators."""
+    ch = Chart(["x", "y"], ["th1", "th2"], box={"x": (0, 1), "y": (0, 1)})
+    x, y = ch.pool.even("x"), ch.pool.even("y")
+    return BilinearForm(ch, [[x * Fraction(1, 2) + Fraction(1, 3), 0, 0, 0],
+                             [0, y * y * Fraction(2, 5) + 1, 0, 0],
+                             [0, 0, 0, Fraction(-3, 4)],
+                             [0, 0, Fraction(3, 4), 0]])
+
+
+@pytest.fixture
+def metric_flesh():
+    """A (1|2) chart with two flesh generators in the metric's entries."""
+    ch = Chart(["x"], ["th1", "th2"], box={"x": (0, 1)}, flesh=["eta1", "eta2"])
+    p = ch.pool
+    x, t1, e1, e2 = p.even("x"), p.odd("th1"), p.odd("eta1"), p.odd("eta2")
+    return BilinearForm(ch, [[1 + t1 * e1 + x * e1 * e2, e2, x * e1],
+                             [e2, 0, -1 - e1 * e2],
+                             [x * e1, 1 + e1 * e2, 0]])
+
+
+def _normalised(row):
+    """A sparse row divided by its entry at its first column."""
+    lead = Fraction(row[min(row)])
+    return sorted((c, Fraction(v) / lead) for c, v in row.items())
+
+
+class TestKillingRows:
+    """The solver's integer rows against the Leibniz route: the ``i <= j``
+    entries of ``L_X g`` for each column field ``X = c d_k``, flattened by
+    ``_coefficient_rows``."""
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("metric", [
+        "metric_flat22", "metric_curved", "metric_deformed", "metric_odd_entries",
+        "metric_rational", "metric_flesh",
+    ])
+    def test_rows_match_the_leibniz_route(self, request, metric, degree, parity):
+        g = request.getfixturevalue(metric)
+        chart = g.chart
+        pairs = [(i, j) for i in range(chart.dim) for j in range(i, chart.dim)]
+        rows = lie._killing_rows(g, lie._ansatz(chart, degree)[parity], parity)
+        tables = []
+        for k, c in _ansatz_fields(chart, degree)[parity]:
+            comps = [chart.pool.zero()] * chart.dim
+            comps[k] = c
+            L = lie_derivative_bilinear(VectorField(chart, comps, parity), g).components
+            tables.append([L[i][j] for i, j in pairs])
+        oracle = _coefficient_rows(tables)
+        assert all(type(c) is int and c for row in rows for c in row.values())
+        assert _reduced_echelon(rows) == _reduced_echelon(oracle)
+        # the same rows, each up to a scale: no row or entry that cancels is kept
+        assert sorted(map(_normalised, rows)) == sorted(map(_normalised, oracle))
+
+    @pytest.mark.parametrize("metric", ["metric_odd_entries", "metric_rational", "metric_flesh"])
+    def test_solver_certifies_its_basis(self, request, metric):
+        g = request.getfixturevalue(metric)
+        basis = solve_killing(g, 1)
+        assert all(lie_derivative_bilinear(X, g).is_zero() for X in basis.fields)
+
+
+class TestCompleteness:
+    """``rank_p(rows) = N - k`` for one prime proves that no Killing field of
+    the ansatz is missing from a basis of k certified fields."""
+
+    def test_basis_missing_a_vector_is_refused(self, monkeypatch, metric_flat22):
+        monkeypatch.setattr(lie, "nullspace", lambda rows, ncols: nullspace(rows, ncols)[:-1])
+        with pytest.raises(CertificateFailure, match="completeness unproven"):
+            solve_killing(metric_flat22, 1)
+
+    def test_rank_drop_mod_the_first_prime_is_certified_by_the_second(self):
+        p, q = lie._PRIMES[:2]
+        rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + p}]  # determinant p
+        assert (modular_rank(rows, p), modular_rank(rows, q)) == (1, 2)
+        lie._certify_complete(rows, 2, 0)
+
+    def test_rank_drop_mod_every_prime_is_refused(self):
+        rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + math.prod(lie._PRIMES)}]
+        with pytest.raises(CertificateFailure, match="completeness unproven"):
+            lie._certify_complete(rows, 2, 0)

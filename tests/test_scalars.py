@@ -1268,3 +1268,41 @@ def test_generator_order_matches_sort_gens():
         names = tuple(rng.sample(_GEN_NAMES, rng.randint(1, 7)))
         want = tuple(names.index(str(s)) for s in _sort_gens([sp.Symbol(n) for n in names]))
         assert scalars._sympy_gen_order(names) == want, names
+
+
+def test_power_squares_no_further_than_its_last_bit(monkeypatch):
+    """``f ** k`` makes one table product per square it uses and one per
+    further set bit: 0, 1, 2 and 2 for k = 1, 2, 4 and 3."""
+    pool = GeneratorPool(["x"], ["th1", "th2"])
+    f = pool.even("x") + pool.odd("th1") * pool.odd("th2")
+    calls = []
+    table_mul = scalars._table_mul
+
+    def counting(*args):
+        calls.append(args)
+        return table_mul(*args)
+
+    for k, products in [(1, 0), (2, 1), (4, 2), (3, 2)]:
+        want = f
+        for _ in range(k - 1):
+            want = want * f
+        monkeypatch.setattr(scalars, "_table_mul", counting)
+        calls.clear()
+        assert f ** k == want
+        assert len(calls) == products, k
+        monkeypatch.undo()
+
+
+def test_monomial_multiple_is_the_product():
+    """``monomial_multiple`` yields the coefficients of ``m * f`` over ``den``
+    for seeded polynomial f with rational coefficients and monomials m of
+    every odd size, flesh included."""
+    pool = GeneratorPool(["x", "y"], ["th1", "th2", "th3"], ["eta"])
+    rng = seeded(1301)
+    for _ in range(60):
+        f = random_superfunction(pool, rng) * Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 6))
+        mono = tuple(sorted(rng.sample(range(pool.n_odd), rng.randint(0, 3))))
+        exps = (rng.randint(0, 2), rng.randint(0, 2))
+        den = 3 * math.lcm(1, *(q.denominator for _, _, q in f.rational_coefficients()))
+        want = sorted((m, e, q * den) for m, e, q in (pool.monomial(mono, exps) * f).rational_coefficients())
+        assert sorted(pool.monomial_multiple(mono, exps, f, den)) == want

@@ -401,6 +401,22 @@ def test_failed_solver_certificate_is_an_error(monkeypatch, tmp_path):
     )
 
 
+def test_incomplete_solver_basis_is_an_error(monkeypatch, tmp_path):
+    """A nullspace that drops its last vector leaves fields that are Killing
+    and independent; the completeness certificate refuses the basis (exit 3)
+    instead of reporting 5|5 for the 6|6 Killing algebra of flat (2|2)."""
+    from supergeo import lie
+    from supergeo.exactlinalg import nullspace
+
+    monkeypatch.setattr(lie, "nullspace", lambda rows, ncols: nullspace(rows, ncols)[:-1])
+    out = tmp_path / "report.txt"
+    code = cli_main(["run", str(DATA / "flat_killing.scn"), "--report", str(out)])
+    assert code == 3
+    assert "error = CertificateFailure: Killing basis completeness unproven" in (
+        out.read_text()
+    )
+
+
 def _declarations(name):
     """The declarations of a golden scenario, up to its [run] section."""
     return (DATA / f"{name}.scn").read_text().split("[run]")[0]

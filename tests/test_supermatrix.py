@@ -361,6 +361,41 @@ class TestOspAlgebra:
             assert osp_algebra_check(comm, 0, 2, 1)
 
 
+def _osp_residuals_by_pairing(L, t, s, m):
+    """The pairing route to :func:`osp_residuals`: ``<L e_i, e_j> + (-1)^{|L||i|}
+    <e_i, L e_j>`` through :func:`pair_columns` against the matrix g0."""
+    dim = t + s + 2 * m
+    pool = L.pool
+    g0 = standard_metric(pool, t, s, m)
+    par = L.slot_parity
+    cols = [list(col) for col in zip(*L.entries)]
+    basis = SuperMatrix.identity(pool, L.p, L.q).entries  # rows = columns
+    out = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            lhs = pair_columns(g0, cols[i], basis[j], L.parity + par(i), par(j))
+            rhs = pair_columns(g0, basis[i], cols[j], par(i), L.parity + par(j))
+            row.append(lhs - rhs if (L.parity * par(i)) % 2 else lhs + rhs)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("t, s, m", [
+    (0, 2, 1), (1, 1, 1), (2, 0, 1), (0, 2, 2), (1, 2, 1), (0, 3, 2), (1, 2, 0),
+])
+def test_osp_residuals_match_the_pairing_route(t, s, m):
+    """The residuals read off the J map equal the pairing route entry for
+    entry, on seeded homogeneous L of both parities; a matrix built from an
+    osp element passes both."""
+    pool = GeneratorPool(["x"], ["a", "b", "c"])
+    rng = seeded(230 + 10 * t + 3 * s + m)
+    for parity in (0, 1):
+        for _ in range(3):
+            L = random_matrix(pool, t + s, 2 * m, parity, rng)
+            assert supermatrix.osp_residuals(L, t, s, m) == _osp_residuals_by_pairing(L, t, s, m)
+
+
 def _project_osp(M, t, s, m):
     """(g0-antisymmetrise) M into osp; returns None when the projection is 0."""
     pool = M.pool
