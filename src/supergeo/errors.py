@@ -7,8 +7,9 @@ unknown Killing mode) raises :class:`InvalidArgument`, which is also a
 ``ValueError`` for callers that catch that.
 
 ``GeneratorPool.scalar`` raises :class:`InexactCoefficient` for any value
-it cannot lift (``scalar(0.5)``, ``scalar("a")``), and so does an operator
-given an inexact sympy expression (``x + sympy.Float(0.5)``).  An
+it cannot lift (``scalar(0.5)``, ``scalar("a")``), and so do a float or
+bool ``Chart`` box bound and an operator given an inexact sympy expression
+(``x + sympy.Float(0.5)``).  An
 arithmetic operand of an unsupported type is not an error of the
 package: ``Superfunction``'s operators return
 ``NotImplemented`` for anything but a superfunction, an exact rational (an

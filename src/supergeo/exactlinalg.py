@@ -3,10 +3,10 @@
 :func:`nullspace`, :func:`rank` and :func:`modular_rank` share one sparse
 Gauss-Jordan elimination on integer rows: fraction-free over the integers
 (the design of sympy's ``sdm_irref``), or over ``GF(p)`` for a prime
-``p``; :func:`signature` counts signs on a division-free characteristic
-polynomial.  Nothing here imports sympy, not even lazily:
-a scenario run solves Killing systems and validates metrics, and must not
-pay sympy's import for it.  The tests keep sympy's ``DomainMatrix`` as the
+``p``; :func:`signature` counts the signs of the pivots of a congruence
+diagonalisation over ``Fraction``s.  Nothing here imports sympy, not even
+lazily: a scenario run solves Killing systems and validates metrics, and
+must not pay sympy's import for it.  The tests keep sympy's ``DomainMatrix`` as the
 oracle.
 """
 
@@ -127,44 +127,30 @@ def modular_rank(rows, prime):
     return len(_reduced_echelon(rows, prime))
 
 
-def _charpoly(rows):
-    """Coefficients of ``det(x I - A)``, leading coefficient first, for a
-    square matrix ``A`` of rationals, without a division (Berkowitz 1984,
-    "On computing the determinant in small parallel time").
-
-    With ``A = [[a, R], [C, A1]]``, ``p_A = T p_A1``, where ``T`` is the
-    lower-triangular Toeplitz matrix with first column ``1, -a, -R C,
-    -R A1 C, ..., -R A1^(n-2) C``; the recursion runs from the last
-    diagonal entry up."""
-    n = len(rows)
-    poly = [1]
-    for k in range(n - 1, -1, -1):
-        a = rows[k][k]
-        r = rows[k][k + 1:]
-        sub = [row[k + 1:] for row in rows[k + 1:]]
-        col = [row[k] for row in rows[k + 1:]]
-        column = [1, -a]
-        for _ in range(len(poly) - 1):
-            column.append(-sum(x * y for x, y in zip(r, col)))
-            col = [sum(x * y for x, y in zip(row, col)) for row in sub]
-        poly = [sum(column[i - j] * poly[j] for j in range(min(i, len(poly) - 1) + 1))
-                for i in range(len(poly) + 1)]
-    return poly
-
-
 def signature(rows):
     """``(t, s)``: the numbers of negative and positive eigenvalues of a
     symmetric rational matrix, given as a list of rows (possibly empty).
 
-    The characteristic polynomial of a symmetric matrix has only real roots,
-    so Descartes' rule of signs counts its positive roots exactly; the
-    negative roots are the positive roots of ``p(-x)``.
+    Diagonalised by congruence: a nonzero ``d = a_kk`` is a pivot, and the
+    rest becomes the Schur complement ``a_ij - a_ik a_kj / d``; on a zero
+    diagonal, adding row and column ``j`` to row and column ``i`` makes
+    ``a_ii = 2 a_ij``.  By Sylvester's law of inertia ``t`` and ``s`` count
+    the negative and positive pivots, and ``t + s`` is the rank.
     """
-    coeffs = _charpoly(rows)[::-1]  # constant term first
-
-    def sign_changes(cs):
-        signs = [c > 0 for c in cs if c]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    flipped = [-c if k % 2 else c for k, c in enumerate(coeffs)]
-    return sign_changes(flipped), sign_changes(coeffs)
+    a = [[Fraction(x) for x in row] for row in rows]
+    t = s = 0
+    while a:
+        k = next((k for k in range(len(a)) if a[k][k]), None)
+        if k is None:
+            k, j = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x),
+                        (None, None))
+            if k is None:
+                break
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] += row[j]
+        d = a[k][k]
+        t, s = (t + 1, s) if d < 0 else (t, s + 1)
+        a = [[x - r[k] * y / d for x, y in zip(r[:k] + r[k + 1:], a[k][:k] + a[k][k + 1:])]
+             for r in a[:k] + a[k + 1:]]
+    return t, s

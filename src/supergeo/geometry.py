@@ -31,13 +31,14 @@ from functools import cached_property
 
 from .errors import (
     ChartMismatch,
+    InexactCoefficient,
     InvalidArgument,
     MetricViolation,
     NonInvertible,
     ParityError,
 )
 from .exactlinalg import signature
-from .scalars import GeneratorPool, Superfunction
+from .scalars import GeneratorPool, Superfunction, _rational
 from .supermatrix import (
     SuperMatrix,
     _det_commuting,
@@ -69,8 +70,10 @@ class Chart:
         for name in self.pool.even_names:
             if name not in box:
                 raise InvalidArgument(f"missing box interval for {name!r}")
-            a, b = box[name]
-            a, b = Fraction(a), Fraction(b)
+            bounds = [_rational(v) for v in box[name]]
+            if None in bounds:
+                raise InexactCoefficient(f"box interval for {name!r} needs exact rational bounds")
+            a, b = (Fraction(*q) for q in bounds)
             if not a < b:
                 raise InvalidArgument(f"box interval for {name!r} must have a < b")
             self.box[name] = (a, b)
@@ -359,6 +362,8 @@ class Signature:
 
 def flat_metric(chart: Chart, t: int = 0) -> BilinearForm:
     """Standard supermetric g0 with t negative even directions on this chart."""
+    if type(t) is not int or not 0 <= t <= chart.n:
+        raise InvalidArgument(f"the number of negative directions must be an int in 0..{chart.n}")
     return BilinearForm(
         chart, standard_metric(chart.pool, t, chart.n - t, chart.two_m // 2).entries
     )

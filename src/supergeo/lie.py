@@ -346,8 +346,10 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
     and complete (:func:`_certify_basis`, :func:`_certify_complete`), else
     ``CertificateFailure`` is raised.
     """
-    if degree < 0:
-        raise InvalidArgument("degree bound must be nonnegative")
+    if type(degree) is not int or degree < 0:
+        raise InvalidArgument("degree bound must be a nonnegative int")
+    if parity is not None and (type(parity) is not int or parity not in (0, 1)):
+        raise InvalidArgument(f"parity must be 0, 1 or None, not {parity!r}")
     chart = g.chart
     if not all(entry.is_polynomial() for row in g.components for entry in row):
         raise UnsupportedMetric("metric components must be polynomial")

@@ -883,8 +883,9 @@ class Superfunction:
         """Graded-safe substitution generator -> Superfunction over new_pool.
 
         Every generator actually used must have an image of matching parity.
-        Numerators and denominator are evaluated in the ring, so even images
-        with a nilpotent part expand exactly (a finite Taylor series).
+        Numerators are ring products of the images, so even images with a
+        nilpotent part or a denominator expand exactly (a finite Taylor
+        series), and ``den``, evaluated the same way, divides once at the end.
         """
         pool, den = self.pool, self.den
 
@@ -896,39 +897,26 @@ class Superfunction:
                 raise ParityError(f"image of {kind} {name!r} must be {word}")
             return images[name]
 
-        # an even image is E_k / D_k with E_k its integer table, so with deg_k
-        # the largest exponent of variable k a polynomial p maps to p~ / H,
-        # p~ = sum_e c_e prod_k E_k^e_k D_k^(deg_k - e_k), H = prod_k D_k^deg_k:
-        # integer-table products only, and one division at the end
         polys = [*self.terms.values(), *([] if type(den) is int else [den])]
-        deg, tables, dens = {}, {}, {}
+        evens = {}
         for k in sorted({k for p in polys for e in p for k, v in enumerate(e) if v}):
-            img = image(pool.even_names[k], 0)
-            if img.pool != new_pool:
+            evens[k] = image(pool.even_names[k], 0)
+            if evens[k].pool != new_pool:
                 raise PoolMismatch(f"image of {pool.even_names[k]!r} lives over another pool")
-            deg[k] = max(e[k] for p in polys for e in p)
-            tables[k] = Superfunction(new_pool, img.terms)
-            if img.den != 1:
-                dens[k] = (img.den if type(img.den) is int
-                           else Superfunction(new_pool, {(): img.den}))
         odd_images = {i: image(pool.odd_names[i], 1)
                       for i in dict.fromkeys(i for m in self.terms for i in m)}
         powers = {}
-
-        def power(k, j, of_den):
-            if (k, j, of_den) not in powers:
-                powers[k, j, of_den] = (dens[k] if of_den else tables[k]) ** j
-            return powers[k, j, of_den]
 
         def value(p):
             out = new_pool.zero()
             for exps, c in p.items():
                 term = new_pool._constant(c, 1)
-                for k in deg:
-                    if exps[k]:
-                        term = term * power(k, exps[k], False)
-                    if k in dens and exps[k] < deg[k]:
-                        term = term * power(k, deg[k] - exps[k], True)
+                for k in evens:
+                    j = exps[k]
+                    if j:
+                        if (k, j) not in powers:
+                            powers[k, j] = evens[k] ** j
+                        term = term * powers[k, j]
                 out = out + term
             return out
 
@@ -939,9 +927,7 @@ class Superfunction:
                 part = part * odd_images[idx]
             out = out + part
         if type(den) is int:
-            if den == 1 and not dens:
-                return out
-            return out / math.prod((power(k, deg[k], True) for k in dens), start=den)
+            return out if den == 1 else out / den
         try:
             return _divide(out, value(den))
         except NonInvertible:

@@ -1,12 +1,14 @@
 """Charts, brackets, metrics, Levi-Civita, frames and divergences."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 import sympy as sp
 
 from supergeo import Chart
-from supergeo.errors import ChartMismatch, MetricViolation, ParityError
+from supergeo.errors import (ChartMismatch, InexactCoefficient, InvalidArgument, MetricViolation,
+                             ParityError)
 from supergeo.geometry import (
     BilinearForm,
     OneForm,
@@ -64,6 +66,28 @@ def test_a_chart_box_names_only_even_coordinates(name):
     generator is rejected, not ignored."""
     with pytest.raises(ValueError, match=f"box interval for '{name}', which is not an even"):
         Chart(["x"], ["th1", "th2"], box={"x": (0, 1), name: (0, 1)}, flesh=("lam1",))
+
+
+@pytest.mark.parametrize("bounds", [(0.1, 1), (0, 1.0), (False, True)])
+def test_a_chart_box_bound_must_be_exact(bounds):
+    """A float or a bool box bound raises InexactCoefficient, as
+    ``pool.scalar(0.5)`` and ``pool.scalar(True)`` do, instead of being kept
+    as the float's binary fraction or as 0 and 1; ints, ``Fraction``s and
+    sympy Rationals are kept as ``Fraction``s."""
+    with pytest.raises(InexactCoefficient, match="'x' needs exact rational bounds"):
+        Chart(["x"], [], {"x": bounds})
+    exact = Chart(["x"], [], {"x": (sp.Rational(1, 3), Fraction(1, 2))}).box["x"]
+    assert exact == (Fraction(1, 3), Fraction(1, 2))
+    assert all(type(q) is Fraction for q in exact)
+
+
+@pytest.mark.parametrize("t", [-1, 3, True])
+def test_flat_metric_needs_t_in_range(chart_flat22, t):
+    """t counts the negative even directions: an int in 0..n, else
+    InvalidArgument (an IndexError escaped for t = -1 and t = n + 1)."""
+    with pytest.raises(InvalidArgument, match=r"an int in 0\.\.2"):
+        flat_metric(chart_flat22, t)
+    assert validate_metric(flat_metric(chart_flat22, 2)).as_tuple() == (2, 0, 2)
 
 
 class TestBracket:

@@ -9,7 +9,7 @@ import sympy as sp
 
 from supergeo import Chart
 from supergeo import lie, scalars
-from supergeo.errors import CertificateFailure, UnsupportedMetric
+from supergeo.errors import CertificateFailure, InvalidArgument, UnsupportedMetric
 from supergeo.exactlinalg import _reduced_echelon, modular_rank, nullspace
 from supergeo.geometry import BilinearForm, OneForm, VectorField, flat_metric
 from supergeo.lie import (
@@ -261,6 +261,15 @@ class TestSolveKilling:
     def test_negative_degree_rejected(self, metric_flat22):
         with pytest.raises(ValueError):
             solve_killing(metric_flat22, -1)
+
+    @pytest.mark.parametrize("degree, parity", [(1, 2), (1, -1), (1, True), (True, None),
+                                                (1.0, None)])
+    def test_bad_degree_or_parity_rejected(self, metric_flat22, degree, parity):
+        """The degree is an int and the parity 0, 1 or None; bools are not
+        taken as ints.  Parity 2 raised an IndexError and -1 returned an
+        empty basis."""
+        with pytest.raises(InvalidArgument, match="degree|parity"):
+            solve_killing(metric_flat22, degree, parity)
 
 
 @pytest.fixture

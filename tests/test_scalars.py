@@ -870,16 +870,18 @@ class TestSubstitute:
             pool.odd("th1").substitute({"th1": pool.even("x")}, pool)
 
     def test_substitution_is_homomorphism(self, pool):
+        """Ten polynomial even images with a random nilpotent part, then ten
+        draws with the rational image x -> (x^2 + th1 th2 + 1)/(x + 1)."""
         rng = seeded(110)
         tpool = GeneratorPool(["u"], ["e1", "e2"])
-        u = tpool.even("u")
-        for _ in range(10):
+        xx = pool.even("x")
+        rational = (xx * xx + pool.odd("th1") * pool.odd("th2") + 1) / (xx + 1)
+        for k in range(20):
             images = {
-                "x": pool.even("x") * pool.even("x") + random_superfunction(pool, rng, 0, 1),
+                "x": xx * xx + random_superfunction(pool, rng, 0, 1) if k < 10 else rational,
                 "th1": random_superfunction(pool, rng, 1, 1),
                 "th2": random_superfunction(pool, rng, 1, 1),
             }
-            images = {k: v for k, v in images.items()}
             f = random_superfunction(tpool, rng)
             g = random_superfunction(tpool, rng)
             sub = lambda h: h.substitute(
