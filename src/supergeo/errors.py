@@ -14,8 +14,8 @@ arithmetic operand of an unsupported type is not an error of the
 package: ``Superfunction``'s operators return
 ``NotImplemented`` for anything but a superfunction, an exact rational (an
 int that is not a bool, a ``Fraction``, a sympy ``Rational`` or ``QQ``
-element) or a sympy expression, so ``x + "a"``, ``"a" + x``, ``x * 0.5`` and
-``x - True`` raise Python's ``TypeError``, as ``x ** 0.5`` does.
+element) or a sympy expression, so ``x + "a"``, ``"a" + x``, ``x * 0.5``,
+``x - True``, ``x ** 0.5`` and ``x ** True`` raise Python's ``TypeError``.
 """
 
 

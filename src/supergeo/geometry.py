@@ -66,10 +66,14 @@ class Chart:
         if len(odd) % 2:
             raise InvalidArgument("the number of odd coordinates must be even")
         self.pool = GeneratorPool(even, odd, flesh)
+        if not isinstance(box, dict):
+            raise InvalidArgument("box must be a dict of intervals")
         self.box = {}
         for name in self.pool.even_names:
             if name not in box:
                 raise InvalidArgument(f"missing box interval for {name!r}")
+            if not isinstance(box[name], (tuple, list)) or len(box[name]) != 2:
+                raise InvalidArgument(f"box interval for {name!r} must be a pair (a, b)")
             bounds = [_rational(v) for v in box[name]]
             if None in bounds:
                 raise InexactCoefficient(f"box interval for {name!r} needs exact rational bounds")
@@ -398,8 +402,8 @@ class MetricContext:
 
     ``MetricContext.of(g)`` validates ``g`` once and keeps the context on
     ``g``, which is safe because bilinear forms are never mutated; an invalid
-    metric caches nothing, so it raises every time.  The connection, the frame
-    and the inverse of the frame matrix are built on first use.
+    metric caches nothing, so it raises every time.  The connection and the
+    frame are built on first use.
     """
 
     def __init__(self, g: BilinearForm, signature: Signature):
@@ -421,10 +425,6 @@ class MetricContext:
     @cached_property
     def frame(self) -> "OSpFrame":
         return OSpFrame.build(self.g)
-
-    @cached_property
-    def frame_inverse(self) -> SuperMatrix:
-        return self.frame.component_matrix().inverse()
 
 
 class Connection:
@@ -587,14 +587,6 @@ class OSpFrame:
         """J e_j as (sign, frame field)."""
         sign, tgt = self.j_signs[j]
         return sign, self.fields[tgt]
-
-    def component_matrix(self) -> SuperMatrix:
-        """M[m][a] = (e_m)^a; used to expand fields in the frame."""
-        rows = [
-            [self.fields[mm].components[a] for a in range(self.chart.dim)]
-            for mm in range(self.chart.dim)
-        ]
-        return SuperMatrix(self.chart.pool, self.chart.n, self.chart.two_m, rows)
 
     def rotate(self, A: SuperMatrix) -> "OSpFrame":
         """Right action (e * A)_j = sum_i e_i A_ij; A must be an even OSp

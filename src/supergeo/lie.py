@@ -6,8 +6,9 @@ Killing fields are recognised in three flow-free ways:
 (ii)  ``<nabla_Y X, Z> + (-1)^{|X||Y|+|X||Z|+|Y||Z|} <nabla_Z X, Y> = 0`` on
       the coordinate pairs ``(d_i, d_j)``, ``i <= j`` (swapping the pair only
       multiplies the left side by the sign),
-(v)   the frame response matrix ``L`` of ``L_X e_i = sum_m e_m L_mi`` lies in
-      the orthosymplectic algebra over the scalar ring.
+(v)   the frame response matrix ``L`` of ``L_X e_i = sum_m e_m L_mi``, one
+      pairing ``L_mi = g(J e_m, [X, e_i])`` per entry over an OSp frame, lies
+      in the orthosymplectic algebra over the scalar ring.
 
 All three agree on homogeneous fields; the package tests this agreement on
 seeded corpora.  Mode (i) is :func:`lie_derivative_bilinear` on the whole
@@ -41,7 +42,7 @@ from .errors import (
 from .exactlinalg import modular_rank, nullspace, rank
 from .geometry import BilinearForm, Chart, MetricContext, OneForm, VectorField
 from .scalars import Superfunction
-from .supermatrix import SuperMatrix, flip_sides, osp_residuals
+from .supermatrix import SuperMatrix, osp_residuals
 
 
 def lie_derivative_function(X: VectorField, f: Superfunction) -> Superfunction:
@@ -163,31 +164,18 @@ class KillingChecker:
         return ModeResult(not res, res)
 
     def mode_v(self, X: VectorField) -> ModeResult:
-        """Solve [X, e_i] = sum_m e_m L_mi and test L against osp."""
+        """Test L of [X, e_i] = sum_m e_m L_mi against osp.  The frame is
+        orthonormal, g(e_a, e_b) = (g0)_ab, and g(v, w f) = g(v, w) f, so
+        L_mi = g(J e_m, [X, e_i]) = s_m g(e_{J(m)}, [X, e_i])."""
         chart = self.g.chart
-        pool = chart.pool
+        frame = self.metric.frame
         sig = self.metric.signature
-        Minv = self.metric.frame_inverse
-        cols = []
-        for i, ei in enumerate(self.metric.frame.fields):
-            br = X.bracket(ei)
-            # u_m = sum_a c_a (M^-1)_am are the left coefficients of column i
-            u = [
-                sum(
-                    (c * Minv.entries[a][m] for a, c in enumerate(br.components)
-                     if not c.is_zero()),
-                    start=pool.zero(),
-                )
-                for m in range(chart.dim)
-            ]
-            cols.append(flip_sides(u, X.parity + chart.parity(i), chart.n))
-        L = SuperMatrix(
-            pool,
-            chart.n,
-            chart.two_m,
-            [[cols[i][m] for i in range(chart.dim)] for m in range(chart.dim)],
-            X.parity,
-        )
+        brackets = [X.bracket(ei) for ei in frame.fields]
+        rows = []
+        for m in range(chart.dim):
+            sm, jem = frame.j_field(m)
+            rows.append([self.g.evaluate(jem, br) * sm for br in brackets])
+        L = SuperMatrix(chart.pool, chart.n, chart.two_m, rows, X.parity)
         res = osp_residuals(L, sig.t, sig.s, sig.two_m // 2)
         flat = [e for row in res for e in row if not e.is_zero()]
         return ModeResult(not flat, flat)

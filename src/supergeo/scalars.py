@@ -728,7 +728,7 @@ class Superfunction:
         return NotImplemented if other is None else _divide(other, self)
 
     def __pow__(self, k):
-        if not isinstance(k, int):
+        if type(k) is not int:  # a bool is not an operand
             return NotImplemented
         if k < 0:
             return _divide(self.pool.one(), self ** -k)

@@ -39,6 +39,8 @@ class SuperMatrix:
     """Square matrix with block dimensions p|q over a generator pool."""
 
     def __init__(self, pool: GeneratorPool, p: int, q: int, entries, parity: int = 0):
+        if type(p) is not int or type(q) is not int or p < 0 or q < 0:
+            raise InvalidArgument("block sizes must be nonnegative ints")
         self.pool = pool
         self.p = p
         self.q = q

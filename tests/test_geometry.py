@@ -81,6 +81,15 @@ def test_a_chart_box_bound_must_be_exact(bounds):
     assert all(type(q) is Fraction for q in exact)
 
 
+@pytest.mark.parametrize("box", [{"x": (0, 1, 2)}, {"x": (0,)}, {"x": 5}, None])
+def test_a_chart_box_is_a_dict_of_pairs(box):
+    """A box that is not a dict, or an interval that is not a pair, raises
+    InvalidArgument; an unpacking ValueError or a TypeError escaped."""
+    with pytest.raises(InvalidArgument, match="box") as excinfo:
+        Chart(["x"], [], box)
+    assert excinfo.type is InvalidArgument
+
+
 @pytest.mark.parametrize("t", [-1, 3, True])
 def test_flat_metric_needs_t_in_range(chart_flat22, t):
     """t counts the negative even directions: an int in 0..n, else

@@ -11,7 +11,7 @@ from supergeo import Chart
 from supergeo import lie, scalars
 from supergeo.errors import CertificateFailure, InvalidArgument, UnsupportedMetric
 from supergeo.exactlinalg import _reduced_echelon, modular_rank, nullspace
-from supergeo.geometry import BilinearForm, OneForm, VectorField, flat_metric
+from supergeo.geometry import BilinearForm, MetricContext, OneForm, VectorField, flat_metric
 from supergeo.lie import (
     KillingChecker,
     _ansatz_fields,
@@ -23,6 +23,7 @@ from supergeo.lie import (
     solve_killing,
 )
 from supergeo.scalars import Superfunction
+from supergeo.supermatrix import SuperMatrix, flip_sides, osp_residuals
 
 from conftest import random_field, random_superfunction, seeded
 
@@ -299,6 +300,57 @@ class TestIndefiniteSignature:
         # odd:  (t+s)2m + odd translations = 4 + 2
         basis = solve_killing(minkowski_super, 1)
         assert basis.dims == (6, 6)
+
+
+def _mode_v_by_frame_inverse(g, X):
+    """The osp residuals of mode (v) by the inverse route: the left
+    coefficients of ``[X, e_i]`` in the frame by the inverse of the matrix
+    ``M[m][a] = (e_m)^a``, flipped to the right coefficients ``L_mi``."""
+    chart, pool = g.chart, g.chart.pool
+    metric = MetricContext.of(g)
+    frame, sig = metric.frame, metric.signature
+    M = SuperMatrix(pool, chart.n, chart.two_m, [e.components for e in frame.fields])
+    Minv = M.inverse()
+    cols = []
+    for i, ei in enumerate(frame.fields):
+        br = X.bracket(ei).components
+        u = [sum((c * Minv.entries[a][m] for a, c in enumerate(br)), start=pool.zero())
+             for m in range(chart.dim)]
+        cols.append(flip_sides(u, X.parity + chart.parity(i), chart.n))
+    L = SuperMatrix(pool, chart.n, chart.two_m, [list(r) for r in zip(*cols)], X.parity)
+    res = osp_residuals(L, sig.t, sig.s, sig.two_m // 2)
+    return [e for row in res for e in row if not e.is_zero()]
+
+
+class TestModeV:
+    """Mode (v) reads ``L_mi = s_m g(e_{J(m)}, [X, e_i])`` off the metric."""
+
+    @pytest.mark.parametrize("metric", [
+        "metric_flat22", "metric_curved", "metric_deformed", "minkowski_super",
+    ])
+    def test_mode_v_matches_the_inverse_route(self, request, metric):
+        g = request.getfixturevalue(metric)
+        checker = KillingChecker(g)
+        rng = seeded(25)
+        failed = 0
+        for parity in (0, 1, 0, 1, 0, 1):
+            X = random_field(g.chart, rng, parity, allow_flesh=False)
+            got = checker.mode_v(X).residuals
+            assert got == _mode_v_by_frame_inverse(g, X), (metric, X)
+            failed += bool(got)
+        assert failed  # the residual lists compared are not all empty
+
+    def test_mode_v_builds_no_supermatrix_inverse(self, monkeypatch, metric_deformed):
+        checker = KillingChecker(metric_deformed)
+        checker.metric.frame  # Gram-Schmidt may invert; mode (v) may not
+
+        def refuse(self):
+            raise AssertionError("mode (v) inverted a supermatrix")
+
+        monkeypatch.setattr(SuperMatrix, "inverse", refuse)
+        chart = metric_deformed.chart
+        assert checker.mode_v(chart.coordinate_field(0)).passed
+        assert not checker.mode_v(VectorField(chart, [chart.pool.even("x"), 0, 0], 0)).passed
 
 
 @pytest.fixture

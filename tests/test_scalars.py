@@ -705,8 +705,10 @@ class TestForeignValues:
         with pytest.raises(InexactCoefficient):
             (pool.even("x") + 1).body_at([value])
 
-    @pytest.mark.parametrize("k", [0.5, "a"])
+    @pytest.mark.parametrize("k", [0.5, "a", True])
     def test_pow_foreign_exponent(self, pool, k):
+        """A bool is not an exponent, as it is no other operand; ``x ** True``
+        returned x."""
         th = pool.odd("th1")
         assert th.__pow__(k) is NotImplemented
         with pytest.raises(TypeError):

@@ -10,6 +10,7 @@ import sympy as sp
 from supergeo import GeneratorPool, scalars, supermatrix
 from supergeo.errors import (
     InhomogeneousMatrix,
+    InvalidArgument,
     MetricViolation,
     NonInvertible,
     NonInvertibleBlock,
@@ -53,6 +54,14 @@ def test_ragged_grid_is_a_supergeo_error(pool):
     with pytest.raises(SupergeoError, match="entry grid") as err:
         SuperMatrix(pool, 1, 2, [[1, 0, 0], [0, 1], [0, 0, 1]])
     assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("p, q", [(-1, 2), (2, -1), (True, 0), (1.0, 0)])
+def test_block_sizes_are_nonnegative_ints(pool, p, q):
+    """Each grid below matches ``p + q``; a negative, bool or float block size
+    was accepted."""
+    with pytest.raises(InvalidArgument, match="block sizes"):
+        SuperMatrix(pool, p, q, [[1]])
 
 
 def random_invertible(pool, p, q, rng):
