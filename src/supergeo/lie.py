@@ -20,10 +20,11 @@ metric; it writes the equations ``(L_X g)_ij = 0`` for ``i <= j`` only.  An
 ansatz column ``c d_k`` has a monomial coefficient c, so it assembles those
 equations itself, as sparse integer rows of signed monomial shifts of the
 metric's terms (:func:`_killing_rows`), with no superfunction per column.
-Each basis is certified on an independent route: every field is Killing by
-:func:`lie_derivative_bilinear`, the fields are independent by an exact
-rank, and the basis is complete by the rank of the rows mod a large prime
-(:func:`_certify_complete`).
+:func:`exactlinalg.nullspace` solves each system by one elimination mod a
+wide prime, lifted exactly.  Each basis of k fields over N ansatz columns is
+certified exactly: every field is Killing by :func:`lie_derivative_bilinear`,
+the fields' coefficient rows have rank k mod a prime (independence), and the
+rank of the elimination is ``N - k`` (completeness).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
     ParityError,
     UnsupportedMetric,
 )
-from .exactlinalg import modular_rank, nullspace, rank
+from .exactlinalg import PRIME, modular_rank, nullspace
 from .geometry import BilinearForm, Chart, MetricContext, OneForm, VectorField
 from .scalars import Superfunction
 from .supermatrix import SuperMatrix, osp_residuals
@@ -87,28 +88,25 @@ def lie_derivative_bilinear(X: VectorField, B: BilinearForm) -> BilinearForm:
     Bc = B.components
     zero = chart.pool.zero()
     out = [[zero] * dim for _ in range(dim)]
-
-    def add(i, j, term, negative):
-        out[i][j] = out[i][j] - term if negative else out[i][j] + term
-
     for k, c in enumerate(X.components):
         if c.is_zero():
             continue
         for i, row in enumerate(B.partials(k)):
             for j, e in enumerate(row):
                 if not e.is_zero():
-                    add(i, j, c * e, False)
+                    out[i][j] = out[i][j] + c * e
         for a, name in enumerate(chart.coordinate_names()):
             d = c.partial(name)
             if d.is_zero():
                 continue
-            for j in range(dim):  # d_a X^k B_kj in entry (a, j)
-                if not Bc[k][j].is_zero():
-                    add(a, j, d * Bc[k][j], p * par[a])
-            for i in range(dim):  # d_a X^k B_ik in entry (i, a)
-                if not Bc[i][k].is_zero():
+            for j, e in enumerate(Bc[k]):  # d_a X^k B_kj in entry (a, j)
+                if not e.is_zero():
+                    out[a][j] = out[a][j] - d * e if p * par[a] else out[a][j] + d * e
+            for i, row in enumerate(Bc):  # d_a X^k B_ik in entry (i, a)
+                e = row[k]
+                if not e.is_zero():
                     odd = (p * (par[i] + par[a]) + par[i] * (p + par[a] + par[k])) % 2
-                    add(i, a, d * Bc[i][k], odd)
+                    out[i][a] = out[i][a] - d * e if odd else out[i][a] + d * e
     return BilinearForm(chart, out, p)
 
 
@@ -235,12 +233,6 @@ def _ansatz(chart: Chart, degree: int):
             for p in (0, 1)]
 
 
-def _ansatz_fields(chart: Chart, degree: int):
-    """The columns of :func:`_ansatz` as ``(k, c)`` pairs."""
-    return [[(k, chart.pool.monomial(mono, exps)) for k, mono, exps in columns]
-            for columns in _ansatz(chart, degree)]
-
-
 def _monomial_partials(mono, exps, n):
     """``(a, s, mono', exps')`` for each coordinate ``a`` with
     ``d_a (th^mono x^exps) = s th^mono' x^exps'`` nonzero, the even
@@ -285,8 +277,7 @@ def _killing_rows(g: BilinearForm, columns, p: int):
                 through[j][k].append((r, -1 if odd else 1, gc[i][k]))
     multiple = chart.pool.monomial_multiple
     partials = {}  # per coefficient, shared by every k
-    keys = {}
-    rows = []
+    rows = {}  # key -> row, in order of first appearance
     for col, (k, mono, exps) in enumerate(columns):
         ds = partials.get((mono, exps))
         if ds is None:
@@ -294,34 +285,17 @@ def _killing_rows(g: BilinearForm, columns, p: int):
         acc = {}
         for r, f in moved[k]:
             for m, e, c in multiple(mono, exps, f, den):
-                acc[r, m, e] = acc.get((r, m, e), 0) + c
+                key = r, m, e
+                acc[key] = acc.get(key, 0) + c
         for a, s, dmono, dexps in ds:
             for r, t, f in through[a][k]:
                 for m, e, c in multiple(dmono, dexps, f, den):
-                    acc[r, m, e] = acc.get((r, m, e), 0) + s * t * c
+                    key = r, m, e
+                    acc[key] = acc.get(key, 0) + s * t * c
         for key, c in acc.items():
             if c:
-                row = keys.setdefault(key, len(rows))
-                if row == len(rows):
-                    rows.append({})
-                rows[row][col] = c
-    return rows
-
-
-def _coefficient_rows(columns):
-    """Sparse rational rows ``{column: int or Fraction}``, one column per
-    list of superfunctions; a row is one (list index, odd monomial, even
-    exponents) key, in order of first appearance."""
-    keys = {}
-    rows = []
-    for col, entries in enumerate(columns):
-        for k, entry in enumerate(entries):
-            for mono, exps, q in entry.rational_coefficients():
-                r = keys.setdefault((k, mono, exps), len(keys))
-                if r == len(rows):
-                    rows.append({})
-                rows[r][col] = q
-    return rows
+                rows.setdefault(key, {})[col] = c
+    return list(rows.values())
 
 
 def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
@@ -331,8 +305,8 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
     unrestricted.  Requires a polynomial, supersymmetric metric: then
     ``(L_X g)_ji = (-1)^{|i||j|} (L_X g)_ij``, so only the equations with
     ``i <= j`` are written.  The basis is certified Killing, independent
-    and complete (:func:`_certify_basis`, :func:`_certify_complete`), else
-    ``CertificateFailure`` is raised.
+    (:func:`_certify_basis`) and complete, else ``CertificateFailure`` is
+    raised.
     """
     if type(degree) is not int or degree < 0:
         raise InvalidArgument("degree bound must be a nonnegative int")
@@ -343,52 +317,39 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
         raise UnsupportedMetric("metric components must be polynomial")
     if not g.is_supersymmetric():
         raise UnsupportedMetric("metric must be supersymmetric")
-    parities = [0, 1] if parity is None else [parity]
-    fields = []
-    field_parities = []
-    systems = []
-    ansatz_by_parity = _ansatz(chart, degree)
-    for p in parities:
-        ansatz = ansatz_by_parity[p]
-        if not ansatz:
-            continue
-        rows = _killing_rows(g, ansatz, p)
-        vectors = nullspace(rows, len(ansatz))
-        systems.append((rows, len(ansatz), len(vectors)))
-        for vec in vectors:
-            comps = [chart.pool.zero()] * chart.dim
-            for q, (k, mono, exps) in itertools.compress(zip(vec, ansatz), vec):
-                comps[k] = comps[k] + chart.pool.monomial(mono, exps) * q
-            fields.append(VectorField(chart, comps, p))
-            field_parities.append(p)
-    basis = KillingBasis(g, degree, fields, field_parities)
+    systems = [(p, ansatz, nullspace(_killing_rows(g, ansatz, p), len(ansatz)))
+               for p, ansatz in enumerate(_ansatz(chart, degree))
+               if ansatz and parity in (None, p)]
+    fields = [VectorField(chart, _components(chart, vec, ansatz), p)
+              for p, ansatz, vectors in systems for vec in vectors]
+    basis = KillingBasis(g, degree, fields, [X.parity for X in fields])
     _certify_basis(basis, g)
-    for rows, ncols, k in systems:
-        _certify_complete(rows, ncols, k)
+    # rank_p <= rank_QQ <= N - k for k independent Killing fields, so
+    # rank_p = N - k proves that they span the nullspace
+    if any(vectors.rank != len(ansatz) - len(vectors) for _, ansatz, vectors in systems):
+        raise CertificateFailure("Killing basis completeness unproven")
     return basis
 
 
-# primes for the completeness certificate; below 2**30, so a residue is a
-# one-digit Python int
-_PRIMES = (1073741789, 1073741783, 1073741741)
-
-
-def _certify_complete(rows, ncols: int, k: int):
-    """Prove that ``k`` independent vectors in the nullspace of ``rows``
-    (certified by :func:`_certify_basis`) span it: they give
-    ``rank_QQ <= ncols - k``, and ``rank_p <= rank_QQ`` for every prime p,
-    so ``rank_p = ncols - k`` for one prime of :data:`_PRIMES` proves
-    equality.  A basis with a vector missing falls short for every prime.
-    The tests check the solver's rows against :func:`lie_derivative_bilinear`."""
-    if all(modular_rank(rows, prime) != ncols - k for prime in _PRIMES):
-        raise CertificateFailure("Killing basis completeness unproven")
+def _components(chart: Chart, vec, columns):
+    """The components of ``sum_c vec[c] th^mono x^exps d_k`` for
+    ``columns[c] = (k, mono, exps)``."""
+    coefficients = [[] for _ in range(chart.dim)]
+    for col, q in vec.items():
+        k, mono, exps = columns[col]
+        coefficients[k].append((mono, exps, q))
+    return [chart.pool.from_coefficients(c) for c in coefficients]
 
 
 def _certify_basis(basis: KillingBasis, g: BilinearForm):
     for X in basis.fields:
         if not lie_derivative_bilinear(X, g).is_zero():
             raise CertificateFailure("solver produced a non-Killing field")
-    # linear independence certificate over Q
-    n = len(basis.fields)
-    if rank(_coefficient_rows([X.components for X in basis.fields]), n) != n:
+    # linear independence: a nonzero k x k minor mod a prime is nonzero over
+    # Q; a column is one (component, odd monomial, even exponents) key
+    columns = {}
+    rows = [{columns.setdefault((k, mono, exps), len(columns)): q
+             for k, c in enumerate(X.components) for mono, exps, q in c.rational_coefficients()}
+            for X in basis.fields]
+    if modular_rank(rows, PRIME) != len(rows):
         raise CertificateFailure("solver basis is linearly dependent")

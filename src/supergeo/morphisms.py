@@ -81,9 +81,12 @@ class Morphism:
                     )
 
     def pullback(self, f: Superfunction) -> Superfunction:
-        """phi#(f): graded-safe substitution of the coordinate pullbacks."""
+        """phi#(f): graded-safe substitution of the coordinate pullbacks; a
+        zero is the source pool's zero, with no substitution."""
         if f.pool != self.target.pool:
             raise ChartMismatch("function must live over the target pool")
+        if f.is_zero():
+            return self.source.pool.zero()
         return f.substitute(self.images, self.source.pool)
 
     def differential(self, Y: VectorField) -> "FieldAlongMorphism":

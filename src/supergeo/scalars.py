@@ -540,10 +540,16 @@ class GeneratorPool:
             return self._lift(e.base) ** int(e.exp)
         raise InexactCoefficient
 
-    def monomial(self, mono, exps) -> "Superfunction":
-        """``th^mono x^exps`` for an increasing tuple ``mono`` of odd indices
-        and a tuple ``exps`` of even exponents."""
-        return Superfunction(self, {tuple(mono): {tuple(exps): 1}})
+    def from_coefficients(self, coefficients) -> "Superfunction":
+        """The polynomial ``sum q th^mono x^exps`` of a list of ``(mono, exps,
+        q)`` triples with distinct monomials and nonzero rationals ``q``, the
+        inverse of :meth:`Superfunction.rational_coefficients`: the
+        numerators over the least common denominator, coprime to them."""
+        den = math.lcm(*(q.denominator for _, _, q in coefficients))
+        terms = {}
+        for mono, exps, q in coefficients:
+            terms.setdefault(mono, {})[exps] = q.numerator * (den // q.denominator)
+        return Superfunction(self, terms, den) if terms else self._zero
 
     def monomial_multiple(self, mono, exps, f, den=1):
         """The coefficients of ``m * f`` for the monomial ``m = th^mono x^exps``

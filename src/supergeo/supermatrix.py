@@ -41,6 +41,8 @@ class SuperMatrix:
     def __init__(self, pool: GeneratorPool, p: int, q: int, entries, parity: int = 0):
         if type(p) is not int or type(q) is not int or p < 0 or q < 0:
             raise InvalidArgument("block sizes must be nonnegative ints")
+        if type(parity) is not int:
+            raise InvalidArgument(f"parity must be an int, not {parity!r}")
         self.pool = pool
         self.p = p
         self.q = q

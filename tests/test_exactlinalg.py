@@ -1,6 +1,7 @@
 """Exact rational nullspace, rank, modular rank and signature, checked against sympy's Matrix
 and DomainMatrix and Sylvester's law of inertia."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,8 +9,16 @@ import sympy as sp
 from sympy.polys.domains import GF, QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from supergeo import Chart, lie
-from supergeo.exactlinalg import _reduced_echelon, modular_rank, nullspace, rank, signature
+from supergeo import Chart, exactlinalg, lie
+from supergeo.exactlinalg import (
+    PRIME,
+    _integer_rows,
+    _reduced_echelon,
+    modular_rank,
+    nullspace,
+    rank,
+    signature,
+)
 from supergeo.geometry import flat_metric
 
 from conftest import seeded
@@ -46,9 +55,9 @@ def test_nullspace_is_the_reduced_echelon_basis():
         assert len(basis) == len(free)
         assert rank(sparse, ncols) == ranks[-1]
         for c, v in zip(free, basis):
-            assert all(isinstance(e, Fraction) for e in v)
-            assert [v[f] for f in free] == [int(f == c) for f in free]
-            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+            assert all(isinstance(e, Fraction) and e for e in v.values())
+            assert [v.get(f, 0) for f in free] == [int(f == c) for f in free]
+            assert all(sum(row[j] * q for j, q in v.items()) == 0 for row in rows)
 
 
 def test_signature_is_invariant_under_congruence():
@@ -104,13 +113,13 @@ def _domain_matrix(rows, ncols):
 
 
 def _domain_matrix_nullspace(rows, ncols):
-    """``(basis, rank)`` read off ``DomainMatrix.rref`` over QQ."""
+    """``(basis, rank)`` read off ``DomainMatrix.rref`` over QQ, the basis
+    as sparse vectors ``{column: Fraction}``."""
     m, pivots = _domain_matrix(rows, ncols).rref()
     m = m.to_sparse().rep
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = {fc: Fraction(1)}
         for r, pc in enumerate(pivots):
             q = m[r].get(fc)
             if q:
@@ -138,14 +147,41 @@ def _sparse_cases(rng):
 
 def test_nullspace_and_rank_match_domain_matrix():
     """The basis equals the one read off ``DomainMatrix.rref``, vector for
-    vector, and the rank its number of pivots."""
+    vector, and the rank, also the one carried by the basis, its number of
+    pivots."""
     ranks = set()
     for rows, ncols in _sparse_cases(seeded(811)):
         basis, r = _domain_matrix_nullspace(rows, ncols)
-        assert nullspace(rows, ncols) == basis, rows
-        assert rank(rows, ncols) == r
+        vectors = nullspace(rows, ncols)
+        assert vectors == basis, rows
+        assert rank(rows, ncols) == vectors.rank == r
         ranks.add("full" if r == min(len(rows), ncols) else "deficient")
     assert ranks == {"full", "deficient"}
+
+
+def test_primes_are_the_primes_below_the_first():
+    """The moduli are 2^61 - 1 and then every prime below it that is 3 mod
+    4, in descending order: none is skipped and none is composite."""
+    primes = list(itertools.islice(exactlinalg._primes(), 30))
+    assert primes == [n for n in range(PRIME, primes[-1] - 1, -4) if sp.isprime(n)]
+
+
+def test_a_wrong_lift_is_refused_by_the_kernel_check(monkeypatch):
+    """``x = p + 5`` for p = 2^61 - 1 is 5 mod p, and 5 lifts within the
+    bound, so the first prime gives the vector ``(5, 1)``; it is not in the
+    kernel, two primes bound the lift below x, and the third lifts x."""
+    x = PRIME + 5
+    seen = []
+    lift = exactlinalg._lift
+
+    def recording(echelon, modulus, ncols):
+        basis = lift(echelon, modulus, ncols)
+        seen.append(basis)
+        return basis
+
+    monkeypatch.setattr(exactlinalg, "_lift", recording)
+    assert nullspace([{0: 1, 1: -x}], 2) == [{0: x, 1: 1}]
+    assert seen == [[{0: 5, 1: 1}], None, [{0: x, 1: 1}]]
 
 
 def _primitive_rows(rows):
@@ -169,14 +205,14 @@ def test_modular_rank_matches_domain_matrix_over_gf():
     for rows, ncols in _sparse_cases(seeded(821)):
         ints = _primitive_rows(rows)
         r = rank(rows, ncols)
-        for p in (2, 3, 5, lie._PRIMES[0]):
+        for p in (2, 3, 5, PRIME):
             want = 0
             if ints:
                 dm = DomainMatrix({i: {j: ZZ(c) for j, c in row.items()} for i, row in enumerate(ints)},
                                   (len(ints), ncols), ZZ)
                 want = dm.convert_to(GF(p)).rank()
             assert modular_rank(rows, p) == want <= r, (rows, p)
-            pivots = _reduced_echelon(rows, p)
+            pivots = _reduced_echelon(_integer_rows(rows), p)
             assert all(row[c] == 1 and all(0 < v < p for v in row.values())
                        for c, row in pivots.items())
             drops += want < r

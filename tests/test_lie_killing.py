@@ -8,14 +8,12 @@ import pytest
 import sympy as sp
 
 from supergeo import Chart
-from supergeo import lie, scalars
+from supergeo import exactlinalg, lie, scalars
 from supergeo.errors import CertificateFailure, InvalidArgument, UnsupportedMetric
-from supergeo.exactlinalg import _reduced_echelon, modular_rank, nullspace
+from supergeo.exactlinalg import PRIME, Nullspace, modular_rank, nullspace
 from supergeo.geometry import BilinearForm, MetricContext, OneForm, VectorField, flat_metric
 from supergeo.lie import (
     KillingChecker,
-    _ansatz_fields,
-    _coefficient_rows,
     killing_check,
     lie_derivative_bilinear,
     lie_derivative_function,
@@ -26,6 +24,7 @@ from supergeo.scalars import Superfunction
 from supergeo.supermatrix import SuperMatrix, flip_sides, osp_residuals
 
 from conftest import random_field, random_superfunction, seeded
+from test_exactlinalg import _domain_matrix_nullspace
 
 x, y = sp.symbols("x y")
 
@@ -364,6 +363,28 @@ def metric_flat32():
     return flat_metric(Chart(["x", "y", "z"], ["th1", "th2"], box=box))
 
 
+def _ansatz_fields(chart, degree):
+    """The solver's ansatz columns as ``(k, c)`` pairs, ``X = c d_k``."""
+    return [[(k, chart.pool.from_coefficients([(mono, exps, 1)])) for k, mono, exps in columns]
+            for columns in lie._ansatz(chart, degree)]
+
+
+def _coefficient_rows(columns):
+    """Sparse rational rows ``{column: int or Fraction}``, one column per
+    list of superfunctions; a row is one (list index, odd monomial, even
+    exponents) key, in order of first appearance."""
+    keys = {}
+    rows = []
+    for col, entries in enumerate(columns):
+        for k, entry in enumerate(entries):
+            for mono, exps, q in entry.rational_coefficients():
+                r = keys.setdefault((k, mono, exps), len(keys))
+                if r == len(rows):
+                    rows.append({})
+                rows[r][col] = q
+    return rows
+
+
 class TestHalfSystem:
     """The solver writes ``(L_X g)_ij = 0`` for ``i <= j`` only; on a
     supersymmetric metric the other equations repeat these up to sign."""
@@ -385,7 +406,7 @@ class TestHalfSystem:
         tables = [lie_derivative_bilinear(X, g).components for X in fields]
         rows = _coefficient_rows([[e for row in t for e in row] for t in tables])
         expected = [
-            sum((X.scale(chart.pool.scalar(q)) for q, X in zip(vec, fields) if q),
+            sum((fields[c].scale(chart.pool.scalar(q)) for c, q in vec.items()),
                 start=VectorField(chart, [0] * chart.dim, parity))
             for vec in (nullspace(rows, len(fields)) if fields else [])
         ]
@@ -525,7 +546,8 @@ class TestKillingRows:
             tables.append([L[i][j] for i, j in pairs])
         oracle = _coefficient_rows(tables)
         assert all(type(c) is int and c for row in rows for c in row.values())
-        assert _reduced_echelon(rows) == _reduced_echelon(oracle)
+        ncols = len(tables)
+        assert nullspace(rows, ncols) == nullspace(oracle, ncols)
         # the same rows, each up to a scale: no row or entry that cancels is kept
         assert sorted(map(_normalised, rows)) == sorted(map(_normalised, oracle))
 
@@ -537,21 +559,129 @@ class TestKillingRows:
 
 
 class TestCompleteness:
-    """``rank_p(rows) = N - k`` for one prime proves that no Killing field of
-    the ansatz is missing from a basis of k certified fields."""
+    """``rank_p(rows) = N - k``, with ``rank_p`` read off the elimination the
+    basis came from, proves that no Killing field of the ansatz is missing
+    from a basis of k certified fields."""
 
     def test_basis_missing_a_vector_is_refused(self, monkeypatch, metric_flat22):
-        monkeypatch.setattr(lie, "nullspace", lambda rows, ncols: nullspace(rows, ncols)[:-1])
+        def dropping_last(rows, ncols):
+            vectors = nullspace(rows, ncols)
+            del vectors[-1]
+            return vectors
+
+        monkeypatch.setattr(lie, "nullspace", dropping_last)
         with pytest.raises(CertificateFailure, match="completeness unproven"):
             solve_killing(metric_flat22, 1)
 
     def test_rank_drop_mod_the_first_prime_is_certified_by_the_second(self):
-        p, q = lie._PRIMES[:2]
+        p = PRIME
         rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + p}]  # determinant p
+        q = next(q for q in exactlinalg._primes() if q != p)
         assert (modular_rank(rows, p), modular_rank(rows, q)) == (1, 2)
-        lie._certify_complete(rows, 2, 0)
+        vectors = nullspace(rows, 2)
+        assert (vectors, vectors.rank) == ([], 2)
 
-    def test_rank_drop_mod_every_prime_is_refused(self):
-        rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + math.prod(lie._PRIMES)}]
+    def test_rank_drop_mod_every_prime_is_refused(self, monkeypatch, metric_flat22):
+        """An elimination whose rank fell short for every prime it tried
+        leaves a rank below ``N - k``, which does not prove completeness."""
+        def short(rows, ncols):
+            vectors = nullspace(rows, ncols)
+            return Nullspace(vectors, vectors.rank - 1)
+
+        monkeypatch.setattr(lie, "nullspace", short)
         with pytest.raises(CertificateFailure, match="completeness unproven"):
-            lie._certify_complete(rows, 2, 0)
+            solve_killing(metric_flat22, 1)
+
+
+class TestLifting:
+    """Each system is eliminated mod wide primes and lifted by rational
+    reconstruction; extra primes join until the basis is exactly in the
+    kernel, and a prime with a worse echelon form is dropped."""
+
+    @staticmethod
+    def _recording(monkeypatch):
+        """Wrap the elimination to record ``(prime, pivots)`` per call."""
+        seen = []
+        eliminate = exactlinalg._reduced_echelon
+
+        def recording(rows, prime):
+            echelon = eliminate(rows, prime)
+            seen.append((prime, sorted(echelon)))
+            return echelon
+
+        monkeypatch.setattr(exactlinalg, "_reduced_echelon", recording)
+        return seen
+
+    @staticmethod
+    def _systems(monkeypatch):
+        systems = []
+
+        def recording(rows, ncols):
+            systems.append((rows, ncols))
+            return nullspace(rows, ncols)
+
+        monkeypatch.setattr(lie, "nullspace", recording)
+        return systems
+
+    def test_entries_past_the_first_bound_take_more_primes(self, monkeypatch):
+        """``y,y = 97^-20``: the rotation ``-97^-20 y d_x + x d_y`` has an
+        entry of 132 bits, past the bound ``2^30`` of one 61-bit prime, so
+        the basis needs five primes."""
+        ch = Chart(["x", "y"], [], box={"x": (0, 1), "y": (0, 1)})
+        g = BilinearForm(ch, [[1, 0], [0, Fraction(1, 97**20)]])
+        systems = self._systems(monkeypatch)
+        seen = self._recording(monkeypatch)
+        basis = solve_killing(g, 1, 0)
+        # five primes for the solve, then one for the independence certificate
+        assert [p for p, _ in seen] == [*itertools.islice(exactlinalg._primes(), 5), PRIME]
+        assert basis.dims == (3, 0)
+        x, y = ch.pool.even("x"), ch.pool.even("y")
+        assert VectorField(ch, [y * Fraction(-1, 97**20), x], 0) in basis.fields
+        (rows, ncols), = systems
+        assert nullspace(rows, ncols) == _domain_matrix_nullspace(rows, ncols)[0]
+
+    def test_an_unlucky_prime_between_lucky_ones_is_dropped(self, monkeypatch):
+        """With 97 as the second prime, the ``y,y = 97^-20`` system (scaled
+        to integers by 97^20) has the same rank mod 97 but a later pivot;
+        that prime is dropped, not remaindered, and the other five give the
+        exact basis."""
+        ch = Chart(["x", "y"], [], box={"x": (0, 1), "y": (0, 1)})
+        g = BilinearForm(ch, [[1, 0], [0, Fraction(1, 97**20)]])
+        want = solve_killing(g, 1, 0)
+        primes = exactlinalg._primes
+
+        def supply():
+            wide = primes()
+            yield next(wide)
+            yield 97
+            yield from wide
+
+        monkeypatch.setattr(exactlinalg, "_primes", supply)
+        systems = self._systems(monkeypatch)
+        seen = self._recording(monkeypatch)
+        assert solve_killing(g, 1, 0).fields == want.fields
+        (first, pivots), (p97, pivots97) = seen[:2]
+        assert (first, p97) == (PRIME, 97)
+        assert len(pivots97) == len(pivots) and pivots97 > pivots
+        assert [p for p, _ in seen[2:6]] == list(itertools.islice(primes(), 1, 5))
+        (rows, ncols), = systems
+        assert nullspace(rows, ncols) == _domain_matrix_nullspace(rows, ncols)[0]
+
+    def test_an_unlucky_prime_is_dropped(self, monkeypatch):
+        """With ``y,y = 97`` and 97 as the first prime, the system loses
+        rank mod 97; the second prime's higher rank replaces it, and the
+        basis equals the exact one."""
+        ch = Chart(["x", "y"], ["th1", "th2"], box={"x": (0, 1), "y": (0, 1)})
+        g = BilinearForm(ch, [[1, 0, 0, 0], [0, 97, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+        want = solve_killing(g, 1)
+        primes = exactlinalg._primes
+        monkeypatch.setattr(exactlinalg, "_primes", lambda: itertools.chain([97], primes()))
+        systems = self._systems(monkeypatch)
+        seen = self._recording(monkeypatch)
+        basis = solve_killing(g, 1)
+        assert basis.fields == want.fields and basis.dims == want.dims == (6, 6)
+        # per parity: 97 first, then a wide prime of higher rank
+        (p97, pivots97), (wide, pivots) = seen[:2]
+        assert (p97, wide) == (97, PRIME) and len(pivots97) < len(pivots)
+        for rows, ncols in systems:
+            assert nullspace(rows, ncols) == _domain_matrix_nullspace(rows, ncols)[0]

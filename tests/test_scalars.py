@@ -1308,5 +1308,19 @@ def test_monomial_multiple_is_the_product():
         mono = tuple(sorted(rng.sample(range(pool.n_odd), rng.randint(0, 3))))
         exps = (rng.randint(0, 2), rng.randint(0, 2))
         den = 3 * math.lcm(1, *(q.denominator for _, _, q in f.rational_coefficients()))
-        want = sorted((m, e, q * den) for m, e, q in (pool.monomial(mono, exps) * f).rational_coefficients())
+        monomial = pool.from_coefficients([(mono, exps, 1)])
+        want = sorted((m, e, q * den) for m, e, q in (monomial * f).rational_coefficients())
         assert sorted(pool.monomial_multiple(mono, exps, f, den)) == want
+
+
+def test_from_coefficients_inverts_rational_coefficients():
+    """A polynomial superfunction is rebuilt from its rational coefficients,
+    denominator included, for seeded f with rational coefficients and
+    flesh; no coefficients give zero."""
+    pool = GeneratorPool(["x", "y"], ["th1", "th2", "th3"], ["eta"])
+    rng = seeded(1303)
+    for _ in range(60):
+        f = random_superfunction(pool, rng) * Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 6))
+        g = pool.from_coefficients(list(f.rational_coefficients()))
+        assert (g, g.den) == (f, f.den)
+    assert pool.from_coefficients([]) == pool.zero()

@@ -128,6 +128,26 @@ def test_goldens_take_each_derivative_once(monkeypatch):
     assert seen and repeats == []
 
 
+def test_goldens_pull_back_no_zero(monkeypatch):
+    """While the 7 goldens run, no zero superfunction is pulled back: the
+    zero Christoffel symbols of a flat target, zero metric entries and zero
+    field components are the source pool's zero without a substitution."""
+    from supergeo.scalars import Superfunction
+
+    original = Superfunction.substitute
+    pulled = []
+
+    def recording(f, images, new_pool):
+        pulled.append(f.is_zero())
+        return original(f, images, new_pool)
+
+    monkeypatch.setattr(Superfunction, "substitute", recording)
+    for name in sorted(GOLDEN):
+        report = run_scenario((DATA / f"{name}.scn").read_text(), name=f"{name}.scn")
+        assert report.render() == (DATA / f"{name}.report.txt").read_text()
+    assert pulled and not any(pulled)
+
+
 @pytest.mark.parametrize("name", ["flat_killing", "noether_flesh"])
 def test_reports_deterministic_across_runs(name):
     text = (DATA / f"{name}.scn").read_text()
@@ -392,7 +412,7 @@ def test_failed_solver_certificate_is_an_error(monkeypatch, tmp_path):
     from supergeo import lie
 
     # the sum of all ansatz fields contains the Euler field x d_x
-    monkeypatch.setattr(lie, "nullspace", lambda rows, ncols: [[1] * ncols])
+    monkeypatch.setattr(lie, "nullspace", lambda rows, ncols: [dict.fromkeys(range(ncols), 1)])
     out = tmp_path / "report.txt"
     code = cli_main(["run", str(DATA / "flat_killing.scn"), "--report", str(out)])
     assert code == 3
@@ -402,13 +422,19 @@ def test_failed_solver_certificate_is_an_error(monkeypatch, tmp_path):
 
 
 def test_incomplete_solver_basis_is_an_error(monkeypatch, tmp_path):
-    """A nullspace that drops its last vector leaves fields that are Killing
-    and independent; the completeness certificate refuses the basis (exit 3)
-    instead of reporting 5|5 for the 6|6 Killing algebra of flat (2|2)."""
+    """A nullspace that drops its last vector, but keeps the rank of its
+    elimination, leaves fields that are Killing and independent; the
+    completeness certificate refuses the basis (exit 3) instead of
+    reporting 5|5 for the 6|6 Killing algebra of flat (2|2)."""
     from supergeo import lie
     from supergeo.exactlinalg import nullspace
 
-    monkeypatch.setattr(lie, "nullspace", lambda rows, ncols: nullspace(rows, ncols)[:-1])
+    def dropping_last(rows, ncols):
+        vectors = nullspace(rows, ncols)
+        del vectors[-1]
+        return vectors
+
+    monkeypatch.setattr(lie, "nullspace", dropping_last)
     out = tmp_path / "report.txt"
     code = cli_main(["run", str(DATA / "flat_killing.scn"), "--report", str(out)])
     assert code == 3

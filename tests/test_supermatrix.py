@@ -64,6 +64,16 @@ def test_block_sizes_are_nonnegative_ints(pool, p, q):
         SuperMatrix(pool, p, q, [[1]])
 
 
+@pytest.mark.parametrize("parity", [0.5, True, 1.0, "1", None])
+def test_parity_is_an_int(pool, parity):
+    """A bool, float or other non-int parity was kept as ``parity % 2``
+    (0.5 built a matrix of parity 0.5) or crashed with a bare TypeError."""
+    grid = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(InvalidArgument, match="parity"):
+        SuperMatrix(pool, 1, 2, grid, parity)
+    assert SuperMatrix(pool, 1, 2, grid, 3).parity == 1
+
+
 def random_invertible(pool, p, q, rng):
     while True:
         M = random_matrix(pool, p, q, 0, rng)
