@@ -159,6 +159,8 @@ class _Field:
     _prefix = "d_"
 
     def __init__(self, owner, slots: Chart, pool: GeneratorPool, components, parity: int):
+        if type(parity) is not int:
+            raise InvalidArgument(f"parity must be an int, not {parity!r}")
         self.owner, self.slots, self.pool = owner, slots, pool
         self.components = [
             c if isinstance(c, Superfunction) else pool.scalar(c) for c in components
@@ -329,16 +331,6 @@ class BilinearForm(SuperMatrix):
             X.components, X.parity, Y.components, Y.parity, self.parity,
         )
 
-    def partials(self, k: int):
-        """The grid d_k B_ij, built on first use for each k and kept on the
-        form, which is safe because bilinear forms are never mutated."""
-        cache = self.__dict__.setdefault("_partials", {})
-        if k not in cache:
-            name = self.chart.coordinate(k)
-            cache[k] = [[e if e.is_zero() else e.partial(name) for e in row]
-                        for row in self.entries]
-        return cache[k]
-
     def _check_compat(self, other):
         """Forms add only to forms on the same chart."""
         if not isinstance(other, BilinearForm) or other.chart != self.chart:
@@ -476,7 +468,8 @@ def levi_civita(g: BilinearForm) -> Connection:
     dim = chart.dim
     half = chart.pool.scalar(Fraction(1, 2))
     ginv = g.inverse()
-    dg = [g.partials(i) for i in range(dim)]  # dg[i][j][k] = d_i g_jk
+    dg = [[[e.partial(name) for e in row] for row in g.components]
+          for name in chart.coordinate_names()]  # dg[i][j][k] = d_i g_jk
     gamma = []
     for i in range(dim):
         pi = chart.parity(i)

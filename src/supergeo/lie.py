@@ -15,11 +15,15 @@ seeded corpora.  Mode (i) is :func:`lie_derivative_bilinear` on the whole
 field; mode (v) reads each osp residual off two signed entries of ``L``
 (:func:`supermatrix.osp_residuals`).
 
-The solver :func:`solve_killing` requires a polynomial, supersymmetric
-metric; it writes the equations ``(L_X g)_ij = 0`` for ``i <= j`` only.  An
-ansatz column ``c d_k`` has a monomial coefficient c, so it assembles those
-equations itself, as sparse integer rows of signed monomial shifts of the
-metric's terms (:func:`_killing_rows`), with no superfunction per column.
+The Leibniz rule of ``L_X B`` is one table per form (:func:`_leibniz`),
+which holds every sign of the rule.  :func:`lie_derivative_bilinear` forms
+its signed products on superfunctions; the solver forms the same terms as
+integer monomial shifts.  The solver :func:`solve_killing` requires a
+polynomial, supersymmetric metric; it writes the equations
+``(L_X g)_ij = 0`` for ``i <= j`` only.  An ansatz column ``c d_k`` has a
+monomial coefficient c, so it assembles those equations as sparse integer
+rows over the metric's common denominator (:func:`_killing_rows`), with no
+superfunction per column.
 :func:`exactlinalg.nullspace` solves each system by one elimination mod a
 wide prime, lifted exactly.  Each basis of k fields over N ansatz columns is
 certified exactly: every field is Killing by :func:`lie_derivative_bilinear`,
@@ -65,49 +69,59 @@ def lie_derivative_oneform(X: VectorField, F: OneForm) -> OneForm:
     return OneForm(chart, comps, (X.parity + F.parity) % 2)
 
 
+def _leibniz(B: BilinearForm):
+    """The Leibniz rule of ``L_X B`` as one table over B's nonzero entries,
+    kept on the form (forms are never mutated): ``(L_X B)_ij`` sums
+    ``X^k f`` over ``(i, j, f)`` in ``moved[k]`` and ``s (d_a X^k) f`` over
+    ``(i, j, s, f)`` in ``through[|X|][a][k]``.  Every sign of the rule,
+    with ``[X, d_a] = -(-1)^{|X||a|} sum_k (d_a X^k) d_k``, is written here."""
+    table = B.__dict__.get("_leibniz")
+    if table is None:
+        chart, rows = B.chart, B.components
+        dim, par = chart.dim, chart.parity
+        moved = [[(i, j, d) for i, row in enumerate(rows) for j, e in enumerate(row)
+                  if not (d := e.partial(name)).is_zero()] for name in chart.coordinate_names()]
+        through = [[[] for _ in range(dim)] for _ in range(dim)]  # for an even X
+        for i, j, k in itertools.product(range(dim), repeat=3):
+            if not rows[k][j].is_zero():  # (d_i X^k) B_kj
+                through[i][k].append((i, j, 1, rows[k][j]))
+            if not rows[i][k].is_zero():  # (-1)^{|i|(|j|+|k|)} (d_j X^k) B_ik
+                s = -1 if par(i) * (par(j) + par(k)) % 2 else 1
+                through[j][k].append((i, j, s, rows[i][k]))
+        odd = [[[(i, j, -s, f) for i, j, s, f in t] if par(a) else t for t in by_k]
+               for a, by_k in enumerate(through)]  # times (-1)^{|X||a|}
+        table = B.__dict__["_leibniz"] = moved, (through, odd)
+    return table
+
+
 def lie_derivative_bilinear(X: VectorField, B: BilinearForm) -> BilinearForm:
-    """Components of L_X B by the Leibniz rule, with
-    [X, d_i] = -(-1)^{|X||i|} sum_k (d_i X^k) d_k (docs/sign-conventions.md):
+    """Components of L_X B, the products of :func:`_leibniz` (left factor
+    first) for the nonzero ``X^k`` and ``d_a X^k``:
 
         (L_X B)_ij = sum_k X^k d_k(B_ij)
                      + (-1)^{|X||i|} sum_k (d_i X^k) B_kj
                      + (-1)^{|X|(|i|+|j|)} sum_k (-1)^{|i|(|X|+|j|+|k|)} (d_j X^k) B_ik
-
-    Only nonzero products are formed: each nonzero ``X^k`` meets the nonzero
-    entries of ``d_k B`` (from :meth:`BilinearForm.partials`, computed once
-    per form) and each nonzero ``d_a X^k`` the nonzero entries of row and
-    column k of B.
     """
     if X.chart != B.chart:
         raise ChartMismatch("field and form live on different charts")
     if B.parity != 0:
         raise ParityError("Lie derivative expects an even bilinear form")
     chart = X.chart
-    dim, p = chart.dim, X.parity
-    par = [chart.parity(i) for i in range(dim)]
-    Bc = B.components
+    moved, through = _leibniz(B)
+    through = through[X.parity]
     zero = chart.pool.zero()
-    out = [[zero] * dim for _ in range(dim)]
+    out = [[zero] * chart.dim for _ in range(chart.dim)]
     for k, c in enumerate(X.components):
         if c.is_zero():
             continue
-        for i, row in enumerate(B.partials(k)):
-            for j, e in enumerate(row):
-                if not e.is_zero():
-                    out[i][j] = out[i][j] + c * e
+        for i, j, f in moved[k]:
+            out[i][j] = out[i][j] + c * f
         for a, name in enumerate(chart.coordinate_names()):
             d = c.partial(name)
-            if d.is_zero():
-                continue
-            for j, e in enumerate(Bc[k]):  # d_a X^k B_kj in entry (a, j)
-                if not e.is_zero():
-                    out[a][j] = out[a][j] - d * e if p * par[a] else out[a][j] + d * e
-            for i, row in enumerate(Bc):  # d_a X^k B_ik in entry (i, a)
-                e = row[k]
-                if not e.is_zero():
-                    odd = (p * (par[i] + par[a]) + par[i] * (p + par[a] + par[k])) % 2
-                    out[i][a] = out[i][a] - d * e if odd else out[i][a] + d * e
-    return BilinearForm(chart, out, p)
+            if not d.is_zero():
+                for i, j, s, f in through[a][k]:
+                    out[i][j] = out[i][j] + d * f if s > 0 else out[i][j] - d * f
+    return BilinearForm(chart, out, X.parity)
 
 
 @dataclass
@@ -244,54 +258,38 @@ def _monomial_partials(mono, exps, n):
     return out
 
 
-def _killing_rows(g: BilinearForm, columns, p: int):
+def _killing_rows(g: BilinearForm, columns, p: int, den: int):
     """The solver's sparse integer rows ``{column: int}``: the equations
     ``(L_X g)_ij = 0`` for ``i <= j``, one row per (index pair, odd
     monomial, even exponents) key with a nonzero entry.  Column ``col`` is
     ``X = c d_k`` of parity p for ``columns[col] = (k, mono, exps)``,
     ``c = th^mono x^exps`` (see :func:`_ansatz`).
 
-    In the Leibniz rule of :func:`lie_derivative_bilinear`,
-    ``(L_X g)_ij = c d_k(g_ij) + (-1)^{p|i|} (d_i c) g_kj
-    + (-1)^{p(|i|+|j|) + |i|(p+|j|+|k|)} (d_j c) g_ik``, and ``c``, ``d_i c``
-    and ``d_j c`` are monomials times ints, so each term's coefficients come
-    from :meth:`GeneratorPool.monomial_multiple`, over the metric's common
-    denominator; no superfunction is built."""
-    chart = g.chart
-    dim, gc = chart.dim, g.components
-    par = [chart.parity(i) for i in range(dim)]
-    den = math.lcm(1, *(q.denominator for row in gc for e in row
-                        for _, _, q in e.rational_coefficients()))
-    # the metric's share of a column: (pair index, f) for c d_k(f), per k,
-    # and (pair index, sign, f) for (d_a c) f, per derivative direction a and k
-    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
-    moved = [[(r, dk[i][j]) for r, (i, j) in enumerate(pairs) if not dk[i][j].is_zero()]
-             for dk in map(g.partials, range(dim))]
-    through = [[[] for _ in range(dim)] for _ in range(dim)]
-    for r, (i, j) in enumerate(pairs):
-        for k in range(dim):
-            if not gc[k][j].is_zero():
-                through[i][k].append((r, -1 if p * par[i] else 1, gc[k][j]))
-            if not gc[i][k].is_zero():
-                odd = (p * (par[i] + par[j]) + par[i] * (p + par[j] + par[k])) % 2
-                through[j][k].append((r, -1 if odd else 1, gc[i][k]))
-    multiple = chart.pool.monomial_multiple
+    The terms are those of :func:`_leibniz`, and ``c`` and ``d_a c`` are
+    monomials times ints, so :meth:`GeneratorPool.monomial_multiple` gives
+    each term's coefficients over the metric's common denominator ``den``;
+    no superfunction is built."""
+    moved, through = _leibniz(g)
+    through = through[p]
+    multiple = g.chart.pool.monomial_multiple
     partials = {}  # per coefficient, shared by every k
     rows = {}  # key -> row, in order of first appearance
     for col, (k, mono, exps) in enumerate(columns):
         ds = partials.get((mono, exps))
         if ds is None:
-            ds = partials[mono, exps] = _monomial_partials(mono, exps, chart.n)
+            ds = partials[mono, exps] = _monomial_partials(mono, exps, g.chart.n)
         acc = {}
-        for r, f in moved[k]:
-            for m, e, c in multiple(mono, exps, f, den):
-                key = r, m, e
-                acc[key] = acc.get(key, 0) + c
+        for i, j, f in moved[k]:
+            if i <= j:
+                for m, e, c in multiple(mono, exps, f, den):
+                    key = i, j, m, e
+                    acc[key] = acc.get(key, 0) + c
         for a, s, dmono, dexps in ds:
-            for r, t, f in through[a][k]:
-                for m, e, c in multiple(dmono, dexps, f, den):
-                    key = r, m, e
-                    acc[key] = acc.get(key, 0) + s * t * c
+            for i, j, t, f in through[a][k]:
+                if i <= j:
+                    for m, e, c in multiple(dmono, dexps, f, den):
+                        key = i, j, m, e
+                        acc[key] = acc.get(key, 0) + s * t * c
         for key, c in acc.items():
             if c:
                 rows.setdefault(key, {})[col] = c
@@ -317,7 +315,9 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
         raise UnsupportedMetric("metric components must be polynomial")
     if not g.is_supersymmetric():
         raise UnsupportedMetric("metric must be supersymmetric")
-    systems = [(p, ansatz, nullspace(_killing_rows(g, ansatz, p), len(ansatz)))
+    den = math.lcm(1, *(q.denominator for row in g.components for e in row
+                        for _, _, q in e.rational_coefficients()))
+    systems = [(p, ansatz, nullspace(_killing_rows(g, ansatz, p, den), len(ansatz)))
                for p, ansatz in enumerate(_ansatz(chart, degree))
                if ansatz and parity in (None, p)]
     fields = [VectorField(chart, _components(chart, vec, ansatz), p)

@@ -390,13 +390,10 @@ def _table_mul(pool, a, b):
     """The product of two numerator tables; the pool caches the sign and
     merged monomial of each pair of odd monomials.  :meth:`Superfunction.__mul__`
     multiplies by a body-only table itself."""
-    merges = pool._merges
-    if len(merges) > 1024:  # start over, so that many odd generators cannot exhaust memory
-        merges.clear()
     add = pool._add_exps
     raw = {}
     for ma, pa in a.items():
-        row = merges.setdefault(ma, {})
+        row = pool._merge_row(ma)
         for mb, pb in b.items():
             merged = row.get(mb)
             if merged is None:
@@ -558,10 +555,7 @@ class GeneratorPool:
         n)``: ``n`` is the int numerator over ``den``, which f's denominator
         divides.  The Koszul sign of each merge comes from the pool's merge
         cache, which :func:`_table_mul` fills too."""
-        merges = self._merges
-        if len(merges) > 1024:
-            merges.clear()
-        row = merges.setdefault(mono, {})
+        row = self._merge_row(mono)
         add = self._add_exps
         scale = den // f.den
         for mf, p in f.terms.items():
@@ -573,6 +567,16 @@ class GeneratorPool:
                 sign *= scale
                 for e, c in p.items():
                     yield out, add(exps, e), sign * c
+
+    def _merge_row(self, mono):
+        """The cached ``_merge_monomials(mono, m)`` by m; the cache starts over
+        past 1,024 rows, so that many odd generators cannot exhaust memory."""
+        row = self._merges.get(mono)
+        if row is None:
+            if len(self._merges) > 1024:
+                self._merges.clear()
+            row = self._merges[mono] = {}
+        return row
 
     def even(self, name: str) -> "Superfunction":
         return Superfunction(self, {(): {self._unit_exps[self._even_position(name)]: 1}})

@@ -48,6 +48,19 @@ def metric_deformed(chart_deformed):
     return BilinearForm(chart_deformed, [[bump, 0, 0], [0, 0, -1], [0, 1, 0]])
 
 
+@pytest.fixture
+def metric_mixed(chart_deformed):
+    """A theta-dependent even-odd block on (1|2), so that the Koszul signs
+    of the connection and of the Leibniz rule meet nonzero terms.
+    Signature (0, 1, 2); Killing dimensions 2|1 at degree 1 and 2|2 at
+    degree 2."""
+    pool = chart_deformed.pool
+    x, t2 = pool.even("x"), pool.odd("th2")
+    return BilinearForm(chart_deformed, [[(1 + x) ** 2, t2, 0],
+                                         [t2, 0, -(1 + x)],
+                                         [0, 1 + x, 0]])
+
+
 def random_superfunction(pool, rng, parity=None, max_degree=2, coeff_range=2,
                          allow_flesh=True):
     """Random element with small integer coefficients; homogeneous if parity given."""

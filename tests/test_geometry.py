@@ -23,6 +23,7 @@ from supergeo.geometry import (
     str_with_metric_via_matrix,
     validate_metric,
 )
+from supergeo.morphisms import FieldAlongMorphism, Morphism
 from supergeo.supermatrix import SuperMatrix, pair_columns
 
 from conftest import random_field, random_superfunction, seeded
@@ -88,6 +89,26 @@ def test_a_chart_box_is_a_dict_of_pairs(box):
     with pytest.raises(InvalidArgument, match="box") as excinfo:
         Chart(["x"], [], box)
     assert excinfo.type is InvalidArgument
+
+
+@pytest.mark.parametrize("parity", [0.5, 1.0, True, False, "1", None, Fraction(1)])
+@pytest.mark.parametrize("kind", ["vector", "oneform", "zero_field", "along"])
+def test_field_parity_is_an_int(chart_flat22, kind, parity):
+    """A non-int parity was kept as ``parity % 2`` (0.5 built a field of
+    parity 0.5, True was taken as 1) or leaked a bare TypeError."""
+    ch = chart_flat22
+    zero = [0] * ch.dim
+    identity = Morphism(ch, ch, {n: ch.pool.generator(n) for n in ch.coordinate_names()})
+    build = {
+        "vector": lambda p: VectorField(ch, zero, p),
+        "oneform": lambda p: OneForm(ch, zero, p),
+        "zero_field": ch.zero_field,
+        "along": lambda p: FieldAlongMorphism(identity, zero, p),
+    }[kind]
+    with pytest.raises(InvalidArgument, match="parity") as excinfo:
+        build(parity)
+    assert excinfo.type is InvalidArgument
+    assert build(3).parity == 1
 
 
 @pytest.mark.parametrize("t", [-1, 3, True])
@@ -347,25 +368,21 @@ class TestLeviCivita:
                     )
                     assert sp.cancel(conn.gamma[i][j][k].body() - want) == 0
 
-    @pytest.mark.parametrize("which", ["flat22", "curved", "deformed"])
-    def test_certificates_all_metrics(self, which, metric_flat22, metric_curved,
-                                      metric_deformed):
-        g = {"flat22": metric_flat22, "curved": metric_curved,
-             "deformed": metric_deformed}[which]
+    @pytest.mark.parametrize("which", ["flat22", "curved", "deformed", "mixed"])
+    def test_certificates_all_metrics(self, request, which):
+        g = request.getfixturevalue(f"metric_{which}")
         conn = levi_civita(g)
         torsion, metricity = connection_residuals(g, conn)
         assert all(e.is_zero() for a in torsion for b in a for e in b)
         assert all(e.is_zero() for a in metricity for b in a for e in b)
 
-    @pytest.mark.parametrize("which", ["curved", "deformed"])
-    def test_derivative_is_metric_and_torsion_free_on_fields(
-        self, which, metric_curved, metric_deformed
-    ):
+    @pytest.mark.parametrize("which", ["curved", "deformed", "mixed"])
+    def test_derivative_is_metric_and_torsion_free_on_fields(self, request, which):
         """nabla_X on whole fields of both parities, checked only through
         B.evaluate and [X, Y]: X g(Y,Z) = g(nabla_X Y, Z)
         + (-1)^{|X||Y|} g(Y, nabla_X Z) and
         nabla_X Y - (-1)^{|X||Y|} nabla_Y X = [X, Y]."""
-        g = {"curved": metric_curved, "deformed": metric_deformed}[which]
+        g = request.getfixturevalue(f"metric_{which}")
         ch = g.chart
         conn = levi_civita(g)
         rng = seeded(611)

@@ -183,9 +183,9 @@ class TestKillingCheck:
         assert report.passed and report.agreement
 
     def test_mode_agreement_random_fields(self, metric_flat22, metric_curved,
-                                          metric_deformed):
+                                          metric_deformed, metric_mixed):
         rng = seeded(404)
-        for g in (metric_flat22, metric_curved, metric_deformed):
+        for g in (metric_flat22, metric_curved, metric_deformed, metric_mixed):
             checker = KillingChecker(g)
             for _ in range(6):
                 X = random_field(g.chart, rng, rng.randint(0, 1),
@@ -240,6 +240,42 @@ class TestSolveKilling:
         for X in basis.fields:
             rep = checker.check(X, "all")
             assert rep.passed and rep.agreement
+
+    @pytest.mark.parametrize("degree, dims", [(1, (2, 1)), (2, (2, 2))])
+    def test_mixed_block_metric(self, metric_mixed, degree, dims):
+        """Modes (ii) and (v) check the solver's fields without the Leibniz
+        table that the solver and mode (i) share."""
+        basis = solve_killing(metric_mixed, degree)
+        assert basis.dims == dims
+        checker = KillingChecker(metric_mixed)
+        for X in basis.fields:
+            rep = checker.check(X, "all")
+            assert rep.passed and rep.agreement
+
+    def test_one_set_up_per_metric(self, monkeypatch, metric_mixed):
+        """A solve reads each metric entry's coefficients once, not once per
+        parity, and the solver and mode (i) share one Leibniz table of g."""
+        g = metric_mixed
+        entries = [e for row in g.components for e in row if not e.is_zero()]
+        ids = {id(e) for e in entries}
+        reads, tables = [], []
+        coefficients, leibniz = Superfunction.rational_coefficients, lie._leibniz
+
+        def counting(self):
+            if id(self) in ids:
+                reads.append(self)
+            return coefficients(self)
+
+        def recording(B):
+            tables.append(leibniz(B))
+            return tables[-1]
+
+        monkeypatch.setattr(Superfunction, "rational_coefficients", counting)
+        monkeypatch.setattr(lie, "_leibniz", recording)
+        assert solve_killing(g, 1).dims == (2, 1)
+        assert len(reads) == len(entries)
+        assert KillingChecker(g).mode_i(g.chart.coordinate_field(1)).passed
+        assert len(tables) > 2 and all(t is tables[0] for t in tables)
 
     def test_metric_differentiated_once_per_direction(self, monkeypatch):
         chart = Chart(["x", "y"], ["th1", "th2", "th3", "th4"],
@@ -325,7 +361,7 @@ class TestModeV:
     """Mode (v) reads ``L_mi = s_m g(e_{J(m)}, [X, e_i])`` off the metric."""
 
     @pytest.mark.parametrize("metric", [
-        "metric_flat22", "metric_curved", "metric_deformed", "minkowski_super",
+        "metric_flat22", "metric_curved", "metric_deformed", "minkowski_super", "metric_mixed",
     ])
     def test_mode_v_matches_the_inverse_route(self, request, metric):
         g = request.getfixturevalue(metric)
@@ -430,8 +466,7 @@ class TestHalfSystem:
                       box={"x": (0, 1), "y": (0, 1)})
         pool = chart.pool
         g = flat_metric(chart)
-        for k in range(chart.dim):
-            g.partials(k)  # the metric's derivatives, taken before counting
+        lie._leibniz(g)  # the metric's derivatives, taken before counting
         odds = [
             math.prod(map(pool.odd, om), start=pool.one())
             for size in range(5)
@@ -531,13 +566,15 @@ class TestKillingRows:
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("metric", [
         "metric_flat22", "metric_curved", "metric_deformed", "metric_odd_entries",
-        "metric_rational", "metric_flesh",
+        "metric_rational", "metric_flesh", "metric_mixed",
     ])
     def test_rows_match_the_leibniz_route(self, request, metric, degree, parity):
         g = request.getfixturevalue(metric)
         chart = g.chart
         pairs = [(i, j) for i in range(chart.dim) for j in range(i, chart.dim)]
-        rows = lie._killing_rows(g, lie._ansatz(chart, degree)[parity], parity)
+        den = math.lcm(1, *(q.denominator for row in g.components for e in row
+                            for _, _, q in e.rational_coefficients()))
+        rows = lie._killing_rows(g, lie._ansatz(chart, degree)[parity], parity, den)
         tables = []
         for k, c in _ansatz_fields(chart, degree)[parity]:
             comps = [chart.pool.zero()] * chart.dim
