@@ -18,12 +18,13 @@ field; mode (v) reads each osp residual off two signed entries of ``L``
 The Leibniz rule of ``L_X B`` is one table per form (:func:`_leibniz`),
 which holds every sign of the rule.  :func:`lie_derivative_bilinear` forms
 its signed products on superfunctions; the solver forms the same terms as
-integer monomial shifts.  The solver :func:`solve_killing` requires a
-polynomial, supersymmetric metric; it writes the equations
+integer monomial shifts.  The solver :func:`solve_killing` requires an
+even, polynomial, supersymmetric metric; it writes the equations
 ``(L_X g)_ij = 0`` for ``i <= j`` only.  An ansatz column ``c d_k`` has a
 monomial coefficient c, so it assembles those equations as sparse integer
 rows over the metric's common denominator (:func:`_killing_rows`), with no
-superfunction per column.
+superfunction per column and no monomial arithmetic: the pool gives the
+monomials, their signed partials and their merges.
 :func:`exactlinalg.nullspace` solves each system by one elimination mod a
 wide prime, lifted exactly.  Each basis of k fields over N ansatz columns is
 certified exactly: every field is Killing by :func:`lie_derivative_bilinear`,
@@ -233,29 +234,11 @@ class KillingBasis:
 
 
 def _ansatz(chart: Chart, degree: int):
-    """Deterministic ordered bases of candidate fields ``c d_k`` of parity 0
-    and 1, as lists of ``(k, mono, exps)`` for ``c = th^mono x^exps``: an odd
-    monomial (by size, then indices) times an even one of degree <= degree
-    (by degree, then lexicographic)."""
-    evens = [tuple(map(m.count, range(chart.n))) for total in range(degree + 1)
-             for m in itertools.combinations_with_replacement(range(chart.n), total)]
-    coeffs = ([], [])
-    for size in range(chart.two_m + 1):
-        for mono in itertools.combinations(range(chart.two_m), size):
-            coeffs[size % 2].extend((mono, exps) for exps in evens)
+    """Ordered bases of candidate fields ``c d_k`` of parity 0 and 1, as lists
+    of ``(k, mono, exps)`` for ``c = th^mono x^exps`` the pool's monomials."""
+    coeffs = chart.pool.monomials(degree)
     return [[(k, *coeff) for k in range(chart.dim) for coeff in coeffs[(p + chart.parity(k)) % 2]]
             for p in (0, 1)]
-
-
-def _monomial_partials(mono, exps, n):
-    """``(a, s, mono', exps')`` for each coordinate ``a`` with
-    ``d_a (th^mono x^exps) = s th^mono' x^exps'`` nonzero, the even
-    coordinates first; odd derivatives act from the left, and coordinate
-    ``n + i`` is the odd generator ``i``."""
-    out = [(a, e, mono, exps[:a] + (e - 1,) + exps[a + 1:]) for a, e in enumerate(exps) if e]
-    out += [(n + i, -1 if pos % 2 else 1, mono[:pos] + mono[pos + 1:], exps)
-            for pos, i in enumerate(mono)]
-    return out
 
 
 def _killing_rows(g: BilinearForm, columns, p: int, den: int):
@@ -277,7 +260,7 @@ def _killing_rows(g: BilinearForm, columns, p: int, den: int):
     for col, (k, mono, exps) in enumerate(columns):
         ds = partials.get((mono, exps))
         if ds is None:
-            ds = partials[mono, exps] = _monomial_partials(mono, exps, g.chart.n)
+            ds = partials[mono, exps] = g.chart.pool.monomial_partials(mono, exps)
         acc = {}
         for i, j, f in moved[k]:
             if i <= j:
@@ -300,7 +283,7 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
     """Exact nullspace of L_X g = 0 over a polynomial ansatz.
 
     The even-variable degree is bounded by ``degree``; the Grassmann degree is
-    unrestricted.  Requires a polynomial, supersymmetric metric: then
+    unrestricted.  Requires an even, polynomial, supersymmetric metric: then
     ``(L_X g)_ji = (-1)^{|i||j|} (L_X g)_ij``, so only the equations with
     ``i <= j`` are written.  The basis is certified Killing, independent
     (:func:`_certify_basis`) and complete, else ``CertificateFailure`` is
@@ -311,6 +294,8 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
     if parity is not None and (type(parity) is not int or parity not in (0, 1)):
         raise InvalidArgument(f"parity must be 0, 1 or None, not {parity!r}")
     chart = g.chart
+    if g.parity != 0:
+        raise UnsupportedMetric("metric must be even")
     if not all(entry.is_polynomial() for row in g.components for entry in row):
         raise UnsupportedMetric("metric components must be polynomial")
     if not g.is_supersymmetric():

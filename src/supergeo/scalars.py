@@ -20,9 +20,11 @@ odd monomials are cached on the pool), and a result over a non-constant
 ints (:func:`_cancel_common_factor`), unless it scales a canonical
 superfunction by a unit of ``Q[x][theta]``.
 Division happens in one place, :func:`_divide`.  Other modules never read
-``terms`` or ``den``.  Superfunctions are immutable, and the kernel relies on
-it: results share numerators with their operands, ``f + 0`` is ``f``, ``0 * f``
-is the zero operand, and :meth:`Superfunction.partial` keeps each derivative.
+``terms`` or ``den``, and never build, slice or sign an odd monomial: they
+pass ``(mono, exps)`` keys between the pool's monomial methods.
+Superfunctions are immutable, and the kernel relies on it: results share
+numerators with their operands, ``f + 0`` is ``f``, ``0 * f`` is the zero
+operand, and :meth:`Superfunction.partial` keeps each derivative.
 
 No module of the package imports sympy when it is imported: a scenario run
 needs no sympy object, and importing sympy would cost it about 0.5 s and 35
@@ -31,8 +33,8 @@ sympy objects, and in one fallback: the exact gcd that the heuristic one
 falls back to on some tables in several variables
 (:func:`_cancel_by_sympy_gcd`, sympy's dense gcd over ``ZZ``);
 :meth:`Superfunction.body` and :meth:`Superfunction.berezin_top`, which
-return ``Expr``; a pool's ``ring``, ``even_symbols`` and
-:meth:`GeneratorPool.even_symbol`, built on first use; and
+return ``Expr``; a pool's ``even_symbols`` and
+:meth:`GeneratorPool.even_symbol`, plain ``Symbol``s built on first use; and
 :meth:`GeneratorPool.scalar`, which takes ints, ``Fraction``s,
 ``Rational``s and ``QQ`` elements and walks even expressions itself
 (floats, bools, irrational numbers, other functions and foreign symbols are
@@ -54,7 +56,7 @@ docs/sign-conventions.md):
 
 * odd monomials are normalised to ascending pool order; every product sign is
   the parity of the permutation that merges two sorted index tuples,
-* odd partial derivatives act from the left,
+* odd partial derivatives act from the left (:func:`_left_partial`),
 * derivatives with respect to flesh generators are rejected: flesh generators
   are constants of the structure sheaf,
 * Berezin extraction reads off the coefficient of ``th_1*...*th_m`` taken over
@@ -74,18 +76,6 @@ from fractions import Fraction
 
 from .errors import (FleshInTopCoefficient, InexactCoefficient, InvalidArgument, NonInvertible,
                      NotASquare, ParityError, PoolMismatch, UnknownGenerator)
-
-
-@functools.cache
-def _ring(even_names):
-    """sympy's ``ZZ[x_1..x_n]`` for these even names; one instance per name
-    tuple.  Imports sympy."""
-    import sympy as sp
-    from sympy.polys.domains import ZZ
-    from sympy.polys.orderings import lex
-    from sympy.polys.rings import PolyRing
-
-    return PolyRing(tuple(sp.Symbol(n) for n in even_names), ZZ, lex)
 
 
 @functools.cache
@@ -374,6 +364,12 @@ def _merge_monomials(a, b):
     return -1 if passes % 2 else 1, tuple(sorted(a + b))
 
 
+def _left_partial(mono, pos):
+    """``(sign, rest)`` with ``d/d th_i (th^mono) = sign th^rest`` for ``i =
+    mono[pos]``: from the left, ``th_i`` first passes ``pos`` generators."""
+    return -1 if pos % 2 else 1, mono[:pos] + mono[pos + 1:]
+
+
 def _table_add(a, b):
     """The sum of two numerator tables; untouched numerators are shared."""
     out = dict(a)
@@ -442,15 +438,11 @@ class GeneratorPool:
         self._zero = Superfunction(self, {})  # immutable, so one serves all
 
     @functools.cached_property
-    def ring(self):
-        """sympy's ``ZZ[x_1..x_n]`` over the even names, for tests and callers
-        that want sympy objects; built on first use, so it imports sympy."""
-        return _ring(self.even_names)
-
-    @functools.cached_property
     def even_symbols(self):
         """The even variables as sympy ``Symbol``s; imports sympy."""
-        return self.ring.symbols
+        import sympy as sp
+
+        return tuple(map(sp.Symbol, self.even_names))
 
     @functools.cached_property
     def _symbols(self):
@@ -567,6 +559,27 @@ class GeneratorPool:
                 sign *= scale
                 for e, c in p.items():
                     yield out, add(exps, e), sign * c
+
+    def monomials(self, degree):
+        """Two lists, by parity, of the keys ``(mono, exps)`` of ``th^mono
+        x^exps`` over the odd coordinates (no flesh) and even degree <=
+        ``degree``: odd part by size, then indices; even by degree, then lex."""
+        n, q = self.n_even, self.n_coordinate_odd
+        evens = [tuple(map(m.count, range(n))) for total in range(degree + 1)
+                 for m in itertools.combinations_with_replacement(range(n), total)]
+        odds = [m for size in range(q + 1) for m in itertools.combinations(range(q), size)]
+        return tuple([(m, e) for m in odds if len(m) % 2 == p for e in evens] for p in (0, 1))
+
+    def monomial_partials(self, mono, exps):
+        """``(a, s, mono', exps')`` for each coordinate ``a`` with ``d_a
+        (th^mono x^exps) = s th^mono' x^exps'`` nonzero, the even variables
+        first; coordinate ``n_even + i`` is the odd generator ``i``, and flesh
+        generators admit no derivation."""
+        out = [(a, c, mono, e) for a in range(self.n_even)
+               for e, c in _pdiff({exps: 1}, a).items()]
+        out += [(self.n_even + i, *_left_partial(mono, pos), exps)
+                for pos, i in enumerate(mono) if not self.is_flesh(i)]
+        return out
 
     def _merge_row(self, mono):
         """The cached ``_merge_monomials(mono, m)`` by m; the cache starts over
@@ -981,9 +994,9 @@ def _derivative(f, name):
     terms = {}
     for mono, p in f.terms.items():
         if idx in mono:
-            pos = mono.index(idx)
             # distinct monomials stay distinct once idx is removed
-            terms[mono[:pos] + mono[pos + 1 :]] = _pneg(p) if pos % 2 else p
+            sign, rest = _left_partial(mono, mono.index(idx))
+            terms[rest] = p if sign > 0 else _pneg(p)
     return _make(pool, terms, f.den)
 
 

@@ -234,6 +234,19 @@ class TestSolveKilling:
         with pytest.raises(UnsupportedMetric):
             solve_killing(g, 1)
 
+    def test_odd_form_rejected_before_solving(self, monkeypatch):
+        """An odd form that is polynomial and supersymmetric fails the
+        evenness precondition before any system is eliminated."""
+        calls = []
+        solve = lie.nullspace
+        monkeypatch.setattr(lie, "nullspace", lambda *args: calls.append(args) or solve(*args))
+        ch = Chart(["x"], ["th1", "th2"], box={"x": (0, 1)})
+        B = BilinearForm(ch, [[ch.pool.odd("th1"), 1, 0], [1, 0, 0], [0, 0, 0]], 1)
+        assert B.is_supersymmetric()
+        with pytest.raises(UnsupportedMetric, match="metric must be even"):
+            solve_killing(B, 1)
+        assert calls == []
+
     def test_deformed_metric_solver_consistent(self, metric_deformed):
         basis = solve_killing(metric_deformed, 1)
         checker = KillingChecker(metric_deformed)

@@ -498,6 +498,23 @@ class TestNoetherTarget:
         assert rep.passed and rep.tension_is_zero
         assert rep.current_divergence.is_zero()
 
+    def test_odd_killing_field_through_images_with_flesh(self):
+        """The odd Killing field xi = -e2 d_u + u d_e1 of a flat (2|2) target,
+        pulled back along images with flesh in both parities: both Koszul
+        signs of the pullback Lie-derivative lemma meet nonzero terms, so
+        dropping either leaves nonzero lemma residuals."""
+        src = Chart(["x", "y"], ["th1", "th2"], box={"x": (0, 1), "y": (0, 1)},
+                    flesh=("l1", "l2"))
+        tgt = Chart(["u", "v"], ["e1", "e2"], box={"u": (-100, 100), "v": (-100, 100)})
+        x, y, th1, th2, l1, l2 = map(src.pool.generator, ("x", "y", "th1", "th2", "l1", "l2"))
+        images = {"u": x + th1 * l1, "v": y + th1 * th2, "e1": th1 + l1 * x, "e2": th2 + l2}
+        setup = HarmonicSetup(Morphism(src, tgt, images), flat_metric(src), flat_metric(tgt))
+        q = tgt.pool
+        rep = setup.check_noether_target(VectorField(tgt, [-q.odd("e2"), 0, q.even("u"), 0], 1))
+        assert rep.precondition_ok
+        assert len(rep.lemma_residuals) == 16
+        assert all(r.is_zero() for r in rep.lemma_residuals)
+
     def test_non_killing_detected_with_nonzero_residual(self, classical_square):
         tgt = classical_square.phi.target
         xi = VectorField(tgt, [tgt.pool.even("y")], 0)  # y d_y is not Killing
@@ -562,6 +579,22 @@ class TestStressEnergy:
                 rep = setup.stress_energy_report(xi)
                 assert rep.lemma_residual.is_zero()
                 assert rep.current_identity_residual.is_zero()
+
+    def test_identities_for_an_odd_field_on_a_mixed_metric(self):
+        """An odd source field on a (1|2) metric with x,x = (1 + x)^2 + th1 th2
+        and th1,th2 = -(1 + x): the sign (-1)^{|X||Y|} of (nabla_X S)(Y, Z)
+        meets a nonzero term, so dropping it breaks both identities."""
+        src = Chart(["x"], ["th1", "th2"], box={"x": (0, 1)})
+        x, th1, th2 = map(src.pool.generator, ("x", "th1", "th2"))
+        h = BilinearForm(src, [[(1 + x) ** 2 + th1 * th2, 0, 0],
+                               [0, 0, -(1 + x)],
+                               [0, 1 + x, 0]])
+        tgt = Chart(["u"], ["e1", "e2"], box={"u": (-100, 100)})
+        phi = Morphism(src, tgt, {"u": x + th1 * th2, "e1": th1 + x * th2, "e2": th2})
+        rep = HarmonicSetup(phi, h, flat_metric(tgt)).stress_energy_report(
+            VectorField(src, [th2, x, 0], 1))
+        assert rep.lemma_residual.is_zero()
+        assert rep.current_identity_residual.is_zero()
 
     def test_conserved_current_for_killing_and_harmonic(self, metric_flat22):
         ch = metric_flat22.chart

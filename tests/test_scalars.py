@@ -1,5 +1,6 @@
 """The Grassmann scalar ring: products, derivatives, inverses, roots, Berezin."""
 
+import itertools
 import math
 import operator
 import subprocess
@@ -48,11 +49,18 @@ def test_pool_rejects_duplicate_names():
         assert isinstance(err.value, ValueError)
 
 
+def _ring(pool):
+    """sympy's ``ZZ[x_1..x_n]`` over the pool's even symbols."""
+    return PolyRing(pool.even_symbols, ZZ, lex)
+
+
 def test_pools_with_equal_even_names_share_the_ring():
+    """A pool's sympy surface depends on its even names alone."""
     a = GeneratorPool(["x"], ["th1"])
     b = GeneratorPool(["x"], ["e1", "e2"], ["lam"])
-    assert a.ring is b.ring
-    assert GeneratorPool(["y"], ["th1"]).ring is not a.ring
+    assert a.even_symbols == b.even_symbols == (x,)
+    assert _ring(a) == _ring(b)
+    assert _ring(GeneratorPool(["y"], ["th1"])) != _ring(a)
 
 
 class TestExactInputGuard:
@@ -920,7 +928,7 @@ def _assert_canonical(f):
         assert all(type(c) is int and c for c in den.values())
         assert den[max(den)] > 0
         ints += den.values()
-        ring = PolyRing(pool.even_symbols, ZZ, lex)
+        ring = _ring(pool)
         g = ring.from_dict(den)
         for p in f.terms.values():
             g = g.gcd(ring.from_dict(p))
@@ -1099,7 +1107,7 @@ def _gcd_input(rng, n):
 
 def _cancelled_by_sympy(pool, terms, den):
     """The superfunction ``terms / den`` cancelled by sympy's ``PolyRing.gcd``."""
-    ring = PolyRing(pool.even_symbols, ZZ, lex)
+    ring = _ring(pool)
     g = ring.from_dict(den)
     for p in terms.values():
         g = g.gcd(ring.from_dict(p))
@@ -1214,7 +1222,7 @@ def _square_free_root(pool, p, order):
     if type(p) is int or p.keys() == {pool._zero_exps}:
         content, factors = (p if type(p) is int else p[pool._zero_exps]), []
     else:
-        content, factors = pool.ring.from_dict(p).sqf_list()
+        content, factors = _ring(pool).from_dict(p).sqf_list()
         content = int(content)
     r = math.isqrt(max(content, 0))
     if r * r != content or any(k % 2 for _, k in factors):
@@ -1311,6 +1319,58 @@ def test_monomial_multiple_is_the_product():
         monomial = pool.from_coefficients([(mono, exps, 1)])
         want = sorted((m, e, q * den) for m, e, q in (monomial * f).rational_coefficients())
         assert sorted(pool.monomial_multiple(mono, exps, f, den)) == want
+
+
+def test_monomial_partials_are_the_partials():
+    """``monomial_partials`` gives ``Superfunction.partial`` of every monomial
+    of a (2|4) pool with flesh, up to even degree 2, by every coordinate; a
+    coordinate it omits gives zero."""
+    pool = GeneratorPool(["x", "y"], ["th1", "th2", "th3", "th4"], ["lam1", "lam2"])
+    coordinates = pool.names()[: pool.n_even + pool.n_coordinate_odd]
+    evens = [(i, j) for i in range(3) for j in range(3 - i)]
+    for size in range(pool.n_odd + 1):
+        for mono in itertools.combinations(range(pool.n_odd), size):
+            for exps in evens:
+                f = pool.from_coefficients([(mono, exps, 1)])
+                partials = {a: pool.from_coefficients([(m, e, s)])
+                            for a, s, m, e in pool.monomial_partials(mono, exps)}
+                for a, name in enumerate(coordinates):
+                    assert partials.pop(a, pool.zero()) == f.partial(name), (mono, exps, name)
+                assert not partials
+
+
+def test_monomials_by_parity_in_ansatz_order():
+    """The odd coordinate monomials by size, then indices, each times the
+    even ones by degree, then lexicographic; flesh takes no part."""
+    pool = GeneratorPool(["x", "y"], ["th1", "th2", "th3"], ["lam1"])
+    ladder = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    evens, odds = pool.monomials(2)
+    assert evens == [(m, e) for m in [(), (0, 1), (0, 2), (1, 2)] for e in ladder]
+    assert odds == [(m, e) for m in [(0,), (1,), (2,), (0, 1, 2)] for e in ladder]
+    assert pool.monomials(0) == ([(m, (0, 0)) for m in [(), (0, 1), (0, 2), (1, 2)]],
+                                 [(m, (0, 0)) for m in [(0,), (1,), (2,), (0, 1, 2)]])
+
+
+def test_products_past_the_merge_cache_reset():
+    """The pool's merge cache starts over past 1,024 rows: the products of the
+    1,254 odd monomials of size 4 to 6 of 11 generators, each a new row,
+    with one fixed superfunction equal the same products over a fresh pool."""
+    names = [f"th{i}" for i in range(1, 12)]
+    monos = [m for size in (4, 5, 6) for m in itertools.combinations(range(11), size)]
+
+    def operands(pool, monos):
+        th = [pool.odd(n) for n in names]
+        f = 1 + pool.even("x") * th[0] + th[1] * th[2] - 3 * th[9] * th[10] + th[4] / 2
+        return f, [pool.from_coefficients([(m, (0,), 1)]) for m in monos]
+
+    pool = GeneratorPool(["x"], names)
+    f, factors = operands(pool, monos)
+    products = [m * f for m in factors]
+    assert len(monos) == 1254 and monos[0] not in pool._merges  # the cache was reset
+    for mono, got in zip(monos, products):
+        fresh = GeneratorPool(["x"], names)
+        g, [m] = operands(fresh, [mono])
+        assert got == m * g and not got.is_zero()
 
 
 def test_from_coefficients_inverts_rational_coefficients():
