@@ -41,7 +41,6 @@ from .exactlinalg import signature
 from .scalars import GeneratorPool, Superfunction, _rational
 from .supermatrix import (
     SuperMatrix,
-    _det_commuting,
     flip_sides,
     gram_schmidt_osp,
     graded_pair,
@@ -366,22 +365,15 @@ def flat_metric(chart: Chart, t: int = 0) -> BilinearForm:
 
 
 def validate_metric(g: BilinearForm) -> Signature:
-    """Check evenness, supersymmetry and nondegeneracy; return the signature.
-
-    Nondegeneracy is decided on the body as a rational function; the
-    signature is sampled at the rational midpoint of the box.
+    """Check the supermetric axioms (:meth:`SuperMatrix.check_supermetric`:
+    evenness, supersymmetry, and nondegeneracy of the body as a rational
+    function); return the signature, sampled at the rational midpoint of
+    the box.
     """
+    g.check_supermetric()
     chart = g.chart
-    if g.parity != 0 or not g.is_homogeneous():
-        raise MetricViolation("evenness", "components break the even grading")
-    bad = g.supersymmetry_violation()
-    if bad is not None:
-        raise MetricViolation("supersymmetry", "B_ij != +-B_ji at entry (%d,%d)" % bad)
-    body = [[e.body_part() for e in row] for row in g.components]
-    if _det_commuting(chart.pool, body).is_zero():
-        raise MetricViolation("nondegeneracy", "body determinant vanishes identically")
     n, point = chart.n, chart.sample_point()
-    t, s = signature([[e.body_at(point) for e in row[:n]] for row in body[:n]])
+    t, s = signature([[e.body_at(point) for e in row[:n]] for row in g.components[:n]])
     if t + s < n:
         raise MetricViolation(
             "nondegeneracy", "even block is singular at the sample point"

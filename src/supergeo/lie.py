@@ -18,13 +18,14 @@ field; mode (v) reads each osp residual off two signed entries of ``L``
 The Leibniz rule of ``L_X B`` is one table per form (:func:`_leibniz`),
 which holds every sign of the rule.  :func:`lie_derivative_bilinear` forms
 its signed products on superfunctions; the solver forms the same terms as
-integer monomial shifts.  The solver :func:`solve_killing` requires an
-even, polynomial, supersymmetric metric; it writes the equations
-``(L_X g)_ij = 0`` for ``i <= j`` only.  An ansatz column ``c d_k`` has a
-monomial coefficient c, so it assembles those equations as sparse integer
-rows over the metric's common denominator (:func:`_killing_rows`), with no
-superfunction per column and no monomial arithmetic: the pool gives the
-monomials, their signed partials and their merges.
+integer monomial shifts.  The solver :func:`solve_killing` validates its
+metric as the checker does (:meth:`MetricContext.of`) and requires
+polynomial components; it writes the equations ``(L_X g)_ij = 0`` for
+``i <= j`` only.  An ansatz column ``c d_k`` has a monomial coefficient
+c, so it assembles those equations as sparse integer rows over the
+metric's common denominator (:func:`_killing_rows`), with no superfunction
+per column and no monomial arithmetic: the pool gives the monomials, their
+signed partials and their merges.
 :func:`exactlinalg.nullspace` solves each system by one elimination mod a
 wide prime, lifted exactly.  Each basis of k fields over N ansatz columns is
 certified exactly: every field is Killing by :func:`lie_derivative_bilinear`,
@@ -125,6 +126,9 @@ def lie_derivative_bilinear(X: VectorField, B: BilinearForm) -> BilinearForm:
     return BilinearForm(chart, out, X.parity)
 
 
+KILLING_MODES = ("i", "ii", "v")  # the methods mode_i, mode_ii, mode_v of KillingChecker
+
+
 @dataclass
 class ModeResult:
     passed: bool
@@ -194,16 +198,12 @@ class KillingChecker:
         return ModeResult(not flat, flat)
 
     def check(self, X: VectorField, mode: str = "all") -> KillingReport:
-        runners = {"i": self.mode_i, "ii": self.mode_ii, "v": self.mode_v}
-        if mode == "all":
-            selected = ["i", "ii", "v"]
-        elif mode in runners:
-            selected = [mode]
-        else:
+        """The report of one mode of :data:`KILLING_MODES`, or of all of
+        them in that order."""
+        if mode != "all" and mode not in KILLING_MODES:
             raise InvalidArgument(f"unknown killing mode {mode!r}")
-        return KillingReport(
-            {m: runners[m](X) for m in selected}, X.parity
-        )
+        selected = KILLING_MODES if mode == "all" else (mode,)
+        return KillingReport({m: getattr(self, f"mode_{m}")(X) for m in selected}, X.parity)
 
 
 def killing_check(X: VectorField, g: BilinearForm, mode: str = "all") -> KillingReport:
@@ -283,23 +283,21 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
     """Exact nullspace of L_X g = 0 over a polynomial ansatz.
 
     The even-variable degree is bounded by ``degree``; the Grassmann degree is
-    unrestricted.  Requires an even, polynomial, supersymmetric metric: then
-    ``(L_X g)_ji = (-1)^{|i||j|} (L_X g)_ij``, so only the equations with
-    ``i <= j`` are written.  The basis is certified Killing, independent
-    (:func:`_certify_basis`) and complete, else ``CertificateFailure`` is
-    raised.
+    unrestricted.  The metric is validated by :meth:`MetricContext.of`,
+    which raises ``MetricViolation``, and must be polynomial, else
+    ``UnsupportedMetric``; supersymmetry gives ``(L_X g)_ji = (-1)^{|i||j|}
+    (L_X g)_ij``, so only the equations with ``i <= j`` are written.  The
+    basis is certified Killing, independent (:func:`_certify_basis`) and
+    complete, else ``CertificateFailure`` is raised.
     """
     if type(degree) is not int or degree < 0:
         raise InvalidArgument("degree bound must be a nonnegative int")
     if parity is not None and (type(parity) is not int or parity not in (0, 1)):
         raise InvalidArgument(f"parity must be 0, 1 or None, not {parity!r}")
     chart = g.chart
-    if g.parity != 0:
-        raise UnsupportedMetric("metric must be even")
+    MetricContext.of(g)
     if not all(entry.is_polynomial() for row in g.components for entry in row):
         raise UnsupportedMetric("metric components must be polynomial")
-    if not g.is_supersymmetric():
-        raise UnsupportedMetric("metric must be supersymmetric")
     den = math.lcm(1, *(q.denominator for row in g.components for e in row
                         for _, _, q in e.rational_coefficients()))
     systems = [(p, ansatz, nullspace(_killing_rows(g, ansatz, p, den), len(ansatz)))

@@ -25,7 +25,7 @@ from .errors import (
 from .geometry import BilinearForm, Chart, MetricContext, VectorField
 # unused here, but perfbench/tests checks that its tracer wraps this copy
 from .geometry import validate_metric  # noqa: F401
-from .lie import KillingChecker, lie_derivative_bilinear, solve_killing
+from .lie import KILLING_MODES, KillingChecker, lie_derivative_bilinear, solve_killing
 from .morphisms import HarmonicSetup, Morphism
 from .integration import action
 from .parsing import parse_expression
@@ -445,10 +445,7 @@ class _Runner:
 
     def _cmd_check_killing(self, X, g, mode="all"):
         report = KillingChecker(g).check(X, mode)
-        details = []
-        for m in ("i", "ii", "v"):
-            if m in report.modes:
-                details.append((f"mode_{m}", "pass" if report.modes[m].passed else "fail"))
+        details = [(f"mode_{m}", "pass" if r.passed else "fail") for m, r in report.modes.items()]
         details.append(("agreement", "true" if report.agreement else "false"))
         status = "pass" if report.passed else "fail"
         return status, details
@@ -513,7 +510,7 @@ _COMMANDS = {
     "levi-civita": _Command(_Runner._cmd_levi_civita, ("G",)),
     "lie-derivative": _Command(_Runner._cmd_lie_derivative, ("X", "G")),
     "check-killing": _Command(_Runner._cmd_check_killing, ("X", "G"),
-                              {"mode": ("i", "ii", "v", "all")}),
+                              {"mode": (*KILLING_MODES, "all")}),
     "solve-killing": _Command(_Runner._cmd_solve_killing, ("G",),
                               {"degree": int, "parity": tuple(_PARITIES)},
                               required=("degree",)),

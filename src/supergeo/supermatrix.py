@@ -149,6 +149,24 @@ class SuperMatrix:
     def is_supersymmetric(self) -> bool:
         return self.supersymmetry_violation() is None
 
+    def check_supermetric(self):
+        """Raise ``MetricViolation`` unless this matrix meets the point-free
+        supermetric axioms, the one check of every metric in the package: it
+        is even and homogeneous ('evenness'), its odd dimension is even and
+        the determinant of its body does not vanish identically
+        ('nondegeneracy'), and M_ij = (-1)^{|i||j|} M_ji ('supersymmetry',
+        naming the first entry that breaks it)."""
+        if self.parity != 0 or not self.is_homogeneous():
+            raise MetricViolation("evenness", "components break the even grading")
+        if self.q % 2:
+            raise MetricViolation("nondegeneracy", "odd dimension must be even")
+        bad = self.supersymmetry_violation()
+        if bad is not None:
+            raise MetricViolation("supersymmetry", "B_ij != +-B_ji at entry (%d,%d)" % bad)
+        body = [[e.body_part() for e in row] for row in self.entries]
+        if _det_commuting(self.pool, body).is_zero():
+            raise MetricViolation("nondegeneracy", "body determinant vanishes identically")
+
     def __eq__(self, other):
         if not isinstance(other, SuperMatrix):
             return NotImplemented
@@ -418,20 +436,14 @@ def osp_residuals(L: SuperMatrix, t: int, s: int, m: int):
 def gram_schmidt_osp(B: SuperMatrix):
     """Change of basis E with B(E_i, E_j) = (g0)_{ij} exactly.
 
-    Returns ``(E, (t, s, m))``.  B must be even, supersymmetric and have a
-    nondegenerate body.  Pivot normalisations must be exact squares in the
-    scalar ring; otherwise NotASquare propagates and the caller may rescale
-    the form.  Basis vectors are ordered negatives, positives, odd pairs.
+    Returns ``(E, (t, s, m))``.  B must pass :meth:`SuperMatrix.check_supermetric`,
+    else its ``MetricViolation`` propagates.  Pivot normalisations must be
+    exact squares in the scalar ring; otherwise NotASquare propagates and the
+    caller may rescale the form.  Basis vectors are ordered negatives,
+    positives, odd pairs.
     """
-    pool = B.pool
-    if B.parity != 0:
-        raise MetricViolation("evenness", "form matrix must be even")
-    dim = B.dim
-    if B.q % 2:
-        raise MetricViolation("nondegeneracy", "odd dimension must be even")
-    bad = B.supersymmetry_violation()
-    if bad is not None:
-        raise MetricViolation("supersymmetry", "entry (%d,%d)" % bad)
+    B.check_supermetric()
+    pool, dim = B.pool, B.dim
 
     def pair(u, pu, w, pw):
         return pair_columns(B, u, w, pu, pw)

@@ -23,6 +23,7 @@ from supergeo.geometry import (
     str_with_metric_via_matrix,
     validate_metric,
 )
+from supergeo.lie import KillingChecker
 from supergeo.morphisms import FieldAlongMorphism, Morphism
 from supergeo.supermatrix import SuperMatrix, pair_columns
 
@@ -434,6 +435,24 @@ class TestOSpFrame:
         # certify() raises on any mismatch; run it explicitly once more
         frame = OSpFrame.build(metric_deformed)
         frame.certify(metric_deformed)
+
+    def test_second_odd_pair_is_projected_off_the_first(self):
+        """A (1|4) metric whose odd block pairs every odd coordinate with
+        every other (Pfaffian 7 + x - x^3, no zero on [0, 1]): Gram-Schmidt
+        takes two odd pairs, so the second is projected off the first by
+        w - f1 B(f2, w) + f2 B(f1, w), which the frame certificate checks."""
+        ch = Chart(["x"], ["t1", "t2", "t3", "t4"], box={"x": (0, 1)})
+        pool = ch.pool
+        xs = pool.even("x")
+        t1, t2, t3, t4 = (pool.odd(f"t{i}") for i in range(1, 5))
+        first = [1 + t1 * t2, t2, t3, 0, t4]
+        odd = [[0, 1 + xs, xs, 2], [-(1 + xs), 0, 3, xs**2],
+               [-xs, -3, 0, 1], [-2, -xs**2, -1, 0]]
+        g = BilinearForm(ch, [first] + [[c] + row for c, row in zip(first[1:], odd)])
+        frame = OSpFrame.build(g)
+        assert frame.signature.as_tuple() == (0, 1, 4)
+        report = KillingChecker(g).check(ch.coordinate_field(0))
+        assert report.agreement and not report.passed and set(report.modes) == {"i", "ii", "v"}
 
 
 class TestDivergence:

@@ -9,7 +9,9 @@ import sympy as sp
 
 from supergeo import Chart
 from supergeo import exactlinalg, lie, scalars
-from supergeo.errors import CertificateFailure, InvalidArgument, UnsupportedMetric
+from supergeo.errors import (
+    CertificateFailure, InvalidArgument, MetricViolation, UnsupportedMetric,
+)
 from supergeo.exactlinalg import PRIME, Nullspace, modular_rank, nullspace
 from supergeo.geometry import BilinearForm, MetricContext, OneForm, VectorField, flat_metric
 from supergeo.lie import (
@@ -234,17 +236,36 @@ class TestSolveKilling:
         with pytest.raises(UnsupportedMetric):
             solve_killing(g, 1)
 
-    def test_odd_form_rejected_before_solving(self, monkeypatch):
-        """An odd form that is polynomial and supersymmetric fails the
-        evenness precondition before any system is eliminated."""
+    @staticmethod
+    def _count_nullspace_calls(monkeypatch):
         calls = []
         solve = lie.nullspace
         monkeypatch.setattr(lie, "nullspace", lambda *args: calls.append(args) or solve(*args))
+        return calls
+
+    def test_odd_form_rejected_before_solving(self, monkeypatch):
+        """An odd form that is polynomial and supersymmetric fails the
+        evenness axiom before any system is eliminated."""
+        calls = self._count_nullspace_calls(monkeypatch)
         ch = Chart(["x"], ["th1", "th2"], box={"x": (0, 1)})
         B = BilinearForm(ch, [[ch.pool.odd("th1"), 1, 0], [1, 0, 0], [0, 0, 0]], 1)
         assert B.is_supersymmetric()
-        with pytest.raises(UnsupportedMetric, match="metric must be even"):
+        with pytest.raises(MetricViolation) as err:
             solve_killing(B, 1)
+        assert err.value.violation == "evenness"
+        assert calls == []
+
+    def test_inhomogeneous_even_form_rejected_before_solving(self, monkeypatch):
+        """A parity-0 form with an odd term in its even block is no metric:
+        the solver rejects it as validate_metric does, before any
+        elimination, instead of solving for a basis."""
+        calls = self._count_nullspace_calls(monkeypatch)
+        ch = Chart(["x"], ["th1", "th2"], box={"x": (0, 1)})
+        B = BilinearForm(ch, [[1 + ch.pool.odd("th1"), 0, 0], [0, 0, -1], [0, 1, 0]])
+        assert B.parity == 0 and B.is_supersymmetric()
+        with pytest.raises(MetricViolation) as err:
+            solve_killing(B, 1)
+        assert err.value.violation == "evenness"
         assert calls == []
 
     def test_deformed_metric_solver_consistent(self, metric_deformed):
@@ -471,8 +492,9 @@ class TestHalfSystem:
         evens = ["x", "y"]
         odds = ["th1", "th2"][: len(entries) - 2]
         ch = Chart(evens, odds, box={"x": (0, 1), "y": (0, 1)})
-        with pytest.raises(UnsupportedMetric):
+        with pytest.raises(MetricViolation) as err:
             solve_killing(BilinearForm(ch, entries), 1)
+        assert err.value.violation == "supersymmetry"
 
     def test_each_ansatz_monomial_differentiated_once_per_direction(self, monkeypatch):
         chart = Chart(["x", "y"], ["th1", "th2", "th3", "th4"],

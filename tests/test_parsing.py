@@ -90,6 +90,15 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_expression("", pool)
 
+    @pytest.mark.parametrize("text, message", [
+        ("th1^-1", "negative power of a non-unit"),
+        ("(" * 5000 + "x" + ")" * 5000, "expression is nested too deeply"),
+        ("-" * 5000 + "x", "expression is nested too deeply"),
+    ], ids=["odd_negative_power", "nested_parentheses", "nested_minuses"])
+    def test_error_message(self, pool, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_expression(text, pool)
+
     def test_multiline_position(self, pool):
         with pytest.raises(ParseError) as err:
             parse_expression("x +\n y + ?", pool)

@@ -488,6 +488,10 @@ class TestSqrt:
         with pytest.raises(NotASquare):
             pool.even("x").sqrt()
 
+    def test_nonzero_nilpotent_has_no_root(self, pool):
+        with pytest.raises(NotASquare, match="a nonzero nilpotent element has no square root"):
+            (pool.odd("th1") * pool.odd("th2")).sqrt()
+
     # (even names, body + th1*th2, pinned render of the root); the root's
     # numerator and denominator lead positively in lex order of the even
     # names sorted by name, whatever their order in the pool
@@ -878,6 +882,21 @@ class TestSubstitute:
     def test_parity_clash_rejected(self, pool):
         with pytest.raises(ParityError):
             pool.odd("th1").substitute({"th1": pool.even("x")}, pool)
+
+    def test_missing_odd_image_rejected(self, pool):
+        f = pool.odd("th1") * pool.odd("th2")
+        with pytest.raises(UnknownGenerator, match="no image for odd generator 'th2'"):
+            f.substitute({"th1": pool.odd("th1")}, pool)
+
+    def test_even_image_over_another_pool_rejected(self, pool):
+        other = GeneratorPool(["x"], ["th1", "th2"])
+        with pytest.raises(PoolMismatch, match="image of 'x' lives over another pool"):
+            pool.even("x").substitute({"x": other.even("x")}, pool)
+
+    def test_pole_of_a_coefficient_rejected(self, pool):
+        f = 1 / (pool.even("x") + 1)
+        with pytest.raises(NonInvertible, match="substitution hits a pole"):
+            f.substitute({"x": pool.scalar(-1)}, pool)
 
     def test_substitution_is_homomorphism(self, pool):
         """Ten polynomial even images with a random nilpotent part, then ten

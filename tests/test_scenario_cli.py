@@ -495,6 +495,29 @@ def test_solve_killing_parity_gives_each_half():
         assert half == {k: v for k, v in full.items() if k.startswith(kind + "_")}
 
 
+def test_solve_killing_names_the_metric_violation():
+    """The solver checks a metric as validate-metric does: a form with an
+    odd term in its even block is a named violation (exit 1), not a basis."""
+    text = """
+[chart]
+even = x
+odd = th1 th2
+flesh = 0
+box x = 0 1
+
+[metric g]
+x,x = 1 + th1
+th1,th2 = -1
+
+[run]
+solve-killing g --degree 1
+"""
+    report = run_scenario(text)
+    (result,) = report.results
+    assert (result.status, result.details) == ("fail", [("violation", "evenness")])
+    assert report.exit_code == 1
+
+
 @pytest.mark.parametrize("command", [
     "validate-metric g",
     "osp-frame g",
@@ -568,6 +591,21 @@ _END = "th2 = th2\n"  # the last declaration line of flat_killing, line 32
 def test_a_repeated_declaration_is_a_usage_error(text, error):
     """A key given twice in a section, a named section given twice, and a
     second [chart], [target] or [run] are rejected, not overridden."""
+    report = run_scenario(text)
+    assert report.exit_code == 2
+    assert report.load_error == error
+
+
+@pytest.mark.parametrize("text, error", [
+    (_edited_flat_killing(_END, _END + "[]\n"), "ParseError: empty section header at line 33"),
+    (_edited_flat_killing(_END, _END + "[metric]\nx,x = 1\n"),
+     "ParseError: section [metric] takes one name at line 33"),
+    (_edited_flat_killing("[chart]\n", "[chart extra]\n"),
+     "ParseError: section [chart] takes no name at line 2"),
+    (_edited_flat_killing(_END, _END, "solve-killing g --degree\n"),
+     "ScenarioError: option --degree needs a value (line 35)"),
+], ids=["empty_header", "unnamed_metric", "named_chart", "option_without_value"])
+def test_a_malformed_header_or_option_is_a_usage_error(text, error):
     report = run_scenario(text)
     assert report.exit_code == 2
     assert report.load_error == error

@@ -469,7 +469,18 @@ class TestGramSchmidt:
         assert B.supersymmetry_violation() == (1, 2)
         with pytest.raises(MetricViolation) as err:
             gram_schmidt_osp(B)
-        assert err.value.args == ("supersymmetry", "entry (1,2)")
+        assert err.value.args == ("supersymmetry", "B_ij != +-B_ji at entry (1,2)")
+
+    def test_inhomogeneous_even_matrix_rejected_as_uneven(self):
+        """A parity-0 matrix with an odd term in its even block breaks the
+        evenness axiom; Gram-Schmidt names it before taking any square root."""
+        pool = GeneratorPool(["x"], ["th1", "th2"])
+        th1 = pool.odd("th1")
+        B = SuperMatrix(pool, 1, 2, [[1 + th1, 0, 0], [0, 0, -1], [0, 1, 0]])
+        assert B.parity == 0 and B.is_supersymmetric()
+        with pytest.raises(MetricViolation) as err:
+            gram_schmidt_osp(B)
+        assert err.value.violation == "evenness"
 
     def test_degenerate_rejected(self, pool):
         B = SuperMatrix(pool, 2, 0, [[0, 0], [0, 1]])
