@@ -126,9 +126,6 @@ def lie_derivative_bilinear(X: VectorField, B: BilinearForm) -> BilinearForm:
     return BilinearForm(chart, out, X.parity)
 
 
-KILLING_MODES = ("i", "ii", "v")  # the methods mode_i, mode_ii, mode_v of KillingChecker
-
-
 @dataclass
 class ModeResult:
     passed: bool
@@ -197,13 +194,18 @@ class KillingChecker:
         flat = [e for row in res for e in row if not e.is_zero()]
         return ModeResult(not flat, flat)
 
+    MODES = {"i": mode_i, "ii": mode_ii, "v": mode_v}
+
     def check(self, X: VectorField, mode: str = "all") -> KillingReport:
-        """The report of one mode of :data:`KILLING_MODES`, or of all of
-        them in that order."""
-        if mode != "all" and mode not in KILLING_MODES:
+        """The report of one mode of :attr:`MODES`, or of all of them in
+        that order."""
+        if mode != "all" and mode not in self.MODES:
             raise InvalidArgument(f"unknown killing mode {mode!r}")
-        selected = KILLING_MODES if mode == "all" else (mode,)
-        return KillingReport({m: getattr(self, f"mode_{m}")(X) for m in selected}, X.parity)
+        selected = self.MODES if mode == "all" else (mode,)
+        return KillingReport({m: self.MODES[m](self, X) for m in selected}, X.parity)
+
+
+KILLING_MODES = tuple(KillingChecker.MODES)
 
 
 def killing_check(X: VectorField, g: BilinearForm, mode: str = "all") -> KillingReport:
@@ -283,8 +285,9 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
     """Exact nullspace of L_X g = 0 over a polynomial ansatz.
 
     The even-variable degree is bounded by ``degree``; the Grassmann degree is
-    unrestricted.  The metric is validated by :meth:`MetricContext.of`,
-    which raises ``MetricViolation``, and must be polynomial, else
+    unrestricted.  The metric is validated by :meth:`MetricContext.of`
+    (the point-free axioms, then the signature at the box midpoint), which
+    raises ``MetricViolation``, and must be polynomial, else
     ``UnsupportedMetric``; supersymmetry gives ``(L_X g)_ji = (-1)^{|i||j|}
     (L_X g)_ij``, so only the equations with ``i <= j`` are written.  The
     basis is certified Killing, independent (:func:`_certify_basis`) and

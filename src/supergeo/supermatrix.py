@@ -459,14 +459,12 @@ def gram_schmidt_osp(B: SuperMatrix):
                 pick = idx
                 break
         if pick is None:
-            found = False
-            for i, j in itertools.combinations(range(len(evens)), 2):
-                if pair(evens[i], 0, evens[j], 0).has_body():
-                    evens[i] = [evens[i][r] + evens[j][r] for r in range(dim)]
-                    found = True
-                    break
-            if not found:
-                raise MetricViolation("nondegeneracy", "even block body is degenerate")
+            # no diagonal pivot: since the body is nondegenerate over the
+            # rational functions (check_supermetric), some pair i, j has
+            # B(u_i, u_j) != 0 there, and then B(u_i + u_j, u_i + u_j) != 0
+            i, j = next((i, j) for i, j in itertools.combinations(range(len(evens)), 2)
+                        if pair(evens[i], 0, evens[j], 0).has_body())
+            evens[i] = [evens[i][r] + evens[j][r] for r in range(dim)]
             continue
         u = evens.pop(pick)
         c = pair(u, 0, u, 0)
@@ -490,14 +488,9 @@ def gram_schmidt_osp(B: SuperMatrix):
         (negatives if sign < 0 else positives).append(u)
 
     while odds:
-        pick = None
-        for i, j in itertools.combinations(range(len(odds)), 2):
-            if pair(odds[i], 1, odds[j], 1).has_body():
-                pick = (i, j)
-                break
-        if pick is None:
-            raise MetricViolation("nondegeneracy", "odd block body is degenerate")
-        i, j = pick
+        # the odd body is nondegenerate too, so some pair pairs with a body
+        i, j = next((i, j) for i, j in itertools.combinations(range(len(odds)), 2)
+                    if pair(odds[i], 1, odds[j], 1).has_body())
         f2 = odds.pop(j)
         f1 = odds.pop(i)
         c = pair(f1, 1, f2, 1)

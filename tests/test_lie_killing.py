@@ -13,7 +13,9 @@ from supergeo.errors import (
     CertificateFailure, InvalidArgument, MetricViolation, UnsupportedMetric,
 )
 from supergeo.exactlinalg import PRIME, Nullspace, modular_rank, nullspace
-from supergeo.geometry import BilinearForm, MetricContext, OneForm, VectorField, flat_metric
+from supergeo.geometry import (
+    BilinearForm, MetricContext, OneForm, VectorField, flat_metric, validate_metric,
+)
 from supergeo.lie import (
     KillingChecker,
     killing_check,
@@ -266,6 +268,27 @@ class TestSolveKilling:
         with pytest.raises(MetricViolation) as err:
             solve_killing(B, 1)
         assert err.value.violation == "evenness"
+        assert calls == []
+
+    @pytest.mark.parametrize("rows, box", [
+        (lambda x: [[1, 0], [0, 0]], {"x": (0, 1), "y": (0, 1)}),
+        (lambda x: [[1, 0], [0, x * x]], {"x": (-1, 1), "y": (0, 1)}),
+    ], ids=["identically_degenerate", "singular_at_the_sample_point"])
+    def test_degenerate_form_rejected_before_solving(self, monkeypatch, rows, box):
+        """A polynomial form whose body determinant vanishes identically, or
+        whose even block is singular at the box midpoint where
+        validate_metric samples the signature, is rejected for
+        nondegeneracy as validate_metric rejects it, before any
+        elimination."""
+        calls = self._count_nullspace_calls(monkeypatch)
+        ch = Chart(["x", "y"], [], box=box)
+        B = BilinearForm(ch, rows(ch.pool.even("x")))
+        with pytest.raises(MetricViolation) as err:
+            validate_metric(B)
+        assert err.value.violation == "nondegeneracy"
+        with pytest.raises(MetricViolation) as err:
+            solve_killing(B, 1)
+        assert err.value.violation == "nondegeneracy"
         assert calls == []
 
     def test_deformed_metric_solver_consistent(self, metric_deformed):
