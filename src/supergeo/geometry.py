@@ -61,10 +61,9 @@ class Chart:
     """
 
     def __init__(self, even, odd, box, flesh=()):
-        odd = tuple(odd)
-        if len(odd) % 2:
-            raise InvalidArgument("the number of odd coordinates must be even")
         self.pool = GeneratorPool(even, odd, flesh)
+        if self.pool.n_coordinate_odd % 2:
+            raise InvalidArgument("the number of odd coordinates must be even")
         if not isinstance(box, dict):
             raise InvalidArgument("box must be a dict of intervals")
         self.box = {}
@@ -311,17 +310,6 @@ class BilinearForm(SuperMatrix):
     def zero(cls, chart, parity=0):
         z = chart.pool.zero()
         return cls(chart, [[z] * chart.dim for _ in range(chart.dim)], parity)
-
-    @classmethod
-    def tensor_product(cls, F: OneForm, G: OneForm) -> "BilinearForm":
-        """(F ox G)(X, Y) = (-1)^{|G||X|} F(X) G(Y) on coordinate fields."""
-        chart = F.chart
-        rows = []
-        for i in range(chart.dim):
-            sign_i = -1 if (G.parity * chart.parity(i)) % 2 else 1
-            rows.append([F.components[i] * G.components[j] * sign_i
-                         for j in range(chart.dim)])
-        return cls(chart, rows, (F.parity + G.parity) % 2)
 
     def evaluate(self, X: VectorField, Y: VectorField) -> Superfunction:
         chart = self.chart
@@ -572,21 +560,6 @@ class OSpFrame:
         """J e_j as (sign, frame field)."""
         sign, tgt = self.j_signs[j]
         return sign, self.fields[tgt]
-
-    def rotate(self, A: SuperMatrix) -> "OSpFrame":
-        """Right action (e * A)_j = sum_i e_i A_ij; A must be an even OSp
-        matrix for the result to stay a frame (certified by the caller)."""
-        chart = self.chart
-        fields = []
-        for j, col in enumerate(zip(*A.entries)):
-            parity = chart.parity(j)
-            acc = chart.zero_field(parity)
-            # the right coefficients A_ij of column j, flipped to the left
-            for field, coeff in zip(self.fields, flip_sides(col, parity, chart.n)):
-                if not coeff.is_zero():
-                    acc = acc + field.scale(coeff)
-            fields.append(acc)
-        return OSpFrame(chart, fields, self.signature)
 
 
 def frame_sum(frame: OSpFrame, term, parity: int = 0) -> Superfunction:

@@ -47,28 +47,8 @@ from .errors import (
     UnsupportedMetric,
 )
 from .exactlinalg import PRIME, modular_rank, nullspace
-from .geometry import BilinearForm, Chart, MetricContext, OneForm, VectorField
-from .scalars import Superfunction
+from .geometry import BilinearForm, Chart, MetricContext, VectorField
 from .supermatrix import SuperMatrix, osp_residuals
-
-
-def lie_derivative_function(X: VectorField, f: Superfunction) -> Superfunction:
-    """L_X f = X(f)."""
-    return X.apply(f)
-
-
-def lie_derivative_oneform(X: VectorField, F: OneForm) -> OneForm:
-    """(L_X F)[Y] = X(F[Y]) - (-1)^{|X||F|} F([X, Y])."""
-    if X.chart != F.chart:
-        raise ChartMismatch("field and form live on different charts")
-    chart = X.chart
-    sign = -1 if X.parity * F.parity else 1
-    comps = []
-    for j in range(chart.dim):
-        dj = chart.coordinate_field(j)
-        val = X.apply(F.evaluate(dj)) - F.evaluate(X.bracket(dj)) * sign
-        comps.append(val)
-    return OneForm(chart, comps, (X.parity + F.parity) % 2)
 
 
 def _leibniz(B: BilinearForm):

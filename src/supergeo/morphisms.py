@@ -38,7 +38,7 @@ from .geometry import (
 )
 from .lie import lie_derivative_bilinear
 from .scalars import Superfunction
-from .supermatrix import SuperMatrix, graded_pair
+from .supermatrix import graded_pair
 
 
 class Morphism:
@@ -439,29 +439,3 @@ class HarmonicSetup:
             current_identity_residual=r2,
             conserved_divergence=conserved,
         )
-
-
-def osp_frame_rotation(frame: OSpFrame) -> SuperMatrix:
-    """A nontrivial constant OSp matrix for the frame's signature; used as the
-    second frame in frame-independence certificates."""
-    sig = frame.signature
-    pool = frame.chart.pool
-    A = SuperMatrix.identity(pool, sig.t + sig.s, sig.two_m)
-    if sig.s >= 2:
-        i, j = sig.t + 0, sig.t + 1
-        c, s = Fraction(3, 5), Fraction(4, 5)
-        A.entries[i][i] = pool.scalar(c)
-        A.entries[i][j] = pool.scalar(-s)
-        A.entries[j][i] = pool.scalar(s)
-        A.entries[j][j] = pool.scalar(c)
-    elif sig.t >= 1 and sig.s >= 1:
-        i, j = sig.t - 1, sig.t
-        ch_, sh = Fraction(5, 4), Fraction(3, 4)
-        A.entries[i][i] = pool.scalar(ch_)
-        A.entries[i][j] = pool.scalar(sh)
-        A.entries[j][i] = pool.scalar(sh)
-        A.entries[j][j] = pool.scalar(ch_)
-    if sig.two_m >= 2:
-        a = sig.t + sig.s
-        A.entries[a][a + 1] = pool.scalar(Fraction(1, 3))  # symplectic shear
-    return A

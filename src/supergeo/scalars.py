@@ -422,10 +422,15 @@ class GeneratorPool:
     """
 
     def __init__(self, even_names, odd_names, flesh_names=()):
-        self.even_names = tuple(even_names)
-        self.odd_names = tuple(odd_names) + tuple(flesh_names)
-        self.n_coordinate_odd = len(tuple(odd_names))
+        for names in (even_names, odd_names, flesh_names):
+            if isinstance(names, str):  # else one generator per character
+                raise InvalidArgument(f"generator names must be a sequence, not the str {names!r}")
+        self.even_names, odd_names = tuple(even_names), tuple(odd_names)
+        self.odd_names = odd_names + tuple(flesh_names)
+        self.n_coordinate_odd = len(odd_names)
         all_names = self.even_names + self.odd_names
+        if bad := [name for name in all_names if not isinstance(name, str)]:
+            raise InvalidArgument(f"generator name {bad[0]!r} is not a str")
         if len(set(all_names)) != len(all_names):
             raise InvalidArgument("generator names must be unique")
         self._even_index = {n: k for k, n in enumerate(self.even_names)}
@@ -916,6 +921,8 @@ class Superfunction:
             kind, word = (("even variable", "even"), ("odd generator", "odd"))[parity]
             if name not in images:
                 raise UnknownGenerator(f"no image for {kind} {name!r}")
+            if not isinstance(images[name], Superfunction):
+                raise InvalidArgument(f"image of {kind} {name!r} must be a Superfunction")
             if not images[name].has_parity(parity):
                 raise ParityError(f"image of {kind} {name!r} must be {word}")
             return images[name]

@@ -146,9 +146,6 @@ class SuperMatrix:
                     return i, j
         return None
 
-    def is_supersymmetric(self) -> bool:
-        return self.supersymmetry_violation() is None
-
     def check_supermetric(self):
         """Raise ``MetricViolation`` unless this matrix meets the point-free
         supermetric axioms, the one check of every metric in the package: it
@@ -399,12 +396,6 @@ def pair_columns(B: SuperMatrix, v, w, pv: int, pw: int) -> Superfunction:
         B.pool, B.p, B.entries, flip_sides(v, pv, B.p), pv,
         flip_sides(w, pw, B.p), pw, B.parity,
     )
-
-
-def osp_algebra_check(L: SuperMatrix, t: int, s: int, m: int) -> bool:
-    """True iff <Lv,w> = -(-1)^{|L||v|} <v,Lw> against g0 for all basis v, w."""
-    residuals = osp_residuals(L, t, s, m)
-    return all(r.is_zero() for row in residuals for r in row)
 
 
 def osp_residuals(L: SuperMatrix, t: int, s: int, m: int):

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from supergeo import Chart, GeneratorPool
-from supergeo.geometry import BilinearForm, VectorField, flat_metric
+from supergeo.geometry import BilinearForm, OSpFrame, VectorField, flat_metric
+from supergeo.supermatrix import SuperMatrix, flip_sides, osp_residuals
 
 
 @pytest.fixture
@@ -99,3 +101,62 @@ def random_field(chart, rng, parity, max_degree=1, allow_flesh=True):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def in_osp(L, t, s, m):
+    """True iff L lies in the orthosymplectic algebra of signature (t, s, 2m):
+    every residual of :func:`supermatrix.osp_residuals` vanishes."""
+    return all(r.is_zero() for row in osp_residuals(L, t, s, m) for r in row)
+
+
+def tensor_product(F, G):
+    """(F ox G)(X, Y) = (-1)^{|G||X|} F(X) G(Y) on coordinate fields."""
+    chart = F.chart
+    rows = []
+    for i in range(chart.dim):
+        sign_i = -1 if (G.parity * chart.parity(i)) % 2 else 1
+        rows.append([F.components[i] * G.components[j] * sign_i
+                     for j in range(chart.dim)])
+    return BilinearForm(chart, rows, (F.parity + G.parity) % 2)
+
+
+def rotate_frame(frame, A):
+    """Right action (e * A)_j = sum_i e_i A_ij; A must be an even OSp
+    matrix for the result to stay a frame (certified by the caller)."""
+    chart = frame.chart
+    fields = []
+    for j, col in enumerate(zip(*A.entries)):
+        parity = chart.parity(j)
+        acc = chart.zero_field(parity)
+        # the right coefficients A_ij of column j, flipped to the left
+        for field, coeff in zip(frame.fields, flip_sides(col, parity, chart.n)):
+            if not coeff.is_zero():
+                acc = acc + field.scale(coeff)
+        fields.append(acc)
+    return OSpFrame(chart, fields, frame.signature)
+
+
+def osp_frame_rotation(frame):
+    """A nontrivial constant OSp matrix for the frame's signature; used as the
+    second frame in frame-independence certificates."""
+    sig = frame.signature
+    pool = frame.chart.pool
+    A = SuperMatrix.identity(pool, sig.t + sig.s, sig.two_m)
+    if sig.s >= 2:
+        i, j = sig.t + 0, sig.t + 1
+        c, s = Fraction(3, 5), Fraction(4, 5)
+        A.entries[i][i] = pool.scalar(c)
+        A.entries[i][j] = pool.scalar(-s)
+        A.entries[j][i] = pool.scalar(s)
+        A.entries[j][j] = pool.scalar(c)
+    elif sig.t >= 1 and sig.s >= 1:
+        i, j = sig.t - 1, sig.t
+        ch_, sh = Fraction(5, 4), Fraction(3, 4)
+        A.entries[i][i] = pool.scalar(ch_)
+        A.entries[i][j] = pool.scalar(sh)
+        A.entries[j][i] = pool.scalar(sh)
+        A.entries[j][j] = pool.scalar(ch_)
+    if sig.two_m >= 2:
+        a = sig.t + sig.s
+        A.entries[a][a + 1] = pool.scalar(Fraction(1, 3))  # symplectic shear
+    return A

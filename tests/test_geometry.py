@@ -27,7 +27,7 @@ from supergeo.lie import KillingChecker
 from supergeo.morphisms import FieldAlongMorphism, Morphism
 from supergeo.supermatrix import SuperMatrix, pair_columns
 
-from conftest import random_field, random_superfunction, seeded
+from conftest import random_field, random_superfunction, seeded, tensor_product
 
 x, y = sp.symbols("x y")
 
@@ -586,7 +586,7 @@ class TestOneForm:
         ch = chart_flat22
         F = OneForm.differential(ch, ch.pool.even("x"))
         G = OneForm.differential(ch, ch.pool.even("y"))
-        B = BilinearForm.tensor_product(F, G)
+        B = tensor_product(F, G)
         assert B.components[0][1] == ch.pool.one()
         assert B.components[1][0].is_zero()
 

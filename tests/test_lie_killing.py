@@ -14,14 +14,13 @@ from supergeo.errors import (
 )
 from supergeo.exactlinalg import PRIME, Nullspace, modular_rank, nullspace
 from supergeo.geometry import (
-    BilinearForm, MetricContext, OneForm, VectorField, flat_metric, validate_metric,
+    BilinearForm, MetricContext, VectorField, flat_metric, validate_metric,
 )
+from supergeo.morphisms import HarmonicSetup, Morphism
 from supergeo.lie import (
     KillingChecker,
     killing_check,
     lie_derivative_bilinear,
-    lie_derivative_function,
-    lie_derivative_oneform,
     solve_killing,
 )
 from supergeo.scalars import Superfunction
@@ -34,57 +33,20 @@ x, y = sp.symbols("x y")
 
 
 class TestLieDerivativeFunction:
+    """L_X f = X(f), which is VectorField.apply."""
+
     def test_classical(self, chart_classical):
         ch = chart_classical
-        assert lie_derivative_function(
-            ch.coordinate_field(0), ch.pool.scalar(x**2)
-        ) == ch.pool.scalar(2 * x)
+        assert ch.coordinate_field(0).apply(ch.pool.scalar(x**2)) == ch.pool.scalar(2 * x)
 
     def test_odd(self, chart_flat22):
         ch = chart_flat22
-        assert lie_derivative_function(
-            ch.coordinate_field(2), ch.pool.odd("th1")
-        ) == ch.pool.one()
+        assert ch.coordinate_field(2).apply(ch.pool.odd("th1")) == ch.pool.one()
 
     def test_odd_coefficient(self, chart_flat22):
         ch = chart_flat22
         X = VectorField(ch, [ch.pool.odd("th1"), 0, 0, 0], 1)
-        assert lie_derivative_function(X, ch.pool.even("x")) == ch.pool.odd("th1")
-
-
-class TestLieDerivativeOneForm:
-    def test_constant_form_constant_field(self, chart_classical):
-        ch = chart_classical
-        F = OneForm.differential(ch, ch.pool.even("x"))
-        assert lie_derivative_oneform(ch.coordinate_field(0), F).is_zero()
-
-    def test_euler_field_scales_dx(self, chart_classical):
-        ch = chart_classical
-        X = VectorField(ch, [ch.pool.even("x"), 0], 0)
-        F = OneForm.differential(ch, ch.pool.even("x"))
-        got = lie_derivative_oneform(X, F)
-        assert got.components[0] == ch.pool.one()
-        assert got.components[1].is_zero()
-
-    def test_constant_odd_direction(self):
-        ch = Chart([], ["th1", "th2"], box={})
-        F = OneForm.differential(ch, ch.pool.odd("th1"))
-        got = lie_derivative_oneform(ch.coordinate_field(0), F)
-        assert got.is_zero()
-
-    def test_reproduces_second_derivative_display(self, chart_deformed):
-        """L_X df[Y] = (-1)^{|Y|(|f|+|X|)} Y(X(f)) on all coordinate fields."""
-        ch = chart_deformed
-        rng = seeded(401)
-        for _ in range(12):
-            fp, xp = rng.randint(0, 1), rng.randint(0, 1)
-            f = random_superfunction(ch.pool, rng, fp)
-            X = random_field(ch, rng, xp)
-            LF = lie_derivative_oneform(X, OneForm.differential(ch, f))
-            for j in range(ch.dim):
-                sign = -1 if (ch.parity(j) * (fp + xp)) % 2 else 1
-                want = ch.coordinate_field(j).apply(X.apply(f)) * sign
-                assert (LF.components[j] - want).is_zero()
+        assert X.apply(ch.pool.even("x")) == ch.pool.odd("th1")
 
 
 class TestLieDerivativeBilinear:
@@ -111,7 +73,7 @@ class TestLieDerivativeBilinear:
         for _ in range(6):
             X = random_field(ch, rng, 0)
             got = lie_derivative_bilinear(X, metric_deformed)
-            assert got.is_supersymmetric()
+            assert got.supersymmetry_violation() is None
             assert got.is_homogeneous()
 
     def test_display_holds_on_noncoordinate_arguments(self, metric_deformed):
@@ -153,7 +115,7 @@ class TestLieDerivativeBilinear:
         rows[0][1] = rows[0][1] + pool.scalar(1 / (x + 2))
         rows[2][3] = rows[2][3] * pool.scalar(1 / (x + 2))
         B = BilinearForm(ch, rows)
-        assert B.is_homogeneous() and not B.is_supersymmetric()
+        assert B.is_homogeneous() and B.supersymmetry_violation() is not None
         assert not B.components[0][1].is_polynomial()
         for xp, yp, zp in itertools.product((0, 1), repeat=3):
             check(B, random_field(ch, rng, xp), random_field(ch, rng, yp),
@@ -251,7 +213,7 @@ class TestSolveKilling:
         calls = self._count_nullspace_calls(monkeypatch)
         ch = Chart(["x"], ["th1", "th2"], box={"x": (0, 1)})
         B = BilinearForm(ch, [[ch.pool.odd("th1"), 1, 0], [1, 0, 0], [0, 0, 0]], 1)
-        assert B.is_supersymmetric()
+        assert B.supersymmetry_violation() is None
         with pytest.raises(MetricViolation) as err:
             solve_killing(B, 1)
         assert err.value.violation == "evenness"
@@ -264,7 +226,7 @@ class TestSolveKilling:
         calls = self._count_nullspace_calls(monkeypatch)
         ch = Chart(["x"], ["th1", "th2"], box={"x": (0, 1)})
         B = BilinearForm(ch, [[1 + ch.pool.odd("th1"), 0, 0], [0, 0, -1], [0, 1, 0]])
-        assert B.parity == 0 and B.is_supersymmetric()
+        assert B.parity == 0 and B.supersymmetry_violation() is None
         with pytest.raises(MetricViolation) as err:
             solve_killing(B, 1)
         assert err.value.violation == "evenness"
@@ -559,6 +521,11 @@ class TestHalfSystem:
         assert len(assembly) <= len(monomials) * chart.dim
 
 
+def _flat_dims(n, two_m):
+    m = two_m // 2
+    return n + n * (n - 1) // 2 + m * (2 * m + 1), 2 * m + 2 * m * n
+
+
 @pytest.mark.parametrize("n, two_m, degree, dims", [
     (2, 6, 1, (24, 18)),
     (3, 4, 2, (16, 16)),
@@ -566,12 +533,91 @@ class TestHalfSystem:
 def test_flat_killing_dims_scale(n, two_m, degree, dims):
     """Flat ``(n|2m)`` has the Killing dimensions
     ``n + n(n-1)/2 + m(2m+1) | 2m + 2mn`` at every degree >= 1."""
-    m = two_m // 2
-    assert dims == (n + n * (n - 1) // 2 + m * (2 * m + 1), 2 * m + 2 * m * n)
+    assert dims == _flat_dims(n, two_m)
     evens = ["x", "y", "z"][:n]
     odds = [f"th{i}" for i in range(1, two_m + 1)]
     chart = Chart(evens, odds, box={v: (0, 1) for v in evens})
     assert solve_killing(flat_metric(chart), degree).dims == dims
+
+
+def _even_degree(f):
+    return max((sum(exps) for _, exps, _ in f.rational_coefficients()), default=0)
+
+
+def _unipotent_images(chart, rng):
+    """A seeded unipotent triangular map ``u_i = x_i + p_i``, ``e_a = th_a +
+    q_a``: ``p_i`` is a power of a later even coordinate plus ``th_a th_b``
+    times an even coordinate or a constant, which makes the pulled-back
+    mixed block depend on the thetas; ``q_a`` is a later odd coordinate
+    times an even coordinate, plus a cubic in later odd coordinates where
+    three exist.  The body of the Jacobian is unipotent upper triangular, so
+    the map has a polynomial inverse and every leading minor of the
+    pulled-back body is 1: the OSp frame of mode (v) is exact."""
+    pool, n, q = chart.pool, chart.n, chart.two_m
+    xs = [pool.even(name) for name in pool.even_names]
+    ths = [pool.odd(name) for name in pool.odd_names]
+    images = []
+    for i in range(n):
+        f = xs[i]
+        if i + 1 < n:
+            f = f + rng.choice([-1, 1, 2]) * rng.choice(xs[i + 1:]) ** rng.randint(1, 2)
+        a, b = sorted(rng.sample(range(q), 2))
+        images.append(f + ths[a] * ths[b] * rng.choice([*xs, 1, -1, 2]))
+    for a in range(q):
+        f = ths[a]
+        if a + 1 < q:
+            f = f + ths[rng.randint(a + 1, q - 1)] * rng.choice(xs) * rng.choice([1, -1, 3])
+        if q - a >= 4:
+            b, c, d = sorted(rng.sample(range(a + 1, q), 3))
+            f = f + ths[b] * ths[c] * ths[d]
+        images.append(f)
+    return images
+
+
+def _roadmap_images(chart):
+    """u = x + th1 th2, e1 = th1 + x th2, e2 = th2 on (1|2)."""
+    pool = chart.pool
+    x, t1, t2 = pool.even("x1"), pool.odd("th1"), pool.odd("th2")
+    return [x + t1 * t2, t1 + x * t2, t2]
+
+
+@pytest.mark.parametrize("n, two_m, seed", [
+    (1, 2, None), (1, 2, 0), (2, 2, 0), (2, 2, 1), (1, 4, 0), (1, 4, 1), (2, 4, 0), (2, 4, 1),
+])
+def test_pulled_back_flat_metric_has_the_flat_killing_algebra(n, two_m, seed):
+    """The Killing algebra does not depend on coordinates: for a polynomial
+    automorphism phi, ``phi^* g_flat`` has the flat dimensions.  Every flat
+    Killing field has components of degree <= 1 in the target coordinates,
+    and its push-forward through phi^-1 has components ``(Y o phi) J^-1``
+    for the Jacobian ``J_ka = d_k phi^a``; so the degree D below, from the
+    map and the exact inverse of J, covers them.  At each degree up to D the
+    solver returns no more than the flat count, never fewer than at the
+    degree before, and at D exactly the flat count.  The fields at D span
+    those of every lower degree, and modes (ii) and (v), which do not read
+    the Leibniz table of the solver, pass on each of them."""
+    even = [f"x{i + 1}" for i in range(n)]
+    odd = [f"th{a + 1}" for a in range(two_m)]
+    source = Chart(even, odd, box={v: (0, 1) for v in even})
+    target = Chart([f"u{i + 1}" for i in range(n)], [f"e{a + 1}" for a in range(two_m)],
+                   box={f"u{i + 1}": (-100, 100) for i in range(n)})
+    images = _roadmap_images(source) if seed is None else _unipotent_images(source, seeded(seed))
+    phi = Morphism(source, target, dict(zip(target.coordinate_names(), images)))
+    g = HarmonicSetup(phi, flat_metric(source), flat_metric(target)).pullback_metric()
+    assert any(mono for e in g.components[0][n:] for mono, _, _ in e.rational_coefficients())
+    J = SuperMatrix(source.pool, n, two_m, [[source.coordinate_field(k).apply(f) for f in images]
+                                            for k in range(source.dim)])
+    D = max(map(_even_degree, images)) + max(_even_degree(e) for row in J.inverse().entries
+                                              for e in row)
+    flat = _flat_dims(n, two_m)
+    dims = [solve_killing(g, d).dims for d in range(1, D)]
+    basis = solve_killing(g, D)
+    dims.append(basis.dims)
+    assert all(e <= f for dim in dims for e, f in zip(dim, flat))
+    assert all(e <= f for lo, hi in zip(dims, dims[1:]) for e, f in zip(lo, hi))
+    assert dims[-1] == flat
+    checker = KillingChecker(g)
+    for X in basis.fields:
+        assert checker.check(X, "ii").passed and checker.check(X, "v").passed
 
 
 @pytest.fixture

@@ -1,0 +1,85 @@
+"""The package holds what a run or its public API reaches.
+
+Every function and method defined in ``src/supergeo`` must be named
+somewhere else: in ``src`` beyond its own definition, or in ``demos/`` or
+``perfbench/``.  A name counts as an identifier, an attribute, or a dotted
+part of a string that is not a docstring, since the benchmark tracer names
+its entry points by string (``"Superfunction.substitute"``).  Code reached
+only from ``tests/`` belongs in ``tests/``.
+"""
+
+import ast
+import pathlib
+
+import supergeo
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "supergeo").glob("*.py"))
+USERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+
+# the deliberate dual routes: independent oracles that the tests compare the
+# package's own routes against
+ORACLES = {
+    "connection_residuals",
+    "divergence_via_supertrace",
+    "str_with_metric_via_matrix",
+    "tension_with_frame",
+}
+
+
+def _docstrings(tree):
+    """The ids of the docstring nodes of ``tree``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                out.add(id(first.value))
+    return out
+
+
+def _scan(path, defined, named):
+    """Add the functions defined in ``path`` to ``defined`` (name -> places)
+    and the names it uses to ``named``; a use inside the function of the same
+    name (a recursive call) does not count, nor does ``__all__`` itself."""
+    tree = ast.parse(path.read_text())
+    docs = _docstrings(tree)
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined.setdefault(node.name, []).append(f"{path.name}:{node.lineno}")
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [] if id(node) in docs else [p for p in node.value.split(".") if p.isidentifier()]
+        else:
+            names = []
+        named.update(n for n in names if n not in enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+
+
+def test_every_function_in_src_is_reached_outside_tests():
+    """Dunder methods are exempt: the interpreter calls them through
+    operators and builtins.  So are the public API and the oracles, which
+    must still be defined, so that no exemption outlives its name."""
+    defined, named = {}, set()
+    for path in SRC:
+        _scan(path, defined, named)
+    for path in USERS:
+        _scan(path, {}, named)
+    assert ORACLES <= set(defined)
+    exempt = set(supergeo.__all__) | ORACLES
+    unreached = {name: places for name, places in sorted(defined.items())
+                 if name not in named and name not in exempt
+                 and not (name.startswith("__") and name.endswith("__"))}
+    assert not unreached, f"defined in src/supergeo but named only in tests: {unreached}"

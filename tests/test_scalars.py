@@ -16,10 +16,11 @@ from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyRing
 
-from supergeo import GeneratorPool, Superfunction, scalars
+from supergeo import Chart, GeneratorPool, Superfunction, scalars
 from supergeo.errors import (
     FleshInTopCoefficient,
     InexactCoefficient,
+    InvalidArgument,
     NonInvertible,
     NotASquare,
     ParityError,
@@ -47,6 +48,30 @@ def test_pool_rejects_duplicate_names():
         with pytest.raises(SupergeoError, match="generator names must be unique") as err:
             GeneratorPool(even, odd)
         assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("build, shown", [
+    (lambda: GeneratorPool("xy", "ab"), "not the str 'xy'"),
+    (lambda: GeneratorPool(["x"], ["a", "b"], "lam"), "not the str 'lam'"),
+    (lambda: Chart(["x"], "th", {"x": (0, 1)}), "not the str 'th'"),
+    (lambda: GeneratorPool([1], []), "generator name 1 is not a str"),
+    (lambda: Chart(["x"], ["a", sp.Symbol("b")], {"x": (0, 1)}), "name b is not a str"),
+], ids=["str-evens-and-odds", "str-flesh", "chart-str-odds", "int-name", "chart-symbol-name"])
+def test_names_are_a_sequence_of_str(build, shown):
+    """A bare str is not a sequence of names (it would give one generator
+    per character), and every name is a str."""
+    with pytest.raises(InvalidArgument, match=shown):
+        build()
+
+
+def test_pool_reads_each_name_sequence_once():
+    """One-shot iterables of names give the pool and the chart that lists
+    give; the odd coordinates are not counted from a consumed iterator."""
+    pool = GeneratorPool(iter(["x"]), iter(["a", "b"]), iter(["lam"]))
+    assert (pool.even_names, pool.odd_names) == (("x",), ("a", "b", "lam"))
+    assert pool.n_coordinate_odd == 2
+    chart = Chart(iter(["x"]), iter(["a", "b"]), {"x": (0, 1)})
+    assert (chart.n, chart.two_m, chart.pool.n_flesh) == (1, 2, 0)
 
 
 def _ring(pool):
@@ -892,6 +917,14 @@ class TestSubstitute:
         other = GeneratorPool(["x"], ["th1", "th2"])
         with pytest.raises(PoolMismatch, match="image of 'x' lives over another pool"):
             pool.even("x").substitute({"x": other.even("x")}, pool)
+
+    @pytest.mark.parametrize("name, image", [
+        ("x", 3), ("x", Fraction(1, 2)), ("th1", 0),
+    ], ids=["int", "fraction", "zero-odd"])
+    def test_image_that_is_not_a_superfunction_rejected(self, pool, name, image):
+        f = pool.generator(name)
+        with pytest.raises(InvalidArgument, match=f"image of .* {name!r} must be a Superfunction"):
+            f.substitute({name: image}, pool)
 
     def test_pole_of_a_coefficient_rejected(self, pool):
         f = 1 / (pool.even("x") + 1)

@@ -22,12 +22,11 @@ from supergeo.supermatrix import (
     SuperMatrix,
     gram_schmidt_osp,
     j_map,
-    osp_algebra_check,
     pair_columns,
     standard_metric,
 )
 
-from conftest import random_superfunction, seeded
+from conftest import in_osp, random_superfunction, seeded
 
 x = sp.Symbol("x")
 
@@ -346,7 +345,7 @@ def brute_force_osp_dimension(t, s, m, parity):
 
 class TestOspAlgebra:
     def test_zero_matrix_passes(self, pool):
-        assert osp_algebra_check(SuperMatrix.zero(pool, 2, 2), 0, 2, 1)
+        assert in_osp(SuperMatrix.zero(pool, 2, 2), 0, 2, 1)
 
     def test_sp2_dimension(self):
         # (0,0)|2: even part is sp(2), dimension 3
@@ -377,7 +376,7 @@ class TestOspAlgebra:
             found += 1
             sign = -1 if pa * pb else 1
             comm = A * B - (B * A) * pool.scalar(sign)
-            assert osp_algebra_check(comm, 0, 2, 1)
+            assert in_osp(comm, 0, 2, 1)
 
 
 def _osp_residuals_by_pairing(L, t, s, m):
@@ -434,7 +433,7 @@ def _project_osp(M, t, s, m):
     proj = (M - g0inv * Lp * g0) * pool.scalar(sp.Rational(1, 2))
     if all(e.is_zero() for row in proj.entries for e in row):
         return None
-    return proj if osp_algebra_check(proj, t, s, m) else None
+    return proj if in_osp(proj, t, s, m) else None
 
 
 class TestGramSchmidt:
@@ -477,7 +476,7 @@ class TestGramSchmidt:
         pool = GeneratorPool(["x"], ["th1", "th2"])
         th1 = pool.odd("th1")
         B = SuperMatrix(pool, 1, 2, [[1 + th1, 0, 0], [0, 0, -1], [0, 1, 0]])
-        assert B.parity == 0 and B.is_supersymmetric()
+        assert B.parity == 0 and B.supersymmetry_violation() is None
         with pytest.raises(MetricViolation) as err:
             gram_schmidt_osp(B)
         assert err.value.violation == "evenness"
