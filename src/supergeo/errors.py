@@ -2,20 +2,21 @@
 
 Every error supergeo raises on purpose is a :class:`SupergeoError`, so one
 ``except SupergeoError`` catches them all.  An argument outside an
-operation's domain (duplicate generator names, a ragged entry grid, an
-unknown Killing mode) raises :class:`InvalidArgument`, which is also a
-``ValueError`` for callers that catch that.
+operation's domain (duplicate generator names, a name that is no identifier,
+a ragged entry grid, an unknown Killing mode) raises
+:class:`InvalidArgument`, which is also a ``ValueError`` for callers that
+catch that.
 
-``GeneratorPool.scalar`` raises :class:`InexactCoefficient` for any value
-it cannot lift (``scalar(0.5)``, ``scalar("a")``), and so do a float or
-bool ``Chart`` box bound and an operator given an inexact sympy expression
-(``x + sympy.Float(0.5)``).  An
-arithmetic operand of an unsupported type is not an error of the
-package: ``Superfunction``'s operators return
-``NotImplemented`` for anything but a superfunction, an exact rational (an
-int that is not a bool, a ``Fraction``, a sympy ``Rational`` or ``QQ``
-element) or a sympy expression, so ``x + "a"``, ``"a" + x``, ``x * 0.5``,
-``x - True``, ``x ** 0.5`` and ``x ** True`` raise Python's ``TypeError``.
+The package's numbers are Python ints (never bools) and ``Fraction``s; a
+sympy value comes in through ``GeneratorPool.scalar`` alone, which lifts an
+even ``Expr``.  ``scalar`` raises :class:`InexactCoefficient` for any
+other value (``scalar(0.5)``, ``scalar("a")``, a ``QQ`` element), and so do
+a ``Chart`` box bound and a ``body_at`` point that is no int or
+``Fraction``.  An arithmetic operand of an unsupported type is not an error
+of the package: ``Superfunction``'s operators return ``NotImplemented`` for
+anything but a superfunction, an int or a ``Fraction``, so ``x + "a"``,
+``"a" + x``, ``x * 0.5``, ``x - True``, ``x + sympy.Rational(1, 2)``,
+``x ** 0.5`` and ``x ** True`` raise Python's ``TypeError``.
 """
 
 

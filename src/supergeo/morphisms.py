@@ -203,9 +203,6 @@ class HarmonicSetup:
         self._g_pulled = self._pull_grid(g)
         self._gamma_pulled = [[[phi.pullback(c) for c in row] for row in plane]
                               for plane in self.target_connection.gamma]
-        self._tension = None
-        self._pullback_metric = None
-        self._energy_density = None
 
     # -- pairing and pullbacks -------------------------------------------------
 
@@ -218,9 +215,11 @@ class HarmonicSetup:
 
     def pullback_metric(self) -> BilinearForm:
         """Phi* g, computed once."""
-        if self._pullback_metric is None:
-            self._pullback_metric = self._pair_grid(self._g_pulled, self.g.parity)
         return self._pullback_metric
+
+    @cached_property
+    def _pullback_metric(self):
+        return self._pair_grid(self._g_pulled, self.g.parity)
 
     def pullback_bilinear(self, B: BilinearForm) -> BilinearForm:
         """Phi* B via <B_Phi>(dPhi[.], dPhi[.]); B may have either parity."""
@@ -272,9 +271,11 @@ class HarmonicSetup:
 
     def tension(self) -> FieldAlongMorphism:
         """tau(Phi) over the source frame, computed once."""
-        if self._tension is None:
-            self._tension = self.tension_with_frame(self.frame)
         return self._tension
+
+    @cached_property
+    def _tension(self):
+        return self.tension_with_frame(self.frame)
 
     def tension_with_frame(self, frame: OSpFrame) -> FieldAlongMorphism:
         """tau(Phi) = (nabla_{e_j} dPhi)[J e_j] summed over an OSp frame; a
@@ -382,10 +383,11 @@ class HarmonicSetup:
 
     def energy_density(self) -> Superfunction:
         """e(Phi) = 1/2 str_h(Phi* g), computed once."""
-        if self._energy_density is None:
-            str_h = str_with_metric(self.pullback_metric(), self.frame)
-            self._energy_density = str_h * Fraction(1, 2)
         return self._energy_density
+
+    @cached_property
+    def _energy_density(self):
+        return str_with_metric(self.pullback_metric(), self.frame) * Fraction(1, 2)
 
     def stress_energy(self) -> BilinearForm:
         """S_Phi = e(Phi) h - Phi* g."""

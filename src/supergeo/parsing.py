@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import NonInvertible, ParseError, PoolMismatch, UnknownGenerator
-from .scalars import Superfunction
+from .scalars import IDENTIFIER, Superfunction
 
 
 @dataclass
@@ -22,11 +22,11 @@ class _Token:
     column: int
 
 
-# One alternative per token kind; ``\s`` matches exactly what str.isspace
-# does, and BAD catches any other single character.
+# One alternative per token kind; IDENT is the pool's rule for a generator
+# name, ``\s`` matches exactly what str.isspace does, and BAD catches any
+# other single character.
 _TOKEN = re.compile(
-    r"(?P<INT>[0-9]+)|(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)|(?P<OP>[-+*/^()])|(?P<SPACE>\s+)"
-    r"|(?P<BAD>.)"
+    rf"(?P<INT>[0-9]+)|(?P<IDENT>{IDENTIFIER})|(?P<OP>[-+*/^()])|(?P<SPACE>\s+)|(?P<BAD>.)"
 )
 
 

@@ -26,6 +26,14 @@ Superfunctions are immutable, and the kernel relies on it: results share
 numerators with their operands, ``f + 0`` is ``f``, ``0 * f`` is the zero
 operand, and :meth:`Superfunction.partial` keeps each derivative.
 
+The package's numbers are Python ints (never bools) and ``Fraction``s.  A
+sympy value comes in through :meth:`GeneratorPool.scalar` alone, which
+lifts an even ``Expr`` (a ``Rational`` included) and rejects any other
+sympy object, a ``QQ`` element too.  The arithmetic operators take
+superfunctions over an equal pool and the package's numbers; for an operand
+of any other type (a sympy object, a ``str``, a ``float``, a ``bool``) they
+return ``NotImplemented``, so Python raises ``TypeError``.
+
 No module of the package imports sympy when it is imported: a scenario run
 needs no sympy object, and importing sympy would cost it about 0.5 s and 35
 MiB.  This module imports sympy inside the functions that take or hand out
@@ -35,21 +43,15 @@ falls back to on some tables in several variables
 :meth:`Superfunction.body` and :meth:`Superfunction.berezin_top`, which
 return ``Expr``; a pool's ``even_symbols`` and
 :meth:`GeneratorPool.even_symbol`, plain ``Symbol``s built on first use; and
-:meth:`GeneratorPool.scalar`, which takes ints, ``Fraction``s,
-``Rational``s and ``QQ`` elements and walks even expressions itself
-(floats, bools, irrational numbers, other functions and foreign symbols are
-rejected).  It asks whether a value is a sympy ``Rational``, ``QQ`` element
-or ``Expr`` only once sympy is in ``sys.modules``, since no value can be one
-before.  Square roots (:func:`_poly_root`), the generator order of the
-printer and error messages are native.  :meth:`Superfunction.render`
-cancels each coefficient against ``den`` on its own and prints it byte for
-byte as sympy's ``sstr(expr, order="lex")`` would.  :meth:`Superfunction.body_at`
-is the package's only way to evaluate a body at a point: it returns a
-``Fraction`` and raises ``NonInvertible`` at a pole.  The arithmetic
-operators take superfunctions over an equal pool, exact rationals and even
-sympy expressions; for an operand of any other type (a ``str``, a
-``float``, a ``bool``) they return ``NotImplemented``, so Python raises
-``TypeError``.
+:meth:`GeneratorPool.scalar`, which walks an ``Expr`` itself (floats,
+irrational numbers, other functions and foreign symbols are rejected) and
+asks whether a value is one only once sympy is in ``sys.modules``.  Square
+roots (:func:`_poly_root`), the generator order of the printer and error
+messages are native.  :meth:`Superfunction.render` cancels each coefficient
+against ``den`` on its own and prints it byte for byte as sympy's
+``sstr(expr, order="lex")`` would.  :meth:`Superfunction.body_at` is the
+package's only way to evaluate a body at a point: it returns a ``Fraction``
+and raises ``NonInvertible`` at a pole.
 
 Sign conventions, fixed once for the whole package (see
 docs/sign-conventions.md):
@@ -78,33 +80,18 @@ from .errors import (FleshInTopCoefficient, InexactCoefficient, InvalidArgument,
                      NotASquare, ParityError, PoolMismatch, UnknownGenerator)
 
 
-@functools.cache
-def _sympy_classes():
-    """sympy's exact rational types (``Rational`` and ``QQ``'s element type)
-    and ``Expr``.  Callers ask only once sympy is in ``sys.modules``: a
-    value can be a sympy object only then, so the check costs no import."""
-    import sympy as sp
-
-    return (sp.Rational, sp.QQ.dtype), sp.Expr
+# a generator name, as the scenario parser's tokenizer reads an identifier
+IDENTIFIER = r"[A-Za-z_][A-Za-z_0-9]*"
 
 
 def _rational(value):
     """``(numerator, denominator)`` of an exact rational value (an int that is
-    not a bool, a ``Fraction``, a sympy ``Rational`` or a ``QQ`` element),
-    else None."""
+    not a bool, or a ``Fraction``), else None."""
     if type(value) is int:
         return value, 1
-    if isinstance(value, (int, Fraction)):
-        if isinstance(value, bool):
-            return None
-    elif "sympy" not in sys.modules or not isinstance(value, _sympy_classes()[0]):
-        return None
-    return int(value.numerator), int(value.denominator)
-
-
-def _is_expr(value):
-    """Whether ``value`` is a sympy ``Expr``; costs no import."""
-    return "sympy" in sys.modules and isinstance(value, _sympy_classes()[1])
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value.numerator, value.denominator
+    return None
 
 
 # -- integer polynomials {exponent tuple: nonzero int} ------------------------
@@ -423,14 +410,18 @@ class GeneratorPool:
 
     def __init__(self, even_names, odd_names, flesh_names=()):
         for names in (even_names, odd_names, flesh_names):
-            if isinstance(names, str):  # else one generator per character
-                raise InvalidArgument(f"generator names must be a sequence, not the str {names!r}")
+            # a str would give one generator per character
+            if isinstance(names, str) or not hasattr(names, "__iter__"):
+                raise InvalidArgument("generator names must be a sequence, not the "
+                                      f"{type(names).__name__} {names!r}")
         self.even_names, odd_names = tuple(even_names), tuple(odd_names)
         self.odd_names = odd_names + tuple(flesh_names)
         self.n_coordinate_odd = len(odd_names)
         all_names = self.even_names + self.odd_names
-        if bad := [name for name in all_names if not isinstance(name, str)]:
-            raise InvalidArgument(f"generator name {bad[0]!r} is not a str")
+        for name in all_names:  # the parser must be able to name every generator
+            if not isinstance(name, str) or not re.fullmatch(IDENTIFIER, name):
+                raise InvalidArgument(
+                    f"generator name {name!r} is not a str of the form {IDENTIFIER}")
         if len(set(all_names)) != len(all_names):
             raise InvalidArgument("generator names must be unique")
         self._even_index = {n: k for k, n in enumerate(self.even_names)}
@@ -492,13 +483,11 @@ class GeneratorPool:
 
     def scalar(self, value) -> "Superfunction":
         """Lift an exact rational number or an even sympy expression."""
-        if type(value) is int:
-            return self._constant(value, 1)
-        if not _is_expr(value):  # a sympy Rational is lifted as an Expr
-            q = _rational(value)
-            if q is not None:
-                return self._constant(*q)
-        else:
+        q = _rational(value)
+        if q is not None:
+            return self._constant(*q)
+        sp = sys.modules.get("sympy")  # a value can be a sympy Expr only once sympy is loaded
+        if sp is not None and isinstance(value, sp.Expr):
             foreign = value.free_symbols - self._symbols
             if foreign:
                 names = ", ".join(sorted(str(s) for s in foreign))
@@ -536,13 +525,22 @@ class GeneratorPool:
 
     def from_coefficients(self, coefficients) -> "Superfunction":
         """The polynomial ``sum q th^mono x^exps`` of a list of ``(mono, exps,
-        q)`` triples with distinct monomials and nonzero rationals ``q``, the
-        inverse of :meth:`Superfunction.rational_coefficients`: the
-        numerators over the least common denominator, coprime to them."""
-        den = math.lcm(*(q.denominator for _, _, q in coefficients))
-        terms = {}
+        q)`` triples with distinct keys ``(mono, exps)`` and nonzero exact
+        rationals ``q``, the inverse of :meth:`Superfunction.rational_coefficients`:
+        the numerators over the least common denominator, coprime to them."""
+        table = {}
         for mono, exps, q in coefficients:
-            terms.setdefault(mono, {})[exps] = q.numerator * (den // q.denominator)
+            r = _rational(q)
+            if r is None:
+                raise InexactCoefficient(f"coefficient {q!r} is not an exact rational")
+            if not r[0] or (mono, exps) in table:
+                raise InvalidArgument(f"coefficient of {(mono, exps)!r} is "
+                                      + ("repeated" if r[0] else "zero"))
+            table[mono, exps] = r
+        den = math.lcm(*(d for _, d in table.values()))
+        terms = {}
+        for (mono, exps), (n, d) in table.items():
+            terms.setdefault(mono, {})[exps] = n * (den // d)
         return Superfunction(self, terms, den) if terms else self._zero
 
     def monomial_multiple(self, mono, exps, f, den=1):
@@ -605,9 +603,6 @@ class GeneratorPool:
     def generator(self, name: str) -> "Superfunction":
         return self.even(name) if name in self._even_index else self.odd(name)
 
-    def names(self):
-        return self.even_names + self.odd_names
-
     def render_point(self, point) -> str:
         """``x = 0, y = 1/2`` for values of the even variables in pool order."""
         return ", ".join(f"{n} = {q}" for n, q in zip(self.even_names, point))
@@ -647,17 +642,15 @@ class Superfunction:
 
     def _coerce(self, other):
         """``other`` as a superfunction over this pool: a superfunction over
-        an equal pool, an exact rational or an even sympy expression (which
-        may raise, as in :meth:`GeneratorPool.scalar`); None for an operand
-        of any other type, for which the operators return ``NotImplemented``."""
+        an equal pool or an exact rational; None for an operand of any other
+        type, a sympy object included, for which the operators return
+        ``NotImplemented``."""
         if isinstance(other, Superfunction):
             if other.pool is not self.pool and other.pool != self.pool:
                 raise PoolMismatch("operands belong to different pools")
             return other
         q = _rational(other)
-        if q is not None:
-            return self.pool._constant(*q)
-        return self.pool.scalar(other) if _is_expr(other) else None
+        return None if q is None else self.pool._constant(*q)
 
     # -- ring structure ------------------------------------------------------
 
@@ -773,7 +766,7 @@ class Superfunction:
     def __eq__(self, other):
         try:
             other = self._coerce(other)
-        except (PoolMismatch, InexactCoefficient, UnknownGenerator):
+        except PoolMismatch:
             return False
         if other is None:
             return NotImplemented

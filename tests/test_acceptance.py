@@ -155,8 +155,8 @@ def _corpus(rng):
     pp = plane.pool
     for images in [
         {"u": pp.even("x"), "v": pp.even("y")},
-        {"u": pp.even("x") * sp.Rational(3, 5) - pp.even("y") * sp.Rational(4, 5),
-         "v": pp.even("x") * sp.Rational(4, 5) + pp.even("y") * sp.Rational(3, 5)},
+        {"u": pp.even("x") * Fraction(3, 5) - pp.even("y") * Fraction(4, 5),
+         "v": pp.even("x") * Fraction(4, 5) + pp.even("y") * Fraction(3, 5)},
         {"u": pp.even("x") + pp.even("y") ** 2, "v": pp.even("y")},
     ]:
         phi = Morphism(plane, plane_t, images)
@@ -249,8 +249,8 @@ def test_criterion_4_noether_residual_suite():
     iso = Morphism(
         plane,
         Chart(["u", "v"], [], box={"u": (-10, 10), "v": (-10, 10)}),
-        {"u": pp.even("x") * sp.Rational(3, 5) - pp.even("y") * sp.Rational(4, 5),
-         "v": pp.even("x") * sp.Rational(4, 5) + pp.even("y") * sp.Rational(3, 5)},
+        {"u": pp.even("x") * Fraction(3, 5) - pp.even("y") * Fraction(4, 5),
+         "v": pp.even("x") * Fraction(4, 5) + pp.even("y") * Fraction(3, 5)},
     )
     iso_setup = HarmonicSetup(iso, flat_metric(plane), flat_metric(iso.target))
     rot = VectorField(plane, [-pp.even("y"), pp.even("x")], 0)

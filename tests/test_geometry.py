@@ -74,13 +74,15 @@ def test_a_chart_box_names_only_even_coordinates(name):
 def test_a_chart_box_bound_must_be_exact(bounds):
     """A float or a bool box bound raises InexactCoefficient, as
     ``pool.scalar(0.5)`` and ``pool.scalar(True)`` do, instead of being kept
-    as the float's binary fraction or as 0 and 1; ints, ``Fraction``s and
-    sympy Rationals are kept as ``Fraction``s."""
+    as the float's binary fraction or as 0 and 1; ints and ``Fraction``s
+    are kept as ``Fraction``s, and a sympy Rational is no bound."""
     with pytest.raises(InexactCoefficient, match="'x' needs exact rational bounds"):
         Chart(["x"], [], {"x": bounds})
-    exact = Chart(["x"], [], {"x": (sp.Rational(1, 3), Fraction(1, 2))}).box["x"]
-    assert exact == (Fraction(1, 3), Fraction(1, 2))
+    exact = Chart(["x"], [], {"x": (0, Fraction(1, 2))}).box["x"]
+    assert exact == (Fraction(0), Fraction(1, 2))
     assert all(type(q) is Fraction for q in exact)
+    with pytest.raises(InexactCoefficient, match="'x' needs exact rational bounds"):
+        Chart(["x"], [], {"x": (sp.Rational(1, 3), Fraction(1, 2))})
 
 
 @pytest.mark.parametrize("box", [{"x": (0, 1, 2)}, {"x": (0,)}, {"x": 5}, None])
@@ -276,7 +278,7 @@ class TestValidateMetric:
         # determinant nonzero as a rational function, but zero at the box
         # midpoint: constant-signature assertion fails
         xs = chart_classical.pool.even("x")
-        g = BilinearForm(chart_classical, [[xs - sp.Rational(3, 2), 0], [0, 1]])
+        g = BilinearForm(chart_classical, [[xs - Fraction(3, 2), 0], [0, 1]])
         with pytest.raises(MetricViolation) as err:
             validate_metric(g)
         assert err.value.violation == "nondegeneracy"
@@ -428,7 +430,7 @@ class TestOSpFrame:
     def test_deformed_frame_certified(self, metric_deformed):
         frame = OSpFrame.build(metric_deformed)
         pool = metric_deformed.chart.pool
-        want = pool.one() - pool.odd("th1") * pool.odd("th2") * sp.Rational(1, 2)
+        want = pool.one() - pool.odd("th1") * pool.odd("th2") * Fraction(1, 2)
         assert frame.fields[0].components[0] == want
 
     def test_defining_equations_exact(self, metric_deformed):

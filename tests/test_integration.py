@@ -41,7 +41,7 @@ class TestVolumeDensity:
         vd = volume_density(metric_deformed)
         pool = metric_deformed.chart.pool
         t12 = pool.odd("th1") * pool.odd("th2")
-        assert vd.scale == pool.one() + t12 * sp.Rational(1, 2)
+        assert vd.scale == pool.one() + t12 * Fraction(1, 2)
         assert vd.scale * vd.scale == pool.one() + t12
 
 

@@ -541,8 +541,8 @@ class TestNoetherDomain:
         p = ch.pool
         # rotate by the rational 3-4-5 point: an exact isometry of the plane
         images = {
-            "x": p.even("x") * sp.Rational(3, 5) - p.even("y") * sp.Rational(4, 5),
-            "y": p.even("x") * sp.Rational(4, 5) + p.even("y") * sp.Rational(3, 5),
+            "x": p.even("x") * Fraction(3, 5) - p.even("y") * Fraction(4, 5),
+            "y": p.even("x") * Fraction(4, 5) + p.even("y") * Fraction(3, 5),
         }
         # the rotated box (1, 2)^2 lies in the target box
         tgt = Chart(["x", "y"], [], box={"x": (-1, 1), "y": (1, 3)})

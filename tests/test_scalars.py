@@ -56,10 +56,20 @@ def test_pool_rejects_duplicate_names():
     (lambda: Chart(["x"], "th", {"x": (0, 1)}), "not the str 'th'"),
     (lambda: GeneratorPool([1], []), "generator name 1 is not a str"),
     (lambda: Chart(["x"], ["a", sp.Symbol("b")], {"x": (0, 1)}), "name b is not a str"),
-], ids=["str-evens-and-odds", "str-flesh", "chart-str-odds", "int-name", "chart-symbol-name"])
+    (lambda: GeneratorPool([""], []), "name '' is not a str of the form"),
+    (lambda: GeneratorPool(["x y"], []), "name 'x y' is not a str of the form"),
+    (lambda: GeneratorPool(["1x"], ["+"]), "name '1x' is not a str of the form"),
+    (lambda: Chart(["x"], ["th'"], {"x": (0, 1)}), "name \"th'\" is not a str of the form"),
+    (lambda: GeneratorPool(5, []), "not the int 5"),
+    (lambda: Chart(["x"], [], {"x": (0, 1)}, flesh=5), "not the int 5"),
+], ids=["str-evens-and-odds", "str-flesh", "chart-str-odds", "int-name", "chart-symbol-name",
+        "empty-name", "name-with-space", "digit-first-and-operator", "chart-prime-name",
+        "int-evens", "chart-int-flesh"])
 def test_names_are_a_sequence_of_str(build, shown):
     """A bare str is not a sequence of names (it would give one generator
-    per character), and every name is a str."""
+    per character), nor is a value that is not iterable; and every name is
+    a str that the parser reads as one identifier, so that an expression can
+    name every generator."""
     with pytest.raises(InvalidArgument, match=shown):
         build()
 
@@ -72,6 +82,14 @@ def test_pool_reads_each_name_sequence_once():
     assert pool.n_coordinate_odd == 2
     chart = Chart(iter(["x"]), iter(["a", "b"]), {"x": (0, 1)})
     assert (chart.n, chart.two_m, chart.pool.n_flesh) == (1, 2, 0)
+
+
+def test_every_name_a_pool_takes_parses():
+    """Underscores and digits after the first character are names the
+    parser reads back as the pool's generators."""
+    pool = GeneratorPool(["_x0", "X_1"], ["th_1", "_"])
+    f = parse_expression("_x0 X_1 th_1 _ + 2", pool)
+    assert f == pool.even("_x0") * pool.even("X_1") * pool.odd("th_1") * pool.odd("_") + 2
 
 
 def _ring(pool):
@@ -107,6 +125,10 @@ class TestExactInputGuard:
         with pytest.raises(UnknownGenerator):
             pool.scalar(sp.Symbol("th1"))
 
+    def test_qq_element_rejected(self, pool):
+        with pytest.raises(InexactCoefficient):
+            pool.scalar(QQ(1, 2))
+
     def test_irrational_rejected(self, pool):
         with pytest.raises(InexactCoefficient):
             pool.scalar(sp.sqrt(2))
@@ -118,6 +140,7 @@ class TestExactInputGuard:
         assert pool.scalar(Fraction(1, 2)) == half
         assert pool.one() / 2 == half
         assert pool.scalar(x / 2) == pool.even("x") * half
+        assert pool.scalar(x**2 / 3) == pool.even("x") ** 2 / 3
 
 
 class TestPolynomialInputThroughTheRing:
@@ -493,14 +516,14 @@ class TestSqrt:
     def test_nilpotent_example(self, pool):
         f = pool.scalar(4) + pool.odd("th1") * pool.odd("th2")
         r = f.sqrt()
-        assert r == pool.scalar(2) + pool.odd("th1") * pool.odd("th2") * sp.Rational(1, 4)
+        assert r == pool.scalar(2) + pool.odd("th1") * pool.odd("th2") * Fraction(1, 4)
         assert r * r == f
 
     def test_polynomial_body(self, pool):
         t12 = pool.odd("th1") * pool.odd("th2")
         f = pool.scalar(x**2) + pool.scalar(x**2) * t12
         r = f.sqrt()
-        assert r == pool.even("x") * (pool.one() + t12 * sp.Rational(1, 2))
+        assert r == pool.even("x") * (pool.one() + t12 * Fraction(1, 2))
         assert r * r == f
 
     def test_odd_rejected(self, pool):
@@ -737,7 +760,7 @@ class TestForeignValues:
             with pytest.raises(SupergeoError):
                 f.body_at(point)
 
-    @pytest.mark.parametrize("value", [1.5, "1", None, True])
+    @pytest.mark.parametrize("value", [1.5, "1", None, True, sp.Rational(1, 2)])
     def test_body_at_inexact_value(self, pool, value):
         with pytest.raises(InexactCoefficient):
             (pool.even("x") + 1).body_at([value])
@@ -751,10 +774,13 @@ class TestForeignValues:
         with pytest.raises(TypeError):
             th ** k
 
-    @pytest.mark.parametrize("value", ["a", 0.5, True], ids=["str", "float", "bool"])
+    @pytest.mark.parametrize("value", ["a", 0.5, True, sp.Rational(1, 2), sp.Integer(1), x],
+                             ids=["str", "float", "bool", "sympy-rational", "sympy-integer",
+                                  "sympy-symbol"])
     def test_foreign_operands_are_not_implemented(self, pool, value):
-        """The arithmetic operators take superfunctions, exact rationals and
-        sympy expressions; for an operand of any other type each returns
+        """The arithmetic operators take superfunctions, ints and
+        ``Fraction``s; a sympy value enters only through ``scalar``.  For an
+        operand of any other type, a sympy number included, each returns
         ``NotImplemented`` from either side, so Python raises ``TypeError``
         and ``==`` is False."""
         f = pool.even("x") + pool.odd("th1") * pool.odd("th2")
@@ -884,7 +910,7 @@ class TestCanonicalForm:
 class TestSubstitute:
     def test_identity_substitution(self, pool):
         rng = seeded(109)
-        images = {n: pool.generator(n) for n in pool.names()}
+        images = {n: pool.generator(n) for n in pool.even_names + pool.odd_names}
         for _ in range(10):
             f = random_superfunction(pool, rng)
             assert f.substitute(images, pool) == f
@@ -1378,7 +1404,7 @@ def test_monomial_partials_are_the_partials():
     of a (2|4) pool with flesh, up to even degree 2, by every coordinate; a
     coordinate it omits gives zero."""
     pool = GeneratorPool(["x", "y"], ["th1", "th2", "th3", "th4"], ["lam1", "lam2"])
-    coordinates = pool.names()[: pool.n_even + pool.n_coordinate_odd]
+    coordinates = (pool.even_names + pool.odd_names)[: pool.n_even + pool.n_coordinate_odd]
     evens = [(i, j) for i in range(3) for j in range(3 - i)]
     for size in range(pool.n_odd + 1):
         for mono in itertools.combinations(range(pool.n_odd), size):
@@ -1436,3 +1462,21 @@ def test_from_coefficients_inverts_rational_coefficients():
         g = pool.from_coefficients(list(f.rational_coefficients()))
         assert (g, g.den) == (f, f.den)
     assert pool.from_coefficients([]) == pool.zero()
+
+
+@pytest.mark.parametrize("coefficients, error", [
+    ([((), (1,), True)], InexactCoefficient),
+    ([((), (1,), 0.5)], InexactCoefficient),
+    ([((), (1,), "1")], InexactCoefficient),
+    ([((), (1,), Fraction(0))], InvalidArgument),
+    ([((0,), (0,), 1), ((), (1,), 0)], InvalidArgument),
+    ([((), (1,), 1), ((), (1,), Fraction(1, 2))], InvalidArgument),
+], ids=["bool", "float", "str", "zero-fraction", "zero-int", "repeated-key"])
+def test_from_coefficients_checks_each_coefficient(coefficients, error):
+    """Each coefficient is an int or a ``Fraction`` (``InexactCoefficient``
+    otherwise, a bool included), nonzero and under its own ``(mono, exps)``
+    key (``InvalidArgument`` otherwise): no input builds a non-canonical
+    superfunction or drops a coefficient."""
+    pool = GeneratorPool(["x"], ["th1", "th2"])
+    with pytest.raises(error):
+        pool.from_coefficients(coefficients)

@@ -623,6 +623,17 @@ def test_a_key_naming_no_coordinate_is_a_usage_error(text, error):
     assert report.load_error == error
 
 
+def test_a_coordinate_name_no_expression_can_read_is_a_usage_error():
+    """A chart name that is no identifier (``th-1``, read by an expression
+    as ``th - 1``) is rejected with the chart; it built a chart whose
+    generator no metric or field entry could name."""
+    text = _edited_flat_killing("odd = th1 th2\n", "odd = th1 th-2\n")
+    report = run_scenario(text)
+    assert report.exit_code == 2
+    assert report.load_error == ("ScenarioError: generator name 'th-2' is not a str of the form"
+                                 " [A-Za-z_][A-Za-z_0-9]* (line 2)")
+
+
 def test_a_morphism_without_metrics_is_named_with_the_command_line():
     report = run_scenario(_edited_flat_killing("source_metric = g\n", "", "tension ID\n"))
     assert report.exit_code == 2
