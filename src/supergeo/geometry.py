@@ -17,10 +17,13 @@ Vector fields, one-forms and fields along a morphism
 :class:`_Field`: one homogeneity check, one sum, one scaling rule
 (:func:`supermatrix.scaled_parity`) and one renderer.  Connections use
 ``nabla_{d_i} d_j = sum_k Gamma^k_ij d_k`` with left coefficients, and one
-covariant derivative, which the pullback connection shares.  A metric
+covariant derivative, which the pullback connection shares; it reads a
+sparse table of the nonzero Christoffel symbols (:class:`Connection`), and
+a constant metric has the zero connection with no inverse formed.  A metric
 is validated once and its derived objects are built once, in its
 :class:`MetricContext`; every sum over an OSp frame against ``J e_j`` is
-:func:`frame_sum` or :func:`frame_raise`.
+:func:`frame_sum` or :func:`frame_raise`, which skip zero terms and apply a
+sign -1 by negation.
 """
 
 from __future__ import annotations
@@ -188,8 +191,11 @@ class _Field:
         comps = [a + b for a, b in zip(self.components, other.components)]
         return self._new(comps, other.parity if self.is_zero() else self.parity)
 
+    def __neg__(self):
+        return self._new([-c for c in self.components], self.parity)
+
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + (-other)
 
     def scale(self, f):
         """Left multiplication f*X; the parity follows a homogeneous f."""
@@ -236,7 +242,7 @@ class VectorField(_Field):
         return self.owner
 
     def apply(self, f: Superfunction) -> Superfunction:
-        if f.pool != self.pool:
+        if f.pool is not self.pool and f.pool != self.pool:
             raise ChartMismatch("function lives over a different pool")
         acc = self.pool.zero()
         names = self.slots.coordinate_names()
@@ -251,9 +257,9 @@ class VectorField(_Field):
     def bracket(self, other: "VectorField") -> "VectorField":
         """[X, Y] = XY - (-1)^{|X||Y|} YX as a derivation."""
         _same_chart(self, other)
-        sign = -1 if self.parity * other.parity else 1
+        both_odd = self.parity * other.parity
         comps = [
-            self.apply(yc) - other.apply(xc) * sign
+            self.apply(yc) + other.apply(xc) if both_odd else self.apply(yc) - other.apply(xc)
             for xc, yc in zip(self.components, other.components)
         ]
         return self._new(comps, self.parity + other.parity)
@@ -400,11 +406,19 @@ class MetricContext:
 
 
 class Connection:
-    """Christoffel table for nabla_{d_i} d_j = sum_k Gamma^k_ij d_k."""
+    """Christoffel symbols of nabla_{d_i} d_j = sum_k Gamma^k_ij d_k.
+
+    ``gamma[i][j][k]`` is the dense grid, which the ``levi-civita`` command
+    prints and :func:`connection_residuals` reads; ``table[i][j]`` lists the
+    nonzero ``(k, Gamma^k_ij)`` in index order, built once, and is what the
+    covariant derivative reads, so its work follows the nonzero symbols.
+    """
 
     def __init__(self, chart: Chart, gamma):
         self.chart = chart
         self.gamma = gamma  # gamma[i][j][k] -> Superfunction
+        self.table = [[[(k, c) for k, c in enumerate(row) if not c.is_zero()] for row in plane]
+                      for plane in gamma]
 
     def coordinate_derivative(self, i: int, Y: VectorField) -> VectorField:
         """nabla_{d_i} Y."""
@@ -412,29 +426,32 @@ class Connection:
 
     def derivative(self, X: VectorField, Y: VectorField) -> VectorField:
         """nabla_X Y."""
-        return _covariant_derivative(X.apply, X, self.gamma, Y)
+        return _covariant_derivative(X.apply, X, self.table, Y)
 
 
-def _covariant_derivative(apply, dX: _Field, gamma, V: _Field) -> _Field:
+def _covariant_derivative(apply, dX: _Field, table, V: _Field) -> _Field:
     """The one covariant derivative over the slots of V, with X acting by ``apply``:
     (nabla_X V)^b = X(V^b) + sum_i dX^i sum_j (-1)^{(|j|+|b|)(|V|+|j|)} Gamma^b_ij V^j,
-    where dX = X on a chart, and dX = dPhi[X] and gamma = phi#(Gamma) along Phi."""
-    par = V.slots.parity
-    comps = []
-    for b, vb in enumerate(V.components):
-        acc = apply(vb)
-        for i, di in enumerate(dX.components):
-            if di.is_zero():
+    where dX = X on a chart, and dX = dPhi[X] and Gamma = phi#(Gamma) along Phi.
+    ``table[i][j]`` lists the nonzero ``(b, Gamma^b_ij)`` (:attr:`Connection.table`),
+    and only terms with nonzero factors are formed."""
+    par, pool, comps = V.slots.parity, V.pool, V.components
+    extra = [[] for _ in comps]
+    for i, di in enumerate(dX.components):
+        if di.is_zero() or not any(table[i]):
+            continue
+        inner = [[] for _ in comps]
+        for j, vj in enumerate(comps):
+            if vj.is_zero():
                 continue
-            inner = V.pool.zero()
-            for j, vj in enumerate(V.components):
-                gam = gamma[i][j][b]
-                if not (vj.is_zero() or gam.is_zero()):
-                    sign = -1 if ((par(j) + par(b)) * (V.parity + par(j))) % 2 else 1
-                    inner = inner + gam * vj * sign
-            acc = acc + di * inner
-        comps.append(acc)
-    return V._new(comps, dX.parity + V.parity)
+            for b, gam in table[i][j]:
+                t = gam * vj
+                inner[b].append(-t if ((par(j) + par(b)) * (V.parity + par(j))) % 2 else t)
+        for b, terms in enumerate(inner):
+            t = pool.sum(terms)
+            if not t.is_zero():
+                extra[b].append(di * t)
+    return V._new([pool.sum(e, apply(vb)) for vb, e in zip(comps, extra)], dX.parity + V.parity)
 
 
 def levi_civita(g: BilinearForm) -> Connection:
@@ -442,42 +459,36 @@ def levi_civita(g: BilinearForm) -> Connection:
 
     2 <nabla_i d_j, d_k> = d_i g_jk + (-1)^{|i|(|j|+|k|)} d_j g_ki
                            - (-1)^{|k|(|i|+|j|)} d_k g_ij
+
+    A constant metric (every d_i g_jk zero) has the zero connection, with no
+    inverse of g; otherwise only the nonzero Koszul terms are formed, and
+    each is paired with the nonzero entries of its row of g^-1.
     """
     chart = g.chart
     MetricContext.of(g)
-    dim = chart.dim
-    half = chart.pool.scalar(Fraction(1, 2))
-    ginv = g.inverse()
+    dim, par, pool = chart.dim, chart.parity, chart.pool
     dg = [[[e.partial(name) for e in row] for row in g.components]
           for name in chart.coordinate_names()]  # dg[i][j][k] = d_i g_jk
-    gamma = []
+    gamma = [[[pool.zero()] * dim for _ in range(dim)] for _ in range(dim)]
+    if all(e.is_zero() for plane in dg for row in plane for e in row):
+        return Connection(chart, gamma)
+    half = pool.scalar(Fraction(1, 2))
+    ginv = [[(l, e) for l, e in enumerate(row) if not e.is_zero()] for row in g.inverse().entries]
     for i in range(dim):
-        pi = chart.parity(i)
-        rows = []
         for j in range(dim):
-            pj = chart.parity(j)
-            K = []
-            for k in range(dim):
-                pk = chart.parity(k)
-                term = dg[i][j][k]
-                t2 = dg[j][k][i]
-                term = term + (t2 if (pi * (pj + pk)) % 2 == 0 else -t2)
-                t3 = dg[k][i][j]
-                term = term - (t3 if (pk * (pi + pj)) % 2 == 0 else -t3)
-                K.append(term * half)
             # solve sum_l Gamma^l_ij g_lk = K_k  =>  Gamma^l = sum_k K_k (g^-1)_kl
-            nonzero = [k for k in range(dim) if not K[k].is_zero()]
-            rows.append(
-                [
-                    sum(
-                        (K[k] * ginv.entries[k][l] for k in nonzero
-                         if not ginv.entries[k][l].is_zero()),
-                        start=chart.pool.zero(),
-                    )
-                    for l in range(dim)
-                ]
-            )
-        gamma.append(rows)
+            sums = [[] for _ in range(dim)]
+            for k in range(dim):
+                koszul = pool.sum((
+                    dg[i][j][k],
+                    -dg[j][k][i] if (par(i) * (par(j) + par(k))) % 2 else dg[j][k][i],
+                    dg[k][i][j] if (par(k) * (par(i) + par(j))) % 2 else -dg[k][i][j],
+                ))
+                if not koszul.is_zero():
+                    K = koszul * half
+                    for l, e in ginv[k]:
+                        sums[l].append(K * e)
+            gamma[i][j] = [pool.sum(terms) for terms in sums]
     return Connection(chart, gamma)
 
 
@@ -563,24 +574,24 @@ class OSpFrame:
 
 
 def frame_sum(frame: OSpFrame, term, parity: int = 0) -> Superfunction:
-    """sum_j (-1)^{|e_j| parity} s_j term(e_j, e'_j), where J e_j = s_j e'_j."""
+    """sum_j (-1)^{|e_j| parity} s_j term(j, t), where J e_j = s_j e_t: the
+    term gets frame indices, so that it can read what its caller built per
+    frame field; a sign -1 negates the term."""
     chart = frame.chart
-    acc = chart.pool.zero()
-    for j, ej in enumerate(frame.fields):
-        sj, jej = frame.j_field(j)
-        sign = -sj if (chart.parity(j) * parity) % 2 else sj
-        acc = acc + term(ej, jej) * sign
-    return acc
+    terms = []
+    for j, (sj, t) in enumerate(frame.j_signs):
+        v = term(j, t)
+        terms.append(-v if (sj < 0) != bool(chart.parity(j) * parity % 2) else v)
+    return chart.pool.sum(terms)
 
 
 def frame_raise(frame: OSpFrame, coeff, parity: int) -> VectorField:
-    """sum_j coeff(e_j) s_j e'_j, a field of the given parity."""
+    """sum_j coeff(j) s_j e_t, where J e_j = s_j e_t, a field of the given parity."""
     out = frame.chart.zero_field(parity)
-    for j, ej in enumerate(frame.fields):
-        c = coeff(ej)
+    for j, (sj, t) in enumerate(frame.j_signs):
+        c = coeff(j)
         if not c.is_zero():
-            sj, jej = frame.j_field(j)
-            out = out + jej.scale(c * sj)
+            out = out + frame.fields[t].scale(-c if sj < 0 else c)
     return out
 
 
@@ -588,7 +599,8 @@ def divergence(
     X: VectorField, g: BilinearForm, conn: Connection, frame: OSpFrame
 ) -> Superfunction:
     """div X = sum_j (-1)^{|e_j||X|} <nabla_{e_j} X, J e_j>_g."""
-    return frame_sum(frame, lambda e, je: g.evaluate(conn.derivative(e, X), je), X.parity)
+    e = frame.fields
+    return frame_sum(frame, lambda j, t: g.evaluate(conn.derivative(e[j], X), e[t]), X.parity)
 
 
 def divergence_via_supertrace(X: VectorField, conn: Connection) -> Superfunction:
@@ -605,7 +617,8 @@ def divergence_via_supertrace(X: VectorField, conn: Connection) -> Superfunction
 
 def str_with_metric(K: BilinearForm, frame: OSpFrame) -> Superfunction:
     """str_g K = sum_j K(e_j, J e_j) over an OSp frame."""
-    return frame_sum(frame, K.evaluate)
+    e = frame.fields
+    return frame_sum(frame, lambda j, t: K.evaluate(e[j], e[t]))
 
 
 def str_with_metric_via_matrix(K: BilinearForm, g: BilinearForm) -> Superfunction:

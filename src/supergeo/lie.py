@@ -150,9 +150,9 @@ class KillingChecker:
             pi = chart.parity(i)
             for j in range(i, chart.dim):
                 pj = chart.parity(j)
-                sign = -1 if (X.parity * pi + X.parity * pj + pi * pj) % 2 else 1
                 val = self.g.evaluate(nabla_X[i], coord[j])
-                val = val + self.g.evaluate(nabla_X[j], coord[i]) * sign
+                other = self.g.evaluate(nabla_X[j], coord[i])
+                val = val - other if (X.parity * pi + X.parity * pj + pi * pj) % 2 else val + other
                 if not val.is_zero():
                     res.append(val)
         return ModeResult(not res, res)
@@ -168,7 +168,8 @@ class KillingChecker:
         rows = []
         for m in range(chart.dim):
             sm, jem = frame.j_field(m)
-            rows.append([self.g.evaluate(jem, br) * sm for br in brackets])
+            row = [self.g.evaluate(jem, br) for br in brackets]
+            rows.append([-v for v in row] if sm < 0 else row)
         L = SuperMatrix(chart.pool, chart.n, chart.two_m, rows, X.parity)
         res = osp_residuals(L, sig.t, sig.s, sig.two_m // 2)
         flat = [e for row in res for e in row if not e.is_zero()]

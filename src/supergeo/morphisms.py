@@ -201,8 +201,11 @@ class HarmonicSetup:
         self.target_connection = target.connection
         self.frame = source.frame
         self._g_pulled = self._pull_grid(g)
-        self._gamma_pulled = [[[phi.pullback(c) for c in row] for row in plane]
-                              for plane in self.target_connection.gamma]
+        # phi#(Gamma) as a sparse table: the nonzero pullbacks of the nonzero symbols
+        self._gamma_pulled = [
+            [[(k, p) for k, c in row if not (p := phi.pullback(c)).is_zero()] for row in plane]
+            for plane in self.target_connection.table
+        ]
 
     # -- pairing and pullbacks -------------------------------------------------
 
@@ -237,6 +240,11 @@ class HarmonicSetup:
         source = self.phi.source
         return [self.phi.differential(source.coordinate_field(i)) for i in range(source.dim)]
 
+    @cached_property
+    def _frame_differentials(self):
+        """dPhi[e_j] for every field of the source frame, built once per setup."""
+        return [self.phi.differential(e) for e in self.frame.fields]
+
     def _pair_grid(self, pulled, parity: int) -> BilinearForm:
         """The source form <B_Phi>(dPhi[d_i], dPhi[d_j]) for a pulled grid."""
         source = self.phi.source
@@ -259,7 +267,11 @@ class HarmonicSetup:
         self, X: VectorField, V: FieldAlongMorphism
     ) -> FieldAlongMorphism:
         """(nabla_Phi)_X V: the covariant derivative on dPhi[X] and phi#(Gamma)."""
-        return _covariant_derivative(X.apply, self.phi.differential(X), self._gamma_pulled, V)
+        return self._along(X, self.phi.differential(X), V)
+
+    def _along(self, X: VectorField, dX: FieldAlongMorphism, V: FieldAlongMorphism):
+        """(nabla_Phi)_X V for a given dX = dPhi[X]."""
+        return _covariant_derivative(X.apply, dX, self._gamma_pulled, V)
 
     def second_fundamental_form(
         self, X: VectorField, Y: VectorField
@@ -275,19 +287,29 @@ class HarmonicSetup:
 
     @cached_property
     def _tension(self):
-        return self.tension_with_frame(self.frame)
+        """sum_j s_j B_{e_j, e_t}(Phi) for J e_j = s_j e_t, on the setup's
+        differentials dPhi[e_j]."""
+        e, de = self.frame.fields, self._frame_differentials
+        acc = self._zero_along()
+        for j, (sj, t) in enumerate(self.frame.j_signs):
+            term = self._along(e[j], de[j], de[t])
+            term = term - self.phi.differential(self.source_connection.derivative(e[j], e[t]))
+            acc = acc + (-term if sj < 0 else term)
+        return acc
 
     def tension_with_frame(self, frame: OSpFrame) -> FieldAlongMorphism:
-        """tau(Phi) = (nabla_{e_j} dPhi)[J e_j] summed over an OSp frame; a
-        second frame gives the frame-independence certificate."""
-        acc = FieldAlongMorphism(
-            self.phi, [self.phi.source.pool.zero()] * self.phi.target.dim, 0
-        )
-        for j in range(self.phi.source.dim):
-            sj, jej = frame.j_field(j)
-            term = self.second_fundamental_form(frame.fields[j], jej)
-            acc = acc + term.scale(sj)
+        """tau(Phi) = (nabla_{e_j} dPhi)[J e_j] summed over any OSp frame
+        through :meth:`second_fundamental_form`, apart from the setup's
+        differentials: a second frame gives the frame-independence
+        certificate of :meth:`tension`."""
+        acc = self._zero_along()
+        for j, (sj, t) in enumerate(frame.j_signs):
+            term = self.second_fundamental_form(frame.fields[j], frame.fields[t])
+            acc = acc + (-term if sj < 0 else term)
         return acc
+
+    def _zero_along(self):
+        return FieldAlongMorphism(self.phi, [self.phi.source.pool.zero()] * self.phi.target.dim, 0)
 
     def is_superharmonic(self) -> bool:
         return self.tension().is_zero()
@@ -296,19 +318,17 @@ class HarmonicSetup:
 
     def divergence_along(self, xi: FieldAlongMorphism) -> Superfunction:
         """div xi = (-1)^{|e_i||xi|} <nabla_{e_i} xi, dPhi[J e_i]>."""
+        e, de = self.frame.fields, self._frame_differentials
         return frame_sum(
             self.frame,
-            lambda e, je: self.pair(
-                self.connection_apply(e, xi), self.phi.differential(je)
-            ),
+            lambda j, t: self.pair(self._along(e[j], de[j], xi), de[t]),
             xi.parity,
         )
 
     def noether_current(self, xi: FieldAlongMorphism) -> VectorField:
         """W_xi = <xi, dPhi[e_j]> J e_j, a source vector field of parity |xi|."""
-        return frame_raise(
-            self.frame, lambda e: self.pair(xi, self.phi.differential(e)), xi.parity
-        )
+        de = self._frame_differentials
+        return frame_raise(self.frame, lambda j: self.pair(xi, de[j]), xi.parity)
 
     def source_divergence(self, X: VectorField) -> Superfunction:
         return divergence(X, self.h, self.source_connection, self.frame)
@@ -359,17 +379,17 @@ class HarmonicSetup:
         pulled_L = self.pullback_bilinear(L)
         pxi = xi.parity
         coord = [source.coordinate_field(i) for i in range(source.dim)]
-        nabla_phi_xi = [self.connection_apply(c, phi_xi) for c in coord]
         diffs = self._coordinate_differentials
+        nabla_phi_xi = [self._along(c, d, phi_xi) for c, d in zip(coord, diffs)]
         residuals = []
         for i in range(source.dim):
             pi = source.parity(i)
             for j in range(source.dim):
                 pj = source.parity(j)
                 rhs = self.pair(nabla_phi_xi[i], diffs[j])
-                rhs = rhs * (-1 if (pxi * pi) % 2 else 1)
+                rhs = -rhs if (pxi * pi) % 2 else rhs
                 t2 = self.pair(diffs[i], nabla_phi_xi[j])
-                rhs = rhs + t2 * (-1 if (pxi * pi + pxi * pj) % 2 else 1)
+                rhs = rhs - t2 if (pxi * pi + pxi * pj) % 2 else rhs + t2
                 residuals.append(pulled_L.components[i][j] - rhs)
         return residuals
 
@@ -405,8 +425,9 @@ class HarmonicSetup:
 
     def div_form(self, S: BilinearForm, xi: VectorField) -> Superfunction:
         """div S[xi] = (-1)^{|e_i||xi|} <(nabla_{e_i} S)>(xi, J e_i)."""
+        e = self.frame.fields
         return frame_sum(
-            self.frame, lambda e, je: self._nabla_form_eval(S, e, xi, je), xi.parity
+            self.frame, lambda j, t: self._nabla_form_eval(S, e[j], xi, e[t]), xi.parity
         )
 
     def stress_energy_report(self, xi: VectorField) -> StressEnergyReport:
@@ -417,16 +438,17 @@ class HarmonicSetup:
         r1 = divS + self.pair(self.phi.differential(xi), tau)
 
         # Y_xi = <S>(xi, e_i) J e_i
+        e = self.frame.fields
         divY = self.source_divergence(
-            frame_raise(self.frame, lambda e: S.evaluate(xi, e), xi.parity)
+            frame_raise(self.frame, lambda i: S.evaluate(xi, e[i]), xi.parity)
         )
 
         # corr = sum_j (-1)^{|e_j|} sum_i <L_xi h>(e_i, J e_j) <S>(e_j, J e_i)
         Lh = lie_derivative_bilinear(xi, self.h)
         corr = frame_sum(
             self.frame,
-            lambda ej, jej: frame_sum(
-                self.frame, lambda ei, jei: Lh.evaluate(ei, jej) * S.evaluate(ej, jei)
+            lambda j, tj: frame_sum(
+                self.frame, lambda i, ti: Lh.evaluate(e[i], e[tj]) * S.evaluate(e[j], e[ti])
             ),
             1,
         )

@@ -481,6 +481,15 @@ class GeneratorPool:
     def one(self) -> "Superfunction":
         return self.scalar(1)
 
+    def sum(self, values, start=None) -> "Superfunction":
+        """``start`` (zero by default) plus the superfunctions ``values``,
+        adding only the nonzero ones: no addition has a zero operand."""
+        acc = self._zero if start is None else start
+        for v in values:
+            if v.terms:
+                acc = acc + v if acc.terms else v
+        return acc
+
     def scalar(self, value) -> "Superfunction":
         """Lift an exact rational number or an even sympy expression."""
         q = _rational(value)
@@ -527,9 +536,20 @@ class GeneratorPool:
         """The polynomial ``sum q th^mono x^exps`` of a list of ``(mono, exps,
         q)`` triples with distinct keys ``(mono, exps)`` and nonzero exact
         rationals ``q``, the inverse of :meth:`Superfunction.rational_coefficients`:
-        the numerators over the least common denominator, coprime to them."""
+        the numerators over the least common denominator, coprime to them.
+        ``mono`` is a strictly increasing tuple of odd indices and ``exps`` a
+        tuple of one nonnegative int per even variable (bools are neither)."""
         table = {}
         for mono, exps, q in coefficients:
+            if not (type(mono) is tuple and all(type(i) is int for i in mono)
+                    and all(0 <= i < self.n_odd for i in mono)
+                    and all(a < b for a, b in zip(mono, mono[1:]))):
+                raise InvalidArgument(f"odd monomial {mono!r} is not a strictly increasing"
+                                      f" tuple of ints below {self.n_odd}")
+            if not (type(exps) is tuple and len(exps) == self.n_even
+                    and all(type(e) is int and e >= 0 for e in exps)):
+                raise InvalidArgument(f"exponents {exps!r} are not a tuple of {self.n_even}"
+                                      " nonnegative ints")
             r = _rational(q)
             if r is None:
                 raise InexactCoefficient(f"coefficient {q!r} is not an exact rational")
@@ -1057,13 +1077,15 @@ def _divide(num, den):
         raise NonInvertible("body is zero")
     pool = den.pool
     nil = {m: p for m, p in den.terms.items() if m}
-    series, scale = _nilpotent_series(
-        Superfunction(pool, nil), itertools.cycle((-1, 1)),
-        Superfunction(pool, num.terms), Superfunction(pool, {(): b})
-    )
-    s = scale.terms[()]
+    terms, s = num.terms, b  # K = 0: no series when nothing is nilpotent
+    if nil:
+        series, scale = _nilpotent_series(
+            Superfunction(pool, nil), itertools.cycle((-1, 1)),
+            Superfunction(pool, terms), Superfunction(pool, {(): b})
+        )
+        terms, s = series.terms, scale.terms[()]
     # a constant s over an int den.den scales num by a unit: nothing to cancel
-    return _make(pool, _times(series.terms, den.den), _pscale(num.den, s),
+    return _make(pool, _times(terms, den.den), _pscale(num.den, s),
                  type(den.den) is not int or any(map(any, s)))
 
 

@@ -269,15 +269,18 @@ def scaled_parity(parity: int, f: Superfunction) -> int:
 
 
 def _product(pool, X, Y, start=None):
-    """start + X Y for entry grids (lists of rows), in factor order.  The
-    default start is zero; an explicit one also fixes the shape of the result
-    when the inner dimension is 0, where Y has no rows to tell its width."""
+    """start + X Y for entry grids (lists of rows), in factor order, forming
+    only the products of two nonzero factors.  The default start is zero; an
+    explicit one also fixes the shape of the result when the inner dimension
+    is 0, where Y has no rows to tell its width."""
     if start is None:
         start = [[pool.zero()] * (len(Y[0]) if Y else 0) for _ in X]
-    return [
-        [sum((x * r[j] for x, r in zip(row, Y)), start=s) for j, s in enumerate(srow)]
-        for row, srow in zip(X, start)
-    ]
+    out = []
+    for row, srow in zip(X, start):
+        pairs = [(x, r) for x, r in zip(row, Y) if not x.is_zero()]
+        out.append([pool.sum((x * r[j] for x, r in pairs if not r[j].is_zero()), s)
+                    for j, s in enumerate(srow)])
+    return out
 
 
 # -- commuting-entry helpers (all entries even, hence mutually commuting) ----
@@ -372,22 +375,23 @@ def graded_pair(pool, n_even: int, B, v, pv: int, w, pw: int, parity: int = 0):
         sum_ab (-1)^{|W^b||a| + |B|(|V^a|+|W^b|)} V^a W^b B_ab
 
     Slots from ``n_even`` on are odd.  Every pairing in the package (vector
-    fields, fields along a morphism, coefficient columns) is this sum.
+    fields, fields along a morphism, coefficient columns) is this sum, over
+    the nonzero factors only.
     """
-    acc = pool.zero()
+    w = [(b, wb, pw + (b >= n_even)) for b, wb in enumerate(w) if not wb.is_zero()]
+    terms = []
     for a, va in enumerate(v):
         if va.is_zero():
             continue
         pa = a >= n_even
         row = B[a]
-        for b, wb in enumerate(w):
+        for b, wb, pwb in w:
             bab = row[b]
-            if wb.is_zero() or bab.is_zero():
+            if bab.is_zero():
                 continue
-            pwb = pw + (b >= n_even)
             term = va * wb * bab
-            acc = acc + (-term if (pwb * pa + parity * (pv + pa + pwb)) % 2 else term)
-    return acc
+            terms.append(-term if (pwb * pa + parity * (pv + pa + pwb)) % 2 else term)
+    return pool.sum(terms)
 
 
 def pair_columns(B: SuperMatrix, v, w, pv: int, pw: int) -> Superfunction:
@@ -439,6 +443,10 @@ def gram_schmidt_osp(B: SuperMatrix):
     def pair(u, pu, w, pw):
         return pair_columns(B, u, w, pu, pw)
 
+    def minus(w, v, c):
+        """The column w - v c, one coefficient c for the whole column."""
+        return w if c.is_zero() else [a if b.is_zero() else a - b * c for a, b in zip(w, v)]
+
     basis = SuperMatrix.identity(pool, B.p, B.q).entries  # rows = columns
     evens, odds = basis[: B.p], basis[B.p :]
     negatives, positives, odd_pairs = [], [], []
@@ -461,14 +469,8 @@ def gram_schmidt_osp(B: SuperMatrix):
         c = pair(u, 0, u, 0)
         cinv = c.invert()
         # w -> w - u * (B(u,w)/B(u,u)) kills the pairing with u on both sides
-        evens = [
-            [w[r] - u[r] * (pair(u, 0, w, 0) * cinv) for r in range(dim)]
-            for w in evens
-        ]
-        odds = [
-            [w[r] - u[r] * (pair(u, 0, w, 1) * cinv) for r in range(dim)]
-            for w in odds
-        ]
+        evens = [minus(w, u, pair(u, 0, w, 0) * cinv) for w in evens]
+        odds = [minus(w, u, pair(u, 0, w, 1) * cinv) for w in odds]
         try:
             scale = c.sqrt().invert()
             sign = 1
@@ -485,14 +487,9 @@ def gram_schmidt_osp(B: SuperMatrix):
         f2 = odds.pop(j)
         f1 = odds.pop(i)
         c = pair(f1, 1, f2, 1)
-        f2 = [e * (-c.invert()) for e in f2]  # now B(f1, f2) = -1, B(f2, f1) = 1
-        odds = [
-            [
-                w[r] - f1[r] * pair(f2, 1, w, 1) + f2[r] * pair(f1, 1, w, 1)
-                for r in range(dim)
-            ]
-            for w in odds
-        ]
+        k = -c.invert()
+        f2 = [e * k for e in f2]  # now B(f1, f2) = -1, B(f2, f1) = 1
+        odds = [minus(minus(w, f1, pair(f2, 1, w, 1)), f2, -pair(f1, 1, w, 1)) for w in odds]
         odd_pairs.extend([f1, f2])
 
     cols = negatives + positives + odd_pairs

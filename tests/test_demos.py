@@ -1,4 +1,5 @@
-"""Smoke test: every script in demos/ runs to completion."""
+"""Every script in demos/ runs to completion and prints its transcript,
+demos/expected/<stem>.txt, byte for byte."""
 
 import os
 import pathlib
@@ -17,6 +18,8 @@ def test_demo_exits_cleanly(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=ROOT, env=env,
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr.decode()
+    expected = ROOT / "demos" / "expected" / f"{demo.stem}.txt"
+    assert proc.stdout == expected.read_bytes()

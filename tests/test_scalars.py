@@ -1480,3 +1480,24 @@ def test_from_coefficients_checks_each_coefficient(coefficients, error):
     pool = GeneratorPool(["x"], ["th1", "th2"])
     with pytest.raises(error):
         pool.from_coefficients(coefficients)
+
+
+@pytest.mark.parametrize("mono, exps", [
+    ((1, 0), (0,)),
+    ((0, 0), (1,)),
+    ((0,), (-1,)),
+    ((5,), (0, 3)),
+    ((True,), (0,)),
+    ((0,), (True,)),
+], ids=["decreasing-mono", "repeated-odd-index", "negative-exponent", "index-out-of-range",
+        "bool-index", "bool-exponent"])
+def test_from_coefficients_checks_each_key(mono, exps):
+    """The odd monomial is a strictly increasing tuple of ints in
+    ``range(pool.n_odd)`` and the exponents a tuple of ``pool.n_even``
+    nonnegative ints, bools excluded: otherwise ``(1, 0)`` would build
+    ``th2*th1``, which is neither ``th1*th2`` nor its negative, ``(0, 0)`` a
+    square of an odd generator, ``(-1,)`` a pole, and ``(5,)`` a
+    superfunction whose repr raises."""
+    pool = GeneratorPool(["x"], ["th1", "th2"])
+    with pytest.raises(InvalidArgument):
+        pool.from_coefficients([(mono, exps, 1)])

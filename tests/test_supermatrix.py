@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from supergeo import GeneratorPool, scalars, supermatrix
+from supergeo import Chart, GeneratorPool, Superfunction, scalars, supermatrix
 from supergeo.errors import (
     InhomogeneousMatrix,
     InvalidArgument,
@@ -18,6 +18,13 @@ from supergeo.errors import (
     SupergeoError,
 )
 from supergeo.exactlinalg import nullspace
+from supergeo.geometry import (
+    BilinearForm,
+    connection_residuals,
+    flat_metric,
+    levi_civita,
+    validate_metric,
+)
 from supergeo.supermatrix import (
     SuperMatrix,
     gram_schmidt_osp,
@@ -26,7 +33,7 @@ from supergeo.supermatrix import (
     standard_metric,
 )
 
-from conftest import in_osp, random_superfunction, seeded
+from conftest import in_osp, random_field, random_superfunction, seeded
 
 x = sp.Symbol("x")
 
@@ -315,6 +322,115 @@ def test_adjugate_computes_each_minor_once(pool, monkeypatch):
     M = sp.Matrix(ints)
     assert det == pool.scalar(M.det())
     assert adj == [[pool.scalar(v) for v in row] for row in M.adjugate().tolist()]
+
+
+def _counting(monkeypatch, cls, name):
+    """Count the calls of the method ``cls.name`` from here on."""
+    calls = [0]
+    original = getattr(cls, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_levi_civita_of_a_constant_metric_inverts_nothing(monkeypatch):
+    """Every d_i g_jk of a constant metric is zero, so its connection is zero
+    and g^-1 is never formed."""
+    chart = Chart(["x", "y"], ["th1", "th2"], box={"x": (0, 1), "y": (0, 1)})
+    g = BilinearForm(chart, [[2, 1, 0, 0], [1, 3, 0, 0], [0, 0, 0, -5], [0, 0, 5, 0]])
+    inverses = _counting(monkeypatch, SuperMatrix, "inverse")
+    conn = levi_civita(g)
+    assert inverses[0] == 0
+    assert all(e.is_zero() for plane in conn.gamma for row in plane for e in row)
+    assert all(not row for plane in conn.table for row in plane)
+
+
+def test_flat_covariant_derivative_multiplies_only_in_apply(monkeypatch):
+    """On a flat (2|2) metric nabla_X Y = X(Y^b): the derivative makes no
+    more products than X.apply over Y's components."""
+    chart = Chart(["x", "y"], ["th1", "th2"], box={"x": (0, 1), "y": (0, 1)})
+    conn = levi_civita(flat_metric(chart))
+    rng = seeded(331)
+    muls = _counting(monkeypatch, Superfunction, "__mul__")
+    for px, py in itertools.product((0, 1), repeat=2):
+        X, Y = random_field(chart, rng, px), random_field(chart, rng, py)
+        start = muls[0]
+        want = [X.apply(c) for c in Y.components]
+        by_apply, start = muls[0] - start, muls[0]
+        got = conn.derivative(X, Y)
+        assert muls[0] - start <= by_apply
+        assert got.components == want
+
+
+def _koszul_reference(g):
+    """The dense Koszul formula, 2 <nabla_i d_j, d_k> = d_i g_jk
+    + (-1)^{|i|(|j|+|k|)} d_j g_ki - (-1)^{|k|(|i|+|j|)} d_k g_ij, solved
+    against the whole of g^-1: Gamma^l_ij = sum_k K_ijk (g^-1)_kl / 2."""
+    chart = g.chart
+    names, par, dim = chart.coordinate_names(), chart.parity, chart.dim
+    ginv = g.inverse().entries
+
+    def d(i, j, k):
+        return g.components[j][k].partial(names[i])
+
+    gamma = []
+    for i in range(dim):
+        plane = []
+        for j in range(dim):
+            K = [d(i, j, k) + d(j, k, i) * (-1) ** (par(i) * (par(j) + par(k)))
+                 - d(k, i, j) * (-1) ** (par(k) * (par(i) + par(j))) for k in range(dim)]
+            plane.append([sum((K[k] * ginv[k][l] for k in range(dim)), chart.pool.zero())
+                          * Fraction(1, 2) for l in range(dim)])
+        gamma.append(plane)
+    return gamma
+
+
+def _random_supermetric(chart, rng):
+    """A supermetric whose entries are drawn zero or nonzero at random; the
+    even diagonal and the odd pairs carry a body."""
+    pool, dim, par = chart.pool, chart.dim, chart.parity
+    rows = [[pool.zero()] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            if i == j and par(i):
+                continue  # g_ii = -g_ii on an odd slot
+            e = pool.zero()
+            if rng.random() < 0.5:
+                e = random_superfunction(pool, rng, par(i) + par(j), max_degree=1)
+            if (i == j or (par(i) and j == i + 1 and (i - chart.n) % 2 == 0)):
+                e = e + rng.choice((-3, 3))
+            rows[i][j] = e
+            rows[j][i] = -e if par(i) and par(j) else e
+    return BilinearForm(chart, rows)
+
+
+def test_levi_civita_matches_the_dense_koszul_formula():
+    """Seeded deformed (2|2) metrics with zero and nonzero entries: the
+    sparse connection equals the dense Koszul reference, its table lists
+    exactly the nonzero symbols in index order, and the torsion and
+    metricity residuals vanish."""
+    chart = Chart(["x", "y"], ["th1", "th2"], box={"x": (1, 2), "y": (1, 2)})
+    rng = seeded(337)
+    checked = 0
+    while checked < 6:
+        g = _random_supermetric(chart, rng)
+        try:
+            validate_metric(g)
+        except MetricViolation:
+            continue  # a body singular at the sample point: draw again
+        checked += 1
+        conn = levi_civita(g)
+        assert conn.gamma == _koszul_reference(g)
+        assert conn.table == [[[(k, c) for k, c in enumerate(row) if not c.is_zero()]
+                               for row in plane] for plane in conn.gamma]
+        assert any(row for plane in conn.table for row in plane)
+        torsion, metricity = connection_residuals(g, conn)
+        assert all(e.is_zero() for grid in (torsion, metricity)
+                   for plane in grid for row in plane for e in row)
 
 
 def brute_force_osp_dimension(t, s, m, parity):
