@@ -264,22 +264,25 @@ class HarmonicSetup:
     # -- pullback connection -----------------------------------------------------
 
     def connection_apply(
-        self, X: VectorField, V: FieldAlongMorphism
+        self, X: VectorField, V: FieldAlongMorphism, dX: FieldAlongMorphism | None = None
     ) -> FieldAlongMorphism:
-        """(nabla_Phi)_X V: the covariant derivative on dPhi[X] and phi#(Gamma)."""
-        return self._along(X, self.phi.differential(X), V)
-
-    def _along(self, X: VectorField, dX: FieldAlongMorphism, V: FieldAlongMorphism):
-        """(nabla_Phi)_X V for a given dX = dPhi[X]."""
+        """(nabla_Phi)_X V: the covariant derivative on dPhi[X] and phi#(Gamma).
+        A caller that holds dX = dPhi[X] already passes it."""
+        if dX is None:
+            dX = self.phi.differential(X)
         return _covariant_derivative(X.apply, dX, self._gamma_pulled, V)
 
     def second_fundamental_form(
-        self, X: VectorField, Y: VectorField
+        self, X: VectorField, Y: VectorField,
+        dX: FieldAlongMorphism | None = None, dY: FieldAlongMorphism | None = None,
     ) -> FieldAlongMorphism:
-        """B_{X,Y}(Phi) = nabla_X(dPhi[Y]) - dPhi[nabla_X Y]."""
-        first = self.connection_apply(X, self.phi.differential(Y))
-        second = self.phi.differential(self.source_connection.derivative(X, Y))
-        return first - second
+        """B_{X,Y}(Phi) = nabla_X(dPhi[Y]) - dPhi[nabla_X Y].  A caller that
+        holds dX = dPhi[X] and dY = dPhi[Y] already passes them."""
+        if dY is None:
+            dY = self.phi.differential(Y)
+        return self.connection_apply(X, dY, dX) - self.phi.differential(
+            self.source_connection.derivative(X, Y)
+        )
 
     def tension(self) -> FieldAlongMorphism:
         """tau(Phi) over the source frame, computed once."""
@@ -287,24 +290,20 @@ class HarmonicSetup:
 
     @cached_property
     def _tension(self):
-        """sum_j s_j B_{e_j, e_t}(Phi) for J e_j = s_j e_t, on the setup's
-        differentials dPhi[e_j]."""
-        e, de = self.frame.fields, self._frame_differentials
-        acc = self._zero_along()
-        for j, (sj, t) in enumerate(self.frame.j_signs):
-            term = self._along(e[j], de[j], de[t])
-            term = term - self.phi.differential(self.source_connection.derivative(e[j], e[t]))
-            acc = acc + (-term if sj < 0 else term)
-        return acc
+        return self._tension_over(self.frame, self._frame_differentials)
 
     def tension_with_frame(self, frame: OSpFrame) -> FieldAlongMorphism:
-        """tau(Phi) = (nabla_{e_j} dPhi)[J e_j] summed over any OSp frame
-        through :meth:`second_fundamental_form`, apart from the setup's
-        differentials: a second frame gives the frame-independence
-        certificate of :meth:`tension`."""
+        """tau(Phi) over any OSp frame; a second frame gives the
+        frame-independence certificate of :meth:`tension`."""
+        return self._tension_over(frame, [self.phi.differential(e) for e in frame.fields])
+
+    def _tension_over(self, frame: OSpFrame, de) -> FieldAlongMorphism:
+        """tau(Phi) = sum_j s_j B_{e_j, e_t}(Phi) for J e_j = s_j e_t, given
+        de[j] = dPhi[e_j]."""
+        e = frame.fields
         acc = self._zero_along()
         for j, (sj, t) in enumerate(frame.j_signs):
-            term = self.second_fundamental_form(frame.fields[j], frame.fields[t])
+            term = self.second_fundamental_form(e[j], e[t], de[j], de[t])
             acc = acc + (-term if sj < 0 else term)
         return acc
 
@@ -321,7 +320,7 @@ class HarmonicSetup:
         e, de = self.frame.fields, self._frame_differentials
         return frame_sum(
             self.frame,
-            lambda j, t: self.pair(self._along(e[j], de[j], xi), de[t]),
+            lambda j, t: self.pair(self.connection_apply(e[j], xi, de[j]), de[t]),
             xi.parity,
         )
 
@@ -380,7 +379,7 @@ class HarmonicSetup:
         pxi = xi.parity
         coord = [source.coordinate_field(i) for i in range(source.dim)]
         diffs = self._coordinate_differentials
-        nabla_phi_xi = [self._along(c, d, phi_xi) for c, d in zip(coord, diffs)]
+        nabla_phi_xi = [self.connection_apply(c, phi_xi, d) for c, d in zip(coord, diffs)]
         residuals = []
         for i in range(source.dim):
             pi = source.parity(i)
