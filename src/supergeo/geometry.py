@@ -45,7 +45,7 @@ from .scalars import GeneratorPool, Superfunction, _rational
 from .supermatrix import (
     SuperMatrix,
     flip_sides,
-    gram_schmidt_osp,
+    _gram_schmidt,
     graded_pair,
     j_map_signs,
     scaled_parity,
@@ -181,6 +181,13 @@ class _Field:
         out.parity = parity % 2
         return out
 
+    @cached_property
+    def nonzero(self):
+        """The nonzero ``(slot, component)`` pairs in slot order, built once
+        (fields are immutable); pairings, derivations and covariant
+        derivatives iterate them."""
+        return [(a, c) for a, c in enumerate(self.components) if not c.is_zero()]
+
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -204,7 +211,7 @@ class _Field:
         return self._new([f * c for c in self.components], scaled_parity(self.parity, f))
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.components)
+        return not self.nonzero
 
     def __eq__(self, other):
         return (
@@ -244,15 +251,9 @@ class VectorField(_Field):
     def apply(self, f: Superfunction) -> Superfunction:
         if f.pool is not self.pool and f.pool != self.pool:
             raise ChartMismatch("function lives over a different pool")
-        acc = self.pool.zero()
         names = self.slots.coordinate_names()
-        for i, c in enumerate(self.components):
-            if c.is_zero():
-                continue
-            d = f.partial(names[i])
-            if not d.is_zero():
-                acc = acc + c * d
-        return acc
+        return self.pool.sum([c * d for i, c in self.nonzero
+                              if not (d := f.partial(names[i])).is_zero()])
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """[X, Y] = XY - (-1)^{|X||Y|} YX as a derivation."""
@@ -320,8 +321,8 @@ class BilinearForm(SuperMatrix):
     def evaluate(self, X: VectorField, Y: VectorField) -> Superfunction:
         chart = self.chart
         return graded_pair(
-            chart.pool, chart.n, self.entries,
-            X.components, X.parity, Y.components, Y.parity, self.parity,
+            chart.pool, chart.n, self.entries, X.nonzero, X.parity, Y.nonzero, Y.parity,
+            self.parity,
         )
 
     def _check_compat(self, other):
@@ -419,6 +420,26 @@ class Connection:
         self.gamma = gamma  # gamma[i][j][k] -> Superfunction
         self.table = [[[(k, c) for k, c in enumerate(row) if not c.is_zero()] for row in plane]
                       for plane in gamma]
+        self._contracted = {}
+
+    def contracted(self, parity: int):
+        """The nonzero contracted symbols of :func:`divergence` for fields of
+        the given parity p, as ``{j: c_j}`` with
+
+            c_j = sum_i (-1)^{|i|(1+p) + (|i|+|j|)(p+|j|)} Gamma^i_ij,
+
+        built once per parity."""
+        p = parity % 2
+        if p not in self._contracted:
+            par, sums = self.chart.parity, {}
+            for i, plane in enumerate(self.table):
+                for j, row in enumerate(plane):
+                    for k, gam in row:
+                        if k == i:
+                            odd = (par(i) * (1 + p) + (par(i) + par(j)) * (p + par(j))) % 2
+                            sums[j] = sums.get(j, self.chart.pool.zero()) + (-gam if odd else gam)
+            self._contracted[p] = {j: c for j, c in sums.items() if not c.is_zero()}
+        return self._contracted[p]
 
     def coordinate_derivative(self, i: int, Y: VectorField) -> VectorField:
         """nabla_{d_i} Y."""
@@ -437,13 +458,11 @@ def _covariant_derivative(apply, dX: _Field, table, V: _Field) -> _Field:
     and only terms with nonzero factors are formed."""
     par, pool, comps = V.slots.parity, V.pool, V.components
     extra = [[] for _ in comps]
-    for i, di in enumerate(dX.components):
-        if di.is_zero() or not any(table[i]):
+    for i, di in dX.nonzero:
+        if not any(table[i]):
             continue
         inner = [[] for _ in comps]
-        for j, vj in enumerate(comps):
-            if vj.is_zero():
-                continue
+        for j, vj in V.nonzero:
             for b, gam in table[i][j]:
                 t = gam * vj
                 inner[b].append(-t if ((par(j) + par(b)) * (V.parity + par(j))) % 2 else t)
@@ -451,7 +470,9 @@ def _covariant_derivative(apply, dX: _Field, table, V: _Field) -> _Field:
             t = pool.sum(terms)
             if not t.is_zero():
                 extra[b].append(di * t)
-    return V._new([pool.sum(e, apply(vb)) for vb, e in zip(comps, extra)], dX.parity + V.parity)
+    for b, vb in V.nonzero:
+        extra[b].append(apply(vb))
+    return V._new([pool.sum(e) for e in extra], dX.parity + V.parity)
 
 
 def levi_civita(g: BilinearForm) -> Connection:
@@ -537,9 +558,10 @@ class OSpFrame:
 
     @classmethod
     def build(cls, g: BilinearForm) -> "OSpFrame":
-        """Run graded Gram-Schmidt over the scalar ring and certify the result."""
+        """Run graded Gram-Schmidt over the scalar ring on the metric its
+        context has validated, and certify the result."""
         sig = MetricContext.of(g).signature
-        E, (t, s, m) = gram_schmidt_osp(g)
+        E, (t, s, m) = _gram_schmidt(g)
         if (t, s, 2 * m) != sig.as_tuple():
             # algebraic and sampled signatures must agree
             raise MetricViolation(
@@ -595,24 +617,33 @@ def frame_raise(frame: OSpFrame, coeff, parity: int) -> VectorField:
     return out
 
 
-def divergence(
+def divergence(X: VectorField, conn: Connection) -> Superfunction:
+    """div X, the supertrace of Y -> (-1)^{|X||Y|} nabla_Y X in coordinates:
+
+        div X = sum_i (-1)^{|i|(1+|X|)} d_i X^i + sum_j c_j X^j
+
+    with the contracted symbols c_j of :meth:`Connection.contracted`, so it
+    costs one partial per nonzero component; :func:`divergence_via_frame`
+    is its independent oracle."""
+    chart = X.chart
+    names, par = chart.coordinate_names(), chart.parity
+    c = conn.contracted(X.parity)
+    terms = []
+    for j, xj in X.nonzero:
+        d = xj.partial(names[j])
+        terms.append(-d if (par(j) * (1 + X.parity)) % 2 else d)
+        if j in c:
+            terms.append(c[j] * xj)
+    return chart.pool.sum(terms)
+
+
+def divergence_via_frame(
     X: VectorField, g: BilinearForm, conn: Connection, frame: OSpFrame
 ) -> Superfunction:
-    """div X = sum_j (-1)^{|e_j||X|} <nabla_{e_j} X, J e_j>_g."""
+    """Frame route: div X = sum_j (-1)^{|e_j||X|} <nabla_{e_j} X, J e_j>_g;
+    the dual path for :func:`divergence`."""
     e = frame.fields
     return frame_sum(frame, lambda j, t: g.evaluate(conn.derivative(e[j], X), e[t]), X.parity)
-
-
-def divergence_via_supertrace(X: VectorField, conn: Connection) -> Superfunction:
-    """Frame-free route: supertrace of Y -> (-1)^{|X||Y|} nabla_Y X in
-    right coordinates; the dual path for the frame formula."""
-    chart = X.chart
-    acc = chart.pool.zero()
-    for j in range(chart.dim):
-        comp = conn.coordinate_derivative(j, X).components[j]
-        sign = -1 if (chart.parity(j) * (1 + X.parity)) % 2 else 1
-        acc = acc + comp * sign
-    return acc
 
 
 def str_with_metric(K: BilinearForm, frame: OSpFrame) -> Superfunction:

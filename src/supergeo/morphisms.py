@@ -136,13 +136,9 @@ class FieldAlongMorphism(_Field):
 
     def apply(self, f: Superfunction) -> Superfunction:
         """Act as a derivation along phi#: V(f) in source-ring arithmetic."""
-        acc = self.pool.zero()
-        names = self.slots.coordinate_names()
-        for a, comp in enumerate(self.components):
-            if comp.is_zero():
-                continue
-            acc = acc + comp * self.phi.pullback(f.partial(names[a]))
-        return acc
+        names, pullback = self.slots.coordinate_names(), self.phi.pullback
+        return self.pool.sum([comp * pullback(d) for a, comp in self.nonzero
+                              if not (d := f.partial(names[a])).is_zero()])
 
 
 @dataclass
@@ -213,7 +209,7 @@ class HarmonicSetup:
         """<V, W>_{g_Phi} on evaluation components."""
         return graded_pair(
             self.phi.source.pool, self.phi.target.n, self._g_pulled,
-            V.components, V.parity, W.components, W.parity,
+            V.nonzero, V.parity, W.nonzero, W.parity,
         )
 
     def pullback_metric(self) -> BilinearForm:
@@ -253,7 +249,7 @@ class HarmonicSetup:
             [
                 graded_pair(
                     source.pool, self.phi.target.n, pulled,
-                    V.components, V.parity, W.components, W.parity, parity,
+                    V.nonzero, V.parity, W.nonzero, W.parity, parity,
                 )
                 for W in diffs
             ]
@@ -330,7 +326,7 @@ class HarmonicSetup:
         return frame_raise(self.frame, lambda j: self.pair(xi, de[j]), xi.parity)
 
     def source_divergence(self, X: VectorField) -> Superfunction:
-        return divergence(X, self.h, self.source_connection, self.frame)
+        return divergence(X, self.source_connection)
 
     def div_identity_residual(self, xi: FieldAlongMorphism) -> Superfunction:
         """div W_xi - div xi - <xi, tau(Phi)>; identically zero."""
@@ -413,48 +409,46 @@ class HarmonicSetup:
         e = self.energy_density()
         return self.h * e - self.pullback_metric()
 
-    def _nabla_form_eval(self, S: BilinearForm, X: VectorField, Y: VectorField, Z: VectorField):
-        """<(nabla_X S)>(Y, Z) = X S(Y,Z) - S(nabla_X Y, Z) - (-1)^{|X||Y|} S(Y, nabla_X Z)."""
-        conn = self.source_connection
-        val = X.apply(S.evaluate(Y, Z))
-        val = val - S.evaluate(conn.derivative(X, Y), Z)
-        sign = -1 if (X.parity * Y.parity) % 2 else 1
-        val = val - S.evaluate(Y, conn.derivative(X, Z)) * sign
-        return val
-
-    def div_form(self, S: BilinearForm, xi: VectorField) -> Superfunction:
-        """div S[xi] = (-1)^{|e_i||xi|} <(nabla_{e_i} S)>(xi, J e_i)."""
-        e = self.frame.fields
-        return frame_sum(
-            self.frame, lambda j, t: self._nabla_form_eval(S, e[j], xi, e[t]), xi.parity
-        )
-
     def stress_energy_report(self, xi: VectorField) -> StressEnergyReport:
-        """All three stress-energy identities for a source vector field xi."""
+        """All three stress-energy identities for a source vector field xi.
+        The values S(xi, e_t) are formed once and serve both div S[xi] and
+        Y_xi; the correction term is formed only when L_xi h != 0."""
         S = self.stress_energy()
         tau = self.tension()
-        divS = self.div_form(S, xi)
+        e, conn = self.frame.fields, self.source_connection
+        s_xi = [S.evaluate(xi, f) for f in e]
+
+        def nabla_s(j, t):
+            """<(nabla_{e_j} S)>(xi, e_t) = e_j S(xi, e_t) - S(nabla_{e_j} xi, e_t)
+            - (-1)^{|e_j||xi|} S(xi, nabla_{e_j} e_t)."""
+            val = e[j].apply(s_xi[t]) - S.evaluate(conn.derivative(e[j], xi), e[t])
+            last = S.evaluate(xi, conn.derivative(e[j], e[t]))
+            return val + last if (e[j].parity * xi.parity) % 2 else val - last
+
+        # div S[xi] = (-1)^{|e_j||xi|} <(nabla_{e_j} S)>(xi, J e_j)
+        divS = frame_sum(self.frame, nabla_s, xi.parity)
         r1 = divS + self.pair(self.phi.differential(xi), tau)
 
         # Y_xi = <S>(xi, e_i) J e_i
-        e = self.frame.fields
-        divY = self.source_divergence(
-            frame_raise(self.frame, lambda i: S.evaluate(xi, e[i]), xi.parity)
-        )
+        divY = self.source_divergence(frame_raise(self.frame, s_xi.__getitem__, xi.parity))
+        r2 = divY - divS
 
-        # corr = sum_j (-1)^{|e_j|} sum_i <L_xi h>(e_i, J e_j) <S>(e_j, J e_i)
         Lh = lie_derivative_bilinear(xi, self.h)
-        corr = frame_sum(
-            self.frame,
-            lambda j, tj: frame_sum(
-                self.frame, lambda i, ti: Lh.evaluate(e[i], e[tj]) * S.evaluate(e[j], e[ti])
-            ),
-            1,
-        )
-        r2 = divY - divS - corr * Fraction(1, 2)
+        killing = Lh.is_zero()
+        if not killing:
+            def corr_term(i, ti, j, tj):
+                """<L_xi h>(e_i, e_tj) <S>(e_j, e_ti), with S read only where
+                the first factor is nonzero."""
+                lh = Lh.evaluate(e[i], e[tj])
+                return lh if lh.is_zero() else lh * S.evaluate(e[j], e[ti])
+
+            # corr = sum_j (-1)^{|e_j|} sum_i <L_xi h>(e_i, J e_j) <S>(e_j, J e_i)
+            corr = frame_sum(self.frame, lambda j, tj: frame_sum(
+                self.frame, lambda i, ti: corr_term(i, ti, j, tj)), 1)
+            r2 = r2 - corr * Fraction(1, 2)
 
         conserved = None
-        if tau.is_zero() and Lh.is_zero():
+        if tau.is_zero() and killing:
             conserved = divY
         return StressEnergyReport(
             energy=self.energy_density(),

@@ -172,15 +172,21 @@ def _expr(pool, p):
                     for exps, c in p.items()))
 
 
-def _evaluate(p, values):
-    """A polynomial at a point of Fractions."""
-    total = Fraction(0)
-    for exps, c in p.items():
-        for v, e in zip(values, exps):
+def _evaluate(p, nums, den):
+    """A polynomial (or an int) at the point ``nums / den``, ints over one
+    common denominator, as the ints ``(p(nums / den) den^d, den^d)`` for d
+    the total degree of p: each term c x^e contributes c nums^e den^(d - |e|)."""
+    if type(p) is int:
+        return p, 1
+    degrees = [sum(exps) for exps in p]
+    top = max(degrees)
+    total = 0
+    for (exps, c), k in zip(p.items(), degrees):
+        for v, e in zip(nums, exps):
             if e:
-                c = c * v**e
-        total += c
-    return total
+                c *= v**e
+        total += c if k == top else c * den ** (top - k)
+    return total, den**top
 
 
 # values of xi, each with its own substitution, that the heuristic gcd tries
@@ -820,17 +826,20 @@ class Superfunction:
         rationals = [_rational(q) for q in point]
         if None in rationals:
             raise InexactCoefficient(f"{point!r} is not a point of exact rational values")
-        values = [Fraction(*q) for q in rationals]
-        p, d = self.terms.get(()), self.den
+        p = self.terms.get(())
         if p is None:
             return Fraction(0)
-        if type(d) is not int and not (d := _evaluate(d, values)):
+        common = math.lcm(*(q for _, q in rationals))
+        nums = [n * (common // q) for n, q in rationals]
+        dn, ds = _evaluate(self.den, nums, common)
+        if not dn:
             # den may share a factor with the body alone that vanishes here
             b = self.body_part()
-            p, d = b.terms[()], b.den if type(b.den) is int else _evaluate(b.den, values)
-            if not d:
+            p, (dn, ds) = b.terms[()], _evaluate(b.den, nums, common)
+            if not dn:
                 raise NonInvertible(f"body has a pole at {pool.render_point(point)}")
-        return _evaluate(p, values) / d
+        pn, ps = _evaluate(p, nums, common)
+        return Fraction(pn * ds, ps * dn)
 
     def body_part(self) -> "Superfunction":
         return _make(self.pool, {m: p for m, p in self.terms.items() if not m}, self.den)

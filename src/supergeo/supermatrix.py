@@ -374,21 +374,20 @@ def graded_pair(pool, n_even: int, B, v, pv: int, w, pw: int, parity: int = 0):
 
         sum_ab (-1)^{|W^b||a| + |B|(|V^a|+|W^b|)} V^a W^b B_ab
 
-    Slots from ``n_even`` on are odd.  Every pairing in the package (vector
-    fields, fields along a morphism, coefficient columns) is this sum, over
-    the nonzero factors only.
+    Slots from ``n_even`` on are odd.  ``v`` and ``w`` are the columns'
+    nonzero entries as ``(slot, value)`` pairs (:attr:`geometry._Field.nonzero`),
+    so the sum runs over nonzero factors only.  Every pairing in the package
+    (vector fields, fields along a morphism, coefficient columns) is this sum.
     """
-    w = [(b, wb, pw + (b >= n_even)) for b, wb in enumerate(w) if not wb.is_zero()]
     terms = []
-    for a, va in enumerate(v):
-        if va.is_zero():
-            continue
+    for a, va in v:
         pa = a >= n_even
         row = B[a]
-        for b, wb, pwb in w:
+        for b, wb in w:
             bab = row[b]
             if bab.is_zero():
                 continue
+            pwb = pw + (b >= n_even)
             term = va * wb * bab
             terms.append(-term if (pwb * pa + parity * (pv + pa + pwb)) % 2 else term)
     return pool.sum(terms)
@@ -396,10 +395,10 @@ def graded_pair(pool, n_even: int, B, v, pv: int, w, pw: int, parity: int = 0):
 
 def pair_columns(B: SuperMatrix, v, w, pv: int, pw: int) -> Superfunction:
     """B(v, w) for right-coefficient columns of declared parities pv, pw."""
-    return graded_pair(
-        B.pool, B.p, B.entries, flip_sides(v, pv, B.p), pv,
-        flip_sides(w, pw, B.p), pw, B.parity,
-    )
+    def nonzero(column, p):
+        return [(a, c) for a, c in enumerate(flip_sides(column, p, B.p)) if not c.is_zero()]
+
+    return graded_pair(B.pool, B.p, B.entries, nonzero(v, pv), pv, nonzero(w, pw), pw, B.parity)
 
 
 def osp_residuals(L: SuperMatrix, t: int, s: int, m: int):
@@ -438,6 +437,14 @@ def gram_schmidt_osp(B: SuperMatrix):
     positives, odd pairs.
     """
     B.check_supermetric()
+    return _gram_schmidt(B)
+
+
+def _gram_schmidt(B: SuperMatrix):
+    """The elimination of :func:`gram_schmidt_osp` on a B that has passed
+    :meth:`SuperMatrix.check_supermetric`, which the caller vouches for (a
+    metric's context has checked it); each pivot pairing is formed once,
+    when it is tested."""
     pool, dim = B.pool, B.dim
 
     def pair(u, pu, w, pw):
@@ -452,11 +459,8 @@ def gram_schmidt_osp(B: SuperMatrix):
     negatives, positives, odd_pairs = [], [], []
 
     while evens:
-        pick = None
-        for idx, u in enumerate(evens):
-            if pair(u, 0, u, 0).has_body():
-                pick = idx
-                break
+        pick = next(((idx, c) for idx, u in enumerate(evens)
+                     if (c := pair(u, 0, u, 0)).has_body()), None)
         if pick is None:
             # no diagonal pivot: since the body is nondegenerate over the
             # rational functions (check_supermetric), some pair i, j has
@@ -465,8 +469,8 @@ def gram_schmidt_osp(B: SuperMatrix):
                         if pair(evens[i], 0, evens[j], 0).has_body())
             evens[i] = [evens[i][r] + evens[j][r] for r in range(dim)]
             continue
-        u = evens.pop(pick)
-        c = pair(u, 0, u, 0)
+        idx, c = pick
+        u = evens.pop(idx)
         cinv = c.invert()
         # w -> w - u * (B(u,w)/B(u,u)) kills the pairing with u on both sides
         evens = [minus(w, u, pair(u, 0, w, 0) * cinv) for w in evens]
@@ -482,11 +486,10 @@ def gram_schmidt_osp(B: SuperMatrix):
 
     while odds:
         # the odd body is nondegenerate too, so some pair pairs with a body
-        i, j = next((i, j) for i, j in itertools.combinations(range(len(odds)), 2)
-                    if pair(odds[i], 1, odds[j], 1).has_body())
+        i, j, c = next((i, j, c) for i, j in itertools.combinations(range(len(odds)), 2)
+                       if (c := pair(odds[i], 1, odds[j], 1)).has_body())
         f2 = odds.pop(j)
         f1 = odds.pop(i)
-        c = pair(f1, 1, f2, 1)
         k = -c.invert()
         f2 = [e * k for e in f2]  # now B(f1, f2) = -1, B(f2, f1) = 1
         odds = [minus(minus(w, f1, pair(f2, 1, w, 1)), f2, -pair(f1, 1, w, 1)) for w in odds]

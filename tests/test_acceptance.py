@@ -411,13 +411,10 @@ def test_criterion_6_classical_reduction():
     ok = ok and sq.pullback_metric().components[0][0] == line.pool.scalar(4 * x**2)
 
     # divergence of the Euler field
-    from supergeo.geometry import OSpFrame, divergence
+    from supergeo.geometry import divergence
 
-    g1 = flat_metric(line)
-    conn1 = levi_civita(g1)
-    fr1 = OSpFrame.build(g1)
-    ok = ok and divergence(VectorField(line, [line.pool.even("x")], 0),
-                           g1, conn1, fr1) == line.pool.one()
+    conn1 = levi_civita(flat_metric(line))
+    ok = ok and divergence(VectorField(line, [line.pool.even("x")], 0), conn1) == line.pool.one()
 
     # classical Lie derivative values
     from supergeo.lie import lie_derivative_bilinear

@@ -16,7 +16,7 @@ from supergeo.geometry import (
     VectorField,
     connection_residuals,
     divergence,
-    divergence_via_supertrace,
+    divergence_via_frame,
     flat_metric,
     levi_civita,
     str_with_metric,
@@ -462,16 +462,14 @@ class TestDivergence:
         ch = Chart(["x"], [], box={"x": (0, 1)})
         g = flat_metric(ch)
         conn = levi_civita(g)
-        frame = OSpFrame.build(g)
         X = VectorField(ch, [ch.pool.even("x")], 0)
-        assert divergence(X, g, conn, frame) == ch.pool.one()
+        assert divergence(X, conn) == ch.pool.one()
 
     def test_constant_odd_field(self):
         ch = Chart([], ["th1", "th2"], box={})
         g = flat_metric(ch)
         conn = levi_civita(g)
-        frame = OSpFrame.build(g)
-        assert divergence(ch.coordinate_field(0), g, conn, frame).is_zero()
+        assert divergence(ch.coordinate_field(0), conn).is_zero()
 
     def test_odd_euler_field_both_paths(self):
         ch = Chart([], ["th1", "th2"], box={})
@@ -479,8 +477,8 @@ class TestDivergence:
         conn = levi_civita(g)
         frame = OSpFrame.build(g)
         X = VectorField(ch, [ch.pool.odd("th1"), 0], 0)
-        lhs = divergence(X, g, conn, frame)
-        rhs = divergence_via_supertrace(X, conn)
+        lhs = divergence(X, conn)
+        rhs = divergence_via_frame(X, g, conn, frame)
         assert lhs == rhs == ch.pool.scalar(-1)
 
     @pytest.mark.parametrize("which", ["flat22", "curved", "deformed"])
@@ -493,9 +491,37 @@ class TestDivergence:
         rng = seeded(305)
         for _ in range(6):
             X = random_field(g.chart, rng, rng.randint(0, 1))
-            lhs = divergence(X, g, conn, frame)
-            rhs = divergence_via_supertrace(X, conn)
+            lhs = divergence(X, conn)
+            rhs = divergence_via_frame(X, g, conn, frame)
             assert (lhs - rhs).is_zero()
+
+    def test_supertrace_matches_the_frame_oracle_on_curved_metrics(self):
+        """40 seeded fields of both parities on each of three curved
+        supermetrics, (1|2) and (2|2), whose even-odd blocks depend on the odd
+        coordinates: Gamma^i_ij with |i| != |j| is nonzero, so every sign of
+        the contracted symbols c_j meets a nonzero term."""
+        one = Chart(["x"], ["th1", "th2"], box={"x": (0, 1)})
+        two = Chart(["x", "y"], ["th1", "th2"], box={"x": (0, 1), "y": (0, 1)})
+        x1, a1, b1 = map(one.pool.generator, ("x", "th1", "th2"))
+        x2, y2, a2, b2 = map(two.pool.generator, ("x", "y", "th1", "th2"))
+        metrics = [
+            BilinearForm(one, [[(1 + x1) ** 2, b1, 0], [b1, 0, -(1 + x1)], [0, 1 + x1, 0]]),
+            BilinearForm(one, [[(2 + x1) ** 2 + a1 * b1, x1 * a1, b1 + a1],
+                               [x1 * a1, 0, -(1 + x1 * x1)],
+                               [b1 + a1, 1 + x1 * x1, 0]]),
+            BilinearForm(two, [[(1 + x2) ** 2, a2 * b2, b2, x2 * a2],
+                               [a2 * b2, (2 + y2) ** 2 + x2 * a2 * b2, y2 * a2, b2],
+                               [b2, y2 * a2, 0, -(1 + x2)],
+                               [x2 * a2, b2, 1 + x2, 0]]),
+        ]
+        rng = seeded(341)
+        for g in metrics:
+            conn, frame = levi_civita(g), OSpFrame.build(g)
+            assert any(not conn.gamma[i][j][i].is_zero() for i in range(g.chart.dim)
+                       for j in range(g.chart.dim) if g.chart.parity(i) != g.chart.parity(j))
+            for k in range(40):
+                X = random_field(g.chart, rng, k % 2)
+                assert divergence(X, conn) == divergence_via_frame(X, g, conn, frame)
 
 
 class TestStrWithMetric:

@@ -24,7 +24,7 @@ USERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").rglo
 # package's own routes against
 ORACLES = {
     "connection_residuals",
-    "divergence_via_supertrace",
+    "divergence_via_frame",
     "str_with_metric_via_matrix",
     "tension_with_frame",
 }

@@ -1063,6 +1063,60 @@ class TestCoefficientInvariant:
         with pytest.raises(NonInvertible):
             f.body_at((Fraction(1),))
 
+    def test_body_at_in_ints_matches_the_fraction_route(self):
+        """body_at evaluates in ints over one common denominator.  On seeded
+        bodies over one to three even variables, at points with negative,
+        zero and fractional values, it equals the Fraction route kept here,
+        and where the body's denominator vanishes it raises the same
+        NonInvertible; a pole of the nilpotent part alone is no pole."""
+
+        def fraction_route(f, point):
+            b = f.body_part()
+
+            def value(p):
+                if type(p) is int:
+                    return Fraction(p)
+                total = Fraction(0)
+                for exps, c in p.items():
+                    for v, e in zip(point, exps):
+                        if e:
+                            c = c * v**e
+                    total += c
+                return total
+
+            if b.is_zero():
+                return Fraction(0)
+            d = value(b.den)
+            return value(b.terms[()]) / d if d else None
+
+        rng = seeded(227)
+        values = [-2, -1, 0, 1, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+        seen = {"value": 0, "pole": 0}
+        for names in (["x"], ["x", "y"], ["x", "y", "z"]):
+            pool = GeneratorPool(names, ["th1", "th2"])
+            gens = [pool.even(n) for n in names]
+            nilpotent = pool.odd("th1") * pool.odd("th2")
+            for _ in range(20):
+                den = pool.one()
+                for g in rng.sample(gens, rng.randint(1, len(gens))):
+                    den = den * (g - rng.choice(values))
+                f = random_superfunction(pool, rng, 0) / den * rng.choice([1, Fraction(-2, 3)])
+                f = f + nilpotent / (gens[0] - rng.choice(values))
+                for _ in range(4):
+                    point = tuple(rng.choice(values) for _ in names)
+                    want = fraction_route(f, point)
+                    if want is None:
+                        seen["pole"] += 1
+                        message = f"body has a pole at {pool.render_point(point)}"
+                        with pytest.raises(NonInvertible) as err:
+                            f.body_at(point)
+                        assert str(err.value) == message
+                    else:
+                        seen["value"] += 1
+                        got = f.body_at(point)
+                        assert type(got) is Fraction and got == want
+        assert min(seen.values()) >= 10, seen
+
     def test_integers_from_other_ground_types(self, pool, monkeypatch):
         """Under sympy's gmpy or flint ground types ``ZZ``'s elements are not
         ints; sympy's gcd, the heuristic gcd's fallback, stores ints all the

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from supergeo import Chart, GeneratorPool, Superfunction, scalars, supermatrix
+from supergeo import Chart, GeneratorPool, Superfunction, morphisms, scalars, supermatrix
 from supergeo.errors import (
     InhomogeneousMatrix,
     InvalidArgument,
@@ -20,11 +20,14 @@ from supergeo.errors import (
 from supergeo.exactlinalg import nullspace
 from supergeo.geometry import (
     BilinearForm,
+    MetricContext,
+    VectorField,
     connection_residuals,
     flat_metric,
     levi_civita,
     validate_metric,
 )
+from supergeo.morphisms import HarmonicSetup, Morphism
 from supergeo.supermatrix import (
     SuperMatrix,
     gram_schmidt_osp,
@@ -335,6 +338,131 @@ def _counting(monkeypatch, cls, name):
 
     monkeypatch.setattr(cls, name, counted)
     return calls
+
+
+def test_graded_pair_on_nonzero_entries_matches_the_dense_sum():
+    """graded_pair takes the nonzero (slot, value) entries of its columns;
+    on seeded columns and forms of both parities, with zero entries, it
+    equals the dense sum over every slot pair written out here."""
+    chart = Chart(["x", "y"], ["th1", "th2"], box={"x": (0, 1), "y": (0, 1)})
+    pool, dim, n, par = chart.pool, chart.dim, chart.n, chart.parity
+    rng = seeded(343)
+
+    def column(p):
+        return [random_superfunction(pool, rng, p + par(a), max_degree=1)
+                if rng.random() < 0.6 else pool.zero() for a in range(dim)]
+
+    def nonzero(col):
+        return [(a, c) for a, c in enumerate(col) if not c.is_zero()]
+
+    for pv, pw, pb in itertools.product((0, 1), repeat=3):
+        for _ in range(3):
+            v, w = column(pv), column(pw)
+            B = [[random_superfunction(pool, rng, pb + par(a) + par(b), max_degree=1)
+                  if rng.random() < 0.7 else pool.zero() for b in range(dim)]
+                 for a in range(dim)]
+            dense = pool.zero()
+            for a, b in itertools.product(range(dim), repeat=2):
+                sign = (-1) ** ((pw + par(b)) * par(a) + pb * (pv + par(a) + pw + par(b)))
+                dense = dense + v[a] * w[b] * B[a][b] * sign
+            got = supermatrix.graded_pair(pool, n, B, nonzero(v), pv, nonzero(w), pw, pb)
+            assert got == dense
+
+
+def test_gram_schmidt_forms_each_pivot_pairing_once(monkeypatch):
+    """The pairing that picks a pivot is the one its projections divide by:
+    on curved (1|2) and (2|2) metrics with theta-dependent mixed blocks, no
+    pairing of the same two columns is formed twice."""
+    one = Chart(["x"], ["th1", "th2"], box={"x": (0, 1)})
+    two = Chart(["x", "y"], ["th1", "th2"], box={"x": (0, 1), "y": (0, 1)})
+    x1, a1, b1 = map(one.pool.generator, ("x", "th1", "th2"))
+    x2, y2, a2, b2 = map(two.pool.generator, ("x", "y", "th1", "th2"))
+    metrics = [
+        BilinearForm(one, [[(1 + x1) ** 2, b1, 0], [b1, 0, -(1 + x1)], [0, 1 + x1, 0]]),
+        BilinearForm(two, [[(1 + x2) ** 2, a2 * b2, b2, x2 * a2],
+                           [a2 * b2, -(2 + y2) ** 2, y2 * a2, b2],
+                           [b2, y2 * a2, 0, -(1 + x2)],
+                           [x2 * a2, b2, 1 + x2, 0]]),
+    ]
+    original, formed = supermatrix.pair_columns, []
+
+    def recording(B, v, w, pv, pw):
+        formed.append((tuple(e.render() for e in v), tuple(e.render() for e in w), pv, pw))
+        return original(B, v, w, pv, pw)
+
+    monkeypatch.setattr(supermatrix, "pair_columns", recording)
+    for g in metrics:
+        formed.clear()
+        gram_schmidt_osp(g)
+        assert formed and len(set(formed)) == len(formed)
+
+
+def test_frame_of_a_fresh_metric_checks_it_once(monkeypatch):
+    """The frame runs Gram-Schmidt on the metric its context validated, so
+    building it checks the supermetric axioms once, in validate_metric."""
+    chart = Chart(["x"], ["th1", "th2"], box={"x": (0, 1)})
+    x_, t1, t2 = map(chart.pool.generator, ("x", "th1", "th2"))
+    g = BilinearForm(chart, [[(1 + x_) ** 2 + t1 * t2, t2, 0], [t2, 0, -1], [0, 1, 0]])
+    checks = _counting(monkeypatch, SuperMatrix, "check_supermetric")
+    frame = MetricContext.of(g).frame
+    assert checks[0] == 1
+    assert frame.signature.as_tuple() == (0, 1, 2)
+
+
+def test_stress_report_of_a_killing_field_pairs_nothing_against_lie_h(monkeypatch):
+    """L_xi h = 0 for a Killing xi, so the correction term sum <L_xi h>(e_i,
+    J e_j) <S>(e_j, J e_i) is not formed: no pairing reads L_xi h."""
+    chart = Chart(["x", "y"], ["th1", "th2"], box={"x": (0, 1), "y": (0, 1)})
+    g = flat_metric(chart)
+    setup = HarmonicSetup(Morphism.identity(chart), g, g)
+    rotation = VectorField(chart, [-chart.pool.even("y"), chart.pool.even("x"), 0, 0], 0)
+    lie_forms, paired = [], []
+    original_lie, original_eval = morphisms.lie_derivative_bilinear, BilinearForm.evaluate
+
+    def lie(X, B):
+        lie_forms.append(original_lie(X, B))
+        return lie_forms[-1]
+
+    def evaluate(B, X, Y):
+        paired.append(B)
+        return original_eval(B, X, Y)
+
+    monkeypatch.setattr(morphisms, "lie_derivative_bilinear", lie)
+    monkeypatch.setattr(BilinearForm, "evaluate", evaluate)
+    rep = setup.stress_energy_report(rotation)
+    assert rep.passed and rep.conserved_divergence is not None
+    assert lie_forms and all(L.is_zero() for L in lie_forms)
+    assert not any(B is L for B in paired for L in lie_forms)
+
+
+def test_stress_report_evaluates_s_xi_e_t_once_per_frame_field(monkeypatch):
+    """div S[xi] and the current Y_xi share the values S(xi, e_t): on the
+    identity of a (1|2) chart with a theta-dependent mixed block, each is
+    formed once."""
+    chart = Chart(["x"], ["th1", "th2"], box={"x": (0, 1)})
+    x_, t1, t2 = map(chart.pool.generator, ("x", "th1", "th2"))
+    h = BilinearForm(chart, [[(1 + x_) ** 2 + t1 * t2, t2, 0], [t2, 0, -(1 + x_)],
+                             [0, 1 + x_, 0]])
+    setup = HarmonicSetup(Morphism.identity(chart), h, h)
+    xi = VectorField(chart, [t2, x_, 0], 1)
+    stress, calls = [], []
+    original_stress, original_eval = HarmonicSetup.stress_energy, BilinearForm.evaluate
+
+    def stress_energy(self):
+        stress.append(original_stress(self))
+        return stress[-1]
+
+    def evaluate(B, X, Y):
+        calls.append((B, X, Y))
+        return original_eval(B, X, Y)
+
+    monkeypatch.setattr(HarmonicSetup, "stress_energy", stress_energy)
+    monkeypatch.setattr(BilinearForm, "evaluate", evaluate)
+    rep = setup.stress_energy_report(xi)
+    assert rep.lemma_residual.is_zero() and rep.current_identity_residual.is_zero()
+    [S] = stress
+    for e in setup.frame.fields:
+        assert sum(B is S and X is xi and Y is e for B, X, Y in calls) == 1
 
 
 def test_levi_civita_of_a_constant_metric_inverts_nothing(monkeypatch):
