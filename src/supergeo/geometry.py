@@ -136,9 +136,12 @@ class Chart:
         )
 
 
-def _same_chart(a, b):
-    if a.chart != b.chart:
-        raise ChartMismatch("objects live on different charts")
+def _same_owner(owner, *fields):
+    """Raise ChartMismatch unless every field lives on ``owner`` (a chart,
+    or a morphism), compared by identity first."""
+    for f in fields:
+        if f.owner is not owner and f.owner != owner:
+            raise ChartMismatch("fields live on different charts or morphisms")
 
 
 class _Field:
@@ -191,8 +194,7 @@ class _Field:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        if other.owner is not self.owner and other.owner != self.owner:
-            raise ChartMismatch("fields live on different charts or morphisms")
+        _same_owner(self.owner, other)
         if other.parity != self.parity and not other.is_zero() and not self.is_zero():
             raise ParityError("cannot add fields of different parity")
         comps = [a + b for a, b in zip(self.components, other.components)]
@@ -257,7 +259,7 @@ class VectorField(_Field):
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """[X, Y] = XY - (-1)^{|X||Y|} YX as a derivation."""
-        _same_chart(self, other)
+        _same_owner(self.owner, other)
         both_odd = self.parity * other.parity
         comps = [
             self.apply(yc) + other.apply(xc) if both_odd else self.apply(yc) - other.apply(xc)
@@ -320,6 +322,7 @@ class BilinearForm(SuperMatrix):
 
     def evaluate(self, X: VectorField, Y: VectorField) -> Superfunction:
         chart = self.chart
+        _same_owner(chart, X, Y)
         return graded_pair(
             chart.pool, chart.n, self.entries, X.nonzero, X.parity, Y.nonzero, Y.parity,
             self.parity,
@@ -447,6 +450,7 @@ class Connection:
 
     def derivative(self, X: VectorField, Y: VectorField) -> VectorField:
         """nabla_X Y."""
+        _same_owner(self.chart, X, Y)
         return _covariant_derivative(X.apply, X, self.table, Y)
 
 

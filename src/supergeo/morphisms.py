@@ -31,6 +31,7 @@ from .geometry import (
     VectorField,
     _covariant_derivative,
     _Field,
+    _same_owner,
     divergence,
     frame_raise,
     frame_sum,
@@ -183,7 +184,8 @@ class HarmonicSetup:
 
     Bundles the source metric h (with Levi-Civita connection and OSp frame)
     and the target metric g (with its connection, pulled back once); both
-    come from the metrics' contexts.
+    come from the metrics' contexts.  Every differential dPhi[Y] it reuses
+    is formed once per field object (:meth:`_differential`).
     """
 
     def __init__(self, phi: Morphism, h: BilinearForm, g: BilinearForm):
@@ -202,11 +204,21 @@ class HarmonicSetup:
             [[(k, p) for k, c in row if not (p := phi.pullback(c)).is_zero()] for row in plane]
             for plane in self.target_connection.table
         ]
+        self._differentials = {}  # id(Y) -> (Y, dPhi[Y])
+
+    def _differential(self, Y: VectorField) -> FieldAlongMorphism:
+        """dPhi[Y], formed once per field object; the memo keeps Y, so its id
+        is not reused while the setup lives (fields are immutable)."""
+        hit = self._differentials.get(id(Y))
+        if hit is None:
+            hit = self._differentials[id(Y)] = (Y, self.phi.differential(Y))
+        return hit[1]
 
     # -- pairing and pullbacks -------------------------------------------------
 
     def pair(self, V: FieldAlongMorphism, W: FieldAlongMorphism) -> Superfunction:
         """<V, W>_{g_Phi} on evaluation components."""
+        _same_owner(self.phi, V, W)
         return graded_pair(
             self.phi.source.pool, self.phi.target.n, self._g_pulled,
             V.nonzero, V.parity, W.nonzero, W.parity,
@@ -230,21 +242,10 @@ class HarmonicSetup:
         """The components phi#(B_ab) of a target form."""
         return [[self.phi.pullback(e) for e in row] for row in B.components]
 
-    @cached_property
-    def _coordinate_differentials(self):
-        """dPhi[d_i] for every source coordinate, built once per setup."""
-        source = self.phi.source
-        return [self.phi.differential(source.coordinate_field(i)) for i in range(source.dim)]
-
-    @cached_property
-    def _frame_differentials(self):
-        """dPhi[e_j] for every field of the source frame, built once per setup."""
-        return [self.phi.differential(e) for e in self.frame.fields]
-
     def _pair_grid(self, pulled, parity: int) -> BilinearForm:
         """The source form <B_Phi>(dPhi[d_i], dPhi[d_j]) for a pulled grid."""
         source = self.phi.source
-        diffs = self._coordinate_differentials
+        diffs = [self._differential(source.coordinate_field(i)) for i in range(source.dim)]
         rows = [
             [
                 graded_pair(
@@ -259,24 +260,15 @@ class HarmonicSetup:
 
     # -- pullback connection -----------------------------------------------------
 
-    def connection_apply(
-        self, X: VectorField, V: FieldAlongMorphism, dX: FieldAlongMorphism | None = None
-    ) -> FieldAlongMorphism:
-        """(nabla_Phi)_X V: the covariant derivative on dPhi[X] and phi#(Gamma).
-        A caller that holds dX = dPhi[X] already passes it."""
-        if dX is None:
-            dX = self.phi.differential(X)
-        return _covariant_derivative(X.apply, dX, self._gamma_pulled, V)
+    def connection_apply(self, X: VectorField, V: FieldAlongMorphism) -> FieldAlongMorphism:
+        """(nabla_Phi)_X V: the covariant derivative on dPhi[X] and phi#(Gamma)."""
+        _same_owner(self.phi, V)
+        return _covariant_derivative(X.apply, self._differential(X), self._gamma_pulled, V)
 
-    def second_fundamental_form(
-        self, X: VectorField, Y: VectorField,
-        dX: FieldAlongMorphism | None = None, dY: FieldAlongMorphism | None = None,
-    ) -> FieldAlongMorphism:
-        """B_{X,Y}(Phi) = nabla_X(dPhi[Y]) - dPhi[nabla_X Y].  A caller that
-        holds dX = dPhi[X] and dY = dPhi[Y] already passes them."""
-        if dY is None:
-            dY = self.phi.differential(Y)
-        return self.connection_apply(X, dY, dX) - self.phi.differential(
+    def second_fundamental_form(self, X: VectorField, Y: VectorField) -> FieldAlongMorphism:
+        """B_{X,Y}(Phi) = nabla_X(dPhi[Y]) - dPhi[nabla_X Y]; the transient
+        dPhi[nabla_X Y] is the one differential formed outside the memo."""
+        return self.connection_apply(X, self._differential(Y)) - self.phi.differential(
             self.source_connection.derivative(X, Y)
         )
 
@@ -286,25 +278,18 @@ class HarmonicSetup:
 
     @cached_property
     def _tension(self):
-        return self._tension_over(self.frame, self._frame_differentials)
+        return self.tension_with_frame(self.frame)
 
     def tension_with_frame(self, frame: OSpFrame) -> FieldAlongMorphism:
-        """tau(Phi) over any OSp frame; a second frame gives the
-        frame-independence certificate of :meth:`tension`."""
-        return self._tension_over(frame, [self.phi.differential(e) for e in frame.fields])
-
-    def _tension_over(self, frame: OSpFrame, de) -> FieldAlongMorphism:
-        """tau(Phi) = sum_j s_j B_{e_j, e_t}(Phi) for J e_j = s_j e_t, given
-        de[j] = dPhi[e_j]."""
+        """tau(Phi) = sum_j s_j B_{e_j, e_t}(Phi) for J e_j = s_j e_t over any
+        OSp frame; a second frame gives the frame-independence certificate
+        of :meth:`tension`."""
         e = frame.fields
-        acc = self._zero_along()
+        acc = FieldAlongMorphism(self.phi, [self.phi.source.pool.zero()] * self.phi.target.dim, 0)
         for j, (sj, t) in enumerate(frame.j_signs):
-            term = self.second_fundamental_form(e[j], e[t], de[j], de[t])
+            term = self.second_fundamental_form(e[j], e[t])
             acc = acc + (-term if sj < 0 else term)
         return acc
-
-    def _zero_along(self):
-        return FieldAlongMorphism(self.phi, [self.phi.source.pool.zero()] * self.phi.target.dim, 0)
 
     def is_superharmonic(self) -> bool:
         return self.tension().is_zero()
@@ -313,17 +298,18 @@ class HarmonicSetup:
 
     def divergence_along(self, xi: FieldAlongMorphism) -> Superfunction:
         """div xi = (-1)^{|e_i||xi|} <nabla_{e_i} xi, dPhi[J e_i]>."""
-        e, de = self.frame.fields, self._frame_differentials
+        e = self.frame.fields
         return frame_sum(
             self.frame,
-            lambda j, t: self.pair(self.connection_apply(e[j], xi, de[j]), de[t]),
+            lambda j, t: self.pair(self.connection_apply(e[j], xi), self._differential(e[t])),
             xi.parity,
         )
 
     def noether_current(self, xi: FieldAlongMorphism) -> VectorField:
         """W_xi = <xi, dPhi[e_j]> J e_j, a source vector field of parity |xi|."""
-        de = self._frame_differentials
-        return frame_raise(self.frame, lambda j: self.pair(xi, de[j]), xi.parity)
+        e = self.frame.fields
+        return frame_raise(self.frame, lambda j: self.pair(xi, self._differential(e[j])),
+                           xi.parity)
 
     def source_divergence(self, X: VectorField) -> Superfunction:
         return divergence(X, self.source_connection)
@@ -374,8 +360,8 @@ class HarmonicSetup:
         pulled_L = self.pullback_bilinear(L)
         pxi = xi.parity
         coord = [source.coordinate_field(i) for i in range(source.dim)]
-        diffs = self._coordinate_differentials
-        nabla_phi_xi = [self.connection_apply(c, phi_xi, d) for c, d in zip(coord, diffs)]
+        diffs = [self._differential(c) for c in coord]
+        nabla_phi_xi = [self.connection_apply(c, phi_xi) for c in coord]
         residuals = []
         for i in range(source.dim):
             pi = source.parity(i)
@@ -392,7 +378,7 @@ class HarmonicSetup:
         """Phi-Killing field on the source: L_xi(Phi* g) = 0 implies
         div(dPhi[xi]) = 0; for superharmonic Phi also div W_{dPhi[xi]} = 0."""
         L = lie_derivative_bilinear(xi, self.pullback_metric())
-        return self._noether_report(L, self.phi.differential(xi))
+        return self._noether_report(L, self._differential(xi))
 
     # -- stress-energy ------------------------------------------------------------
 
@@ -427,7 +413,7 @@ class HarmonicSetup:
 
         # div S[xi] = (-1)^{|e_j||xi|} <(nabla_{e_j} S)>(xi, J e_j)
         divS = frame_sum(self.frame, nabla_s, xi.parity)
-        r1 = divS + self.pair(self.phi.differential(xi), tau)
+        r1 = divS + self.pair(self._differential(xi), tau)
 
         # Y_xi = <S>(xi, e_i) J e_i
         divY = self.source_divergence(frame_raise(self.frame, s_xi.__getitem__, xi.parity))

@@ -661,3 +661,52 @@ class TestMorphismValidation:
         tgt = Chart(["y"], [], box={"y": (0, 1)})
         with pytest.raises(ScenarioError):
             Morphism(src, tgt, {"y": src.pool.even("x") * 5})
+
+
+class TestFieldOwners:
+    """A field along another morphism is a ChartMismatch, not a silent value."""
+
+    @pytest.fixture
+    def other(self, fleshy):
+        """A second morphism between the charts of ``fleshy``."""
+        phi = fleshy.phi
+        p = phi.source.pool
+        images = dict(phi.images, u=p.even("x") * 2)
+        return Morphism(phi.source, phi.target, images)
+
+    def test_pair_rejects_a_field_along_another_morphism(self, fleshy, other):
+        d = fleshy.phi.source.coordinate_field(0)
+        W, V = fleshy.phi.differential(d), other.differential(d)
+        with pytest.raises(ChartMismatch):
+            fleshy.pair(W, V)
+        with pytest.raises(ChartMismatch):
+            fleshy.pair(V, W)
+
+    def test_connection_apply_rejects_a_field_along_another_morphism(self, fleshy, other):
+        d = fleshy.phi.source.coordinate_field(0)
+        with pytest.raises(ChartMismatch):
+            fleshy.connection_apply(d, other.differential(d))
+
+
+def test_setup_forms_each_differential_once_per_field(monkeypatch):
+    """tension, the domain Noether check and the stress-energy report on one
+    setup form dPhi[Y] at most once per field object, xi included.  The
+    wrapper keeps every field it sees, so no id is reused among them."""
+    src = Chart(["x"], ["th1", "th2"], box={"x": (0, 1)})
+    x, th1, th2 = map(src.pool.generator, ("x", "th1", "th2"))
+    h = BilinearForm(src, [[(1 + x) ** 2, th2, 0], [th2, 0, -(1 + x)], [0, 1 + x, 0]])
+    xi = VectorField(src, [x, th1, th2], 0)
+    seen = []
+    differential = Morphism.differential
+
+    def counted(self, Y):
+        seen.append(Y)
+        return differential(self, Y)
+
+    monkeypatch.setattr(Morphism, "differential", counted)
+    setup = HarmonicSetup(Morphism.identity(src), h, h)
+    setup.tension()
+    setup.check_noether_domain(xi)
+    setup.stress_energy_report(xi)
+    assert len({id(Y) for Y in seen}) == len(seen)
+    assert sum(Y is xi for Y in seen) == 1

@@ -1,5 +1,6 @@
 """Scenario runner and CLI: golden reports, exit codes, determinism."""
 
+import itertools
 import pathlib
 import re
 import subprocess
@@ -719,6 +720,84 @@ def test_missing_pullback_names_the_morphism_line():
     assert report.exit_code == 2
     assert report.load_error == (
         f"ScenarioError: missing pullback expression for 'th2' (line {header})")
+
+
+# A curved (1|2) source and a flat (2|2) target.  S lives on the source chart
+# and T on the target chart, with its one component in a slot the source lacks.
+_TWO_CHARTS = """\
+[chart]
+even = x
+odd = th1 th2
+box x = 1 2
+
+[target]
+even = u v
+odd = e1 e2
+box u = 1 2
+box v = 1 2
+
+[metric h]
+x,x = x^2
+th1,th2 = -1
+
+[metric g]
+chart = target
+u,u = 1
+v,v = 1
+e1,e2 = -1
+
+[vectorfield S]
+x = 1
+
+[vectorfield T]
+chart = target
+e2 = e1
+
+[morphism P]
+source_metric = h
+target_metric = g
+u = x
+v = x
+e1 = th1
+e2 = th2
+
+[run]
+"""
+
+
+def _field_on_the_other_chart():
+    """Every command of the command table that takes a field, with each of
+    its variants and each value of its options, given the field on the other
+    chart: a field belongs on the chart of the metric G, and for
+    check-noether on the target chart for ``target`` and on the source
+    chart otherwise."""
+    from supergeo import scenario
+
+    lines = set()
+    for name, command in scenario._COMMANDS.items():
+        if not {"X", "XI"} & set(command.args):
+            continue
+        options = [""] + [f" --{opt} {value}" for opt, allowed in command.options.items()
+                          if isinstance(allowed, tuple) for value in allowed]
+        variants = itertools.product(*(a if isinstance(a, tuple) else (a,) for a in command.args))
+        for args, metric in itertools.product(variants, ("h", "g")):
+            if "G" in args:
+                field = "T" if metric == "h" else "S"
+            else:
+                field = "S" if "target" in args else "T"
+            words = [{"G": metric, "PHI": "P", "X": field, "XI": field}.get(a, a) for a in args]
+            lines.update(f"{name} {' '.join(words)}{opt}" for opt in options)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("line", _field_on_the_other_chart())
+def test_a_field_on_the_other_chart_is_a_chart_mismatch(line, tmp_path):
+    """The command reports ChartMismatch with exit 3; no Python exception
+    leaves ``supergeo run``."""
+    scn, out = tmp_path / "two_charts.scn", tmp_path / "report.txt"
+    scn.write_text(_TWO_CHARTS + line + "\n")
+    assert cli_main(["run", str(scn), "--report", str(out)]) == 3
+    assert "\n1.error = ChartMismatch: " in out.read_text()
 
 
 def test_scenario_fuzz_never_crashes():
