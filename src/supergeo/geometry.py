@@ -292,6 +292,7 @@ class OneForm(_Field):
 
     def evaluate(self, Y: VectorField) -> Superfunction:
         """F[Y] = sum_j F_j y^j with y the right coefficients of Y."""
+        _same_owner(self.owner, Y)
         y = flip_sides(Y.components, Y.parity, self.slots.n)
         return sum((f * c for f, c in zip(self.components, y)), start=self.pool.zero())
 
@@ -629,6 +630,7 @@ def divergence(X: VectorField, conn: Connection) -> Superfunction:
     with the contracted symbols c_j of :meth:`Connection.contracted`, so it
     costs one partial per nonzero component; :func:`divergence_via_frame`
     is its independent oracle."""
+    _same_owner(conn.chart, X)
     chart = X.chart
     names, par = chart.coordinate_names(), chart.parity
     c = conn.contracted(X.parity)

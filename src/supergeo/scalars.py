@@ -6,9 +6,9 @@ pool's odd generators and ``c`` is a rational function of the even variables
 with rational coefficients.
 
 It is stored as one integer term table over one denominator: ``terms`` maps
-each odd monomial to its numerator, an integer polynomial ``{even exponent
-tuple: int}``; ``den``, shared by the whole superfunction, is a positive
-``int`` when every coefficient is a polynomial, else an integer polynomial.
+each odd monomial to its numerator, a :mod:`supergeo.zpoly` polynomial in
+the even variables; ``den``, shared by the whole superfunction, is a
+positive ``int`` when every coefficient is a polynomial, else a polynomial.
 :func:`_make` enforces the canonical form, which is unique, so equality is
 structural: no stored int is zero and no numerator empty; the leading
 coefficient of ``den`` in lex order of the pool's even variables is positive;
@@ -16,9 +16,9 @@ the integer content of the numerators and ``den`` together is 1; and
 ``gcd(den, N_1, ..., N_k) = 1`` in ``Z[x]``.  Polynomial arithmetic is thus
 plain integer arithmetic (the Koszul sign and merged tuple of each pair of
 odd monomials are cached on the pool), and a result over a non-constant
-``den`` is cancelled by one heuristic gcd over the whole table in Python
-ints (:func:`_cancel_common_factor`), unless it scales a canonical
-superfunction by a unit of ``Q[x][theta]``.
+``den`` is cancelled by one gcd over the whole table
+(:func:`cancel_common_factor`), unless it scales a canonical superfunction
+by a unit of ``Q[x][theta]``.
 Division happens in one place, :func:`_divide`.  Other modules never read
 ``terms`` or ``den``, and never build, slice or sign an odd monomial: they
 pass ``(mono, exps)`` keys between the pool's monomial methods.
@@ -37,21 +37,16 @@ return ``NotImplemented``, so Python raises ``TypeError``.
 No module of the package imports sympy when it is imported: a scenario run
 needs no sympy object, and importing sympy would cost it about 0.5 s and 35
 MiB.  This module imports sympy inside the functions that take or hand out
-sympy objects, and in one fallback: the exact gcd that the heuristic one
-falls back to on some tables in several variables
-(:func:`_cancel_by_sympy_gcd`, sympy's dense gcd over ``ZZ``);
-:meth:`Superfunction.body` and :meth:`Superfunction.berezin_top`, which
-return ``Expr``; a pool's ``even_symbols`` and
-:meth:`GeneratorPool.even_symbol`, plain ``Symbol``s built on first use; and
-:meth:`GeneratorPool.scalar`, which walks an ``Expr`` itself (floats,
-irrational numbers, other functions and foreign symbols are rejected) and
-asks whether a value is one only once sympy is in ``sys.modules``.  Square
-roots (:func:`_poly_root`), the generator order of the printer and error
-messages are native.  :meth:`Superfunction.render` cancels each coefficient
-against ``den`` on its own and prints it byte for byte as sympy's
-``sstr(expr, order="lex")`` would.  :meth:`Superfunction.body_at` is the
-package's only way to evaluate a body at a point: it returns a ``Fraction``
-and raises ``NonInvertible`` at a pole.
+sympy objects: :meth:`Superfunction.body` and
+:meth:`Superfunction.berezin_top`, which return ``Expr``; a pool's
+``even_symbols`` and :meth:`GeneratorPool.even_symbol`, plain ``Symbol``s
+built on first use; and :meth:`GeneratorPool.scalar`, which walks an
+``Expr`` itself (floats, irrational numbers, other functions and foreign
+symbols are rejected) and asks whether a value is one only once sympy is in
+``sys.modules``.  :meth:`Superfunction.render` cancels each coefficient
+against ``den`` on its own and prints it with :func:`render_poly`.
+:meth:`Superfunction.body_at` is the package's only way to evaluate a body
+at a point: it returns a ``Fraction`` and raises ``NonInvertible`` at a pole.
 
 Sign conventions, fixed once for the whole package (see
 docs/sign-conventions.md):
@@ -78,6 +73,8 @@ from fractions import Fraction
 
 from .errors import (FleshInTopCoefficient, InexactCoefficient, InvalidArgument, NonInvertible,
                      NotASquare, ParityError, PoolMismatch, UnknownGenerator)
+from .zpoly import (cancel_common_factor, evaluate, exps_adder, leading_coefficient, name_order,
+                    padd, pdiff, pmul, pneg, poly_root, pscale, render_poly, sympy_gen_order)
 
 
 # a generator name, as the scenario parser's tokenizer reads an identifier
@@ -94,74 +91,11 @@ def _rational(value):
     return None
 
 
-# -- integer polynomials {exponent tuple: nonzero int} ------------------------
-
-
-@functools.cache
-def _exps_adder(n):
-    """a + b for exponent tuples of length n, written out for n <= 2."""
-    if n == 1:
-        return lambda a, b: (a[0] + b[0],)
-    if n == 2:
-        return lambda a, b: (a[0] + b[0], a[1] + b[1])
-    return lambda a, b: tuple(map(operator.add, a, b))
-
-
-def _pmul(p, q):
-    """p * q; the product of nonzero polynomials over Z is nonzero."""
-    if len(q) == 1:
-        p, q = q, p
-    if not q:
-        return {}
-    add = _exps_adder(len(next(iter(q))))
-    if len(p) == 1:
-        [(ea, ca)] = p.items()
-        if not any(ea):
-            return {e: c * ca for e, c in q.items()}
-        return {add(ea, e): c * ca for e, c in q.items()}
-    out = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            e = add(ea, eb)
-            out[e] = out.get(e, 0) + ca * cb
-    return out if all(out.values()) else {e: c for e, c in out.items() if c}
-
-
-def _padd(p, q):
-    """p + q, possibly empty; p and q are left untouched."""
-    out = dict(p)
-    for e, c in q.items():
-        c += out.get(e, 0)
-        if c:
-            out[e] = c
-        else:
-            del out[e]
-    return out
-
-
-def _pneg(p):
-    return {e: -c for e, c in p.items()}
-
-
-def _pdiff(p, k):
-    """Partial derivative by the k-th even variable, possibly empty."""
-    return {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k] for e, c in p.items() if e[k]}
-
-
-def _pscale(p, d):
-    """p * d, each an int or a polynomial."""
-    if type(d) is not int:
-        return _pmul(p, d) if type(p) is not int else _pscale(d, p)
-    if type(p) is int:
-        return p * d
-    return p if d == 1 else {e: c * d for e, c in p.items()}
-
-
 def _times(terms, d):
     """Every numerator times the int or polynomial d."""
     if d == 1:
         return terms
-    return {m: _pscale(p, d) for m, p in terms.items()}
+    return {m: pscale(p, d) for m, p in terms.items()}
 
 
 def _expr(pool, p):
@@ -170,151 +104,6 @@ def _expr(pool, p):
 
     return sp.Add(*(c * sp.Mul(*(s**e for s, e in zip(pool.even_symbols, exps)))
                     for exps, c in p.items()))
-
-
-def _evaluate(p, nums, den):
-    """A polynomial (or an int) at the point ``nums / den``, ints over one
-    common denominator, as the ints ``(p(nums / den) den^d, den^d)`` for d
-    the total degree of p: each term c x^e contributes c nums^e den^(d - |e|)."""
-    if type(p) is int:
-        return p, 1
-    degrees = [sum(exps) for exps in p]
-    top = max(degrees)
-    total = 0
-    for (exps, c), k in zip(p.items(), degrees):
-        for v, e in zip(nums, exps):
-            if e:
-                c *= v**e
-        total += c if k == top else c * den ** (top - k)
-    return total, den**top
-
-
-# values of xi, each with its own substitution, that the heuristic gcd tries
-# before sympy's gcd decides
-_HEURISTIC_TRIES = 3
-
-
-def _digits(v, xi):
-    """The polynomial in X whose coefficients are the symmetric ``xi``-adic
-    digits of the int ``v``, each in ``(-xi/2, xi/2]``: ``{exponent: digit}``."""
-    out, k, half = {}, 0, xi // 2
-    while v:
-        v, d = divmod(v, xi)
-        if d > half:
-            d -= xi
-            v += 1
-        if d:
-            out[k] = d
-        k += 1
-    return out
-
-
-def _lift(p, shift, radix):
-    """``X^shift * p`` back in ``x``: exponent k becomes its mixed-radix digits
-    in ``radix``, the last variable taking the rest."""
-    out = {}
-    for k, c in p.items():
-        k += shift
-        e = []
-        for r in radix:
-            k, d = divmod(k, r)
-            e.append(d)
-        out[(*e, k)] = c
-    return out
-
-
-def _cancel_common_factor(terms, den):
-    """Divide the numerators and the polynomial ``den`` by their common
-    factor in ``Z[x]``: one heuristic gcd over the whole table in Python ints
-    (GCDHEU: Char, Geddes and Gonnet, J. Symbolic Computation 7, 1989).
-
-    The F_i (``den`` and the numerators) first lose their joint integer
-    content and joint monomial.  The Kronecker substitution x_1 -> X,
-    x_(k+1) -> X^(r_1 ... r_k), each radix r_k above every exponent of x_k,
-    is a ring map, one to one on the F_i and their divisors (the identity in
-    one variable); F_i maps to X^(j_i) G_i with G_i(0) != 0.  A nonconstant
-    common factor, no monomial, maps to X^t Q with Q nonconstant and
-    dividing every G_i, so the roots of Q lie within 1 + |F_i|oo of 0 for
-    each i.  At xi = 2 max_i |F_i|oo + 29, |Q(xi)| > xi/2 divides
-    gamma = gcd_i G_i(xi): ``2 gamma <= xi`` proves that nothing cancels.
-    Otherwise the primitive part H of gamma's symmetric xi-adic digits is
-    the candidate for Q.  For t = 0, then t = min_i j_i, h = X^t H and the
-    cofactors X^(j_i - t) G_i/H, read from the digits of G_i(xi)/H(xi), are
-    lifted back to x; h is the gcd once h c_i = F_i for every i and the c_i
-    pass the same certificate.  Else the next attempt takes a larger xi and
-    larger radices, which drops a factor that only the images share (1 +
-    X + X^2 in ``(1 + x + x^2)/(1 - y)`` with y -> X^3).  After
-    ``_HEURISTIC_TRIES`` attempts sympy's gcd decides, as for
-    ``(x^2 + x y)/(x y + y^2)``: its gcd x + y maps to X (1 + X^2), so t = 1,
-    but min_i j_i = 2."""
-    polys = [den, *terms.values()]
-    content = 0
-    for p in polys:
-        content = math.gcd(content, *p.values())
-        if content == 1:
-            break
-    low = tuple(map(min, zip(*(e for p in polys for e in p))))  # the joint monomial
-    if content != 1 or any(low):
-        polys = [{tuple(map(operator.sub, e, low)): c // content for e, c in p.items()}
-                 for p in polys]
-
-    def table(polys):
-        return dict(zip(terms, polys[1:])), polys[0]
-
-    if any(len(p) == 1 and not any(next(iter(p))) for p in polys):
-        return table(polys)  # a nonzero constant is one of them: nothing more cancels
-    top = [max(e[k] for p in polys for e in p) for k in range(len(low) - 1)]
-    xi = 2 * max(max(map(abs, p.values())) for p in polys) + 29
-    for attempt in range(_HEURISTIC_TRIES):
-        radix = [d + 1 + attempt for d in top]
-        strides = list(itertools.accumulate(radix, operator.mul, initial=1))
-        images = [{sum(map(operator.mul, e, strides)): c for e, c in p.items()} for p in polys]
-        shifts = [min(image) for image in images]
-        powers = {k: xi**k for k in {k - j for image, j in zip(images, shifts) for k in image}}
-        values = [sum(c * powers[k - j] for k, c in image.items())
-                  for image, j in zip(images, shifts)]
-        gamma = math.gcd(*values)
-        if 2 * gamma <= xi:
-            return table(polys)
-        h = _digits(gamma, xi)
-        h_content = math.gcd(*h.values())
-        h = {k: c // h_content for k, c in h.items()}
-        quotients = [_digits(v // (gamma // h_content), xi) for v in values]
-        for t in sorted({0, min(shifts)}):
-            lifted = _lift(h, t, radix)
-            cofactors = []
-            for q, j, p in zip(quotients, shifts, polys):
-                c = _lift(q, j - t, radix)
-                if _pmul(lifted, c) != p:
-                    break
-                cofactors.append(c)
-            else:  # the cofactors' values have the gcd h_content
-                if (2 * h_content <= xi
-                        and xi > 2 * min(max(map(abs, c.values())) for c in cofactors) + 2):
-                    return table(cofactors)
-        xi = xi * 73794 // 27011
-    return _cancel_by_sympy_gcd(*table(polys))
-
-
-def _cancel_by_sympy_gcd(terms, den):
-    """The exact route of :func:`_cancel_common_factor`: sympy's dense gcd
-    over ``ZZ``, one per numerator, stopped once the gcd is constant.
-    Imports sympy, which no golden scenario and no benchmark job reaches."""
-    from sympy.polys.densearith import dmp_exquo
-    from sympy.polys.densebasic import dmp_from_dict, dmp_ground_p, dmp_to_dict
-    from sympy.polys.domains import ZZ
-    from sympy.polys.euclidtools import dmp_gcd
-
-    u = len(next(iter(den))) - 1
-    g = d = dmp_from_dict(den, u, ZZ)
-    for p in terms.values():
-        g = dmp_gcd(g, dmp_from_dict(p, u, ZZ), u, ZZ)
-        if dmp_ground_p(g, None, u):
-            return terms, den
-
-    def quotient(f):  # as ints: ZZ's elements are not ints under gmpy or flint ground types
-        return {e: int(c) for e, c in dmp_to_dict(dmp_exquo(f, g, u, ZZ), u, ZZ).items()}
-    return {m: quotient(dmp_from_dict(p, u, ZZ)) for m, p in terms.items()}, quotient(d)
 
 
 def _make(pool, terms, den=1, cancel=True):
@@ -326,7 +115,7 @@ def _make(pool, terms, den=1, cancel=True):
         return pool._zero
     if type(den) is not int:
         if cancel:
-            terms, den = _cancel_common_factor(terms, den)
+            terms, den = cancel_common_factor(terms, den)
         if len(den) == 1 and pool._zero_exps in den:
             den = den[pool._zero_exps]
     if den == 1:
@@ -367,7 +156,7 @@ def _table_add(a, b):
     """The sum of two numerator tables; untouched numerators are shared."""
     out = dict(a)
     for m, q in b.items():
-        s = _padd(out[m], q) if m in out else q
+        s = padd(out[m], q) if m in out else q
         if s:
             out[m] = s
         else:
@@ -435,7 +224,7 @@ class GeneratorPool:
         n = len(self.even_names)
         self._zero_exps = (0,) * n
         self._unit_exps = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-        self._add_exps = _exps_adder(n)
+        self._add_exps = exps_adder(n)
         self._merges = {}
         self._zero = Superfunction(self, {})  # immutable, so one serves all
 
@@ -605,7 +394,7 @@ class GeneratorPool:
         first; coordinate ``n_even + i`` is the odd generator ``i``, and flesh
         generators admit no derivation."""
         out = [(a, c, mono, e) for a in range(self.n_even)
-               for e, c in _pdiff({exps: 1}, a).items()]
+               for e, c in pdiff({exps: 1}, a).items()]
         out += [(self.n_even + i, *_left_partial(mono, pos), exps)
                 for pos, i in enumerate(mono) if not self.is_flesh(i)]
         return out
@@ -692,12 +481,12 @@ class Superfunction:
         if a == b:
             return _make(self.pool, _table_add(self.terms, other.terms), a)
         return _make(self.pool, _table_add(_times(self.terms, b), _times(other.terms, a)),
-                     _pscale(a, b))
+                     pscale(a, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        terms = {m: _pneg(p) for m, p in self.terms.items()}
+        terms = {m: pneg(p) for m, p in self.terms.items()}
         return Superfunction(self.pool, terms, self.den) if terms else self
 
     def __sub__(self, other):
@@ -729,17 +518,17 @@ class Superfunction:
             q = b[()]
             if len(q) == 1 and type(other.den) is int and (n := q.get(self.pool._zero_exps)):
                 return self._scaled(n, other.den)
-            terms = {m: _pmul(p, q) for m, p in a.items()}
+            terms = {m: pmul(p, q) for m, p in a.items()}
         elif len(a) == 1 and () in a:
             p = a[()]
             if len(p) == 1 and type(self.den) is int and (n := p.get(self.pool._zero_exps)):
                 return other._scaled(n, self.den)
-            terms = {m: _pmul(p, q) for m, q in b.items()}
+            terms = {m: pmul(p, q) for m, q in b.items()}
         else:
             terms = _table_mul(self.pool, a, b)
         if self.den == 1 and other.den == 1:
             return Superfunction(self.pool, terms) if terms else self.pool._zero
-        return _make(self.pool, terms, _pscale(self.den, other.den))
+        return _make(self.pool, terms, pscale(self.den, other.den))
 
     def __rmul__(self, other):
         # only scalars reach here; they commute with everything
@@ -831,14 +620,14 @@ class Superfunction:
             return Fraction(0)
         common = math.lcm(*(q for _, q in rationals))
         nums = [n * (common // q) for n, q in rationals]
-        dn, ds = _evaluate(self.den, nums, common)
+        dn, ds = evaluate(self.den, nums, common)
         if not dn:
             # den may share a factor with the body alone that vanishes here
             b = self.body_part()
-            p, (dn, ds) = b.terms[()], _evaluate(b.den, nums, common)
+            p, (dn, ds) = b.terms[()], evaluate(b.den, nums, common)
             if not dn:
                 raise NonInvertible(f"body has a pole at {pool.render_point(point)}")
-        pn, ps = _evaluate(p, nums, common)
+        pn, ps = evaluate(p, nums, common)
         return Fraction(pn * ds, ps * dn)
 
     def body_part(self) -> "Superfunction":
@@ -1009,12 +798,12 @@ def _derivative(f, name):
     if k is not None:
         den = f.den
         if type(den) is int:
-            return _make(pool, {m: d for m, p in f.terms.items() if (d := _pdiff(p, k))}, den)
+            return _make(pool, {m: d for m, p in f.terms.items() if (d := pdiff(p, k))}, den)
         # (N/D)' = (N' D - N D') / D^2
-        dden = _pdiff(den, k)
-        terms = {m: _padd(_pmul(_pdiff(p, k), den), _pneg(_pmul(p, dden)))
+        dden = pdiff(den, k)
+        terms = {m: padd(pmul(pdiff(p, k), den), pneg(pmul(p, dden)))
                  for m, p in f.terms.items()}
-        return _make(pool, {m: d for m, d in terms.items() if d}, _pmul(den, den))
+        return _make(pool, {m: d for m, d in terms.items() if d}, pmul(den, den))
     idx = pool.odd_index(name)
     if pool.is_flesh(idx):
         raise UnknownGenerator(
@@ -1025,39 +814,8 @@ def _derivative(f, name):
         if idx in mono:
             # distinct monomials stay distinct once idx is removed
             sign, rest = _left_partial(mono, mono.index(idx))
-            terms[rest] = p if sign > 0 else _pneg(p)
+            terms[rest] = p if sign > 0 else pneg(p)
     return _make(pool, terms, f.den)
-
-
-# the rank of a generator name without its trailing digits in sympy's
-# generator sort (``sympy.polys.polyutils._sort_gens``): x, y, z first, then
-# p..w, then a..o, then every other name
-_GEN_RANKS = {**{c: 124 + k for k, c in enumerate("xyz")},
-              **{c: 216 + k for k, c in enumerate("pqrstuvw")},
-              **{c: 301 + k for k, c in enumerate("abcdefghijklmno")}}
-_GEN_NAME = re.compile(r"^(.*?)(\d*)$", re.MULTILINE)
-
-
-def _gen_key(name):
-    """The sort key of sympy's ``_sort_gens`` for one generator name: its
-    rank, then the name without its trailing digits, then those digits as
-    an int, so that ``x2 < x10``."""
-    stem, index = _GEN_NAME.match(name).groups()
-    return _GEN_RANKS.get(stem, 1000), stem, int(index) if index else 0
-
-
-@functools.cache
-def _sympy_gen_order(names):
-    """Positions of the even ``names`` in the order sympy's ``Expr`` routines
-    sort generators by (``x, y, z`` first), which fixes the printed signs;
-    the sort is stable, as sympy's is."""
-    return tuple(sorted(range(len(names)), key=lambda i: _gen_key(names[i])))
-
-
-def _leading_coefficient(p, order):
-    """Leading coefficient of a nonzero polynomial in lex order of the
-    variables at the positions ``order``."""
-    return max(p.items(), key=lambda t: [t[0][i] for i in order])[1]
 
 
 def _nilpotent_series(t, coeffs, start, weight=None):
@@ -1094,7 +852,7 @@ def _divide(num, den):
         )
         terms, s = series.terms, scale.terms[()]
     # a constant s over an int den.den scales num by a unit: nothing to cancel
-    return _make(pool, _times(terms, den.den), _pscale(num.den, s),
+    return _make(pool, _times(terms, den.den), pscale(num.den, s),
                  type(den.den) is not int or any(map(any, s)))
 
 
@@ -1116,84 +874,13 @@ def _render_coefficient(pool, p, den) -> str:
     if type(d) is not int:
         # print the denominator with a positive leading coefficient in
         # sympy's generator order, as sympy.cancel would
-        if _leading_coefficient(d, _sympy_gen_order(pool.even_names)) < 0:
-            n, d = _pneg(n), _pneg(d)
-        return f"({_render_poly(pool, n)})/({_render_poly(pool, d)})"
+        if leading_coefficient(d, sympy_gen_order(pool.even_names)) < 0:
+            n, d = pneg(n), pneg(d)
+        return f"({render_poly(pool.even_names, n)})/({render_poly(pool.even_names, d)})"
     if len(n) == 1 or d == 1:
-        num = _render_poly(pool, n)
+        num = render_poly(pool.even_names, n)
         return num if d == 1 else f"({num})/({d})"
-    return _render_poly(pool, {e: Fraction(c, d) for e, c in n.items()})
-
-
-@functools.cache
-def _name_order(names):
-    """The positions of the even ``names`` sorted by name as plain strings,
-    the order in which sympy prints and sorts symbols."""
-    return sorted(range(len(names)), key=names.__getitem__)
-
-
-def _render_poly(pool, terms):
-    """The polynomial with the terms ``{exponents: rational}`` as ``sstr``
-    prints it: terms in descending lex order of the variables sorted by
-    name, factors in name order, the absolute numerator first unless it is 1
-    in a non-constant term, ``/q`` last, and signs between the terms."""
-    names, order = pool.even_names, _name_order(pool.even_names)
-    out = ""
-    for exps, q in sorted(terms.items(), key=lambda t: [t[0][i] for i in order],
-                          reverse=True):
-        n, d = q.numerator, q.denominator
-        factors = [names[i] if exps[i] == 1 else f"{names[i]}^{exps[i]}"
-                   for i in order if exps[i]]
-        if abs(n) != 1 or not factors:
-            factors.insert(0, str(abs(n)))
-        term = "*".join(factors) + (f"/{d}" if d != 1 else "")
-        if out:
-            out += (" - " if n < 0 else " + ") + term
-        else:
-            out = "-" + term if n < 0 else term
-    return out
-
-
-def _poly_root(pool, p, order):
-    """The square root of a nonzero int or integer polynomial, with a positive
-    leading coefficient in lex order of the even variables at the positions
-    ``order``, or None when ``p`` is not a square.
-
-    A square's root has integer coefficients (Gauss's lemma), and in the
-    pool's lex order its leading term is the root of ``p``'s.  Each further
-    term is the leading term of ``p - root^2`` over twice that leading
-    term, and it is lex smaller than the terms before it.  A term that is
-    not an integer monomial of degree at most half of ``p``'s in each
-    variable proves that ``p`` is no square; the degree bound ends the
-    loop."""
-    if type(p) is int:
-        r = math.isqrt(max(p, 0))
-        return r if r * r == p else None
-    lead = max(p)
-    r = math.isqrt(max(p[lead], 0))
-    if r * r != p[lead] or any(e % 2 for e in lead):
-        return None
-    half = [max(e[k] for e in p) // 2 for k in range(len(lead))]
-    head = tuple(e // 2 for e in lead)
-    root = {head: r}
-    rest = {e: c for e, c in p.items() if e != lead}
-    add = pool._add_exps
-    while rest:
-        e = max(rest)
-        t = tuple(map(operator.sub, e, head))
-        if rest[e] % (2 * r) or any(d < 0 or d > h for d, h in zip(t, half)):
-            return None
-        q = rest[e] // (2 * r)
-        # p - (root + q x^t)^2 = rest - 2 q x^t root - q^2 x^(2t)
-        for key, c in [*((add(er, t), 2 * q * cr) for er, cr in root.items()),
-                       (add(t, t), q * q)]:
-            c = rest.get(key, 0) - c
-            if c:
-                rest[key] = c
-            else:
-                del rest[key]
-        root[t] = q
-    return _pneg(root) if _leading_coefficient(root, order) < 0 else root
+    return render_poly(pool.even_names, {e: Fraction(c, d) for e, c in n.items()})
 
 
 def _body_root(f):
@@ -1203,8 +890,8 @@ def _body_root(f):
     pool, b = f.pool, f.body_part()
     if b.is_zero():
         return b
-    order = _name_order(pool.even_names)
-    rn, rd = _poly_root(pool, b.terms[()], order), _poly_root(pool, b.den, order)
+    order = name_order(pool.even_names)
+    rn, rd = poly_root(b.terms[()], order), poly_root(b.den, order)
     if rn is None or rd is None:
         text = _render_coefficient(pool, b.terms[()], b.den)
         raise NotASquare(f"body {text} admits no exact square root")

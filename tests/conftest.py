@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,34 @@ def random_field(chart, rng, parity, max_degree=1, allow_flesh=True):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def random_poly(rng, n, terms=4, degree=3, bound=9):
+    """A nonzero integer polynomial ``{exponent tuple: int}`` in n variables."""
+    p = {}
+    for _ in range(rng.randint(1, terms)):
+        e = tuple(rng.randint(0, degree) for _ in range(n))
+        p[e] = p.get(e, 0) + rng.randint(-bound, bound)
+    return {e: c for e, c in p.items() if c} or {(0,) * n: 1}
+
+
+def count_calls(monkeypatch, caller, name):
+    """Wrap the global ``name`` that the function ``caller`` calls, in the
+    module that defines ``caller``; the returned list gets the arguments of
+    each call.  ``caller`` must name ``name`` itself, so that a counter left
+    on a binding nothing calls any more (the function moved to another
+    module, say) fails here instead of counting nothing."""
+    assert name in caller.__code__.co_names, f"{caller.__qualname__} does not call {name}"
+    module = sys.modules[caller.__module__]
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def in_osp(L, t, s, m):

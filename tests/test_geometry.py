@@ -524,6 +524,42 @@ class TestDivergence:
                 assert divergence(X, conn) == divergence_via_frame(X, g, conn, frame)
 
 
+class TestFieldOwners:
+    """A (2|2) field against the objects of a (1|2) chart: every route that
+    meets it reports ChartMismatch, instead of a PoolMismatch from the
+    scalar ring or a value computed with the other chart's names."""
+
+    @pytest.fixture
+    def setting(self):
+        src = Chart(["x"], ["th1", "th2"], box={"x": (1, 2)})
+        other = Chart(["x", "y"], ["th1", "th2"], box={"x": (0, 1), "y": (0, 1)})
+        xx = src.pool.even("x")
+        curved = BilinearForm(src, [[xx * xx, 0, 0], [0, 0, -1], [0, 1, 0]])
+        X = VectorField(other, [other.pool.even("x"), 0, other.pool.odd("th1"), 0], 0)
+        return src, curved, X
+
+    def test_divergence_against_a_flat_connection(self, setting):
+        src, _, X = setting
+        with pytest.raises(ChartMismatch):
+            divergence(X, levi_civita(flat_metric(src)))
+
+    def test_divergence_against_a_curved_connection(self, setting):
+        _, curved, X = setting
+        with pytest.raises(ChartMismatch):
+            divergence(X, levi_civita(curved))
+
+    def test_one_form_evaluate(self, setting):
+        src, _, X = setting
+        with pytest.raises(ChartMismatch):
+            OneForm.differential(src, src.pool.even("x")).evaluate(X)
+
+    def test_divergence_via_frame_through_the_connection(self, setting):
+        """The frame route reaches X through ``Connection.derivative``."""
+        _, curved, X = setting
+        with pytest.raises(ChartMismatch):
+            divergence_via_frame(X, curved, levi_civita(curved), OSpFrame.build(curved))
+
+
 class TestStrWithMetric:
     def test_metric_supertrace_is_dimension_difference(self, metric_flat22,
                                                        metric_deformed):

@@ -13,10 +13,9 @@ from sympy.polys import densebasic
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.fields import FracField
 from sympy.polys.orderings import lex
-from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyRing
 
-from supergeo import Chart, GeneratorPool, Superfunction, scalars
+from supergeo import Chart, GeneratorPool, Superfunction, scalars, zpoly
 from supergeo.errors import (
     FleshInTopCoefficient,
     InexactCoefficient,
@@ -31,7 +30,7 @@ from supergeo.errors import (
 
 from supergeo.parsing import parse_expression
 
-from conftest import random_superfunction, seeded
+from conftest import count_calls, random_poly, random_superfunction, seeded
 
 x = sp.Symbol("x")
 
@@ -422,15 +421,7 @@ DIVISION_CHARTS = {
 @pytest.fixture
 def cancel_calls(monkeypatch):
     """Every gcd chain that cancels a result against its denominator."""
-    calls = []
-    original = scalars._cancel_common_factor
-
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(scalars, "_cancel_common_factor", counting)
-    return calls
+    return count_calls(monkeypatch, scalars._make, "cancel_common_factor")
 
 
 class TestDivisionKernel:
@@ -677,8 +668,8 @@ def _sympy_render(c):
     if c.denom.is_ground:
         num, den = sp.fraction(c.numer.quo_ground(c.denom.LC).as_expr())
     else:
-        order = scalars._sympy_gen_order(tuple(map(str, c.field.symbols)))
-        lc = scalars._leading_coefficient(c.denom, order)
+        order = zpoly.sympy_gen_order(tuple(map(str, c.field.symbols)))
+        lc = zpoly.leading_coefficient(c.denom, order)
         num, den = (c.numer, c.denom) if lc > 0 else (-c.numer, -c.denom)
         num, den = num.as_expr(), den.as_expr()
     ns = sp.sstr(num, order="lex").replace("**", "^")
@@ -1211,15 +1202,6 @@ class TestCoefficientInvariant:
                 assert type(body) is Fraction and pool.scalar(body) == r.body_part()
 
 
-def _random_poly(rng, n, terms=4, degree=3, bound=9):
-    """A nonzero integer polynomial in n even variables."""
-    p = {}
-    for _ in range(rng.randint(1, terms)):
-        e = tuple(rng.randint(0, degree) for _ in range(n))
-        p[e] = p.get(e, 0) + rng.randint(-bound, bound)
-    return {e: c for e, c in p.items() if c} or {(0,) * n: 1}
-
-
 _GCD_MONOMIALS = [(), (0,), (1,), (2,), (0, 1), (0, 2)]
 
 
@@ -1228,12 +1210,12 @@ def _gcd_input(rng, n):
     even variables.  Each of a planted common factor, a common monomial and
     a shared integer content is multiplied in with probability 1/2, and
     each polynomial is negated with probability 1/2."""
-    polys = [_random_poly(rng, n) for _ in range(rng.randint(2, 7))]
-    for factor in (_random_poly(rng, n, 3, 2), {tuple(rng.randint(0, 2) for _ in range(n)): 1},
+    polys = [random_poly(rng, n) for _ in range(rng.randint(2, 7))]
+    for factor in (random_poly(rng, n, 3, 2), {tuple(rng.randint(0, 2) for _ in range(n)): 1},
                    {(0,) * n: rng.choice([2, 6, 35])}):
         if rng.random() < 0.5:
-            polys = [scalars._pmul(p, factor) for p in polys]
-    polys = [scalars._pneg(p) if rng.random() < 0.5 else p for p in polys]
+            polys = [zpoly.pmul(p, factor) for p in polys]
+    polys = [zpoly.pneg(p) if rng.random() < 0.5 else p for p in polys]
     return dict(zip(_GCD_MONOMIALS, polys[1:])), polys[0]
 
 
@@ -1254,15 +1236,7 @@ def _cancelled_by_sympy(pool, terms, den):
 @pytest.fixture
 def fallbacks(monkeypatch):
     """Every table that the heuristic gcd hands to sympy's gcd."""
-    calls = []
-    original = scalars._cancel_by_sympy_gcd
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(scalars, "_cancel_by_sympy_gcd", counting)
-    return calls
+    return count_calls(monkeypatch, zpoly.cancel_common_factor, "_cancel_by_sympy_gcd")
 
 
 class TestHeuristicGcd:
@@ -1270,7 +1244,7 @@ class TestHeuristicGcd:
     def test_cancellation_matches_sympy_gcd(self, n, fallbacks):
         """Seeded tables, cancelled by the heuristic gcd (or its fallback),
         equal the same tables cancelled by sympy's gcd; with one even
-        variable nothing falls back."""
+        variable nothing falls back, and with more some tables do."""
         pool = GeneratorPool(["x", "y", "z"][:n], ["th1", "th2", "th3"])
         rng = seeded(170 + n)
         for _ in range(150):
@@ -1278,7 +1252,7 @@ class TestHeuristicGcd:
             got, want = scalars._make(pool, terms, den), _cancelled_by_sympy(pool, terms, den)
             _assert_canonical(got)
             assert (got.terms, got.den) == (want.terms, want.den)
-        assert n > 1 or fallbacks == []
+        assert bool(fallbacks) == (n > 1)
 
     def test_spurious_factor_of_the_images(self, fallbacks):
         """(1 + x + x^2)/(1 - y): with y -> X^3 both images hold
@@ -1314,7 +1288,7 @@ class TestHeuristicGcd:
         want = _cancelled_by_sympy(pool, terms, den)
         got = scalars._make(pool, terms, den)
         assert fallbacks == [] and (got.terms, got.den) == (want.terms, want.den)
-        monkeypatch.setattr(scalars, "_HEURISTIC_TRIES", 1)
+        monkeypatch.setattr(zpoly, "_HEURISTIC_TRIES", 1)
         got = scalars._make(pool, terms, den)
         assert len(fallbacks) == 1 and (got.terms, got.den) == (want.terms, want.den)
 
@@ -1337,7 +1311,7 @@ class TestScaledProduct:
             for c in constants:
                 k = pool.scalar(c)
                 want = scalars._make(pool, scalars._table_mul(pool, f.terms, k.terms),
-                                     scalars._pscale(f.den, k.den)) if c else pool.zero()
+                                     zpoly.pscale(f.den, k.den)) if c else pool.zero()
                 for got in (f * c, c * f, f * k, k * f):
                     _assert_canonical(got)
                     assert (got.terms, got.den) == (want.terms, want.den)
@@ -1346,72 +1320,6 @@ class TestScaledProduct:
         f = pool.even("x") / (pool.even("x") + 1) + pool.odd("th1") * pool.odd("th2")
         assert f * 1 is f and 1 * f is f
         assert f * pool.one() is f and pool.one() * f is f
-
-
-def _square_free_root(pool, p, order):
-    """The route :func:`scalars._poly_root` replaced: the square root read
-    off sympy's square-free decomposition of ``p``."""
-    if type(p) is int or p.keys() == {pool._zero_exps}:
-        content, factors = (p if type(p) is int else p[pool._zero_exps]), []
-    else:
-        content, factors = _ring(pool).from_dict(p).sqf_list()
-        content = int(content)
-    r = math.isqrt(max(content, 0))
-    if r * r != content or any(k % 2 for _, k in factors):
-        return None
-    if type(p) is int:
-        return r
-    root = {pool._zero_exps: r}
-    for f, k in factors:
-        for _ in range(k // 2):
-            root = scalars._pmul(root, {e: int(c) for e, c in f.items()})
-    return scalars._pneg(root) if scalars._leading_coefficient(root, order) < 0 else root
-
-
-class TestNativeSquareRoot:
-    @pytest.mark.parametrize("evens", [["x"], ["y", "x"], ["z", "a", "y"]], ids=" ".join)
-    def test_matches_the_square_free_route(self, evens):
-        """Seeded squares q^2 times a content, negated or not, and
-        non-squares (a square plus a term, a product of two polynomials, a
-        square times a variable) give the root or None of the square-free
-        route, with the same sign: the pool orders the variables otherwise
-        than by name."""
-        pool = GeneratorPool(evens, [])
-        n = len(evens)
-        order = scalars._name_order(pool.even_names)
-        rng = seeded(330 + n)
-        seen = set()
-        for _ in range(120):
-            q = _random_poly(rng, n)
-            square = scalars._pmul(q, q)
-            content = {(0,) * n: rng.choice([1, 1, 4, 9, 2, 12])}
-            cases = [scalars._pmul(square, content), scalars._pneg(square),
-                     scalars._padd(square, _random_poly(rng, n, 1)),
-                     scalars._pmul(q, _random_poly(rng, n)),
-                     scalars._pmul(square, {(1,) + (0,) * (n - 1): 1}),
-                     rng.choice([1, 4, 7, 36, -9])]
-            for p in cases:
-                if not p:
-                    continue
-                want = _square_free_root(pool, p, order)
-                assert scalars._poly_root(pool, p, order) == want, p
-                seen.add("square" if want is not None else "not a square")
-        assert seen == {"square", "not a square"}
-
-
-_GEN_NAMES = list(dict.fromkeys(
-    ["x1", "x2", "x10", "x01", "y3", "th1", "th12", "u_1", "u_2", "xy", "eta", "lam1", "a1",
-     "w9", "alpha", "Z", "_q"] + [chr(c) for c in range(ord("a"), ord("z") + 1)]))
-
-
-def test_generator_order_matches_sort_gens():
-    """The ported generator sort puts names where sympy's ``_sort_gens``
-    puts the symbols, ties in pool order included (``x1`` and ``x01``)."""
-    rng = seeded(341)
-    for _ in range(300):
-        names = tuple(rng.sample(_GEN_NAMES, rng.randint(1, 7)))
-        want = tuple(names.index(str(s)) for s in _sort_gens([sp.Symbol(n) for n in names]))
-        assert scalars._sympy_gen_order(names) == want, names
 
 
 def test_power_squares_no_further_than_its_last_bit(monkeypatch):

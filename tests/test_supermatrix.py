@@ -36,7 +36,7 @@ from supergeo.supermatrix import (
     standard_metric,
 )
 
-from conftest import in_osp, random_field, random_superfunction, seeded
+from conftest import count_calls, in_osp, random_field, random_superfunction, seeded
 
 x = sp.Symbol("x")
 
@@ -289,14 +289,7 @@ def test_unit_factors_cost_no_cancellation(monkeypatch):
     pool = GeneratorPool(["x"], [])
     rows = [[pool.scalar((i == j) * 5 + 1 / (x + i + j + 1)) for j in range(3)]
             for i in range(3)]
-    calls = []
-    original = scalars._cancel_common_factor
-
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(scalars, "_cancel_common_factor", counting)
+    calls = count_calls(monkeypatch, scalars._make, "cancel_common_factor")
     det = supermatrix._det_commuting(pool, rows)
     det_calls = len(calls)
     ber = SuperMatrix(pool, 3, 0, rows).berezinian()
