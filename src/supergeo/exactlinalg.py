@@ -25,7 +25,7 @@ def _primes():
     n; the prime bases up to 23 make it exact below 3.8 * 10^18."""
     yield PRIME
     for n in range(PRIME - 4, 3, -4):
-        if all(pow(a, n >> 1, n) in (1, n - 1) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23)):
+        if all(pow(a, n // 2, n) in (1, n - 1) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23)):
             yield n
 
 

@@ -9,6 +9,16 @@ It is stored as one integer term table over one denominator: ``terms`` maps
 each odd monomial to its numerator, a :mod:`supergeo.zpoly` polynomial in
 the even variables; ``den``, shared by the whole superfunction, is a
 positive ``int`` when every coefficient is a polynomial, else a polynomial.
+A polynomial's keys pack its exponent tuples into ints: the first even
+variable most significant and unbounded, then a 32-bit field for each
+further one, whose degree stays below 2^31.  So a product adds keys, and
+one whose key has a guard bit of the pool set (a degree that would carry)
+raises ``InvalidArgument``.  Exponent tuples appear only at the edges
+(:meth:`GeneratorPool.from_coefficients`,
+:meth:`Superfunction.rational_coefficients`, :meth:`Superfunction.substitute`
+and :meth:`Superfunction.body`) and in the monomials ``(mono, exps)`` of the
+pool's monomial methods; the keys that :meth:`GeneratorPool.monomial_multiple`
+yields are opaque to its callers.
 :func:`_make` enforces the canonical form, which is unique, so equality is
 structural: no stored int is zero and no numerator empty; the leading
 coefficient of ``den`` in lex order of the pool's even variables is positive;
@@ -73,8 +83,9 @@ from fractions import Fraction
 
 from .errors import (FleshInTopCoefficient, InexactCoefficient, InvalidArgument, NonInvertible,
                      NotASquare, ParityError, PoolMismatch, UnknownGenerator)
-from .zpoly import (cancel_common_factor, evaluate, exps_adder, leading_coefficient, name_order,
-                    padd, pdiff, pmul, pneg, poly_root, pscale, render_poly, sympy_gen_order)
+from .zpoly import (BOUND, cancel_common_factor, evaluate, fields, guard, leading_coefficient,
+                    name_order, pack, padd, pdiff, pmul, pneg, poly_root, pscale, render_poly,
+                    sympy_gen_order, unpack)
 
 
 # a generator name, as the scenario parser's tokenizer reads an identifier
@@ -91,6 +102,24 @@ def _rational(value):
     return None
 
 
+def _carry(pool):
+    """The error of a key with a guard bit set: a degree in a variable after
+    the first reached :data:`zpoly.BOUND`, and the key would carry into the
+    field above it once added to another."""
+    return InvalidArgument(f"a degree in {', '.join(pool.even_names[1:])} reaches 2**31;"
+                           f" only the first even variable, {pool.even_names[0]}, has no bound")
+
+
+def _check(pool, terms, den=1):
+    """Raise ``InvalidArgument`` (:func:`_carry`) when a key of the
+    numerators ``terms`` or of ``den``, the products an operation is about
+    to return, has a guard bit of the pool set.  Callers skip it when the
+    pool has no guard bits, in one even variable."""
+    if functools.reduce(operator.or_, itertools.chain(
+            *terms.values(), () if type(den) is int else den), 0) & pool._guard:
+        raise _carry(pool)
+
+
 def _times(terms, d):
     """Every numerator times the int or polynomial d."""
     if d == 1:
@@ -102,8 +131,8 @@ def _expr(pool, p):
     """A polynomial as a sympy expression.  Imports sympy."""
     import sympy as sp
 
-    return sp.Add(*(c * sp.Mul(*(s**e for s, e in zip(pool.even_symbols, exps)))
-                    for exps, c in p.items()))
+    return sp.Add(*(c * sp.Mul(*(s**k for s, k in zip(pool.even_symbols, unpack(e, pool.n_even))))
+                    for e, c in p.items()))
 
 
 def _make(pool, terms, den=1, cancel=True):
@@ -115,9 +144,9 @@ def _make(pool, terms, den=1, cancel=True):
         return pool._zero
     if type(den) is not int:
         if cancel:
-            terms, den = cancel_common_factor(terms, den)
-        if len(den) == 1 and pool._zero_exps in den:
-            den = den[pool._zero_exps]
+            terms, den = cancel_common_factor(terms, den, pool.n_even)
+        if len(den) == 1 and 0 in den:
+            den = den[0]
     if den == 1:
         return Superfunction(pool, terms)
     g = den if type(den) is int else math.gcd(*den.values())
@@ -168,7 +197,6 @@ def _table_mul(pool, a, b):
     """The product of two numerator tables; the pool caches the sign and
     merged monomial of each pair of odd monomials.  :meth:`Superfunction.__mul__`
     multiplies by a body-only table itself."""
-    add = pool._add_exps
     raw = {}
     for ma, pa in a.items():
         row = pool._merge_row(ma)
@@ -186,7 +214,7 @@ def _table_mul(pool, a, b):
                 if sign < 0:
                     ca = -ca
                 for eb, cb in pb.items():
-                    e = add(ea, eb)
+                    e = ea + eb
                     acc[e] = acc.get(e, 0) + ca * cb
     out = {}
     for mono, acc in raw.items():
@@ -222,9 +250,8 @@ class GeneratorPool:
         self._even_index = {n: k for k, n in enumerate(self.even_names)}
         self._odd_index = {n: k for k, n in enumerate(self.odd_names)}
         n = len(self.even_names)
-        self._zero_exps = (0,) * n
-        self._unit_exps = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-        self._add_exps = exps_adder(n)
+        self._unit_keys = [pack(int(i == k) for i in range(n)) for k in range(n)]
+        self._guard = guard(n)
         self._merges = {}
         self._zero = Superfunction(self, {})  # immutable, so one serves all
 
@@ -308,7 +335,7 @@ class GeneratorPool:
         )
 
     def _constant(self, n, d):  # n/d in lowest terms, d > 0
-        return Superfunction(self, {(): {self._zero_exps: n}}, d) if n else self._zero
+        return Superfunction(self, {(): {0: n}}, d) if n else self._zero
 
     def _lift(self, e):
         """The superfunction of a sympy expression in the pool's even symbols,
@@ -333,7 +360,8 @@ class GeneratorPool:
         rationals ``q``, the inverse of :meth:`Superfunction.rational_coefficients`:
         the numerators over the least common denominator, coprime to them.
         ``mono`` is a strictly increasing tuple of odd indices and ``exps`` a
-        tuple of one nonnegative int per even variable (bools are neither)."""
+        tuple of one nonnegative int per even variable (bools are neither),
+        each after the first below 2**31."""
         table = {}
         for mono, exps, q in coefficients:
             if not (type(mono) is tuple and all(type(i) is int for i in mono)
@@ -342,9 +370,10 @@ class GeneratorPool:
                 raise InvalidArgument(f"odd monomial {mono!r} is not a strictly increasing"
                                       f" tuple of ints below {self.n_odd}")
             if not (type(exps) is tuple and len(exps) == self.n_even
-                    and all(type(e) is int and e >= 0 for e in exps)):
+                    and all(type(e) is int and e >= 0 for e in exps)
+                    and all(e < BOUND for e in exps[1:])):
                 raise InvalidArgument(f"exponents {exps!r} are not a tuple of {self.n_even}"
-                                      " nonnegative ints")
+                                      " nonnegative ints, each after the first below 2**31")
             r = _rational(q)
             if r is None:
                 raise InexactCoefficient(f"coefficient {q!r} is not an exact rational")
@@ -355,18 +384,19 @@ class GeneratorPool:
         den = math.lcm(*(d for _, d in table.values()))
         terms = {}
         for (mono, exps), (n, d) in table.items():
-            terms.setdefault(mono, {})[exps] = n * (den // d)
+            terms.setdefault(mono, {})[pack(exps)] = n * (den // d)
         return Superfunction(self, terms, den) if terms else self._zero
 
     def monomial_multiple(self, mono, exps, f, den=1):
         """The coefficients of ``m * f`` for the monomial ``m = th^mono x^exps``
-        (``mono`` an increasing tuple of odd indices, ``exps`` even exponents)
-        and a polynomial superfunction f, as ``(odd monomial, even exponents,
-        n)``: ``n`` is the int numerator over ``den``, which f's denominator
-        divides.  The Koszul sign of each merge comes from the pool's merge
-        cache, which :func:`_table_mul` fills too."""
+        (``mono`` an increasing tuple of odd indices, ``exps`` an exponent
+        tuple) and a polynomial superfunction f, as ``(odd monomial, even
+        key, n)``: ``n`` is the int numerator over ``den``, which f's
+        denominator divides, and the key is opaque to callers.  The Koszul
+        sign of each merge comes from the pool's merge cache, which
+        :func:`_table_mul` fills too."""
         row = self._merge_row(mono)
-        add = self._add_exps
+        key, mask = pack(exps), self._guard
         scale = den // f.den
         for mf, p in f.terms.items():
             merged = row.get(mf)
@@ -376,7 +406,10 @@ class GeneratorPool:
             if sign:
                 sign *= scale
                 for e, c in p.items():
-                    yield out, add(exps, e), sign * c
+                    e += key
+                    if e & mask:
+                        raise _carry(self)
+                    yield out, e, sign * c
 
     def monomials(self, degree):
         """Two lists, by parity, of the keys ``(mono, exps)`` of ``th^mono
@@ -393,8 +426,8 @@ class GeneratorPool:
         (th^mono x^exps) = s th^mono' x^exps'`` nonzero, the even variables
         first; coordinate ``n_even + i`` is the odd generator ``i``, and flesh
         generators admit no derivation."""
-        out = [(a, c, mono, e) for a in range(self.n_even)
-               for e, c in pdiff({exps: 1}, a).items()]
+        out = [(a, k, mono, exps[:a] + (k - 1,) + exps[a + 1:])
+               for a, k in enumerate(exps) if k]
         out += [(self.n_even + i, *_left_partial(mono, pos), exps)
                 for pos, i in enumerate(mono) if not self.is_flesh(i)]
         return out
@@ -410,10 +443,10 @@ class GeneratorPool:
         return row
 
     def even(self, name: str) -> "Superfunction":
-        return Superfunction(self, {(): {self._unit_exps[self._even_position(name)]: 1}})
+        return Superfunction(self, {(): {self._unit_keys[self._even_position(name)]: 1}})
 
     def odd(self, name: str) -> "Superfunction":
-        return Superfunction(self, {(self.odd_index(name),): {self._zero_exps: 1}})
+        return Superfunction(self, {(self.odd_index(name),): {0: 1}})
 
     def generator(self, name: str) -> "Superfunction":
         return self.even(name) if name in self._even_index else self.odd(name)
@@ -452,8 +485,8 @@ class Superfunction:
 
     def __init__(self, pool: GeneratorPool, terms: dict, den=1):
         self.pool = pool
-        self.terms = terms  # odd monomial -> {even exponents: nonzero int}
-        self.den = den  # positive int, or a polynomial {even exponents: int}
+        self.terms = terms  # odd monomial -> {even key: nonzero int}
+        self.den = den  # positive int, or a polynomial {even key: int}
 
     def _coerce(self, other):
         """``other`` as a superfunction over this pool: a superfunction over
@@ -480,8 +513,10 @@ class Superfunction:
         a, b = self.den, other.den
         if a == b:
             return _make(self.pool, _table_add(self.terms, other.terms), a)
-        return _make(self.pool, _table_add(_times(self.terms, b), _times(other.terms, a)),
-                     pscale(a, b))
+        terms, den = _table_add(_times(self.terms, b), _times(other.terms, a)), pscale(a, b)
+        if self.pool._guard:
+            _check(self.pool, terms, den)
+        return _make(self.pool, terms, den)
 
     __radd__ = __add__
 
@@ -516,19 +551,24 @@ class Superfunction:
         # constant only scales the other factor
         if len(b) == 1 and () in b:
             q = b[()]
-            if len(q) == 1 and type(other.den) is int and (n := q.get(self.pool._zero_exps)):
+            if len(q) == 1 and type(other.den) is int and (n := q.get(0)):
                 return self._scaled(n, other.den)
             terms = {m: pmul(p, q) for m, p in a.items()}
         elif len(a) == 1 and () in a:
             p = a[()]
-            if len(p) == 1 and type(self.den) is int and (n := p.get(self.pool._zero_exps)):
+            if len(p) == 1 and type(self.den) is int and (n := p.get(0)):
                 return other._scaled(n, self.den)
             terms = {m: pmul(p, q) for m, q in b.items()}
         else:
             terms = _table_mul(self.pool, a, b)
         if self.den == 1 and other.den == 1:
+            if self.pool._guard:
+                _check(self.pool, terms)
             return Superfunction(self.pool, terms) if terms else self.pool._zero
-        return _make(self.pool, terms, pscale(self.den, other.den))
+        den = pscale(self.den, other.den)
+        if self.pool._guard:
+            _check(self.pool, terms, den)
+        return _make(self.pool, terms, den)
 
     def __rmul__(self, other):
         # only scalars reach here; they commute with everything
@@ -659,10 +699,10 @@ class Superfunction:
         """``(odd monomial, even exponents, q)`` for every rational
         coefficient ``q``, an int or a ``Fraction``; requires
         :meth:`is_polynomial`."""
-        den = self.den
+        den, n = self.den, self.pool.n_even
         for mono, p in self.terms.items():
-            for exps, c in p.items():
-                yield mono, exps, c if den == 1 else Fraction(c, den)
+            for e, c in p.items():
+                yield mono, unpack(e, n), c if den == 1 else Fraction(c, den)
 
     # -- calculus ------------------------------------------------------------
 
@@ -739,8 +779,9 @@ class Superfunction:
             return images[name]
 
         polys = [*self.terms.values(), *([] if type(den) is int else [den])]
+        exps = {e: unpack(e, pool.n_even) for p in polys for e in p}
         evens = {}
-        for k in sorted({k for p in polys for e in p for k, v in enumerate(e) if v}):
+        for k in sorted({k for t in exps.values() for k, v in enumerate(t) if v}):
             evens[k] = image(pool.even_names[k], 0)
             if evens[k].pool != new_pool:
                 raise PoolMismatch(f"image of {pool.even_names[k]!r} lives over another pool")
@@ -750,10 +791,10 @@ class Superfunction:
 
         def value(p):
             out = new_pool.zero()
-            for exps, c in p.items():
+            for e, c in p.items():
                 term = new_pool._constant(c, 1)
                 for k in evens:
-                    j = exps[k]
+                    j = exps[e][k]
                     if j:
                         if (k, j) not in powers:
                             powers[k, j] = evens[k] ** j
@@ -796,14 +837,17 @@ def _derivative(f, name):
     pool = f.pool
     k = pool._even_index.get(name)
     if k is not None:
-        den = f.den
+        den, field = f.den, fields(pool.n_even)[k]
         if type(den) is int:
-            return _make(pool, {m: d for m, p in f.terms.items() if (d := pdiff(p, k))}, den)
+            return _make(pool, {m: d for m, p in f.terms.items() if (d := pdiff(p, field))}, den)
         # (N/D)' = (N' D - N D') / D^2
-        dden = pdiff(den, k)
-        terms = {m: padd(pmul(pdiff(p, k), den), pneg(pmul(p, dden)))
+        dden = pdiff(den, field)
+        terms = {m: padd(pmul(pdiff(p, field), den), pneg(pmul(p, dden)))
                  for m, p in f.terms.items()}
-        return _make(pool, {m: d for m, d in terms.items() if d}, pmul(den, den))
+        terms, den = {m: d for m, d in terms.items() if d}, pmul(den, den)
+        if pool._guard:
+            _check(pool, terms, den)
+        return _make(pool, terms, den)
     idx = pool.odd_index(name)
     if pool.is_flesh(idx):
         raise UnknownGenerator(
@@ -852,8 +896,10 @@ def _divide(num, den):
         )
         terms, s = series.terms, scale.terms[()]
     # a constant s over an int den.den scales num by a unit: nothing to cancel
-    return _make(pool, _times(terms, den.den), pscale(num.den, s),
-                 type(den.den) is not int or any(map(any, s)))
+    terms, d = _times(terms, den.den), pscale(num.den, s)
+    if pool._guard:
+        _check(pool, terms, d)
+    return _make(pool, terms, d, type(den.den) is not int or any(s))
 
 
 def _half_binomials():

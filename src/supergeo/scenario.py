@@ -11,6 +11,7 @@ in docs/scenario-format.md.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -242,6 +243,11 @@ def load_scenario(text: str) -> Scenario:
     return sc
 
 
+# a box bound as docs/scenario-format.md writes it: [-]p[/q] in ASCII
+# digits, q not zero
+_BOUND = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def _build_chart(block: _Block) -> Chart:
     lineno, flesh = block.get("flesh", "0")
     try:
@@ -256,10 +262,9 @@ def _build_chart(block: _Block) -> Chart:
             parts = value.split()
             if len(parts) != 2:
                 raise ParseError("box interval needs two rationals", lineno)
-            try:
-                box[key[0]] = tuple(Fraction(p) for p in parts)
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad rational literal in {value!r}", lineno) from None
+            if not all(map(_BOUND.fullmatch, parts)):
+                raise ParseError(f"bad rational literal in {value!r}", lineno)
+            box[key[0]] = tuple(map(Fraction, parts))
     even, odd = (_split_names(block.get(k, "")[1]) for k in ("even", "odd"))
     try:
         return Chart(even, odd, box, tuple(f"lam{i+1}" for i in range(flesh)))

@@ -1,14 +1,26 @@
 """Integer polynomials in Python ints, the kernel of :mod:`supergeo.scalars`.
 
-A polynomial is ``{exponent tuple: nonzero int}``, all tuples of one length,
-and ``{}`` is zero; :func:`pscale`, :func:`evaluate` and :func:`poly_root`
-also take an ``int``.  Results may share their inputs' dicts, and no caller
-mutates one.  Besides ring arithmetic this holds the heuristic gcd that
-cancels a quotient (:func:`cancel_common_factor`), the exact square root
-(:func:`poly_root`) and a printer that writes a polynomial byte for byte as
-sympy's ``sstr(expr, order="lex")`` does (:func:`render_poly`).  It imports
-nothing from the package, and sympy only inside the exact gcd that the
-heuristic one falls back to on some tables in several variables.
+A polynomial in n variables is ``{key: nonzero int}``, and ``{}`` is zero;
+:func:`pscale`, :func:`evaluate` and :func:`poly_root` also take an ``int``.
+A key packs an exponent tuple into one int (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007): each variable after the first has a field of :data:`BITS` bits, the
+last variable lowest, and the first variable takes every bit above them, so
+its degree is unbounded (:func:`pack`, :func:`unpack`).  Integer order of
+the keys is lex order of the tuples, the key of a product of monomials is
+the sum of their keys, and in one variable the key is the degree.  A degree
+after the first stays below :data:`BOUND`, 2^31, which keeps the top bit of
+its field clear: the sum of two keys then carries into no other field.  A
+product key with a bit of :func:`guard` set holds a degree that would carry
+once added again; :mod:`supergeo.scalars` checks the products of each
+operation and raises ``InvalidArgument`` for one.  Results may
+share their inputs' dicts, and no caller mutates one.  Besides ring
+arithmetic this holds the heuristic gcd that cancels a quotient
+(:func:`cancel_common_factor`), the exact square root (:func:`poly_root`)
+and a printer that writes a polynomial byte for byte as sympy's
+``sstr(expr, order="lex")`` does (:func:`render_poly`).  It imports nothing
+from the package, and sympy only inside the exact gcd that the heuristic
+one falls back to on some tables in several variables.
 """
 
 import functools
@@ -17,15 +29,46 @@ import math
 import operator
 import re
 
+# the width of the field of each variable after the first in a key, and
+# the bound of a degree there, which keeps the field's top bit clear
+BITS = 32
+BOUND = 1 << BITS - 1
+_FIELD = (1 << BITS) - 1
+
+
+def pack(exps):
+    """The key of the exponent tuple ``exps``, each exponent after the
+    first below :data:`BOUND`."""
+    key = 0
+    for e in exps:
+        key = key << BITS | e
+    return key
+
+
+def unpack(key, n):
+    """The exponent tuple of length n that the key packs."""
+    return tuple(key >> s & m for s, m in fields(n))
+
 
 @functools.cache
-def exps_adder(n):
-    """a + b for exponent tuples of length n, written out for n <= 2."""
-    if n == 1:
-        return lambda a, b: (a[0] + b[0],)
-    if n == 2:
-        return lambda a, b: (a[0] + b[0], a[1] + b[1])
-    return lambda a, b: tuple(map(operator.add, a, b))
+def fields(n):
+    """``(shift, mask)`` of each of n variables: its degree in a key e is
+    ``e >> shift & mask``; the first variable's mask is -1, all bits."""
+    return tuple((BITS * (n - 1 - k), _FIELD if k else -1) for k in range(n))
+
+
+@functools.cache
+def guard(n):
+    """The top bit of each field after the first: a key with one of them
+    set holds a degree of 2^31 or more where it must stay below."""
+    return sum(1 << BITS * k + BITS - 1 for k in range(n - 1))
+
+
+def _fits(t, top, mask):
+    """Whether every field of the key t lies between 0 and that of the key
+    ``top``, both with clear guard bits ``mask``: a field out of range
+    borrows, so that ``t`` or ``top - t`` is negative or has a guard bit set."""
+    return t >= 0 and not t & mask and top - t >= 0 and not (top - t) & mask
 
 
 def pmul(p, q):
@@ -34,16 +77,15 @@ def pmul(p, q):
         p, q = q, p
     if not q:
         return {}
-    add = exps_adder(len(next(iter(q))))
     if len(p) == 1:
         [(ea, ca)] = p.items()
-        if not any(ea):
+        if not ea:
             return {e: c * ca for e, c in q.items()}
-        return {add(ea, e): c * ca for e, c in q.items()}
+        return {ea + e: c * ca for e, c in q.items()}
     out = {}
     for ea, ca in p.items():
         for eb, cb in q.items():
-            e = add(ea, eb)
+            e = ea + eb
             out[e] = out.get(e, 0) + ca * cb
     return out if all(out.values()) else {e: c for e, c in out.items() if c}
 
@@ -64,9 +106,13 @@ def pneg(p):
     return {e: -c for e, c in p.items()}
 
 
-def pdiff(p, k):
-    """Partial derivative by the k-th variable, possibly empty."""
-    return {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k] for e, c in p.items() if e[k]}
+def pdiff(p, field):
+    """Partial derivative by the variable whose ``(shift, mask)`` in the
+    keys is ``field`` (see :func:`fields`), possibly empty: each key loses
+    the unit of that field."""
+    s, m = field
+    unit = 1 << s
+    return {e - unit: c * d for e, c in p.items() if (d := e >> s & m)}
 
 
 def pscale(p, d):
@@ -84,14 +130,19 @@ def evaluate(p, nums, den):
     the total degree of p: each term c x^e contributes c nums^e den^(d - |e|)."""
     if type(p) is int:
         return p, 1
-    degrees = [sum(exps) for exps in p]
+    spans = list(zip(nums, fields(len(nums))))
+    values, degrees = [], []
+    for e, c in p.items():
+        k = 0
+        for v, (s, m) in spans:
+            d = e >> s & m
+            if d:
+                c *= v**d
+                k += d
+        values.append(c)
+        degrees.append(k)
     top = max(degrees)
-    total = 0
-    for (exps, c), k in zip(p.items(), degrees):
-        for v, e in zip(nums, exps):
-            if e:
-                c *= v**e
-        total += c if k == top else c * den ** (top - k)
+    total = sum(c if k == top else c * den ** (top - k) for c, k in zip(values, degrees))
     return total, den**top
 
 
@@ -115,33 +166,35 @@ def _digits(v, xi):
     return out
 
 
-def _lift(p, shift, radix):
-    """``X^shift * p`` back in ``x``: exponent k becomes its mixed-radix digits
-    in ``radix``, the last variable taking the rest."""
+def _lift(p, shift, radix, spans):
+    """``X^shift * p`` back in ``x``, in the keys whose fields are ``spans``:
+    exponent k becomes its mixed-radix digits in ``radix``, the last
+    variable taking the rest; in one variable the key is k itself."""
     out = {}
     for k, c in p.items():
         k += shift
-        e = []
-        for r in radix:
+        key = 0
+        for r, (s, _) in zip(radix, spans):
             k, d = divmod(k, r)
-            e.append(d)
-        out[(*e, k)] = c
+            key |= d << s
+        out[key | k] = c
     return out
 
 
-def cancel_common_factor(terms, den):
-    """Divide the numerators and the polynomial ``den`` by their common
-    factor in ``Z[x]``: one heuristic gcd over the whole table in Python ints
-    (GCDHEU: Char, Geddes and Gonnet, J. Symbolic Computation 7, 1989).
+def cancel_common_factor(terms, den, n):
+    """Divide the numerators and the polynomial ``den`` in n variables by
+    their common factor in ``Z[x]``: one heuristic gcd over the whole table
+    in Python ints (GCDHEU: Char, Geddes and Gonnet, J. Symbolic Computation
+    7, 1989).
 
     The F_i (``den`` and the numerators) first lose their joint integer
     content and joint monomial.  The Kronecker substitution x_1 -> X,
     x_(k+1) -> X^(r_1 ... r_k), each radix r_k above every exponent of x_k,
-    is a ring map, one to one on the F_i and their divisors (the identity in
-    one variable); F_i maps to X^(j_i) G_i with G_i(0) != 0.  A nonconstant
-    common factor, no monomial, maps to X^t Q with Q nonconstant and
-    dividing every G_i, so the roots of Q lie within 1 + |F_i|oo of 0 for
-    each i.  At xi = 2 max_i |F_i|oo + 29, |Q(xi)| > xi/2 divides
+    is a ring map, one to one on the F_i and their divisors (in one
+    variable the image of a key is the key itself); F_i maps to X^(j_i)
+    G_i with G_i(0) != 0.  A nonconstant common factor, no monomial, maps
+    to X^t Q with Q nonconstant and dividing every G_i, so the roots of Q
+    lie within 1 + |F_i|oo of 0 for each i.  At xi = 2 max_i |F_i|oo + 29, |Q(xi)| > xi/2 divides
     gamma = gcd_i G_i(xi): ``2 gamma <= xi`` proves that nothing cancels.
     Otherwise the primitive part H of gamma's symmetric xi-adic digits is
     the candidate for Q.  For t = 0, then t = min_i j_i, h = X^t H and the
@@ -159,22 +212,32 @@ def cancel_common_factor(terms, den):
         content = math.gcd(content, *p.values())
         if content == 1:
             break
-    low = tuple(map(min, zip(*(e for p in polys for e in p))))  # the joint monomial
-    if content != 1 or any(low):
-        polys = [{tuple(map(operator.sub, e, low)): c // content for e, c in p.items()}
-                 for p in polys]
+    keys = [e for p in polys for e in p]
+    # each variable's degrees, key by key; in one variable the keys themselves
+    degrees = [keys] if n == 1 else [[e >> s & m for e in keys] for s, m in fields(n)]
+    lows = [min(d) for d in degrees]
+    low = pack(lows)  # the joint monomial: no field of a key lies below its own
+    if content != 1 or low:
+        polys = [{e - low: c // content for e, c in p.items()} for p in polys]
 
     def table(polys):
         return dict(zip(terms, polys[1:])), polys[0]
 
-    if any(len(p) == 1 and not any(next(iter(p))) for p in polys):
+    if any(len(p) == 1 and 0 in p for p in polys):
         return table(polys)  # a nonzero constant is one of them: nothing more cancels
-    top = [max(e[k] for p in polys for e in p) for k in range(len(low) - 1)]
+    top = [max(d) - k for d, k in zip(degrees[:-1], lows)]
     xi = 2 * max(max(map(abs, p.values())) for p in polys) + 29
+    spans = fields(n)
     for attempt in range(_HEURISTIC_TRIES):
         radix = [d + 1 + attempt for d in top]
-        strides = list(itertools.accumulate(radix, operator.mul, initial=1))
-        images = [{sum(map(operator.mul, e, strides)): c for e, c in p.items()} for p in polys]
+        if n == 1:
+            images = polys
+        else:  # the images of all keys, variable by variable, then split by polynomial
+            flat = [0] * len(keys)
+            for r, d, k in zip(itertools.accumulate(radix, operator.mul, initial=1), degrees, lows):
+                flat = [x + (e - k) * r for x, e in zip(flat, d)]
+            flat = iter(flat)
+            images = [{k: c for c, k in zip(p.values(), flat)} for p in polys]
         shifts = [min(image) for image in images]
         powers = {k: xi**k for k in {k - j for image, j in zip(images, shifts) for k in image}}
         values = [sum(c * powers[k - j] for k, c in image.items())
@@ -187,10 +250,10 @@ def cancel_common_factor(terms, den):
         h = {k: c // h_content for k, c in h.items()}
         quotients = [_digits(v // (gamma // h_content), xi) for v in values]
         for t in sorted({0, min(shifts)}):
-            lifted = _lift(h, t, radix)
+            lifted = _lift(h, t, radix, spans)
             cofactors = []
             for q, j, p in zip(quotients, shifts, polys):
-                c = _lift(q, j - t, radix)
+                c = _lift(q, j - t, radix, spans)
                 if pmul(lifted, c) != p:
                     break
                 cofactors.append(c)
@@ -199,10 +262,10 @@ def cancel_common_factor(terms, den):
                         and xi > 2 * min(max(map(abs, c.values())) for c in cofactors) + 2):
                     return table(cofactors)
         xi = xi * 73794 // 27011
-    return _cancel_by_sympy_gcd(*table(polys))
+    return _cancel_by_sympy_gcd(*table(polys), n)
 
 
-def _cancel_by_sympy_gcd(terms, den):
+def _cancel_by_sympy_gcd(terms, den, n):
     """The exact route of :func:`cancel_common_factor`: sympy's dense gcd
     over ``ZZ``, one per numerator, stopped once the gcd is constant.
     Imports sympy, which no golden scenario and no benchmark job reaches."""
@@ -211,16 +274,20 @@ def _cancel_by_sympy_gcd(terms, den):
     from sympy.polys.domains import ZZ
     from sympy.polys.euclidtools import dmp_gcd
 
-    u = len(next(iter(den))) - 1
-    g = d = dmp_from_dict(den, u, ZZ)
+    u = n - 1
+
+    def dense(p):
+        return dmp_from_dict({unpack(e, n): c for e, c in p.items()}, u, ZZ)
+
+    g = d = dense(den)
     for p in terms.values():
-        g = dmp_gcd(g, dmp_from_dict(p, u, ZZ), u, ZZ)
+        g = dmp_gcd(g, dense(p), u, ZZ)
         if dmp_ground_p(g, None, u):
             return terms, den
 
     def quotient(f):  # as ints: ZZ's elements are not ints under gmpy or flint ground types
-        return {e: int(c) for e, c in dmp_to_dict(dmp_exquo(f, g, u, ZZ), u, ZZ).items()}
-    return {m: quotient(dmp_from_dict(p, u, ZZ)) for m, p in terms.items()}, quotient(d)
+        return {pack(e): int(c) for e, c in dmp_to_dict(dmp_exquo(f, g, u, ZZ), u, ZZ).items()}
+    return {m: quotient(dense(p)) for m, p in terms.items()}, quotient(d)
 
 
 # the rank of a generator name without its trailing digits in sympy's
@@ -248,10 +315,20 @@ def sympy_gen_order(names):
     return tuple(sorted(range(len(names)), key=lambda i: _gen_key(names[i])))
 
 
+def _lex(order):
+    """The sort key of keys in lex order of the variables at the positions
+    ``order``, their degrees read in that order; None, the key itself, when
+    ``order`` is the variables' own."""
+    if all(i == k for k, i in enumerate(order)):
+        return None
+    spans = [fields(len(order))[i] for i in order]
+    return lambda e: [e >> s & m for s, m in spans]
+
+
 def leading_coefficient(p, order):
     """Leading coefficient of a nonzero polynomial in lex order of the
     variables at the positions ``order``."""
-    return max(p.items(), key=lambda t: [t[0][i] for i in order])[1]
+    return p[max(p, key=_lex(order))]
 
 
 @functools.cache
@@ -262,17 +339,23 @@ def name_order(names):
 
 
 def render_poly(names, terms):
-    """The polynomial with the terms ``{exponents: rational}`` as ``sstr``
-    prints it: terms in descending lex order of the variables sorted by
-    name, factors in name order, the absolute numerator first unless it is 1
-    in a non-constant term, ``/q`` last, and signs between the terms."""
+    """The polynomial with the terms ``{key: rational}`` in the variables
+    ``names`` as ``sstr`` prints it: terms in descending lex order of the
+    variables sorted by name, factors in name order, the absolute numerator
+    first unless it is 1 in a non-constant term, ``/q`` last, and signs
+    between the terms."""
     order = name_order(names)
+    spans = fields(len(names))
     out = ""
-    for exps, q in sorted(terms.items(), key=lambda t: [t[0][i] for i in order],
-                          reverse=True):
+    for e in sorted(terms, key=_lex(order), reverse=True):
+        q = terms[e]
         n, d = q.numerator, q.denominator
-        factors = [names[i] if exps[i] == 1 else f"{names[i]}^{exps[i]}"
-                   for i in order if exps[i]]
+        factors = []
+        for i in order:
+            s, m = spans[i]
+            k = e >> s & m
+            if k:
+                factors.append(names[i] if k == 1 else f"{names[i]}^{k}")
         if abs(n) != 1 or not factors:
             factors.insert(0, str(abs(n)))
         term = "*".join(factors) + (f"/{d}" if d != 1 else "")
@@ -289,33 +372,35 @@ def poly_root(p, order):
     ``order``, or None when ``p`` is not a square.
 
     A square's root has integer coefficients (Gauss's lemma), and in lex
-    order of the exponent tuples its leading term is the root of ``p``'s.
-    Each further term is the leading term of ``p - root^2`` over twice that
-    leading term, and it is lex smaller than the terms before it.  A term
-    that is not an integer monomial of degree at most half of ``p``'s in
-    each variable proves that ``p`` is no square; the degree bound ends the
-    loop."""
+    order of the exponents, which is the order of the keys, its leading
+    term is the root of ``p``'s: every degree of the leading key is even,
+    so halving the key halves each field.  Each further term is the leading
+    term of ``p - root^2`` over twice that leading term.  A term that is not
+    an integer monomial proves that ``p`` is no square.  The keys of ``p -
+    root^2`` fall strictly in lex order, a well-order, so the loop ends; the
+    bound of half of ``p``'s degree in each variable only rejects a
+    non-square early, at the first term above it (:func:`_fits`)."""
     if type(p) is int:
         r = math.isqrt(max(p, 0))
         return r if r * r == p else None
+    n = len(order)
+    spans = fields(n)
     lead = max(p)
     r = math.isqrt(max(p[lead], 0))
-    if r * r != p[lead] or any(e % 2 for e in lead):
+    if r * r != p[lead] or lead & sum(1 << s for s, _ in spans):  # an odd degree
         return None
-    half = [max(e[k] for e in p) // 2 for k in range(len(lead))]
-    head = tuple(e // 2 for e in lead)
+    half = pack([max(e >> s & m for e in p) // 2 for s, m in spans])
+    head = lead >> 1
     root = {head: r}
     rest = {e: c for e, c in p.items() if e != lead}
-    add = exps_adder(len(lead))
     while rest:
         e = max(rest)
-        t = tuple(map(operator.sub, e, head))
-        if rest[e] % (2 * r) or any(d < 0 or d > h for d, h in zip(t, half)):
+        t = e - head
+        if rest[e] % (2 * r) or not _fits(t, half, guard(n)):
             return None
         q = rest[e] // (2 * r)
         # p - (root + q x^t)^2 = rest - 2 q x^t root - q^2 x^(2t)
-        for key, c in [*((add(er, t), 2 * q * cr) for er, cr in root.items()),
-                       (add(t, t), q * q)]:
+        for key, c in [*((er + t, 2 * q * cr) for er, cr in root.items()), (t + t, q * q)]:
             c = rest.get(key, 0) - c
             if c:
                 rest[key] = c

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from supergeo import Chart, GeneratorPool
+from supergeo import Chart, GeneratorPool, zpoly
 from supergeo.geometry import BilinearForm, OSpFrame, VectorField, flat_metric
 from supergeo.supermatrix import SuperMatrix, flip_sides, osp_residuals
 
@@ -104,13 +104,26 @@ def seeded(seed):
     return random.Random(seed)
 
 
+def packed(p):
+    """A polynomial ``{exponent tuple: int}`` (or an int) as the kernel's
+    ``{key: int}``.  With :func:`unpacked`, the one way tests cross between
+    exponent tuples and the packed keys of :mod:`supergeo.zpoly`."""
+    return p if type(p) is int else {zpoly.pack(e): c for e, c in p.items()}
+
+
+def unpacked(p, n):
+    """A kernel polynomial (or an int) in n variables as ``{exponent tuple: int}``."""
+    return p if type(p) is int else {zpoly.unpack(e, n): c for e, c in p.items()}
+
+
 def random_poly(rng, n, terms=4, degree=3, bound=9):
-    """A nonzero integer polynomial ``{exponent tuple: int}`` in n variables."""
+    """A nonzero kernel polynomial in n variables, drawn as ``{exponent
+    tuple: int}``."""
     p = {}
     for _ in range(rng.randint(1, terms)):
         e = tuple(rng.randint(0, degree) for _ in range(n))
         p[e] = p.get(e, 0) + rng.randint(-bound, bound)
-    return {e: c for e, c in p.items() if c} or {(0,) * n: 1}
+    return packed({e: c for e, c in p.items() if c} or {(0,) * n: 1})
 
 
 def count_calls(monkeypatch, caller, name):

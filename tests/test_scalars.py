@@ -30,7 +30,7 @@ from supergeo.errors import (
 
 from supergeo.parsing import parse_expression
 
-from conftest import count_calls, random_poly, random_superfunction, seeded
+from conftest import count_calls, packed, random_poly, random_superfunction, seeded, unpacked
 
 x = sp.Symbol("x")
 
@@ -148,14 +148,14 @@ class TestPolynomialInputThroughTheRing:
         y = sp.Symbol("y")
         f = GeneratorPool(["x", "y"], ["th1", "th2"]).scalar(x / 2 + y**3)
         assert f.is_polynomial()
-        assert (f.terms, f.den) == ({(): {(1, 0): 1, (0, 3): 2}}, 2)
+        assert (f.terms, f.den) == ({(): packed({(1, 0): 1, (0, 3): 2})}, 2)
 
     @pytest.mark.parametrize("value", [1 / x, x**-2])
     def test_negative_powers_stored_as_fractions(self, pool, value):
         f = pool.scalar(value)
         assert not f.is_polynomial()
         k = sp.degree(sp.denom(value), x)
-        assert (f.terms, f.den) == ({(): {(0,): 1}}, {(k,): 1})
+        assert (f.terms, f.den) == ({(): packed({(0,): 1})}, packed({(k,): 1}))
 
     def test_quotients_cancel(self, pool):
         assert pool.scalar((x + 1) / (x + 1)) == pool.one()
@@ -179,9 +179,9 @@ def _field(pool):
 def _field_element(f, mono=()):
     """The coefficient of the odd monomial ``mono`` as an element of sympy's
     fraction field, built from its numerator and ``den``."""
-    ring = _field(f.pool).ring
-    den = ring(f.den) if type(f.den) is int else ring.from_dict(f.den)
-    return _field(f.pool).new(ring.from_dict(f.terms.get(mono, {})), den)
+    ring, n = _field(f.pool).ring, f.pool.n_even
+    den = ring(f.den) if type(f.den) is int else ring.from_dict(unpacked(f.den, n))
+    return _field(f.pool).new(ring.from_dict(unpacked(f.terms.get(mono, {}), n)), den)
 
 
 _Y = sp.Symbol("y")
@@ -401,7 +401,8 @@ def field_inverse(f):
     lcm = math.lcm(*(int(c.denominator) for c in list(num.values()) + list(den.values())))
     num, den = ({e: int(c * lcm) for e, c in p.items()} for p in (num, den))
     # num and den are coprime in sympy's field, so _make only normalises them
-    binv = scalars._make(pool, {(): num}, den if any(map(any, den)) else den[(0,) * pool.n_even])
+    binv = scalars._make(pool, {(): packed(num)},
+                         packed(den) if any(map(any, den)) else den[(0,) * pool.n_even])
     minus_t = -(f.nilpotent_part() * binv)
     out = power = pool.one()
     while True:
@@ -669,7 +670,7 @@ def _sympy_render(c):
         num, den = sp.fraction(c.numer.quo_ground(c.denom.LC).as_expr())
     else:
         order = zpoly.sympy_gen_order(tuple(map(str, c.field.symbols)))
-        lc = zpoly.leading_coefficient(c.denom, order)
+        lc = zpoly.leading_coefficient(packed(c.denom), order)
         num, den = (c.numer, c.denom) if lc > 0 else (-c.numer, -c.denom)
         num, den = num.as_expr(), den.as_expr()
     ns = sp.sstr(num, order="lex").replace("**", "^")
@@ -863,7 +864,7 @@ class TestCanonicalForm:
     def test_render_matches_sympy(self, pool24):
         xx, th = pool24.even("x"), pool24.odd
         joint = xx / (xx + 1) + th("th1") * th("th2") / (xx + 1) ** 2
-        assert joint.den == {(2, 0): 1, (1, 0): 2, (0, 0): 1}
+        assert joint.den == packed({(2, 0): 1, (1, 0): 2, (0, 0): 1})
         assert joint.render() == "((x)/(x + 1)) + ((1)/(x^2 + 2*x + 1))*th1*th2"
         cases = [joint] + [f * g for f, g in self.draws(pool24, 172)]
         for f in cases:
@@ -984,7 +985,8 @@ def _assert_canonical(f):
         assert type(mono) is tuple and list(mono) == sorted(set(mono))
         assert all(0 <= i < pool.n_odd for i in mono)
         assert type(p) is dict and p
-        for exps, c in p.items():
+        assert all(type(e) is int and e >= 0 and not e & zpoly.guard(n) for e in p)
+        for exps, c in unpacked(p, n).items():
             assert type(exps) is tuple and len(exps) == n and min(exps, default=0) >= 0
             assert type(c) is int and c
         ints += p.values()
@@ -993,14 +995,14 @@ def _assert_canonical(f):
         assert den > 0 and (f.terms or den == 1)
         ints.append(den)
     else:
-        assert type(den) is dict and any(any(e) for e in den)
+        assert type(den) is dict and any(any(e) for e in unpacked(den, n))
         assert all(type(c) is int and c for c in den.values())
         assert den[max(den)] > 0
         ints += den.values()
         ring = _ring(pool)
-        g = ring.from_dict(den)
+        g = ring.from_dict(unpacked(den, n))
         for p in f.terms.values():
-            g = g.gcd(ring.from_dict(p))
+            g = g.gcd(ring.from_dict(unpacked(p, n)))
         assert g.is_ground
     assert not f.terms or math.gcd(*ints) == 1
 
@@ -1068,7 +1070,7 @@ class TestCoefficientInvariant:
                 if type(p) is int:
                     return Fraction(p)
                 total = Fraction(0)
-                for exps, c in p.items():
+                for exps, c in unpacked(p, len(point)).items():
                     for v, e in zip(point, exps):
                         if e:
                             c = c * v**e
@@ -1136,12 +1138,12 @@ class TestCoefficientInvariant:
         """A constant denominator held as a polynomial, a common integer
         content and a common polynomial factor each break the invariant."""
         xx = pool.even("x")
-        for stale in (Superfunction(pool, {(): {(0,): 3}}, {(0,): 2}),
-                      Superfunction(pool, {(): {(0,): 2}}, 4),
-                      Superfunction(pool, {(): {(1,): 1}}, {(1,): 1}),
-                      Superfunction(pool, {(): {(0,): 1}}, {(1,): -1}),
+        for stale in (Superfunction(pool, {(): packed({(0,): 3})}, packed({(0,): 2})),
+                      Superfunction(pool, {(): packed({(0,): 2})}, 4),
+                      Superfunction(pool, {(): packed({(1,): 1})}, packed({(1,): 1})),
+                      Superfunction(pool, {(): packed({(0,): 1})}, packed({(1,): -1})),
                       Superfunction(pool, {(): {}}),
-                      Superfunction(pool, {(): {(0,): 0}})):
+                      Superfunction(pool, {(): packed({(0,): 0})})):
             with pytest.raises(AssertionError):
                 _assert_canonical(stale)
         for fine in (pool.scalar(3), pool.scalar(Fraction(3, 2)), xx / 2, 1 / -xx,
@@ -1196,7 +1198,7 @@ class TestCoefficientInvariant:
             results += [f.partial(n) for n in coordinates]
             for r in results:
                 assert r.is_polynomial()
-                assert all(set(p) == {zero} for p in r.terms.values())
+                assert all(set(unpacked(p, pool.n_even)) == {zero} for p in r.terms.values())
                 _assert_canonical(r)
                 body = r.body_at(point)
                 assert type(body) is Fraction and pool.scalar(body) == r.body_part()
@@ -1211,8 +1213,9 @@ def _gcd_input(rng, n):
     a shared integer content is multiplied in with probability 1/2, and
     each polynomial is negated with probability 1/2."""
     polys = [random_poly(rng, n) for _ in range(rng.randint(2, 7))]
-    for factor in (random_poly(rng, n, 3, 2), {tuple(rng.randint(0, 2) for _ in range(n)): 1},
-                   {(0,) * n: rng.choice([2, 6, 35])}):
+    for factor in (random_poly(rng, n, 3, 2),
+                   packed({tuple(rng.randint(0, 2) for _ in range(n)): 1}),
+                   packed({(0,) * n: rng.choice([2, 6, 35])})):
         if rng.random() < 0.5:
             polys = [zpoly.pmul(p, factor) for p in polys]
     polys = [zpoly.pneg(p) if rng.random() < 0.5 else p for p in polys]
@@ -1221,13 +1224,13 @@ def _gcd_input(rng, n):
 
 def _cancelled_by_sympy(pool, terms, den):
     """The superfunction ``terms / den`` cancelled by sympy's ``PolyRing.gcd``."""
-    ring = _ring(pool)
-    g = ring.from_dict(den)
+    ring, n = _ring(pool), pool.n_even
+    g = ring.from_dict(unpacked(den, n))
     for p in terms.values():
-        g = g.gcd(ring.from_dict(p))
+        g = g.gcd(ring.from_dict(unpacked(p, n)))
 
     def quotient(p):
-        return {e: int(c) for e, c in ring.from_dict(p).exquo(g).items()}
+        return packed({e: int(c) for e, c in ring.from_dict(unpacked(p, n)).exquo(g).items()})
 
     return scalars._make(pool, {m: quotient(p) for m, p in terms.items()}, quotient(den),
                          cancel=False)
@@ -1265,8 +1268,8 @@ class TestHeuristicGcd:
         twin = (1 + xx + xx * xx) * (xx - yy) / ((1 - yy) * (xx - yy))
         for r in (f, twin):
             _assert_canonical(r)
-            assert r.terms == {(): {(0, 0): -1, (1, 0): -1, (2, 0): -1}}
-            assert r.den == {(0, 1): 1, (0, 0): -1}
+            assert r.terms == {(): packed({(0, 0): -1, (1, 0): -1, (2, 0): -1})}
+            assert r.den == packed({(0, 1): 1, (0, 0): -1})
         assert f == twin and fallbacks == []
 
     def test_gcd_without_constant_term_falls_back(self, fallbacks):
@@ -1358,7 +1361,8 @@ def test_monomial_multiple_is_the_product():
         den = 3 * math.lcm(1, *(q.denominator for _, _, q in f.rational_coefficients()))
         monomial = pool.from_coefficients([(mono, exps, 1)])
         want = sorted((m, e, q * den) for m, e, q in (monomial * f).rational_coefficients())
-        assert sorted(pool.monomial_multiple(mono, exps, f, den)) == want
+        got = pool.monomial_multiple(mono, exps, f, den)
+        assert sorted((m, zpoly.unpack(e, pool.n_even), c) for m, e, c in got) == want
 
 
 def test_monomial_partials_are_the_partials():

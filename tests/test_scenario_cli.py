@@ -624,6 +624,25 @@ def test_a_key_naming_no_coordinate_is_a_usage_error(text, error):
     assert report.load_error == error
 
 
+@pytest.mark.parametrize("bounds", ["0.5 1", "1e-1 1", "1_0 20", "0 +1", "0 1.", "0 \u0661",
+                                    "0 1/00"])
+def test_a_box_bound_other_than_a_rational_literal_is_a_usage_error(bounds):
+    """A box bound is ``[-]p[/q]`` in ASCII digits with ``q`` not zero, as
+    the format states: a decimal, an exponent, a digit separator, a plus
+    sign or a non-ASCII digit is rejected with the line, though
+    ``Fraction`` reads each, and so is a zero denominator."""
+    report = run_scenario(_edited_flat_killing("box x = 0 1\n", f"box x = {bounds}\n"))
+    assert report.exit_code == 2
+    assert report.load_error == f"ParseError: bad rational literal in {bounds!r} at line 6"
+
+
+@pytest.mark.parametrize("bounds", ["-10 3", "-1/2 1/2", "0 007", "0 10/010"])
+def test_rational_box_bounds_load(bounds):
+    """Integers, negative ones included, and quotients load as boxes."""
+    report = run_scenario(_edited_flat_killing("box x = 0 1\n", f"box x = {bounds}\n"))
+    assert report.load_error is None and report.exit_code == 0
+
+
 def test_a_coordinate_name_no_expression_can_read_is_a_usage_error():
     """A chart name that is no identifier (``th-1``, read by an expression
     as ``th - 1``) is rejected with the chart; it built a chart whose

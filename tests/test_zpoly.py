@@ -8,21 +8,22 @@ import pytest
 import sympy as sp
 from sympy.polys.polyutils import _sort_gens
 
-from supergeo import zpoly
+from supergeo import GeneratorPool, scalars, zpoly
+from supergeo.errors import InvalidArgument
 
-from conftest import random_poly, seeded
+from conftest import count_calls, packed, random_poly, seeded, unpacked
 
 
 def _poly(p, gens):
     """A kernel polynomial (or an int) as sympy's ``Poly`` over ``ZZ``."""
     if type(p) is int:
         return sp.Poly(p, *gens, domain=sp.ZZ)
-    return sp.Poly.from_dict(p, gens, domain=sp.ZZ)
+    return sp.Poly.from_dict(unpacked(p, len(gens)), gens, domain=sp.ZZ)
 
 
 def _kernel(poly):
     """A sympy ``Poly`` over ``ZZ`` as a kernel polynomial."""
-    return {e: int(c) for e, c in poly.as_dict().items()}
+    return packed({e: int(c) for e, c in poly.as_dict().items()})
 
 
 def _gens(n):
@@ -47,7 +48,7 @@ def test_arithmetic_matches_poly(n):
         assert zpoly.padd(p, zpoly.pneg(p)) == {}
         assert zpoly.pscale(p, c) == zpoly.pscale(c, p) == _kernel(P * c)
         assert zpoly.pscale(c, 7) == 7 * c
-        assert zpoly.pdiff(p, k) == _kernel(P.diff(gens[k]))
+        assert zpoly.pdiff(p, zpoly.fields(n)[k]) == _kernel(P.diff(gens[k]))
         assert (p, q) == before
 
 
@@ -75,7 +76,7 @@ def _square_free_root(p, gens, order):
         return None
     if type(p) is int:
         return r
-    root = {(0,) * len(gens): r}
+    root = packed({(0,) * len(gens): r})
     for f, k in factors:
         for _ in range(k // 2):
             root = zpoly.pmul(root, _kernel(f))
@@ -98,11 +99,11 @@ class TestNativeSquareRoot:
         for _ in range(120):
             q = random_poly(rng, n)
             square = zpoly.pmul(q, q)
-            content = {(0,) * n: rng.choice([1, 1, 4, 9, 2, 12])}
+            content = packed({(0,) * n: rng.choice([1, 1, 4, 9, 2, 12])})
             cases = [zpoly.pmul(square, content), zpoly.pneg(square),
                      zpoly.padd(square, random_poly(rng, n, 1)),
                      zpoly.pmul(q, random_poly(rng, n)),
-                     zpoly.pmul(square, {(1,) + (0,) * (n - 1): 1}),
+                     zpoly.pmul(square, packed({(1,) + (0,) * (n - 1): 1})),
                      rng.choice([1, 4, 7, 36, -9])]
             for p in cases:
                 if not p:
@@ -139,6 +140,81 @@ def test_printer_matches_sstr_lex():
                  for e, c in random_poly(rng, len(names)).items()}
         expr = sp.Add(*(sp.Rational(q.numerator, q.denominator)
                         * sp.Mul(*(sp.Symbol(s) ** k for s, k in zip(names, e)))
-                        for e, q in terms.items()))
+                        for e, q in unpacked(terms, len(names)).items()))
         want = sp.sstr(expr, order="lex").replace("**", "^")
         assert zpoly.render_poly(names, terms) == want, terms
+
+
+def _random_exps(rng, n):
+    """An exponent tuple in n variables: the first degree of any size, each
+    later one below the bound of its field, zeros and both ends included."""
+    def degree(limit):
+        return rng.choice([0, 1, rng.randrange(limit), limit - 1])
+
+    return (degree(2**70), *(degree(zpoly.BOUND) for _ in range(n - 1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_keys_round_trip_in_lex_order(n):
+    """A key unpacks to the tuple it packs, integer order of the keys is lex
+    order of the tuples, the key of a product of monomials is the sum of
+    their keys, and in one variable the key is the degree."""
+    rng = seeded(380 + n)
+    tuples = [_random_exps(rng, n) for _ in range(300)]
+    keys = [zpoly.pack(e) for e in tuples]
+    assert [zpoly.unpack(k, n) for k in keys] == tuples
+    assert sorted(keys) == [zpoly.pack(e) for e in sorted(tuples)]
+    assert not any(k & zpoly.guard(n) for k in keys)
+    for a, b in zip(tuples, tuples[1:]):
+        low = tuple(min(i, j) // 2 for i, j in zip(a, b))
+        assert zpoly.pack(a) + zpoly.pack(low) == zpoly.pack(tuple(map(sum, zip(a, low))))
+    if n == 1:
+        assert keys == [e for (e,) in tuples]
+
+
+def test_a_degree_that_would_carry_raises(monkeypatch):
+    """In two variables a degree of y reaching 2^31 raises InvalidArgument in
+    every product route (body times body, a table product, a product over a
+    denominator, a sum over two denominators, a quotient, a derivative of a
+    quotient, a monomial multiple), before the gcd sees the key, and in
+    from_coefficients; 2^31 - 1 is exact, and so is any degree of x, the
+    first variable."""
+    cancel = scalars.cancel_common_factor
+
+    def guarded(terms, den, n):
+        assert not any(e & zpoly.guard(n) for p in [den, *terms.values()] for e in p)
+        return cancel(terms, den, n)
+
+    monkeypatch.setattr(scalars, "cancel_common_factor", guarded)
+    pool = GeneratorPool(["x", "y"], ["th1", "th2"])
+    xx, yy, th1, th2 = (pool.generator(n) for n in ("x", "y", "th1", "th2"))
+    half = yy ** 2**30
+    assert list((yy ** (zpoly.BOUND - 1)).rational_coefficients()) == [((), (0, 2**31 - 1), 1)]
+    for product in (lambda: half * half, lambda: (half * th1) * (half * th2 + 1),
+                    lambda: half / (xx + 1) * half, lambda: 1 / (half + 1) + 1 / (half + 2),
+                    lambda: yy ** 2**31, lambda: (yy ** (zpoly.BOUND - 1) + th1) * (yy + th2),
+                    lambda: (1 / (half + 2)) / (half + 1), lambda: (1 / (half + xx)).partial("x"),
+                    lambda: list(pool.monomial_multiple((), (0, 2**30), half))):
+        with pytest.raises(InvalidArgument, match="a degree in y reaches 2"):
+            product()
+    with pytest.raises(InvalidArgument):
+        pool.from_coefficients([((), (0, 2**31), 1)])
+    big = xx ** 2**40 * yy ** (zpoly.BOUND - 1)
+    assert list((big * xx).rational_coefficients()) == [((), (2**40 + 1, 2**31 - 1), 1)]
+    one = GeneratorPool(["x"], ["th1"]).even("x")
+    assert list((one ** 2**70 * one).rational_coefficients()) == [((), (2**70 + 1,), 1)]
+
+
+def test_the_degree_bound_rejects_a_non_square_early(monkeypatch):
+    """4 x^2 + 16 x y^3 is no square: the root's second term, 4 y^3, has a
+    degree in y above half of 3, so the first step rejects it.  Without the
+    bound a second step would meet x^-1 y^6 and reject there, since the
+    keys left fall in lex order and the loop ends either way."""
+    calls = count_calls(monkeypatch, zpoly.poly_root, "_fits")
+    order = zpoly.name_order(("x", "y"))
+    assert zpoly.poly_root(packed({(2, 0): 4, (1, 3): 16}), order) is None
+    assert len(calls) == 1
+    calls.clear()
+    assert zpoly.poly_root(packed({(2, 0): 4, (1, 3): 16, (0, 6): 16}), order) == packed(
+        {(1, 0): 2, (0, 3): 4})
+    assert len(calls) == 1
