@@ -21,9 +21,9 @@ covariant derivative, which the pullback connection shares; it reads a
 sparse table of the nonzero Christoffel symbols (:class:`Connection`), and
 a constant metric has the zero connection with no inverse formed.  A metric
 is validated once and its derived objects are built once, in its
-:class:`MetricContext`; every sum over an OSp frame against ``J e_j`` is
-:func:`frame_sum` or :func:`frame_raise`, which skip zero terms and apply a
-sign -1 by negation.
+:class:`MetricContext`; every sum over an OSp frame against ``J e_j``, of
+superfunctions or of fields, is :func:`frame_sum`, which skips zero terms
+and applies a sign -1 by negation.
 """
 
 from __future__ import annotations
@@ -600,26 +600,19 @@ class OSpFrame:
         return sign, self.fields[tgt]
 
 
-def frame_sum(frame: OSpFrame, term, parity: int = 0) -> Superfunction:
+def frame_sum(frame: OSpFrame, term, parity: int = 0, start=None):
     """sum_j (-1)^{|e_j| parity} s_j term(j, t), where J e_j = s_j e_t: the
     term gets frame indices, so that it can read what its caller built per
-    frame field; a sign -1 negates the term."""
+    frame field; a sign -1 negates the term, and a zero term is skipped.
+    Superfunctions sum in the pool, fields onto ``start``, the zero field of
+    the result's parity, which an all-zero sum keeps."""
     chart = frame.chart
     terms = []
     for j, (sj, t) in enumerate(frame.j_signs):
         v = term(j, t)
-        terms.append(-v if (sj < 0) != bool(chart.parity(j) * parity % 2) else v)
-    return chart.pool.sum(terms)
-
-
-def frame_raise(frame: OSpFrame, coeff, parity: int) -> VectorField:
-    """sum_j coeff(j) s_j e_t, where J e_j = s_j e_t, a field of the given parity."""
-    out = frame.chart.zero_field(parity)
-    for j, (sj, t) in enumerate(frame.j_signs):
-        c = coeff(j)
-        if not c.is_zero():
-            out = out + frame.fields[t].scale(-c if sj < 0 else c)
-    return out
+        if not v.is_zero():
+            terms.append(-v if (sj < 0) != bool(chart.parity(j) * parity % 2) else v)
+    return chart.pool.sum(terms) if start is None else sum(terms, start)
 
 
 def divergence(X: VectorField, conn: Connection) -> Superfunction:

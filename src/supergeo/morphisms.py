@@ -33,7 +33,6 @@ from .geometry import (
     _Field,
     _same_owner,
     divergence,
-    frame_raise,
     frame_sum,
     str_with_metric,
 )
@@ -184,8 +183,8 @@ class HarmonicSetup:
 
     Bundles the source metric h (with Levi-Civita connection and OSp frame)
     and the target metric g (with its connection, pulled back once); both
-    come from the metrics' contexts.  Every differential dPhi[Y] it reuses
-    is formed once per field object (:meth:`_differential`).
+    come from the metrics' contexts.  Every dPhi[Y] and nabla_X Y it reuses
+    is formed once per field object (:meth:`_formed_once`).
     """
 
     def __init__(self, phi: Morphism, h: BilinearForm, g: BilinearForm):
@@ -204,15 +203,21 @@ class HarmonicSetup:
             [[(k, p) for k, c in row if not (p := phi.pullback(c)).is_zero()] for row in plane]
             for plane in self.target_connection.table
         ]
-        self._differentials = {}  # id(Y) -> (Y, dPhi[Y])
+        self._formed = {}  # (id(Y),) -> ((Y,), dPhi[Y]); (id(X), id(Y)) -> ((X, Y), nabla_X Y)
+
+    def _formed_once(self, make, *fields):
+        """make(*fields) once per tuple of field objects (dPhi[Y] or nabla_X Y);
+        the memo keeps the fields, so their ids are not reused while the
+        setup lives (fields are immutable)."""
+        key = tuple(map(id, fields))
+        hit = self._formed.get(key)
+        if hit is None:
+            hit = self._formed[key] = (fields, make(*fields))
+        return hit[1]
 
     def _differential(self, Y: VectorField) -> FieldAlongMorphism:
-        """dPhi[Y], formed once per field object; the memo keeps Y, so its id
-        is not reused while the setup lives (fields are immutable)."""
-        hit = self._differentials.get(id(Y))
-        if hit is None:
-            hit = self._differentials[id(Y)] = (Y, self.phi.differential(Y))
-        return hit[1]
+        """dPhi[Y], formed once per field object."""
+        return self._formed_once(self.phi.differential, Y)
 
     # -- pairing and pullbacks -------------------------------------------------
 
@@ -266,10 +271,9 @@ class HarmonicSetup:
         return _covariant_derivative(X.apply, self._differential(X), self._gamma_pulled, V)
 
     def second_fundamental_form(self, X: VectorField, Y: VectorField) -> FieldAlongMorphism:
-        """B_{X,Y}(Phi) = nabla_X(dPhi[Y]) - dPhi[nabla_X Y]; the transient
-        dPhi[nabla_X Y] is the one differential formed outside the memo."""
-        return self.connection_apply(X, self._differential(Y)) - self.phi.differential(
-            self.source_connection.derivative(X, Y)
+        """B_{X,Y}(Phi) = nabla_X(dPhi[Y]) - dPhi[nabla_X Y]."""
+        return self.connection_apply(X, self._differential(Y)) - self._differential(
+            self._formed_once(self.source_connection.derivative, X, Y)
         )
 
     def tension(self) -> FieldAlongMorphism:
@@ -285,11 +289,8 @@ class HarmonicSetup:
         OSp frame; a second frame gives the frame-independence certificate
         of :meth:`tension`."""
         e = frame.fields
-        acc = FieldAlongMorphism(self.phi, [self.phi.source.pool.zero()] * self.phi.target.dim, 0)
-        for j, (sj, t) in enumerate(frame.j_signs):
-            term = self.second_fundamental_form(e[j], e[t])
-            acc = acc + (-term if sj < 0 else term)
-        return acc
+        zero = FieldAlongMorphism(self.phi, [self.phi.source.pool.zero()] * self.phi.target.dim, 0)
+        return frame_sum(frame, lambda j, t: self.second_fundamental_form(e[j], e[t]), 0, zero)
 
     def is_superharmonic(self) -> bool:
         return self.tension().is_zero()
@@ -308,8 +309,10 @@ class HarmonicSetup:
     def noether_current(self, xi: FieldAlongMorphism) -> VectorField:
         """W_xi = <xi, dPhi[e_j]> J e_j, a source vector field of parity |xi|."""
         e = self.frame.fields
-        return frame_raise(self.frame, lambda j: self.pair(xi, self._differential(e[j])),
-                           xi.parity)
+        return frame_sum(
+            self.frame, lambda j, t: e[t].scale(self.pair(xi, self._differential(e[j]))), 0,
+            self.phi.source.zero_field(xi.parity),
+        )
 
     def source_divergence(self, X: VectorField) -> Superfunction:
         return divergence(X, self.source_connection)
@@ -408,7 +411,7 @@ class HarmonicSetup:
             """<(nabla_{e_j} S)>(xi, e_t) = e_j S(xi, e_t) - S(nabla_{e_j} xi, e_t)
             - (-1)^{|e_j||xi|} S(xi, nabla_{e_j} e_t)."""
             val = e[j].apply(s_xi[t]) - S.evaluate(conn.derivative(e[j], xi), e[t])
-            last = S.evaluate(xi, conn.derivative(e[j], e[t]))
+            last = S.evaluate(xi, self._formed_once(conn.derivative, e[j], e[t]))
             return val + last if (e[j].parity * xi.parity) % 2 else val - last
 
         # div S[xi] = (-1)^{|e_j||xi|} <(nabla_{e_j} S)>(xi, J e_j)
@@ -416,7 +419,8 @@ class HarmonicSetup:
         r1 = divS + self.pair(self._differential(xi), tau)
 
         # Y_xi = <S>(xi, e_i) J e_i
-        divY = self.source_divergence(frame_raise(self.frame, s_xi.__getitem__, xi.parity))
+        divY = self.source_divergence(frame_sum(self.frame, lambda j, t: e[t].scale(s_xi[j]), 0,
+                                                self.phi.source.zero_field(xi.parity)))
         r2 = divY - divS
 
         Lh = lie_derivative_bilinear(xi, self.h)

@@ -244,18 +244,15 @@ def load_scenario(text: str) -> Scenario:
 
 
 # a box bound as docs/scenario-format.md writes it: [-]p[/q] in ASCII
-# digits, q not zero
+# digits, q not zero; a flesh count or an int option is ASCII digits alone
 _BOUND = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+_DIGITS = re.compile(r"[0-9]+")
 
 
 def _build_chart(block: _Block) -> Chart:
     lineno, flesh = block.get("flesh", "0")
-    try:
-        flesh = int(flesh)
-    except ValueError:
-        raise ParseError("flesh count must be an integer", lineno) from None
-    if flesh < 0:
-        raise ParseError("flesh count must be nonnegative", lineno)
+    if not _DIGITS.fullmatch(flesh):
+        raise ParseError(f"flesh count must be a nonnegative integer, not {flesh!r}", lineno)
     box = {}
     for key, (lineno, value) in block.entries.items():
         if isinstance(key, tuple):
@@ -267,7 +264,7 @@ def _build_chart(block: _Block) -> Chart:
             box[key[0]] = tuple(map(Fraction, parts))
     even, odd = (_split_names(block.get(k, "")[1]) for k in ("even", "odd"))
     try:
-        return Chart(even, odd, box, tuple(f"lam{i+1}" for i in range(flesh)))
+        return Chart(even, odd, box, tuple(f"lam{i+1}" for i in range(int(flesh))))
     except ValueError as exc:
         raise ScenarioError(f"{exc} (line {block.lineno})") from None
 
@@ -345,7 +342,7 @@ def _value(allowed, text: str, what: str, lineno: int, sc: Scenario = None):
             raise ScenarioError(f"unknown {what} {text!r} {where}")
         return text
     if allowed is int:
-        if not text.isdecimal():
+        if not _DIGITS.fullmatch(text):
             raise ScenarioError(f"{what} must be a nonnegative integer, not {text!r} {where}")
         return int(text)
     table, noun = _NAMES[allowed]

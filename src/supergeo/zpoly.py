@@ -188,13 +188,15 @@ def cancel_common_factor(terms, den, n):
     7, 1989).
 
     The F_i (``den`` and the numerators) first lose their joint integer
-    content and joint monomial.  The Kronecker substitution x_1 -> X,
-    x_(k+1) -> X^(r_1 ... r_k), each radix r_k above every exponent of x_k,
-    is a ring map, one to one on the F_i and their divisors (in one
-    variable the image of a key is the key itself); F_i maps to X^(j_i)
-    G_i with G_i(0) != 0.  A nonconstant common factor, no monomial, maps
-    to X^t Q with Q nonconstant and dividing every G_i, so the roots of Q
-    lie within 1 + |F_i|oo of 0 for each i.  At xi = 2 max_i |F_i|oo + 29, |Q(xi)| > xi/2 divides
+    content and joint monomial; then a single term c x^e among them ends
+    the search, since its divisors are +-x^f times divisors of c.  The
+    Kronecker substitution x_1 -> X, x_(k+1) -> X^(r_1 ... r_k), each radix
+    r_k above every exponent of x_k, is a ring map, one to one on the F_i
+    and their divisors (in one variable the image of a key is the key
+    itself); F_i maps to X^(j_i) G_i with G_i(0) != 0.  A nonconstant
+    common factor, no monomial, maps to X^t Q with Q nonconstant and
+    dividing every G_i, so the roots of Q lie within 1 + |F_i|oo of 0 for
+    each i.  At xi = 2 max_i |F_i|oo + 29, |Q(xi)| > xi/2 divides
     gamma = gcd_i G_i(xi): ``2 gamma <= xi`` proves that nothing cancels.
     Otherwise the primitive part H of gamma's symmetric xi-adic digits is
     the candidate for Q.  For t = 0, then t = min_i j_i, h = X^t H and the
@@ -223,8 +225,8 @@ def cancel_common_factor(terms, den, n):
     def table(polys):
         return dict(zip(terms, polys[1:])), polys[0]
 
-    if any(len(p) == 1 and 0 in p for p in polys):
-        return table(polys)  # a nonzero constant is one of them: nothing more cancels
+    if any(len(p) == 1 for p in polys):
+        return table(polys)  # a single term c x^e is one of them: nothing more cancels
     top = [max(d) - k for d, k in zip(degrees[:-1], lows)]
     xi = 2 * max(max(map(abs, p.values())) for p in polys) + 29
     spans = fields(n)

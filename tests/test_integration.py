@@ -188,3 +188,78 @@ class TestAction:
         phi = Morphism(src, tgt, {"y": src.pool.even("x") ** 2})
         setup = HarmonicSetup(phi, flat_metric(src), flat_metric(tgt))
         assert action(setup) == Fraction(2, 3)
+
+
+def _line(a, b):
+    """The (1|2) chart x | th1 th2 on [a, b]."""
+    return Chart(["x"], ["th1", "th2"], box={"x": (a, b)})
+
+
+class TestActionOracles:
+    """The action against laws that share no code with it.  The source is
+    (1|2) on [0, 1] with x,x = 1 + x th1 th2 and th1,th2 = -1, the target
+    flat (1|2), and the map u = x^2 + 2 th1 th2, e1 = th1 + x th2,
+    e2 = 3 th2 - x^2 th1, whose action is 39/10.  A change of coordinates
+    chi composes as phi o chi with the pulled-back metric chi* h; a
+    composite's images are the outer images substituted with the inner ones."""
+
+    @pytest.fixture
+    def case(self):
+        src = _line(0, 1)
+        x, th1, th2 = map(src.pool.generator, ("x", "th1", "th2"))
+        h = BilinearForm(src, [[1 + x * th1 * th2, 0, 0], [0, 0, -1], [0, 1, 0]])
+        tgt = Chart(["u"], ["e1", "e2"], box={"u": (-4, 4)})
+        images = {"u": x * x + 2 * th1 * th2, "e1": th1 + x * th2, "e2": 3 * th2 - x * x * th1}
+        return HarmonicSetup(Morphism(src, tgt, images), h, flat_metric(tgt))
+
+    @staticmethod
+    def _composite(outer, target, inner):
+        """The morphism into ``target`` with images ``outer`` after ``inner``."""
+        pool = inner.source.pool
+        return Morphism(inner.source, target,
+                        {n: f.substitute(inner.images, pool) for n, f in outer.items()})
+
+    def _after(self, case, chi):
+        """The setup of phi o chi over chi's source, with the metric chi* h;
+        the setup that pulls h back reads no metric of chi's source, so the
+        flat one stands in."""
+        pulled = HarmonicSetup(chi, flat_metric(chi.source), case.h).pullback_metric()
+        return HarmonicSetup(self._composite(case.phi.images, case.phi.target, chi), pulled,
+                             case.g)
+
+    def test_the_action(self, case):
+        assert action(case) == Fraction(39, 10)
+
+    def test_a_target_isometry_keeps_the_action(self, case):
+        """u -> 3 - u, e1 -> 2 e1, e2 -> e2/2 preserves the flat target metric."""
+        u, e1, e2 = map(case.g.chart.pool.generator, ("u", "e1", "e2"))
+        iso = {"u": 3 - u, "e1": 2 * e1, "e2": e2 * Fraction(1, 2)}
+        moved = self._composite(iso, case.g.chart, case.phi)
+        assert action(HarmonicSetup(moved, case.h, case.g)) == Fraction(39, 10)
+
+    def test_an_affine_change_of_the_box_keeps_the_action(self, case):
+        """x -> 2x - 1 from [1/2, 1] onto [0, 1]."""
+        half = _line(Fraction(1, 2), 1)
+        x, th1, th2 = map(half.pool.generator, ("x", "th1", "th2"))
+        chi = Morphism(half, case.phi.source, {"x": 2 * x - 1, "th1": th1, "th2": th2})
+        assert action(self._after(case, chi)) == Fraction(39, 10)
+
+    def test_an_odd_change_of_coordinates_keeps_the_action(self, case):
+        """th1 -> th1 + x th2, th2 -> 2 th2 + x th1, with x fixed."""
+        src = case.phi.source
+        x, th1, th2 = map(src.pool.generator, ("x", "th1", "th2"))
+        chi = Morphism(src, src, {"x": x, "th1": th1 + x * th2, "th2": 2 * th2 + x * th1})
+        assert action(self._after(case, chi)) == Fraction(39, 10)
+
+    def test_an_even_nilpotent_shift_moves_the_action_by_a_boundary_term(self, case):
+        """x -> x + nu with nu = th1 th2 is no invariance on a box: the action
+        becomes 49/10, and the change is [B(nu D)] from x = 0 to x = 1, with
+        B the Berezin top coefficient and D the density dsvol_h e(Phi)."""
+        src = case.phi.source
+        x, th1, th2 = map(src.pool.generator, ("x", "th1", "th2"))
+        nu = th1 * th2
+        shifted = action(self._after(case, Morphism(src, src, {"x": x + nu, "th1": th1,
+                                                                "th2": th2})))
+        B = (nu * volume_density(case.h).scale * case.energy_density()).top_part()
+        assert shifted == Fraction(49, 10)
+        assert shifted - action(case) == B.body_at((1,)) - B.body_at((0,))

@@ -7,7 +7,7 @@ import sympy as sp
 
 from supergeo import Chart
 from supergeo.errors import ChartMismatch, ParityError, ScenarioError
-from supergeo.geometry import BilinearForm, OneForm, VectorField, flat_metric
+from supergeo.geometry import BilinearForm, Connection, OneForm, VectorField, flat_metric
 from supergeo.lie import lie_derivative_bilinear
 from supergeo.morphisms import FieldAlongMorphism, HarmonicSetup, Morphism
 from supergeo.supermatrix import SuperMatrix
@@ -451,6 +451,16 @@ class TestNoetherCurrentIdentity:
         W = setup.noether_current(xi)
         assert W == ch.coordinate_field(0)
 
+    def test_a_zero_current_keeps_the_parity_of_xi(self, metric_flat22):
+        """frame_sum skips zero terms: a zero xi gives the zero W_xi of parity
+        |xi|, not the parity of the last zero term c_j e_t (odd here)."""
+        setup = HarmonicSetup(Morphism.identity(metric_flat22.chart), metric_flat22,
+                              metric_flat22)
+        for parity in (0, 1):
+            xi = FieldAlongMorphism(setup.phi, [0] * metric_flat22.chart.dim, parity)
+            W = setup.noether_current(xi)
+            assert W.is_zero() and W.parity == parity
+
     def test_current_parity(self, fleshy):
         rng = seeded(512)
         for parity in (0, 1):
@@ -710,3 +720,26 @@ def test_setup_forms_each_differential_once_per_field(monkeypatch):
     setup.stress_energy_report(xi)
     assert len({id(Y) for Y in seen}) == len(seen)
     assert sum(Y is xi for Y in seen) == 1
+
+
+def test_setup_forms_each_frame_derivative_once(monkeypatch):
+    """The tension and every stress-energy report read nabla_{e_j} e_t of
+    the source frame; the setup forms each once.  One tension and two
+    reports on different fields xi form dim of them and nabla_{e_j} xi once
+    per report and frame field, and no pair twice."""
+    src = Chart(["x"], ["th1", "th2"], box={"x": (0, 1)})
+    x, th1, th2 = map(src.pool.generator, ("x", "th1", "th2"))
+    h = BilinearForm(src, [[(1 + x) ** 2, th2, 0], [th2, 0, -(1 + x)], [0, 1 + x, 0]])
+    seen = []
+    derivative = Connection.derivative
+
+    def counted(self, X, Y):
+        seen.append((X, Y))
+        return derivative(self, X, Y)
+
+    monkeypatch.setattr(Connection, "derivative", counted)
+    setup = HarmonicSetup(Morphism.identity(src), h, h)
+    setup.tension()
+    for xi in (VectorField(src, [x, th1, th2], 0), VectorField(src, [1, 0, th1], 0)):
+        setup.stress_energy_report(xi)
+    assert len({(id(X), id(Y)) for X, Y in seen}) == len(seen) == 3 * src.dim

@@ -317,7 +317,7 @@ box x = 0 1
         report = run_scenario(text)
         assert report.exit_code == 2
         assert report.load_error == (
-            "ParseError: flesh count must be nonnegative at line 5"
+            "ParseError: flesh count must be a nonnegative integer, not '-3' at line 5"
         )
 
     def test_bad_solver_options_are_parse_level(self):
@@ -641,6 +641,54 @@ def test_rational_box_bounds_load(bounds):
     """Integers, negative ones included, and quotients load as boxes."""
     report = run_scenario(_edited_flat_killing("box x = 0 1\n", f"box x = {bounds}\n"))
     assert report.load_error is None and report.exit_code == 0
+
+
+_FLESH = """
+[chart]
+even = x
+odd = th1 th2
+flesh = {}
+box x = 0 1
+
+[metric g]
+x,x = 1
+th1,th2 = -1
+
+[run]
+validate-metric g
+"""
+
+
+@pytest.mark.parametrize("count", ["+2", "0_2", "\u0662", "\uff12"])
+def test_a_flesh_count_other_than_ascii_digits_is_a_usage_error(count):
+    """A flesh count is ASCII digits, as the format states: a plus sign, a
+    digit separator, an Arabic-Indic or a fullwidth digit is rejected with
+    the line, though ``int`` reads each."""
+    report = run_scenario(_FLESH.format(count))
+    assert report.exit_code == 2
+    assert report.load_error == (
+        f"ParseError: flesh count must be a nonnegative integer, not {count!r} at line 5")
+
+
+@pytest.mark.parametrize("count", ["0", "2"])
+def test_ascii_flesh_counts_load(count):
+    assert load_scenario(_FLESH.format(count)).source.pool.n_flesh == int(count)
+
+
+@pytest.mark.parametrize("degree", ["\u0661", "\uff11"])
+def test_a_degree_other_than_ascii_digits_is_a_usage_error(degree):
+    """``--degree`` takes ASCII digits, as the format states; a non-ASCII
+    digit, which ``str.isdecimal`` accepts, no longer solves at its value."""
+    report = run_scenario(_edited_flat_killing(_END, _END, f"solve-killing g --degree {degree}\n"))
+    assert report.exit_code == 2
+    assert report.load_error == ("ScenarioError: solve-killing --degree must be a nonnegative"
+                                 f" integer, not {degree!r} (line 35)")
+
+
+@pytest.mark.parametrize("degree", [0, 12])
+def test_ascii_degrees_load(degree):
+    sc = load_scenario(_edited_flat_killing(_END, _END, f"solve-killing g --degree {degree}\n"))
+    assert sc.commands[0][3] == {"degree": degree}
 
 
 def test_a_coordinate_name_no_expression_can_read_is_a_usage_error():

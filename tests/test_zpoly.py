@@ -218,3 +218,21 @@ def test_the_degree_bound_rejects_a_non_square_early(monkeypatch):
     assert zpoly.poly_root(packed({(2, 0): 4, (1, 3): 16, (0, 6): 16}), order) == packed(
         {(1, 0): 2, (0, 3): 4})
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n, den, num", [
+    (1, {(2,): 3}, {(0,): 1, (1,): 1}),
+    (2, {(1, 2): 1}, {(1, 0): 1, (0, 1): 1}),
+], ids=["(1 + x)/(3 x^2)", "(x + y)/(x y^2)"])
+def test_a_single_term_ends_the_gcd(monkeypatch, n, den, num):
+    """Once the joint content and monomial are gone, a one-term polynomial
+    c x^e has only +-x^f times divisors of c as divisors, so nothing
+    cancels: the table comes back with no heuristic attempt and no sympy
+    gcd."""
+    def fail(*args):
+        raise AssertionError("the exact gcd ran")
+
+    monkeypatch.setattr(zpoly, "_HEURISTIC_TRIES", 0)
+    monkeypatch.setattr(zpoly, "_cancel_by_sympy_gcd", fail)
+    terms = {(): packed(num)}
+    assert zpoly.cancel_common_factor(terms, packed(den), n) == (terms, packed(den))
