@@ -6,7 +6,16 @@ import argparse
 import os
 import sys
 
-from .scenario import run_scenario
+from .scenario import _DIGITS, run_scenario
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a u64 in ASCII digits, as the scenario format
+    writes its ints; anything else is a usage error.  The length test keeps
+    a long digit string from ``int``'s limit on digits."""
+    if not _DIGITS.fullmatch(text) or len(text.lstrip("0")) > 20 or int(text) >= 2**64:
+        raise argparse.ArgumentTypeError(f"must be a u64 in ASCII digits, not {text!r}")
+    return int(text)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -15,7 +24,7 @@ def _parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="execute a scenario file")
     runp.add_argument("scenario", help="path to the scenario file")
     runp.add_argument("--report", default=None, help="write the report here")
-    runp.add_argument("--seed", type=int, default=0, help="recorded in the report")
+    runp.add_argument("--seed", type=_seed, default=0, help="recorded in the report")
     return parser
 
 

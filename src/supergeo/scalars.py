@@ -28,7 +28,9 @@ plain integer arithmetic (the Koszul sign and merged tuple of each pair of
 odd monomials are cached on the pool), and a result over a non-constant
 ``den`` is cancelled by one gcd over the whole table
 (:func:`cancel_common_factor`), unless it scales a canonical superfunction
-by a unit of ``Q[x][theta]``.
+by a unit of ``Q[x][theta]``.  A sum of products, a matrix product's entry,
+is one :meth:`GeneratorPool.dot`: the products over one denominator
+accumulate in one table, made canonical once.
 Division happens in one place, :func:`_divide`.  Other modules never read
 ``terms`` or ``den``, and never build, slice or sign an odd monomial: they
 pass ``(mono, exps)`` keys between the pool's monomial methods.
@@ -82,7 +84,7 @@ import sys
 from fractions import Fraction
 
 from .errors import (FleshInTopCoefficient, InexactCoefficient, InvalidArgument, NonInvertible,
-                     NotASquare, ParityError, PoolMismatch, UnknownGenerator)
+                     NotASquare, ParityError, PoolMismatch, SupergeoError, UnknownGenerator)
 from .zpoly import (BOUND, cancel_common_factor, evaluate, fields, guard, leading_coefficient,
                     name_order, pack, padd, pdiff, pmul, pneg, poly_root, pscale, render_poly,
                     sympy_gen_order, unpack)
@@ -193,29 +195,34 @@ def _table_add(a, b):
     return out
 
 
-def _table_mul(pool, a, b):
-    """The product of two numerator tables; the pool caches the sign and
-    merged monomial of each pair of odd monomials.  :meth:`Superfunction.__mul__`
-    multiplies by a body-only table itself."""
-    raw = {}
+def _accumulate(pool, raw, a, b, sign=1):
+    """Add ``sign * a * b`` for the numerator tables a and b (sign 1 or -1)
+    into the table ``raw``, whose numerators it owns; a coefficient that
+    cancels stays as a zero (:func:`_nonzero`).  The pool caches the sign and
+    merged monomial of each pair of odd monomials."""
     for ma, pa in a.items():
         row = pool._merge_row(ma)
         for mb, pb in b.items():
             merged = row.get(mb)
             if merged is None:
                 merged = row[mb] = _merge_monomials(ma, mb)
-            sign, mono = merged
-            if not sign:
+            s, mono = merged
+            if not s:
                 continue
             acc = raw.get(mono)
             if acc is None:
                 acc = raw[mono] = {}
+            flip = s != sign  # the Koszul sign times sign is -1
             for ea, ca in pa.items():
-                if sign < 0:
+                if flip:
                     ca = -ca
                 for eb, cb in pb.items():
                     e = ea + eb
                     acc[e] = acc.get(e, 0) + ca * cb
+
+
+def _nonzero(raw):
+    """The table ``raw`` without its zero coefficients and empty numerators."""
     out = {}
     for mono, acc in raw.items():
         if not all(acc.values()):
@@ -223,6 +230,14 @@ def _table_mul(pool, a, b):
         if acc:
             out[mono] = acc
     return out
+
+
+def _table_mul(pool, a, b):
+    """The product of two numerator tables.  :meth:`Superfunction.__mul__`
+    multiplies by a body-only table itself."""
+    raw = {}
+    _accumulate(pool, raw, a, b)
+    return _nonzero(raw)
 
 
 class GeneratorPool:
@@ -312,6 +327,37 @@ class GeneratorPool:
                 acc = acc + v if acc.terms else v
         return acc
 
+    def dot(self, pairs, start, sign=1) -> "Superfunction":
+        """``start + sign * sum x*y`` over the pairs ``(x, y)`` of nonzero
+        superfunctions, each product in factor order, for sign 1 or -1: the
+        matrix product's multiply-accumulate.  The numerator tables of the
+        products over one denominator ``x.den * y.den`` accumulate in one
+        table, which ``start`` joins when its denominator is that one; each
+        table has its keys checked for guard bits and is made canonical by
+        one :func:`_make`, so the result is the one of the ring route.  No
+        pairs give ``start`` itself."""
+        groups = {}  # a denominator (an int, or a polynomial's items) -> (den, table)
+        skey = start.den if type(start.den) is int else frozenset(start.den.items())
+        for x, y in pairs:
+            a, b = x.den, y.den
+            if type(a) is int and type(b) is int:
+                den = key = a * b
+            else:
+                den = pscale(a, b)
+                key = frozenset(den.items())
+            group = groups.get(key)
+            if group is None:
+                table = {m: dict(p) for m, p in start.terms.items()} if key == skey else {}
+                group = groups[key] = den, table
+            _accumulate(self, group[1], x.terms, y.terms, sign)
+        out = None if skey in groups else start
+        for den, table in groups.values():
+            if self._guard:
+                _check(self, table, den)
+            made = _make(self, _nonzero(table), den)
+            out = made if out is None else out + made
+        return out
+
     def scalar(self, value) -> "Superfunction":
         """Lift an exact rational number or an even sympy expression."""
         q = _rational(value)
@@ -319,17 +365,20 @@ class GeneratorPool:
             return self._constant(*q)
         sp = sys.modules.get("sympy")  # a value can be a sympy Expr only once sympy is loaded
         if sp is not None and isinstance(value, sp.Expr):
-            foreign = value.free_symbols - self._symbols
-            if foreign:
-                names = ", ".join(sorted(str(s) for s in foreign))
-                raise UnknownGenerator(
-                    f"{names} not an even variable of the pool; "
-                    "odd generators enter as Superfunction factors"
-                )
             try:
-                return self._lift(value)
-            except InexactCoefficient:
-                pass  # reported with the whole expression below
+                return self._lift(value)  # one walk; free symbols only on failure
+            except SupergeoError as exc:
+                # a foreign symbol anywhere in the value takes precedence
+                foreign = value.free_symbols - self._symbols
+                if foreign:
+                    names = ", ".join(sorted(str(s) for s in foreign))
+                    raise UnknownGenerator(
+                        f"{names} not an even variable of the pool; "
+                        "odd generators enter as Superfunction factors"
+                    ) from None
+                if not isinstance(exc, InexactCoefficient):
+                    raise
+                # an inexact part is reported with the whole expression below
         raise InexactCoefficient(
             f"{value!r} is not an exact rational function of {list(self.even_names)}"
         )
@@ -340,11 +389,15 @@ class GeneratorPool:
     def _lift(self, e):
         """The superfunction of a sympy expression in the pool's even symbols,
         folded with the ring arithmetic: rationals, symbols, sums, products
-        and integer powers; anything else raises ``InexactCoefficient``, and
-        a negative power of zero ``NonInvertible``."""
+        and integer powers.  Anything else raises ``InexactCoefficient``, a
+        negative power of zero ``NonInvertible``, and a symbol that is not
+        one of the pool's even symbols ``UnknownGenerator`` (symbols compare
+        with their assumptions, so a positive ``x`` is foreign)."""
         if e.is_Rational:
             return self._constant(e.p, e.q)
         if e.is_Symbol:
+            if e not in self._symbols:
+                raise UnknownGenerator
             return self.even(e.name)
         if e.is_Add:
             return functools.reduce(operator.add, map(self._lift, e.args))

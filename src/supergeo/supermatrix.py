@@ -15,7 +15,11 @@ left coefficients, and :func:`pair_columns` is the kernel on flipped columns.
 (:class:`geometry.BilinearForm`) is its Gram supermatrix over a chart.  Sums,
 differences, negatives and scalar multiples are built through
 :meth:`SuperMatrix._new`, so those of a form stay forms on its chart; a matrix
-product is always a plain :class:`SuperMatrix`.
+product is always a plain :class:`SuperMatrix`.  Each entry of a product,
+``start + sign * sum_k X_ik Y_kj`` in :func:`_product`, is one
+:meth:`GeneratorPool.dot` over the pairs of nonzero factors; the Schur
+complement and the inverse pass their minus signs to it instead of negating
+a grid.
 """
 
 from __future__ import annotations
@@ -215,8 +219,8 @@ class SuperMatrix:
         pool = self.pool
         A, B, C, D = self.blocks()
         adj, d = _adjugate_commuting(pool, D)
-        minus_b_adj = _product(pool, B, [[-e for e in row] for row in adj])
-        schur = _product(pool, minus_b_adj, C, [[a * d for a in row] for row in A])
+        ad = [[a * d for a in row] for row in A]
+        schur = _product(pool, _product(pool, B, adj), C, ad, sign=-1)
         return adj, d, schur
 
     def berezinian(self) -> Superfunction:
@@ -250,13 +254,10 @@ class SuperMatrix:
         _, B, C, _ = self.blocks()
         x = [[e * d / s for e in row] for row in s_adj]
         d_inv = [[e / d for e in row] for row in adj]
-        minus_d_inv = [[-e for e in row] for row in d_inv]
-        minus_bd = _product(pool, B, minus_d_inv)
-        minus_dcx = _product(pool, _product(pool, minus_d_inv, C), x)
-        rows = [r + t for r, t in zip(x, _product(pool, x, minus_bd))]
-        rows += [
-            r + t for r, t in zip(minus_dcx, _product(pool, minus_dcx, minus_bd, d_inv))
-        ]
+        bd = _product(pool, B, d_inv)
+        minus_dcx = _product(pool, _product(pool, d_inv, C), x, sign=-1)
+        rows = [r + t for r, t in zip(x, _product(pool, x, bd, sign=-1))]
+        rows += [r + t for r, t in zip(minus_dcx, _product(pool, minus_dcx, bd, d_inv, sign=-1))]
         return SuperMatrix(pool, self.p, self.q, rows)
 
 
@@ -268,17 +269,18 @@ def scaled_parity(parity: int, f: Superfunction) -> int:
     return parity if fp is None else (parity + fp) % 2
 
 
-def _product(pool, X, Y, start=None):
-    """start + X Y for entry grids (lists of rows), in factor order, forming
-    only the products of two nonzero factors.  The default start is zero; an
-    explicit one also fixes the shape of the result when the inner dimension
-    is 0, where Y has no rows to tell its width."""
+def _product(pool, X, Y, start=None, sign=1):
+    """start + sign * X Y for entry grids (lists of rows), in factor order,
+    each entry one :meth:`GeneratorPool.dot` over the pairs of nonzero
+    factors; sign is 1 or -1.  The default start is zero; an explicit one
+    also fixes the shape of the result when the inner dimension is 0, where
+    Y has no rows to tell its width."""
     if start is None:
         start = [[pool.zero()] * (len(Y[0]) if Y else 0) for _ in X]
     out = []
     for row, srow in zip(X, start):
         pairs = [(x, r) for x, r in zip(row, Y) if not x.is_zero()]
-        out.append([pool.sum((x * r[j] for x, r in pairs if not r[j].is_zero()), s)
+        out.append([pool.dot([(x, r[j]) for x, r in pairs if not r[j].is_zero()], s, sign)
                     for j, s in enumerate(srow)])
     return out
 

@@ -1467,3 +1467,95 @@ def test_from_coefficients_checks_each_key(mono, exps):
     pool = GeneratorPool(["x"], ["th1", "th2"])
     with pytest.raises(InvalidArgument):
         pool.from_coefficients([(mono, exps, 1)])
+
+
+def _dot_factor(pool, rng):
+    """A nonzero draw for the multiply-accumulate corpus: homogeneous of
+    either parity or mixed, over an int or a polynomial denominator."""
+    while True:
+        f = random_superfunction(pool, rng, rng.choice([None, 0, 1]), max_degree=1)
+        if rng.random() < 0.5:
+            den = pool.scalar(rng.randint(1, 3))
+            for name in pool.even_names:
+                den = den + pool.even(name) * rng.randint(0, 2)
+            f = f / den
+        if rng.random() < 0.3:
+            f = f * Fraction(1, rng.randint(2, 5))
+        if not f.is_zero():
+            return f
+
+
+@pytest.mark.parametrize("pool", [
+    GeneratorPool(["x"], ["th1", "th2"]),
+    GeneratorPool(["x", "y"], ["th1", "th2", "th3", "th4"], ["eta1", "eta2"]),
+], ids=["1|2", "2|4+2flesh"])
+def test_dot_is_the_ring_route(pool):
+    """``pool.dot(pairs, start, sign)`` is structurally the ring's ``start
+    + sign * sum x*y`` on seeded pairs with int and polynomial denominators,
+    mixed parities, nilpotent products and products that cancel, up to a
+    whole sum that cancels to ``start``."""
+    rng = seeded(4001)
+    seen = set()
+    th1 = pool.odd("th1")
+    for _ in range(80):
+        pairs = [(_dot_factor(pool, rng), _dot_factor(pool, rng)) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.2:
+            pairs.append((th1, th1 * _dot_factor(pool, rng)))  # a zero product
+        if rng.random() < 0.3:
+            pairs += [(x, -y) for x, y in pairs[: rng.randint(1, len(pairs))]]
+        start = _dot_factor(pool, rng) if rng.random() < 0.7 else pool.zero()
+        sign = rng.choice([1, -1])
+        got = pool.dot(pairs, start, sign)
+        want = start + pool.sum([x * y for x, y in pairs]) * sign
+        _assert_canonical(got)
+        assert (got.terms, got.den) == (want.terms, want.den)
+        factors = [f for pair in pairs for f in pair]
+        seen.update(("int den" if type(f.den) is int else "polynomial den") for f in factors)
+        seen.update("mixed" for f in factors if f.parity() is None)
+        seen.update("zero product" for x, y in pairs if (x * y).is_zero())
+        seen.add("cancels to start" if got == start else "sign %d" % sign)
+    assert seen == {"int den", "polynomial den", "mixed", "zero product", "cancels to start",
+                    "sign 1", "sign -1"}
+
+
+def test_dot_of_no_pairs_is_start(pool):
+    f = pool.scalar(x) / 3 + pool.odd("th1") * pool.odd("th2")
+    assert pool.dot([], f, -1) is f
+    assert pool.dot((), pool.zero()) is pool.zero()
+
+
+def test_dot_checks_the_degree_bound_as_the_product_does():
+    """A product that reaches 2^31 in y raises ``InvalidArgument`` from
+    ``dot``, over an int and a polynomial denominator, as it does from ``*``."""
+    pool = GeneratorPool(["x", "y"], ["th1"])
+    xx, yy, th1 = pool.even("x"), pool.even("y"), pool.odd("th1")
+    big = yy ** (zpoly.BOUND - 1) + th1
+    for left in (big, big / (1 + xx)):
+        with pytest.raises(InvalidArgument, match="a degree in y reaches 2"):
+            left * yy
+        with pytest.raises(InvalidArgument, match="a degree in y reaches 2"):
+            pool.dot([(th1, xx), (left, yy)], pool.one())
+
+
+FOREIGN_Y = "y not an even variable of the pool; odd generators enter as Superfunction factors"
+
+
+@pytest.mark.parametrize("value, error, message", [
+    (sp.Mul(sp.Pow(sp.Add(x, -x, evaluate=False), -1, evaluate=False), sp.Symbol("y"),
+            evaluate=False), UnknownGenerator, FOREIGN_Y),
+    (1.5 * sp.Symbol("y"), UnknownGenerator, FOREIGN_Y),
+    (sp.sin(x) * sp.Symbol("y"), UnknownGenerator, FOREIGN_Y),
+    (sp.Symbol("x", positive=True) + 1, UnknownGenerator,
+     "x not an even variable of the pool; odd generators enter as Superfunction factors"),
+    (1.5 * x, InexactCoefficient, "1.5*x is not an exact rational function of ['x']"),
+    (sp.Pow(sp.Add(x, -x, evaluate=False), -1, evaluate=False), NonInvertible, "body is zero"),
+], ids=["pole-times-foreign", "float-times-foreign", "function-times-foreign",
+        "symbol-with-assumptions", "float", "pole"])
+def test_lift_error_precedence(value, error, message):
+    """A foreign symbol anywhere in the value (one with other assumptions
+    included) is reported before an inexact part or a pole, and each error
+    keeps its type and message."""
+    pool = GeneratorPool(["x"], ["th1"])
+    with pytest.raises(error) as exc:
+        pool.scalar(value)
+    assert type(exc.value) is error and str(exc.value) == message

@@ -175,6 +175,26 @@ def test_cli_seed_recorded(tmp_path):
     assert "seed: 7" in out.read_text()
 
 
+@pytest.mark.parametrize("seed", ["١", "-1_0", " 7 ", "-5", "18446744073709551616", "1e3", ""])
+def test_cli_seed_is_a_u64_in_ascii_digits(tmp_path, capsys, seed):
+    """README and docs/scenario-format.md give --seed as <u64>: Arabic-Indic
+    digits, underscores, padding, a sign and 2^64 are usage errors, exit 2,
+    and no report is written."""
+    out = tmp_path / "report.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", str(DATA / "degenerate.scn"), "--report", str(out), f"--seed={seed}"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be a u64 in ASCII digits" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["0", "7", "18446744073709551615"])
+def test_cli_seed_bounds_load(tmp_path, seed):
+    out = tmp_path / "report.txt"
+    assert cli_main(["run", str(DATA / "degenerate.scn"), "--report", str(out), "--seed", seed]) == 1
+    assert f"\nseed: {seed}\n" in out.read_text()
+
+
 def test_cli_missing_file():
     assert cli_main(["run", "/nonexistent/path.scn"]) == 2
 

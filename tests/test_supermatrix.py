@@ -333,6 +333,22 @@ def _counting(monkeypatch, cls, name):
     return calls
 
 
+def test_product_entry_is_one_multiply_accumulate(pool, monkeypatch):
+    """Each entry of the product of two integer (2|2) matrices is one
+    ``dot``: no ring product and at most one ``_make`` per entry, and the
+    result is the ring's sum of entry products."""
+    rng = seeded(4002)
+    M, N = (random_matrix(pool, 2, 2, parity, rng) for parity in (0, 1))
+    want = [[pool.sum([M[i, k] * N[k, j] for k in range(4)]) for j in range(4)]
+            for i in range(4)]
+    products = _counting(monkeypatch, Superfunction, "__mul__")
+    makes = count_calls(monkeypatch, GeneratorPool.dot, "_make")
+    MN = M * N
+    assert products[0] == 0
+    assert 0 < len(makes) <= 16
+    assert MN.entries == want and MN.parity == 1
+
+
 def test_graded_pair_on_nonzero_entries_matches_the_dense_sum():
     """graded_pair takes the nonzero (slot, value) entries of its columns;
     on seeded columns and forms of both parities, with zero entries, it
