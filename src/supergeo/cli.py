@@ -6,16 +6,16 @@ import argparse
 import os
 import sys
 
+from .parsing import MAX_DIGITS, read_int
 from .scenario import _DIGITS, run_scenario
 
 
 def _seed(text: str) -> int:
-    """A ``--seed`` value: a u64 in ASCII digits, as the scenario format
-    writes its ints; anything else is a usage error.  The length test keeps
-    a long digit string from ``int``'s limit on digits."""
-    if not _DIGITS.fullmatch(text) or len(text.lstrip("0")) > 20 or int(text) >= 2**64:
-        raise argparse.ArgumentTypeError(f"must be a u64 in ASCII digits, not {text!r}")
-    return int(text)
+    """A ``--seed`` value: a u64 in ASCII digits, read as the scenario
+    format reads its ints; anything else is a usage error."""
+    if _DIGITS.fullmatch(text) and len(text) <= MAX_DIGITS and (value := read_int(text)) < 2**64:
+        return value
+    raise argparse.ArgumentTypeError(f"must be a u64 in ASCII digits, not {text!r}")
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -3,6 +3,7 @@
 Grammar: rational literals, identifiers, unary minus, ``+ - * /``, integer
 ``^``, parentheses.  Juxtaposition multiplies (``2 x th1 th2``), with odd
 factors normalised by graded commutation.  Parse errors carry line/column.
+Every integer literal of the scenario format is read by :func:`read_int`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,24 @@ import re
 from dataclasses import dataclass
 
 from .errors import NonInvertible, ParseError, PoolMismatch, UnknownGenerator
-from .scalars import IDENTIFIER, Superfunction
+from .scalars import EXPONENT_BOUND, IDENTIFIER, Superfunction
+
+# the most digits of an integer literal: the interpreter's default limit on
+# int(str), which read_int applies whatever limit the environment sets
+MAX_DIGITS = 4300
+
+
+def read_int(text: str, line=None, column=None) -> int:
+    """The int that the ASCII digits ``text`` spell, read 600 digits at a
+    time, below the lowest limit (640) the interpreter may set on int(str);
+    a ParseError at ``line`` and ``column`` beyond :data:`MAX_DIGITS` digits."""
+    if len(text) > MAX_DIGITS:
+        raise ParseError(f"integer literal of more than {MAX_DIGITS} digits", line, column)
+    value = 0
+    for k in range(0, len(text), 600):
+        chunk = text[k:k + 600]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
 @dataclass
@@ -126,8 +144,11 @@ class _Parser:
             if tok.kind != "INT":
                 raise ParseError("exponent must be an integer", tok.line, tok.column)
             self.advance()
+            k = read_int(tok.text, tok.line, tok.column)
+            if k >= EXPONENT_BOUND:
+                raise ParseError("exponent must be below 2^31", tok.line, tok.column)
             try:
-                return base ** (sign * int(tok.text))
+                return base ** (sign * k)
             except NonInvertible:
                 raise ParseError(
                     "negative power of a non-unit", tok.line, tok.column
@@ -137,7 +158,7 @@ class _Parser:
     def atom(self) -> Superfunction:
         tok = self.advance()
         if tok.kind == "INT":
-            return self.pool.scalar(int(tok.text))
+            return self.pool.scalar(read_int(tok.text, tok.line, tok.column))
         if tok.kind == "IDENT":
             try:
                 return self.pool.generator(tok.text)

@@ -86,12 +86,15 @@ from fractions import Fraction
 from .errors import (FleshInTopCoefficient, InexactCoefficient, InvalidArgument, NonInvertible,
                      NotASquare, ParityError, PoolMismatch, SupergeoError, UnknownGenerator)
 from .zpoly import (BOUND, cancel_common_factor, evaluate, fields, guard, leading_coefficient,
-                    name_order, pack, padd, pdiff, pmul, pneg, poly_root, pscale, render_poly,
-                    sympy_gen_order, unpack)
+                    name_order, pack, padd, pdiff, pmul, pneg, poly_root, pscale,
+                    render_number, render_poly, sympy_gen_order, unpack)
 
 
 # a generator name, as the scenario parser's tokenizer reads an identifier
 IDENTIFIER = r"[A-Za-z_][A-Za-z_0-9]*"
+# the bound of an exponent the scenario parser reads: that of a degree in an
+# even variable after the first
+EXPONENT_BOUND = BOUND
 
 
 def _rational(value):
@@ -318,10 +321,10 @@ class GeneratorPool:
     def one(self) -> "Superfunction":
         return self.scalar(1)
 
-    def sum(self, values, start=None) -> "Superfunction":
-        """``start`` (zero by default) plus the superfunctions ``values``,
-        adding only the nonzero ones: no addition has a zero operand."""
-        acc = self._zero if start is None else start
+    def sum(self, values) -> "Superfunction":
+        """The sum of the superfunctions ``values``, adding only the nonzero
+        ones: no addition has a zero operand."""
+        acc = self._zero
         for v in values:
             if v.terms:
                 acc = acc + v if acc.terms else v
@@ -506,7 +509,7 @@ class GeneratorPool:
 
     def render_point(self, point) -> str:
         """``x = 0, y = 1/2`` for values of the even variables in pool order."""
-        return ", ".join(f"{n} = {q}" for n, q in zip(self.even_names, point))
+        return ", ".join(f"{n} = {render_number(q)}" for n, q in zip(self.even_names, point))
 
     def __eq__(self, other):
         return (
@@ -978,7 +981,7 @@ def _render_coefficient(pool, p, den) -> str:
         return f"({render_poly(pool.even_names, n)})/({render_poly(pool.even_names, d)})"
     if len(n) == 1 or d == 1:
         num = render_poly(pool.even_names, n)
-        return num if d == 1 else f"({num})/({d})"
+        return num if d == 1 else f"({num})/({render_number(d)})"
     return render_poly(pool.even_names, {e: Fraction(c, d) for e, c in n.items()})
 
 

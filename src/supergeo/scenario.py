@@ -29,7 +29,8 @@ from .geometry import validate_metric  # noqa: F401
 from .lie import KILLING_MODES, KillingChecker, lie_derivative_bilinear, solve_killing
 from .morphisms import HarmonicSetup, Morphism
 from .integration import action
-from .parsing import parse_expression
+from .parsing import parse_expression, read_int
+from .scalars import render_number
 
 _EXIT_PASS, _EXIT_FAIL, _EXIT_PARSE, _EXIT_MATH = 0, 1, 2, 3
 _PARITIES = {"even": 0, "odd": 1}
@@ -249,10 +250,18 @@ _BOUND = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 _DIGITS = re.compile(r"[0-9]+")
 
 
+def _bound(text, lineno) -> Fraction:
+    """The value of a box bound that ``_BOUND`` matches."""
+    p, _, q = text.lstrip("-").partition("/")
+    value = Fraction(read_int(p, lineno), read_int(q or "1", lineno))
+    return -value if text.startswith("-") else value
+
+
 def _build_chart(block: _Block) -> Chart:
     lineno, flesh = block.get("flesh", "0")
     if not _DIGITS.fullmatch(flesh):
         raise ParseError(f"flesh count must be a nonnegative integer, not {flesh!r}", lineno)
+    flesh = read_int(flesh, lineno)
     box = {}
     for key, (lineno, value) in block.entries.items():
         if isinstance(key, tuple):
@@ -261,10 +270,10 @@ def _build_chart(block: _Block) -> Chart:
                 raise ParseError("box interval needs two rationals", lineno)
             if not all(map(_BOUND.fullmatch, parts)):
                 raise ParseError(f"bad rational literal in {value!r}", lineno)
-            box[key[0]] = tuple(map(Fraction, parts))
+            box[key[0]] = tuple(_bound(part, lineno) for part in parts)
     even, odd = (_split_names(block.get(k, "")[1]) for k in ("even", "odd"))
     try:
-        return Chart(even, odd, box, tuple(f"lam{i+1}" for i in range(int(flesh))))
+        return Chart(even, odd, box, tuple(f"lam{i+1}" for i in range(flesh)))
     except ValueError as exc:
         raise ScenarioError(f"{exc} (line {block.lineno})") from None
 
@@ -344,7 +353,10 @@ def _value(allowed, text: str, what: str, lineno: int, sc: Scenario = None):
     if allowed is int:
         if not _DIGITS.fullmatch(text):
             raise ScenarioError(f"{what} must be a nonnegative integer, not {text!r} {where}")
-        return int(text)
+        try:
+            return read_int(text)
+        except ParseError as exc:
+            raise ScenarioError(f"{what}: {exc} {where}") from None
     table, noun = _NAMES[allowed]
     if text not in getattr(sc, table):
         raise ScenarioError(f"unknown {noun} {text!r} {where}")
@@ -503,7 +515,7 @@ class _Runner:
 
     def _cmd_action(self, phi):
         value = action(self.setup(phi))
-        return "pass", [("value", str(value))]
+        return "pass", [("value", render_number(value))]
 
 
 _COMMANDS = {

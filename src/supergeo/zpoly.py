@@ -16,9 +16,10 @@ once added again; :mod:`supergeo.scalars` checks the products of each
 operation and raises ``InvalidArgument`` for one.  Results may
 share their inputs' dicts, and no caller mutates one.  Besides ring
 arithmetic this holds the heuristic gcd that cancels a quotient
-(:func:`cancel_common_factor`), the exact square root (:func:`poly_root`)
-and a printer that writes a polynomial byte for byte as sympy's
-``sstr(expr, order="lex")`` does (:func:`render_poly`).  It imports nothing
+(:func:`cancel_common_factor`), the exact square root (:func:`poly_root`),
+a printer that writes a polynomial byte for byte as sympy's
+``sstr(expr, order="lex")`` does (:func:`render_poly`), and the package's
+printer of a number (:func:`render_number`).  It imports nothing
 from the package, and sympy only inside the exact gcd that the heuristic
 one falls back to on some tables in several variables.
 """
@@ -340,6 +341,27 @@ def name_order(names):
     return sorted(range(len(names)), key=names.__getitem__)
 
 
+# 10^600: an int below it has at most 600 digits, fewer than the lowest limit
+# (640) that the interpreter may set on the digits of str(int)
+_CHUNK = 10 ** 600
+
+
+def render_number(q):
+    """``str(q)`` of an int or ``Fraction``, whatever the interpreter's limit
+    on the digits of ``str(int)``: a longer int prints as ``divmod`` blocks
+    of 600 digits."""
+    n, d = q.numerator, q.denominator
+    if d != 1:
+        return f"{render_number(n)}/{render_number(d)}"
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    blocks, m = [], abs(n)
+    while m >= _CHUNK:
+        m, r = divmod(m, _CHUNK)
+        blocks.append(f"{r:0600}")
+    return "-" * (n < 0) + str(m) + "".join(reversed(blocks))
+
+
 def render_poly(names, terms):
     """The polynomial with the terms ``{key: rational}`` in the variables
     ``names`` as ``sstr`` prints it: terms in descending lex order of the
@@ -359,8 +381,8 @@ def render_poly(names, terms):
             if k:
                 factors.append(names[i] if k == 1 else f"{names[i]}^{k}")
         if abs(n) != 1 or not factors:
-            factors.insert(0, str(abs(n)))
-        term = "*".join(factors) + (f"/{d}" if d != 1 else "")
+            factors.insert(0, render_number(abs(n)))
+        term = "*".join(factors) + (f"/{render_number(d)}" if d != 1 else "")
         if out:
             out += (" - " if n < 0 else " + ") + term
         else:

@@ -1,6 +1,10 @@
-"""Shared fixtures: charts, metrics and seeded random element generators."""
+"""Shared fixtures: charts, metrics, seeded random element generators, and
+the one reader of the package's source for the tests that read it."""
 
+import ast
+import contextlib
 import itertools
+import pathlib
 import random
 import sys
 from fractions import Fraction
@@ -10,6 +14,30 @@ import pytest
 from supergeo import Chart, GeneratorPool, zpoly
 from supergeo.geometry import BilinearForm, OSpFrame, VectorField, flat_metric
 from supergeo.supermatrix import SuperMatrix, flip_sides, osp_residuals
+
+
+# the modules of the package, read as source by test_package_surface.py and
+# test_ownership.py through walk_scopes
+SRC = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "supergeo").glob("*.py"))
+
+
+def walk_scopes(tree):
+    """Every node of the syntax tree ``tree``, parents first, as ``(node,
+    functions, owner)``: ``functions`` is the frozenset of the names of the
+    functions whose bodies enclose the node, and ``owner`` the name of the
+    class whose body holds it directly, else None.  A function's own node
+    has the scope it is defined in."""
+
+    def visit(node, functions, owner):
+        yield node, functions, owner
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions, owner = functions | {node.name}, None
+        elif isinstance(node, ast.ClassDef):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, functions, owner)
+
+    return visit(tree, frozenset(), None)
 
 
 @pytest.fixture
@@ -124,6 +152,19 @@ def random_poly(rng, n, terms=4, degree=3, bound=9):
         e = tuple(rng.randint(0, degree) for _ in range(n))
         p[e] = p.get(e, 0) + rng.randint(-bound, bound)
     return packed({e: c for e, c in p.items() if c} or {(0,) * n: 1})
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift the interpreter's limit on the digits of ``int(str)`` and
+    ``str(int)`` inside the block, so that Python's own conversion can serve
+    as the reference for a long int."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def count_calls(monkeypatch, caller, name):

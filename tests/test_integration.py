@@ -7,9 +7,9 @@ import sympy as sp
 
 from supergeo import Chart
 from supergeo.errors import NonPolynomialIntegrand
-from supergeo.geometry import BilinearForm, flat_metric
+from supergeo.geometry import BilinearForm, VectorField, flat_metric
 from supergeo.integration import action, integrate, volume_density
-from supergeo.morphisms import HarmonicSetup, Morphism
+from supergeo.morphisms import FieldAlongMorphism, HarmonicSetup, Morphism
 
 from conftest import random_superfunction, seeded
 
@@ -198,8 +198,9 @@ def _line(a, b):
 class TestActionOracles:
     """The action against laws that share no code with it.  The source is
     (1|2) on [0, 1] with x,x = 1 + x th1 th2 and th1,th2 = -1, the target
-    flat (1|2), and the map u = x^2 + 2 th1 th2, e1 = th1 + x th2,
-    e2 = 3 th2 - x^2 th1, whose action is 39/10.  A change of coordinates
+    flat (1|2) with u in [-40, 40], wide enough for the moved maps, and the
+    map u = x^2 + 2 th1 th2, e1 = th1 + x th2, e2 = 3 th2 - x^2 th1, whose
+    action is 39/10.  A change of coordinates
     chi composes as phi o chi with the pulled-back metric chi* h; a
     composite's images are the outer images substituted with the inner ones."""
 
@@ -208,7 +209,7 @@ class TestActionOracles:
         src = _line(0, 1)
         x, th1, th2 = map(src.pool.generator, ("x", "th1", "th2"))
         h = BilinearForm(src, [[1 + x * th1 * th2, 0, 0], [0, 0, -1], [0, 1, 0]])
-        tgt = Chart(["u"], ["e1", "e2"], box={"u": (-4, 4)})
+        tgt = Chart(["u"], ["e1", "e2"], box={"u": (-40, 40)})
         images = {"u": x * x + 2 * th1 * th2, "e1": th1 + x * th2, "e2": 3 * th2 - x * x * th1}
         return HarmonicSetup(Morphism(src, tgt, images), h, flat_metric(tgt))
 
@@ -263,3 +264,80 @@ class TestActionOracles:
         B = (nu * volume_density(case.h).scale * case.energy_density()).top_part()
         assert shifted == Fraction(49, 10)
         assert shifted - action(case) == B.body_at((1,)) - B.body_at((0,))
+
+    # -- the paper's laws: first variation, Stokes, Killing stationarity ------
+
+    @staticmethod
+    def _moved(case, V, t):
+        """S(t) = action(Phi + t V) for a field V along Phi."""
+        images = {n: f + c * t for (n, f), c in zip(case.phi.images.items(), V.components)}
+        return action(HarmonicSetup(Morphism(case.phi.source, case.phi.target, images),
+                                    case.h, case.g))
+
+    @staticmethod
+    def _flux(case, W):
+        """[B(rho W^x)] from x = 0 to x = 1, rho the volume density and B the
+        Berezin top coefficient: the boundary term of the box."""
+        B = (volume_density(case.h).scale * W.components[0]).top_part()
+        return B.body_at((1,)) - B.body_at((0,))
+
+    @staticmethod
+    def _target_field(case, *components):
+        pool = case.g.chart.pool
+        return VectorField(case.g.chart, [pool.zero() + c for c in components], 0)
+
+    @pytest.mark.parametrize("images, first, bulk, flux", [
+        (lambda x, t1, t2: (x * x, 0, 0), Fraction(-1, 2), Fraction(1, 2), -1),
+        (lambda x, t1, t2: (x, x * t1, t2), Fraction(-13, 12), Fraction(-1, 12), -1),
+        (lambda x, t1, t2: (1 + x * t1 * t2, x * x * t2, x * t1), Fraction(27, 8),
+         Fraction(11, 8), 2),
+    ], ids=["u", "u_e1_e2", "nilpotent"])
+    def test_the_first_variation_is_minus_the_tension_plus_a_flux(self, case, images, first,
+                                                                   bulk, flux):
+        """(S(1) - S(-1))/2 = -int <tau, V> + [B(rho W_V^x)] with W_V the
+        Noether current of V: the tension is the Euler-Lagrange field of the
+        action.  On a flat target S is quadratic in t, so the central
+        difference is the exact first variation."""
+        pool = case.phi.source.pool
+        comps = [pool.zero() + c for c in images(*map(pool.generator, ("x", "th1", "th2")))]
+        V = FieldAlongMorphism(case.phi, comps, 0)
+        assert (self._moved(case, V, 1) - self._moved(case, V, -1)) / 2 == first
+        assert -integrate(case.pair(case.tension(), V), volume_density(case.h)) == bulk
+        assert self._flux(case, case.noether_current(V)) == flux
+        assert first == bulk + flux
+
+    @pytest.mark.parametrize("xi, flux", [
+        (lambda u, e1, e2: (1, 0, 0), -1),
+        (lambda u, e1, e2: (0, e1, -e2), 1),
+    ], ids=["d_u", "osp"])
+    def test_the_noether_current_integrates_to_its_flux(self, case, xi, flux):
+        """Stokes on the box: int div W = [B(rho W^x)] for the Noether current
+        W of a target Killing field, though div W itself is nonzero off
+        shell."""
+        target = self._target_field(case, *xi(*map(case.g.chart.pool.generator,
+                                                    ("u", "e1", "e2"))))
+        W = case.noether_current(case.phi.pull_target_field(target))
+        assert not case.source_divergence(W).is_zero()
+        assert integrate(case.source_divergence(W), volume_density(case.h)) == flux
+        assert self._flux(case, W) == flux
+
+    @pytest.mark.parametrize("xi, values, first", [
+        (lambda u, e1, e2: (1, 0, 0), [Fraction(39, 10)] * 4, 0),
+        (lambda u, e1, e2: (0, e1, -e2),
+         [Fraction(15, 4), Fraction(39, 10), Fraction(15, 4), Fraction(33, 10)], 0),
+        (lambda u, e1, e2: (u, 0, 0), None, Fraction(15, 2)),
+        (lambda u, e1, e2: (0, e1, 0), None, Fraction(3, 20)),
+    ], ids=["d_u", "osp", "u_d_u", "e1_d_e1"])
+    def test_a_killing_field_leaves_the_action_stationary(self, case, xi, values, first):
+        """S(t) = action(Phi + t xi o Phi) at t = -1, 0, 1, 2: a Killing field
+        of the target has first variation 0, a field that is not one moves it;
+        every third difference is 0, so S is quadratic and the central
+        difference exact."""
+        target = self._target_field(case, *xi(*map(case.g.chart.pool.generator,
+                                                    ("u", "e1", "e2"))))
+        V = case.phi.pull_target_field(target)
+        S = [self._moved(case, V, t) for t in (-1, 0, 1, 2)]
+        assert S[1] == Fraction(39, 10)
+        assert values is None or S == values
+        assert (S[2] - S[0]) / 2 == first
+        assert S[3] - 3 * S[2] + 3 * S[1] - S[0] == 0

@@ -16,8 +16,9 @@ import pathlib
 
 import supergeo
 
+from conftest import SRC, walk_scopes
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SRC = sorted((ROOT / "src" / "supergeo").glob("*.py"))
 USERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
 
 # the deliberate dual routes: independent oracles that the tests compare the
@@ -33,7 +34,7 @@ ORACLES = {
 def _docstrings(tree):
     """The ids of the docstring nodes of ``tree``."""
     out = set()
-    for node in ast.walk(tree):
+    for node, _, _ in walk_scopes(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             first = node.body[0] if node.body else None
             if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
@@ -51,35 +52,30 @@ def _scan(path, defined, uses):
     the function of the same name (a recursive call) does not count, nor
     does ``__all__`` itself."""
     tree = ast.parse(path.read_text())
-    docs = _docstrings(tree)
-
-    def visit(node, enclosing, owner):
-        # owner: the class whose body holds ``node`` directly, else None
+    skipped = _docstrings(tree) | {id(node) for assign, _, _ in walk_scopes(tree)
+                                   if isinstance(assign, ast.Assign) and any(
+                                       isinstance(t, ast.Name) and t.id == "__all__"
+                                       for t in assign.targets)
+                                   for node, _, _ in walk_scopes(assign)}
+    for node, enclosing, owner in walk_scopes(tree):
+        owner = owner and f"{path.name}:{owner}"
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             defined.setdefault(node.name, []).append((f"{path.name}:{node.lineno}", owner))
-            enclosing, owner = enclosing | {node.name}, None
-        elif isinstance(node, ast.ClassDef):
-            owner = f"{path.name}:{node.name}"
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return
         kinds = ["any"]
-        if isinstance(node, ast.Name):
+        if id(node) in skipped:
+            names = []
+        elif isinstance(node, ast.Name):
             names = [node.id]
             kinds += [owner] if owner else []
         elif isinstance(node, ast.Attribute):
             names = [node.attr]
             kinds.append("member")
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names = [] if id(node) in docs else [p for p in node.value.split(".") if p.isidentifier()]
+            names = [p for p in node.value.split(".") if p.isidentifier()]
             kinds += ["member"] if len(names) > 1 else []
         else:
             names = []
         uses.update((kind, n) for n in names if n not in enclosing for kind in kinds)
-        for child in ast.iter_child_nodes(node):
-            visit(child, enclosing, owner)
-
-    visit(tree, frozenset(), None)
 
 
 def test_every_function_in_src_is_reached_outside_tests():

@@ -1,6 +1,7 @@
 """Scenario runner and CLI: golden reports, exit codes, determinism."""
 
 import itertools
+import os
 import pathlib
 import re
 import subprocess
@@ -11,16 +12,22 @@ import pytest
 from supergeo.cli import main as cli_main
 from supergeo.scenario import load_scenario, run_scenario
 
+from conftest import unlimited_int_digits
+
 DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _golden_exit_codes():
-    """The exit code of each golden scenario ``tests/data/NAME.scn``, read
-    from the last line of ``NAME.report.txt``, ``exit = N``, as the CI
-    goldens step reads it."""
+    """The exit code of each golden scenario ``tests/data/NAME.scn`` that
+    has a report, read from the last line of ``NAME.report.txt``, ``exit =
+    N``; test_goldens_through_the_cli_in_a_fresh_interpreter fails a
+    scenario without one."""
     codes = {}
     for scn in DATA.glob("*.scn"):
-        last = (DATA / f"{scn.stem}.report.txt").read_text().splitlines()[-1]
+        report = DATA / f"{scn.stem}.report.txt"
+        if not report.exists():
+            continue
+        last = report.read_text().splitlines()[-1]
         assert re.fullmatch(r"exit = [0-9]", last), f"{scn.stem}: last report line {last!r}"
         codes[scn.stem] = int(last[-1])
     return codes
@@ -36,6 +43,22 @@ def test_golden_report_bytes(name):
     expected = (DATA / f"{name}.report.txt").read_text()
     assert report.render() == expected
     assert report.exit_code == GOLDEN[name]
+
+
+@pytest.mark.parametrize("hashseed", ["0", "12345"])
+@pytest.mark.parametrize("name", sorted(scn.stem for scn in DATA.glob("*.scn")))
+def test_goldens_through_the_cli_in_a_fresh_interpreter(tmp_path, name, hashseed):
+    """``python -m supergeo.cli run NAME.scn --report ...`` under two hash
+    seeds writes ``NAME.report.txt`` byte for byte and exits with the code
+    on that report's last line; every scenario has a golden report."""
+    golden = DATA / f"{name}.report.txt"
+    assert golden.exists(), f"{name}.scn has no golden report"
+    out = tmp_path / golden.name
+    proc = subprocess.run(
+        [sys.executable, "-m", "supergeo.cli", "run", str(DATA / f"{name}.scn"), "--report", str(out)],
+        env={**os.environ, "PYTHONHASHSEED": hashseed}, capture_output=True, text=True)
+    assert proc.returncode == GOLDEN[name], proc.stderr
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_goldens_build_no_expr(monkeypatch):
@@ -709,6 +732,86 @@ def test_a_degree_other_than_ascii_digits_is_a_usage_error(degree):
 def test_ascii_degrees_load(degree):
     sc = load_scenario(_edited_flat_killing(_END, _END, f"solve-killing g --degree {degree}\n"))
     assert sc.commands[0][3] == {"degree": degree}
+
+
+_LONG = "1" + "0" * 4999  # 5,000 digits
+
+
+@pytest.mark.parametrize("old, new, run, error", [
+    ("x,x = 1\n", f"x,x = 1 + {_LONG}\n", "validate-metric g\n",
+     "ParseError: integer literal of more than 4300 digits at line 1, column 5"),
+    ("x,x = 1\n", f"x,x = 1 + x^{_LONG}\n", "validate-metric g\n",
+     "ParseError: integer literal of more than 4300 digits at line 1, column 7"),
+    ("box x = 0 1\n", f"box x = 0 {_LONG}\n", "validate-metric g\n",
+     "ParseError: integer literal of more than 4300 digits at line 6"),
+    ("box x = 0 1\n", f"box x = 0 1/{_LONG}\n", "validate-metric g\n",
+     "ParseError: integer literal of more than 4300 digits at line 6"),
+    ("flesh = 0\n", f"flesh = {'1' * 4301}\n", "validate-metric g\n",
+     "ParseError: integer literal of more than 4300 digits at line 5"),
+    (_END, _END, f"solve-killing g --degree {'1' * 4301}\n",
+     "ScenarioError: solve-killing --degree: integer literal of more than 4300 digits (line 35)"),
+    ("x,x = 1\n", "x,x = 1 + x^2147483648\n", "validate-metric g\n",
+     "ParseError: exponent must be below 2^31 at line 1, column 7"),
+    ("x,x = 1\n", "x,x = 1 + (1 + x)^-2147483648\n", "validate-metric g\n",
+     "ParseError: exponent must be below 2^31 at line 1, column 14"),
+], ids=["expression", "exponent", "box_numerator", "box_denominator", "flesh", "degree",
+        "exponent_2_31", "exponent_minus_2_31"])
+def test_an_integer_literal_out_of_bounds_is_a_usage_error(tmp_path, old, new, run, error):
+    """An integer literal of more than 4300 digits, the package's bound, and
+    an exponent of 2^31 or more, the bound of a degree, are usage errors
+    naming the line, exit 2; no exception of the interpreter's escapes."""
+    scenario, out = tmp_path / "long.scn", tmp_path / "long.report.txt"
+    scenario.write_text(_edited_flat_killing(old, new, run))
+    assert cli_main(["run", str(scenario), "--report", str(out)]) == 2
+    assert f"\nerror = {error}\n" in out.read_text()
+
+
+@pytest.mark.parametrize("old, new, run", [
+    ("x,x = 1\n", f"x,x = {'1' * 4300}\n", "validate-metric g\n"),
+    ("box x = 0 1\n", f"box x = 0 {'1' * 4300}/{'3' * 4300}\n", "validate-metric g\n"),
+    (_END, _END, f"solve-killing g --degree {'0' * 4299}1\n"),
+], ids=["expression", "box", "degree"])
+def test_an_integer_literal_of_4300_digits_loads(old, new, run):
+    report = run_scenario(_edited_flat_killing(old, new, run))
+    assert report.load_error is None and report.exit_code == 0
+
+
+def _limited_run(tmp_path, text):
+    """Exit code and report of a scenario run through the CLI in a fresh
+    interpreter whose limit on the digits of int(str) is the lowest, 640."""
+    scenario, out = tmp_path / "limited.scn", tmp_path / "limited.report.txt"
+    scenario.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "supergeo.cli", "run", str(scenario), "--report", str(out)],
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}, capture_output=True, text=True)
+    assert proc.stderr == ""
+    return proc.returncode, out.read_text()
+
+
+def test_a_literal_reads_the_same_under_any_interpreter_digit_limit(tmp_path):
+    """A 700-digit metric entry loads and prints as it does without the
+    environment's limit, and a 5,000-digit one is the package's usage
+    error, not the interpreter's."""
+    text = _edited_flat_killing("x,x = 1\n", f"x,x = {'7' * 700}\n", "levi-civita g\n")
+    assert _limited_run(tmp_path, text) == (0, run_scenario(text, name="limited.scn").render())
+    code, report = _limited_run(tmp_path, _edited_flat_killing("x,x = 1\n", f"x,x = {_LONG}\n"))
+    assert code == 2
+    assert "\nerror = ParseError: integer literal of more than 4300 digits at line 1, column 1\n" \
+        in report
+
+
+def test_a_coefficient_beyond_the_digit_limit_prints():
+    """x,x = A^2 x + 1 with A 3,000 ones: the Christoffel symbol
+    A^2/(2 A^2 x + 2) has a 6,000-digit coefficient, which prints as Python
+    writes it with the interpreter's limit lifted."""
+    a = "1" * 3000
+    report = run_scenario(_edited_flat_killing("x,x = 1\n", f"x,x = {a}*{a}*x + 1\n",
+                                               "levi-civita g\n"))
+    assert report.exit_code == 0
+    with unlimited_int_digits():
+        square = int(a) ** 2
+        want = f"Gamma^x_x,x = (({square})/({2 * square}*x + 2))"
+    assert want in report.render().splitlines()
 
 
 def test_a_coordinate_name_no_expression_can_read_is_a_usage_error():

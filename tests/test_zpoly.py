@@ -11,7 +11,7 @@ from sympy.polys.polyutils import _sort_gens
 from supergeo import GeneratorPool, scalars, zpoly
 from supergeo.errors import InvalidArgument
 
-from conftest import count_calls, packed, random_poly, seeded, unpacked
+from conftest import count_calls, packed, random_poly, seeded, unlimited_int_digits, unpacked
 
 
 def _poly(p, gens):
@@ -143,6 +143,22 @@ def test_printer_matches_sstr_lex():
                         for e, q in unpacked(terms, len(names)).items()))
         want = sp.sstr(expr, order="lex").replace("**", "^")
         assert zpoly.render_poly(names, terms) == want, terms
+
+
+@pytest.mark.parametrize("digits", [1, 599, 600, 601, 1200, 4300, 4301, 6000])
+def test_a_number_prints_as_str_writes_it_without_the_digit_limit(digits):
+    """``render_number`` writes ints and Fractions of any length as ``str``
+    does with the interpreter's limit lifted, zero blocks mid-value and the
+    edges of a 600-digit block included; the limit stays in force around it."""
+    rng = seeded(371 + digits)
+    values = [10 ** digits - 1, 10 ** (digits - 1), rng.randrange(10 ** (digits - 1), 10 ** digits)]
+    values.append(values[2] * 10 ** 1200 + 7)
+    values += [-v for v in values]
+    values += [Fraction(v, 10 ** 650 + 1) for v in values] + [Fraction(3, values[0])]
+    with unlimited_int_digits():
+        want = [str(v) for v in values]
+    assert [zpoly.render_number(v) for v in values] == want
+    assert zpoly.render_number(0) == "0" and zpoly.render_number(Fraction(-1, 2)) == "-1/2"
 
 
 def _random_exps(rng, n):
