@@ -224,6 +224,18 @@ def _ansatz(chart: Chart, degree: int):
             for p in (0, 1)]
 
 
+def ansatz_size(chart: Chart, degree: int, parity=None) -> int:
+    """The number of columns of :func:`_ansatz` that :func:`solve_killing`
+    solves for ``degree`` and ``parity``, without building them: each
+    coordinate ``d_k`` takes C(n + degree, n) even monomials times the odd
+    monomials of one parity: half of the 2^q over the q odd coordinates, or
+    for q = 0 the empty monomial, which is even."""
+    n, q = chart.pool.n_even, chart.pool.n_coordinate_odd
+    odd = (2 ** (q - 1),) * 2 if q else (1, 0)  # odd monomials by parity
+    per_even = sum(n * odd[p] + q * odd[1 - p] for p in (0, 1) if parity in (None, p))
+    return per_even * math.comb(n + degree, n)
+
+
 def _killing_rows(g: BilinearForm, columns, p: int, den: int):
     """The solver's sparse integer rows ``{column: int}``: the equations
     ``(L_X g)_ij = 0`` for ``i <= j``, one row per (index pair, odd

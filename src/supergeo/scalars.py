@@ -30,13 +30,21 @@ odd monomials are cached on the pool), and a result over a non-constant
 (:func:`cancel_common_factor`), unless it scales a canonical superfunction
 by a unit of ``Q[x][theta]``.  A sum of products, a matrix product's entry,
 is one :meth:`GeneratorPool.dot`: the products over one denominator
-accumulate in one table, made canonical once.
+accumulate in one table, made canonical once.  A single term, one odd
+monomial with a one-term numerator over an int ``den``, takes no table
+route: a product of two is one cached merge, one key sum checked against
+the guard bits and one gcd, and :meth:`GeneratorPool.scalar` lifts a
+product of rationals and nonnegative powers of the pool's symbols to its
+one term, each degree after the first checked against the bound before it
+joins the key.  A difference is one signed table sum.
 Division happens in one place, :func:`_divide`.  Other modules never read
 ``terms`` or ``den``, and never build, slice or sign an odd monomial: they
 pass ``(mono, exps)`` keys between the pool's monomial methods.
 Superfunctions are immutable, and the kernel relies on it: results share
 numerators with their operands, ``f + 0`` is ``f``, ``0 * f`` is the zero
-operand, and :meth:`Superfunction.partial` keeps each derivative.
+operand, :meth:`Superfunction.partial` keeps each derivative, and a pool
+hands out one shared zero, one and superfunction per generator name (even
+and odd names cached apart).
 
 The package's numbers are Python ints (never bools) and ``Fraction``s.  A
 sympy value comes in through :meth:`GeneratorPool.scalar` alone, which
@@ -186,10 +194,13 @@ def _left_partial(mono, pos):
     return -1 if pos % 2 else 1, mono[:pos] + mono[pos + 1:]
 
 
-def _table_add(a, b):
-    """The sum of two numerator tables; untouched numerators are shared."""
+def _table_add(a, b, sign=1):
+    """``a + sign * b`` for two numerator tables (sign 1 or -1) in one pass;
+    untouched numerators are shared."""
     out = dict(a)
     for m, q in b.items():
+        if sign < 0:
+            q = pneg(q)
         s = padd(out[m], q) if m in out else q
         if s:
             out[m] = s
@@ -271,7 +282,10 @@ class GeneratorPool:
         self._unit_keys = [pack(int(i == k) for i in range(n)) for k in range(n)]
         self._guard = guard(n)
         self._merges = {}
-        self._zero = Superfunction(self, {})  # immutable, so one serves all
+        # immutable, so one serves all: zero, one and each generator by parity
+        self._zero = Superfunction(self, {})
+        self._one = Superfunction(self, {(): {0: 1}})
+        self._generators = {}, {}
 
     @functools.cached_property
     def even_symbols(self):
@@ -319,7 +333,7 @@ class GeneratorPool:
         return self._zero
 
     def one(self) -> "Superfunction":
-        return self.scalar(1)
+        return self._one
 
     def sum(self, values) -> "Superfunction":
         """The sum of the superfunctions ``values``, adding only the nonzero
@@ -392,7 +406,8 @@ class GeneratorPool:
     def _lift(self, e):
         """The superfunction of a sympy expression in the pool's even symbols,
         folded with the ring arithmetic: rationals, symbols, sums, products
-        and integer powers.  Anything else raises ``InexactCoefficient``, a
+        and integer powers, a monomial straight to its term
+        (:meth:`_lift_term`).  Anything else raises ``InexactCoefficient``, a
         negative power of zero ``NonInvertible``, and a symbol that is not
         one of the pool's even symbols ``UnknownGenerator`` (symbols compare
         with their assumptions, so a positive ``x`` is foreign)."""
@@ -404,11 +419,38 @@ class GeneratorPool:
             return self.even(e.name)
         if e.is_Add:
             return functools.reduce(operator.add, map(self._lift, e.args))
-        if e.is_Mul:
-            return functools.reduce(operator.mul, [self._lift(a) for a in e.args])
-        if e.is_Pow and e.exp.is_Integer:
-            return self._lift(e.base) ** int(e.exp)
+        if e.is_Mul or e.is_Pow:
+            term = self._lift_term(e.args if e.is_Mul else (e,))
+            if term is not None:
+                return term
+            if e.is_Mul:
+                return functools.reduce(operator.mul, [self._lift(a) for a in e.args])
+            if e.exp.is_Integer:
+                return self._lift(e.base) ** int(e.exp)
         raise InexactCoefficient
+
+    def _lift_term(self, factors):
+        """The single term of a product of Rationals and nonnegative integer
+        powers of the pool's even symbols, ``n x^key / d`` reduced by one
+        gcd; None for any other product, which :meth:`_lift` folds.  Each
+        degree after the first is checked before it joins the key, where a
+        degree of 2^32 would carry into the next field unseen."""
+        n = d = 1
+        exps = [0] * len(self.even_names)
+        for f in factors:
+            if f.is_Rational:
+                n, d = n * f.p, d * f.q
+                continue
+            base, k = (f.base, int(f.exp) if f.exp.is_Integer else -1) if f.is_Pow else (f, 1)
+            if k < 0 or base not in self._symbols:
+                return None
+            exps[self._even_index[base.name]] += k
+        if max(exps[1:], default=0) >= BOUND:
+            raise _carry(self)
+        if not n:
+            return self._zero
+        g = math.gcd(n, d)
+        return Superfunction(self, {(): {pack(exps): n // g}}, d // g)
 
     def from_coefficients(self, coefficients) -> "Superfunction":
         """The polynomial ``sum q th^mono x^exps`` of a list of ``(mono, exps,
@@ -451,14 +493,10 @@ class GeneratorPool:
         denominator divides, and the key is opaque to callers.  The Koszul
         sign of each merge comes from the pool's merge cache, which
         :func:`_table_mul` fills too."""
-        row = self._merge_row(mono)
         key, mask = pack(exps), self._guard
         scale = den // f.den
         for mf, p in f.terms.items():
-            merged = row.get(mf)
-            if merged is None:
-                merged = row[mf] = _merge_monomials(mono, mf)
-            sign, out = merged
+            sign, out = self._merged(mono, mf)
             if sign:
                 sign *= scale
                 for e, c in p.items():
@@ -488,6 +526,14 @@ class GeneratorPool:
                 for pos, i in enumerate(mono) if not self.is_flesh(i)]
         return out
 
+    def _merged(self, a, b):
+        """The cached ``_merge_monomials(a, b)``."""
+        row = self._merge_row(a)
+        merged = row.get(b)
+        if merged is None:
+            merged = row[b] = _merge_monomials(a, b)
+        return merged
+
     def _merge_row(self, mono):
         """The cached ``_merge_monomials(mono, m)`` by m; the cache starts over
         past 1,024 rows, so that many odd generators cannot exhaust memory."""
@@ -499,10 +545,17 @@ class GeneratorPool:
         return row
 
     def even(self, name: str) -> "Superfunction":
-        return Superfunction(self, {(): {self._unit_keys[self._even_position(name)]: 1}})
+        f = self._generators[0].get(name)
+        if f is None:
+            key = self._unit_keys[self._even_position(name)]
+            f = self._generators[0][name] = Superfunction(self, {(): {key: 1}})
+        return f
 
     def odd(self, name: str) -> "Superfunction":
-        return Superfunction(self, {(self.odd_index(name),): {0: 1}})
+        f = self._generators[1].get(name)
+        if f is None:
+            f = self._generators[1][name] = Superfunction(self, {(self.odd_index(name),): {0: 1}})
+        return f
 
     def generator(self, name: str) -> "Superfunction":
         return self.even(name) if name in self._even_index else self.odd(name)
@@ -558,18 +611,20 @@ class Superfunction:
 
     # -- ring structure ------------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        """``self + sign * other`` for sign 1 or -1: :meth:`__sub__` passes
+        -1, so a difference is one signed table sum."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if not other.terms:
             return self
         if not self.terms:
-            return other
+            return other if sign > 0 else -other
         a, b = self.den, other.den
         if a == b:
-            return _make(self.pool, _table_add(self.terms, other.terms), a)
-        terms, den = _table_add(_times(self.terms, b), _times(other.terms, a)), pscale(a, b)
+            return _make(self.pool, _table_add(self.terms, other.terms, sign), a)
+        terms, den = _table_add(_times(self.terms, b), _times(other.terms, a), sign), pscale(a, b)
         if self.pool._guard:
             _check(self.pool, terms, den)
         return _make(self.pool, terms, den)
@@ -581,12 +636,7 @@ class Superfunction:
         return Superfunction(self.pool, terms, self.den) if terms else self
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other.terms:
-            return self
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -603,28 +653,47 @@ class Superfunction:
             return self
         if not b:
             return other
-        # a body-only factor multiplies each numerator, and a rational
-        # constant only scales the other factor
+        pool = self.pool
+        # a rational constant only scales the other factor
+        if len(b) == 1 and (q := b.get(())) and len(q) == 1 and type(other.den) is int \
+                and (n := q.get(0)):
+            return self._scaled(n, other.den)
+        if len(a) == 1 and (p := a.get(())) and len(p) == 1 and type(self.den) is int \
+                and (n := p.get(0)):
+            return other._scaled(n, self.den)
+        if len(a) == 1 == len(b) and type(self.den) is int and type(other.den) is int:
+            (ma, p), = a.items()
+            (mb, q), = b.items()
+            if len(p) == 1 == len(q):
+                # two single terms: one merge, one key sum, one gcd
+                s, mono = pool._merged(ma, mb)
+                if not s:
+                    return pool._zero
+                (ea, ca), = p.items()
+                (eb, cb), = q.items()
+                e = ea + eb
+                if e & pool._guard:
+                    raise _carry(pool)
+                n, d = s * ca * cb, self.den * other.den
+                g = math.gcd(n, d)
+                return Superfunction(pool, {mono: {e: n // g}}, d // g)
+        # a body-only factor multiplies each numerator
         if len(b) == 1 and () in b:
             q = b[()]
-            if len(q) == 1 and type(other.den) is int and (n := q.get(0)):
-                return self._scaled(n, other.den)
             terms = {m: pmul(p, q) for m, p in a.items()}
         elif len(a) == 1 and () in a:
             p = a[()]
-            if len(p) == 1 and type(self.den) is int and (n := p.get(0)):
-                return other._scaled(n, self.den)
             terms = {m: pmul(p, q) for m, q in b.items()}
         else:
-            terms = _table_mul(self.pool, a, b)
+            terms = _table_mul(pool, a, b)
         if self.den == 1 and other.den == 1:
-            if self.pool._guard:
-                _check(self.pool, terms)
-            return Superfunction(self.pool, terms) if terms else self.pool._zero
+            if pool._guard:
+                _check(pool, terms)
+            return Superfunction(pool, terms) if terms else pool._zero
         den = pscale(self.den, other.den)
-        if self.pool._guard:
-            _check(self.pool, terms, den)
-        return _make(self.pool, terms, den)
+        if pool._guard:
+            _check(pool, terms, den)
+        return _make(pool, terms, den)
 
     def __rmul__(self, other):
         # only scalars reach here; they commute with everything
@@ -742,7 +811,11 @@ class Superfunction:
         return None
 
     def has_parity(self, p: int) -> bool:
-        return all(len(m) % 2 == p % 2 for m in self.terms)
+        p %= 2
+        for m in self.terms:
+            if len(m) % 2 != p:
+                return False
+        return True
 
     def has_body(self) -> bool:
         return () in self.terms

@@ -26,7 +26,8 @@ from .errors import (
 from .geometry import BilinearForm, Chart, MetricContext, VectorField
 # unused here, but perfbench/tests checks that its tracer wraps this copy
 from .geometry import validate_metric  # noqa: F401
-from .lie import KILLING_MODES, KillingChecker, lie_derivative_bilinear, solve_killing
+from .lie import (KILLING_MODES, KillingChecker, ansatz_size, lie_derivative_bilinear,
+                  solve_killing)
 from .morphisms import HarmonicSetup, Morphism
 from .integration import action
 from .parsing import parse_expression, read_int
@@ -34,6 +35,12 @@ from .scalars import render_number
 
 _EXIT_PASS, _EXIT_FAIL, _EXIT_PARSE, _EXIT_MATH = 0, 1, 2, 3
 _PARITIES = {"even": 0, "odd": 1}
+
+# the most flesh generators a chart declares
+MAX_FLESH = 1000
+# the most ansatz columns a solve-killing command builds: (2|10) at degree
+# 1 has 36,864 and (2|10) at degree 2 has 73,728, which solves in about 2 s
+MAX_ANSATZ_COLUMNS = 100_000
 
 
 @dataclass
@@ -262,6 +269,8 @@ def _build_chart(block: _Block) -> Chart:
     if not _DIGITS.fullmatch(flesh):
         raise ParseError(f"flesh count must be a nonnegative integer, not {flesh!r}", lineno)
     flesh = read_int(flesh, lineno)
+    if flesh > MAX_FLESH:
+        raise ParseError(f"flesh count must be at most {MAX_FLESH}", lineno)
     box = {}
     for key, (lineno, value) in block.entries.items():
         if isinstance(key, tuple):
@@ -313,13 +322,16 @@ def _build_vectorfield(chart: Chart, block: _Block) -> VectorField:
 class _Command:
     """The runner method, the positional arguments (a placeholder of
     ``_NAMES``, or the allowed values of a variant), the options (name ->
-    allowed values, or ``int`` for a nonnegative integer) and the required
-    options.  The method gets the arguments, then the options given."""
+    allowed values, or ``int`` for a nonnegative integer), the required
+    options and a check of the command's size at load.  The method and the
+    check get the arguments, then the options given; the check also gets
+    the line's ``(line N)``."""
 
     handler: Callable
     args: tuple
     options: dict = field(default_factory=dict)
     required: tuple = ()
+    check: Callable = None
 
 
 # What a placeholder argument names: the Scenario table and the noun for errors.
@@ -396,6 +408,8 @@ def _parse_command(sc: Scenario, lineno: int, line: str):
             for arg, allowed in zip(args, command.args)]
     options = {opt: _value(command.options[opt], value, f"{name} --{opt}", lineno)
                for opt, value in options.items()}
+    if command.check is not None:
+        command.check(where, *args, **options)
     return line, command.handler, args, options
 
 
@@ -403,6 +417,18 @@ def _nonzero_components(entries):
     """The (key, rendered value) details of the nonzero superfunctions among
     ordered (key, superfunction) pairs."""
     return [(key, f.render()) for key, f in entries if not f.is_zero()]
+
+
+def _check_ansatz(where, g, degree, parity=None):
+    """A solve-killing command builds at most :data:`MAX_ANSATZ_COLUMNS`
+    columns.  The count caps the degree at the bound, so that a degree of
+    4300 digits costs no big binomial: with an even variable C(n + d, n) >
+    d, so a degree above the bound exceeds it too (unless no column is
+    left), and without one the degree does not count."""
+    if ansatz_size(g.chart, min(degree, MAX_ANSATZ_COLUMNS), _PARITIES.get(parity)) \
+            > MAX_ANSATZ_COLUMNS:
+        raise ScenarioError(f"solve-killing: the ansatz has more than {MAX_ANSATZ_COLUMNS}"
+                            f" columns {where}")
 
 
 class _Runner:
@@ -527,7 +553,7 @@ _COMMANDS = {
                               {"mode": (*KILLING_MODES, "all")}),
     "solve-killing": _Command(_Runner._cmd_solve_killing, ("G",),
                               {"degree": int, "parity": tuple(_PARITIES)},
-                              required=("degree",)),
+                              required=("degree",), check=_check_ansatz),
     "tension": _Command(_Runner._cmd_tension, ("PHI",)),
     "check-noether": _Command(_Runner._cmd_check_noether,
                               (("target", "domain", "stress"), "PHI", "XI")),

@@ -134,10 +134,10 @@ class SuperMatrix:
         return all(e.is_zero() for row in self.entries for e in row)
 
     def is_homogeneous(self) -> bool:
-        for i in range(self.dim):
-            for j in range(self.dim):
-                want = (self.parity + self.slot_parity(i) + self.slot_parity(j)) % 2
-                if not self.entries[i][j].has_parity(want):
+        par = [self.slot_parity(i) for i in range(self.dim)]
+        for pi, row in zip(par, self.entries):
+            for pj, e in zip(par, row):
+                if not e.has_parity(self.parity + pi + pj):
                     return False
         return True
 

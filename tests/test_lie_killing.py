@@ -826,3 +826,18 @@ class TestLifting:
         assert (p97, wide) == (97, PRIME) and len(pivots97) < len(pivots)
         for rows, ncols in systems:
             assert nullspace(rows, ncols) == _domain_matrix_nullspace(rows, ncols)[0]
+
+
+@pytest.mark.parametrize("even, odd, flesh", [
+    (["x", "y"], [], ()), ([], ["th1", "th2"], ()), (["x"], ["th1", "th2"], ("lam1", "lam2")),
+    (["x", "y"], ["th1", "th2", "th3", "th4"], ()),
+], ids=["(2|0)", "(0|2)", "(1|2)+flesh", "(2|4)"])
+def test_ansatz_size_counts_the_ansatz(even, odd, flesh):
+    """``ansatz_size`` is the number of columns ``_ansatz`` builds, for each
+    parity and both together; flesh generators take no part."""
+    ch = Chart(even, odd, {name: (0, 1) for name in even}, flesh)
+    for degree in range(4):
+        bases = lie._ansatz(ch, degree)
+        assert lie.ansatz_size(ch, degree) == len(bases[0]) + len(bases[1])
+        for p in (0, 1):
+            assert lie.ansatz_size(ch, degree, p) == len(bases[p])

@@ -1320,9 +1320,11 @@ class TestScaledProduct:
                     assert (got.terms, got.den) == (want.terms, want.den)
 
     def test_one_returns_the_other_operand(self, pool):
-        f = pool.even("x") / (pool.even("x") + 1) + pool.odd("th1") * pool.odd("th2")
-        assert f * 1 is f and 1 * f is f
-        assert f * pool.one() is f and pool.one() * f is f
+        single = pool.from_coefficients([((0,), (2,), Fraction(3, 4))])
+        for f in (pool.even("x") / (pool.even("x") + 1) + pool.odd("th1") * pool.odd("th2"),
+                  single):
+            assert f * 1 is f and 1 * f is f
+            assert f * pool.one() is f and pool.one() * f is f
 
 
 def test_power_squares_no_further_than_its_last_bit(monkeypatch):
@@ -1559,3 +1561,145 @@ def test_lift_error_precedence(value, error, message):
     with pytest.raises(error) as exc:
         pool.scalar(value)
     assert type(exc.value) is error and str(exc.value) == message
+
+
+Y = sp.Symbol("y")
+SINGLE_TERM_CHARTS = {
+    "(1|2)+2 flesh": (["x"], ["th1", "th2"], ["eta1", "eta2"]),
+    "(2|4)+2 flesh": (["x", "y"], ["th1", "th2", "th3", "th4"], ["eta1", "eta2"]),
+}
+
+
+class TestSingleTerms:
+    """A single term is one odd monomial with a one-term numerator over an
+    int denominator.  Products of two of them and lifts of one monomial
+    take no table route; ``pool.dot`` and ``from_coefficients`` are the
+    oracles."""
+
+    @staticmethod
+    def _draw(pool, rng):
+        """A seeded single term ``q th^mono x^exps``, ``q`` a nonzero
+        rational whose numerator and denominator share factors with others."""
+        mono = tuple(sorted(rng.sample(range(pool.n_odd), rng.randint(0, 2))))
+        exps = tuple(rng.randint(0, 3) for _ in range(pool.n_even))
+        q = Fraction(rng.choice([1, -1]) * rng.randint(1, 12), rng.randint(1, 12))
+        return pool.from_coefficients([(mono, exps, q)])
+
+    @pytest.mark.parametrize("chart", list(SINGLE_TERM_CHARTS))
+    def test_products_are_the_dot_route(self, chart, monkeypatch):
+        """``x * y`` of two single terms is structurally ``pool.dot([(x, y)],
+        0)`` and makes no ``_accumulate`` call: contents that cancel
+        against the denominator, repeated odd indices, flesh and every pair
+        of parities."""
+        pool = GeneratorPool(*SINGLE_TERM_CHARTS[chart])
+        rng = seeded(4201)
+        pairs = [(self._draw(pool, rng), self._draw(pool, rng)) for _ in range(300)]
+        calls = count_calls(monkeypatch, scalars._table_mul, "_accumulate")
+        products = [x * y for x, y in pairs]
+        assert calls == []
+        seen = set()
+        for (x, y), got in zip(pairs, products):
+            want = pool.dot([(x, y)], pool.zero())
+            _assert_canonical(got)
+            assert (got.terms, got.den) == (want.terms, want.den)
+            (mx, px), = x.terms.items()
+            (my, py), = y.terms.items()
+            (cx,), (cy,) = px.values(), py.values()
+            seen.add((len(mx) % 2, len(my) % 2))
+            seen.update({"zero"} if got.is_zero() else ())
+            seen.update({"cancels"} if math.gcd(cx * cy, x.den * y.den) > 1 else ())
+            seen.update({"flesh"} if any(map(pool.is_flesh, mx + my)) else ())
+            seen.update({"sign -1"} if not got.is_zero() and got.terms != (
+                pool.dot([(y, x)], pool.zero())).terms else ())
+        assert seen == {(0, 0), (0, 1), (1, 0), (1, 1), "zero", "cancels", "flesh", "sign -1"}
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        """The right operand of each ``Superfunction.__mul__`` call."""
+        calls, original = [], Superfunction.__mul__
+        monkeypatch.setattr(Superfunction, "__mul__",
+                            lambda a, b: calls.append(b) or original(a, b))
+        return calls
+
+    @pytest.mark.parametrize("value, exps, q", [
+        (x**3, (3, 0), 1), (sp.Rational(3, 4) * x * Y**2, (1, 2), Fraction(3, 4)),
+        (-x * Y, (1, 1), -1), (sp.Rational(-6, 4) * Y**5, (0, 5), Fraction(-3, 2)),
+        (sp.Mul(4, x, x, sp.Rational(1, 6), evaluate=False), (2, 0), Fraction(2, 3)),
+        (sp.Pow(Y, 0, evaluate=False), (0, 0), 1),
+    ], ids=["x**3", "3/4*x*y**2", "-x*y", "-6/4*y**5", "unevaluated", "y**0"])
+    def test_a_monomial_lifts_to_its_coefficients(self, value, exps, q, products):
+        """A product of Rationals and nonnegative powers of the pool's
+        symbols lifts to ``from_coefficients`` of the same term without a
+        ring product."""
+        pool = GeneratorPool(["x", "y"], ["th1", "th2"])
+        got = pool.scalar(value)
+        assert products == []
+        want = pool.from_coefficients([((), exps, q)])
+        _assert_canonical(got)
+        assert (got.terms, got.den) == (want.terms, want.den)
+
+    def test_seeded_monomials_lift_without_a_product(self, products):
+        """``c * x**d`` as the superalgebra inputs are built, over c in
+        [-12, 12] and d up to 5, lifts with no ``Superfunction.__mul__``."""
+        pool = GeneratorPool(["x"], ["th1", "th2"])
+        rng = seeded(4202)
+        values = [(rng.randint(-12, 12), rng.randint(0, 5)) for _ in range(60)]
+        got = [pool.scalar(c * x**d) for c, d in values]
+        assert products == []
+        for f, (c, d) in zip(got, values):
+            assert f == (pool.from_coefficients([((), (d,), c)]) if c else pool.zero())
+
+    def test_other_shapes_fold(self):
+        """A negative power falls back to the fold; a float and a symbol with
+        assumptions raise as before."""
+        pool = GeneratorPool(["x"], ["th1"])
+        assert pool._lift_term((2 / x).args) is None
+        assert pool.scalar(2 / x) == 2 / pool.even("x")
+        with pytest.raises(InexactCoefficient):
+            pool.scalar(2.0 * x)
+        with pytest.raises(UnknownGenerator):
+            pool.scalar(2 * sp.Symbol("x", positive=True))
+
+    def test_a_degree_past_the_bound_raises(self):
+        """Over (x, y) a degree in y of 2^31 raises ``InvalidArgument``, from
+        a single-term product and from a lift: a degree of 2^32 packed
+        without a check would carry into x."""
+        pool = GeneratorPool(["x", "y"], ["th1"])
+        half = pool.scalar(Y**2**30)
+        with pytest.raises(InvalidArgument, match="a degree in y reaches 2"):
+            half * half
+        for value in (3 * Y**2**32, Y**2**31, x * Y**2**31):
+            with pytest.raises(InvalidArgument, match="a degree in y reaches 2"):
+                pool.scalar(value)
+        assert pool.scalar(x**2**40 * Y**(2**31 - 1)) == pool.from_coefficients(
+            [((), (2**40, 2**31 - 1), 1)])
+
+    def test_generators_are_shared(self):
+        """``even``, ``odd``, ``generator`` and ``one`` return one object per
+        name; each parity has its own cache."""
+        pool = GeneratorPool(["x"], ["th1", "th2"], ["eta"])
+        assert pool.odd("th1") is pool.odd("th1") is pool.generator("th1")
+        assert pool.even("x") is pool.even("x") is pool.generator("x")
+        assert pool.odd("eta") is pool.odd("eta") and pool.one() is pool.one()
+        assert pool.one() == pool.scalar(1) and pool.odd("th1") != pool.odd("th2")
+        with pytest.raises(UnknownGenerator):
+            pool.even("th1")
+        with pytest.raises(UnknownGenerator):
+            pool.odd("x")
+
+    @pytest.mark.parametrize("chart", ["(1|2)+flesh", "(2|4)"])
+    def test_a_difference_is_the_sum_with_the_negative(self, chart):
+        """``f - g`` is structurally ``f + (-g)`` over int and polynomial
+        denominators, and ``f - f`` is zero."""
+        pool = GeneratorPool(*DIVISION_CHARTS[chart])
+        rng = seeded(4203)
+        xx = pool.even("x")
+        for _ in range(40):
+            f, g = random_superfunction(pool, rng), random_superfunction(pool, rng)
+            if rng.random() < 0.4:
+                g = g / (xx + rng.randint(1, 3))
+            got, want = f - g, f + (-g)
+            _assert_canonical(got)
+            assert (got.terms, got.den) == (want.terms, want.den)
+            assert (f - f).is_zero() and (g - 0) is g
+            assert (0 - g) == -g and (pool.zero() - g) == -g

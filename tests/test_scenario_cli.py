@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from supergeo.cli import main as cli_main
-from supergeo.scenario import load_scenario, run_scenario
+from supergeo.scenario import MAX_ANSATZ_COLUMNS, MAX_FLESH, load_scenario, run_scenario
 
 from conftest import unlimited_int_digits
 
@@ -716,6 +716,37 @@ def test_a_flesh_count_other_than_ascii_digits_is_a_usage_error(count):
 @pytest.mark.parametrize("count", ["0", "2"])
 def test_ascii_flesh_counts_load(count):
     assert load_scenario(_FLESH.format(count)).source.pool.n_flesh == int(count)
+
+
+def test_a_flesh_count_above_the_bound_is_a_usage_error():
+    """A chart takes at most ``MAX_FLESH`` flesh generators; one more is a
+    ``ParseError`` naming the line, before any name is built."""
+    assert load_scenario(_FLESH.format(MAX_FLESH)).source.pool.n_flesh == MAX_FLESH
+    report = run_scenario(_FLESH.format(MAX_FLESH + 1))
+    assert report.exit_code == 2
+    assert report.load_error == (
+        f"ParseError: flesh count must be at most {MAX_FLESH} at line 5")
+
+
+@pytest.mark.parametrize("run, loads", [
+    ("--degree 8332", True), ("--degree 8333", False),
+    ("--degree 16665 --parity even", True), ("--degree 16666 --parity odd", False),
+    ("--degree 100000", False), ("--degree " + "9" * 4300, False),
+], ids=["8332", "8333", "16665-even", "16666-odd", "100000", "4300-digits"])
+def test_a_solve_above_the_column_bound_is_a_usage_error(run, loads):
+    """On the flat (1|2) chart an ansatz has 6 (d + 1) columns per parity at
+    degree d, so the bound of ``MAX_ANSATZ_COLUMNS`` = 100,000 admits degree
+    8332 for both parities and 16665 for one; a larger solve is a usage
+    error naming the line, found at load without building a column."""
+    assert MAX_ANSATZ_COLUMNS == 100_000
+    text = _FLESH.format(0).replace("validate-metric g", f"solve-killing g {run}")
+    if loads:
+        assert len(load_scenario(text).commands) == 1
+        return
+    report = run_scenario(text)
+    assert report.exit_code == 2
+    assert report.load_error == ("ScenarioError: solve-killing: the ansatz has more than"
+                                 " 100000 columns (line 13)")
 
 
 @pytest.mark.parametrize("degree", ["\u0661", "\uff11"])

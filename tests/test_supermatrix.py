@@ -119,6 +119,28 @@ class TestSupertrace:
         mixed = SuperMatrix.identity(pool, 1, 2) * (1 + a)
         assert mixed.parity == 0 and not mixed.is_homogeneous()
 
+    def test_homogeneity_reads_each_slot_parity_once(self, pool, monkeypatch):
+        """``is_homogeneous`` reads the dim slot parities once and asks each
+        entry once for its parity, and agrees with the entrywise rule; one
+        entry of the wrong parity, in either block, makes a matrix mixed."""
+        rng = seeded(203)
+        slots, asked = [], []
+        slot_parity, has_parity = SuperMatrix.slot_parity, Superfunction.has_parity
+        monkeypatch.setattr(SuperMatrix, "slot_parity",
+                            lambda M, i: slots.append(i) or slot_parity(M, i))
+        monkeypatch.setattr(Superfunction, "has_parity",
+                            lambda f, p: asked.append(p) or has_parity(f, p))
+        for parity in (0, 1):
+            M = random_matrix(pool, 1, 2, parity, rng)
+            slots.clear(), asked.clear()
+            assert M.is_homogeneous()
+            assert slots == [0, 1, 2] and len(asked) == 9
+            for i, j in ((0, 0), (1, 2), (2, 0)):
+                rows = [list(row) for row in M.entries]
+                even = (parity + (i > 0) + (j > 0)) % 2 == 0
+                rows[i][j] = rows[i][j] + (pool.odd("th1") if even else 1)
+                assert not SuperMatrix(pool, 1, 2, rows, parity).is_homogeneous()
+
     def test_linear(self, pool):
         rng = seeded(202)
         A = random_matrix(pool, 1, 2, 0, rng)
