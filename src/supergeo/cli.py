@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 
 from .parsing import MAX_DIGITS, read_int
@@ -32,6 +33,35 @@ def _parser() -> argparse.ArgumentParser:
 _PARSER = _parser()
 
 
+def _write_in_place(path: str, data: bytes) -> None:
+    """Write ``data`` over ``path`` from its start and, for a regular file,
+    cut it to ``len(data)``: no truncating open, which frees every block of
+    the old report before the same number are allocated again. A device,
+    FIFO or terminal is only written, since it cannot be truncated."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+
+
+def _write_stdout(data: bytes) -> None:
+    """Write ``data`` to stdout's byte stream, whatever its text encoding,
+    after anything its text layer still holds. After a broken pipe
+    stdout's descriptor points at the null device, so that the
+    interpreter's flush at exit has nowhere to fail."""
+    try:
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
 
@@ -42,17 +72,19 @@ def main(argv=None) -> int:
         print(f"supergeo: cannot read scenario: {exc}", file=sys.stderr)
         return 2
 
-    report = run_scenario(text, name=os.path.basename(args.scenario), seed=args.seed)
-    rendered = report.render()
-    if args.report:
-        try:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
-        except OSError as exc:
-            print(f"supergeo: cannot write report: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(rendered)
+    # a name that is not UTF-8 (bytes kept by surrogateescape) is escaped
+    # with backslashes, so the report always encodes
+    name = os.fsencode(os.path.basename(args.scenario)).decode("utf-8", "backslashreplace")
+    report = run_scenario(text, name=name, seed=args.seed)
+    data = report.render().encode("utf-8")
+    try:
+        if args.report:
+            _write_in_place(args.report, data)
+        else:
+            _write_stdout(data)
+    except OSError as exc:
+        print(f"supergeo: cannot write report: {exc}", file=sys.stderr)
+        return 2
     return report.exit_code
 
 

@@ -241,6 +241,109 @@ def test_cli_report_into_missing_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_report_into_a_directory(tmp_path, capsys):
+    code = cli_main(["run", str(DATA / "flat_killing.scn"), "--report", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("supergeo: cannot write report: ")
+    assert err.count("\n") == 1
+
+
+def _golden_named(name):
+    """The golden report of flat_killing.scn with ``name`` in its header."""
+    golden = (DATA / "flat_killing.report.txt").read_bytes()
+    return golden.replace(b"\nscenario: flat_killing.scn\n", b"\nscenario: " + name + b"\n", 1)
+
+
+@pytest.mark.parametrize("old", [b"", b"x", bytes(range(256)) * 256], ids=["empty", "smaller", "64KiB"])
+def test_cli_report_is_rewritten_in_place(tmp_path, old):
+    """An old report, smaller or larger, ends up holding exactly the new
+    report's bytes, and it is the same file: rewritten, not replaced."""
+    out = tmp_path / "report.txt"
+    out.write_bytes(old)
+    inode = out.stat().st_ino
+    assert cli_main(["run", str(DATA / "flat_killing.scn"), "--report", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "flat_killing.report.txt").read_bytes()
+    assert out.stat().st_ino == inode
+
+
+def test_cli_report_opens_once_without_truncation(tmp_path, monkeypatch):
+    """The report is opened once, write-only, created with mode 0o666 (the
+    umask applies) and never with O_TRUNC: a truncating open frees every
+    block of the old report only for the write to allocate them again."""
+    out = tmp_path / "report.txt"
+    out.write_bytes(b"old")
+    original, opens = os.open, []
+
+    def recording(path, flags, mode=0o777, **kwargs):
+        if os.fspath(path) == str(out):
+            opens.append((flags, mode))
+        return original(path, flags, mode, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    assert cli_main(["run", str(DATA / "flat_killing.scn"), "--report", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "flat_killing.report.txt").read_bytes()
+    ((flags, mode),) = opens
+    assert flags & os.O_TRUNC == 0
+    assert flags & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
+    assert mode == 0o666
+
+
+@pytest.mark.parametrize("name", ["flat_killing", "degenerate"])
+def test_cli_report_to_the_null_device(name, capsys):
+    """A report path that is no regular file is written but not cut to
+    length, which would raise EINVAL: the run keeps its exit code."""
+    assert cli_main(["run", str(DATA / f"{name}.scn"), "--report", os.devnull]) == GOLDEN[name]
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_scenario_name_not_utf8(tmp_path):
+    """A file name with a byte that is no UTF-8 is written into the header
+    escaped with backslashes, and the report is complete."""
+    scenario = tmp_path / os.fsdecode(b"bad\xff.scn")
+    scenario.write_bytes((DATA / "flat_killing.scn").read_bytes())
+    out = tmp_path / "report.txt"
+    assert cli_main(["run", str(scenario), "--report", str(out)]) == 0
+    assert out.read_bytes() == _golden_named(rb"bad\xff.scn")
+
+
+def test_cli_stdout_is_the_report_bytes_whatever_its_encoding(tmp_path):
+    """Under ``PYTHONIOENCODING=ascii`` a report that names ``naïve.scn``
+    reaches stdout as the same UTF-8 bytes as the ``--report`` file."""
+    scenario = tmp_path / "naïve.scn"
+    scenario.write_bytes((DATA / "flat_killing.scn").read_bytes())
+    out = tmp_path / "report.txt"
+    env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+    command = [sys.executable, "-m", "supergeo.cli", "run", str(scenario)]
+    proc = subprocess.run(command, env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert subprocess.run(command + ["--report", str(out)], env=env).returncode == 0
+    assert proc.stdout == out.read_bytes() == _golden_named("naïve.scn".encode())
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_cli_closed_stdout_is_a_write_failure(unbuffered):
+    """A stdout whose reader has gone is a report that cannot be written:
+    one stderr line and exit 2, with no traceback from the write and, on a
+    buffered stdout that still holds the report, no ``Exception ignored``
+    from the interpreter's flush at exit."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "supergeo.cli", "run", str(DATA / "flat_killing.scn")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("supergeo: cannot write report: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "supergeo.cli", "run", str(DATA / "math_error.scn")],
