@@ -68,7 +68,9 @@ def main(argv=None) -> int:
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    # UnicodeError: a file that is not UTF-8, or a path holding a lone
+    # surrogate that the file system encoding cannot encode
+    except (OSError, UnicodeError) as exc:
         print(f"supergeo: cannot read scenario: {exc}", file=sys.stderr)
         return 2
 
@@ -82,7 +84,7 @@ def main(argv=None) -> int:
             _write_in_place(args.report, data)
         else:
             _write_stdout(data)
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         print(f"supergeo: cannot write report: {exc}", file=sys.stderr)
         return 2
     return report.exit_code

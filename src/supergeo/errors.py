@@ -17,7 +17,34 @@ of the package: ``Superfunction``'s operators return ``NotImplemented`` for
 anything but a superfunction, an int or a ``Fraction``, so ``x + "a"``,
 ``"a" + x``, ``x * 0.5``, ``x - True``, ``x + sympy.Rational(1, 2)``,
 ``x ** 0.5`` and ``x ** True`` raise Python's ``TypeError``.
+
+The module also holds :class:`_Record`, the base of the package's plain
+records (a signature, a volume density, the Killing, Noether and
+stress-energy reports, a scenario and its report): each record names its
+fields in ``__slots__`` and sets them in its own ``__init__``, and the base
+gives it a field-wise ``==``, a ``Name(field=value, ...)`` repr and no hash.
 """
+
+
+class _Record:
+    """A record whose fields are the ``__slots__`` of its class: equal to a
+    record of the same class with equal fields, unhashable, and shown as
+    ``Name(field=value, ...)`` in slot order."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class SupergeoError(Exception):

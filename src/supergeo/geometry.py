@@ -28,7 +28,6 @@ and applies a sign -1 by negation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -39,6 +38,7 @@ from .errors import (
     MetricViolation,
     NonInvertible,
     ParityError,
+    _Record,
 )
 from .exactlinalg import signature
 from .scalars import GeneratorPool, Superfunction, _rational
@@ -344,11 +344,11 @@ class BilinearForm(SuperMatrix):
     __hash__ = None
 
 
-@dataclass
-class Signature:
-    t: int
-    s: int
-    two_m: int
+class Signature(_Record):
+    __slots__ = ("t", "s", "two_m")
+
+    def __init__(self, t: int, s: int, two_m: int):
+        self.t, self.s, self.two_m = t, s, two_m
 
     def as_tuple(self):
         return (self.t, self.s, self.two_m)

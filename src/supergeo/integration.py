@@ -8,19 +8,20 @@ are ``Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonPolynomialIntegrand
+from .errors import NonPolynomialIntegrand, _Record
 from .geometry import BilinearForm, Chart, MetricContext
 from .morphisms import HarmonicSetup
 from .scalars import Superfunction
 
 
-@dataclass
-class VolumeDensity:
-    chart: Chart
-    scale: Superfunction  # sqrt(|sdet h|)
+class VolumeDensity(_Record):
+    __slots__ = ("chart", "scale")
+
+    def __init__(self, chart: Chart, scale: Superfunction):
+        self.chart = chart
+        self.scale = scale  # sqrt(|sdet h|)
 
 
 def volume_density(h: BilinearForm) -> VolumeDensity:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import (
     CertificateFailure,
@@ -45,6 +44,7 @@ from .errors import (
     InvalidArgument,
     ParityError,
     UnsupportedMetric,
+    _Record,
 )
 from .exactlinalg import PRIME, modular_rank, nullspace
 from .geometry import BilinearForm, Chart, MetricContext, VectorField
@@ -106,16 +106,18 @@ def lie_derivative_bilinear(X: VectorField, B: BilinearForm) -> BilinearForm:
     return BilinearForm(chart, out, X.parity)
 
 
-@dataclass
-class ModeResult:
-    passed: bool
-    residuals: list
+class ModeResult(_Record):
+    __slots__ = ("passed", "residuals")
+
+    def __init__(self, passed: bool, residuals: list):
+        self.passed, self.residuals = passed, residuals
 
 
-@dataclass
-class KillingReport:
-    modes: dict
-    field_parity: int
+class KillingReport(_Record):
+    __slots__ = ("modes", "field_parity")
+
+    def __init__(self, modes: dict, field_parity: int):
+        self.modes, self.field_parity = modes, field_parity
 
     @property
     def agreement(self) -> bool:
@@ -196,12 +198,12 @@ def killing_check(X: VectorField, g: BilinearForm, mode: str = "all") -> Killing
 # -- exact degree-bounded solver ----------------------------------------------
 
 
-@dataclass
-class KillingBasis:
-    metric: BilinearForm
-    degree: int
-    fields: list
-    parities: list
+class KillingBasis(_Record):
+    __slots__ = ("metric", "degree", "fields", "parities")
+
+    def __init__(self, metric: BilinearForm, degree: int, fields: list, parities: list):
+        self.metric, self.degree = metric, degree
+        self.fields, self.parities = fields, parities
 
     @property
     def even_fields(self):

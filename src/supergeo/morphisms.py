@@ -18,11 +18,10 @@ derivations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import ChartMismatch, ParityError, ScenarioError
+from .errors import ChartMismatch, ParityError, ScenarioError, _Record
 from .geometry import (
     BilinearForm,
     Chart,
@@ -141,14 +140,20 @@ class FieldAlongMorphism(_Field):
                               if not (d := f.partial(names[a])).is_zero()])
 
 
-@dataclass
-class NoetherReport:
-    precondition_ok: bool
-    precondition_residuals: list
-    divergence_residual: Superfunction
-    tension_is_zero: bool
-    current_divergence: Superfunction | None
-    lemma_residuals: list | None = None
+class NoetherReport(_Record):
+    __slots__ = ("precondition_ok", "precondition_residuals", "divergence_residual",
+                 "tension_is_zero", "current_divergence", "lemma_residuals")
+
+    def __init__(self, precondition_ok: bool, precondition_residuals: list,
+                 divergence_residual: Superfunction, tension_is_zero: bool,
+                 current_divergence: Superfunction | None,
+                 lemma_residuals: list | None = None):
+        self.precondition_ok = precondition_ok
+        self.precondition_residuals = precondition_residuals
+        self.divergence_residual = divergence_residual
+        self.tension_is_zero = tension_is_zero
+        self.current_divergence = current_divergence
+        self.lemma_residuals = lemma_residuals
 
     @property
     def passed(self) -> bool:
@@ -163,12 +168,18 @@ class NoetherReport:
         return True
 
 
-@dataclass
-class StressEnergyReport:
-    energy: Superfunction
-    lemma_residual: Superfunction          # div S[xi] + <dPhi[xi], tau>
-    current_identity_residual: Superfunction  # div Y_xi - div S[xi] - correction
-    conserved_divergence: Superfunction | None  # div Y_xi when hypotheses hold
+class StressEnergyReport(_Record):
+    __slots__ = ("energy", "lemma_residual", "current_identity_residual",
+                 "conserved_divergence")
+
+    def __init__(self, energy: Superfunction, lemma_residual: Superfunction,
+                 current_identity_residual: Superfunction,
+                 conserved_divergence: Superfunction | None):
+        self.energy = energy
+        self.lemma_residual = lemma_residual  # div S[xi] + <dPhi[xi], tau>
+        # div Y_xi - div S[xi] - correction
+        self.current_identity_residual = current_identity_residual
+        self.conserved_divergence = conserved_divergence  # div Y_xi when hypotheses hold
 
     @property
     def passed(self) -> bool:

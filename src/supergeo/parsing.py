@@ -9,9 +9,8 @@ Every integer literal of the scenario format is read by :func:`read_int`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .errors import NonInvertible, ParseError, PoolMismatch, UnknownGenerator
+from .errors import NonInvertible, ParseError, PoolMismatch, UnknownGenerator, _Record
 from .scalars import EXPONENT_BOUND, IDENTIFIER, Superfunction
 
 # the most digits of an integer literal: the interpreter's default limit on
@@ -32,12 +31,12 @@ def read_int(text: str, line=None, column=None) -> int:
     return value
 
 
-@dataclass
-class _Token:
-    kind: str  # INT, IDENT, OP, EOF
-    text: str
-    line: int
-    column: int
+class _Token(_Record):
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind = kind  # INT, IDENT, OP, EOF
+        self.text, self.line, self.column = text, line, column
 
 
 # One alternative per token kind; IDENT is the pool's rule for a generator

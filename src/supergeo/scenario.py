@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import (
@@ -22,6 +20,7 @@ from .errors import (
     ParseError,
     ScenarioError,
     SupergeoError,
+    _Record,
 )
 from .geometry import BilinearForm, Chart, MetricContext, VectorField
 # unused here, but perfbench/tests checks that its tracer wraps this copy
@@ -43,31 +42,39 @@ MAX_FLESH = 1000
 MAX_ANSATZ_COLUMNS = 100_000
 
 
-@dataclass
-class Scenario:
-    source: Chart
-    target: Chart
-    metrics: dict = field(default_factory=dict)
-    vectorfields: dict = field(default_factory=dict)
-    morphisms: dict = field(default_factory=dict)
-    morphism_metrics: dict = field(default_factory=dict)
-    # (text, runner method, arguments, options) per [run] line
-    commands: list = field(default_factory=list)
+class Scenario(_Record):
+    __slots__ = ("source", "target", "metrics", "vectorfields", "morphisms",
+                 "morphism_metrics", "commands")
+
+    def __init__(self, source: Chart, target: Chart, metrics: dict | None = None,
+                 vectorfields: dict | None = None, morphisms: dict | None = None,
+                 morphism_metrics: dict | None = None, commands: list | None = None):
+        self.source, self.target = source, target
+        self.metrics = {} if metrics is None else metrics
+        self.vectorfields = {} if vectorfields is None else vectorfields
+        self.morphisms = {} if morphisms is None else morphisms
+        self.morphism_metrics = {} if morphism_metrics is None else morphism_metrics
+        # (text, runner method, arguments, options) per [run] line
+        self.commands = [] if commands is None else commands
 
 
-@dataclass
-class CommandResult:
-    command: str
-    status: str  # pass | fail | error
-    details: list = field(default_factory=list)  # ordered (key, value) pairs
+class CommandResult(_Record):
+    __slots__ = ("command", "status", "details")
+
+    def __init__(self, command: str, status: str, details: list | None = None):
+        self.command = command
+        self.status = status  # pass | fail | error
+        # ordered (key, value) pairs
+        self.details = [] if details is None else details
 
 
-@dataclass
-class Report:
-    scenario_name: str
-    seed: int
-    results: list
-    load_error: str | None = None
+class Report(_Record):
+    __slots__ = ("scenario_name", "seed", "results", "load_error")
+
+    def __init__(self, scenario_name: str, seed: int, results: list,
+                 load_error: str | None = None):
+        self.scenario_name, self.seed = scenario_name, seed
+        self.results, self.load_error = results, load_error
 
     @property
     def exit_code(self) -> int:
@@ -113,14 +120,15 @@ def _split_names(value: str):
 # -- declarations --------------------------------------------------------------
 
 
-class _Section(NamedTuple):
+class _Section(_Record):
     """Whether the header takes a name, the fixed keys, and the coordinate
     keys: ``prefix``, if any, then ``coordinates`` coordinate names."""
 
-    named: bool
-    keys: tuple = ()
-    coordinates: int = 0
-    prefix: str = ""
+    __slots__ = ("named", "keys", "coordinates", "prefix")
+
+    def __init__(self, named: bool, keys: tuple = (), coordinates: int = 0, prefix: str = ""):
+        self.named, self.keys = named, keys
+        self.coordinates, self.prefix = coordinates, prefix
 
     def key(self, text):
         """A fixed key, or a coordinate key as the tuple of its names (so
@@ -148,14 +156,15 @@ _SECTIONS = {
 }
 
 
-@dataclass
-class _Block:
+class _Block(_Record):
     """A section as read: its header, the header's line number, and its
     entries, key -> (line number, value) in file order."""
 
-    title: str
-    lineno: int
-    entries: dict = field(default_factory=dict)
+    __slots__ = ("title", "lineno", "entries")
+
+    def __init__(self, title: str, lineno: int, entries: dict | None = None):
+        self.title, self.lineno = title, lineno
+        self.entries = {} if entries is None else entries
 
     def get(self, key, default=None):
         """(line number, value) of a fixed key, or of the header and ``default``."""
@@ -318,8 +327,7 @@ def _build_vectorfield(chart: Chart, block: _Block) -> VectorField:
 # -- commands ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(_Record):
     """The runner method, the positional arguments (a placeholder of
     ``_NAMES``, or the allowed values of a variant), the options (name ->
     allowed values, or ``int`` for a nonnegative integer), the required
@@ -327,11 +335,13 @@ class _Command:
     check get the arguments, then the options given; the check also gets
     the line's ``(line N)``."""
 
-    handler: Callable
-    args: tuple
-    options: dict = field(default_factory=dict)
-    required: tuple = ()
-    check: Callable = None
+    __slots__ = ("handler", "args", "options", "required", "check")
+
+    def __init__(self, handler, args: tuple, options: dict | None = None, required: tuple = (),
+                 check=None):
+        self.handler, self.args = handler, args
+        self.options = {} if options is None else options
+        self.required, self.check = required, check
 
 
 # What a placeholder argument names: the Scenario table and the noun for errors.

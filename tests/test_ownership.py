@@ -3,7 +3,8 @@
 Each representation and sign rule has one owning module: odd monomials and
 ``Superfunction.terms`` in ``scalars``, exponent keys in ``zpoly``, the
 supermetric axioms in ``supermatrix`` and the J signs in ``geometry``;
-sympy stays out of every module's import.  ``RULES`` states each rule as a
+sympy stays out of every module's import, and ``dataclasses``, ``inspect``
+and ``typing`` out of the package.  ``RULES`` states each rule as a
 row, a set of owner modules and a forbidden construct: the owners may use
 the construct, every other module may not.  One checker runs every row on
 the syntax tree of each module of ``src/supergeo``, read through
@@ -88,11 +89,11 @@ def _string(node):
     return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
 
 
-def _imports(top):
-    """The construct: an import of the package ``top`` or of one of its
-    modules."""
+def _imports(*tops):
+    """The construct: an import of one of the packages ``tops`` or of one of
+    their modules."""
     return lambda module, node, functions: any(
-        name.split(".")[0] == top for name in module.imported(node))
+        name.split(".")[0] in tops for name in module.imported(node))
 
 
 def _attribute(*names):
@@ -177,6 +178,10 @@ RULES = {
     # errors.InvalidArgument is still a ValueError, and one `except
     # SupergeoError` catches every error the package raises
     "no module raises a bare ValueError": Rule(frozenset(), _raises_value_error),
+    # a run starts without the introspection modules: a record is a slotted
+    # errors._Record, not a dataclass or a NamedTuple
+    "no module imports dataclasses, inspect or typing": Rule(
+        frozenset(), _imports("dataclasses", "inspect", "typing")),
 }
 
 
@@ -260,6 +265,12 @@ SEEDS = [
     ("no module raises a bare ValueError", "scalars", None, "raise ValueError\n"),
     ("no module raises a bare ValueError", "zpoly", None,
      "import builtins\nraise builtins.ValueError\n"),
+    ("no module imports dataclasses, inspect or typing", "geometry", None,
+     "from dataclasses import dataclass\n"),
+    ("no module imports dataclasses, inspect or typing", "scenario", None,
+     "import typing as t\n"),
+    ("no module imports dataclasses, inspect or typing", "lie", None,
+     'import importlib\nimportlib.import_module("inspect")\n'),
 ]
 
 
@@ -282,6 +293,7 @@ def test_every_rule_has_a_seeded_violation():
     ("lie", '"""f.terms, mono[0] and raise ValueError in a docstring."""\n'),
     ("lie", "terms = {}\nfields = (1, 2)\nmono = (1,)\nring = frame.signs\n"),
     ("lie", "import sympy_helpers\nfrom .errors_table import x\n"),
+    ("scenario", "import typing_helpers\nfrom .dataclasses import x\ninspected = 1\n"),
     ("zpoly", "import math\nfrom functools import cache\n"),
     ("lie", "raise InvalidArgument('no')\n"),
 ])

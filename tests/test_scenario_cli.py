@@ -108,6 +108,36 @@ def test_goldens_import_no_sympy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# puts src on sys.path, runs every golden through the CLI in one
+# interpreter started without site and lists the introspection modules and
+# sympy it loaded; argv: src folder, data folder, output folder
+_GOLDENS_AT_START_UP = """
+import pathlib, sys
+src, data, out = (pathlib.Path(arg) for arg in sys.argv[1:4])
+sys.path.insert(0, str(src))
+from supergeo.cli import main
+for scn in sorted(data.glob("*.scn")):
+    report = out / (scn.stem + ".report.txt")
+    main(["run", str(scn), "--report", str(report)])
+    assert report.read_bytes() == (data / (scn.stem + ".report.txt")).read_bytes(), scn.stem
+unwanted = {"dataclasses", "inspect", "ast", "typing", "sympy"}
+loaded = sorted(name for name in sys.modules if name.split(".")[0] in unwanted)
+assert not loaded, loaded[:5]
+"""
+
+
+def test_goldens_start_without_introspection(tmp_path):
+    """A fresh ``python -S`` interpreter that runs every golden through
+    ``supergeo.cli.main`` writes each report byte for byte and never loads
+    ``dataclasses``, ``inspect``, ``ast``, ``typing`` or sympy. ``-S`` keeps
+    the environment's ``site`` hooks, which may load ``typing``, out of the
+    verdict; the script puts ``src`` on ``sys.path`` itself."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", _GOLDENS_AT_START_UP, str(src), str(DATA),
+                           str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_goldens_multiply_no_constant_polynomials(monkeypatch):
     """Coefficients are plain ints in the numerator table: while the 7
     goldens run, nothing multiplies sympy polynomials at all, so no
@@ -305,6 +335,29 @@ def test_cli_scenario_name_not_utf8(tmp_path):
     out = tmp_path / "report.txt"
     assert cli_main(["run", str(scenario), "--report", str(out)]) == 0
     assert out.read_bytes() == _golden_named(rb"bad\xff.scn")
+
+
+def test_cli_scenario_path_with_a_lone_surrogate(tmp_path, capsys):
+    """A scenario path holding a lone surrogate, which the file system
+    encoding cannot encode, is a scenario that cannot be read: one stderr
+    line, exit 2 and no report."""
+    assert cli_main(["run", str(tmp_path / "bad\ud800.scn")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("supergeo: cannot read scenario: ")
+    assert err.count("\n") == 1
+
+
+def test_cli_report_path_with_a_lone_surrogate(tmp_path, capsys):
+    """A ``--report`` path holding a lone surrogate is a report that cannot
+    be written: one stderr line, exit 2 and no file."""
+    report = str(tmp_path / "x\ud800.txt")
+    assert cli_main(["run", str(DATA / "flat_killing.scn"), "--report", report]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("supergeo: cannot write report: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_stdout_is_the_report_bytes_whatever_its_encoding(tmp_path):
