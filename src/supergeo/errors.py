@@ -23,6 +23,7 @@ records (a signature, a volume density, the Killing, Noether and
 stress-energy reports, a scenario and its report): each record names its
 fields in ``__slots__`` and sets them in its own ``__init__``, and the base
 gives it a field-wise ``==``, a ``Name(field=value, ...)`` repr and no hash.
+Every exact certificate is a :class:`Check` of labelled residuals.
 """
 
 
@@ -45,6 +46,40 @@ class _Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+
+class Check(_Record):
+    """An exact certificate: its failures are the ``(label, residual)`` pairs
+    with a nonzero residual, in order, and it passes when there is none."""
+
+    __slots__ = ("failures",)
+
+    def __init__(self, pairs: list):
+        self.failures = [(label, r) for label, r in pairs if not r.is_zero()]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    @classmethod
+    def grid(cls, kind: str, rows, names) -> "Check":
+        """The check that every entry of ``rows`` is zero; a nonzero entry in
+        row i and column j is labelled ``kind[names[i],names[j]]``."""
+        return cls([(f"{kind}[{names[i]},{names[j]}]", e) for i, row in enumerate(rows)
+                    for j, e in enumerate(row) if not e.is_zero()])
+
+
+class _Checks(_Record):
+    """A report of checks (None if not made): it passes when all of them pass."""
+
+    __slots__ = ()
+
+    def checks(self) -> list:
+        return [v for v in self._values() if isinstance(v, Check)]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks())
 
 
 class SupergeoError(Exception):

@@ -33,6 +33,7 @@ from functools import cached_property
 
 from .errors import (
     ChartMismatch,
+    Check,
     InexactCoefficient,
     InvalidArgument,
     MetricViolation,
@@ -519,7 +520,9 @@ def levi_civita(g: BilinearForm) -> Connection:
 
 
 def connection_residuals(g: BilinearForm, conn: Connection):
-    """Independent certificate: torsion and metricity residuals per triple.
+    """Independent certificate: the torsion and the metricity
+    :class:`errors.Check`, labelled ``torsion[a,b,c]`` and
+    ``metricity[a,b,c]`` by the coordinates i, j, k of
 
     torsion[i][j][k]   = Gamma^k_ij - (-1)^{|i||j|} Gamma^k_ji
     metricity[i][j][k] = d_i g_jk - <nabla_i d_j, d_k>
@@ -527,29 +530,20 @@ def connection_residuals(g: BilinearForm, conn: Connection):
     """
     chart = g.chart
     names = chart.coordinate_names()
-    dim = chart.dim
-    torsion = []
-    metricity = []
-    coord = [chart.coordinate_field(i) for i in range(dim)]
-    for i in range(dim):
-        ti, mi = [], []
+    coord = [chart.coordinate_field(i) for i in range(chart.dim)]
+    torsion, metricity = [], []
+    for i in range(chart.dim):
         nab_i = [conn.coordinate_derivative(i, c) for c in coord]
-        for j in range(dim):
-            tj, mj = [], []
+        for j in range(chart.dim):
             sign_ij = -1 if chart.parity(i) * chart.parity(j) else 1
-            for k in range(dim):
-                tj.append(
-                    conn.gamma[i][j][k] - conn.gamma[j][i][k] * sign_ij
-                )
-                res = g.components[j][k].partial(names[i])
-                res = res - g.evaluate(nab_i[j], coord[k])
-                res = res - g.evaluate(coord[j], nab_i[k]) * sign_ij
-                mj.append(res)
-            ti.append(tj)
-            mi.append(mj)
-        torsion.append(ti)
-        metricity.append(mi)
-    return torsion, metricity
+            for k in range(chart.dim):
+                where = f"[{names[i]},{names[j]},{names[k]}]"
+                torsion.append((f"torsion{where}",
+                                conn.gamma[i][j][k] - conn.gamma[j][i][k] * sign_ij))
+                metricity.append((f"metricity{where}", g.components[j][k].partial(names[i])
+                                  - g.evaluate(nab_i[j], coord[k])
+                                  - g.evaluate(coord[j], nab_i[k]) * sign_ij))
+    return Check(torsion), Check(metricity)
 
 
 class OSpFrame:

@@ -13,7 +13,9 @@ Killing fields are recognised in three flow-free ways:
 All three agree on homogeneous fields; the package tests this agreement on
 seeded corpora.  Mode (i) is :func:`lie_derivative_bilinear` on the whole
 field; mode (v) reads each osp residual off two signed entries of ``L``
-(:func:`supermatrix.osp_residuals`).
+(:func:`supermatrix.osp_residuals`).  Each mode returns an
+:class:`errors.Check` whose failures are labelled ``L[a,b]``, ``pair[a,b]``
+(coordinates) and ``osp[m,i]`` (frame indices).
 
 The Leibniz rule of ``L_X B`` is one table per form (:func:`_leibniz`),
 which holds every sign of the rule.  :func:`lie_derivative_bilinear` forms
@@ -28,9 +30,10 @@ per column and no monomial arithmetic: the pool gives the monomials, their
 signed partials and their merges.
 :func:`exactlinalg.nullspace` solves each system by one elimination mod a
 wide prime, lifted exactly.  Each basis of k fields over N ansatz columns is
-certified exactly: every field is Killing by :func:`lie_derivative_bilinear`,
-the fields' coefficient rows have rank k mod a prime (independence), and the
-rank of the elimination is ``N - k`` (completeness).
+certified exactly: every field is Killing by :func:`lie_derivative_bilinear`
+(else the failure names the field and its first ``L[a,b]``), the fields'
+coefficient rows have rank k mod a prime (independence), and the rank of the
+elimination is ``N - k`` (completeness).
 """
 
 from __future__ import annotations
@@ -41,9 +44,11 @@ import math
 from .errors import (
     CertificateFailure,
     ChartMismatch,
+    Check,
     InvalidArgument,
     ParityError,
     UnsupportedMetric,
+    _Checks,
     _Record,
 )
 from .exactlinalg import PRIME, modular_rank, nullspace
@@ -76,6 +81,11 @@ def _leibniz(B: BilinearForm):
     return table
 
 
+def form_check(B: BilinearForm) -> Check:
+    """The check that B vanishes, labelled ``L[a,b]`` by coordinate names."""
+    return Check.grid("L", B.components, B.chart.coordinate_names())
+
+
 def lie_derivative_bilinear(X: VectorField, B: BilinearForm) -> BilinearForm:
     """Components of L_X B, the products of :func:`_leibniz` (left factor
     first) for the nonzero ``X^k`` and ``d_a X^k``:
@@ -106,27 +116,19 @@ def lie_derivative_bilinear(X: VectorField, B: BilinearForm) -> BilinearForm:
     return BilinearForm(chart, out, X.parity)
 
 
-class ModeResult(_Record):
-    __slots__ = ("passed", "residuals")
+class KillingReport(_Checks):
+    __slots__ = ("modes",)
 
-    def __init__(self, passed: bool, residuals: list):
-        self.passed, self.residuals = passed, residuals
+    def __init__(self, modes: dict):
+        self.modes = modes
 
-
-class KillingReport(_Record):
-    __slots__ = ("modes", "field_parity")
-
-    def __init__(self, modes: dict, field_parity: int):
-        self.modes, self.field_parity = modes, field_parity
+    def checks(self) -> list:
+        return list(self.modes.values())
 
     @property
     def agreement(self) -> bool:
         verdicts = {m.passed for m in self.modes.values()}
         return len(verdicts) <= 1
-
-    @property
-    def passed(self) -> bool:
-        return self.agreement and all(m.passed for m in self.modes.values())
 
 
 class KillingChecker:
@@ -137,13 +139,12 @@ class KillingChecker:
         self.g = g
         self.metric = MetricContext.of(g)
 
-    def mode_i(self, X: VectorField) -> ModeResult:
-        table = lie_derivative_bilinear(X, self.g)
-        res = [e for row in table.components for e in row if not e.is_zero()]
-        return ModeResult(not res, res)
+    def mode_i(self, X: VectorField) -> Check:
+        return form_check(lie_derivative_bilinear(X, self.g))
 
-    def mode_ii(self, X: VectorField) -> ModeResult:
+    def mode_ii(self, X: VectorField) -> Check:
         chart = self.g.chart
+        names = chart.coordinate_names()
         coord = [chart.coordinate_field(i) for i in range(chart.dim)]
         conn = self.metric.connection
         nabla_X = [conn.coordinate_derivative(i, X) for i in range(chart.dim)]
@@ -156,10 +157,10 @@ class KillingChecker:
                 other = self.g.evaluate(nabla_X[j], coord[i])
                 val = val - other if (X.parity * pi + X.parity * pj + pi * pj) % 2 else val + other
                 if not val.is_zero():
-                    res.append(val)
-        return ModeResult(not res, res)
+                    res.append((f"pair[{names[i]},{names[j]}]", val))
+        return Check(res)
 
-    def mode_v(self, X: VectorField) -> ModeResult:
+    def mode_v(self, X: VectorField) -> Check:
         """Test L of [X, e_i] = sum_m e_m L_mi against osp.  The frame is
         orthonormal, g(e_a, e_b) = (g0)_ab, and g(v, w f) = g(v, w) f, so
         L_mi = g(J e_m, [X, e_i]) = s_m g(e_{J(m)}, [X, e_i])."""
@@ -173,9 +174,7 @@ class KillingChecker:
             row = [self.g.evaluate(jem, br) for br in brackets]
             rows.append([-v for v in row] if sm < 0 else row)
         L = SuperMatrix(chart.pool, chart.n, chart.two_m, rows, X.parity)
-        res = osp_residuals(L, sig.t, sig.s, sig.two_m // 2)
-        flat = [e for row in res for e in row if not e.is_zero()]
-        return ModeResult(not flat, flat)
+        return Check.grid("osp", osp_residuals(L, sig.t, sig.s, sig.two_m // 2), range(chart.dim))
 
     MODES = {"i": mode_i, "ii": mode_ii, "v": mode_v}
 
@@ -185,7 +184,7 @@ class KillingChecker:
         if mode != "all" and mode not in self.MODES:
             raise InvalidArgument(f"unknown killing mode {mode!r}")
         selected = self.MODES if mode == "all" else (mode,)
-        return KillingReport({m: self.MODES[m](self, X) for m in selected}, X.parity)
+        return KillingReport({m: self.MODES[m](self, X) for m in selected})
 
 
 KILLING_MODES = tuple(KillingChecker.MODES)
@@ -216,6 +215,13 @@ class KillingBasis(_Record):
     @property
     def dims(self):
         return (len(self.even_fields), len(self.odd_fields))
+
+    @property
+    def named_fields(self):
+        """``(even_k or odd_k, field)``, k counted from 1 within each parity."""
+        return [(f"{word}_{k}", X) for word, fields in (("even", self.even_fields),
+                                                        ("odd", self.odd_fields))
+                for k, X in enumerate(fields, 1)]
 
 
 def _ansatz(chart: Chart, degree: int):
@@ -323,9 +329,12 @@ def _components(chart: Chart, vec, columns):
 
 
 def _certify_basis(basis: KillingBasis, g: BilinearForm):
-    for X in basis.fields:
-        if not lie_derivative_bilinear(X, g).is_zero():
-            raise CertificateFailure("solver produced a non-Killing field")
+    for name, X in basis.named_fields:
+        failures = form_check(lie_derivative_bilinear(X, g)).failures
+        if failures:
+            label, residual = failures[0]
+            raise CertificateFailure(f"solver produced a non-Killing field {name}:"
+                                     f" {label} = {residual.render()}")
     # linear independence: a nonzero k x k minor mod a prime is nonzero over
     # Q; a column is one (component, odd monomial, even exponents) key
     columns = {}

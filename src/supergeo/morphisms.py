@@ -12,7 +12,8 @@ which on evaluation components are the package's one graded pairing
 (:func:`supermatrix.graded_pair`) against the pulled-back metric entries.  The
 package certifies the resulting sign bookkeeping with the metricity,
 chain-rule and Noether residual identities rather than per-formula sign
-derivations.
+derivations; each Noether theorem and stress identity is an
+:class:`errors.Check`, and its report passes when all of them pass.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import ChartMismatch, ParityError, ScenarioError, _Record
+from .errors import Check, ChartMismatch, ParityError, ScenarioError, _Checks
 from .geometry import (
     BilinearForm,
     Chart,
@@ -35,7 +36,7 @@ from .geometry import (
     frame_sum,
     str_with_metric,
 )
-from .lie import lie_derivative_bilinear
+from .lie import form_check, lie_derivative_bilinear
 from .scalars import Superfunction
 from .supermatrix import graded_pair
 
@@ -140,53 +141,27 @@ class FieldAlongMorphism(_Field):
                               if not (d := f.partial(names[a])).is_zero()])
 
 
-class NoetherReport(_Record):
-    __slots__ = ("precondition_ok", "precondition_residuals", "divergence_residual",
-                 "tension_is_zero", "current_divergence", "lemma_residuals")
+class NoetherReport(_Checks):
+    """Labels ``L[a,b]`` (precondition) and ``lemma[a,b]``; ``current`` is
+    made for a superharmonic Phi only, ``lemma`` for a target field only."""
 
-    def __init__(self, precondition_ok: bool, precondition_residuals: list,
-                 divergence_residual: Superfunction, tension_is_zero: bool,
-                 current_divergence: Superfunction | None,
-                 lemma_residuals: list | None = None):
-        self.precondition_ok = precondition_ok
-        self.precondition_residuals = precondition_residuals
-        self.divergence_residual = divergence_residual
-        self.tension_is_zero = tension_is_zero
-        self.current_divergence = current_divergence
-        self.lemma_residuals = lemma_residuals
+    __slots__ = ("precondition", "divergence", "tension_is_zero", "current", "lemma")
 
-    @property
-    def passed(self) -> bool:
-        if not self.precondition_ok:
-            return False
-        if not self.divergence_residual.is_zero():
-            return False
-        if self.current_divergence is not None and not self.current_divergence.is_zero():
-            return False
-        if self.lemma_residuals:
-            return all(r.is_zero() for r in self.lemma_residuals)
-        return True
+    def __init__(self, precondition: Check, divergence: Check, tension_is_zero: bool,
+                 current: Check | None = None, lemma: Check | None = None):
+        self.precondition, self.divergence = precondition, divergence
+        self.tension_is_zero, self.current, self.lemma = tension_is_zero, current, lemma
 
 
-class StressEnergyReport(_Record):
-    __slots__ = ("energy", "lemma_residual", "current_identity_residual",
-                 "conserved_divergence")
+class StressEnergyReport(_Checks):
+    """``lemma``: div S[xi] + <dPhi[xi], tau>; ``current``: div Y_xi - div S[xi]
+    - correction; ``conserved`` (made when tau = 0 and xi is Killing): div Y_xi."""
 
-    def __init__(self, energy: Superfunction, lemma_residual: Superfunction,
-                 current_identity_residual: Superfunction,
-                 conserved_divergence: Superfunction | None):
-        self.energy = energy
-        self.lemma_residual = lemma_residual  # div S[xi] + <dPhi[xi], tau>
-        # div Y_xi - div S[xi] - correction
-        self.current_identity_residual = current_identity_residual
-        self.conserved_divergence = conserved_divergence  # div Y_xi when hypotheses hold
+    __slots__ = ("energy", "lemma", "current", "conserved")
 
-    @property
-    def passed(self) -> bool:
-        ok = self.lemma_residual.is_zero() and self.current_identity_residual.is_zero()
-        if self.conserved_divergence is not None:
-            ok = ok and self.conserved_divergence.is_zero()
-        return ok
+    def __init__(self, energy: Superfunction, lemma: Check, current: Check,
+                 conserved: Check | None = None):
+        self.energy, self.lemma, self.current, self.conserved = energy, lemma, current, conserved
 
 
 class HarmonicSetup:
@@ -345,29 +320,20 @@ class HarmonicSetup:
         lemma, verified componentwise."""
         L = lie_derivative_bilinear(xi, self.g)
         pulled = self.phi.pull_target_field(xi)
-        report = self._noether_report(L, pulled)
-        report.lemma_residuals = self._pullback_lie_lemma_residuals(xi, L, pulled)
-        return report
+        return self._noether_report(L, pulled, self._pullback_lie_lemma(xi, L, pulled))
 
-    def _noether_report(self, L: BilinearForm, along: FieldAlongMorphism):
+    def _noether_report(self, L: BilinearForm, along: FieldAlongMorphism, lemma=None):
         """The conclusion both Noether theorems share: given L_xi of the metric
         the symmetry preserves, div(along) = 0, and div W_along = 0 when Phi
         is superharmonic."""
-        pre_res = [e for row in L.components for e in row if not e.is_zero()]
-        div_val = self.divergence_along(along)
-        harmonic = self.is_superharmonic()
-        current_div = None
+        harmonic, current = self.is_superharmonic(), None
         if harmonic:
-            current_div = self.source_divergence(self.noether_current(along))
-        return NoetherReport(
-            precondition_ok=not pre_res,
-            precondition_residuals=pre_res,
-            divergence_residual=div_val,
-            tension_is_zero=harmonic,
-            current_divergence=current_div,
-        )
+            current = Check([("current_div",
+                               self.source_divergence(self.noether_current(along)))])
+        return NoetherReport(form_check(L), Check([("div_residual", self.divergence_along(along))]),
+                             harmonic, current, lemma)
 
-    def _pullback_lie_lemma_residuals(self, xi: VectorField, L: BilinearForm, phi_xi):
+    def _pullback_lie_lemma(self, xi: VectorField, L: BilinearForm, phi_xi) -> Check:
         """Phi*(L_xi g)(Y,Z) = (-1)^{|xi||Y|} <nabla_Y (phi o xi), dPhi[Z]>
         + (-1)^{|xi||Y|+|xi||Z|} <dPhi[Y], nabla_Z (phi o xi)> on coordinates."""
         source = self.phi.source
@@ -379,14 +345,15 @@ class HarmonicSetup:
         residuals = []
         for i in range(source.dim):
             pi = source.parity(i)
+            residuals.append([])
             for j in range(source.dim):
                 pj = source.parity(j)
                 rhs = self.pair(nabla_phi_xi[i], diffs[j])
                 rhs = -rhs if (pxi * pi) % 2 else rhs
                 t2 = self.pair(diffs[i], nabla_phi_xi[j])
                 rhs = rhs - t2 if (pxi * pi + pxi * pj) % 2 else rhs + t2
-                residuals.append(pulled_L.components[i][j] - rhs)
-        return residuals
+                residuals[i].append(pulled_L.components[i][j] - rhs)
+        return Check.grid("lemma", residuals, source.coordinate_names())
 
     def check_noether_domain(self, xi: VectorField) -> NoetherReport:
         """Phi-Killing field on the source: L_xi(Phi* g) = 0 implies
@@ -448,12 +415,7 @@ class HarmonicSetup:
                 self.frame, lambda i, ti: corr_term(i, ti, j, tj)), 1)
             r2 = r2 - corr * Fraction(1, 2)
 
-        conserved = None
-        if tau.is_zero() and killing:
-            conserved = divY
         return StressEnergyReport(
-            energy=self.energy_density(),
-            lemma_residual=r1,
-            current_identity_residual=r2,
-            conserved_divergence=conserved,
-        )
+            self.energy_density(), Check([("lemma_residual", r1)]),
+            Check([("current_identity_residual", r2)]),
+            Check([("conserved_div", divY)]) if tau.is_zero() and killing else None)

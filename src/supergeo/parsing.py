@@ -47,9 +47,9 @@ _TOKEN = re.compile(
 )
 
 
-def _tokenize(text: str):
+def _tokenize(text: str, line: int, column: int):
     tokens = []
-    line, line_start = 1, 0  # line_start: offset of the line's first character
+    line_start = 1 - column  # offset of column 1 of the current line
     for m in _TOKEN.finditer(text):
         kind, col = m.lastgroup, m.start() - line_start + 1
         if kind == "BAD":
@@ -176,11 +176,12 @@ class _Parser:
         )
 
 
-def parse_expression(text: str, pool) -> Superfunction:
+def parse_expression(text: str, pool, line: int = 1, column: int = 1) -> Superfunction:
     """Parse into the canonical normal form over the pool; identifiers are
-    the pool's generator names."""
+    the pool's generator names.  An error names its position as if the text
+    began at ``line`` and ``column`` of a file."""
     try:
-        return _Parser(_tokenize(text), pool).parse()
+        return _Parser(_tokenize(text, line, column), pool).parse()
     except ParseError:
         raise
     except PoolMismatch as exc:

@@ -25,8 +25,8 @@ from .errors import (
 from .geometry import BilinearForm, Chart, MetricContext, VectorField
 # unused here, but perfbench/tests checks that its tracer wraps this copy
 from .geometry import validate_metric  # noqa: F401
-from .lie import (KILLING_MODES, KillingChecker, ansatz_size, lie_derivative_bilinear,
-                  solve_killing)
+from .lie import (KILLING_MODES, KillingChecker, ansatz_size, form_check,
+                  lie_derivative_bilinear, solve_killing)
 from .morphisms import HarmonicSetup, Morphism
 from .integration import action
 from .parsing import parse_expression, read_int
@@ -158,7 +158,7 @@ _SECTIONS = {
 
 class _Block(_Record):
     """A section as read: its header, the header's line number, and its
-    entries, key -> (line number, value) in file order."""
+    entries, key -> (line number, value, the value's column) in file order."""
 
     __slots__ = ("title", "lineno", "entries")
 
@@ -168,19 +168,20 @@ class _Block(_Record):
 
     def get(self, key, default=None):
         """(line number, value) of a fixed key, or of the header and ``default``."""
-        return self.entries.get(key, (self.lineno, default))
+        return self.entries.get(key, (self.lineno, default))[:2]
 
     def components(self, chart: Chart, pool):
         """(coordinate indices in ``chart``, value parsed over ``pool``) per
         coordinate key."""
         index = {n: i for i, n in enumerate(chart.coordinate_names())}
         out = []
-        for key, (lineno, value) in self.entries.items():
+        for key, (lineno, value, column) in self.entries.items():
             if isinstance(key, tuple):
                 for name in key:
                     if name not in index:
                         raise ParseError(f"unknown coordinate {name!r} in {self.title}", lineno)
-                out.append((tuple(index[n] for n in key), parse_expression(value, pool)))
+                out.append((tuple(index[n] for n in key),
+                            parse_expression(value, pool, lineno, column)))
         return out
 
     def chart(self, charts) -> Chart:
@@ -229,7 +230,8 @@ def _read(text: str):
                 raise ParseError(f"unknown {kind} key {text!r}", lineno)
             if key in block.entries:
                 raise ParseError(f"key {text!r} given twice in {block.title}", lineno)
-            block.entries[key] = (lineno, value)
+            column = len(raw) - len(raw[raw.index("=") + 1:].lstrip()) + 1
+            block.entries[key] = (lineno, value, column)
     return blocks, commands
 
 
@@ -281,7 +283,7 @@ def _build_chart(block: _Block) -> Chart:
     if flesh > MAX_FLESH:
         raise ParseError(f"flesh count must be at most {MAX_FLESH}", lineno)
     box = {}
-    for key, (lineno, value) in block.entries.items():
+    for key, (lineno, value, _) in block.entries.items():
         if isinstance(key, tuple):
             parts = value.split()
             if len(parts) != 2:
@@ -423,6 +425,20 @@ def _parse_command(sc: Scenario, lineno: int, line: str):
     return line, command.handler, args, options
 
 
+def _verdict(key, check, good="true", bad="false"):
+    """The details of a check's verdict: ``key = good``, or ``key = bad``
+    and ``key.first = label: residual`` of its first failure."""
+    if check.passed:
+        return [(key, good)]
+    label, residual = check.failures[0]
+    return [(key, bad), (f"{key}.first", f"{label}: {residual.render()}")]
+
+
+def _residual(key, check):
+    """The detail of a check of one residual: the residual, or 0."""
+    return key, check.failures[0][1].render() if check.failures else "0"
+
+
 def _nonzero_components(entries):
     """The (key, rendered value) details of the nonzero superfunctions among
     ordered (key, superfunction) pairs."""
@@ -484,33 +500,22 @@ class _Runner:
         return "pass", [("nonzero", str(len(details)))] + details
 
     def _cmd_lie_derivative(self, X, g):
-        table = lie_derivative_bilinear(X, g)
-        names = g.chart.coordinate_names()
-        zero = ("zero", "true" if table.is_zero() else "false")
-        return "pass", [zero] + _nonzero_components(
-            (f"L[{a},{b}]", entry)
-            for a, row in zip(names, table.components)
-            for b, entry in zip(names, row)
-        )
+        check = form_check(lie_derivative_bilinear(X, g))
+        zero = ("zero", "true" if check.passed else "false")
+        return "pass", [zero] + _nonzero_components(check.failures)
 
     def _cmd_check_killing(self, X, g, mode="all"):
         report = KillingChecker(g).check(X, mode)
-        details = [(f"mode_{m}", "pass" if r.passed else "fail") for m, r in report.modes.items()]
+        details = [line for m, check in report.modes.items()
+                   for line in _verdict(f"mode_{m}", check, "pass", "fail")]
         details.append(("agreement", "true" if report.agreement else "false"))
-        status = "pass" if report.passed else "fail"
-        return status, details
+        return ("pass" if report.passed else "fail"), details
 
     def _cmd_solve_killing(self, g, degree, parity=None):
         basis = solve_killing(g, degree, _PARITIES.get(parity))
-        details = [
-            ("even_dim", str(len(basis.even_fields))),
-            ("odd_dim", str(len(basis.odd_fields))),
-        ]
-        for k, f in enumerate(basis.even_fields):
-            details.append((f"even_{k+1}", f.render()))
-        for k, f in enumerate(basis.odd_fields):
-            details.append((f"odd_{k+1}", f.render()))
-        return "pass", details
+        even, odd = basis.dims
+        return "pass", [("even_dim", str(even)), ("odd_dim", str(odd))] + [
+            (name, X.render()) for name, X in basis.named_fields]
 
     def _cmd_tension(self, phi):
         setup = self.setup(phi)
@@ -525,28 +530,21 @@ class _Runner:
         setup = self.setup(phi)
         if which == "stress":
             rep = setup.stress_energy_report(xi)
-            details = [
-                ("energy", rep.energy.render()),
-                ("lemma_residual", rep.lemma_residual.render()),
-                ("current_identity_residual", rep.current_identity_residual.render()),
-            ]
-            if rep.conserved_divergence is not None:
-                details.append(("conserved_div", rep.conserved_divergence.render()))
+            keys = ("lemma_residual", "current_identity_residual", "conserved_div")
+            details = [("energy", rep.energy.render())] + list(map(_residual, keys, rep.checks()))
             return ("pass" if rep.passed else "fail"), details
         if which == "target":
             rep, key = setup.check_noether_target(xi), "xi_killing"
         else:
             rep, key = setup.check_noether_domain(xi), "phi_killing"
-        details = [
-            (key, "true" if rep.precondition_ok else "false"),
-            ("div_residual", rep.divergence_residual.render()),
+        details = _verdict(key, rep.precondition) + [
+            _residual("div_residual", rep.divergence),
             ("superharmonic", "true" if rep.tension_is_zero else "false"),
         ]
-        if rep.current_divergence is not None:
-            details.append(("current_div", rep.current_divergence.render()))
-        if rep.lemma_residuals is not None:
-            lemma_ok = all(r.is_zero() for r in rep.lemma_residuals)
-            details.append(("lemma_ok", "true" if lemma_ok else "false"))
+        if rep.current is not None:
+            details.append(_residual("current_div", rep.current))
+        if rep.lemma is not None:
+            details += _verdict("lemma_ok", rep.lemma)
         return ("pass" if rep.passed else "fail"), details
 
     def _cmd_action(self, phi):

@@ -11,6 +11,7 @@ from supergeo.errors import (ChartMismatch, InexactCoefficient, InvalidArgument,
                              ParityError)
 from supergeo.geometry import (
     BilinearForm,
+    Connection,
     OneForm,
     OSpFrame,
     VectorField,
@@ -376,8 +377,24 @@ class TestLeviCivita:
         g = request.getfixturevalue(f"metric_{which}")
         conn = levi_civita(g)
         torsion, metricity = connection_residuals(g, conn)
-        assert all(e.is_zero() for a in torsion for b in a for e in b)
-        assert all(e.is_zero() for a in metricity for b in a for e in b)
+        assert torsion.passed and metricity.passed
+
+    def test_a_connection_of_another_metric_fails_metricity_where_it_breaks(self, metric_curved):
+        """The zero connection of the flat plane is torsion-free but not
+        metric for dx^2 + x^2 dy^2: d_x g_yy = 2x is its one failure."""
+        chart = metric_curved.chart
+        torsion, metricity = connection_residuals(metric_curved, levi_civita(flat_metric(chart)))
+        assert torsion.passed
+        assert metricity.failures == [("metricity[x,y,y]", 2 * chart.pool.even("x"))]
+
+    def test_an_asymmetric_connection_fails_torsion_where_it_breaks(self, metric_flat22):
+        """Gamma^x_xy = 1 alone: the torsion residuals at (x, y, x) and
+        (y, x, x) are 1 and -1, in index order."""
+        chart, pool = metric_flat22.chart, metric_flat22.chart.pool
+        gamma = [[[pool.zero()] * chart.dim for _ in range(chart.dim)] for _ in range(chart.dim)]
+        gamma[0][1][0] = pool.one()
+        torsion, _ = connection_residuals(metric_flat22, Connection(chart, gamma))
+        assert torsion.failures == [("torsion[x,y,x]", pool.one()), ("torsion[y,x,x]", -pool.one())]
 
     @pytest.mark.parametrize("which", ["curved", "deformed", "mixed"])
     def test_derivative_is_metric_and_torsion_free_on_fields(self, request, which):

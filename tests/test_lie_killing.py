@@ -10,7 +10,7 @@ import sympy as sp
 from supergeo import Chart
 from supergeo import exactlinalg, lie, scalars
 from supergeo.errors import (
-    CertificateFailure, InvalidArgument, MetricViolation, UnsupportedMetric,
+    CertificateFailure, Check, InvalidArgument, MetricViolation, UnsupportedMetric,
 )
 from supergeo.exactlinalg import PRIME, Nullspace, modular_rank, nullspace
 from supergeo.geometry import (
@@ -131,13 +131,28 @@ class TestKillingCheck:
             assert report.passed and report.agreement
 
     def test_euler_field_fails_with_residual(self, metric_flat22):
+        """L_X g = 2 dx^2 for X = x d_x: each mode's one failure is labelled
+        by where it broke and carries the exact residual."""
         ch = metric_flat22.chart
         X = VectorField(ch, [ch.pool.even("x"), 0, 0, 0], 0)
         report = killing_check(X, metric_flat22, "all")
         assert not report.passed
         assert report.agreement
-        res = report.modes["i"].residuals
-        assert any(r == ch.pool.scalar(2) for r in res)
+        two = ch.pool.scalar(2)
+        assert report.modes == {"i": Check([("L[x,x]", two)]), "ii": Check([("pair[x,x]", two)]),
+                                "v": Check([("osp[0,0]", -two)])}
+
+    def test_odd_field_failures_are_labelled_in_order(self, metric_flat22):
+        """X = x d_th1 is odd and not Killing: mode (i) lists both entries
+        of L_X g in row order, mode (ii) the pair with a <= b only, and mode
+        (v) the two osp entries by frame index."""
+        ch = metric_flat22.chart
+        X = VectorField(ch, [0, 0, ch.pool.even("x"), 0], 1)
+        minus, plus = ch.pool.scalar(-1), ch.pool.one()
+        checker = KillingChecker(metric_flat22)
+        assert checker.mode_i(X).failures == [("L[x,th2]", minus), ("L[th2,x]", minus)]
+        assert checker.mode_ii(X).failures == [("pair[x,th2]", minus)]
+        assert checker.mode_v(X).failures == [("osp[0,3]", plus), ("osp[3,0]", plus)]
 
     def test_rotation_passes(self, chart_classical):
         g = flat_metric(chart_classical)
@@ -372,8 +387,7 @@ def _mode_v_by_frame_inverse(g, X):
              for m in range(chart.dim)]
         cols.append(flip_sides(u, X.parity + chart.parity(i), chart.n))
     L = SuperMatrix(pool, chart.n, chart.two_m, [list(r) for r in zip(*cols)], X.parity)
-    res = osp_residuals(L, sig.t, sig.s, sig.two_m // 2)
-    return [e for row in res for e in row if not e.is_zero()]
+    return Check.grid("osp", osp_residuals(L, sig.t, sig.s, sig.two_m // 2), range(chart.dim))
 
 
 class TestModeV:
@@ -389,10 +403,10 @@ class TestModeV:
         failed = 0
         for parity in (0, 1, 0, 1, 0, 1):
             X = random_field(g.chart, rng, parity, allow_flesh=False)
-            got = checker.mode_v(X).residuals
+            got = checker.mode_v(X)
             assert got == _mode_v_by_frame_inverse(g, X), (metric, X)
-            failed += bool(got)
-        assert failed  # the residual lists compared are not all empty
+            failed += not got.passed
+        assert failed  # the failure lists compared are not all empty
 
     def test_mode_v_builds_no_supermatrix_inverse(self, monkeypatch, metric_deformed):
         checker = KillingChecker(metric_deformed)
@@ -697,6 +711,27 @@ class TestKillingRows:
         g = request.getfixturevalue(metric)
         basis = solve_killing(g, 1)
         assert all(lie_derivative_bilinear(X, g).is_zero() for X in basis.fields)
+
+
+def test_a_non_killing_basis_field_is_named_with_its_first_failure(monkeypatch,
+                                                                  chart_classical):
+    """The solver's Killing certificate names the field that failed it and
+    that field's first failure: here the second even field, bent into the
+    Euler field x d_x, whose L_X g is 2 dx^2."""
+    g, pool = flat_metric(chart_classical), chart_classical.pool
+    columns = lie._ansatz(chart_classical, 1)[0]
+    [euler] = [c for c in range(len(columns))
+               if lie._components(chart_classical, {c: 1}, columns) == [pool.even("x"), 0]]
+
+    def bending(rows, ncols):
+        vectors = nullspace(rows, ncols)
+        vectors[1] = {euler: Fraction(1)}
+        return vectors
+
+    monkeypatch.setattr(lie, "nullspace", bending)
+    with pytest.raises(CertificateFailure) as err:
+        solve_killing(g, 1)
+    assert str(err.value) == "solver produced a non-Killing field even_2: L[x,x] = (2)"
 
 
 class TestCompleteness:

@@ -2,13 +2,13 @@
 
 Each representation and sign rule has one owning module: odd monomials and
 ``Superfunction.terms`` in ``scalars``, exponent keys in ``zpoly``, the
-supermetric axioms in ``supermatrix`` and the J signs in ``geometry``;
-sympy stays out of every module's import, and ``dataclasses``, ``inspect``
-and ``typing`` out of the package.  ``RULES`` states each rule as a
-row, a set of owner modules and a forbidden construct: the owners may use
-the construct, every other module may not.  One checker runs every row on
-the syntax tree of each module of ``src/supergeo``, read through
-``conftest.walk_scopes``, so the rules read code, never comments or
+supermetric axioms in ``supermatrix`` and the J signs in ``geometry``; sympy
+stays out of every module's import, and ``dataclasses``, ``inspect`` and
+``typing`` out of the package; no record stores a verdict.  ``RULES`` states
+each rule as a row, a set of owner modules and a forbidden construct: the
+owners may use the construct, every other module may not.  One checker runs
+every row on the syntax tree of each module of ``src/supergeo``, read
+through ``conftest.walk_scopes``, so the rules read code, never comments or
 docstrings.  Imports are resolved, under any alias and whether a statement
 or an ``importlib.import_module``/``__import__`` call makes them; an
 attribute is read by a dot or by ``getattr``/``hasattr`` of a string.  A
@@ -133,6 +133,24 @@ def _raises_value_error(module, node, functions):
     return bool(module.resolve(exc) & {"ValueError", "builtins.ValueError"})
 
 
+def _is_verdict(name):
+    return name == "passed" or name.endswith("_ok")
+
+
+def _stored_verdict(module, node, functions):
+    """The construct: a verdict field, ``passed`` or a name ending in
+    ``_ok``, named in a ``__slots__`` or assigned to an attribute (by a
+    dot, alone or in a tuple, or by ``setattr`` of a string)."""
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.ctx, ast.Store) and _is_verdict(node.attr)
+    if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return any(getattr(t, "id", None) == "__slots__" for t in targets) and any(
+            _is_verdict(text) for n in ast.walk(node.value) if (text := _string(n)))
+    return (module.calls(node, {"setattr"}) and len(node.args) > 1
+            and _is_verdict(_string(node.args[1]) or ""))
+
+
 class Rule(NamedTuple):
     """The modules that may use ``construct(module, node, functions)``;
     ``functions`` are the names of the functions around the node."""
@@ -182,6 +200,9 @@ RULES = {
     # errors._Record, not a dataclass or a NamedTuple
     "no module imports dataclasses, inspect or typing": Rule(
         frozenset(), _imports("dataclasses", "inspect", "typing")),
+    # a verdict is derived, never stored: errors.Check.passed reads its
+    # failures, and a report passes when all of its checks pass
+    "no record stores a verdict": Rule(frozenset(), _stored_verdict),
 }
 
 
@@ -271,6 +292,16 @@ SEEDS = [
      "import typing as t\n"),
     ("no module imports dataclasses, inspect or typing", "lie", None,
      'import importlib\nimportlib.import_module("inspect")\n'),
+    ("no record stores a verdict", "lie", None,
+     'class R:\n    __slots__ = ("passed", "residuals")\n'),
+    ("no record stores a verdict", "morphisms", None,
+     "class R:\n    __slots__ = ['precondition_ok']\n"),
+    ("no record stores a verdict", "morphisms", None,
+     "def f(self, res):\n    self.precondition_ok = not res\n"),
+    ("no record stores a verdict", "lie", None,
+     "def f(self, ok, res):\n    self.passed, self.residuals = ok, res\n"),
+    ("no record stores a verdict", "scenario", None, "report.passed &= False\n"),
+    ("no record stores a verdict", "errors", None, "setattr(check, 'passed', True)\n"),
 ]
 
 
@@ -296,6 +327,9 @@ def test_every_rule_has_a_seeded_violation():
     ("scenario", "import typing_helpers\nfrom .dataclasses import x\ninspected = 1\n"),
     ("zpoly", "import math\nfrom functools import cache\n"),
     ("lie", "raise InvalidArgument('no')\n"),
+    ("errors", "class C:\n    __slots__ = ('failures',)\n\n    @property\n"
+               "    def passed(self):\n        return not self.failures\n"),
+    ("scenario", "lemma_ok = check.passed\nx = {'passed': 1}\nok = report.passed\n"),
 ])
 def test_code_outside_every_construct_passes(module, source):
     """Comments, docstrings, plain names, lookalike modules, the standard

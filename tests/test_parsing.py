@@ -104,6 +104,19 @@ class TestErrors:
             parse_expression("x +\n y + ?", pool)
         assert err.value.line == 2
 
+    def test_position_offset_by_where_the_text_begins(self, pool):
+        """A text that begins at line 4, column 9 of a file: the offset
+        column holds on its first line only."""
+        with pytest.raises(ParseError) as err:
+            parse_expression("x + ?", pool, 4, 9)
+        assert (err.value.line, err.value.column) == (4, 13)
+        with pytest.raises(ParseError) as err:
+            parse_expression("x +\n y + ?", pool, 4, 9)
+        assert (err.value.line, err.value.column) == (5, 6)
+        with pytest.raises(ParseError) as err:
+            parse_expression("x^" + "1" * 4301, pool, 4, 9)
+        assert (err.value.line, err.value.column) == (4, 11)
+
 
 class TestRoundTrip:
     def test_print_parse_identity_on_random_elements(self, pool):

@@ -1,5 +1,5 @@
-"""The public records of the package: signatures, volume densities, Killing,
-Noether and stress-energy reports, scenarios and their reports.
+"""The public records of the package: signatures, volume densities, checks,
+Killing, Noether and stress-energy reports, scenarios and their reports.
 
 Each is a plain class over ``errors._Record``.  The repr, the equality and
 the missing hash pinned here are the ones these records had as dataclasses:
@@ -13,7 +13,8 @@ import pytest
 from supergeo import Chart
 from supergeo.geometry import Signature, flat_metric, validate_metric
 from supergeo.integration import VolumeDensity, volume_density
-from supergeo.lie import KillingBasis, KillingChecker, KillingReport, ModeResult, solve_killing
+from supergeo.errors import Check
+from supergeo.lie import KillingBasis, KillingChecker, KillingReport, solve_killing
 from supergeo.morphisms import NoetherReport, StressEnergyReport
 from supergeo.scenario import CommandResult, Report, Scenario, load_scenario, run_scenario
 
@@ -34,30 +35,28 @@ def _records():
         "VolumeDensity": (volume_density(g),
                           "VolumeDensity(chart=Chart(1|0), scale=Superfunction((1)))",
                           VolumeDensity(line, -one)),
-        "ModeResult": (ModeResult(True, []), "ModeResult(passed=True, residuals=[])",
-                       ModeResult(False, [])),
+        "Check": (Check([("L[x,x]", one)]), "Check(failures=[('L[x,x]', Superfunction((1)))])",
+                  Check([("L[x,x]", -one)])),
         "KillingReport": (
             KillingChecker(g).check(line.coordinate_field(0), "all"),
-            "KillingReport(modes={'i': ModeResult(passed=True, residuals=[]), "
-            "'ii': ModeResult(passed=True, residuals=[]), "
-            "'v': ModeResult(passed=True, residuals=[])}, field_parity=0)",
-            KillingReport({"i": ModeResult(True, [])}, 0)),
+            "KillingReport(modes={'i': Check(failures=[]), 'ii': Check(failures=[]), "
+            "'v': Check(failures=[])})",
+            KillingReport({"i": Check([])})),
         "KillingBasis": (
             solve_killing(g, 1),
             "KillingBasis(metric=BilinearForm(1|0: [(1)]), degree=1, "
             "fields=[VectorField((1)*d_x)], parities=[0])",
             KillingBasis(g, 2, [line.coordinate_field(0)], [0])),
         "NoetherReport": (
-            NoetherReport(True, [], zero, True, None),
-            "NoetherReport(precondition_ok=True, precondition_residuals=[], "
-            "divergence_residual=Superfunction(0), tension_is_zero=True, "
-            "current_divergence=None, lemma_residuals=None)",
-            NoetherReport(True, [], zero, True, None, [])),
+            NoetherReport(Check([]), Check([]), True),
+            "NoetherReport(precondition=Check(failures=[]), divergence=Check(failures=[]), "
+            "tension_is_zero=True, current=None, lemma=None)",
+            NoetherReport(Check([]), Check([]), True, None, Check([]))),
         "StressEnergyReport": (
-            StressEnergyReport(one, zero, zero, None),
-            "StressEnergyReport(energy=Superfunction((1)), lemma_residual=Superfunction(0), "
-            "current_identity_residual=Superfunction(0), conserved_divergence=None)",
-            StressEnergyReport(one, zero, zero, zero)),
+            StressEnergyReport(one, Check([]), Check([])),
+            "StressEnergyReport(energy=Superfunction((1)), lemma=Check(failures=[]), "
+            "current=Check(failures=[]), conserved=None)",
+            StressEnergyReport(one, Check([]), Check([]), Check([]))),
         "Scenario": (
             load_scenario("[chart]\neven = x\nbox x = 0 1\n"),
             "Scenario(source=Chart(1|0), target=Chart(1|0), metrics={}, vectorfields={}, "
@@ -99,8 +98,8 @@ def test_equal_to_its_own_class_with_equal_fields_only(name):
 
 
 def test_records_of_two_classes_with_equal_fields_differ():
-    mode, report = ModeResult(True, []), KillingReport(True, [])
-    assert mode != report and report != mode and not mode == report
+    check, report = Check([]), KillingReport([])
+    assert check != report and report != check and not check == report
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -128,4 +127,23 @@ def test_defaults_are_fresh_per_record():
     c.details.append(("k", "v"))
     assert d.details == [] and c.details is not d.details
     assert Report("a.scn", 0, []).load_error is None
-    assert NoetherReport(True, [], line.pool.zero(), True, None).lemma_residuals is None
+    noether = NoetherReport(Check([]), Check([]), True)
+    assert noether.current is None and noether.lemma is None
+    assert StressEnergyReport(line.pool.one(), Check([]), Check([])).conserved is None
+
+
+def test_a_check_passes_without_failures_and_a_report_when_all_its_checks_pass():
+    """``Check.passed`` is the one verdict read off residuals; a report
+    passes when every check it made passes, and a check not made (None)
+    does not count."""
+    one = _line().pool.one()
+    bad = Check([("L[x,x]", one)])
+    assert Check([]).passed and not bad.passed
+    assert NoetherReport(Check([]), Check([]), False).passed
+    assert not NoetherReport(Check([]), Check([]), True, None, bad).passed
+    assert not NoetherReport(bad, Check([]), True).passed
+    assert not StressEnergyReport(one, Check([]), Check([]), bad).passed
+    assert KillingReport({"i": Check([]), "v": Check([])}).passed
+    report = KillingReport({"i": bad, "v": bad})
+    assert not report.passed and report.agreement
+    assert not KillingReport({"i": Check([]), "v": bad}).agreement

@@ -10,6 +10,8 @@ import sys
 import pytest
 
 from supergeo.cli import main as cli_main
+from supergeo.geometry import BilinearForm
+from supergeo.morphisms import HarmonicSetup
 from supergeo.scenario import MAX_ANSATZ_COLUMNS, MAX_FLESH, load_scenario, run_scenario
 
 from conftest import unlimited_int_digits
@@ -43,6 +45,52 @@ def test_golden_report_bytes(name):
     expected = (DATA / f"{name}.report.txt").read_text()
     assert report.render() == expected
     assert report.exit_code == GOLDEN[name]
+
+
+_SQUARE = """[chart]
+even = x
+box x = 0 1
+[target]
+even = y
+box y = 0 1
+[metric h]
+x,x = 1
+[metric g]
+chart = target
+y,y = 1
+[vectorfield YY]
+chart = target
+y = y
+[vectorfield EULER]
+x = x
+[morphism SQ]
+source_metric = h
+target_metric = g
+y = x^2
+[run]
+"""
+
+
+def test_a_failing_verdict_is_followed_by_its_first_failure():
+    """A failing verdict key gets a ``KEY.first = LABEL: RESIDUAL`` line;
+    a passing one, and the residual keys, print as they always have."""
+    report = run_scenario(_SQUARE + "check-noether target SQ YY\ncheck-killing EULER h --mode ii\n")
+    assert [r.details for r in report.results] == [
+        [("xi_killing", "false"), ("xi_killing.first", "L[y,y]: (2)"),
+         ("div_residual", "(4*x^2)"), ("superharmonic", "false"), ("lemma_ok", "true")],
+        [("mode_ii", "fail"), ("mode_ii.first", "pair[x,x]: (2)"), ("agreement", "true")],
+    ]
+    assert "\n1.xi_killing.first = L[y,y]: (2)\n" in report.render()
+
+
+def test_a_failing_lemma_names_its_first_pair(monkeypatch):
+    """With 1 added to every entry of Phi*(L_xi g), the pullback
+    Lie-derivative lemma fails first at (x, x)."""
+    pullback_bilinear = HarmonicSetup.pullback_bilinear
+    monkeypatch.setattr(HarmonicSetup, "pullback_bilinear", lambda self, B: BilinearForm(
+        self.phi.source, [[e + 1 for e in row] for row in pullback_bilinear(self, B).components]))
+    [result] = run_scenario(_SQUARE + "check-noether target SQ YY\n").results
+    assert result.details[-2:] == [("lemma_ok", "false"), ("lemma_ok.first", "lemma[x,x]: (1)")]
 
 
 @pytest.mark.parametrize("hashseed", ["0", "12345"])
@@ -921,14 +969,28 @@ def test_ascii_degrees_load(degree):
     assert sc.commands[0][3] == {"degree": degree}
 
 
+@pytest.mark.parametrize("entry, error", [
+    ("x,x = 1 + )", "unexpected ')' at line 10, column 11"),
+    ("  x, x=1+)", "unexpected ')' at line 10, column 10"),
+    ("x,x =\t 1 + ) # comment", "unexpected ')' at line 10, column 12"),
+    ("x,x = 1 + w", "unknown identifier 'w' at line 10, column 11"),
+    ("x,x = 1 +", "unexpected end of input at line 10, column 10"),
+], ids=["spaced", "unspaced", "tab_and_comment", "identifier", "end_of_input"])
+def test_an_error_in_a_value_names_its_position_in_the_file(entry, error):
+    """The tokenizer's line and column are offset by the value's line and
+    its start column in the raw line, comments and leading space included."""
+    report = run_scenario(_edited_flat_killing("x,x = 1\n", entry + "\n"))
+    assert report.load_error == f"ParseError: {error}"
+
+
 _LONG = "1" + "0" * 4999  # 5,000 digits
 
 
 @pytest.mark.parametrize("old, new, run, error", [
     ("x,x = 1\n", f"x,x = 1 + {_LONG}\n", "validate-metric g\n",
-     "ParseError: integer literal of more than 4300 digits at line 1, column 5"),
+     "ParseError: integer literal of more than 4300 digits at line 10, column 11"),
     ("x,x = 1\n", f"x,x = 1 + x^{_LONG}\n", "validate-metric g\n",
-     "ParseError: integer literal of more than 4300 digits at line 1, column 7"),
+     "ParseError: integer literal of more than 4300 digits at line 10, column 13"),
     ("box x = 0 1\n", f"box x = 0 {_LONG}\n", "validate-metric g\n",
      "ParseError: integer literal of more than 4300 digits at line 6"),
     ("box x = 0 1\n", f"box x = 0 1/{_LONG}\n", "validate-metric g\n",
@@ -938,9 +1000,9 @@ _LONG = "1" + "0" * 4999  # 5,000 digits
     (_END, _END, f"solve-killing g --degree {'1' * 4301}\n",
      "ScenarioError: solve-killing --degree: integer literal of more than 4300 digits (line 35)"),
     ("x,x = 1\n", "x,x = 1 + x^2147483648\n", "validate-metric g\n",
-     "ParseError: exponent must be below 2^31 at line 1, column 7"),
+     "ParseError: exponent must be below 2^31 at line 10, column 13"),
     ("x,x = 1\n", "x,x = 1 + (1 + x)^-2147483648\n", "validate-metric g\n",
-     "ParseError: exponent must be below 2^31 at line 1, column 14"),
+     "ParseError: exponent must be below 2^31 at line 10, column 20"),
 ], ids=["expression", "exponent", "box_numerator", "box_denominator", "flesh", "degree",
         "exponent_2_31", "exponent_minus_2_31"])
 def test_an_integer_literal_out_of_bounds_is_a_usage_error(tmp_path, old, new, run, error):
@@ -983,7 +1045,7 @@ def test_a_literal_reads_the_same_under_any_interpreter_digit_limit(tmp_path):
     assert _limited_run(tmp_path, text) == (0, run_scenario(text, name="limited.scn").render())
     code, report = _limited_run(tmp_path, _edited_flat_killing("x,x = 1\n", f"x,x = {_LONG}\n"))
     assert code == 2
-    assert "\nerror = ParseError: integer literal of more than 4300 digits at line 1, column 1\n" \
+    assert "\nerror = ParseError: integer literal of more than 4300 digits at line 10, column 7\n" \
         in report
 
 
