@@ -23,7 +23,7 @@ records (a signature, a volume density, the Killing, Noether and
 stress-energy reports, a scenario and its report): each record names its
 fields in ``__slots__`` and sets them in its own ``__init__``, and the base
 gives it a field-wise ``==``, a ``Name(field=value, ...)`` repr and no hash.
-Every exact certificate is a :class:`Check` of labelled residuals.
+Every exact certificate is a :class:`Check`, and ``Check.first`` words its failure.
 """
 
 
@@ -50,7 +50,8 @@ class _Record:
 
 class Check(_Record):
     """An exact certificate: its failures are the ``(label, residual)`` pairs
-    with a nonzero residual, in order, and it passes when there is none."""
+    with a nonzero residual, in order; it passes when there is none, and
+    :attr:`first` is the one text of a failure."""
 
     __slots__ = ("failures",)
 
@@ -61,12 +62,24 @@ class Check(_Record):
     def passed(self) -> bool:
         return not self.failures
 
+    @property
+    def first(self):
+        """``label: residual`` of the first failure, or None when it passes."""
+        return next((f"{label}: {r.render()}" for label, r in self.failures), None)
+
+    @classmethod
+    def cells(cls, kind: str, cells, names) -> "Check":
+        """The check that every residual of the ``(indices, residual)`` pairs
+        ``cells`` is zero; only a nonzero one is labelled ``kind[names[i],...]``."""
+        return cls([(f"{kind}[{','.join(str(names[i]) for i in ix)}]", r)
+                    for ix, r in cells if not r.is_zero()])
+
     @classmethod
     def grid(cls, kind: str, rows, names) -> "Check":
         """The check that every entry of ``rows`` is zero; a nonzero entry in
         row i and column j is labelled ``kind[names[i],names[j]]``."""
-        return cls([(f"{kind}[{names[i]},{names[j]}]", e) for i, row in enumerate(rows)
-                    for j, e in enumerate(row) if not e.is_zero()])
+        return cls.cells(kind, (((i, j), e) for i, row in enumerate(rows)
+                                for j, e in enumerate(row)), names)
 
 
 class _Checks(_Record):
@@ -130,8 +143,10 @@ class InhomogeneousMatrix(SupergeoError):
 class MetricViolation(SupergeoError):
     """A bilinear form failed one of the supermetric axioms.
 
-    The first argument names the violated axiom: 'evenness',
-    'supersymmetry' or 'nondegeneracy'.
+    The first argument names the violated axiom: 'evenness', 'supersymmetry'
+    (the second is then the ``first`` of :meth:`SuperMatrix.supersymmetry`)
+    or 'nondegeneracy'.  A result that fails its own certificate, such as a
+    non-orthonormal OSp frame, raises :class:`CertificateFailure` instead.
     """
 
     @property

@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
+    CertificateFailure,
     ChartMismatch,
     Check,
     InexactCoefficient,
@@ -537,13 +538,11 @@ def connection_residuals(g: BilinearForm, conn: Connection):
         for j in range(chart.dim):
             sign_ij = -1 if chart.parity(i) * chart.parity(j) else 1
             for k in range(chart.dim):
-                where = f"[{names[i]},{names[j]},{names[k]}]"
-                torsion.append((f"torsion{where}",
-                                conn.gamma[i][j][k] - conn.gamma[j][i][k] * sign_ij))
-                metricity.append((f"metricity{where}", g.components[j][k].partial(names[i])
+                torsion.append(((i, j, k), conn.gamma[i][j][k] - conn.gamma[j][i][k] * sign_ij))
+                metricity.append(((i, j, k), g.components[j][k].partial(names[i])
                                   - g.evaluate(nab_i[j], coord[k])
                                   - g.evaluate(coord[j], nab_i[k]) * sign_ij))
-    return Check(torsion), Check(metricity)
+    return Check.cells("torsion", torsion, names), Check.cells("metricity", metricity, names)
 
 
 class OSpFrame:
@@ -578,15 +577,14 @@ class OSpFrame:
         return frame
 
     def certify(self, g: BilinearForm):
+        """Raise ``CertificateFailure`` unless each g(e_i, e_j) - (g0)_ij, ``frame[i,j]``, is 0."""
         sig = self.signature
         g0 = standard_metric(self.chart.pool, sig.t, sig.s, sig.two_m // 2)
-        for i in range(self.chart.dim):
-            for j in range(self.chart.dim):
-                got = g.evaluate(self.fields[i], self.fields[j])
-                if not (got - g0.entries[i][j]).is_zero():
-                    raise MetricViolation(
-                        "frame", f"g(e_{i}, e_{j}) != (g0)_{i}{j}: {got.render()}"
-                    )
+        e = self.fields
+        check = Check.grid("frame", [[g.evaluate(ei, ej) - c for ej, c in zip(e, row)]
+                                     for ei, row in zip(e, g0.entries)], range(self.chart.dim))
+        if not check.passed:
+            raise CertificateFailure(f"OSp frame is not orthonormal: {check.first}")
 
     def j_field(self, j: int):
         """J e_j as (sign, frame field)."""

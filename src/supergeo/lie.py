@@ -156,9 +156,8 @@ class KillingChecker:
                 val = self.g.evaluate(nabla_X[i], coord[j])
                 other = self.g.evaluate(nabla_X[j], coord[i])
                 val = val - other if (X.parity * pi + X.parity * pj + pi * pj) % 2 else val + other
-                if not val.is_zero():
-                    res.append((f"pair[{names[i]},{names[j]}]", val))
-        return Check(res)
+                res.append(((i, j), val))
+        return Check.cells("pair", res, names)
 
     def mode_v(self, X: VectorField) -> Check:
         """Test L of [X, e_i] = sum_m e_m L_mi against osp.  The frame is
@@ -198,19 +197,18 @@ def killing_check(X: VectorField, g: BilinearForm, mode: str = "all") -> Killing
 
 
 class KillingBasis(_Record):
-    __slots__ = ("metric", "degree", "fields", "parities")
+    __slots__ = ("metric", "degree", "fields")
 
-    def __init__(self, metric: BilinearForm, degree: int, fields: list, parities: list):
-        self.metric, self.degree = metric, degree
-        self.fields, self.parities = fields, parities
+    def __init__(self, metric: BilinearForm, degree: int, fields: list):
+        self.metric, self.degree, self.fields = metric, degree, fields
 
     @property
     def even_fields(self):
-        return [f for f, p in zip(self.fields, self.parities) if p == 0]
+        return [X for X in self.fields if X.parity == 0]
 
     @property
     def odd_fields(self):
-        return [f for f, p in zip(self.fields, self.parities) if p == 1]
+        return [X for X in self.fields if X.parity == 1]
 
     @property
     def dims(self):
@@ -309,12 +307,15 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
                if ansatz and parity in (None, p)]
     fields = [VectorField(chart, _components(chart, vec, ansatz), p)
               for p, ansatz, vectors in systems for vec in vectors]
-    basis = KillingBasis(g, degree, fields, [X.parity for X in fields])
+    basis = KillingBasis(g, degree, fields)
     _certify_basis(basis, g)
     # rank_p <= rank_QQ <= N - k for k independent Killing fields, so
     # rank_p = N - k proves that they span the nullspace
-    if any(vectors.rank != len(ansatz) - len(vectors) for _, ansatz, vectors in systems):
-        raise CertificateFailure("Killing basis completeness unproven")
+    for p, ansatz, vectors in systems:
+        if vectors.rank != len(ansatz) - len(vectors):
+            raise CertificateFailure(
+                f"Killing basis completeness unproven for parity {p}: rank {vectors.rank}"
+                f" + {len(vectors)} fields != {len(ansatz)} columns")
     return basis
 
 
@@ -330,16 +331,15 @@ def _components(chart: Chart, vec, columns):
 
 def _certify_basis(basis: KillingBasis, g: BilinearForm):
     for name, X in basis.named_fields:
-        failures = form_check(lie_derivative_bilinear(X, g)).failures
-        if failures:
-            label, residual = failures[0]
-            raise CertificateFailure(f"solver produced a non-Killing field {name}:"
-                                     f" {label} = {residual.render()}")
+        check = form_check(lie_derivative_bilinear(X, g))
+        if not check.passed:
+            raise CertificateFailure(f"solver produced a non-Killing field {name}: {check.first}")
     # linear independence: a nonzero k x k minor mod a prime is nonzero over
     # Q; a column is one (component, odd monomial, even exponents) key
     columns = {}
     rows = [{columns.setdefault((k, mono, exps), len(columns)): q
              for k, c in enumerate(X.components) for mono, exps, q in c.rational_coefficients()}
             for X in basis.fields]
-    if modular_rank(rows, PRIME) != len(rows):
-        raise CertificateFailure("solver basis is linearly dependent")
+    if (rank := modular_rank(rows, PRIME)) != len(rows):
+        raise CertificateFailure(f"solver basis is linearly dependent: rank {rank}"
+                                 f" mod p for {len(rows)} fields")

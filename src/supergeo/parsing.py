@@ -185,6 +185,6 @@ def parse_expression(text: str, pool, line: int = 1, column: int = 1) -> Superfu
     except ParseError:
         raise
     except PoolMismatch as exc:
-        raise ParseError(str(exc)) from None
+        raise ParseError(str(exc), line, column) from None
     except RecursionError:
-        raise ParseError("expression is nested too deeply") from None
+        raise ParseError("expression is nested too deeply", line, column) from None

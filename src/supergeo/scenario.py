@@ -430,8 +430,7 @@ def _verdict(key, check, good="true", bad="false"):
     and ``key.first = label: residual`` of its first failure."""
     if check.passed:
         return [(key, good)]
-    label, residual = check.failures[0]
-    return [(key, bad), (f"{key}.first", f"{label}: {residual.render()}")]
+    return [(key, bad), (f"{key}.first", check.first)]
 
 
 def _residual(key, check):

@@ -28,6 +28,7 @@ import functools
 import itertools
 
 from .errors import (
+    Check,
     InhomogeneousMatrix,
     InvalidArgument,
     MetricViolation,
@@ -141,29 +142,29 @@ class SuperMatrix:
                     return False
         return True
 
-    def supersymmetry_violation(self):
-        """The first entry (i, j) with M_ij != (-1)^{|i||j|} M_ji, or None."""
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                sign = -1 if self.slot_parity(i) * self.slot_parity(j) else 1
-                if not (self.entries[i][j] - self.entries[j][i] * sign).is_zero():
-                    return i, j
-        return None
+    def supersymmetry(self) -> Check:
+        """The check that M_ij - (-1)^{|i||j|} M_ji vanishes for i <= j,
+        labelled ``supersymmetry[i,j]`` by slot index."""
+        E, par = self.entries, [self.slot_parity(i) for i in range(self.dim)]
+        return Check.cells("supersymmetry", (
+            ((i, j), E[i][j] + E[j][i] if par[i] * par[j] else E[i][j] - E[j][i])
+            for i, j in itertools.combinations_with_replacement(range(self.dim), 2)),
+            range(self.dim))
 
     def check_supermetric(self):
         """Raise ``MetricViolation`` unless this matrix meets the point-free
         supermetric axioms, the one check of every metric in the package: it
         is even and homogeneous ('evenness'), its odd dimension is even and
         the determinant of its body does not vanish identically
-        ('nondegeneracy'), and M_ij = (-1)^{|i||j|} M_ji ('supersymmetry',
-        naming the first entry that breaks it)."""
+        ('nondegeneracy'), and :meth:`supersymmetry` passes ('supersymmetry',
+        with the check's ``first`` failure)."""
         if self.parity != 0 or not self.is_homogeneous():
             raise MetricViolation("evenness", "components break the even grading")
         if self.q % 2:
             raise MetricViolation("nondegeneracy", "odd dimension must be even")
-        bad = self.supersymmetry_violation()
-        if bad is not None:
-            raise MetricViolation("supersymmetry", "B_ij != +-B_ji at entry (%d,%d)" % bad)
+        check = self.supersymmetry()
+        if not check.passed:
+            raise MetricViolation("supersymmetry", check.first)
         body = [[e.body_part() for e in row] for row in self.entries]
         if _det_commuting(self.pool, body).is_zero():
             raise MetricViolation("nondegeneracy", "body determinant vanishes identically")

@@ -262,8 +262,7 @@ class TestValidateMetric:
         g = BilinearForm(chart_classical, [[1, 1], [0, 1]])
         with pytest.raises(MetricViolation) as err:
             validate_metric(g)
-        assert err.value.violation == "supersymmetry"
-        assert err.value.args[1].endswith("at entry (0,1)")
+        assert err.value.args == ("supersymmetry", "supersymmetry[0,1]: (1)")
 
     def test_evenness_violation_named(self, chart_deformed):
         ch = chart_deformed

@@ -17,8 +17,10 @@ from supergeo.geometry import (
     BilinearForm, MetricContext, VectorField, flat_metric, validate_metric,
 )
 from supergeo.morphisms import HarmonicSetup, Morphism
+from supergeo.parsing import parse_expression
 from supergeo.lie import (
     KillingChecker,
+    form_check,
     killing_check,
     lie_derivative_bilinear,
     solve_killing,
@@ -73,7 +75,7 @@ class TestLieDerivativeBilinear:
         for _ in range(6):
             X = random_field(ch, rng, 0)
             got = lie_derivative_bilinear(X, metric_deformed)
-            assert got.supersymmetry_violation() is None
+            assert got.supersymmetry().passed
             assert got.is_homogeneous()
 
     def test_display_holds_on_noncoordinate_arguments(self, metric_deformed):
@@ -115,7 +117,7 @@ class TestLieDerivativeBilinear:
         rows[0][1] = rows[0][1] + pool.scalar(1 / (x + 2))
         rows[2][3] = rows[2][3] * pool.scalar(1 / (x + 2))
         B = BilinearForm(ch, rows)
-        assert B.is_homogeneous() and B.supersymmetry_violation() is not None
+        assert B.is_homogeneous() and not B.supersymmetry().passed
         assert not B.components[0][1].is_polynomial()
         for xp, yp, zp in itertools.product((0, 1), repeat=3):
             check(B, random_field(ch, rng, xp), random_field(ch, rng, yp),
@@ -228,7 +230,7 @@ class TestSolveKilling:
         calls = self._count_nullspace_calls(monkeypatch)
         ch = Chart(["x"], ["th1", "th2"], box={"x": (0, 1)})
         B = BilinearForm(ch, [[ch.pool.odd("th1"), 1, 0], [1, 0, 0], [0, 0, 0]], 1)
-        assert B.supersymmetry_violation() is None
+        assert B.supersymmetry().passed
         with pytest.raises(MetricViolation) as err:
             solve_killing(B, 1)
         assert err.value.violation == "evenness"
@@ -241,7 +243,7 @@ class TestSolveKilling:
         calls = self._count_nullspace_calls(monkeypatch)
         ch = Chart(["x"], ["th1", "th2"], box={"x": (0, 1)})
         B = BilinearForm(ch, [[1 + ch.pool.odd("th1"), 0, 0], [0, 0, -1], [0, 1, 0]])
-        assert B.parity == 0 and B.supersymmetry_violation() is None
+        assert B.parity == 0 and B.supersymmetry().passed
         with pytest.raises(MetricViolation) as err:
             solve_killing(B, 1)
         assert err.value.violation == "evenness"
@@ -481,7 +483,7 @@ class TestHalfSystem:
         ]
         basis = solve_killing(g, degree, parity)
         assert basis.fields == expected
-        assert basis.parities == [parity] * len(expected)
+        assert [X.parity for X in basis.fields] == [parity] * len(expected)
 
     @pytest.mark.parametrize("entries", [
         [[1, 1], [0, 1]],  # not symmetric
@@ -731,7 +733,53 @@ def test_a_non_killing_basis_field_is_named_with_its_first_failure(monkeypatch,
     monkeypatch.setattr(lie, "nullspace", bending)
     with pytest.raises(CertificateFailure) as err:
         solve_killing(g, 1)
-    assert str(err.value) == "solver produced a non-Killing field even_2: L[x,x] = (2)"
+    assert str(err.value) == "solver produced a non-Killing field even_2: L[x,x]: (2)"
+
+
+def test_a_dependent_basis_is_refused_with_its_rank(monkeypatch, metric_flat22):
+    """The independence certificate names the rank mod p of the basis's
+    coefficient rows and the field count: here each system's last vector
+    repeats its first, so 12 Killing fields span a rank of 10."""
+    def repeating(rows, ncols):
+        vectors = nullspace(rows, ncols)
+        vectors[-1] = vectors[0]
+        return vectors
+
+    monkeypatch.setattr(lie, "nullspace", repeating)
+    with pytest.raises(CertificateFailure) as err:
+        solve_killing(metric_flat22, 1)
+    assert str(err.value) == "solver basis is linearly dependent: rank 10 mod p for 12 fields"
+
+
+@pytest.mark.parametrize("evens, odds, degree, x1x1, rank", [
+    (1, 2, 1, None, 8),
+    (2, 2, 1, None, 12),
+    (2, 4, 1, None, 25),
+    (1, 2, 2, None, 8),
+    (2, 4, 1, "1 + th1 th2 + x2^2", 9),
+], ids=["flat12", "flat22", "flat24", "flat12_degree2", "deformed24"])
+def test_killing_fields_form_a_lie_superalgebra(evens, odds, degree, x1x1, rank):
+    """The super bracket of two Killing fields is Killing, so the solver's
+    basis spans a Lie superalgebra: every [X, Y] of two basis fields passes
+    :func:`form_check` and lies in their span, since the exact rank over QQ
+    of the basis and all brackets stays the basis's.  [Y, X] is
+    -(-1)^{|X||Y|} [X, Y], so the pairs X <= Y suffice."""
+    xs = [f"x{i}" for i in range(1, evens + 1)]
+    chart = Chart(xs, [f"th{i}" for i in range(1, odds + 1)], box=dict.fromkeys(xs, (0, 1)))
+    g = flat_metric(chart)
+    if x1x1 is not None:
+        rows = [list(row) for row in g.components]
+        rows[0][0] = parse_expression(x1x1, chart.pool)
+        g = BilinearForm(chart, rows)
+    basis = solve_killing(g, degree).fields
+    brackets = [X.bracket(Y) for i, X in enumerate(basis) for Y in basis[i:]]
+    assert not all(B.is_zero() for B in brackets)
+    for B in brackets:
+        assert form_check(lie_derivative_bilinear(B, g)).passed
+    fields = basis + brackets
+    ranks = [_domain_matrix_nullspace(_coefficient_rows([X.components for X in f]), len(f))[1]
+             for f in (basis, fields)]
+    assert ranks == [rank, rank]
 
 
 class TestCompleteness:
@@ -746,8 +794,10 @@ class TestCompleteness:
             return vectors
 
         monkeypatch.setattr(lie, "nullspace", dropping_last)
-        with pytest.raises(CertificateFailure, match="completeness unproven"):
+        with pytest.raises(CertificateFailure) as err:
             solve_killing(metric_flat22, 1)
+        assert str(err.value) == ("Killing basis completeness unproven for parity 0:"
+                                  " rank 18 + 5 fields != 24 columns")
 
     def test_rank_drop_mod_the_first_prime_is_certified_by_the_second(self):
         p = PRIME
@@ -765,8 +815,10 @@ class TestCompleteness:
             return Nullspace(vectors, vectors.rank - 1)
 
         monkeypatch.setattr(lie, "nullspace", short)
-        with pytest.raises(CertificateFailure, match="completeness unproven"):
+        with pytest.raises(CertificateFailure) as err:
             solve_killing(metric_flat22, 1)
+        assert str(err.value) == ("Killing basis completeness unproven for parity 0:"
+                                  " rank 17 + 6 fields != 24 columns")
 
 
 class TestLifting:

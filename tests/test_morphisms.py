@@ -142,7 +142,7 @@ class TestPullbackTensors:
 
     def test_pullback_metric_even_supersymmetric(self, fleshy):
         pg = fleshy.pullback_metric()
-        assert pg.supersymmetry_violation() is None
+        assert pg.supersymmetry().passed
         assert pg.is_homogeneous()
 
     def test_pullback_of_scaled_oneform(self, fleshy):

@@ -4,7 +4,8 @@ Each representation and sign rule has one owning module: odd monomials and
 ``Superfunction.terms`` in ``scalars``, exponent keys in ``zpoly``, the
 supermetric axioms in ``supermatrix`` and the J signs in ``geometry``; sympy
 stays out of every module's import, and ``dataclasses``, ``inspect`` and
-``typing`` out of the package; no record stores a verdict.  ``RULES`` states
+``typing`` out of the package; no record stores a verdict, and every
+``MetricViolation`` names a supermetric axiom.  ``RULES`` states
 each rule as a row, a set of owner modules and a forbidden construct: the
 owners may use the construct, every other module may not.  One checker runs
 every row on the syntax tree of each module of ``src/supergeo``, read
@@ -151,6 +152,19 @@ def _stored_verdict(module, node, functions):
             and _is_verdict(_string(node.args[1]) or ""))
 
 
+_AXIOMS = {"evenness", "supersymmetry", "nondegeneracy"}
+
+
+def _unnamed_axiom(module, node, functions):
+    """The construct: ``MetricViolation`` raised bare, or called without a
+    literal supermetric axiom as its first argument."""
+    if isinstance(node, ast.Raise) and node.exc is not None and not isinstance(node.exc, ast.Call):
+        return any(name.rsplit(".", 1)[-1] == "MetricViolation"
+                   for name in module.resolve(node.exc))
+    return module.calls(node, {"MetricViolation"}) and (
+        not node.args or _string(node.args[0]) not in _AXIOMS)
+
+
 class Rule(NamedTuple):
     """The modules that may use ``construct(module, node, functions)``;
     ``functions`` are the names of the functions around the node."""
@@ -189,7 +203,11 @@ RULES = {
     # evenness, supersymmetry and nondegeneracy of the body are one method,
     # SuperMatrix.check_supermetric
     "only supermatrix decides the supermetric axioms": Rule(
-        frozenset({"supermatrix"}), _attribute("is_homogeneous", "supersymmetry_violation")),
+        frozenset({"supermatrix"}), _attribute("is_homogeneous", "supersymmetry")),
+    # a MetricViolation is a broken supermetric axiom, reported as a failed
+    # check (exit 1); a result that fails its own certificate is a
+    # CertificateFailure, a program fault (exit 3)
+    "MetricViolation names a supermetric axiom": Rule(frozenset(), _unnamed_axiom),
     # every sum against J e_j over an OSp frame is geometry.frame_sum
     "only geometry reads the J signs of an OSp frame": Rule(
         frozenset({"geometry"}), _attribute("j_signs")),
@@ -279,7 +297,15 @@ SEEDS = [
     ("only supermatrix decides the supermetric axioms", "geometry", "supermatrix",
      "M.is_homogeneous(0)\n"),
     ("only supermatrix decides the supermetric axioms", "lie", "supermatrix",
-     "bad = M.supersymmetry_violation\n"),
+     "bad = M.supersymmetry\n"),
+    ("MetricViolation names a supermetric axiom", "geometry", None,
+     'raise MetricViolation("frame", "x")\n'),
+    ("MetricViolation names a supermetric axiom", "supermatrix", None,
+     'raise MetricViolation(axiom, "x")\n'),
+    ("MetricViolation names a supermetric axiom", "lie", None,
+     "from . import errors\nraise errors.MetricViolation()\n"),
+    ("MetricViolation names a supermetric axiom", "scenario", None,
+     "from .errors import MetricViolation as MV\nraise MV\n"),
     ("only geometry reads the J signs of an OSp frame", "morphisms", "geometry",
      "signs = frame.j_signs\n"),
     ("no module raises a bare ValueError", "geometry", None, "raise ValueError('no')\n"),
@@ -327,6 +353,8 @@ def test_every_rule_has_a_seeded_violation():
     ("scenario", "import typing_helpers\nfrom .dataclasses import x\ninspected = 1\n"),
     ("zpoly", "import math\nfrom functools import cache\n"),
     ("lie", "raise InvalidArgument('no')\n"),
+    ("supermatrix", 'raise MetricViolation("supersymmetry", check.first)\n'),
+    ("scenario", "try:\n    f()\nexcept MetricViolation as exc:\n    v = exc.violation\n"),
     ("errors", "class C:\n    __slots__ = ('failures',)\n\n    @property\n"
                "    def passed(self):\n        return not self.failures\n"),
     ("scenario", "lemma_ok = check.passed\nx = {'passed': 1}\nok = report.passed\n"),

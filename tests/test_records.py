@@ -45,8 +45,8 @@ def _records():
         "KillingBasis": (
             solve_killing(g, 1),
             "KillingBasis(metric=BilinearForm(1|0: [(1)]), degree=1, "
-            "fields=[VectorField((1)*d_x)], parities=[0])",
-            KillingBasis(g, 2, [line.coordinate_field(0)], [0])),
+            "fields=[VectorField((1)*d_x)])",
+            KillingBasis(g, 2, [line.coordinate_field(0)])),
         "NoetherReport": (
             NoetherReport(Check([]), Check([]), True),
             "NoetherReport(precondition=Check(failures=[]), divergence=Check(failures=[]), "
@@ -139,6 +139,7 @@ def test_a_check_passes_without_failures_and_a_report_when_all_its_checks_pass()
     one = _line().pool.one()
     bad = Check([("L[x,x]", one)])
     assert Check([]).passed and not bad.passed
+    assert Check([]).first is None and bad.first == "L[x,x]: (1)"
     assert NoetherReport(Check([]), Check([]), False).passed
     assert not NoetherReport(Check([]), Check([]), True, None, bad).passed
     assert not NoetherReport(bad, Check([]), True).passed
@@ -147,3 +148,15 @@ def test_a_check_passes_without_failures_and_a_report_when_all_its_checks_pass()
     report = KillingReport({"i": bad, "v": bad})
     assert not report.passed and report.agreement
     assert not KillingReport({"i": Check([]), "v": bad}).agreement
+
+
+def test_a_check_labels_its_nonzero_cells_by_name():
+    """``Check.cells`` labels a nonzero residual at indices i, j, ... as
+    ``kind[names[i],names[j],...]`` and drops a zero one; ``Check.grid`` is
+    its case of a row-major grid."""
+    pool = _line().pool
+    one, zero = pool.one(), pool.zero()
+    assert Check.cells("torsion", [((0, 1, 0), zero), ((1, 0, 1), -one)], "xy").failures == [
+        ("torsion[y,x,y]", -one)]
+    assert Check.grid("frame", [[zero, one], [one, zero]], range(2)) == Check(
+        [("frame[0,1]", one), ("frame[1,0]", one)])

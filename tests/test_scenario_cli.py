@@ -669,6 +669,29 @@ def test_failed_solver_certificate_is_an_error(monkeypatch, tmp_path):
     )
 
 
+def test_a_frame_that_fails_its_certificate_is_an_error(monkeypatch, tmp_path):
+    """An OSp frame that is not orthonormal is a program fault, not a
+    broken supermetric axiom: ``osp-frame`` reports a CertificateFailure
+    naming the first residual, with exit 3.  Here Gram-Schmidt's columns
+    are doubled, so g(e_0, e_0) - (g0)_00 = 4 - 1."""
+    from supergeo import geometry
+
+    gram_schmidt = geometry._gram_schmidt
+
+    def doubled(g):
+        E, signature = gram_schmidt(g)
+        return E * 2, signature
+
+    monkeypatch.setattr(geometry, "_gram_schmidt", doubled)
+    out = tmp_path / "report.txt"
+    scn = tmp_path / "frame.scn"
+    scn.write_text(_declarations("flat_killing") + "[run]\nosp-frame g\n")
+    assert cli_main(["run", str(scn), "--report", str(out)]) == 3
+    lines = out.read_text().splitlines()
+    assert "status: error" in lines
+    assert "error = CertificateFailure: OSp frame is not orthonormal: frame[0,0]: (3)" in lines
+
+
 def test_incomplete_solver_basis_is_an_error(monkeypatch, tmp_path):
     """A nullspace that drops its last vector, but keeps the rank of its
     elimination, leaves fields that are Killing and independent; the
@@ -975,10 +998,15 @@ def test_ascii_degrees_load(degree):
     ("x,x =\t 1 + ) # comment", "unexpected ')' at line 10, column 12"),
     ("x,x = 1 + w", "unknown identifier 'w' at line 10, column 11"),
     ("x,x = 1 +", "unexpected end of input at line 10, column 10"),
-], ids=["spaced", "unspaced", "tab_and_comment", "identifier", "end_of_input"])
+    ("x,x = " + "(" * 3000 + "1" + ")" * 3000,
+     "expression is nested too deeply at line 10, column 7"),
+    ("x,x = " + "-" * 3000 + "1", "expression is nested too deeply at line 10, column 7"),
+], ids=["spaced", "unspaced", "tab_and_comment", "identifier", "end_of_input",
+        "nested_parentheses", "nested_minuses"])
 def test_an_error_in_a_value_names_its_position_in_the_file(entry, error):
     """The tokenizer's line and column are offset by the value's line and
-    its start column in the raw line, comments and leading space included."""
+    its start column in the raw line, comments and leading space included;
+    an error at no token, a value nested too deeply, names the value's start."""
     report = run_scenario(_edited_flat_killing("x,x = 1\n", entry + "\n"))
     assert report.load_error == f"ParseError: {error}"
 

@@ -734,15 +734,15 @@ class TestGramSchmidt:
         assert pair_columns(B, c2, c1, 1, 1) == pool.scalar(1)
 
     def test_supersymmetry_violation_names_first_entry(self, pool):
-        assert standard_metric(pool, 1, 1, 1).supersymmetry_violation() is None
+        assert standard_metric(pool, 1, 1, 1).supersymmetry().passed
         # an odd-odd diagonal entry must vanish: B_ii = -B_ii
         B = SuperMatrix(pool, 1, 2, [[1, 0, 0], [0, 1, -1], [0, 1, 0]])
-        assert B.supersymmetry_violation() == (1, 1)
+        assert B.supersymmetry().first == "supersymmetry[1,1]: (2)"
         B = SuperMatrix(pool, 1, 2, [[1, 0, 0], [0, 0, -1], [0, 2, 0]])
-        assert B.supersymmetry_violation() == (1, 2)
+        assert B.supersymmetry().first == "supersymmetry[1,2]: (1)"
         with pytest.raises(MetricViolation) as err:
             gram_schmidt_osp(B)
-        assert err.value.args == ("supersymmetry", "B_ij != +-B_ji at entry (1,2)")
+        assert err.value.args == ("supersymmetry", "supersymmetry[1,2]: (1)")
 
     def test_inhomogeneous_even_matrix_rejected_as_uneven(self):
         """A parity-0 matrix with an odd term in its even block breaks the
@@ -750,7 +750,7 @@ class TestGramSchmidt:
         pool = GeneratorPool(["x"], ["th1", "th2"])
         th1 = pool.odd("th1")
         B = SuperMatrix(pool, 1, 2, [[1 + th1, 0, 0], [0, 0, -1], [0, 1, 0]])
-        assert B.parity == 0 and B.supersymmetry_violation() is None
+        assert B.parity == 0 and B.supersymmetry().passed
         with pytest.raises(MetricViolation) as err:
             gram_schmidt_osp(B)
         assert err.value.violation == "evenness"
