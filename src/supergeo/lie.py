@@ -28,12 +28,12 @@ c, so it assembles those equations as sparse integer rows over the
 metric's common denominator (:func:`_killing_rows`), with no superfunction
 per column and no monomial arithmetic: the pool gives the monomials, their
 signed partials and their merges.
-:func:`exactlinalg.nullspace` solves each system by one elimination mod a
-wide prime, lifted exactly.  Each basis of k fields over N ansatz columns is
-certified exactly: every field is Killing by :func:`lie_derivative_bilinear`
-(else the failure names the field and its first ``L[a,b]``), the fields'
-coefficient rows have rank k mod a prime (independence), and the rank of the
-elimination is ``N - k`` (completeness).
+:func:`exactlinalg.nullspace` solves each system by one exact integer
+elimination.  Each basis of k fields over N ansatz columns is certified
+exactly: every field is Killing by :func:`lie_derivative_bilinear` (else the
+failure names the field and its first ``L[a,b]``), the fields' coefficient
+rows have rank k (independence), and the rank of the elimination is
+``N - k`` (completeness).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .errors import (
     _Checks,
     _Record,
 )
-from .exactlinalg import PRIME, modular_rank, nullspace
+from .exactlinalg import nullspace, rank
 from .geometry import BilinearForm, Chart, MetricContext, VectorField
 from .supermatrix import SuperMatrix, osp_residuals
 
@@ -309,8 +309,8 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
               for p, ansatz, vectors in systems for vec in vectors]
     basis = KillingBasis(g, degree, fields)
     _certify_basis(basis, g)
-    # rank_p <= rank_QQ <= N - k for k independent Killing fields, so
-    # rank_p = N - k proves that they span the nullspace
+    # the exact rank is at most N - k for k independent Killing fields, so
+    # rank = N - k proves that they span the nullspace
     for p, ansatz, vectors in systems:
         if vectors.rank != len(ansatz) - len(vectors):
             raise CertificateFailure(
@@ -334,12 +334,12 @@ def _certify_basis(basis: KillingBasis, g: BilinearForm):
         check = form_check(lie_derivative_bilinear(X, g))
         if not check.passed:
             raise CertificateFailure(f"solver produced a non-Killing field {name}: {check.first}")
-    # linear independence: a nonzero k x k minor mod a prime is nonzero over
-    # Q; a column is one (component, odd monomial, even exponents) key
+    # linear independence: the coefficient rows have full exact rank; a
+    # column is one (component, odd monomial, even exponents) key
     columns = {}
     rows = [{columns.setdefault((k, mono, exps), len(columns)): q
              for k, c in enumerate(X.components) for mono, exps, q in c.rational_coefficients()}
             for X in basis.fields]
-    if (rank := modular_rank(rows, PRIME)) != len(rows):
-        raise CertificateFailure(f"solver basis is linearly dependent: rank {rank}"
-                                 f" mod p for {len(rows)} fields")
+    if (found := rank(rows, len(columns))) != len(rows):
+        raise CertificateFailure(f"solver basis is linearly dependent: rank {found}"
+                                 f" for {len(rows)} fields")

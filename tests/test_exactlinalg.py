@@ -1,20 +1,18 @@
-"""Exact rational nullspace, rank, modular rank and signature, checked against sympy's Matrix
+"""Exact rational nullspace, rank, integer echelon form and signature, checked against sympy's Matrix
 and DomainMatrix and Sylvester's law of inertia."""
 
-import itertools
 import math
 from fractions import Fraction
 
 import sympy as sp
-from sympy.polys.domains import GF, QQ, ZZ
+from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from supergeo import Chart, exactlinalg, lie
+from supergeo import Chart, lie
 from supergeo.exactlinalg import (
-    PRIME,
+    _combine,
     _integer_rows,
     _reduced_echelon,
-    modular_rank,
     nullspace,
     rank,
     signature,
@@ -130,11 +128,16 @@ def _domain_matrix_nullspace(rows, ncols):
 
 def _sparse_cases(rng):
     """Seeded sparse systems: no rows, all-zero rows, explicit zeros, full and
-    deficient rank, and entries with large numerators and denominators."""
+    deficient rank, and entries with large numerators and denominators, some
+    of them integers above 2^64."""
     big = 10**30 + 7
+    wide = 2**64 + 13
     cases = [([], 0), ([], 3), ([{}, {0: 0, 2: 0}], 3),
              ([{0: 1}, {1: Fraction(2, 3)}, {2: -5}], 3),
-             ([{0: Fraction(big, 3), 1: Fraction(1, big)}, {0: 2, 1: Fraction(6, big**2)}], 2)]
+             ([{0: Fraction(big, 3), 1: Fraction(1, big)}, {0: 2, 1: Fraction(6, big**2)}], 2),
+             ([{0: wide, 1: -3 * 2**70, 2: 1}, {0: 2**65 + 1, 1: wide, 3: wide**2},
+               {0: 3 * wide + 2**65 + 1, 1: wide - 9 * 2**70, 2: 3, 3: wide**2}], 4),
+             ([{0: 2**64, 1: 2**64 + 1}, {0: 2**64 - 1, 1: 2**64}], 2)]
     for _ in range(120):
         nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
         rows = [{j: Fraction(rng.choice([0, 1, -1, 2, -3, big]), rng.choice([1, 1, 2, 3, big]))
@@ -159,66 +162,91 @@ def test_nullspace_and_rank_match_domain_matrix():
     assert ranks == {"full", "deficient"}
 
 
-def test_primes_are_the_primes_below_the_first():
-    """The moduli are 2^61 - 1 and then every prime below it that is 3 mod
-    4, in descending order: none is skipped and none is composite."""
-    primes = list(itertools.islice(exactlinalg._primes(), 30))
-    assert primes == [n for n in range(PRIME, primes[-1] - 1, -4) if sp.isprime(n)]
+def test_integer_rows_drop_zero_entries():
+    """A zero entry never reaches the elimination: rows that differ only in
+    sign once their zeros are dropped are one primitive row, as are rows
+    that are multiples of each other."""
+    assert _integer_rows([{0: 0, 1: 1}, {0: 0, 1: -1}]) == [{1: 1}]
+    assert _integer_rows([{2: Fraction(-2, 3), 0: 0}, {2: 4}, {1: 0}]) == [{2: 1}]
 
 
-def test_a_wrong_lift_is_refused_by_the_kernel_check(monkeypatch):
-    """``x = p + 5`` for p = 2^61 - 1 is 5 mod p, and 5 lifts within the
-    bound, so the first prime gives the vector ``(5, 1)``; it is not in the
-    kernel, two primes bound the lift below x, and the third lifts x."""
-    x = PRIME + 5
-    seen = []
-    lift = exactlinalg._lift
-
-    def recording(echelon, modulus, ncols):
-        basis = lift(echelon, modulus, ncols)
-        seen.append(basis)
-        return basis
-
-    monkeypatch.setattr(exactlinalg, "_lift", recording)
-    assert nullspace([{0: 1, 1: -x}], 2) == [{0: x, 1: 1}]
-    assert seen == [[{0: 5, 1: 1}], None, [{0: x, 1: 1}]]
-
-
-def _primitive_rows(rows):
-    """Each nonzero row cleared of denominators and divided by its content."""
-    out = []
-    for row in rows:
-        qs = {j: Fraction(q) for j, q in row.items() if q}
-        if qs:
-            lcm = math.lcm(*(q.denominator for q in qs.values()))
-            ints = {j: int(q * lcm) for j, q in qs.items()}
-            g = math.gcd(*ints.values())
-            out.append({j: c // g for j, c in ints.items()})
-    return out
-
-
-def test_modular_rank_matches_domain_matrix_over_gf():
-    """The rank over GF(p) equals DomainMatrix's on the primitive integer
-    rows, for small primes, where it drops below the rank over QQ, and for a
-    large one, where it does not on these systems."""
-    drops = 0
+def test_reduced_echelon_matches_domain_matrix_rref():
+    """The pivots of the integer elimination are those of
+    ``DomainMatrix.rref`` over QQ, and each pivot row is a primitive integer
+    row with a positive pivot entry whose quotient by that entry is the
+    rref row."""
     for rows, ncols in _sparse_cases(seeded(821)):
-        ints = _primitive_rows(rows)
-        r = rank(rows, ncols)
-        for p in (2, 3, 5, PRIME):
-            want = 0
-            if ints:
-                dm = DomainMatrix({i: {j: ZZ(c) for j, c in row.items()} for i, row in enumerate(ints)},
-                                  (len(ints), ncols), ZZ)
-                want = dm.convert_to(GF(p)).rank()
-            assert modular_rank(rows, p) == want <= r, (rows, p)
-            pivots = _reduced_echelon(_integer_rows(rows), p)
-            assert all(row[c] == 1 and all(0 < v < p for v in row.values())
-                       for c, row in pivots.items())
-            drops += want < r
-            if p > 5:
-                assert want == r
-    assert drops
+        m, pivots = _domain_matrix(rows, ncols).rref()
+        m = m.to_sparse().rep
+        echelon = _reduced_echelon(_integer_rows(rows))
+        assert sorted(echelon) == list(pivots), rows
+        for r, p in enumerate(pivots):
+            row = echelon[p]
+            assert row[p] > 0 and math.gcd(*row.values()) == 1
+            assert ({c: Fraction(v, row[p]) for c, v in row.items()}
+                    == {c: Fraction(int(q.numerator), int(q.denominator))
+                        for c, q in m[r].items() if q}), rows
+
+
+def test_integer_rows_clear_denominators_in_order_of_first_column():
+    """Rational rows become primitive integer rows, their first entry made
+    positive, ordered by first column; an empty row is dropped."""
+    rows = [{2: Fraction(3, 4), 3: Fraction(-1, 6)}, {0: -4, 1: 6}, {}]
+    assert _integer_rows(rows) == [{0: 2, 1: -3}, {2: 9, 3: -2}]
+
+
+def test_combine_is_the_primitive_row_zero_at_the_pivot_column():
+    """``_combine(row, j, pivot)`` is a positive multiple of
+    ``row - row[j] / pivot[j] * pivot``, primitive, without zero entries and
+    without column ``j``; a multiple of the pivot row combines to the empty
+    row."""
+    rng = seeded(827)
+    empty = 0
+    for _ in range(200):
+        ncols = rng.randint(1, 6)
+        pivot = {c: rng.choice([0, 1, -1, 2, -6, 2**64 + 1]) for c in range(ncols)}
+        j = rng.randrange(ncols)
+        pivot[j] = rng.choice([1, 3, 4, 2**65])
+        pivot = {c: v for c, v in pivot.items() if v}
+        if rng.random() < 0.2:
+            row = {c: -3 * v for c, v in pivot.items()}
+        else:
+            row = {c: rng.choice([0, 1, -2, 5, 2**64]) for c in range(ncols)}
+            row[j] = rng.choice([-4, 6, 2**70])
+            row = {c: v for c, v in row.items() if v}
+        exact = {c: row.get(c, 0) - Fraction(row[j], pivot[j]) * pivot.get(c, 0)
+                 for c in row.keys() | pivot.keys()}
+        exact = {c: q for c, q in exact.items() if q}
+        out = _combine(row, j, pivot)
+        assert j not in out and 0 not in out.values()
+        assert out.keys() == exact.keys(), (row, j, pivot)
+        if out:
+            assert math.gcd(*out.values()) == 1
+            assert len({Fraction(v) / exact[c] for c, v in out.items()}) == 1
+            assert all(Fraction(v) / exact[c] > 0 for c, v in out.items())
+        empty += not out
+    assert empty
+
+
+def test_flat_killing_echelons_hold_only_unit_entries(monkeypatch):
+    """The elimination shows no coefficient growth on flat metrics: every
+    row of the integer echelon form of the flat (2|4) degree-2 and (3|6)
+    degree-1 Killing systems holds only 1 and -1."""
+    systems = []
+
+    def recording(rows, ncols):
+        systems.append(rows)
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(lie, "nullspace", recording)
+    for n, two_m, degree in [(2, 4, 2), (3, 6, 1)]:
+        evens = [f"x{i}" for i in range(1, n + 1)]
+        odds = [f"th{i}" for i in range(1, two_m + 1)]
+        lie.solve_killing(flat_metric(Chart(evens, odds, box={v: (0, 1) for v in evens})), degree)
+    assert len(systems) == 4
+    for rows in systems:
+        echelon = _reduced_echelon(_integer_rows(rows))
+        assert echelon and {v for row in echelon.values() for v in row.values()} == {1, -1}
 
 
 def test_killing_system_matches_domain_matrix(monkeypatch):

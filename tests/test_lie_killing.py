@@ -8,11 +8,11 @@ import pytest
 import sympy as sp
 
 from supergeo import Chart
-from supergeo import exactlinalg, lie, scalars
+from supergeo import lie, scalars
 from supergeo.errors import (
     CertificateFailure, Check, InvalidArgument, MetricViolation, UnsupportedMetric,
 )
-from supergeo.exactlinalg import PRIME, Nullspace, modular_rank, nullspace
+from supergeo.exactlinalg import Nullspace, nullspace
 from supergeo.geometry import (
     BilinearForm, MetricContext, VectorField, flat_metric, validate_metric,
 )
@@ -737,7 +737,7 @@ def test_a_non_killing_basis_field_is_named_with_its_first_failure(monkeypatch,
 
 
 def test_a_dependent_basis_is_refused_with_its_rank(monkeypatch, metric_flat22):
-    """The independence certificate names the rank mod p of the basis's
+    """The independence certificate names the exact rank of the basis's
     coefficient rows and the field count: here each system's last vector
     repeats its first, so 12 Killing fields span a rank of 10."""
     def repeating(rows, ncols):
@@ -748,7 +748,7 @@ def test_a_dependent_basis_is_refused_with_its_rank(monkeypatch, metric_flat22):
     monkeypatch.setattr(lie, "nullspace", repeating)
     with pytest.raises(CertificateFailure) as err:
         solve_killing(metric_flat22, 1)
-    assert str(err.value) == "solver basis is linearly dependent: rank 10 mod p for 12 fields"
+    assert str(err.value) == "solver basis is linearly dependent: rank 10 for 12 fields"
 
 
 @pytest.mark.parametrize("evens, odds, degree, x1x1, rank", [
@@ -783,9 +783,9 @@ def test_killing_fields_form_a_lie_superalgebra(evens, odds, degree, x1x1, rank)
 
 
 class TestCompleteness:
-    """``rank_p(rows) = N - k``, with ``rank_p`` read off the elimination the
-    basis came from, proves that no Killing field of the ansatz is missing
-    from a basis of k certified fields."""
+    """``rank(rows) = N - k``, the exact rank of the elimination the basis
+    came from, proves that no Killing field of the ansatz is missing from a
+    basis of k certified fields."""
 
     def test_basis_missing_a_vector_is_refused(self, monkeypatch, metric_flat22):
         def dropping_last(rows, ncols):
@@ -799,17 +799,9 @@ class TestCompleteness:
         assert str(err.value) == ("Killing basis completeness unproven for parity 0:"
                                   " rank 18 + 5 fields != 24 columns")
 
-    def test_rank_drop_mod_the_first_prime_is_certified_by_the_second(self):
-        p = PRIME
-        rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + p}]  # determinant p
-        q = next(q for q in exactlinalg._primes() if q != p)
-        assert (modular_rank(rows, p), modular_rank(rows, q)) == (1, 2)
-        vectors = nullspace(rows, 2)
-        assert (vectors, vectors.rank) == ([], 2)
-
-    def test_rank_drop_mod_every_prime_is_refused(self, monkeypatch, metric_flat22):
-        """An elimination whose rank fell short for every prime it tried
-        leaves a rank below ``N - k``, which does not prove completeness."""
+    def test_a_short_rank_is_refused(self, monkeypatch, metric_flat22):
+        """An elimination whose rank falls short leaves a rank below
+        ``N - k``, which does not prove completeness."""
         def short(rows, ncols):
             vectors = nullspace(rows, ncols)
             return Nullspace(vectors, vectors.rank - 1)
@@ -822,23 +814,9 @@ class TestCompleteness:
 
 
 class TestLifting:
-    """Each system is eliminated mod wide primes and lifted by rational
-    reconstruction; extra primes join until the basis is exactly in the
-    kernel, and a prime with a worse echelon form is dropped."""
-
-    @staticmethod
-    def _recording(monkeypatch):
-        """Wrap the elimination to record ``(prime, pivots)`` per call."""
-        seen = []
-        eliminate = exactlinalg._reduced_echelon
-
-        def recording(rows, prime):
-            echelon = eliminate(rows, prime)
-            seen.append((prime, sorted(echelon)))
-            return echelon
-
-        monkeypatch.setattr(exactlinalg, "_reduced_echelon", recording)
-        return seen
+    """Systems whose exact basis has wide entries, or whose rank drops mod a
+    prime that divides them: one elimination over the integers per system
+    gives the basis that ``DomainMatrix.rref`` over QQ gives."""
 
     @staticmethod
     def _systems(monkeypatch):
@@ -851,68 +829,33 @@ class TestLifting:
         monkeypatch.setattr(lie, "nullspace", recording)
         return systems
 
-    def test_entries_past_the_first_bound_take_more_primes(self, monkeypatch):
+    def test_a_132_bit_entry_is_exact(self, monkeypatch):
         """``y,y = 97^-20``: the rotation ``-97^-20 y d_x + x d_y`` has an
-        entry of 132 bits, past the bound ``2^30`` of one 61-bit prime, so
-        the basis needs five primes."""
+        entry of 132 bits."""
         ch = Chart(["x", "y"], [], box={"x": (0, 1), "y": (0, 1)})
         g = BilinearForm(ch, [[1, 0], [0, Fraction(1, 97**20)]])
         systems = self._systems(monkeypatch)
-        seen = self._recording(monkeypatch)
         basis = solve_killing(g, 1, 0)
-        # five primes for the solve, then one for the independence certificate
-        assert [p for p, _ in seen] == [*itertools.islice(exactlinalg._primes(), 5), PRIME]
         assert basis.dims == (3, 0)
         x, y = ch.pool.even("x"), ch.pool.even("y")
         assert VectorField(ch, [y * Fraction(-1, 97**20), x], 0) in basis.fields
         (rows, ncols), = systems
         assert nullspace(rows, ncols) == _domain_matrix_nullspace(rows, ncols)[0]
 
-    def test_an_unlucky_prime_between_lucky_ones_is_dropped(self, monkeypatch):
-        """With 97 as the second prime, the ``y,y = 97^-20`` system (scaled
-        to integers by 97^20) has the same rank mod 97 but a later pivot;
-        that prime is dropped, not remaindered, and the other five give the
-        exact basis."""
-        ch = Chart(["x", "y"], [], box={"x": (0, 1), "y": (0, 1)})
-        g = BilinearForm(ch, [[1, 0], [0, Fraction(1, 97**20)]])
-        want = solve_killing(g, 1, 0)
-        primes = exactlinalg._primes
-
-        def supply():
-            wide = primes()
-            yield next(wide)
-            yield 97
-            yield from wide
-
-        monkeypatch.setattr(exactlinalg, "_primes", supply)
-        systems = self._systems(monkeypatch)
-        seen = self._recording(monkeypatch)
-        assert solve_killing(g, 1, 0).fields == want.fields
-        (first, pivots), (p97, pivots97) = seen[:2]
-        assert (first, p97) == (PRIME, 97)
-        assert len(pivots97) == len(pivots) and pivots97 > pivots
-        assert [p for p, _ in seen[2:6]] == list(itertools.islice(primes(), 1, 5))
-        (rows, ncols), = systems
-        assert nullspace(rows, ncols) == _domain_matrix_nullspace(rows, ncols)[0]
-
-    def test_an_unlucky_prime_is_dropped(self, monkeypatch):
-        """With ``y,y = 97`` and 97 as the first prime, the system loses
-        rank mod 97; the second prime's higher rank replaces it, and the
-        basis equals the exact one."""
+    def test_a_metric_entry_of_97_is_exact(self, monkeypatch):
+        """``y,y = 97``: the system loses rank mod 97, not over QQ."""
         ch = Chart(["x", "y"], ["th1", "th2"], box={"x": (0, 1), "y": (0, 1)})
         g = BilinearForm(ch, [[1, 0, 0, 0], [0, 97, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
-        want = solve_killing(g, 1)
-        primes = exactlinalg._primes
-        monkeypatch.setattr(exactlinalg, "_primes", lambda: itertools.chain([97], primes()))
         systems = self._systems(monkeypatch)
-        seen = self._recording(monkeypatch)
-        basis = solve_killing(g, 1)
-        assert basis.fields == want.fields and basis.dims == want.dims == (6, 6)
-        # per parity: 97 first, then a wide prime of higher rank
-        (p97, pivots97), (wide, pivots) = seen[:2]
-        assert (p97, wide) == (97, PRIME) and len(pivots97) < len(pivots)
+        assert solve_killing(g, 1).dims == (6, 6)
         for rows, ncols in systems:
-            assert nullspace(rows, ncols) == _domain_matrix_nullspace(rows, ncols)[0]
+            vectors = nullspace(rows, ncols)
+            assert (vectors, vectors.rank) == _domain_matrix_nullspace(rows, ncols)
+
+    def test_rows_of_determinant_2_61_minus_1_have_full_rank(self):
+        rows = [{0: 1, 1: 1}, {0: 1, 1: 2**61}]  # determinant 2^61 - 1, a prime
+        vectors = nullspace(rows, 2)
+        assert (vectors, vectors.rank) == ([], 2) == _domain_matrix_nullspace(rows, 2)
 
 
 @pytest.mark.parametrize("even, odd, flesh", [
