@@ -311,7 +311,9 @@ class BilinearForm(SuperMatrix):
         self.chart = chart
 
     def _new(self, entries, parity: int) -> "BilinearForm":
-        return BilinearForm(self.chart, entries, parity)
+        out = super()._new(entries, parity)
+        out.chart = self.chart
+        return out
 
     @property
     def components(self):

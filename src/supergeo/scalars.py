@@ -28,12 +28,13 @@ plain integer arithmetic (the Koszul sign and merged tuple of each pair of
 odd monomials are cached on the pool), and a result over a non-constant
 ``den`` is cancelled by one gcd over the whole table
 (:func:`cancel_common_factor`), unless it scales a canonical superfunction
-by a unit of ``Q[x][theta]``.  A sum of products, a matrix product's entry,
-is one :meth:`GeneratorPool.dot`: the products over one denominator
-accumulate in one table, made canonical once.  A single term, one odd
-monomial with a one-term numerator over an int ``den``, takes no table
-route: a product of two is one cached merge, one key sum checked against
-the guard bits and one gcd, and :meth:`GeneratorPool.scalar` lifts a
+by a unit of ``Q[x][theta]``.  A matrix product is one :func:`grid_product`,
+which sweeps the result row by row: the products of an entry over one
+denominator accumulate in one table, and each entry is made canonical once,
+over the least common multiple of its tables' denominators.  A single
+term, one odd monomial with a one-term numerator over an int ``den``, takes
+no table route: a product of two is one cached merge, one key sum checked
+against the guard bits and one gcd, and :meth:`GeneratorPool.scalar` lifts a
 product of rationals and nonnegative powers of the pool's symbols to its
 one term, each degree after the first checked against the bound before it
 joins the key.  A difference is one signed table sum.
@@ -158,8 +159,7 @@ def _make(pool, terms, den=1, cancel=True):
     if type(den) is not int:
         if cancel:
             terms, den = cancel_common_factor(terms, den, pool.n_even)
-        if len(den) == 1 and 0 in den:
-            den = den[0]
+        den = _int_if_constant(den)
     if den == 1:
         return Superfunction(pool, terms)
     g = den if type(den) is int else math.gcd(*den.values())
@@ -209,11 +209,11 @@ def _table_add(a, b, sign=1):
     return out
 
 
-def _accumulate(pool, raw, a, b, sign=1):
-    """Add ``sign * a * b`` for the numerator tables a and b (sign 1 or -1)
-    into the table ``raw``, whose numerators it owns; a coefficient that
-    cancels stays as a zero (:func:`_nonzero`).  The pool caches the sign and
-    merged monomial of each pair of odd monomials."""
+def _accumulate(pool, raw, a, b):
+    """Add ``a * b`` for the numerator tables a and b into the table
+    ``raw``, whose numerators it owns; a coefficient that cancels stays as a
+    zero (:func:`_nonzero`).  The pool caches the sign and merged monomial
+    of each pair of odd monomials."""
     for ma, pa in a.items():
         row = pool._merge_row(ma)
         for mb, pb in b.items():
@@ -226,13 +226,47 @@ def _accumulate(pool, raw, a, b, sign=1):
             acc = raw.get(mono)
             if acc is None:
                 acc = raw[mono] = {}
-            flip = s != sign  # the Koszul sign times sign is -1
+            flip = s < 0  # the Koszul sign is -1
             for ea, ca in pa.items():
                 if flip:
                     ca = -ca
                 for eb, cb in pb.items():
                     e = ea + eb
                     acc[e] = acc.get(e, 0) + ca * cb
+
+
+def _sweep(pool, a, right, tables, sign):
+    """Add ``sign * a * b`` (sign 1 or -1) for the numerator table a and
+    each term ``(j, mb, pb)`` of ``right``, the numerator ``pb`` of the odd
+    monomial ``mb`` of a right factor, into the table ``tables[j]``: the
+    row sweep of :func:`grid_product`, as :func:`_accumulate` adds one
+    product.  Each odd monomial of a fetches its row of the pool's merge
+    cache once for the whole of ``right``, and the Koszul sign times sign
+    is settled once per pair of odd monomials, outside the coefficient
+    loops."""
+    for ma, pa in a.items():
+        row = pool._merge_row(ma)
+        for j, mb, pb in right:
+            merged = row.get(mb)
+            if merged is None:
+                merged = row[mb] = _merge_monomials(ma, mb)
+            s, mono = merged
+            if not s:
+                continue
+            raw = tables[j]
+            acc = raw.get(mono)
+            if acc is None:
+                acc = raw[mono] = {}
+            if s == sign:
+                for ea, ca in pa.items():
+                    for eb, cb in pb.items():
+                        e = ea + eb
+                        acc[e] = acc.get(e, 0) + ca * cb
+            else:
+                for ea, ca in pa.items():
+                    for eb, cb in pb.items():
+                        e = ea + eb
+                        acc[e] = acc.get(e, 0) - ca * cb
 
 
 def _nonzero(raw):
@@ -252,6 +286,134 @@ def _table_mul(pool, a, b):
     raw = {}
     _accumulate(pool, raw, a, b)
     return _nonzero(raw)
+
+
+def _key(den):
+    """A denominator as a dict key: the int, or the polynomial's items."""
+    return den if type(den) is int else frozenset(den.items())
+
+
+def grid_product(pool, X, Y, start, sign=1):
+    """The grid ``start + sign * X Y`` (sign 1 or -1) for grids, lists of
+    rows, of superfunctions over ``pool``: X of n rows of k entries, Y of k
+    rows of m and ``start`` of n rows of m, each product in factor order.
+    It is the kernel of the supermatrix product, and works row by row: each
+    nonzero left factor X_ik sweeps the terms of the nonzero entries of row
+    k of Y in one :func:`_sweep`, so each of its odd monomials fetches its
+    merge row once for the whole row of the result.
+
+    Each output entry has one integer table per denominator of its
+    products.  A product of two factors over 1 adds into the entry's table
+    over 1 with no denominator bookkeeping; any other adds into the table
+    over ``x.den * y.den``.  The entry's start begins the table of its own
+    denominator, if the entry has one.  The keys of each table are checked
+    for guard bits.  An entry with only a table over 1 is made canonical at
+    once; any other is the :func:`_fraction_sum` of its tables and of a
+    start that joined none, made canonical once over a common denominator.
+    Either way the entry is the ring route's canonical superfunction."""
+    # the terms of each row of Y, and its entries over another denominator
+    # than 1 (a zero is over 1) with the key of their denominator
+    right = [[(j, mb, pb) for j, y in enumerate(row) for mb, pb in y.terms.items()] for row in Y]
+    others = [[(j, y.den, _key(y.den)) for j, y in enumerate(row) if y.den != 1] for row in Y]
+    guard = pool._guard
+    out = []
+    for xrow, srow in zip(X, start):
+        tables = []  # each entry's table over 1, begun by a start over 1
+        groups = {}  # (entry, denominator key) -> (den, table) for the other tables
+        pending = {}  # entry -> its start over another denominator, until a table joins it
+        for j, s in enumerate(srow):
+            if s.den == 1:
+                tables.append({m: dict(p) for m, p in s.terms.items()} if s.terms else {})
+            else:
+                tables.append({})
+                pending[j] = s
+        for x, row, terms, other in zip(xrow, Y, right, others):
+            a = x.terms
+            if not a:
+                continue
+            tabs = tables
+            if x.den != 1:  # every product of x is over another denominator than 1
+                tabs = list(tables)
+                for j, y in enumerate(row):
+                    if y.terms:
+                        den = pscale(x.den, y.den)
+                        tabs[j] = _group(groups, pending, j, den, _key(den))
+            elif other:  # the products with the row's entries over another one
+                tabs = list(tables)
+                for j, den, key in other:
+                    tabs[j] = _group(groups, pending, j, den, key)
+            _sweep(pool, a, terms, tabs, sign)
+        if guard:
+            for table in tables:
+                _check(pool, table)
+            for den, table in groups.values():
+                _check(pool, table, den)
+        entries = []
+        out.append(entries)
+        if not groups and not pending:
+            for table in tables:
+                entries.append(_make(pool, _nonzero(table)))
+            continue
+        parts = [[(1, _nonzero(table))] for table in tables]
+        for (j, _), (den, table) in groups.items():
+            parts[j].append((den, _nonzero(table)))
+        for j, entry in enumerate(parts):
+            s = pending.get(j)
+            if s is not None:
+                if not any(t for _, t in entry):
+                    entries.append(s)  # no product reaches it
+                    continue
+                entry.append((s.den, s.terms))
+            entries.append(_fraction_sum(pool, entry))
+    return out
+
+
+def _group(groups, pending, j, den, key):
+    """The table of entry j over ``den``, whose key is ``key``, among the
+    ``groups`` of :func:`grid_product`.  A new one is begun by the entry's
+    ``pending`` start when that is over ``den`` too, else empty."""
+    group = groups.get((j, key))
+    if group is None:
+        table = {}
+        s = pending.get(j)
+        if s is not None and _key(s.den) == key:
+            table = {m: dict(p) for m, p in s.terms.items()}
+            del pending[j]
+        group = groups[j, key] = den, table
+    return group[1]
+
+
+def _fraction_sum(pool, parts):
+    """The canonical sum of ``t / d`` over the parts ``(d, t)``: numerator
+    tables t without zero coefficients over int or polynomial denominators
+    d.  The tables move onto one common multiple of the denominators, the
+    least up to a constant: each further d meets the multiple so far in one
+    gcd of the two denominators alone (:func:`cancel_common_factor`, or
+    ``math.gcd`` for two ints), and the sum is made canonical once."""
+    den, terms = 1, {}
+    for d, t in parts:
+        if not t:
+            continue
+        if not terms:
+            den, terms = d, t
+            continue
+        if type(den) is int and type(d) is int:
+            g = math.gcd(den, d)
+            a, b = d // g, den // g
+        else:
+            top, a = cancel_common_factor({(): {0: den} if type(den) is int else den},
+                                          {0: d} if type(d) is int else d, pool.n_even)
+            a, b = _int_if_constant(a), _int_if_constant(top[()])
+        # den * a = d * b is their common multiple
+        terms, den = _table_add(_times(terms, a), _times(t, b)), pscale(den, a)
+    if pool._guard:
+        _check(pool, terms, den)
+    return _make(pool, terms, den)
+
+
+def _int_if_constant(p):
+    """A polynomial as the int it is when it is constant."""
+    return p[0] if len(p) == 1 and 0 in p else p
 
 
 class GeneratorPool:
@@ -343,37 +505,6 @@ class GeneratorPool:
             if v.terms:
                 acc = acc + v if acc.terms else v
         return acc
-
-    def dot(self, pairs, start, sign=1) -> "Superfunction":
-        """``start + sign * sum x*y`` over the pairs ``(x, y)`` of nonzero
-        superfunctions, each product in factor order, for sign 1 or -1: the
-        matrix product's multiply-accumulate.  The numerator tables of the
-        products over one denominator ``x.den * y.den`` accumulate in one
-        table, which ``start`` joins when its denominator is that one; each
-        table has its keys checked for guard bits and is made canonical by
-        one :func:`_make`, so the result is the one of the ring route.  No
-        pairs give ``start`` itself."""
-        groups = {}  # a denominator (an int, or a polynomial's items) -> (den, table)
-        skey = start.den if type(start.den) is int else frozenset(start.den.items())
-        for x, y in pairs:
-            a, b = x.den, y.den
-            if type(a) is int and type(b) is int:
-                den = key = a * b
-            else:
-                den = pscale(a, b)
-                key = frozenset(den.items())
-            group = groups.get(key)
-            if group is None:
-                table = {m: dict(p) for m, p in start.terms.items()} if key == skey else {}
-                group = groups[key] = den, table
-            _accumulate(self, group[1], x.terms, y.terms, sign)
-        out = None if skey in groups else start
-        for den, table in groups.values():
-            if self._guard:
-                _check(self, table, den)
-            made = _make(self, _nonzero(table), den)
-            out = made if out is None else out + made
-        return out
 
     def scalar(self, value) -> "Superfunction":
         """Lift an exact rational number or an even sympy expression."""

@@ -15,11 +15,11 @@ left coefficients, and :func:`pair_columns` is the kernel on flipped columns.
 (:class:`geometry.BilinearForm`) is its Gram supermatrix over a chart.  Sums,
 differences, negatives and scalar multiples are built through
 :meth:`SuperMatrix._new`, so those of a form stay forms on its chart; a matrix
-product is always a plain :class:`SuperMatrix`.  Each entry of a product,
-``start + sign * sum_k X_ik Y_kj`` in :func:`_product`, is one
-:meth:`GeneratorPool.dot` over the pairs of nonzero factors; the Schur
-complement and the inverse pass their minus signs to it instead of negating
-a grid.
+product is always a plain :class:`SuperMatrix`.  A product grid, ``start +
+sign * X Y`` in :func:`_product`, is one :func:`scalars.grid_product`, which
+fills each row of the result in one sweep; the Schur complement and the
+inverse pass their minus signs to it instead of negating a grid.  The
+algebra's own results are built without the public constructor's checks.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
     NotASquare,
     PoolMismatch,
 )
-from .scalars import GeneratorPool, Superfunction
+from .scalars import GeneratorPool, Superfunction, grid_product
 
 
 class SuperMatrix:
@@ -55,10 +55,8 @@ class SuperMatrix:
         dim = p + q
         if len(entries) != dim or any(len(row) != dim for row in entries):
             raise InvalidArgument("entry grid does not match block dimensions")
-        self.entries = [
-            [e if isinstance(e, Superfunction) else pool.scalar(e) for e in row]
-            for row in entries
-        ]
+        self.entries = [[e if isinstance(e, Superfunction) and e.pool is pool else _entry(pool, e)
+                         for e in row] for row in entries]
 
     # -- basics ---------------------------------------------------------------
 
@@ -88,10 +86,11 @@ class SuperMatrix:
         return m
 
     def _new(self, entries, parity: int) -> "SuperMatrix":
-        """A matrix of this type with the given entries; the one constructor
-        of the element-wise results, which a bilinear form overrides to keep
-        its chart."""
-        return SuperMatrix(self.pool, self.p, self.q, entries, parity)
+        """A matrix of this type and shape with the given entries, which
+        the algebra computed, so the constructor's checks are not run again;
+        the one constructor of the element-wise results, which a bilinear
+        form extends to keep its chart."""
+        return _built(type(self), self.pool, self.p, self.q, entries, parity)
 
     def _check_compat(self, other):
         if not isinstance(other, SuperMatrix):
@@ -124,9 +123,7 @@ class SuperMatrix:
         if isinstance(other, SuperMatrix):
             SuperMatrix._check_compat(self, other)
             rows = _product(self.pool, self.entries, other.entries)
-            return SuperMatrix(
-                self.pool, self.p, self.q, rows, (self.parity + other.parity) % 2
-            )
+            return _built(SuperMatrix, self.pool, self.p, self.q, rows, self.parity + other.parity)
         scalar = other if isinstance(other, Superfunction) else self.pool.scalar(other)
         rows = [[e * scalar for e in row] for row in self.entries]
         return self._new(rows, scaled_parity(self.parity, scalar))
@@ -259,7 +256,26 @@ class SuperMatrix:
         minus_dcx = _product(pool, _product(pool, d_inv, C), x, sign=-1)
         rows = [r + t for r, t in zip(x, _product(pool, x, bd, sign=-1))]
         rows += [r + t for r, t in zip(minus_dcx, _product(pool, minus_dcx, bd, d_inv, sign=-1))]
-        return SuperMatrix(pool, self.p, self.q, rows)
+        return _built(SuperMatrix, pool, self.p, self.q, rows, 0)
+
+
+def _entry(pool, e):
+    """An entry of the public constructor as a superfunction over ``pool``:
+    a superfunction over it (or an equal pool) as it is, any other value
+    lifted by :meth:`GeneratorPool.scalar`."""
+    if isinstance(e, Superfunction):
+        if e.pool is not pool and e.pool != pool:
+            raise PoolMismatch("a matrix entry belongs to another pool")
+        return e
+    return pool.scalar(e)
+
+
+def _built(cls, pool, p, q, entries, parity):
+    """A matrix of type ``cls`` with entries the algebra computed over
+    ``pool``, without the public constructor's checks."""
+    out = object.__new__(cls)
+    out.pool, out.p, out.q, out.entries, out.parity = pool, p, q, entries, parity % 2
+    return out
 
 
 def scaled_parity(parity: int, f: Superfunction) -> int:
@@ -272,18 +288,16 @@ def scaled_parity(parity: int, f: Superfunction) -> int:
 
 def _product(pool, X, Y, start=None, sign=1):
     """start + sign * X Y for entry grids (lists of rows), in factor order,
-    each entry one :meth:`GeneratorPool.dot` over the pairs of nonzero
-    factors; sign is 1 or -1.  The default start is zero; an explicit one
-    also fixes the shape of the result when the inner dimension is 0, where
-    Y has no rows to tell its width."""
+    by the row kernel :func:`scalars.grid_product`: each nonzero entry of a
+    row of X sweeps the nonzero entries of its row of Y once, the products
+    of an output entry over one denominator accumulate in one integer table,
+    and each entry is made canonical once, over the least common multiple
+    of its tables' denominators.  Sign is 1 or -1.  The default
+    start is zero; an explicit one also fixes the shape of the result when
+    the inner dimension is 0, where Y has no rows to tell its width."""
     if start is None:
         start = [[pool.zero()] * (len(Y[0]) if Y else 0) for _ in X]
-    out = []
-    for row, srow in zip(X, start):
-        pairs = [(x, r) for x, r in zip(row, Y) if not x.is_zero()]
-        out.append([pool.dot([(x, r[j]) for x, r in pairs if not r[j].is_zero()], s, sign)
-                    for j, s in enumerate(srow)])
-    return out
+    return grid_product(pool, X, Y, start, sign)
 
 
 # -- commuting-entry helpers (all entries even, hence mutually commuting) ----

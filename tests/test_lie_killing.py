@@ -28,7 +28,7 @@ from supergeo.lie import (
 from supergeo.scalars import Superfunction
 from supergeo.supermatrix import SuperMatrix, flip_sides, osp_residuals
 
-from conftest import random_field, random_superfunction, seeded
+from conftest import in_osp, random_field, random_superfunction, seeded
 from test_exactlinalg import _domain_matrix_nullspace
 
 x, y = sp.symbols("x y")
@@ -780,6 +780,50 @@ def test_killing_fields_form_a_lie_superalgebra(evens, odds, degree, x1x1, rank)
     ranks = [_domain_matrix_nullspace(_coefficient_rows([X.components for X in f]), len(f))[1]
              for f in (basis, fields)]
     assert ranks == [rank, rank]
+
+
+def _linear_part(X):
+    """The linear part of a field X, the supermatrix of X's parity with
+    entry (a, b) equal to (-1)^{|X||b|} d_b X^a: then [X, d_b] = -sum_a d_a
+    L[a][b] on the constant entries of a flat chart's affine fields."""
+    chart = X.chart
+    names = chart.coordinate_names()
+    rows = [[c.partial(names[b]) * (-1 if X.parity * chart.parity(b) else 1)
+             for b in range(chart.dim)] for c in X.components]
+    return SuperMatrix(chart.pool, chart.n, chart.two_m, rows, X.parity)
+
+
+@pytest.mark.parametrize("evens, odds", [(1, 2), (2, 2), (2, 4)],
+                         ids=["flat12", "flat22", "flat24"])
+def test_flat_killing_fields_are_translations_and_osp(evens, odds):
+    """On a flat chart the degree-1 Killing fields are affine: the constant
+    ones are the dim translations, which span an abelian ideal, and the
+    linear part of every other field lies in ``osp(0, n | 2m)``, with the
+    bracket going to minus the supercommutator of the linear parts, formed
+    by supermatrix products of factors of either parity."""
+    xs = [f"x{i}" for i in range(1, evens + 1)]
+    chart = Chart(xs, [f"th{i}" for i in range(1, odds + 1)], box=dict.fromkeys(xs, (0, 1)))
+    names = chart.coordinate_names()
+
+    def constant(X):
+        return all(c.partial(n).is_zero() for c in X.components for n in names)
+
+    basis = solve_killing(flat_metric(chart), 1).fields
+    constants = [X for X in basis if constant(X)]
+    others = [X for X in basis if not constant(X)]
+    assert len(constants) == chart.dim
+    for X in basis:
+        assert all(constant(X.bracket(C)) for C in constants)
+    assert all(C.bracket(D).is_zero() for C in constants for D in constants)
+    linear = [_linear_part(X) for X in others]
+    assert all(in_osp(L, 0, evens, odds // 2) for L in linear)
+    parities = set()
+    for i, (X, LX) in enumerate(zip(others, linear)):
+        for Y, LY in zip(others[i:], linear[i:]):
+            sign = -1 if X.parity * Y.parity else 1
+            assert _linear_part(X.bracket(Y)) == -(LX * LY - LY * LX * sign)
+            parities.add((X.parity, Y.parity))
+    assert parities == {(0, 0), (0, 1), (1, 1)}  # the basis lists even fields first
 
 
 class TestCompleteness:

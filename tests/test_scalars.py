@@ -1471,7 +1471,7 @@ def test_from_coefficients_checks_each_key(mono, exps):
         pool.from_coefficients([(mono, exps, 1)])
 
 
-def _dot_factor(pool, rng):
+def _product_factor(pool, rng):
     """A nonzero draw for the multiply-accumulate corpus: homogeneous of
     either parity or mixed, over an int or a polynomial denominator."""
     while True:
@@ -1487,27 +1487,52 @@ def _dot_factor(pool, rng):
             return f
 
 
-@pytest.mark.parametrize("pool", [
+def _entry(pool, pairs, start, sign=1):
+    """``start + sign * sum x*y`` over ``pairs`` by the row kernel: the one
+    entry of a row of the left factors times a column of the right ones."""
+    [[out]] = scalars.grid_product(pool, [[x for x, _ in pairs]], [[y] for _, y in pairs],
+                                   [[start]], sign)
+    return out
+
+
+def _ring_grid(pool, X, Y, start, sign):
+    """``start + sign * X Y`` entry by entry on the ring route."""
+    return [[s + pool.sum([x * r[j] for x, r in zip(row, Y)]) * sign for j, s in enumerate(srow)]
+            for row, srow in zip(X, start)]
+
+
+def _assert_same_grid(got, want):
+    assert [len(row) for row in got] == [len(row) for row in want]
+    for g, w in zip(itertools.chain(*got), itertools.chain(*want)):
+        _assert_canonical(g)
+        assert (g.terms, g.den) == (w.terms, w.den)
+
+
+MULTIPLY_ACCUMULATE_POOLS = pytest.mark.parametrize("pool", [
     GeneratorPool(["x"], ["th1", "th2"]),
     GeneratorPool(["x", "y"], ["th1", "th2", "th3", "th4"], ["eta1", "eta2"]),
 ], ids=["1|2", "2|4+2flesh"])
-def test_dot_is_the_ring_route(pool):
-    """``pool.dot(pairs, start, sign)`` is structurally the ring's ``start
-    + sign * sum x*y`` on seeded pairs with int and polynomial denominators,
+
+
+@MULTIPLY_ACCUMULATE_POOLS
+def test_grid_product_is_the_ring_route(pool):
+    """An entry of ``grid_product`` is structurally the ring's ``start +
+    sign * sum x*y`` on seeded pairs with int and polynomial denominators,
     mixed parities, nilpotent products and products that cancel, up to a
     whole sum that cancels to ``start``."""
     rng = seeded(4001)
     seen = set()
     th1 = pool.odd("th1")
     for _ in range(80):
-        pairs = [(_dot_factor(pool, rng), _dot_factor(pool, rng)) for _ in range(rng.randint(1, 4))]
+        pairs = [(_product_factor(pool, rng), _product_factor(pool, rng))
+                 for _ in range(rng.randint(1, 4))]
         if rng.random() < 0.2:
-            pairs.append((th1, th1 * _dot_factor(pool, rng)))  # a zero product
+            pairs.append((th1, th1 * _product_factor(pool, rng)))  # a zero product
         if rng.random() < 0.3:
             pairs += [(x, -y) for x, y in pairs[: rng.randint(1, len(pairs))]]
-        start = _dot_factor(pool, rng) if rng.random() < 0.7 else pool.zero()
+        start = _product_factor(pool, rng) if rng.random() < 0.7 else pool.zero()
         sign = rng.choice([1, -1])
-        got = pool.dot(pairs, start, sign)
+        got = _entry(pool, pairs, start, sign)
         want = start + pool.sum([x * y for x, y in pairs]) * sign
         _assert_canonical(got)
         assert (got.terms, got.den) == (want.terms, want.den)
@@ -1520,15 +1545,75 @@ def test_dot_is_the_ring_route(pool):
                     "sign 1", "sign -1"}
 
 
-def test_dot_of_no_pairs_is_start(pool):
+@MULTIPLY_ACCUMULATE_POOLS
+@pytest.mark.parametrize("sign", [1, -1])
+def test_grid_product_of_mixed_denominators_is_the_ring_route(pool, sign):
+    """Whole seeded grids whose entries lie over 1, over an int and over a
+    polynomial, in one grid and with zero entries, starts of each kind
+    included: every entry is structurally the ring route's."""
+    rng = seeded(4003)
+
+    def entry():
+        if rng.random() < 0.2:
+            return pool.zero()
+        f = _product_factor(pool, rng)
+        return f * f.den if type(f.den) is int and rng.random() < 0.5 else f  # over 1
+
+    seen = set()
+    for n, k, m in [(1, 1, 1), (2, 3, 2), (3, 2, 4), (3, 3, 3)]:
+        X, Y, start = ([[entry() for _ in range(c)] for _ in range(r)]
+                       for r, c in ((n, k), (k, m), (n, m)))
+        _assert_same_grid(scalars.grid_product(pool, X, Y, start, sign),
+                          _ring_grid(pool, X, Y, start, sign))
+        seen.update("over 1" if f.den == 1 else "over an int" if type(f.den) is int
+                    else "over a polynomial" for f in itertools.chain(*X, *Y, *start)
+                    if not f.is_zero())
+    assert seen == {"over 1", "over an int", "over a polynomial"}
+
+
+@pytest.mark.parametrize("n, k, m", [(0, 2, 3), (2, 3, 0), (0, 0, 0), (2, 0, 3)],
+                         ids=["no rows", "no columns", "empty", "inner dimension 0"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_grid_product_of_empty_shapes(pool, n, k, m, sign):
+    """A grid with no rows or no columns is empty, and an inner dimension of
+    0 gives the explicit start, which fixes the shape, as ``_product``'s
+    docstring says."""
+    rng = seeded(4004)
+    X = [[random_superfunction(pool, rng) for _ in range(k)] for _ in range(n)]
+    Y = [[random_superfunction(pool, rng) for _ in range(m)] for _ in range(k)]
+    start = [[random_superfunction(pool, rng) / (1 + pool.even("x")) for _ in range(m)]
+             for _ in range(n)]
+    _assert_same_grid(scalars.grid_product(pool, X, Y, start, sign),
+                      _ring_grid(pool, X, Y, start, sign))
+
+
+def test_grid_product_sums_over_the_least_common_denominator(monkeypatch):
+    """An entry whose products lie over several denominators is made
+    canonical once, over their least common multiple up to a constant:
+    ``1/4 + 1/6 + 1/(x+1) + 1/((x+1)(x+2))`` over ``12 (x+1)(x+2)``, not
+    over the product of the four."""
+    pool = GeneratorPool(["x"], ["th1"])
+    xx, one = pool.even("x"), pool.one()
+    row = [pool.scalar(Fraction(1, 4)), pool.scalar(Fraction(1, 6)), one / (xx + 1),
+           one / ((xx + 1) * (xx + 2))]
+    lcm = ((xx + 1) * (xx + 2) * 12).terms[()]
+    makes = count_calls(monkeypatch, scalars._fraction_sum, "_make")
+    got = _entry(pool, [(f, one) for f in row], pool.zero())
+    [(_, _, den)] = makes
+    assert got == pool.sum(row)
+    assert den in (lcm, zpoly.pneg(lcm))
+
+
+def test_grid_product_of_no_pairs_is_start(pool):
     f = pool.scalar(x) / 3 + pool.odd("th1") * pool.odd("th2")
-    assert pool.dot([], f, -1) is f
-    assert pool.dot((), pool.zero()) is pool.zero()
+    assert _entry(pool, [], f, -1) is f
+    assert _entry(pool, (), pool.zero()) is pool.zero()
 
 
-def test_dot_checks_the_degree_bound_as_the_product_does():
+def test_grid_product_checks_the_degree_bound_as_the_product_does():
     """A product that reaches 2^31 in y raises ``InvalidArgument`` from
-    ``dot``, over an int and a polynomial denominator, as it does from ``*``."""
+    ``grid_product``, over an int and a polynomial denominator, as it does
+    from ``*``."""
     pool = GeneratorPool(["x", "y"], ["th1"])
     xx, yy, th1 = pool.even("x"), pool.even("y"), pool.odd("th1")
     big = yy ** (zpoly.BOUND - 1) + th1
@@ -1536,7 +1621,7 @@ def test_dot_checks_the_degree_bound_as_the_product_does():
         with pytest.raises(InvalidArgument, match="a degree in y reaches 2"):
             left * yy
         with pytest.raises(InvalidArgument, match="a degree in y reaches 2"):
-            pool.dot([(th1, xx), (left, yy)], pool.one())
+            _entry(pool, [(th1, xx), (left, yy)], pool.one())
 
 
 FOREIGN_Y = "y not an even variable of the pool; odd generators enter as Superfunction factors"
@@ -1573,8 +1658,8 @@ SINGLE_TERM_CHARTS = {
 class TestSingleTerms:
     """A single term is one odd monomial with a one-term numerator over an
     int denominator.  Products of two of them and lifts of one monomial
-    take no table route; ``pool.dot`` and ``from_coefficients`` are the
-    oracles."""
+    take no table route; the row kernel ``grid_product`` and
+    ``from_coefficients`` are the oracles."""
 
     @staticmethod
     def _draw(pool, rng):
@@ -1586,9 +1671,9 @@ class TestSingleTerms:
         return pool.from_coefficients([(mono, exps, q)])
 
     @pytest.mark.parametrize("chart", list(SINGLE_TERM_CHARTS))
-    def test_products_are_the_dot_route(self, chart, monkeypatch):
-        """``x * y`` of two single terms is structurally ``pool.dot([(x, y)],
-        0)`` and makes no ``_accumulate`` call: contents that cancel
+    def test_products_are_the_grid_product_route(self, chart, monkeypatch):
+        """``x * y`` of two single terms is structurally the entry of the
+        1 x 1 grid product ``[[x]] [[y]]`` and makes no ``_accumulate`` call: contents that cancel
         against the denominator, repeated odd indices, flesh and every pair
         of parities."""
         pool = GeneratorPool(*SINGLE_TERM_CHARTS[chart])
@@ -1599,7 +1684,7 @@ class TestSingleTerms:
         assert calls == []
         seen = set()
         for (x, y), got in zip(pairs, products):
-            want = pool.dot([(x, y)], pool.zero())
+            want = _entry(pool, [(x, y)], pool.zero())
             _assert_canonical(got)
             assert (got.terms, got.den) == (want.terms, want.den)
             (mx, px), = x.terms.items()
@@ -1610,7 +1695,7 @@ class TestSingleTerms:
             seen.update({"cancels"} if math.gcd(cx * cy, x.den * y.den) > 1 else ())
             seen.update({"flesh"} if any(map(pool.is_flesh, mx + my)) else ())
             seen.update({"sign -1"} if not got.is_zero() and got.terms != (
-                pool.dot([(y, x)], pool.zero())).terms else ())
+                _entry(pool, [(y, x)], pool.zero())).terms else ())
         assert seen == {(0, 0), (0, 1), (1, 0), (1, 1), "zero", "cancels", "flesh", "sign -1"}
 
     @pytest.fixture

@@ -15,6 +15,7 @@ from supergeo.errors import (
     NonInvertible,
     NonInvertibleBlock,
     NotASquare,
+    PoolMismatch,
     SupergeoError,
 )
 from supergeo.exactlinalg import nullspace
@@ -81,6 +82,25 @@ def test_parity_is_an_int(pool, parity):
     with pytest.raises(InvalidArgument, match="parity"):
         SuperMatrix(pool, 1, 2, grid, parity)
     assert SuperMatrix(pool, 1, 2, grid, 3).parity == 1
+
+
+def test_entries_of_another_pool_are_rejected():
+    """An entry over a pool that is neither the matrix's nor equal to it is
+    a ``PoolMismatch`` for a matrix and a form alike, as it is for the ring
+    product; the product of such a matrix folded the foreign entry in
+    silently, as ``(x^2) + (x)*a*b``.  An equal pool's entries are kept."""
+    P, Q = GeneratorPool(["x"], ["a", "b"]), GeneratorPool(["y"], ["b", "a"])
+    foreign = Q.odd("b") * Q.odd("a") + Q.even("y")
+    with pytest.raises(PoolMismatch):
+        P.even("x") * foreign
+    with pytest.raises(PoolMismatch, match="another pool"):
+        SuperMatrix(P, 1, 0, [[P.even("x")]]) * SuperMatrix(P, 1, 0, [[foreign]])
+    chart = Chart(["x"], ["a", "b"], box={"x": (0, 1)})
+    with pytest.raises(PoolMismatch, match="another pool"):
+        BilinearForm(chart, [[P.one(), 0, 0], [0, 0, foreign], [0, 1, 0]])
+    equal = GeneratorPool(["x"], ["a", "b"]).even("x")
+    M = SuperMatrix(P, 1, 0, [[equal]])
+    assert M.entries[0][0] is equal and (M * M).entries == [[P.even("x") ** 2]]
 
 
 def random_invertible(pool, p, q, rng):
@@ -356,15 +376,15 @@ def _counting(monkeypatch, cls, name):
 
 
 def test_product_entry_is_one_multiply_accumulate(pool, monkeypatch):
-    """Each entry of the product of two integer (2|2) matrices is one
-    ``dot``: no ring product and at most one ``_make`` per entry, and the
-    result is the ring's sum of entry products."""
+    """The product of two integer (2|2) matrices is one sweep of the row
+    kernel ``grid_product``: no ring product and at most one ``_make`` per
+    entry, and the result is the ring's sum of entry products."""
     rng = seeded(4002)
     M, N = (random_matrix(pool, 2, 2, parity, rng) for parity in (0, 1))
     want = [[pool.sum([M[i, k] * N[k, j] for k in range(4)]) for j in range(4)]
             for i in range(4)]
     products = _counting(monkeypatch, Superfunction, "__mul__")
-    makes = count_calls(monkeypatch, GeneratorPool.dot, "_make")
+    makes = count_calls(monkeypatch, scalars.grid_product, "_make")
     MN = M * N
     assert products[0] == 0
     assert 0 < len(makes) <= 16
