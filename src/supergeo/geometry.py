@@ -105,7 +105,10 @@ class Chart:
 
     def sample_point(self):
         """Rational midpoint of the box, one ``Fraction`` per even coordinate
-        in pool order (see :meth:`Superfunction.body_at`)."""
+        in pool order (see :meth:`Superfunction.body_at`).  Verdicts read it
+        only where one point is exact: the signature of a metric, once its
+        body determinant is proven nonzero on the whole box, and the sign of
+        the volume density's root, which has no zero there."""
         return tuple((a + b) / 2 for a, b in self.box.values())
 
     def zero_field(self, parity=0):
@@ -370,17 +373,25 @@ def flat_metric(chart: Chart, t: int = 0) -> BilinearForm:
 def validate_metric(g: BilinearForm) -> Signature:
     """Check the supermetric axioms (:meth:`SuperMatrix.check_supermetric`:
     evenness, supersymmetry, and nondegeneracy of the body as a rational
-    function); return the signature, sampled at the rational midpoint of
-    the box.
+    function), then nondegeneracy on the whole closed box: no entry's body
+    has a pole there (``NonInvertible`` otherwise) and the body determinant
+    has one strict sign there (:meth:`Superfunction.body_sign`), so a zero
+    on the boundary rejects too.  The signature is then constant on the
+    box, and reading it at :meth:`Chart.sample_point` is exact.
     """
-    g.check_supermetric()
+    det = g.check_supermetric()
     chart = g.chart
+    box = tuple(chart.box.values())
+    for row in g.components:
+        for e in row:
+            e.body_sign(box)
+    sign, points = det.body_sign(box, strict=True)
+    if not sign:
+        raise MetricViolation("nondegeneracy", (
+            f"body determinant vanishes {chart.pool.render_witness(points)}" if points
+            else "body determinant is not proven nonzero on the box: its sign is undecided"))
     n, point = chart.n, chart.sample_point()
     t, s = signature([[e.body_at(point) for e in row[:n]] for row in g.components[:n]])
-    if t + s < n:
-        raise MetricViolation(
-            "nondegeneracy", "even block is singular at the sample point"
-        )
     return Signature(t, s, chart.two_m)
 
 
@@ -563,10 +574,10 @@ class OSpFrame:
         sig = MetricContext.of(g).signature
         E, (t, s, m) = _gram_schmidt(g)
         if (t, s, 2 * m) != sig.as_tuple():
-            # algebraic and sampled signatures must agree
+            # the algebraic signature and the one on the box must agree
             raise MetricViolation(
                 "nondegeneracy",
-                f"signature mismatch: sampled {sig.as_tuple()}, reduced {(t, s, 2 * m)}",
+                f"signature mismatch: on the box {sig.as_tuple()}, reduced {(t, s, 2 * m)}",
             )
         chart = g.chart
         parities = [chart.parity(j) for j in range(chart.dim)]

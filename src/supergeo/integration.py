@@ -27,18 +27,18 @@ class VolumeDensity(_Record):
 def volume_density(h: BilinearForm) -> VolumeDensity:
     """dsvol_h = [d^n x d^m theta] * sqrt(|sdet h|).
 
-    The absolute value and the square root each pick the sign that makes the
-    body positive at the chart's sample point.
+    The body of ``Ber h`` is ``det A / det D`` for the body blocks of ``h``.
+    ``det D`` is the square of a Pfaffian, as the odd block's body is
+    antisymmetric, and the validated metric's body determinant has no zero
+    on the closed box, so the sign of ``Ber``'s body there is ``(-1)^t`` for
+    t negative even directions, and that of the root's body is constant:
+    the chart's sample point decides it exactly.
     """
     chart = h.chart
-    MetricContext.of(h)
+    t = MetricContext.of(h).signature.t
     ber = h.berezinian()
-    point = chart.sample_point()
-    sign = ber.body_at(point)
-    if sign == 0:
-        raise NonPolynomialIntegrand("superdeterminant body vanishes at the sample point")
-    root = (ber if sign > 0 else -ber).sqrt()
-    if root.body_at(point) < 0:
+    root = (-ber if t % 2 else ber).sqrt()
+    if root.body_at(chart.sample_point()) < 0:
         root = -root
     return VolumeDensity(chart, root)
 

@@ -285,8 +285,9 @@ def solve_killing(g: BilinearForm, degree: int, parity=None) -> KillingBasis:
 
     The even-variable degree is bounded by ``degree``; the Grassmann degree is
     unrestricted.  The metric is validated by :meth:`MetricContext.of`
-    (the point-free axioms, then the signature at the box midpoint), which
-    raises ``MetricViolation``, and must be polynomial, else
+    (the point-free axioms, then a body determinant proven nonzero on the
+    whole closed box), which raises ``MetricViolation``, and must be
+    polynomial, else
     ``UnsupportedMetric``; supersymmetry gives ``(L_X g)_ji = (-1)^{|i||j|}
     (L_X g)_ij``, so only the equations with ``i <= j`` are written.  The
     basis is certified Killing, independent (:func:`_certify_basis`) and

@@ -18,7 +18,6 @@ derivations; each Noether theorem and stress identity is an
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cached_property
 
@@ -68,17 +67,25 @@ class Morphism:
         return cls(chart, chart, images)
 
     def _certify_box(self):
-        """Sampled certificate: bodies of even images stay inside the target box
-        at the source box's midpoint and corners."""
-        source = self.source
-        grid = [source.sample_point(), *itertools.product(*source.box.values())]
+        """The bodies of the even images map the closed source box into the
+        target box: for each target interval [a, b], the bodies of ``image -
+        a`` and ``b - image`` are proven >= 0 there by
+        :meth:`Superfunction.body_sign` (the non-strict test, as the
+        identity map touches the target box's faces), whose strict test of
+        the denominator first raises ``NonInvertible`` for a pole; else
+        ``ScenarioError`` names a point where the body leaves the box."""
+        box = tuple(self.source.box.values())
+        pool = self.source.pool
         for name, (a, b) in self.target.box.items():
-            for point in grid:
-                if not a <= self.images[name].body_at(point) <= b:
+            image = self.images[name]
+            for bound in (image - a, b - image):
+                sign, points = bound.body_sign(box, strict=False)
+                if not sign:
                     raise ScenarioError(
                         f"body of pullback for {name!r} leaves the target box"
-                        f" at {source.pool.render_point(point)}"
-                    )
+                        f" {pool.render_witness(points)}" if points else
+                        f"body of pullback for {name!r} is not proven to stay in the target"
+                        " box: its sign test is undecided")
 
     def pullback(self, f: Superfunction) -> Superfunction:
         """phi#(f): graded-safe substitution of the coordinate pullbacks; a

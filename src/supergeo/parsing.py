@@ -8,6 +8,7 @@ Every integer literal of the scenario format is read by :func:`read_int`.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import NonInvertible, ParseError, PoolMismatch, UnknownGenerator, _Record
@@ -16,6 +17,18 @@ from .scalars import EXPONENT_BOUND, IDENTIFIER, Superfunction
 # the most digits of an integer literal: the interpreter's default limit on
 # int(str), which read_int applies whatever limit the environment sets
 MAX_DIGITS = 4300
+# the most bits a power's result may hold by the estimate of _power_bits:
+# (1 + x)^1000 stays below it (about 2^20) and (1 + x)^2000 does not
+POWER_BITS = 2**21
+
+
+def _power_bits(base: Superfunction, k: int) -> int:
+    """An upper estimate of the bits of ``base^k`` (and of ``base^-k``,
+    which computes it first), from k, the base's degree d in v even
+    variables and its L1 norm: ``comb(k d + v, v)`` monomials of at most
+    ``k * ceil(log2 norm)`` bits each."""
+    degree, variables, norm = base.extent()
+    return math.comb(k * degree + variables, variables) * k * max(norm - 1, 0).bit_length()
 
 
 def read_int(text: str, line=None, column=None) -> int:
@@ -146,6 +159,9 @@ class _Parser:
             k = read_int(tok.text, tok.line, tok.column)
             if k >= EXPONENT_BOUND:
                 raise ParseError("exponent must be below 2^31", tok.line, tok.column)
+            if _power_bits(base, k) > POWER_BITS:
+                raise ParseError("power too large: its result may hold more than 2^21 bits",
+                                 tok.line, tok.column)
             try:
                 return base ** (sign * k)
             except NonInvertible:

@@ -94,9 +94,9 @@ from fractions import Fraction
 
 from .errors import (FleshInTopCoefficient, InexactCoefficient, InvalidArgument, NonInvertible,
                      NotASquare, ParityError, PoolMismatch, SupergeoError, UnknownGenerator)
-from .zpoly import (BOUND, cancel_common_factor, evaluate, fields, guard, leading_coefficient,
-                    name_order, pack, padd, pdiff, pmul, pneg, poly_root, pscale,
-                    render_number, render_poly, sympy_gen_order, unpack)
+from .zpoly import (BOUND, box_sign, cancel_common_factor, evaluate, fields, guard,
+                    leading_coefficient, name_order, pack, padd, pdiff, pmul, pneg, poly_root,
+                    pscale, render_number, render_poly, sympy_gen_order, unpack)
 
 
 # a generator name, as the scenario parser's tokenizer reads an identifier
@@ -695,6 +695,17 @@ class GeneratorPool:
         """``x = 0, y = 1/2`` for values of the even variables in pool order."""
         return ", ".join(f"{n} = {render_number(q)}" for n, q in zip(self.even_names, point))
 
+    def render_witness(self, points) -> str:
+        """Where a sign test of :meth:`Superfunction.body_sign` failed: ``at
+        x = 0`` for one point, ``between x = 0 and x = 1`` for two, each of
+        them in parentheses when it has more than one coordinate."""
+        texts = [self.render_point(q) for q in points]
+        if len(texts) == 1:
+            return f"at {texts[0]}"
+        if self.n_even > 1:
+            texts = [f"({text})" for text in texts]
+        return f"between {texts[0]} and {texts[1]}"
+
     def __eq__(self, other):
         return (
             isinstance(other, GeneratorPool)
@@ -926,6 +937,30 @@ class Superfunction:
         pn, ps = evaluate(p, nums, common)
         return Fraction(pn * ds, ps * dn)
 
+    def body_sign(self, box, strict=None):
+        """The body's sign on the closed box ``box``, one rational interval
+        (a, b) per even variable in pool order, by :func:`zpoly.box_sign`.
+
+        The body must have no pole there: its denominator gets the strict
+        test, and a zero, a sign change or an undecided test raises
+        ``NonInvertible`` naming the witness.  With ``strict`` None that is
+        all, and the result is None.  Else the numerator times the
+        denominator's sign gets the strict (True) or the non-strict (False)
+        test, whose ``(sign, points)`` this returns: a nonzero sign proves
+        that the body has that strict sign, or (non-strict) that it is >= 0,
+        on the whole box."""
+        body = self if type(self.den) is int else self.body_part()
+        num, sign = body.terms.get((), {}), 1
+        if type(body.den) is not int:
+            sign, points = box_sign(body.den, box)
+            if not sign:
+                raise NonInvertible(f"body has a pole {self.pool.render_witness(points)}"
+                                    if points else "body may have a pole in the box: the sign"
+                                    " of its denominator is undecided")
+        if strict is None:
+            return None
+        return box_sign(num if sign > 0 else pneg(num), box, strict)
+
     def body_part(self) -> "Superfunction":
         return _make(self.pool, {m: p for m, p in self.terms.items() if not m}, self.den)
 
@@ -996,6 +1031,27 @@ class Superfunction:
         # f = b*(1 + t); sqrt(1 + t) is the binomial series
         t = _divide(n, self.body_part())
         return _nilpotent_series(t, _half_binomials(), self.pool.one()) * s0
+
+    def extent(self):
+        """``(degree, variables, norm)`` over the numerators and ``den``: the
+        largest total degree of an even monomial, the number of even
+        variables that occur, and the larger L1 norm (the sum of the absolute
+        values of the integer coefficients) of the numerators together and of
+        ``den``.  A power's numerators and ``den`` have at most ``comb(k
+        degree + variables, variables)`` monomials each per odd monomial,
+        each with a coefficient of at most ``norm^k``."""
+        spans = fields(self.pool.n_even)
+        den = {0: self.den} if type(self.den) is int else self.den
+        degree, seen, norms = 0, 0, []
+        for polys in (self.terms.values(), [den]):
+            norm = 0
+            for p in polys:
+                for e, c in p.items():
+                    degree = max(degree, sum(e >> s & m for s, m in spans))
+                    seen |= e
+                    norm += abs(c)
+            norms.append(norm)
+        return degree, sum(1 for s, m in spans if seen >> s & m), max(norms)
 
     def top_part(self) -> "Superfunction":
         """The coefficient of the full odd-coordinate monomial, as a

@@ -154,7 +154,8 @@ class SuperMatrix:
         is even and homogeneous ('evenness'), its odd dimension is even and
         the determinant of its body does not vanish identically
         ('nondegeneracy'), and :meth:`supersymmetry` passes ('supersymmetry',
-        with the check's ``first`` failure)."""
+        with the check's ``first`` failure).  Returns that determinant, whose
+        sign on a box :func:`geometry.validate_metric` decides."""
         if self.parity != 0 or not self.is_homogeneous():
             raise MetricViolation("evenness", "components break the even grading")
         if self.q % 2:
@@ -163,8 +164,10 @@ class SuperMatrix:
         if not check.passed:
             raise MetricViolation("supersymmetry", check.first)
         body = [[e.body_part() for e in row] for row in self.entries]
-        if _det_commuting(self.pool, body).is_zero():
+        det = _det_commuting(self.pool, body)
+        if det.is_zero():
             raise MetricViolation("nondegeneracy", "body determinant vanishes identically")
+        return det
 
     def __eq__(self, other):
         if not isinstance(other, SuperMatrix):

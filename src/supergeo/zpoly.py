@@ -18,17 +18,20 @@ share their inputs' dicts, and no caller mutates one.  Besides ring
 arithmetic this holds the heuristic gcd that cancels a quotient
 (:func:`cancel_common_factor`), the exact square root (:func:`poly_root`),
 a printer that writes a polynomial byte for byte as sympy's
-``sstr(expr, order="lex")`` does (:func:`render_poly`), and the package's
-printer of a number (:func:`render_number`).  It imports nothing
+``sstr(expr, order="lex")`` does (:func:`render_poly`), the package's
+printer of a number (:func:`render_number`), and the one decision of a
+polynomial's sign on a closed rational box (:func:`box_sign`).  It imports nothing
 from the package, and sympy only inside the exact gcd that the heuristic
 one falls back to on some tables in several variables.
 """
 
+import collections
 import functools
 import itertools
 import math
 import operator
 import re
+from fractions import Fraction
 
 # the width of the field of each variable after the first in a key, and
 # the bound of a degree there, which keeps the field's top bit clear
@@ -146,6 +149,144 @@ def evaluate(p, nums, den):
     total = sum(c if k == top else c * den ** (top - k) for c, k in zip(values, degrees))
     return total, den**top
 
+
+# the most boxes :func:`box_sign` examines, and the most Bernstein
+# coefficients the table of one box may hold; past either it is undecided
+SIGN_BOXES = 64
+SIGN_TABLE = 4096
+
+
+def _bernstein(table, degrees, strides, box):
+    """The Bernstein coefficients on ``box`` of the polynomial whose dense
+    table is ``table`` (the coefficient of x^e at the index
+    ``sum_k e_k strides_k``), each times a positive int, in the same layout.
+
+    Along a variable of degree d on [a, b], a = alpha/gamma and b =
+    beta/delta in lowest terms, x = (A + W t)/D with D = gamma delta, A =
+    alpha delta and W = beta gamma - alpha delta > 0 runs over [a, b] as t
+    runs over [0, 1], and ``D^d c(x) = sum_j c_j D^(d-j) (A + W t)^j``:
+    scaled by the powers of D, shifted by A (a Taylor shift) and scaled by
+    the powers of W, the coefficients c_j of one fibre of the table become
+    the coefficients h_j in t.  On [0, 1] the Bernstein coefficients times
+    C(d, i) are ``sum_(j <= i) C(d - j, i - j) h_j``, the coefficients of
+    ``sum_j h_j s^j (1 + s)^(d-j)``: h reversed, shifted by 1 and reversed
+    again.  In degree 1 these are the values at a and b, times gamma and
+    delta.  Ints alone, O(d^2) operations per fibre."""
+    table = list(table)
+    size = len(table)
+    for d, stride, (a, b) in zip(degrees, strides, box):
+        if not d:
+            continue
+        alpha, gamma, beta, delta = a.numerator, a.denominator, b.numerator, b.denominator
+        if d == 1:  # the values at a and b, times gamma and delta
+            for outer in range(0, size, 2 * stride):
+                for start in range(outer, outer + stride):
+                    c0, c1 = table[start], table[start + stride]
+                    table[start] = c0 * gamma + c1 * alpha
+                    table[start + stride] = c0 * delta + c1 * beta
+            continue
+        D, A, W = gamma * delta, alpha * delta, beta * gamma - alpha * delta
+        dpow, wpow = [1], [1]
+        for _ in range(d):
+            dpow.append(dpow[-1] * D)
+            wpow.append(wpow[-1] * W)
+        dpow.reverse()
+        span = stride * (d + 1)
+        for outer in range(0, size, span):
+            for start in range(outer, outer + stride):
+                c = table[start:start + span:stride]
+                if not any(c):
+                    continue
+                if D != 1:
+                    c = [cj * k for cj, k in zip(c, dpow)]
+                if A:
+                    for i in range(d):
+                        for j in range(d - 1, i - 1, -1):
+                            c[j] += A * c[j + 1]
+                if W != 1:
+                    c = [cj * k for cj, k in zip(c, wpow)]
+                c.reverse()
+                for i in range(d):
+                    for j in range(d - 1, i - 1, -1):
+                        c[j] += c[j + 1]
+                c.reverse()
+                table[start:start + span:stride] = c
+    return table
+
+
+def box_sign(p, box, strict=True):
+    """Decide the sign of the polynomial p in n variables on the closed box
+    ``box``, a rational interval (a, b) with a < b per variable, by its
+    Bernstein coefficients (Garloff, "Convergent bounds for the range of
+    multivariate polynomials", 1986).
+
+    Strict, it proves that p has one strict sign on the box; else that p >=
+    0 there.  Returns ``(sign, points)``: a proof is a sign, 1 or -1 (always
+    1 when not strict), and no points; a failure is sign 0 and its witness:
+    a point where p is 0 (strict) or negative (not strict); two points where
+    p has opposite signs, so that it vanishes between them (strict); or no
+    point, undecided.
+
+    On each box the Bernstein coefficients bound p, and the corner
+    coefficients are its values at the vertices.  So the vertices are
+    tried first (in product order of the intervals, the first one fixing
+    the sign a strict proof needs), then every coefficient: all of them of
+    that sign or 0 prove the sign, strict too once the corners are
+    nonzero, since at each point of the box the Bernstein polynomial of
+    some corner is positive.  A box that neither proves nor refutes is cut
+    in half at the midpoint of the variable of positive degree cut least
+    often, and the halves are examined breadth first.  After :data:`SIGN_BOXES` boxes, or at once for a table
+    of more than :data:`SIGN_TABLE` coefficients, the sign is undecided: so
+    is a zero that no cut point hits, as the double root of (3x - 1)^2 on
+    [0, 1], where a strict proof fails as it should."""
+    n = len(box)
+    terms = [(unpack(e, n), c) for e, c in p.items()]
+    degrees = tuple(map(max, *(exps for exps, _ in terms))) if len(terms) > 1 else (
+        terms[0][0] if terms else (0,) * n)
+    strides, size, corners = _layout(degrees)
+    if size > SIGN_TABLE:
+        return 0, ()
+    dense = [0] * size
+    for exps, c in terms:
+        dense[sum(map(operator.mul, exps, strides))] = c
+    lead, first = 0, None
+    queue = collections.deque([(tuple(box), (0,) * n)])
+    for _ in range(SIGN_BOXES):
+        sub, cuts = queue.popleft()
+        table = _bernstein(dense, degrees, strides, sub) if size > 1 else dense
+        for index, bits in corners:
+            v = table[index]
+            if strict and v and not lead:
+                lead, first = (1 if v > 0 else -1), tuple(iv[bit] for iv, bit in zip(sub, bits))
+            elif not v if strict else v < 0:
+                return 0, (tuple(iv[bit] for iv, bit in zip(sub, bits)),)
+            elif strict and (v > 0) != (lead > 0):
+                return 0, (first, tuple(iv[bit] for iv, bit in zip(sub, bits)))
+        if not (max(table) <= 0 if lead < 0 else min(table) >= 0):
+            k = min((c, k) for k, (c, d) in enumerate(zip(cuts, degrees)) if d)[1]
+            a, b = sub[k]
+            mid = Fraction(a + b, 2)
+            more = cuts[:k] + (cuts[k] + 1,) + cuts[k + 1:]
+            queue.append((sub[:k] + ((a, mid),) + sub[k + 1:], more))
+            queue.append((sub[:k] + ((mid, b),) + sub[k + 1:], more))
+        if not queue:
+            return lead or 1, ()
+    return 0, ()
+
+
+@functools.cache
+def _layout(degrees):
+    """``(strides, size, corners)`` of the dense table of a polynomial of
+    the given degrees in each variable: the stride of each variable, the
+    number of coefficients, and ``(index, bits)`` of each vertex in product
+    order, bit 0 for the lower end of an interval and 1 for the upper."""
+    strides, size = (), 1
+    for d in reversed(degrees):
+        strides = (size, *strides)
+        size *= d + 1
+    corners = tuple((sum(k * d for k, d, bit in zip(strides, degrees, bits) if bit), bits)
+                    for bits in itertools.product((0, 1), repeat=len(degrees)))
+    return strides, size, corners
 
 # values of xi, each with its own substitution, that the heuristic gcd tries
 # before sympy's gcd decides

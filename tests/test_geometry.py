@@ -276,12 +276,23 @@ class TestValidateMetric:
 
     def test_degenerate_at_sample_point_rejected(self, chart_classical):
         # determinant nonzero as a rational function, but zero at the box
-        # midpoint: constant-signature assertion fails
+        # midpoint x = 3/2, a point of the closed box where the sign test of
+        # the body determinant finds it
         xs = chart_classical.pool.even("x")
         g = BilinearForm(chart_classical, [[xs - Fraction(3, 2), 0], [0, 1]])
         with pytest.raises(MetricViolation) as err:
             validate_metric(g)
         assert err.value.violation == "nondegeneracy"
+
+    def test_zero_at_a_box_corner_rejected(self, chart_classical):
+        """det [[2, xy], [xy, 4 + y^2]] = 8 + 2y^2 - x^2 y^2 is positive at
+        every corner of [1, 2]^2 but (2, 2), where it is 0."""
+        pool = chart_classical.pool
+        xs, ys = pool.even("x"), pool.even("y")
+        g = BilinearForm(chart_classical, [[2, xs * ys], [xs * ys, 4 + ys * ys]])
+        with pytest.raises(MetricViolation) as err:
+            validate_metric(g)
+        assert err.value.args == ("nondegeneracy", "body determinant vanishes at x = 2, y = 2")
 
 
 class TestMetricContext:
@@ -340,12 +351,13 @@ class TestLeviCivita:
         "gxx,gxy,gyy",
         [
             (sp.Integer(1) + x**2, sp.Integer(0), sp.Integer(4) + y**2),
-            (sp.Integer(2), x * y, sp.Integer(4) + y**2),
+            (sp.Integer(2), x * y, sp.Integer(5) + y**2),
             (sp.Integer(1) + y**2, sp.Integer(1), sp.Integer(2) + x**2),
         ],
     )
     def test_classical_koszul_oracle(self, chart_classical, gxx, gxy, gyy):
-        """Independent classical oracle: Koszul with commuting entries."""
+        """Independent classical oracle: Koszul with commuting entries.  Each
+        determinant is at least 2 on the closed box [1, 2]^2."""
         ch = chart_classical
         pool = ch.pool
         g = BilinearForm(

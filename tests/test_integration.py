@@ -6,7 +6,7 @@ import pytest
 import sympy as sp
 
 from supergeo import Chart
-from supergeo.errors import NonPolynomialIntegrand
+from supergeo.errors import MetricViolation, NonPolynomialIntegrand
 from supergeo.geometry import BilinearForm, VectorField, flat_metric
 from supergeo.integration import action, integrate, volume_density
 from supergeo.morphisms import FieldAlongMorphism, HarmonicSetup, Morphism
@@ -31,11 +31,19 @@ class TestVolumeDensity:
         assert volume_density(g).scale == ch.pool.scalar(2)
 
     def test_root_sign_follows_the_box(self):
-        """h = (1-x)^2 dx^2 on [0, 1]: the density is 1 - x, not x - 1."""
+        """h = (2-x)^2 dx^2 on [0, 1]: the density is 2 - x, not x - 2."""
         ch = Chart(["x"], [], box={"x": (0, 1)})
-        vol = volume_density(BilinearForm(ch, [[(1 - x) ** 2]]))
-        assert vol.scale == ch.pool.scalar(1 - x)
-        assert integrate(ch.pool.one(), vol) == Fraction(1, 2)
+        vol = volume_density(BilinearForm(ch, [[(2 - x) ** 2]]))
+        assert vol.scale == ch.pool.scalar(2 - x)
+        assert integrate(ch.pool.one(), vol) == Fraction(3, 2)
+
+    def test_zero_at_a_box_corner_rejected(self):
+        """(1-x)^2 dx^2 vanishes at the corner x = 1 of [0, 1], a point of
+        the closed box the action integrates over."""
+        ch = Chart(["x"], [], box={"x": (0, 1)})
+        with pytest.raises(MetricViolation) as err:
+            volume_density(BilinearForm(ch, [[(1 - x) ** 2]]))
+        assert err.value.args == ("nondegeneracy", "body determinant vanishes at x = 1")
 
     def test_nilpotent_deformation(self, metric_deformed):
         vd = volume_density(metric_deformed)
@@ -188,6 +196,67 @@ class TestAction:
         phi = Morphism(src, tgt, {"y": src.pool.even("x") ** 2})
         setup = HarmonicSetup(phi, flat_metric(src), flat_metric(tgt))
         assert action(setup) == Fraction(2, 3)
+
+
+class TestActionAdditivity:
+    """The action over a box is the sum of the actions over the two halves
+    of a rational split of one even coordinate.  The source metric is
+    h = sum_k (p_k x_k + q_k)^2 dx_k^2, each root outside the box, so its
+    density prod_k |p_k x_k + q_k| is not constant; the target is the same
+    box with g = sum_k (p_k u_k + q_k)^2 (1 + c_k u_k^2) du_k^2, and the map
+    is the identity, so that the integrand 1/2 sum_k (1 + c_k x_k^2) times
+    the density is a polynomial."""
+
+    @staticmethod
+    def _setup(names, box, factors, source_box):
+        """The identity setup from ``source_box`` into ``box``."""
+        src = Chart(names, [], box=source_box)
+        tgt = Chart(names, [], box=box)
+
+        def diagonal(pool, extra):
+            gens = [pool.even(n) for n in names]
+            return [[(p * v + q) ** 2 * (1 + c * v * v if extra else 1) if i == j else 0
+                     for j in range(len(names))]
+                    for i, (v, (p, q, c)) in enumerate(zip(gens, factors))]
+
+        phi = Morphism(src, tgt, {n: src.pool.even(n) for n in names})
+        return HarmonicSetup(phi, BilinearForm(src, diagonal(src.pool, False)),
+                             BilinearForm(tgt, diagonal(tgt.pool, True)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_the_action_is_additive_over_a_split(self, n):
+        rng = seeded(940 + n)
+        names = ["x", "y"][:n]
+        for _ in range(4):
+            box, factors = {}, []
+            for name in names:
+                a = Fraction(rng.randint(-4, 2), rng.randint(1, 2))
+                b = a + Fraction(rng.randint(1, 4), rng.randint(1, 2))
+                p = rng.choice((-3, -2, -1, 1, 2, 3))
+                q = Fraction(rng.randint(-9, 9))
+                while a <= -q / p <= b:  # the root -q/p lies outside [a, b]
+                    q += 1
+                box[name] = (a, b)
+                factors.append((p, q, rng.randint(0, 2)))
+            k = rng.randrange(n)
+            a, b = box[names[k]]
+            m = a + (b - a) * Fraction(rng.randint(1, 6), 7)
+            whole = action(self._setup(names, box, factors, box))
+            parts = [action(self._setup(names, box, factors, {**box, names[k]: piece}))
+                     for piece in ((a, m), (m, b))]
+            assert whole == sum(parts)
+
+    @pytest.mark.parametrize("source_box", [(0, 1), (0, Fraction(1, 3)), (Fraction(1, 3), 1)],
+                             ids=["whole", "left", "right"])
+    def test_a_density_with_a_zero_in_the_box_is_rejected(self, source_box):
+        """(3x - 1)^2 dx^2 vanishes at 1/3: on [0, 1] its sign test is
+        undecided, on [0, 1/3] and [1/3, 1] it finds the zero at a corner.
+        With the root's sign read off the midpoint alone the density on
+        [0, 1] is 3x - 1, and the action 1/4 is not 1/12 + 1/3, the sum over
+        the two thirds."""
+        with pytest.raises(MetricViolation) as err:
+            action(self._setup(["x"], {"x": (0, 1)}, [(3, -1, 0)], {"x": source_box}))
+        assert err.value.violation == "nondegeneracy"
 
 
 def _line(a, b):

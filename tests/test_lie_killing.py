@@ -255,9 +255,9 @@ class TestSolveKilling:
     ], ids=["identically_degenerate", "singular_at_the_sample_point"])
     def test_degenerate_form_rejected_before_solving(self, monkeypatch, rows, box):
         """A polynomial form whose body determinant vanishes identically, or
-        whose even block is singular at the box midpoint where
-        validate_metric samples the signature, is rejected for
-        nondegeneracy as validate_metric rejects it, before any
+        vanishes at a point of the closed box (here x^2 at the midpoint x =
+        0, where the sign test of the body determinant cuts [-1, 1]), is
+        rejected for nondegeneracy as validate_metric rejects it, before any
         elimination."""
         calls = self._count_nullspace_calls(monkeypatch)
         ch = Chart(["x", "y"], [], box=box)

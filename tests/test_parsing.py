@@ -5,7 +5,7 @@ import random
 import pytest
 import sympy as sp
 
-from supergeo import GeneratorPool
+from supergeo import GeneratorPool, parsing, scalars, zpoly
 from supergeo.errors import ParseError
 from supergeo.parsing import parse_expression
 
@@ -89,6 +89,37 @@ class TestErrors:
     def test_empty_input(self, pool):
         with pytest.raises(ParseError):
             parse_expression("", pool)
+
+    def test_the_power_budget_lies_between_1000_and_2000(self, pool):
+        base = parse_expression("1 + x", pool)
+        assert parsing._power_bits(base, 1000) <= parsing.POWER_BITS < parsing._power_bits(
+            base, 2000)
+
+    @pytest.mark.parametrize("text, column", [
+        ("(1 + x)^2000", 9),
+        ("(1 + x)^-2000", 10),
+        ("(1 + x + y)^300", 13),
+        ("2^3000000", 3),
+    ], ids=["power", "negative_power", "two_variables", "number"])
+    def test_a_power_past_the_budget_is_refused_before_any_product(
+            self, pool, monkeypatch, text, column):
+        """The size of b^k is estimated from k, the degree of b, the number
+        of its even variables and its L1 norm; past 2^21 bits the power is
+        a ParseError at the exponent, and no product is formed."""
+        def refuse(*args):
+            raise AssertionError("a product was formed")
+
+        monkeypatch.setattr(scalars, "pmul", refuse)
+        monkeypatch.setattr(zpoly, "pmul", refuse)
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, pool)
+        assert (err.value.message, err.value.line, err.value.column) == (
+            "power too large: its result may hold more than 2^21 bits", 1, column)
+
+    def test_a_power_of_a_monomial_with_unit_coefficient_is_free(self, pool):
+        """x^k holds one term and one unit coefficient whatever k is."""
+        power = parse_expression("x^2147483647", pool)
+        assert list(power.rational_coefficients()) == [((), (2**31 - 1, 0), 1)]
 
     @pytest.mark.parametrize("text, message", [
         ("th1^-1", "negative power of a non-unit"),

@@ -1031,12 +1031,16 @@ _LONG = "1" + "0" * 4999  # 5,000 digits
      "ParseError: exponent must be below 2^31 at line 10, column 13"),
     ("x,x = 1\n", "x,x = 1 + (1 + x)^-2147483648\n", "validate-metric g\n",
      "ParseError: exponent must be below 2^31 at line 10, column 20"),
+    ("x,x = 1\n", "x,x = 1 + (1 + x)^2000\n", "validate-metric g\n",
+     "ParseError: power too large: its result may hold more than 2^21 bits"
+     " at line 10, column 19"),
 ], ids=["expression", "exponent", "box_numerator", "box_denominator", "flesh", "degree",
-        "exponent_2_31", "exponent_minus_2_31"])
+        "exponent_2_31", "exponent_minus_2_31", "power_past_the_budget"])
 def test_an_integer_literal_out_of_bounds_is_a_usage_error(tmp_path, old, new, run, error):
-    """An integer literal of more than 4300 digits, the package's bound, and
-    an exponent of 2^31 or more, the bound of a degree, are usage errors
-    naming the line, exit 2; no exception of the interpreter's escapes."""
+    """An integer literal of more than 4300 digits, the package's bound, an
+    exponent of 2^31 or more, the bound of a degree, and a power whose
+    result may hold more than 2^21 bits are usage errors naming the line,
+    exit 2; no exception of the interpreter's escapes."""
     scenario, out = tmp_path / "long.scn", tmp_path / "long.report.txt"
     scenario.write_text(_edited_flat_killing(old, new, run))
     assert cli_main(["run", str(scenario), "--report", str(out)]) == 2
@@ -1177,6 +1181,92 @@ def test_sampled_points_are_named_in_errors(tmp_path, capsys, text, exit_code, l
     path.write_text(text)
     assert cli_main(["run", str(path)]) == exit_code
     assert line in capsys.readouterr().out.splitlines()
+
+
+_UNIT_SQUARE_METRIC = """
+[chart]
+even = x y
+box x = 0 1
+box y = 0 1
+
+[metric g]
+x,x = {xx}
+y,y = {yy}
+
+[run]
+"""
+
+_POLE_MAP = """
+[chart]
+even = x
+box x = 0 1
+
+[target]
+even = y
+box y = -10 10
+
+[morphism PHI]
+y = 1/(3*x - 1)
+
+[run]
+tension PHI
+"""
+
+_DOUBLE_ROOT = """
+[chart]
+even = x
+box x = 0 1
+
+[target]
+even = u
+box u = -10 10
+
+[metric h]
+x,x = (3*x - 1)^2
+
+[metric g]
+chart = target
+u,u = (3*u - 1)^2
+
+[morphism ID]
+source_metric = h
+target_metric = g
+u = x
+
+[run]
+action ID
+"""
+
+
+@pytest.mark.parametrize("text, exit_code, lines", [
+    # det = 3x - 1 changes sign at x = 1/3; at the midpoint alone the
+    # signature reads (0, 2, 0)
+    (_UNIT_SQUARE_METRIC.format(xx="3*x - 1", yy="1") + "validate-metric g\n", 1,
+     ["1.status = fail", "1.violation = nondegeneracy"]),
+    # the denominator 3x - 1 is -1 at x = 0 and 2 at x = 1: a pole between
+    # them, at neither the midpoint nor a corner
+    (_POLE_MAP, 2,
+     ["error = NonInvertible: body has a pole between x = 0 and x = 1 (line 10)"]),
+    # the sign test of (3x - 1)^2 is undecided: its double root 1/3 is no
+    # cut point; a root read off the midpoint alone is 3x - 1, and the
+    # action 1/4, where the integral of |3x - 1|/2 is 5/12
+    (_DOUBLE_ROOT, 1, ["1.status = fail", "1.violation = nondegeneracy"]),
+    # y,y = x^2 vanishes on the edge x = 0 of the closed box
+    (_UNIT_SQUARE_METRIC.format(xx="1", yy="x^2")
+     + "validate-metric g\nsolve-killing g --degree 1\n", 1,
+     ["1.violation = nondegeneracy", "2.command = solve-killing g --degree 1",
+      "2.status = fail", "2.violation = nondegeneracy"]),
+], ids=["sign_change_inside", "pole_inside", "double_root_inside", "zero_on_an_edge"])
+def test_the_whole_closed_box_is_certified(tmp_path, text, exit_code, lines):
+    """Inputs that are degenerate somewhere on the closed box, though not at
+    its midpoint or at a corner, fail: a metric for nondegeneracy (exit 1),
+    a map with a pole in its domain at load (exit 2)."""
+    scenario, out = tmp_path / "box.scn", tmp_path / "box.report.txt"
+    scenario.write_text(text)
+    assert cli_main(["run", str(scenario), "--report", str(out)]) == exit_code
+    report = out.read_text().splitlines()
+    assert all(line in report for line in lines), report
+    assert "status: pass" not in report
 
 
 def test_missing_pullback_names_the_morphism_line():

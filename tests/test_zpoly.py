@@ -1,6 +1,7 @@
 """The integer-polynomial kernel against sympy's ``Poly``: ring arithmetic,
 evaluation at rational points, square roots and the printer's orders."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -252,3 +253,117 @@ def test_a_single_term_ends_the_gcd(monkeypatch, n, den, num):
     monkeypatch.setattr(zpoly, "_cancel_by_sympy_gcd", fail)
     terms = {(): packed(num)}
     assert zpoly.cancel_common_factor(terms, packed(den), n) == (terms, packed(den))
+
+
+def _box(rng, n):
+    """n seeded rational intervals (a, b) with a < b."""
+    box = []
+    for _ in range(n):
+        a = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        box.append((a, a + Fraction(rng.randint(1, 6), rng.randint(1, 3))))
+    return box
+
+
+def _value(p, point):
+    """p at a rational point, exactly."""
+    common = math.lcm(*(Fraction(q).denominator for q in point))
+    num, den = zpoly.evaluate(p, [int(q * common) for q in point], common)
+    return Fraction(num, den)
+
+
+def _grid(rng, box):
+    """The product grid of each interval's ends and five seeded rational
+    points inside it."""
+    axes = [sorted({a, b, *(a + (b - a) * Fraction(rng.randint(1, 23), 24) for _ in range(5))})
+            for a, b in box]
+    return itertools.product(*axes)
+
+
+class TestBoxSign:
+    """``zpoly.box_sign``: every verdict is checked by exact evaluation."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_verdict_holds_exactly(self, n):
+        """A proven sign holds at every point of a seeded rational grid; a
+        zero witness is a zero, a pair has opposite signs, a non-strict
+        witness is negative, and every witness lies in the box.  Half the
+        draws get a factor that vanishes at the box's first cut, once or
+        twice, so that zeros at cut points and sign changes occur."""
+        rng = seeded(770 + n)
+        kinds = set()
+        for _ in range(120):
+            box = _box(rng, n)
+            p = random_poly(rng, n, degree=2)
+            mid = (box[0][0] + box[0][1]) / 2
+            cut = packed({(1,) + (0,) * (n - 1): mid.denominator, (0,) * n: -mid.numerator})
+            p = [p, zpoly.pmul(p, cut), zpoly.pmul(p, zpoly.pmul(cut, cut))][rng.randint(0, 2)]
+            for strict in (True, False):
+                sign, points = zpoly.box_sign(p, box, strict)
+                assert all(a <= q <= b for point in points for q, (a, b) in zip(point, box))
+                values = [_value(p, point) for point in points]
+                if sign:
+                    assert not points and (strict or sign == 1)
+                    assert all(_value(p, point) * sign > 0 if strict else _value(p, point) >= 0
+                               for point in _grid(rng, box))
+                elif len(points) == 2:
+                    assert strict and values[0] * values[1] < 0
+                elif points:
+                    assert values[0] == 0 if strict else values[0] < 0
+                kinds.add((strict, bool(sign), len(points)))
+        assert {(True, True, 0), (True, False, 1), (True, False, 2), (False, True, 0),
+                (False, False, 1)} <= kinds
+
+    def test_one_variable_agrees_with_sturm(self):
+        """In one variable a proven sign means no root on the closed
+        interval, and a witness or an undecided test (no points) at least
+        one, as sympy's Sturm count ``count_roots`` says; each occurs."""
+        x = sp.Symbol("x")
+        rng = seeded(781)
+        verdicts = set()
+        for _ in range(200):
+            p = random_poly(rng, 1, terms=4, degree=4)
+            box = _box(rng, 1)
+            (a, b), = box
+            roots = _poly(p, (x,)).count_roots(sp.Rational(a.numerator, a.denominator),
+                                               sp.Rational(b.numerator, b.denominator))
+            sign, points = zpoly.box_sign(p, box)
+            assert (roots == 0) == bool(sign), (p, box, roots, points)
+            verdicts.add(len(points) if not sign else "proven")
+        assert verdicts == {"proven", 0, 1, 2}
+
+    @pytest.mark.parametrize("p, box, strict, want", [
+        ({2: 1}, [(-1, 1)], True, (0, ((0,),))),
+        ({1: 3, 0: -1}, [(0, 1)], True, (0, ((0,), (1,)))),
+        ({2: 1, 0: 1}, [(-1, 1)], True, (1, ())),
+        ({1: -1, 0: -1}, [(0, 1)], True, (-1, ())),
+        ({1: 1}, [(0, 1)], False, (1, ())),
+        ({1: -2, 0: 1}, [(0, 1)], False, (0, ((1,),))),
+        ({}, [(0, 1)], True, (0, ((0,),))),
+        ({}, [(0, 1)], False, (1, ())),
+        (packed({(0, 0): 8, (0, 2): 2, (2, 2): -1}), [(1, 2), (1, 2)], True,
+         (0, ((2, 2),))),
+    ], ids=["zero_at_the_cut", "sign_change", "positive_with_a_zero_coefficient", "negative",
+            "face_of_the_box", "negative_at_a_vertex", "zero_strict", "zero_non_strict",
+            "zero_at_a_corner"])
+    def test_verdicts(self, p, box, strict, want):
+        assert zpoly.box_sign(p, box, strict) == want
+
+    def test_an_undecided_sign_stays_within_the_budget(self, monkeypatch):
+        """(3x - 1)^2 on [0, 1] has its double root at 1/3, which no
+        midpoint cut hits, and every box around it has a negative
+        Bernstein coefficient: both tests examine exactly SIGN_BOXES boxes
+        and end undecided.  A table past SIGN_TABLE coefficients is
+        undecided before any box is examined."""
+        calls = count_calls(monkeypatch, zpoly.box_sign, "_bernstein")
+        square = {2: 9, 1: -6, 0: 1}
+        for strict in (True, False):
+            calls.clear()
+            assert zpoly.box_sign(square, [(0, 1)], strict) == (0, ())
+            assert len(calls) == zpoly.SIGN_BOXES
+        calls.clear()
+        plane = packed({(2, 0): 9, (1, 0): -6, (0, 2): 9, (0, 1): -6, (0, 0): 2})
+        assert zpoly.box_sign(plane, [(0, 1), (0, 1)]) == (0, ())
+        assert len(calls) == zpoly.SIGN_BOXES
+        calls.clear()
+        assert zpoly.box_sign({zpoly.SIGN_TABLE: 1, 0: 1}, [(0, 1)]) == (0, ())
+        assert calls == []
