@@ -36,7 +36,9 @@ bump = pool.one() + pool.odd("th1") * pool.odd("th2")
 g = BilinearForm(chart, [[bump, 0, 0], [0, 0, -1], [0, 1, 0]])
 print("signature:", validate_metric(g).as_tuple())
 
-frame = OSpFrame.build(g)  # certifies g(e_i, e_j) = (g0)_ij on construction
+# the orthogonal frame g(f_i, f_j) = D_ij has the pivot 1 + th1 th2; its
+# normalisation certifies g(e_i, e_j) = (g0)_ij
+frame = OSpFrame.build(g).normalised(g)
 print("frame fields:")
 for j, f in enumerate(frame.fields):
     print(f"  e_{j+1} =", f)

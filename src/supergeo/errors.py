@@ -146,7 +146,8 @@ class MetricViolation(SupergeoError):
     The first argument names the violated axiom: 'evenness', 'supersymmetry'
     (the second is then the ``first`` of :meth:`SuperMatrix.supersymmetry`)
     or 'nondegeneracy'.  A result that fails its own certificate, such as a
-    non-orthonormal OSp frame, raises :class:`CertificateFailure` instead.
+    frame that does not meet its pairing, raises :class:`CertificateFailure`
+    instead.
     """
 
     @property

@@ -4,10 +4,10 @@
 the integers, fraction-free as in Bareiss (1968, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination"): every row stays a
 primitive integer row, so no entry is ever rounded or reconstructed.
-:func:`rank` is the number of pivots of the same elimination, and
-:func:`signature` counts the signs of the pivots of a congruence
-diagonalisation.  Nothing here imports sympy; the tests keep sympy's
-``DomainMatrix`` as the oracle.
+:func:`rank` is the number of pivots of the same elimination.  A metric's
+signature is not read here: it counts the negative pivots of the frame's
+Gram-Schmidt elimination (:func:`geometry.validate_metric`).  Nothing here
+imports sympy; the tests keep sympy's ``DomainMatrix`` as the oracle.
 """
 
 from __future__ import annotations
@@ -125,31 +125,3 @@ def rank(rows, ncols):
     the number of pivots of their reduced echelon form."""
     return len(_reduced_echelon(_integer_rows(rows)))
 
-
-def signature(rows):
-    """``(t, s)``: the numbers of negative and positive eigenvalues of a
-    symmetric rational matrix, given as a list of rows (possibly empty).
-
-    Diagonalised by congruence: a nonzero ``d = a_kk`` is a pivot, and the
-    rest becomes the Schur complement ``a_ij - a_ik a_kj / d``; on a zero
-    diagonal, adding row and column ``j`` to row and column ``i`` makes
-    ``a_ii = 2 a_ij``.  By Sylvester's law of inertia ``t`` and ``s`` count
-    the negative and positive pivots, and ``t + s`` is the rank.
-    """
-    a = [[Fraction(x) for x in row] for row in rows]
-    t = s = 0
-    while a:
-        k = next((k for k in range(len(a)) if a[k][k]), None)
-        if k is None:
-            k, j = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x),
-                        (None, None))
-            if k is None:
-                break
-            a[k] = [x + y for x, y in zip(a[k], a[j])]
-            for row in a:
-                row[k] += row[j]
-        d = a[k][k]
-        t, s = (t + 1, s) if d < 0 else (t, s + 1)
-        a = [[x - r[k] * y / d for x, y in zip(r[:k] + r[k + 1:], a[k][:k] + a[k][k + 1:])]
-             for r in a[:k] + a[k + 1:]]
-    return t, s

@@ -1,4 +1,4 @@
-"""Charts, vector fields, bilinear forms, connections and OSp frames.
+"""Charts, vector fields, bilinear forms, connections and orthogonal frames.
 
 Vector fields carry left coefficients, ``X = sum_i X^i d_i``; one-forms and
 bilinear forms are evaluated through the right-module pairing axioms.  On left
@@ -21,9 +21,11 @@ covariant derivative, which the pullback connection shares; it reads a
 sparse table of the nonzero Christoffel symbols (:class:`Connection`), and
 a constant metric has the zero connection with no inverse formed.  A metric
 is validated once and its derived objects are built once, in its
-:class:`MetricContext`; every sum over an OSp frame against ``J e_j``, of
-superfunctions or of fields, is :func:`frame_sum`, which skips zero terms
-and applies a sign -1 by negation.
+:class:`MetricContext`.  Its frame is the orthogonal frame of the one
+square-root-free Gram-Schmidt elimination (:func:`supermatrix._gram_schmidt`),
+g(f_i, f_j) = D_ij, which exists on every supermetric; every sum over the
+frame against the inverse pairing D^-1, of superfunctions or of fields, is
+:func:`frame_sum`, which skips zero terms.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .errors import (
     ParityError,
     _Record,
 )
-from .exactlinalg import signature
 from .scalars import GeneratorPool, Superfunction, _rational
 from .supermatrix import (
     SuperMatrix,
@@ -50,6 +51,7 @@ from .supermatrix import (
     _gram_schmidt,
     graded_pair,
     j_map_signs,
+    normalisation,
     scaled_parity,
     standard_metric,
 )
@@ -377,7 +379,9 @@ def validate_metric(g: BilinearForm) -> Signature:
     has a pole there (``NonInvertible`` otherwise) and the body determinant
     has one strict sign there (:meth:`Superfunction.body_sign`), so a zero
     on the boundary rejects too.  The signature is then constant on the
-    box, and reading it at :meth:`Chart.sample_point` is exact.
+    box, and reading it at :meth:`Chart.sample_point` is exact: it counts
+    the negative pivots of the frame's elimination
+    (:func:`supermatrix._gram_schmidt`) on the even block's body there.
     """
     det = g.check_supermetric()
     chart = g.chart
@@ -391,8 +395,10 @@ def validate_metric(g: BilinearForm) -> Signature:
             f"body determinant vanishes {chart.pool.render_witness(points)}" if points
             else "body determinant is not proven nonzero on the box: its sign is undecided"))
     n, point = chart.n, chart.sample_point()
-    t, s = signature([[e.body_at(point) for e in row[:n]] for row in g.components[:n]])
-    return Signature(t, s, chart.two_m)
+    body = SuperMatrix(chart.pool, n, 0, [[e.body_at(point) for e in row[:n]]
+                                          for row in g.components[:n]])
+    t = sum(d.body_at(point) < 0 for d in _gram_schmidt(body)[1])
+    return Signature(t, n - t, chart.two_m)
 
 
 class MetricContext:
@@ -559,64 +565,88 @@ def connection_residuals(g: BilinearForm, conn: Connection):
 
 
 class OSpFrame:
-    """Frame fields e_j with g(e_i, e_j) = (g0)_{ij} exactly."""
+    """An orthogonal frame f_j with g(f_i, f_j) = D_ij exactly (:attr:`pairing`):
+    diag(``pivots``) on the even fields, which need not be squares, and the
+    pairs of g0 on the odd fields.  The frame routes read the inverse
+    pairing; :meth:`normalised` is the OSp frame, g(e_i, e_j) = (g0)_ij."""
 
-    def __init__(self, chart: Chart, fields, signature: Signature):
+    def __init__(self, chart: Chart, fields, pivots):
         self.chart = chart
         self.fields = list(fields)
-        self.signature = signature
-        self.j_signs = j_map_signs(signature.t, signature.s, signature.two_m // 2)
+        self.pivots = list(pivots)
 
     @classmethod
     def build(cls, g: BilinearForm) -> "OSpFrame":
-        """Run graded Gram-Schmidt over the scalar ring on the metric its
-        context has validated, and certify the result."""
-        sig = MetricContext.of(g).signature
-        E, (t, s, m) = _gram_schmidt(g)
-        if (t, s, 2 * m) != sig.as_tuple():
-            # the algebraic signature and the one on the box must agree
-            raise MetricViolation(
-                "nondegeneracy",
-                f"signature mismatch: on the box {sig.as_tuple()}, reduced {(t, s, 2 * m)}",
-            )
+        """Run the square-root-free graded Gram-Schmidt over the scalar ring
+        on the metric its context has validated, and certify the result."""
+        MetricContext.of(g)
+        columns, pivots = _gram_schmidt(g)
         chart = g.chart
-        parities = [chart.parity(j) for j in range(chart.dim)]
-        fields = [
-            VectorField(chart, flip_sides(col, pj, chart.n), pj)
-            for pj, col in zip(parities, zip(*E.entries))
-        ]
-        frame = cls(chart, fields, Signature(t, s, 2 * m))
+        fields = [VectorField(chart, flip_sides(col, chart.parity(j), chart.n), chart.parity(j))
+                  for j, col in enumerate(columns)]
+        frame = cls(chart, fields, pivots)
         frame.certify(g)
         return frame
 
+    def normalised(self, g: BilinearForm) -> "OSpFrame":
+        """The OSp frame e_j = f_j / sqrt|d_j| of :func:`supermatrix.normalisation`,
+        ordered negatives, positives, odd pairs, and certified against g;
+        ``NotASquare`` when a pivot is not plus or minus an exact square."""
+        scales, t = normalisation(self.pivots)
+        n, one = self.chart.n, self.chart.pool.one()
+        frame = OSpFrame(self.chart, [self.fields[j].scale(k) for j, k in scales] + self.fields[n:],
+                         [-one] * t + [one] * (n - t))
+        frame.certify(g)
+        return frame
+
+    @cached_property
+    def pairing(self) -> SuperMatrix:
+        """D: g0 of signature (0, n, 2m) with the pivots on the even diagonal."""
+        n = self.chart.n
+        D = standard_metric(self.chart.pool, 0, n, self.chart.two_m // 2)
+        for j, d in enumerate(self.pivots):
+            D.entries[j][j] = d
+        return D
+
+    @cached_property
+    def inverse_pairing(self):
+        """``(w_j, t)`` per frame index j, the dual of f_j under D read as
+        f_t w_j: an even field is its own partner with w_j = 1/d_j, an int
+        when that is +-1, and an odd field keeps the J map of g0 (its sign)."""
+        n = self.chart.n
+        weights = [(1 if w == 1 else -1 if w == -1 else w, j)
+                   for j, w in enumerate(d.invert() for d in self.pivots)]
+        return weights + j_map_signs(0, n, self.chart.two_m // 2)[n:]
+
     def certify(self, g: BilinearForm):
-        """Raise ``CertificateFailure`` unless each g(e_i, e_j) - (g0)_ij, ``frame[i,j]``, is 0."""
-        sig = self.signature
-        g0 = standard_metric(self.chart.pool, sig.t, sig.s, sig.two_m // 2)
+        """Raise ``CertificateFailure`` unless each g(f_i, f_j) - D_ij, ``frame[i,j]``, is 0."""
         e = self.fields
         check = Check.grid("frame", [[g.evaluate(ei, ej) - c for ej, c in zip(e, row)]
-                                     for ei, row in zip(e, g0.entries)], range(self.chart.dim))
+                                     for ei, row in zip(e, self.pairing.entries)],
+                           range(self.chart.dim))
         if not check.passed:
-            raise CertificateFailure(f"OSp frame is not orthonormal: {check.first}")
-
-    def j_field(self, j: int):
-        """J e_j as (sign, frame field)."""
-        sign, tgt = self.j_signs[j]
-        return sign, self.fields[tgt]
+            raise CertificateFailure(f"frame does not meet its pairing: {check.first}")
 
 
 def frame_sum(frame: OSpFrame, term, parity: int = 0, start=None):
-    """sum_j (-1)^{|e_j| parity} s_j term(j, t), where J e_j = s_j e_t: the
-    term gets frame indices, so that it can read what its caller built per
-    frame field; a sign -1 negates the term, and a zero term is skipped.
-    Superfunctions sum in the pool, fields onto ``start``, the zero field of
-    the result's parity, which an all-zero sum keeps."""
+    """sum_j (-1)^{|f_j| parity} term(j, t) w_j over the inverse pairing,
+    f_j -> f_t w_j (:attr:`OSpFrame.inverse_pairing`): the term gets frame
+    indices, so that it can read what its caller built per frame field; a
+    weight -1 negates the term, a weight 1/d_j (even, so it commutes)
+    multiplies it, and a zero term is skipped.  Superfunctions sum in the
+    pool, fields onto ``start``, the zero field of the result's parity,
+    which an all-zero sum keeps."""
     chart = frame.chart
     terms = []
-    for j, (sj, t) in enumerate(frame.j_signs):
+    for j, (w, t) in enumerate(frame.inverse_pairing):
         v = term(j, t)
-        if not v.is_zero():
-            terms.append(-v if (sj < 0) != bool(chart.parity(j) * parity % 2) else v)
+        if v.is_zero():
+            continue
+        if type(w) is not int:
+            v = v * w if start is None else v.scale(w)
+        elif (w < 0) != bool(chart.parity(j) * parity % 2):
+            v = -v
+        terms.append(v)
     return chart.pool.sum(terms) if start is None else sum(terms, start)
 
 
@@ -644,14 +674,16 @@ def divergence(X: VectorField, conn: Connection) -> Superfunction:
 def divergence_via_frame(
     X: VectorField, g: BilinearForm, conn: Connection, frame: OSpFrame
 ) -> Superfunction:
-    """Frame route: div X = sum_j (-1)^{|e_j||X|} <nabla_{e_j} X, J e_j>_g;
-    the dual path for :func:`divergence`."""
+    """Frame route: div X = sum_j (-1)^{|f_j||X|} <nabla_{f_j} X, f^j>_g
+    over the inverse pairing (:func:`frame_sum`); the dual path for
+    :func:`divergence`."""
     e = frame.fields
     return frame_sum(frame, lambda j, t: g.evaluate(conn.derivative(e[j], X), e[t]), X.parity)
 
 
 def str_with_metric(K: BilinearForm, frame: OSpFrame) -> Superfunction:
-    """str_g K = sum_j K(e_j, J e_j) over an OSp frame."""
+    """str_g K = sum_j K(f_j, f^j) over the inverse pairing of an
+    orthogonal frame (:func:`frame_sum`)."""
     e = frame.fields
     return frame_sum(frame, lambda j, t: K.evaluate(e[j], e[t]))
 

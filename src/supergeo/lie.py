@@ -6,16 +6,17 @@ Killing fields are recognised in three flow-free ways:
 (ii)  ``<nabla_Y X, Z> + (-1)^{|X||Y|+|X||Z|+|Y||Z|} <nabla_Z X, Y> = 0`` on
       the coordinate pairs ``(d_i, d_j)``, ``i <= j`` (swapping the pair only
       multiplies the left side by the sign),
-(v)   the frame response matrix ``L`` of ``L_X e_i = sum_m e_m L_mi``, one
-      pairing ``L_mi = g(J e_m, [X, e_i])`` per entry over an OSp frame, lies
-      in the orthosymplectic algebra over the scalar ring.
+(v)   ``g([X, f_i], f_j) + (-1)^{|X||f_i|} g(f_i, [X, f_j]) = X(D_ij)`` on
+      the orthogonal frame ``g(f_i, f_j) = D_ij`` of the metric's context;
+      on an orthonormal frame D is constant, and this says that the frame
+      response matrix of ``L_X e_i`` lies in the orthosymplectic algebra.
 
 All three agree on homogeneous fields; the package tests this agreement on
 seeded corpora.  Mode (i) is :func:`lie_derivative_bilinear` on the whole
-field; mode (v) reads each osp residual off two signed entries of ``L``
-(:func:`supermatrix.osp_residuals`).  Each mode returns an
+field; mode (v) pairs each bracket ``[X, f_i]`` with the frame, and shares
+no code with :func:`_leibniz`.  Each mode returns an
 :class:`errors.Check` whose failures are labelled ``L[a,b]``, ``pair[a,b]``
-(coordinates) and ``osp[m,i]`` (frame indices).
+(coordinates) and ``osp[i,j]`` (frame indices).
 
 The Leibniz rule of ``L_X B`` is one table per form (:func:`_leibniz`),
 which holds every sign of the rule.  :func:`lie_derivative_bilinear` forms
@@ -53,7 +54,6 @@ from .errors import (
 )
 from .exactlinalg import nullspace, rank
 from .geometry import BilinearForm, Chart, MetricContext, VectorField
-from .supermatrix import SuperMatrix, osp_residuals
 
 
 def _leibniz(B: BilinearForm):
@@ -160,20 +160,19 @@ class KillingChecker:
         return Check.cells("pair", res, names)
 
     def mode_v(self, X: VectorField) -> Check:
-        """Test L of [X, e_i] = sum_m e_m L_mi against osp.  The frame is
-        orthonormal, g(e_a, e_b) = (g0)_ab, and g(v, w f) = g(v, w) f, so
-        L_mi = g(J e_m, [X, e_i]) = s_m g(e_{J(m)}, [X, e_i])."""
+        """The residuals ``P_ij + (-1)^{|f_i||f_j|} P_ji - X(D_ij)``, ``osp[i,j]``,
+        of ``P_ij = g([X, f_i], f_j)``: by supersymmetry the middle term is
+        ``(-1)^{|X||f_i|} g(f_i, [X, f_j])``, so each residual is
+        ``-(L_X g)(f_i, f_j)``; only D's even pivots vary."""
         chart = self.g.chart
         frame = self.metric.frame
-        sig = self.metric.signature
-        brackets = [X.bracket(ei) for ei in frame.fields]
-        rows = []
-        for m in range(chart.dim):
-            sm, jem = frame.j_field(m)
-            row = [self.g.evaluate(jem, br) for br in brackets]
-            rows.append([-v for v in row] if sm < 0 else row)
-        L = SuperMatrix(chart.pool, chart.n, chart.two_m, rows, X.parity)
-        return Check.grid("osp", osp_residuals(L, sig.t, sig.s, sig.two_m // 2), range(chart.dim))
+        fields, par = frame.fields, chart.parity
+        P = [[self.g.evaluate(br, fj) for fj in fields] for br in map(X.bracket, fields)]
+        res = [[P[i][j] - P[j][i] if par(i) * par(j) else P[i][j] + P[j][i]
+                for j in range(chart.dim)] for i in range(chart.dim)]
+        for j, d in enumerate(frame.pivots):
+            res[j][j] = res[j][j] - X.apply(d)
+        return Check.grid("osp", res, range(chart.dim))
 
     MODES = {"i": mode_i, "ii": mode_ii, "v": mode_v}
 

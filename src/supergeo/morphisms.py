@@ -67,15 +67,19 @@ class Morphism:
         return cls(chart, chart, images)
 
     def _certify_box(self):
-        """The bodies of the even images map the closed source box into the
-        target box: for each target interval [a, b], the bodies of ``image -
-        a`` and ``b - image`` are proven >= 0 there by
-        :meth:`Superfunction.body_sign` (the non-strict test, as the
-        identity map touches the target box's faces), whose strict test of
-        the denominator first raises ``NonInvertible`` for a pole; else
-        ``ScenarioError`` names a point where the body leaves the box."""
+        """No image has a pole in the closed source box, and the bodies of
+        the even images map it into the target box: for each target
+        interval [a, b], the bodies of ``image - a`` and ``b - image`` are
+        proven >= 0 there by :meth:`Superfunction.body_sign` (the non-strict
+        test, as the identity map touches the target box's faces), whose
+        strict test of the denominator, which an odd image gets alone,
+        first raises ``NonInvertible`` for a pole; else ``ScenarioError``
+        names a point where the body leaves the box."""
         box = tuple(self.source.box.values())
         pool = self.source.pool
+        for name, image in self.images.items():
+            if name not in self.target.box:
+                image.body_sign(box)
         for name, (a, b) in self.target.box.items():
             image = self.images[name]
             for bound in (image - a, b - image):
@@ -174,10 +178,10 @@ class StressEnergyReport(_Checks):
 class HarmonicSetup:
     """A morphism between semi-Riemannian charts with everything precomputed.
 
-    Bundles the source metric h (with Levi-Civita connection and OSp frame)
-    and the target metric g (with its connection, pulled back once); both
-    come from the metrics' contexts.  Every dPhi[Y] and nabla_X Y it reuses
-    is formed once per field object (:meth:`_formed_once`).
+    Bundles the source metric h (with Levi-Civita connection and orthogonal
+    frame) and the target metric g (with its connection, pulled back once);
+    both come from the metrics' contexts.  Every dPhi[Y] and nabla_X Y it
+    reuses is formed once per field object (:meth:`_formed_once`).
     """
 
     def __init__(self, phi: Morphism, h: BilinearForm, g: BilinearForm):
@@ -278,9 +282,9 @@ class HarmonicSetup:
         return self.tension_with_frame(self.frame)
 
     def tension_with_frame(self, frame: OSpFrame) -> FieldAlongMorphism:
-        """tau(Phi) = sum_j s_j B_{e_j, e_t}(Phi) for J e_j = s_j e_t over any
-        OSp frame; a second frame gives the frame-independence certificate
-        of :meth:`tension`."""
+        """tau(Phi) = sum_j B_{f_j, f_t}(Phi) w_j over the inverse pairing
+        f_j -> f_t w_j of any orthogonal frame; a second frame gives the
+        frame-independence certificate of :meth:`tension`."""
         e = frame.fields
         zero = FieldAlongMorphism(self.phi, [self.phi.source.pool.zero()] * self.phi.target.dim, 0)
         return frame_sum(frame, lambda j, t: self.second_fundamental_form(e[j], e[t]), 0, zero)
@@ -291,7 +295,8 @@ class HarmonicSetup:
     # -- divergence and currents ---------------------------------------------------
 
     def divergence_along(self, xi: FieldAlongMorphism) -> Superfunction:
-        """div xi = (-1)^{|e_i||xi|} <nabla_{e_i} xi, dPhi[J e_i]>."""
+        """div xi = (-1)^{|f_i||xi|} <nabla_{f_i} xi, dPhi[f^i]>, f^i the
+        inverse pairing's dual of f_i."""
         e = self.frame.fields
         return frame_sum(
             self.frame,
@@ -300,7 +305,7 @@ class HarmonicSetup:
         )
 
     def noether_current(self, xi: FieldAlongMorphism) -> VectorField:
-        """W_xi = <xi, dPhi[e_j]> J e_j, a source vector field of parity |xi|."""
+        """W_xi = <xi, dPhi[f_j]> f^j, a source vector field of parity |xi|."""
         e = self.frame.fields
         return frame_sum(
             self.frame, lambda j, t: e[t].scale(self.pair(xi, self._differential(e[j]))), 0,
@@ -393,17 +398,17 @@ class HarmonicSetup:
         s_xi = [S.evaluate(xi, f) for f in e]
 
         def nabla_s(j, t):
-            """<(nabla_{e_j} S)>(xi, e_t) = e_j S(xi, e_t) - S(nabla_{e_j} xi, e_t)
-            - (-1)^{|e_j||xi|} S(xi, nabla_{e_j} e_t)."""
+            """<(nabla_{f_j} S)>(xi, f_t) = f_j S(xi, f_t) - S(nabla_{f_j} xi, f_t)
+            - (-1)^{|f_j||xi|} S(xi, nabla_{f_j} f_t)."""
             val = e[j].apply(s_xi[t]) - S.evaluate(conn.derivative(e[j], xi), e[t])
             last = S.evaluate(xi, self._formed_once(conn.derivative, e[j], e[t]))
             return val + last if (e[j].parity * xi.parity) % 2 else val - last
 
-        # div S[xi] = (-1)^{|e_j||xi|} <(nabla_{e_j} S)>(xi, J e_j)
+        # div S[xi] = (-1)^{|f_j||xi|} <(nabla_{f_j} S)>(xi, f^j)
         divS = frame_sum(self.frame, nabla_s, xi.parity)
         r1 = divS + self.pair(self._differential(xi), tau)
 
-        # Y_xi = <S>(xi, e_i) J e_i
+        # Y_xi = <S>(xi, f_i) f^i
         divY = self.source_divergence(frame_sum(self.frame, lambda j, t: e[t].scale(s_xi[j]), 0,
                                                 self.phi.source.zero_field(xi.parity)))
         r2 = divY - divS
@@ -412,12 +417,12 @@ class HarmonicSetup:
         killing = Lh.is_zero()
         if not killing:
             def corr_term(i, ti, j, tj):
-                """<L_xi h>(e_i, e_tj) <S>(e_j, e_ti), with S read only where
+                """<L_xi h>(f_i, f_tj) <S>(f_j, f_ti), with S read only where
                 the first factor is nonzero."""
                 lh = Lh.evaluate(e[i], e[tj])
                 return lh if lh.is_zero() else lh * S.evaluate(e[j], e[ti])
 
-            # corr = sum_j (-1)^{|e_j|} sum_i <L_xi h>(e_i, J e_j) <S>(e_j, J e_i)
+            # corr = sum_j (-1)^{|f_j|} sum_i <L_xi h>(f_i, f^j) <S>(f_j, f^i)
             corr = frame_sum(self.frame, lambda j, tj: frame_sum(
                 self.frame, lambda i, ti: corr_term(i, ti, j, tj)), 1)
             r2 = r2 - corr * Fraction(1, 2)

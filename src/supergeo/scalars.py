@@ -941,18 +941,18 @@ class Superfunction:
         """The body's sign on the closed box ``box``, one rational interval
         (a, b) per even variable in pool order, by :func:`zpoly.box_sign`.
 
-        The body must have no pole there: its denominator gets the strict
-        test, and a zero, a sign change or an undecided test raises
+        No coefficient may have a pole there: ``den``, which the canonical
+        form makes coprime to the numerators together, gets the strict test,
+        and a zero, a sign change or an undecided test raises
         ``NonInvertible`` naming the witness.  With ``strict`` None that is
         all, and the result is None.  Else the numerator times the
         denominator's sign gets the strict (True) or the non-strict (False)
         test, whose ``(sign, points)`` this returns: a nonzero sign proves
         that the body has that strict sign, or (non-strict) that it is >= 0,
         on the whole box."""
-        body = self if type(self.den) is int else self.body_part()
-        num, sign = body.terms.get((), {}), 1
-        if type(body.den) is not int:
-            sign, points = box_sign(body.den, box)
+        num, sign = self.terms.get((), {}), 1
+        if type(self.den) is not int:
+            sign, points = box_sign(self.den, box)
             if not sign:
                 raise NonInvertible(f"body has a pole {self.pool.render_witness(points)}"
                                     if points else "body may have a pole in the box: the sign"

@@ -484,7 +484,7 @@ class _Runner:
     def _cmd_osp_frame(self, g):
         ctx = MetricContext.of(g)
         details = [("signature", str(ctx.signature.as_tuple()))]
-        for j, f in enumerate(ctx.frame.fields):
+        for j, f in enumerate(ctx.frame.normalised(g).fields):
             details.append((f"e_{j+1}", f.render()))
         return "pass", details
 

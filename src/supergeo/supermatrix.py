@@ -421,29 +421,6 @@ def pair_columns(B: SuperMatrix, v, w, pv: int, pw: int) -> Superfunction:
     return graded_pair(B.pool, B.p, B.entries, nonzero(v, pv), pv, nonzero(w, pw), pw, B.parity)
 
 
-def osp_residuals(L: SuperMatrix, t: int, s: int, m: int):
-    """<L e_i, e_j> + (-1)^{|L||e_i|} <e_i, L e_j> against g0, per basis pair.
-
-    g0 is the signed permutation of the J map, ``(g0)_{J(b) b} = eps_b`` for
-    ``J e_b = eps_b e_{J(b)}``, and J is an involution on the slots.  With
-    the right-to-left flip of :func:`pair_columns` this gives
-    ``<L e_i, e_j> = (-1)^{|j|(|L|+|i|+1)} eps_j L_{J(j) i}`` and
-    ``<e_i, L e_j> = eps_{J(i)} L_{J(i) j}``: each residual is two signed
-    entries of L.  The tests keep the pairing route as the oracle."""
-    dim = t + s + 2 * m
-    if L.dim != dim or (L.p, L.q) != (t + s, 2 * m):
-        raise InvalidArgument("matrix dimensions do not match the signature")
-    J = j_map_signs(t, s, m)
-    par = [L.slot_parity(i) for i in range(dim)]
-    out = []
-    for i, (_, b) in enumerate(J):
-        right = -J[b][0] if L.parity * par[i] else J[b][0]
-        flip = -1 if (L.parity + par[i] + 1) % 2 else 1  # on an odd slot j
-        out.append([L.entries[a][i] * (eps * flip if par[j] else eps) + L.entries[b][j] * right
-                    for j, (eps, a) in enumerate(J)])
-    return out
-
-
 # -- graded Gram-Schmidt ------------------------------------------------------
 
 
@@ -451,21 +428,28 @@ def gram_schmidt_osp(B: SuperMatrix):
     """Change of basis E with B(E_i, E_j) = (g0)_{ij} exactly.
 
     Returns ``(E, (t, s, m))``.  B must pass :meth:`SuperMatrix.check_supermetric`,
-    else its ``MetricViolation`` propagates.  Pivot normalisations must be
-    exact squares in the scalar ring; otherwise NotASquare propagates and the
-    caller may rescale the form.  Basis vectors are ordered negatives,
-    positives, odd pairs.
+    else its ``MetricViolation`` propagates.  :func:`normalisation` rescales
+    the columns of :func:`_gram_schmidt`, so each even pivot must be plus or
+    minus an exact square in the scalar ring; otherwise NotASquare
+    propagates.  Basis vectors are ordered negatives, positives, odd pairs.
     """
     B.check_supermetric()
-    return _gram_schmidt(B)
+    columns, pivots = _gram_schmidt(B)
+    scales, t = normalisation(pivots)
+    cols = [[e * k for e in columns[j]] for j, k in scales] + columns[B.p :]
+    E = SuperMatrix(B.pool, B.p, B.q, [list(row) for row in zip(*cols)])
+    return E, (t, B.p - t, B.q // 2)
 
 
 def _gram_schmidt(B: SuperMatrix):
-    """The elimination of :func:`gram_schmidt_osp` on a B that has passed
-    :meth:`SuperMatrix.check_supermetric`, which the caller vouches for (a
-    metric's context has checked it); each pivot pairing is formed once,
-    when it is tested."""
-    pool, dim = B.pool, B.dim
+    """The square-root-free elimination of every frame, on a B that has
+    passed :meth:`SuperMatrix.check_supermetric` (the caller vouches for
+    it): ``(columns, pivots)``, right-coefficient columns f_j, evens first
+    in the order taken, with B(f_i, f_j) = D_ij for D = diag(pivots) on
+    the even part and the pairs of g0 on the odd part.  A projection
+    divides by a pivot, never by its root; each pivot pairing is formed
+    once, when it is tested."""
+    dim = B.dim
 
     def pair(u, pu, w, pw):
         return pair_columns(B, u, w, pu, pw)
@@ -474,9 +458,9 @@ def _gram_schmidt(B: SuperMatrix):
         """The column w - v c, one coefficient c for the whole column."""
         return w if c.is_zero() else [a if b.is_zero() else a - b * c for a, b in zip(w, v)]
 
-    basis = SuperMatrix.identity(pool, B.p, B.q).entries  # rows = columns
+    basis = SuperMatrix.identity(B.pool, B.p, B.q).entries  # rows = columns
     evens, odds = basis[: B.p], basis[B.p :]
-    negatives, positives, odd_pairs = [], [], []
+    columns, pivots = [], []
 
     while evens:
         pick = next(((idx, c) for idx, u in enumerate(evens)
@@ -495,14 +479,8 @@ def _gram_schmidt(B: SuperMatrix):
         # w -> w - u * (B(u,w)/B(u,u)) kills the pairing with u on both sides
         evens = [minus(w, u, pair(u, 0, w, 0) * cinv) for w in evens]
         odds = [minus(w, u, pair(u, 0, w, 1) * cinv) for w in odds]
-        try:
-            scale = c.sqrt().invert()
-            sign = 1
-        except NotASquare:
-            scale = (-c).sqrt().invert()
-            sign = -1
-        u = [e * scale for e in u]
-        (negatives if sign < 0 else positives).append(u)
+        columns.append(u)
+        pivots.append(c)
 
     while odds:
         # the odd body is nondegenerate too, so some pair pairs with a body
@@ -513,13 +491,23 @@ def _gram_schmidt(B: SuperMatrix):
         k = -c.invert()
         f2 = [e * k for e in f2]  # now B(f1, f2) = -1, B(f2, f1) = 1
         odds = [minus(minus(w, f1, pair(f2, 1, w, 1)), f2, -pair(f1, 1, w, 1)) for w in odds]
-        odd_pairs.extend([f1, f2])
+        columns.extend([f1, f2])
 
-    cols = negatives + positives + odd_pairs
-    E = SuperMatrix(
-        B.pool,
-        B.p,
-        B.q,
-        [[cols[j][r] for j in range(dim)] for r in range(dim)],
-    )
-    return E, (len(negatives), len(positives), len(odd_pairs) // 2)
+    return columns, pivots
+
+
+def normalisation(pivots):
+    """The one rescaling of an orthogonal basis to an orthonormal one, used
+    only where an OSp frame is printed: for the even pivots d_j, the pairs
+    ``(j, 1/sqrt(|d_j|))`` of the negatives, then of the positives, each in
+    basis order, and the number t of negatives.  A pivot is positive when
+    ``d_j.sqrt()`` exists and negative when ``(-d_j).sqrt()`` does; when
+    neither is an exact square, the second root's NotASquare propagates,
+    as no rational orthonormal basis exists."""
+    negatives, positives = [], []
+    for j, c in enumerate(pivots):
+        try:
+            positives.append((j, c.sqrt().invert()))
+        except NotASquare:
+            negatives.append((j, (-c).sqrt().invert()))
+    return negatives + positives, len(negatives)

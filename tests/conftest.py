@@ -13,7 +13,8 @@ import pytest
 
 from supergeo import Chart, GeneratorPool, zpoly
 from supergeo.geometry import BilinearForm, OSpFrame, VectorField, flat_metric
-from supergeo.supermatrix import SuperMatrix, flip_sides, osp_residuals
+from supergeo.errors import InvalidArgument
+from supergeo.supermatrix import SuperMatrix, flip_sides, j_map_signs, pair_columns
 
 
 # the modules of the package, read as source by test_package_surface.py and
@@ -90,6 +91,28 @@ def metric_mixed(chart_deformed):
     return BilinearForm(chart_deformed, [[(1 + x) ** 2, t2, 0],
                                          [t2, 0, -(1 + x)],
                                          [0, 1 + x, 0]])
+
+
+@pytest.fixture
+def metric_linear_pivot(chart_deformed):
+    """x,x = 1 + x, th1,th2 = -1 on (1|2): the pivot 1 + x is not plus or
+    minus a square, so no rational OSp frame exists, but the orthogonal
+    frame does."""
+    x = chart_deformed.pool.even("x")
+    return BilinearForm(chart_deformed, [[1 + x, 0, 0], [0, 0, -1], [0, 1, 0]])
+
+
+@pytest.fixture
+def metric_nonsquare(chart_flat22):
+    """A (2|2) metric with the diagonal bodies 2 + x^2 and 3, an even
+    off-diagonal x, theta-dependent even-odd entries and the odd block
+    1 + y: the pivots 2 + x^2 and (6 + 2x^2)/(2 + x^2) are not squares."""
+    pool = chart_flat22.pool
+    x, y, t1, t2 = map(pool.generator, ("x", "y", "th1", "th2"))
+    return BilinearForm(chart_flat22, [[2 + x * x + t1 * t2, x, t2, 0],
+                                       [x, 3, 0, t1],
+                                       [t2, 0, 0, -(1 + y)],
+                                       [0, t1, 1 + y, 0]])
 
 
 def random_superfunction(pool, rng, parity=None, max_degree=2, coeff_range=2,
@@ -186,9 +209,32 @@ def count_calls(monkeypatch, caller, name):
     return calls
 
 
+def osp_residuals(L: SuperMatrix, t: int, s: int, m: int):
+    """<L e_i, e_j> + (-1)^{|L||e_i|} <e_i, L e_j> against g0, per basis pair.
+
+    g0 is the signed permutation of the J map, ``(g0)_{J(b) b} = eps_b`` for
+    ``J e_b = eps_b e_{J(b)}``, and J is an involution on the slots.  With
+    the right-to-left flip of :func:`pair_columns` this gives
+    ``<L e_i, e_j> = (-1)^{|j|(|L|+|i|+1)} eps_j L_{J(j) i}`` and
+    ``<e_i, L e_j> = eps_{J(i)} L_{J(i) j}``: each residual is two signed
+    entries of L.  The tests keep the pairing route as the oracle."""
+    dim = t + s + 2 * m
+    if L.dim != dim or (L.p, L.q) != (t + s, 2 * m):
+        raise InvalidArgument("matrix dimensions do not match the signature")
+    J = j_map_signs(t, s, m)
+    par = [L.slot_parity(i) for i in range(dim)]
+    out = []
+    for i, (_, b) in enumerate(J):
+        right = -J[b][0] if L.parity * par[i] else J[b][0]
+        flip = -1 if (L.parity + par[i] + 1) % 2 else 1  # on an odd slot j
+        out.append([L.entries[a][i] * (eps * flip if par[j] else eps) + L.entries[b][j] * right
+                    for j, (eps, a) in enumerate(J)])
+    return out
+
+
 def in_osp(L, t, s, m):
     """True iff L lies in the orthosymplectic algebra of signature (t, s, 2m):
-    every residual of :func:`supermatrix.osp_residuals` vanishes."""
+    every residual of :func:`osp_residuals` vanishes."""
     return all(r.is_zero() for row in osp_residuals(L, t, s, m) for r in row)
 
 
@@ -204,8 +250,10 @@ def tensor_product(F, G):
 
 
 def rotate_frame(frame, A):
-    """Right action (e * A)_j = sum_i e_i A_ij; A must be an even OSp
-    matrix for the result to stay a frame (certified by the caller)."""
+    """Right action (f * A)_j = sum_i f_i A_ij, with the even pivots
+    (A^T D A)_jj by the pairing D of the frame; A must keep D diagonal on
+    the even fields and J on the odd ones for the result to stay an
+    orthogonal frame (certified by the caller)."""
     chart = frame.chart
     fields = []
     for j, col in enumerate(zip(*A.entries)):
@@ -216,30 +264,26 @@ def rotate_frame(frame, A):
             if not coeff.is_zero():
                 acc = acc + field.scale(coeff)
         fields.append(acc)
-    return OSpFrame(chart, fields, frame.signature)
+    pivots = [pair_columns(frame.pairing, col, col, 0, 0)
+              for col in list(zip(*A.entries))[: chart.n]]
+    return OSpFrame(chart, fields, pivots)
 
 
-def osp_frame_rotation(frame):
-    """A nontrivial constant OSp matrix for the frame's signature; used as the
-    second frame in frame-independence certificates."""
-    sig = frame.signature
-    pool = frame.chart.pool
-    A = SuperMatrix.identity(pool, sig.t + sig.s, sig.two_m)
-    if sig.s >= 2:
-        i, j = sig.t + 0, sig.t + 1
-        c, s = Fraction(3, 5), Fraction(4, 5)
-        A.entries[i][i] = pool.scalar(c)
-        A.entries[i][j] = pool.scalar(-s)
-        A.entries[j][i] = pool.scalar(s)
-        A.entries[j][j] = pool.scalar(c)
-    elif sig.t >= 1 and sig.s >= 1:
-        i, j = sig.t - 1, sig.t
-        ch_, sh = Fraction(5, 4), Fraction(3, 4)
-        A.entries[i][i] = pool.scalar(ch_)
-        A.entries[i][j] = pool.scalar(sh)
-        A.entries[j][i] = pool.scalar(sh)
-        A.entries[j][j] = pool.scalar(ch_)
-    if sig.two_m >= 2:
-        a = sig.t + sig.s
-        A.entries[a][a + 1] = pool.scalar(Fraction(1, 3))  # symplectic shear
+def orthogonal_frame_change(frame):
+    """A nontrivial change of basis that keeps the frame orthogonal; used as
+    the second frame in frame-independence certificates.  On the first two
+    even fields, of pivots d_0 and d_1, the columns f_0 + f_1 / 2 and f_1 -
+    f_0 d_1 / (2 d_0), which change both pivots; on a single even field the
+    scale 2; on the first odd pair the symplectic shear, which keeps J."""
+    chart, pool = frame.chart, frame.chart.pool
+    n = chart.n
+    A = SuperMatrix.identity(pool, n, chart.two_m)
+    if n >= 2:
+        d0, d1 = frame.pivots[:2]
+        A.entries[1][0] = pool.scalar(Fraction(1, 2))
+        A.entries[0][1] = -(d1 / d0) * Fraction(1, 2)
+    elif n == 1:
+        A.entries[0][0] = pool.scalar(2)
+    if chart.two_m >= 2:
+        A.entries[n][n + 1] = pool.scalar(Fraction(1, 3))  # symplectic shear
     return A

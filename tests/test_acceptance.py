@@ -297,8 +297,8 @@ def test_criterion_4_noether_residual_suite():
     Y = line.zero_field(0)
     for i in range(line.dim):
         coeff = S.evaluate(xi_bad, lsetup.frame.fields[i])
-        si, jei = lsetup.frame.j_field(i)
-        Y = Y + jei.scale(coeff * si)
+        w, t = lsetup.frame.inverse_pairing[i]  # f^i = f_t w
+        Y = Y + lsetup.frame.fields[t].scale(coeff * w)
     broken += not lsetup.source_divergence(Y).is_zero()
 
     ok = ok and broken >= 3

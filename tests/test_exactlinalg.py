@@ -1,5 +1,6 @@
-"""Exact rational nullspace, rank, integer echelon form and signature, checked against sympy's Matrix
-and DomainMatrix and Sylvester's law of inertia."""
+"""Exact rational nullspace, rank and integer echelon form, checked against sympy's Matrix
+and DomainMatrix; and the signature oracle, checked against Sylvester's law of inertia and the
+characteristic polynomial."""
 
 import math
 from fractions import Fraction
@@ -15,11 +16,42 @@ from supergeo.exactlinalg import (
     _reduced_echelon,
     nullspace,
     rank,
-    signature,
 )
 from supergeo.geometry import flat_metric
 
 from conftest import seeded
+
+
+# The oracle of the signature that geometry.validate_metric reads off the
+# pivots of the frame's Gram-Schmidt elimination (test_geometry.py compares
+# them); it also takes singular matrices.
+def signature(rows):
+    """``(t, s)``: the numbers of negative and positive eigenvalues of a
+    symmetric rational matrix, given as a list of rows (possibly empty).
+
+    Diagonalised by congruence: a nonzero ``d = a_kk`` is a pivot, and the
+    rest becomes the Schur complement ``a_ij - a_ik a_kj / d``; on a zero
+    diagonal, adding row and column ``j`` to row and column ``i`` makes
+    ``a_ii = 2 a_ij``.  By Sylvester's law of inertia ``t`` and ``s`` count
+    the negative and positive pivots, and ``t + s`` is the rank.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    t = s = 0
+    while a:
+        k = next((k for k in range(len(a)) if a[k][k]), None)
+        if k is None:
+            k, j = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x),
+                        (None, None))
+            if k is None:
+                break
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] += row[j]
+        d = a[k][k]
+        t, s = (t + 1, s) if d < 0 else (t, s + 1)
+        a = [[x - r[k] * y / d for x, y in zip(r[:k] + r[k + 1:], a[k][:k] + a[k][k + 1:])]
+             for r in a[:k] + a[k + 1:]]
+    return t, s
 
 
 def _random_rows(rng, nrows, ncols):

@@ -29,6 +29,7 @@ from supergeo.morphisms import FieldAlongMorphism, Morphism
 from supergeo.supermatrix import SuperMatrix, pair_columns
 
 from conftest import random_field, random_superfunction, seeded, tensor_product
+from test_exactlinalg import signature
 
 x, y = sp.symbols("x y")
 
@@ -295,6 +296,63 @@ class TestValidateMetric:
         assert err.value.args == ("nondegeneracy", "body determinant vanishes at x = 2, y = 2")
 
 
+    def test_signature_is_the_oracle_at_the_sample_point(self):
+        """validate_metric counts the negative pivots of the frame's
+        elimination on the even body at the sample point; on a seeded corpus
+        from (1|0) to (3|4) it equals the congruence oracle of
+        test_exactlinalg there and the signature of D.  The even body is
+        U^T D U for a unipotent polynomial U, so its determinant det D has
+        no zero on the box; D holds +-1, 2, 3 and hyperbolic blocks [[0, c],
+        [c, 0]], so some bodies have zero diagonals."""
+        rng = seeded(431)
+        seen = set()
+        for _ in range(60):
+            n, two_m = rng.randint(1, 3), rng.choice([0, 2, 4])
+            evens = [f"x{i}" for i in range(1, n + 1)]
+            odds = [f"t{i}" for i in range(1, two_m + 1)]
+            ch = Chart(evens, odds, box={v: (0, 1) for v in evens})
+            pool = ch.pool
+            xs, ts = [pool.even(v) for v in evens], [pool.odd(v) for v in odds]
+            D = [[pool.zero()] * n for _ in range(n)]
+            t = k = 0
+            while k < n:
+                if k + 1 < n and rng.random() < 0.3:
+                    c = rng.choice([-2, 1, 3])
+                    D[k][k + 1] = D[k + 1][k] = pool.scalar(c)
+                    t, k = t + 1, k + 2
+                else:
+                    d = rng.choice([-3, -1, 1, 2, 3])
+                    D[k][k] = pool.scalar(d)
+                    t, k = t + (d < 0), k + 1
+            U = [[pool.one() if i == j else pool.zero() for j in range(n)] for i in range(n)]
+            for i, j in itertools.combinations(range(n), 2):
+                if rng.random() < 0.5:
+                    U[i][j] = pool.scalar(rng.choice([-1, 1, 2])) * rng.choice(xs + [pool.one()])
+            body = [[pool.sum([U[a][i] * D[a][b] * U[b][j] for a in range(n) for b in range(n)])
+                     for j in range(n)] for i in range(n)]
+            rows = [row + [pool.zero()] * two_m for row in body]
+            rows += [[pool.zero()] * (n + two_m) for _ in range(two_m)]
+            for a in range(0, two_m, 2):
+                c = pool.scalar(rng.choice([1, 2, -3])) + xs[0]
+                rows[n + a][n + a + 1], rows[n + a + 1][n + a] = -c, c
+            if two_m and rng.random() < 0.6:
+                nil = ts[0] * ts[1]
+                for i, j in itertools.combinations_with_replacement(range(n), 2):
+                    rows[i][j] = rows[j][i] = rows[i][j] + nil * rng.randint(-1, 1)
+                rows[0][n] = rows[n][0] = ts[-1]
+                seen.add("nilpotent")
+            g = BilinearForm(ch, rows)
+            point = ch.sample_point()
+            at_point = [[e.body_at(point) for e in row[:n]] for row in g.components[:n]]
+            assert validate_metric(g).as_tuple() == (*signature(at_point), two_m) \
+                == (t, n - t, two_m)
+            seen.add("indefinite" if 0 < t < n else "definite")
+            seen.update(k for k, hit in (
+                ("zero diagonal", any(at_point[i][i] == 0 for i in range(n))),
+                ("off-diagonal", any(at_point[i][j] for i in range(n) for j in range(i)))) if hit)
+        assert seen == {"indefinite", "definite", "zero diagonal", "off-diagonal", "nilpotent"}
+
+
 class TestMetricContext:
     def test_each_metric_is_validated_once(self, metric_flat22, monkeypatch):
         from supergeo import geometry
@@ -383,7 +441,8 @@ class TestLeviCivita:
                     )
                     assert sp.cancel(conn.gamma[i][j][k].body() - want) == 0
 
-    @pytest.mark.parametrize("which", ["flat22", "curved", "deformed", "mixed"])
+    @pytest.mark.parametrize("which", ["flat22", "curved", "deformed", "mixed", "linear_pivot",
+                                       "nonsquare"])
     def test_certificates_all_metrics(self, request, which):
         g = request.getfixturevalue(f"metric_{which}")
         conn = levi_civita(g)
@@ -451,15 +510,21 @@ class TestOSpFrame:
             assert f == metric_flat22.chart.coordinate_field(j)
 
     def test_curved_frame(self, metric_curved):
+        """The orthogonal frame keeps the pivot x^2 and takes no root; its
+        normalisation divides by the root x."""
         frame = OSpFrame.build(metric_curved)
         ch = metric_curved.chart
-        assert frame.fields[1] == VectorField(ch, [0, ch.pool.scalar(1 / x)], 0)
+        assert frame.pivots == [ch.pool.one(), ch.pool.scalar(x * x)]
+        assert frame.fields[1] == ch.coordinate_field(1)
+        normalised = frame.normalised(metric_curved)
+        assert normalised.fields[1] == VectorField(ch, [0, ch.pool.scalar(1 / x)], 0)
 
     def test_deformed_frame_certified(self, metric_deformed):
         frame = OSpFrame.build(metric_deformed)
         pool = metric_deformed.chart.pool
+        assert frame.pivots == [metric_deformed[0, 0]]
         want = pool.one() - pool.odd("th1") * pool.odd("th2") * Fraction(1, 2)
-        assert frame.fields[0].components[0] == want
+        assert frame.normalised(metric_deformed).fields[0].components[0] == want
 
     def test_defining_equations_exact(self, metric_deformed):
         # certify() raises on any mismatch; run it explicitly once more
@@ -480,7 +545,7 @@ class TestOSpFrame:
                [-xs, -3, 0, 1], [-2, -xs**2, -1, 0]]
         g = BilinearForm(ch, [first] + [[c] + row for c, row in zip(first[1:], odd)])
         frame = OSpFrame.build(g)
-        assert frame.signature.as_tuple() == (0, 1, 4)
+        assert frame.pivots == [g[0, 0]] and len(frame.fields) == 5
         report = KillingChecker(g).check(ch.coordinate_field(0))
         assert report.agreement and not report.passed and set(report.modes) == {"i", "ii", "v"}
 
@@ -509,11 +574,10 @@ class TestDivergence:
         rhs = divergence_via_frame(X, g, conn, frame)
         assert lhs == rhs == ch.pool.scalar(-1)
 
-    @pytest.mark.parametrize("which", ["flat22", "curved", "deformed"])
-    def test_dual_path_agreement(self, which, metric_flat22, metric_curved,
-                                 metric_deformed):
-        g = {"flat22": metric_flat22, "curved": metric_curved,
-             "deformed": metric_deformed}[which]
+    @pytest.mark.parametrize("which", ["flat22", "curved", "deformed", "linear_pivot",
+                                       "nonsquare"])
+    def test_dual_path_agreement(self, request, which):
+        g = request.getfixturevalue(f"metric_{which}")
         conn = levi_civita(g)
         frame = OSpFrame.build(g)
         rng = seeded(305)
@@ -600,10 +664,9 @@ class TestStrWithMetric:
         K = BilinearForm.zero(metric_flat22.chart)
         assert str_with_metric(K, frame).is_zero()
 
-    @pytest.mark.parametrize("which", ["flat22", "deformed"])
-    def test_frame_path_equals_matrix_path(self, which, metric_flat22,
-                                           metric_deformed):
-        g = {"flat22": metric_flat22, "deformed": metric_deformed}[which]
+    @pytest.mark.parametrize("which", ["flat22", "deformed", "linear_pivot", "nonsquare"])
+    def test_frame_path_equals_matrix_path(self, request, which):
+        g = request.getfixturevalue(f"metric_{which}")
         ch = g.chart
         frame = OSpFrame.build(g)
         rng = seeded(306)
@@ -615,7 +678,8 @@ class TestStrWithMetric:
                 assert (lhs - rhs).is_zero()
 
     def test_alternate_frame_sum(self, metric_deformed):
-        """str_g K = sum_j K(e_j, J e_j) = sum_j (-1)^{|e_j|} K(J e_j, e_j)."""
+        """str_g K = sum_j K(f_j, f^j) = sum_j (-1)^{|f_j|} K(f^j, f_j) over
+        the inverse pairing f^j = f_t w_j."""
         g = metric_deformed
         ch = g.chart
         frame = OSpFrame.build(g)
@@ -625,8 +689,8 @@ class TestStrWithMetric:
             first = str_with_metric(K, frame)
             second = ch.pool.zero()
             for j in range(ch.dim):
-                sj, jej = frame.j_field(j)
-                val = K.evaluate(jej, frame.fields[j]) * sj
+                w, t = frame.inverse_pairing[j]
+                val = K.evaluate(frame.fields[t], frame.fields[j]) * w
                 second = second + val * (-1 if ch.parity(j) else 1)
             assert (first - second).is_zero()
 

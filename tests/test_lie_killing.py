@@ -26,7 +26,7 @@ from supergeo.lie import (
     solve_killing,
 )
 from supergeo.scalars import Superfunction
-from supergeo.supermatrix import SuperMatrix, flip_sides, osp_residuals
+from supergeo.supermatrix import SuperMatrix, flip_sides, pair_columns
 
 from conftest import in_osp, random_field, random_superfunction, seeded
 from test_exactlinalg import _domain_matrix_nullspace
@@ -166,9 +166,11 @@ class TestKillingCheck:
         assert report.passed and report.agreement
 
     def test_mode_agreement_random_fields(self, metric_flat22, metric_curved,
-                                          metric_deformed, metric_mixed):
+                                          metric_deformed, metric_mixed,
+                                          metric_linear_pivot, metric_nonsquare):
         rng = seeded(404)
-        for g in (metric_flat22, metric_curved, metric_deformed, metric_mixed):
+        for g in (metric_flat22, metric_curved, metric_deformed, metric_mixed,
+                  metric_linear_pivot, metric_nonsquare):
             checker = KillingChecker(g)
             for _ in range(6):
                 X = random_field(g.chart, rng, rng.randint(0, 1),
@@ -374,12 +376,13 @@ class TestIndefiniteSignature:
 
 
 def _mode_v_by_frame_inverse(g, X):
-    """The osp residuals of mode (v) by the inverse route: the left
-    coefficients of ``[X, e_i]`` in the frame by the inverse of the matrix
-    ``M[m][a] = (e_m)^a``, flipped to the right coefficients ``L_mi``."""
+    """The residuals of mode (v) by the inverse route: the left coefficients
+    of ``[X, f_i]`` in the frame by the inverse of the matrix ``M[m][a] =
+    (f_m)^a``, flipped to the right coefficients ``L_mi``; then
+    ``<L f_i, f_j> + (-1)^{|X||i|} <f_i, L f_j> - X(D_ij)`` by
+    :func:`supermatrix.pair_columns` against the frame's pairing D."""
     chart, pool = g.chart, g.chart.pool
-    metric = MetricContext.of(g)
-    frame, sig = metric.frame, metric.signature
+    frame = MetricContext.of(g).frame
     M = SuperMatrix(pool, chart.n, chart.two_m, [e.components for e in frame.fields])
     Minv = M.inverse()
     cols = []
@@ -388,15 +391,25 @@ def _mode_v_by_frame_inverse(g, X):
         u = [sum((c * Minv.entries[a][m] for a, c in enumerate(br)), start=pool.zero())
              for m in range(chart.dim)]
         cols.append(flip_sides(u, X.parity + chart.parity(i), chart.n))
-    L = SuperMatrix(pool, chart.n, chart.two_m, [list(r) for r in zip(*cols)], X.parity)
-    return Check.grid("osp", osp_residuals(L, sig.t, sig.s, sig.two_m // 2), range(chart.dim))
+    D, par = frame.pairing, chart.parity
+    basis = SuperMatrix.identity(pool, chart.n, chart.two_m).entries  # rows = columns
+    residuals = []
+    for i in range(chart.dim):
+        residuals.append([])
+        for j in range(chart.dim):
+            lhs = pair_columns(D, cols[i], basis[j], X.parity + par(i), par(j))
+            rhs = pair_columns(D, basis[i], cols[j], par(i), X.parity + par(j))
+            both = lhs - rhs if X.parity * par(i) else lhs + rhs
+            residuals[i].append(both - X.apply(D[i, j]))
+    return Check.grid("osp", residuals, range(chart.dim))
 
 
 class TestModeV:
-    """Mode (v) reads ``L_mi = s_m g(e_{J(m)}, [X, e_i])`` off the metric."""
+    """Mode (v) pairs each ``[X, f_i]`` with the orthogonal frame."""
 
     @pytest.mark.parametrize("metric", [
         "metric_flat22", "metric_curved", "metric_deformed", "minkowski_super", "metric_mixed",
+        "metric_linear_pivot", "metric_nonsquare",
     ])
     def test_mode_v_matches_the_inverse_route(self, request, metric):
         g = request.getfixturevalue(metric)

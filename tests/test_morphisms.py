@@ -14,7 +14,7 @@ from supergeo.supermatrix import SuperMatrix
 
 from conftest import (
     in_osp,
-    osp_frame_rotation,
+    orthogonal_frame_change,
     random_field,
     random_superfunction,
     rotate_frame,
@@ -383,7 +383,7 @@ class TestTension:
 
     def test_frame_independence(self, fleshy, metric_curved):
         for setup in (fleshy,):
-            rot = osp_frame_rotation(setup.frame)
+            rot = orthogonal_frame_change(setup.frame)
             frame2 = rotate_frame(setup.frame, rot)
             frame2.certify(setup.h)
             t1 = setup.tension()
@@ -396,15 +396,37 @@ class TestTension:
         ch = metric_curved.chart
         phi = Morphism.identity(ch)
         setup = HarmonicSetup(phi, metric_curved, metric_curved)
-        rot = osp_frame_rotation(setup.frame)
+        rot = orthogonal_frame_change(setup.frame)
         frame2 = rotate_frame(setup.frame, rot)
         frame2.certify(setup.h)
         t1 = setup.tension()
         t2 = setup.tension_with_frame(frame2)
         assert all((a - b).is_zero() for a, b in zip(t1.components, t2.components))
 
+    @pytest.mark.parametrize("metric", ["metric_linear_pivot", "metric_nonsquare"])
+    def test_frame_routes_on_pivots_that_are_not_squares(self, request, metric):
+        """The identity from a metric with no rational OSp frame into the
+        flat metric of its chart: the tension agrees over two orthogonal
+        frames of different pivots, and the Noether current identity and
+        the stress-energy identities, all frame routes, vanish."""
+        h = request.getfixturevalue(metric)
+        ch = h.chart
+        setup = HarmonicSetup(Morphism.identity(ch), h, flat_metric(ch))
+        frame2 = rotate_frame(setup.frame, orthogonal_frame_change(setup.frame))
+        frame2.certify(h)
+        assert frame2.pivots != setup.frame.pivots
+        tau = setup.tension()
+        assert not tau.is_zero()
+        assert tau == setup.tension_with_frame(frame2)
+        rng = seeded(431)
+        for parity in (0, 1):
+            xi = _random_fam(setup.phi, rng, parity)
+            assert setup.div_identity_residual(xi).is_zero()
+            rep = setup.stress_energy_report(random_field(ch, rng, parity, allow_flesh=False))
+            assert rep.lemma.passed and rep.current.passed
+
     def test_frame_independence_indefinite_signature(self):
-        # exercises the hyperbolic rotation branch of the second frame
+        # the second frame shears two pivots of opposite sign
         ch = Chart(["x", "y"], ["th1", "th2"], box={"x": (0, 1), "y": (0, 1)})
         g = BilinearForm(
             ch, [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
@@ -420,7 +442,7 @@ class TestTension:
         assert in_osp(L, 1, 1, 1)
         odd_rotation = SuperMatrix.identity(ch.pool, 2, 2) + L + L * L * Fraction(1, 2)
         tau = setup.tension()
-        for rot in (osp_frame_rotation(setup.frame), odd_rotation):
+        for rot in (orthogonal_frame_change(setup.frame), odd_rotation):
             frame2 = rotate_frame(setup.frame, rot)
             frame2.certify(g)
             tau2 = setup.tension_with_frame(frame2)
@@ -692,8 +714,8 @@ class TestStressEnergy:
             coeff = S.evaluate(X, setup.frame.fields[i])
             if coeff.is_zero():
                 continue
-            si, jei = setup.frame.j_field(i)
-            Y = Y + jei.scale(coeff * si)
+            w, t = setup.frame.inverse_pairing[i]  # f^i = f_t w
+            Y = Y + setup.frame.fields[t].scale(coeff * w)
         # S vanishes identically here (n=2, m=1 gives e = 0 on the identity)
         # so use the domain theorem instead for sensitivity
         rep2 = setup.check_noether_domain(X)

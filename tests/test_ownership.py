@@ -208,9 +208,10 @@ RULES = {
     # check (exit 1); a result that fails its own certificate is a
     # CertificateFailure, a program fault (exit 3)
     "MetricViolation names a supermetric axiom": Rule(frozenset(), _unnamed_axiom),
-    # every sum against J e_j over an OSp frame is geometry.frame_sum
-    "only geometry reads the J signs of an OSp frame": Rule(
-        frozenset({"geometry"}), _attribute("j_signs")),
+    # every sum over a frame against its inverse pairing D^-1 is
+    # geometry.frame_sum
+    "only geometry reads the inverse pairing of a frame": Rule(
+        frozenset({"geometry"}), _attribute("inverse_pairing")),
     # errors.InvalidArgument is still a ValueError, and one `except
     # SupergeoError` catches every error the package raises
     "no module raises a bare ValueError": Rule(frozenset(), _raises_value_error),
@@ -306,8 +307,8 @@ SEEDS = [
      "from . import errors\nraise errors.MetricViolation()\n"),
     ("MetricViolation names a supermetric axiom", "scenario", None,
      "from .errors import MetricViolation as MV\nraise MV\n"),
-    ("only geometry reads the J signs of an OSp frame", "morphisms", "geometry",
-     "signs = frame.j_signs\n"),
+    ("only geometry reads the inverse pairing of a frame", "morphisms", "geometry",
+     "weights = frame.inverse_pairing\n"),
     ("no module raises a bare ValueError", "geometry", None, "raise ValueError('no')\n"),
     ("no module raises a bare ValueError", "scalars", None, "raise ValueError\n"),
     ("no module raises a bare ValueError", "zpoly", None,

@@ -1060,16 +1060,26 @@ class TestCoefficientInvariant:
         """On [0, 1] the denominator x - 2 of 1/(x - 2) is negative, and so
         is the body; (x - 1)/(x - 2) is >= 0 there, 0 at x = 1; a
         denominator with a zero in the box raises NonInvertible naming it,
-        and a nilpotent part takes no part."""
+        and a nilpotent part takes no part in the sign."""
         x, th = pool.even("x"), pool.odd("th1") * pool.odd("th2")
         box = ((Fraction(0), Fraction(1)),)
-        assert (1 / (x - 2) + th / x).body_sign(box, strict=True) == (-1, ())
+        assert (1 / (x - 2) + th / (x + 1)).body_sign(box, strict=True) == (-1, ())
         assert ((x - 1) / (x - 2)).body_sign(box, strict=False) == (1, ())
         assert ((x - 1) / (x - 2)).body_sign(box, strict=True) == (0, ((Fraction(1),),))
         assert ((x - 1) / (2 - x)).body_sign(box, strict=False) == (0, ((Fraction(0),),))
         assert (1 / (x - 2)).body_sign(box) is None
         with pytest.raises(NonInvertible, match="^body has a pole between x = 0 and x = 1$"):
             (1 / (3 * x - 1)).body_sign(box)
+
+    def test_a_pole_of_a_nilpotent_coefficient_is_a_pole(self, pool):
+        """The denominator's test reads the superfunction's own denominator:
+        1 + th/x has a body without a pole but a nilpotent coefficient with
+        one at x = 0, which raises NonInvertible in every mode."""
+        x, th = pool.even("x"), pool.odd("th1") * pool.odd("th2")
+        box = ((Fraction(0), Fraction(1)),)
+        for strict in (None, True, False):
+            with pytest.raises(NonInvertible, match="^body has a pole at x = 0$"):
+                (1 + th / x).body_sign(box, strict)
 
     def test_body_at_in_ints_matches_the_fraction_route(self):
         """body_at evaluates in ints over one common denominator.  On seeded

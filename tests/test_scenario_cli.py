@@ -590,7 +590,8 @@ x,x = 1
 
 def test_connection_commands_do_not_need_the_frame():
     """g = 2 dx^2 has no exact OSp frame (see math_error.scn), but its
-    connection and the frame-free Killing modes are fine."""
+    connection, the frame-free Killing modes and mode (v), which runs on
+    the orthogonal frame of pivot 2, are fine."""
     text = """
 [chart]
 even = x
@@ -611,11 +612,12 @@ check-killing T g --mode ii
 check-killing T g --mode all
 """
     results = run_scenario(text).results
-    assert [r.status for r in results] == ["pass", "pass", "pass", "error"]
+    assert [r.status for r in results] == ["pass", "pass", "pass", "pass"]
     assert results[0].details == [("nonzero", "0")]
     assert results[1].details == [("mode_i", "pass"), ("agreement", "true")]
     assert results[2].details == [("mode_ii", "pass"), ("agreement", "true")]
-    assert results[3].details[0][1].startswith("NotASquare")
+    assert results[3].details == [("mode_i", "pass"), ("mode_ii", "pass"), ("mode_v", "pass"),
+                                  ("agreement", "true")]
 
 
 def test_validate_metric_command_shares_its_result(monkeypatch):
@@ -670,17 +672,17 @@ def test_failed_solver_certificate_is_an_error(monkeypatch, tmp_path):
 
 
 def test_a_frame_that_fails_its_certificate_is_an_error(monkeypatch, tmp_path):
-    """An OSp frame that is not orthonormal is a program fault, not a
+    """A frame that does not meet its pairing is a program fault, not a
     broken supermetric axiom: ``osp-frame`` reports a CertificateFailure
     naming the first residual, with exit 3.  Here Gram-Schmidt's columns
-    are doubled, so g(e_0, e_0) - (g0)_00 = 4 - 1."""
+    are doubled but not its pivots, so g(f_0, f_0) - d_0 = 4 - 1."""
     from supergeo import geometry
 
     gram_schmidt = geometry._gram_schmidt
 
     def doubled(g):
-        E, signature = gram_schmidt(g)
-        return E * 2, signature
+        columns, pivots = gram_schmidt(g)
+        return [[e * 2 for e in col] for col in columns], pivots
 
     monkeypatch.setattr(geometry, "_gram_schmidt", doubled)
     out = tmp_path / "report.txt"
@@ -689,7 +691,7 @@ def test_a_frame_that_fails_its_certificate_is_an_error(monkeypatch, tmp_path):
     assert cli_main(["run", str(scn), "--report", str(out)]) == 3
     lines = out.read_text().splitlines()
     assert "status: error" in lines
-    assert "error = CertificateFailure: OSp frame is not orthonormal: frame[0,0]: (3)" in lines
+    assert "error = CertificateFailure: frame does not meet its pairing: frame[0,0]: (3)" in lines
 
 
 def test_incomplete_solver_basis_is_an_error(monkeypatch, tmp_path):
@@ -1267,6 +1269,84 @@ def test_the_whole_closed_box_is_certified(tmp_path, text, exit_code, lines):
     report = out.read_text().splitlines()
     assert all(line in report for line in lines), report
     assert "status: pass" not in report
+
+
+# the chart of the nilpotent-pole cases, with a flat (1|2) target
+_NILPOTENT_POLES = """\
+[chart]
+even = x
+odd = th1 th2
+box x = -1 1
+
+[target]
+even = u
+odd = e1 e2
+box u = -10 10
+
+[metric h]
+x,x = {xx}
+th1,th2 = -1
+
+[metric g]
+chart = target
+u,u = 1
+e1,e2 = -1
+
+{morphism}[run]
+{run}"""
+
+
+def test_a_pole_of_a_nilpotent_coefficient_fails_the_metric():
+    """x,x = 1 + th1 th2 / x has a pole at x = 0 in its nilpotent part only:
+    it fails as a pole of the body does (exit 3), where it used to pass
+    with signature (0, 1, 2) and print a frame with a 1/x."""
+    text = _NILPOTENT_POLES.format(xx="1 + th1*th2/x", morphism="",
+                                   run="validate-metric h\nosp-frame h\n")
+    report = run_scenario(text)
+    assert report.exit_code == 3
+    pole = "NonInvertible: body has a pole between x = -1 and x = 1"
+    assert [r.details for r in report.results] == [[("error", pole)]] * 2
+
+
+@pytest.mark.parametrize("images", [
+    "u = x + th1*th2/x\ne1 = th1/x\ne2 = th2\n",
+    "u = x\ne1 = th1/x\ne2 = th2\n",
+], ids=["even_and_odd_images", "odd_image_alone"])
+def test_a_pole_of_a_nilpotent_or_odd_image_is_a_load_error(images):
+    """A pole at x = 0 in the nilpotent part of an even image, or in an odd
+    image, is a pole of the map: a load error (exit 2) naming the
+    [morphism PHI] line, where ``tension PHI`` used to print a tension with
+    poles in the box."""
+    morphism = "[morphism PHI]\nsource_metric = h\ntarget_metric = g\n" + images + "\n"
+    text = _NILPOTENT_POLES.format(xx="1", morphism=morphism, run="tension PHI\n")
+    report = run_scenario(text)
+    line = text.splitlines().index("[morphism PHI]") + 1
+    assert report.exit_code == 2
+    assert report.load_error == (
+        f"NonInvertible: body has a pole between x = -1 and x = 1 (line {line})")
+
+
+def test_frame_routes_run_on_a_pivot_that_is_not_a_square():
+    """x,x = 1 + x has no rational orthonormal frame: ``osp-frame`` still
+    reports NotASquare, but every Killing mode, the tension of the identity
+    into a flat (1|2) target and the target Noether theorem run on the
+    orthogonal frame of pivot 1 + x, and pass."""
+    morphism = ("[morphism ID]\nsource_metric = h\ntarget_metric = g\n"
+                "u = x\ne1 = th1\ne2 = th2\n\n"
+                "[vectorfield X]\nparity = odd\nth1 = 1\n\n"
+                "[vectorfield T]\nchart = target\nu = 1\n\n")
+    text = _NILPOTENT_POLES.replace("box x = -1 1", "box x = 0 1").format(
+        xx="1 + x", morphism=morphism,
+        run="check-killing X h --mode all\ntension ID\ncheck-noether target ID T\nosp-frame h\n")
+    killing, tension, noether, frame = run_scenario(text).results
+    assert killing.status == "pass"
+    assert killing.details == [("mode_i", "pass"), ("mode_ii", "pass"), ("mode_v", "pass"),
+                               ("agreement", "true")]
+    assert tension.status == "pass"
+    assert tension.details == [("superharmonic", "false"),
+                               ("tau^u", "((-1)/(2*x^2 + 4*x + 2))")]
+    assert noether.status == "pass"
+    assert frame.details == [("error", "NotASquare: body -x - 1 admits no exact square root")]
 
 
 def test_missing_pullback_names_the_morphism_line():
