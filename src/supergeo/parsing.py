@@ -17,8 +17,9 @@ from .scalars import EXPONENT_BOUND, IDENTIFIER, Superfunction
 # the most digits of an integer literal: the interpreter's default limit on
 # int(str), which read_int applies whatever limit the environment sets
 MAX_DIGITS = 4300
-# the most bits a power's result may hold by the estimate of _power_bits:
-# (1 + x)^1000 stays below it (about 2^20) and (1 + x)^2000 does not
+# the most bits a power's or a product's result may hold by the estimates of
+# _power_bits and _product_bits: (1 + x)^1000 stays below it (about 2^20) and
+# (1 + x)^2000 and (1 + x)^1000 * (1 + x)^1000 do not
 POWER_BITS = 2**21
 
 
@@ -27,8 +28,19 @@ def _power_bits(base: Superfunction, k: int) -> int:
     which computes it first), from k, the base's degree d in v even
     variables and its L1 norm: ``comb(k d + v, v)`` monomials of at most
     ``k * ceil(log2 norm)`` bits each."""
-    degree, variables, norm = base.extent()
-    return math.comb(k * degree + variables, variables) * k * max(norm - 1, 0).bit_length()
+    degree, variables, norm, _ = base.extent()
+    v = len(variables)
+    return math.comb(k * degree + v, v) * k * max(norm - 1, 0).bit_length()
+
+
+def _product_bits(a: Superfunction, b: Superfunction) -> int:
+    """An upper estimate of the bits of ``a * b``, by the rule of
+    :func:`_power_bits`: the degrees add and the L1 norms multiply, and the
+    monomials are at most ``comb(d + v, v)`` and at most the products of
+    the operands' monomials, so that ``2 x^k`` and ``x^k y^k`` stay small."""
+    (da, va, na, sa), (db, vb, nb, sb) = a.extent(), b.extent()
+    v = len(va | vb)
+    return min(math.comb(da + db + v, v), sa * sb) * max(na * nb - 1, 0).bit_length()
 
 
 def read_int(text: str, line=None, column=None) -> int:
@@ -122,7 +134,7 @@ class _Parser:
                 self.advance()
                 rhs = self.unary()
                 if tok.text == "*":
-                    value = value * rhs
+                    value = self.product(value, rhs, tok)
                 else:
                     try:
                         value = value / rhs
@@ -131,9 +143,18 @@ class _Parser:
                             "division by a non-unit", tok.line, tok.column
                         ) from None
             elif tok.kind in ("INT", "IDENT") or (tok.kind == "OP" and tok.text == "("):
-                value = value * self.unary()  # juxtaposition multiplies
+                value = self.product(value, self.unary(), tok)  # juxtaposition multiplies
             else:
                 return value
+
+    @staticmethod
+    def product(a: Superfunction, b: Superfunction, tok: _Token) -> Superfunction:
+        """``a * b``, a ParseError at ``tok`` when :func:`_product_bits` is
+        past :data:`POWER_BITS`."""
+        if _product_bits(a, b) > POWER_BITS:
+            raise ParseError("product too large: its result may hold more than 2^21 bits",
+                             tok.line, tok.column)
+        return a * b
 
     def unary(self) -> Superfunction:
         tok = self.peek()

@@ -944,19 +944,24 @@ class Superfunction:
         No coefficient may have a pole there: ``den``, which the canonical
         form makes coprime to the numerators together, gets the strict test,
         and a zero, a sign change or an undecided test raises
-        ``NonInvertible`` naming the witness.  With ``strict`` None that is
-        all, and the result is None.  Else the numerator times the
-        denominator's sign gets the strict (True) or the non-strict (False)
-        test, whose ``(sign, points)`` this returns: a nonzero sign proves
-        that the body has that strict sign, or (non-strict) that it is >= 0,
-        on the whole box."""
+        ``NonInvertible`` naming the witness, and the body if the body's own
+        denominator fails the test too, else a nilpotent coefficient.  With
+        ``strict`` None that is all, and the result is None.  Else the
+        numerator times the denominator's sign gets the strict (True) or the
+        non-strict (False) test, whose ``(sign, points)`` this returns: a
+        nonzero sign proves that the body has that strict sign, or
+        (non-strict) that it is >= 0, on the whole box."""
         num, sign = self.terms.get((), {}), 1
         if type(self.den) is not int:
             sign, points = box_sign(self.den, box)
             if not sign:
-                raise NonInvertible(f"body has a pole {self.pool.render_witness(points)}"
-                                    if points else "body may have a pole in the box: the sign"
-                                    " of its denominator is undecided")
+                own = self.body_part().den
+                own_sign, own_points = (1, ()) if type(own) is int else box_sign(own, box)
+                where, points = (("a nilpotent coefficient", points) if own_sign
+                                 else ("body", own_points))
+                raise NonInvertible(f"{where} has a pole {self.pool.render_witness(points)}"
+                                    if points else f"{where} may have a pole in the box: the"
+                                    " sign of its denominator is undecided")
         if strict is None:
             return None
         return box_sign(num if sign > 0 else pneg(num), box, strict)
@@ -1033,25 +1038,29 @@ class Superfunction:
         return _nilpotent_series(t, _half_binomials(), self.pool.one()) * s0
 
     def extent(self):
-        """``(degree, variables, norm)`` over the numerators and ``den``: the
-        largest total degree of an even monomial, the number of even
-        variables that occur, and the larger L1 norm (the sum of the absolute
-        values of the integer coefficients) of the numerators together and of
+        """``(degree, variables, norm, size)`` over the numerators and
+        ``den``: the largest total degree of an even monomial, the set of the
+        positions of the even variables that occur, and the larger L1 norm
+        (the sum of the absolute values of the integer coefficients) and the
+        larger number of monomials of the numerators together and of
         ``den``.  A power's numerators and ``den`` have at most ``comb(k
-        degree + variables, variables)`` monomials each per odd monomial,
-        each with a coefficient of at most ``norm^k``."""
+        degree + v, v)`` monomials each per odd monomial, v variables, each
+        with a coefficient of at most ``norm^k``."""
         spans = fields(self.pool.n_even)
         den = {0: self.den} if type(self.den) is int else self.den
-        degree, seen, norms = 0, 0, []
+        degree, seen, norms, sizes = 0, 0, [], []
         for polys in (self.terms.values(), [den]):
-            norm = 0
+            norm = size = 0
             for p in polys:
+                size += len(p)
                 for e, c in p.items():
                     degree = max(degree, sum(e >> s & m for s, m in spans))
                     seen |= e
                     norm += abs(c)
             norms.append(norm)
-        return degree, sum(1 for s, m in spans if seen >> s & m), max(norms)
+            sizes.append(size)
+        variables = {k for k, (s, m) in enumerate(spans) if seen >> s & m}
+        return degree, variables, max(norms), max(sizes)
 
     def top_part(self) -> "Superfunction":
         """The coefficient of the full odd-coordinate monomial, as a

@@ -140,6 +140,19 @@ def random_superfunction(pool, rng, parity=None, max_degree=2, coeff_range=2,
     return out
 
 
+def random_matrix(pool, p, q, parity, rng, max_degree=1):
+    """Random (p|q) supermatrix of the given parity, each entry a
+    random_superfunction of its slot's parity."""
+    rows = []
+    for i in range(p + q):
+        row = []
+        for j in range(p + q):
+            sl = (parity + (0 if i < p else 1) + (0 if j < p else 1)) % 2
+            row.append(random_superfunction(pool, rng, sl, max_degree, coeff_range=2))
+        rows.append(row)
+    return SuperMatrix(pool, p, q, rows, parity)
+
+
 def random_field(chart, rng, parity, max_degree=1, allow_flesh=True):
     comps = [
         random_superfunction(

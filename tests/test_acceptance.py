@@ -28,7 +28,7 @@ from supergeo.parsing import parse_expression
 from supergeo.scenario import run_scenario
 from supergeo.supermatrix import SuperMatrix, gram_schmidt_osp, pair_columns, standard_metric
 
-from conftest import random_field, random_superfunction, seeded
+from conftest import random_field, random_matrix, random_superfunction, seeded
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -313,17 +313,6 @@ def test_criterion_4_noether_residual_suite():
 # -- 5. Superlinear algebra -------------------------------------------------------
 
 
-def _random_matrix(pool, p, q, parity, rng):
-    rows = []
-    for i in range(p + q):
-        row = []
-        for j in range(p + q):
-            sl = (parity + (0 if i < p else 1) + (0 if j < p else 1)) % 2
-            row.append(random_superfunction(pool, rng, sl, 1, coeff_range=2))
-        rows.append(row)
-    return SuperMatrix(pool, p, q, rows, parity)
-
-
 def test_criterion_5_superlinear_algebra():
     pool = GeneratorPool(["x"], ["th1", "th2"])
     rng = seeded(1005)
@@ -331,15 +320,15 @@ def test_criterion_5_superlinear_algebra():
 
     for _ in range(200):
         pa, pb = rng.randint(0, 1), rng.randint(0, 1)
-        A = _random_matrix(pool, 1, 2, pa, rng)
-        B = _random_matrix(pool, 1, 2, pb, rng)
+        A = random_matrix(pool, 1, 2, pa, rng)
+        B = random_matrix(pool, 1, 2, pb, rng)
         sign = -1 if pa * pb else 1
         ok = ok and (A * B - (B * A) * pool.scalar(sign)).supertrace().is_zero()
 
     pairs = 0
     while pairs < 100:
-        M = _random_matrix(pool, 2, 2, 0, rng)
-        N = _random_matrix(pool, 2, 2, 0, rng)
+        M = random_matrix(pool, 2, 2, 0, rng)
+        N = random_matrix(pool, 2, 2, 0, rng)
         bm = sp.Matrix(4, 4, lambda i, j: M.entries[i][j].body())
         bn = sp.Matrix(4, 4, lambda i, j: N.entries[i][j].body())
         if sp.cancel(bm.det()) == 0 or sp.cancel(bn.det()) == 0:

@@ -121,6 +121,44 @@ class TestErrors:
         power = parse_expression("x^2147483647", pool)
         assert list(power.rational_coefficients()) == [((), (2**31 - 1, 0), 1)]
 
+    @pytest.mark.parametrize("text, column", [
+        ("(1 + x)^1000 * (1 + x)^1000", 14),
+        ("(1 + x)^300 (1 + y)^300", 13),
+        ("(1 + x)^300 * (1 + y)^300", 13),
+    ], ids=["product", "juxtaposition", "two_variables"])
+    def test_a_product_past_the_budget_is_refused_before_it_is_formed(
+            self, pool, monkeypatch, text, column):
+        """Each factor is within the power budget, but the degrees of a
+        product add and its L1 norms multiply; past 2^21 bits the product
+        is a ParseError at its operator (or at the juxtaposed factor), and
+        from the estimate on no product is formed."""
+        estimate = parsing._product_bits
+
+        def refuse(*args):
+            raise AssertionError("a product was formed")
+
+        def refusing_from_here(a, b):
+            monkeypatch.setattr(scalars, "pmul", refuse)
+            monkeypatch.setattr(zpoly, "pmul", refuse)
+            return estimate(a, b)
+
+        monkeypatch.setattr(parsing, "_product_bits", refusing_from_here)
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, pool)
+        assert (err.value.message, err.value.line, err.value.column) == (
+            "product too large: its result may hold more than 2^21 bits", 1, column)
+
+    @pytest.mark.parametrize("text, terms", [
+        ("2 x^2147483647", 1),
+        ("x^2147483647 * y^2147483647", 1),
+        ("(1 + x)^1000", 1001),
+    ], ids=["scaled_monomial", "monomials", "power_within_the_budget"])
+    def test_a_product_within_the_budget_loads(self, pool, text, terms):
+        """The monomials of a product are at most the products of the
+        operands' monomials, so 2 x^k and x^k y^k cost nothing; the bound
+        leaves the power budget as it was."""
+        assert len(list(parse_expression(text, pool).rational_coefficients())) == terms
+
     @pytest.mark.parametrize("text, message", [
         ("th1^-1", "negative power of a non-unit"),
         ("(" * 5000 + "x" + ")" * 5000, "expression is nested too deeply"),

@@ -1074,12 +1074,26 @@ class TestCoefficientInvariant:
     def test_a_pole_of_a_nilpotent_coefficient_is_a_pole(self, pool):
         """The denominator's test reads the superfunction's own denominator:
         1 + th/x has a body without a pole but a nilpotent coefficient with
-        one at x = 0, which raises NonInvertible in every mode."""
+        one at x = 0, which raises NonInvertible in every mode, naming the
+        nilpotent coefficient."""
         x, th = pool.even("x"), pool.odd("th1") * pool.odd("th2")
         box = ((Fraction(0), Fraction(1)),)
         for strict in (None, True, False):
-            with pytest.raises(NonInvertible, match="^body has a pole at x = 0$"):
+            with pytest.raises(NonInvertible,
+                               match="^a nilpotent coefficient has a pole at x = 0$"):
                 (1 + th / x).body_sign(box, strict)
+
+    @pytest.mark.parametrize("f, where", [
+        (lambda x, th: 1 / (x - 2) + th / x, "body"),
+        (lambda x, th: 1 / x + th / (x - 2), "a nilpotent coefficient"),
+        (lambda x, th: th / (x - 2), "a nilpotent coefficient"),
+    ], ids=["body", "nilpotent", "no_body"])
+    def test_the_pole_message_names_the_body_only_when_it_has_the_pole(self, pool, f, where):
+        """Over the denominator x(x - 2), the pole at 2 in [1, 3] is the
+        body's only when the body's own denominator has it."""
+        f = f(pool.even("x"), pool.odd("th1") * pool.odd("th2"))
+        with pytest.raises(NonInvertible, match=f"^{where} has a pole between x = 1 and x = 3$"):
+            f.body_sign(((Fraction(1), Fraction(3)),))
 
     def test_body_at_in_ints_matches_the_fraction_route(self):
         """body_at evaluates in ints over one common denominator.  On seeded

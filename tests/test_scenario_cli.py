@@ -1036,13 +1036,18 @@ _LONG = "1" + "0" * 4999  # 5,000 digits
     ("x,x = 1\n", "x,x = 1 + (1 + x)^2000\n", "validate-metric g\n",
      "ParseError: power too large: its result may hold more than 2^21 bits"
      " at line 10, column 19"),
+    ("x,x = 1\n", "x,x = (1 + x)^1000 * (1 + x)^1000 * (1 + x)^1000 * (1 + x)^1000\n",
+     "validate-metric g\n",
+     "ParseError: product too large: its result may hold more than 2^21 bits"
+     " at line 10, column 20"),
 ], ids=["expression", "exponent", "box_numerator", "box_denominator", "flesh", "degree",
-        "exponent_2_31", "exponent_minus_2_31", "power_past_the_budget"])
+        "exponent_2_31", "exponent_minus_2_31", "power_past_the_budget",
+        "product_past_the_budget"])
 def test_an_integer_literal_out_of_bounds_is_a_usage_error(tmp_path, old, new, run, error):
     """An integer literal of more than 4300 digits, the package's bound, an
-    exponent of 2^31 or more, the bound of a degree, and a power whose
-    result may hold more than 2^21 bits are usage errors naming the line,
-    exit 2; no exception of the interpreter's escapes."""
+    exponent of 2^31 or more, the bound of a degree, and a power or a
+    product whose result may hold more than 2^21 bits are usage errors
+    naming the line, exit 2; no exception of the interpreter's escapes."""
     scenario, out = tmp_path / "long.scn", tmp_path / "long.report.txt"
     scenario.write_text(_edited_flat_killing(old, new, run))
     assert cli_main(["run", str(scenario), "--report", str(out)]) == 2
@@ -1299,12 +1304,13 @@ e1,e2 = -1
 def test_a_pole_of_a_nilpotent_coefficient_fails_the_metric():
     """x,x = 1 + th1 th2 / x has a pole at x = 0 in its nilpotent part only:
     it fails as a pole of the body does (exit 3), where it used to pass
-    with signature (0, 1, 2) and print a frame with a 1/x."""
+    with signature (0, 1, 2) and print a frame with a 1/x; the message
+    names the nilpotent coefficient, since the body 1 has no pole."""
     text = _NILPOTENT_POLES.format(xx="1 + th1*th2/x", morphism="",
                                    run="validate-metric h\nosp-frame h\n")
     report = run_scenario(text)
     assert report.exit_code == 3
-    pole = "NonInvertible: body has a pole between x = -1 and x = 1"
+    pole = "NonInvertible: a nilpotent coefficient has a pole between x = -1 and x = 1"
     assert [r.details for r in report.results] == [[("error", pole)]] * 2
 
 
@@ -1316,14 +1322,15 @@ def test_a_pole_of_a_nilpotent_or_odd_image_is_a_load_error(images):
     """A pole at x = 0 in the nilpotent part of an even image, or in an odd
     image, is a pole of the map: a load error (exit 2) naming the
     [morphism PHI] line, where ``tension PHI`` used to print a tension with
-    poles in the box."""
+    poles in the box.  The odd image e1, whose body is 0, fails first, and
+    the message names its nilpotent coefficient."""
     morphism = "[morphism PHI]\nsource_metric = h\ntarget_metric = g\n" + images + "\n"
     text = _NILPOTENT_POLES.format(xx="1", morphism=morphism, run="tension PHI\n")
     report = run_scenario(text)
     line = text.splitlines().index("[morphism PHI]") + 1
     assert report.exit_code == 2
-    assert report.load_error == (
-        f"NonInvertible: body has a pole between x = -1 and x = 1 (line {line})")
+    assert report.load_error == ("NonInvertible: a nilpotent coefficient has a pole"
+                                 f" between x = -1 and x = 1 (line {line})")
 
 
 def test_frame_routes_run_on_a_pivot_that_is_not_a_square():

@@ -42,6 +42,7 @@ from conftest import (
     in_osp,
     osp_residuals,
     random_field,
+    random_matrix,
     random_superfunction,
     seeded,
 )
@@ -52,17 +53,6 @@ x = sp.Symbol("x")
 @pytest.fixture
 def pool():
     return GeneratorPool(["x"], ["th1", "th2"])
-
-
-def random_matrix(pool, p, q, parity, rng, max_degree=1):
-    rows = []
-    for i in range(p + q):
-        row = []
-        for j in range(p + q):
-            sl = (parity + (0 if i < p else 1) + (0 if j < p else 1)) % 2
-            row.append(random_superfunction(pool, rng, sl, max_degree, coeff_range=2))
-        rows.append(row)
-    return SuperMatrix(pool, p, q, rows, parity)
 
 
 def test_ragged_grid_is_a_supergeo_error(pool):
